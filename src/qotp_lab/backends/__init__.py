@@ -9,7 +9,9 @@ Three interoperable state representations:
   rank <= 1024; covers circuits with few injected T-type magic states.
 
 All expose: append_qubits, apply_gate, apply_pauli, measure,
-z_probabilities, density_of, copy, to_json/from_json.
+z_probabilities, density_of, copy, to_json/from_json.  ``state_from_json``
+rebuilds any of them from its JSON form; ``measure_all`` measures a list of
+qubits in turn.
 """
 
 from __future__ import annotations
@@ -25,22 +27,7 @@ __all__ = [
     "KERNEL",
     "state_from_json",
     "measure_all",
-    "apply_circuit",
-    "make_backend",
 ]
-
-
-def make_backend(kind: str, n: int = 0, capacity: int | None = None):
-    if kind == "sv":
-        s = StateVector()
-        if n:
-            s.append_qubits(n)
-        return s
-    if kind == "tab":
-        return TableauState(n, capacity=capacity)
-    if kind == "sum":
-        return StabilizerSum(n)
-    raise ValueError(f"unknown backend {kind!r}")
 
 
 def state_from_json(data: dict):
@@ -52,15 +39,6 @@ def state_from_json(data: dict):
     if kind == "sum":
         return StabilizerSum.from_json(data)
     raise ValueError(f"unknown backend {kind!r}")
-
-
-def apply_circuit(state, gates, qubit_map=None) -> None:
-    """Apply a gate list; qubit_map translates circuit wires to qubit ids."""
-    for g in gates:
-        if qubit_map is None:
-            state.apply_gate(g[0], *g[1:])
-        else:
-            state.apply_gate(g[0], *[qubit_map[w] for w in g[1:]])
 
 
 def measure_all(state, qubits, rng=None, forced=None) -> tuple[list[int], float]:

@@ -14,10 +14,6 @@ letter(1,1) = Y.
 from __future__ import annotations
 
 
-def _popcount(v: int) -> int:
-    return bin(v).count("1")
-
-
 class TableauKernel:
     """CHP-style tableau for |0...0> plus Clifford gates and measurement."""
 
@@ -116,9 +112,10 @@ class TableauKernel:
         n = self.n
         # Select stabilizer rows indexed by destabilizer x-bits at q.
         sel = (self.xcols[q] & ((1 << n) - 1)) << n
-        acc = 2 * _popcount(self.signs & sel)
+        acc = 2 * (self.signs & sel).bit_count()
         for j in range(n):
-            acc += _popcount(self.zcols[j] & sel) * _popcount(self.xcols[j] & sel)
+            acc += ((self.zcols[j] & sel).bit_count()
+                    * (self.xcols[j] & sel).bit_count())
         return (acc >> 1) & 1
 
     def measure(self, q: int, random_bit: int) -> tuple[int, bool]:

@@ -114,12 +114,6 @@ class StateVector:
         view[:, 0, :] = m[0, 0] * a0 + m[0, 1] * a1
         view[:, 1, :] = m[1, 0] * a0 + m[1, 1] * a1
 
-    def apply_t_gate(self, qubit: int) -> None:
-        """Non-Clifford pi/8 phase; only the dense backend supports it."""
-        ax = self._axis(qubit)
-        view = self._amps.reshape((1 << ax, 2, -1))
-        view[:, 1, :] *= np.exp(1j * np.pi / 4)
-
     def _apply_cnot(self, control: int, target: int) -> None:
         axc, axt = self._axis(control), self._axis(target)
         n = self.n

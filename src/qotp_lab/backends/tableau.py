@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from ..gf2 import nullspace, popcount
+from ..gf2 import nullspace
 from ..paulis import PauliOperator
 
 if os.environ.get("QOTP_LAB_PURE", "") == "1":
@@ -180,10 +180,11 @@ class TableauState:
             phase = 0
             for i, (rx, rz, rs) in enumerate(rows):
                 if (combo >> i) & 1:
-                    phase += 2 * rs + popcount(rx & rz) + 2 * popcount(z & rx)
+                    phase += (2 * rs + (rx & rz).bit_count()
+                              + 2 * (z & rx).bit_count())
                     x ^= rx
                     z ^= rz
-            phase = (phase - popcount(x & z)) % 4
+            phase = (phase - (x & z).bit_count()) % 4
             # Restrict to keep, with qubit i of keep at index bit k-1-i.
             xr = zr = 0
             ycount = 0

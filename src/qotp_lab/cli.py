@@ -14,14 +14,12 @@ import sys
 
 from .harness import COMMANDS, emit_report, run_experiment
 
-ALL_COMMANDS = COMMANDS + ("trap-distance",)
-
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="qotp-lab",
         description="trap-code authentication and quantum one-time programs")
-    parser.add_argument("command", choices=ALL_COMMANDS)
+    parser.add_argument("command", choices=list(COMMANDS))
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--seed", type=int, default=None,
                         help="64-bit root seed (overrides config)")
@@ -39,10 +37,15 @@ def main(argv=None) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"configuration error: {exc}", file=sys.stderr)
             return 2
+        if not isinstance(config, dict):
+            print("configuration error: the config must be a JSON object",
+                  file=sys.stderr)
+            return 2
     if args.seed is not None:
         config["seed"] = args.seed
-    config.setdefault("seed", 1)
-    if not 0 <= config["seed"] < 2 ** 64:
+    seed = config.setdefault("seed", 1)
+    if isinstance(seed, bool) or not isinstance(seed, int) \
+            or not 0 <= seed < 2 ** 64:
         print("configuration error: seed must be a 64-bit unsigned integer",
               file=sys.stderr)
         return 2

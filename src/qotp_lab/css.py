@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .gf2 import dot, parity, popcount, rref, solve
+from .gf2 import dot, rref, solve
 from .paulis import CliffordUnitary, PauliOperator
 
 
@@ -260,7 +260,7 @@ def _hamming_decode(c: int) -> tuple[int, int]:
         else:
             raise AssertionError("Hamming syndrome must match a column")
     word = c ^ e
-    return parity(word), e
+    return word.bit_count() & 1, e
 
 
 def build_steane() -> CssCode:
@@ -359,5 +359,9 @@ def concatenate(code: CssCode, levels: int) -> CssCode:
 
 
 def code_from_spec(name: str, levels: int = 1) -> CssCode:
-    base = {"steane": build_steane, "toy": build_toy_code}[name]()
+    builders = {"steane": build_steane, "toy": build_toy_code}
+    if name not in builders:
+        raise ValueError(f"unknown base code {name!r}; "
+                         f"choose one of {sorted(builders)}")
+    base = builders[name]()
     return concatenate(base, levels) if levels > 1 else base

@@ -31,14 +31,6 @@ def kron_all(mats) -> np.ndarray:
     return out
 
 
-def basis_index(bits) -> int:
-    """Flat index of |b0 b1 ... b_{n-1}>, qubit 0 most significant."""
-    idx = 0
-    for b in bits:
-        idx = (idx << 1) | (b & 1)
-    return idx
-
-
 def single_qubit_on(n: int, qubit: int, m: np.ndarray) -> np.ndarray:
     return kron_all([m if j == qubit else I2 for j in range(n)])
 

@@ -33,29 +33,6 @@ import numpy as np
 from .paulis import PauliOperator
 from .trap import TrapCode, RecordDecode, authenticate_register
 
-class BranchDead(Exception):
-    """A forced measurement path hit probability zero."""
-
-
-MAGIC_OF_GATE = {"X": None, "Y": None, "Z": None, "CNOT": None,
-                 "K": "K", "T": "T", "H": "H"}
-INTERACTION_OF_GATE = {"X": "none", "Y": "none", "Z": "none", "CNOT": "none",
-                       "K": "one_way", "H": "one_way", "T": "two_way"}
-
-
-@dataclass(frozen=True)
-class GadgetSpec:
-    gate: str
-    targets: tuple
-
-    @property
-    def magic_kind(self) -> str | None:
-        return MAGIC_OF_GATE[self.gate]
-
-    @property
-    def interaction(self) -> str:
-        return INTERACTION_OF_GATE[self.gate]
-
 
 @dataclass(frozen=True)
 class MagicSlot:
@@ -115,53 +92,15 @@ class VerifierState:
             self.cheated = True
         return rec
 
-    def snapshot_keys(self) -> dict[str, PauliOperator]:
-        return dict(self.keys)
-
-
-class SamplingDriver:
-    """Default measurement driver: Born sampling from a generator."""
-
-    def __init__(self, rng):
-        self.rng = rng
-
-    def choose(self, state, qubit):
-        return None  # let the backend draw from rng
-
-    def get_rng(self):
-        return self.rng
-
-
-class ReplayDriver:
-    """Forces a scripted outcome path; used for exhaustive enumeration."""
-
-    def __init__(self, script: list[int]):
-        self.script = list(script)
-        self.cursor = 0
-        self.over_budget = False
-
-    def choose(self, state, qubit):
-        if self.cursor < len(self.script):
-            bit = self.script[self.cursor]
-            self.cursor += 1
-            return bit
-        self.over_budget = True
-        self.script.append(0)
-        self.cursor += 1
-        return 0
-
-    def get_rng(self):
-        return None
-
 
 class AuthSession:
     """One verifier/attacker pair sharing a trap-code key."""
 
     def __init__(self, trap: TrapCode, keys: dict[str, PauliOperator],
-                 state, driver, discard_measured: bool = False):
+                 state, rng, discard_measured: bool = False):
         self.trap = trap
         self.state = state
-        self.driver = driver
+        self.rng = rng  # Born sampling of every measurement outcome
         self.discard_measured = discard_measured
         # sender-side authentication always uses the sampled keys; the
         # verifier's table evolves separately under gadget key updates
@@ -220,8 +159,6 @@ class AuthSession:
     # -- primitive quantum steps ---------------------------------------------
     def _weigh(self, p: float) -> None:
         self.prob_weight *= p
-        if self.prob_weight == 0.0:
-            raise BranchDead
 
     def transversal_cnot_physical(self, control: str, target: str) -> None:
         rc = self.materialize(control)
@@ -252,9 +189,7 @@ class AuthSession:
         reg = self.materialize(name)
         bits = []
         for q in reg.ids:
-            forced = self.driver.choose(self.state, q)
-            bit, prob = self.state.measure(q, rng=self.driver.get_rng(),
-                                           forced=forced)
+            bit, prob = self.state.measure(q, rng=self.rng)
             bits.append(bit)
             self._weigh(prob)
         reg.status = "consumed"
@@ -384,10 +319,7 @@ class AuthSession:
         for p in range(self.trap.n):
             if p == dpos:
                 continue
-            q = reg.ids[p]
-            forced = self.driver.choose(self.state, q)
-            bit, prob = self.state.measure(q, rng=self.driver.get_rng(),
-                                           forced=forced)
+            bit, prob = self.state.measure(reg.ids[p], rng=self.rng)
             self._weigh(prob)
             if bit:
                 accepted = False
@@ -557,8 +489,8 @@ def make_gadget_session(base_code, circuit, input_labels: list[str],
     for i, kind in enumerate(kinds):
         magic_names.extend([f"M{i}a", f"M{i}b"] if kind == "H" else [f"M{i}"])
     key = sample_auth_key(base_code, data_names + magic_names, rng)
-    session = AuthSession(key.trap, key.pauli_keys, backend,
-                          SamplingDriver(rng), discard_measured)
+    session = AuthSession(key.trap, key.pauli_keys, backend, rng,
+                          discard_measured)
     for name, label in zip(data_names, input_labels):
         session.declare(name, data_preparer(name, pauli_eigenstate_prep(label)))
     slots = []

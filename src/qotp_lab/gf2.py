@@ -8,16 +8,8 @@ the symbolic code/trap classification paths.
 from __future__ import annotations
 
 
-def parity(mask: int) -> int:
-    return bin(mask).count("1") & 1
-
-
-def popcount(mask: int) -> int:
-    return bin(mask).count("1")
-
-
 def dot(a: int, b: int) -> int:
-    return parity(a & b)
+    return (a & b).bit_count() & 1
 
 
 def rref(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:

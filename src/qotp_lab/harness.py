@@ -25,10 +25,6 @@ from .trap import (TrapCode, classify_pauli_attack, estimate_attack_security,
                    exact_placement_probability, sample_trap_code,
                    security_sweep_rows, sweep_to_csv, wilson_interval)
 
-COMMANDS = ("twirl-check", "trap-security", "gadget-check", "qotp-run",
-            "qotp-attack", "sim-compare", "teleport-check", "brotp-check")
-
-
 # ---------------------------------------------------------------------------
 # canonical serialization
 # ---------------------------------------------------------------------------
@@ -193,7 +189,7 @@ def run_trap_security(config: dict) -> tuple[ExperimentReport, str]:
     return report, sweep_to_csv(rows, base)
 
 
-def run_distance_exhaustive(config: dict) -> ExperimentReport:
+def run_distance_exhaustive(config: dict) -> tuple[ExperimentReport, None]:
     """Exhaustive weight<=2 sweep over sampled permutations (criterion 2)."""
     seed = config.get("seed", 1)
     perms = config.get("permutations", 1000)
@@ -228,7 +224,7 @@ def run_distance_exhaustive(config: dict) -> ExperimentReport:
     report = ExperimentReport("trap-distance", config)
     report.add_check("weight_le2_nontrivial_accepts", bad, 0, bad == 0)
     report.extra["attacks_per_permutation"] = len(singles) + len(pairs)
-    return report
+    return report, None
 
 
 def run_gadget_check(config: dict) -> tuple[ExperimentReport, None]:
@@ -300,14 +296,13 @@ def run_qotp(config: dict) -> tuple[ExperimentReport, None]:
                           code_cfg.get("levels", 1))
     n_b = config.get("n_b", max(g[1] for g in channel) + 1
                      if all(len(g) == 2 for g in channel) else 2)
-    n_b = config.get("n_b", n_b)
     b_labels = tuple(config.get("b_labels", ["0"] * n_b))
     backend = config.get("backend", "auto")
     kappa = config.get("kappa", 16)
     result, inst = honest_receiver_run(
         channel, 0, n_b, base, seed, b_labels=b_labels, backend=backend,
         transport=config.get("transport", "brotp"), kappa=kappa)
-    rho = result.session.state.density_of(result.b_out_qubits)
+    rho = result.state.density_of(result.b_out_qubits)
     vec = np.array([1.0 + 0j])
     for label in b_labels:
         vec = np.kron(vec, EIGENSTATE_VECTORS[label])
@@ -348,6 +343,8 @@ def run_qotp_attack(config: dict) -> tuple[ExperimentReport, None]:
 
     seed = config.get("seed", 1)
     runs = config.get("runs", 10_000)
+    if isinstance(runs, bool) or not isinstance(runs, int) or runs < 1:
+        raise ValueError(f"runs must be a positive integer, got {runs!r}")
     base = code_from_spec(config.get("base", "steane"),
                           config.get("levels", 1))
     channel = [tuple(g) for g in config.get("channel", [["Y", 0]])]
@@ -438,12 +435,10 @@ def run_teleport_check(config: dict) -> tuple[ExperimentReport, None]:
     """Teleportation identities: plain, through-authentication, and under
     product Pauli attacks (dense comparison)."""
     from .backends import StateVector
-    from .gadgets import SamplingDriver
     from .qotp import bell_measure, make_teleport_through
 
     seed = config.get("seed", 1)
     rng = rngmod.stream(seed, "teleport")
-    driver = SamplingDriver(rng)
     report = ExperimentReport("teleport-check", config)
     # plain teleport: all outcomes observed, output = T|psi>
     seen = set()
@@ -453,7 +448,7 @@ def run_teleport_check(config: dict) -> tuple[ExperimentReport, None]:
         psi = dn.random_state(1, rng)
         d = sv.append_amplitudes(psi)[0]
         in_ids, out_ids = make_teleport_through(sv, [], 1)
-        xm, zm = bell_measure(sv, [d], in_ids, driver)
+        xm, zm = bell_measure(sv, [d], in_ids, rng)
         seen.add((xm, zm))
         t = PauliOperator.from_masks(1, xm, zm)
         want = dn.pauli_matrix(t) @ psi
@@ -469,7 +464,7 @@ def run_teleport_check(config: dict) -> tuple[ExperimentReport, None]:
         psi = dn.random_state(1, rng)
         d = sv.append_amplitudes(psi)[0]
         in_ids, out_ids = make_teleport_through(sv, c_ops, 1)
-        xm, zm = bell_measure(sv, [d], in_ids, driver)
+        xm, zm = bell_measure(sv, [d], in_ids, rng)
         t = PauliOperator.from_masks(1, xm, zm)
         want = dn.circuit_matrix(1, c_ops) @ dn.pauli_matrix(t) @ psi
         worst = max(worst, 1 - dn.state_fidelity(want, sv.density_of(out_ids)))
@@ -487,7 +482,7 @@ def run_teleport_check(config: dict) -> tuple[ExperimentReport, None]:
         sv.apply_pauli(atk[0], [d])
         sv.apply_pauli(atk[1], in_ids)
         sv.apply_pauli(atk[2], out_ids)
-        xm, zm = bell_measure(sv, [d], in_ids, driver)
+        xm, zm = bell_measure(sv, [d], in_ids, rng)
         t = PauliOperator.from_masks(1, xm, zm)
         from .paulis import transpose_sign
 
@@ -578,28 +573,24 @@ def _toy_rounds(seed, ell=3):
 # dispatch
 # ---------------------------------------------------------------------------
 
+COMMANDS = {
+    "twirl-check": run_twirl_check,
+    "trap-security": run_trap_security,
+    "trap-distance": run_distance_exhaustive,
+    "gadget-check": run_gadget_check,
+    "qotp-run": run_qotp,
+    "qotp-attack": run_qotp_attack,
+    "sim-compare": run_sim_compare,
+    "teleport-check": run_teleport_check,
+    "brotp-check": run_brotp_check,
+}
+
+
 def run_experiment(command: str, config: dict) -> tuple[ExperimentReport, str | None]:
-    started = time.monotonic()
-    csv_text = None
-    if command == "twirl-check":
-        report, csv_text = run_twirl_check(config)
-    elif command == "trap-security":
-        report, csv_text = run_trap_security(config)
-    elif command == "trap-distance":
-        report = run_distance_exhaustive(config)
-    elif command == "gadget-check":
-        report, csv_text = run_gadget_check(config)
-    elif command == "qotp-run":
-        report, csv_text = run_qotp(config)
-    elif command == "qotp-attack":
-        report, csv_text = run_qotp_attack(config)
-    elif command == "sim-compare":
-        report, csv_text = run_sim_compare(config)
-    elif command == "teleport-check":
-        report, csv_text = run_teleport_check(config)
-    elif command == "brotp-check":
-        report, csv_text = run_brotp_check(config)
-    else:
+    handler = COMMANDS.get(command)
+    if handler is None:
         raise ValueError(f"unknown command {command!r}")
+    started = time.monotonic()
+    report, csv_text = handler(config)
     report.wall_clock = time.monotonic() - started
     return report, csv_text

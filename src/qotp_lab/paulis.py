@@ -12,9 +12,9 @@ key-update bookkeeping downstream relies on that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .gf2 import dot, parity, popcount
+from .gf2 import dot
 
 _PHASE_LABEL = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 _LABEL_PHASE = {v: k for k, v in _PHASE_LABEL.items()}
@@ -47,7 +47,7 @@ class PauliOperator:
     @staticmethod
     def from_masks(n: int, x: int, z: int) -> "PauliOperator":
         """The Hermitian 'letters' Pauli with X/Z masks (phase i^{#Y})."""
-        return PauliOperator(n, x, z, popcount(x & z))
+        return PauliOperator(n, x, z, (x & z).bit_count())
 
     @staticmethod
     def single(n: int, qubit: int, letter: str) -> "PauliOperator":
@@ -72,19 +72,11 @@ class PauliOperator:
         return PauliOperator(len(label), x, z, _LABEL_PHASE[prefix] + ycount)
 
     # -- queries -----------------------------------------------------------
-    @property
-    def x_bits(self) -> tuple[int, ...]:
-        return tuple((self.x >> j) & 1 for j in range(self.n))
-
-    @property
-    def z_bits(self) -> tuple[int, ...]:
-        return tuple((self.z >> j) & 1 for j in range(self.n))
-
     def weight(self) -> int:
-        return popcount(self.x | self.z)
+        return (self.x | self.z).bit_count()
 
     def y_count(self) -> int:
-        return popcount(self.x & self.z)
+        return (self.x & self.z).bit_count()
 
     def is_identity(self) -> bool:
         return self.x == 0 and self.z == 0 and self.phase_exp == 0
@@ -106,13 +98,14 @@ class PauliOperator:
     def __mul__(self, other: "PauliOperator") -> "PauliOperator":
         if self.n != other.n:
             raise ValueError("size mismatch")
-        phase = self.phase_exp + other.phase_exp + 2 * popcount(self.z & other.x)
+        phase = (self.phase_exp + other.phase_exp
+                 + 2 * (self.z & other.x).bit_count())
         return PauliOperator(self.n, self.x ^ other.x, self.z ^ other.z, phase)
 
     def adjoint(self) -> "PauliOperator":
         # (i^p X^x Z^z)^dagger = i^{-p} Z^z X^x = i^{-p} (-1)^{|x&z|} X^x Z^z
         return PauliOperator(self.n, self.x, self.z,
-                             -self.phase_exp + 2 * popcount(self.x & self.z))
+                             -self.phase_exp + 2 * (self.x & self.z).bit_count())
 
     def commutes_with(self, other: "PauliOperator") -> bool:
         return commutation_sign(self, other) == 1
@@ -133,14 +126,6 @@ class PauliOperator:
             z |= ((self.z >> j) & 1) << p
         return PauliOperator(n, x, z, self.phase_exp)
 
-    def restrict(self, positions: Sequence[int]) -> "PauliOperator":
-        """Component on the given qubits (in the given order)."""
-        x = z = 0
-        for j, p in enumerate(positions):
-            x |= ((self.x >> p) & 1) << j
-            z |= ((self.z >> p) & 1) << j
-        return PauliOperator(len(positions), x, z, 0)
-
     def supported_within(self, mask: int) -> bool:
         return (self.x | self.z) & ~mask == 0
 
@@ -153,7 +138,7 @@ def commutation_sign(p: PauliOperator, q: PauliOperator) -> int:
     """+1 if pq = qp, -1 if pq = -qp."""
     if p.n != q.n:
         raise ValueError("size mismatch")
-    return -1 if (parity(p.x & q.z) ^ parity(p.z & q.x)) else 1
+    return -1 if dot(p.x, q.z) ^ dot(p.z, q.x) else 1
 
 
 def transpose_sign(p: PauliOperator) -> int:
@@ -294,28 +279,10 @@ class CliffordUnitary:
                     m[row, n + k] = (img.z >> k) & 1
         return m
 
-    @property
-    def phase_bits(self):
-        """Sign bit of the conjugated generator for each of the 2n rows."""
-        import numpy as np
-
-        n = self.n
-        bits = np.zeros(2 * n, dtype=np.uint8)
-        for j in range(n):
-            for row, gen in ((j, PauliOperator.single(n, j, "X")),
-                             (n + j, PauliOperator.single(n, j, "Z"))):
-                img = self.conjugate(gen)
-                bits[row] = ((img.phase_exp - img.y_count()) & 3) // 2
-        return bits
-
 
 def conjugate_pauli_by_clifford(c: CliffordUnitary,
                                 q: PauliOperator) -> PauliOperator:
     return c.conjugate(q)
-
-
-def clifford_from_gates(n: int, gates: Iterable[tuple]) -> CliffordUnitary:
-    return CliffordUnitary(n, tuple(gates))
 
 
 @dataclass(frozen=True)

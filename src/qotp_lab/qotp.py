@@ -16,12 +16,20 @@ Roles and register names (one protocol instance, |B| logical wires):
 The control qubit turns the whole compiled circuit into controlled-U; the
 simulator runs it switched off and splices the one ideal evaluation in via
 an extra teleportation.
+
+The receiver's side of the round schedule (teleport-in, the simulator's
+splice, the gadget rounds, teleport-out) is interpreted by one walk,
+``_walk``.  Every measurement on the way is handed to a strategy:
+``_Sample`` draws one Born outcome per qubit from the instance's outcome
+stream (``QotpInstance.run``), ``_Fan`` follows every joint outcome of the
+dense state as its own branch (``enumerate_protocol_runs``, the exact
+real-vs-simulated comparison).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -29,10 +37,10 @@ import numpy as np
 from . import rng as rngmod
 from .backends import StabilizerSum, StateVector, TableauState
 from .cotp import brotp_compile, brotp_query
-from .css import CssCode, code_from_spec
-from .gadgets import (AuthSession, MagicSlot, Register, ReplayDriver,
-                      SamplingDriver, magic_requirements, magic_preparer,
-                      new_t_magic_qubit, pauli_eigenstate_prep)
+from .css import CssCode
+from .gadgets import (AuthSession, Register, VerifierState,
+                      authenticate_into, magic_preparer, magic_requirements,
+                      pauli_eigenstate_prep)
 from .paulis import CliffordUnitary, PauliOperator
 from .trap import TrapCode, random_pauli, sample_trap_code
 
@@ -240,25 +248,23 @@ def compile_controlled_program(circuit, n_a: int, n_b: int,
 # Bell measurements and teleport resources
 # ---------------------------------------------------------------------------
 
-def bell_measure(session_or_state, data_ids, in_ids, driver,
+def bell_measure(state, data_ids, in_ids, rng,
                  prob_sink=None) -> tuple[int, int]:
-    """Bell rotation + computational measurement on position-paired qubits.
+    """Bell rotation + computational measurement on position-paired qubits,
+    one pair after the other, outcomes drawn from ``rng``.
 
     Returns (x_mask, z_mask): the teleport correction Pauli X^x Z^z, with
     the convention that the receiving half ends in X^x Z^z |psi> for a
     plain EPR resource.
     """
-    state = getattr(session_or_state, "state", session_or_state)
     sink = prob_sink or (lambda p: None)
     xm = zm = 0
     for j, (d, i) in enumerate(zip(data_ids, in_ids)):
         state.apply_gate("CNOT", d, i)
         state.apply_gate("H", d)
-        zbit, p1 = state.measure(d, rng=driver.get_rng(),
-                                 forced=driver.choose(state, d))
+        zbit, p1 = state.measure(d, rng=rng)
         sink(p1)
-        xbit, p2 = state.measure(i, rng=driver.get_rng(),
-                                 forced=driver.choose(state, i))
+        xbit, p2 = state.measure(i, rng=rng)
         sink(p2)
         xm |= xbit << j
         zm |= zbit << j
@@ -339,8 +345,6 @@ class QotpVerifier:
     def __init__(self, program: CompiledProgram, trap: TrapCode,
                  keys: dict[str, PauliOperator],
                  output_keys: list[PauliOperator], reject_key_seed: int):
-        from .gadgets import VerifierState
-
         self.program = program
         self.trap = trap
         self.vs = VerifierState(trap, keys)
@@ -354,6 +358,14 @@ class QotpVerifier:
         self.round_cursor = 0
         self.pending_need_k = None
         self.e_pi = trap_encoder_clifford(trap)
+
+    def copy(self) -> "QotpVerifier":
+        """An independent verifier at the same point of the schedule."""
+        nv = QotpVerifier.__new__(QotpVerifier)
+        nv.__dict__.update(self.__dict__)
+        nv.vs = VerifierState(self.trap, self.vs.keys)
+        nv.vs.cheated = self.vs.cheated
+        return nv
 
     # -- helpers -------------------------------------------------------------
     def _advance_silent_steps(self):
@@ -702,15 +714,13 @@ class RunResult:
     replies: tuple
     t_out: tuple
     s_hat: tuple          # labels, or ("random",) when the key was junk
-    weight: float
+    weight: float         # probability of this branch's outcomes
     b_out_qubits: list
     w_ids: list
-    session: AuthSession
+    state: object         # the state the output and W qubits live in
+    session: AuthSession | None  # the live session; None for enumerated
+                                 # leaves, which keep only their ``state``
     transcript: list
-
-
-def one_time_pad_key_id(world: str) -> str:
-    return world
 
 
 class QotpInstance:
@@ -721,7 +731,7 @@ class QotpInstance:
                  a_labels=(), transport: str = "direct", kappa: int = 16,
                  trap: TrapCode | None = None,
                  key_overrides: dict | None = None,
-                 driver=None, apply_final_key: bool = True):
+                 apply_final_key: bool = True):
         self.apply_final_key = apply_final_key
         self.program = program
         self.base_code = base_code
@@ -772,8 +782,8 @@ class QotpInstance:
         else:
             state = StabilizerSum(0)
         self.backend_kind = backend
-        driver = driver or SamplingDriver(rngmod.stream(seed, "outcomes"))
-        self.session = AuthSession(self.trap, dict(keys), state, driver,
+        self.session = AuthSession(self.trap, dict(keys), state,
+                                   rngmod.stream(seed, "outcomes"),
                                    discard_measured=(backend in ("sv", "sum")))
         self.a_labels = tuple(a_labels)
         verifier = QotpVerifier(program, self.trap, dict(keys),
@@ -815,7 +825,6 @@ class QotpInstance:
                 a, b = session.state.append_qubits(2)
                 session.state.apply_gate("H", a)
                 session.state.apply_gate("CNOT", a, b)
-                from .gadgets import authenticate_into
                 session.adopt(bare, [a])
                 authenticate_into(session, auth, b)
 
@@ -868,15 +877,18 @@ class QotpInstance:
             for nm in names:
                 ses.declare(nm, prep, group=names)
 
-    # -- cloning (snapshot for branch enumeration) ------------------------------
-    def clone(self, state_override=None) -> "QotpInstance":
+    # -- cloning (a branch of the exact enumeration) ---------------------------
+    def clone(self, state) -> "QotpInstance":
+        """This instance continued on ``state``, with its own register
+        table, session log and verifier."""
+        if not isinstance(self.oracle, DirectOracle):
+            raise ValueError("only direct-transport instances are clonable")
         inst = QotpInstance.__new__(QotpInstance)
         inst.__dict__.update(self.__dict__)
         ses = self.session
         new_ses = AuthSession.__new__(AuthSession)
         new_ses.__dict__.update(ses.__dict__)
-        new_ses.state = state_override if state_override is not None \
-            else ses.state.copy()
+        new_ses.state = state
         new_ses.registers = {
             name: Register(r.name, r.status,
                            None if r.ids is None else list(r.ids),
@@ -885,177 +897,19 @@ class QotpInstance:
         new_ses.log = list(ses.log)
         new_ses.aux = {k: dict(v) for k, v in ses.aux.items()}
         inst.session = new_ses
-        if isinstance(self.oracle, DirectOracle):
-            v = self.oracle.verifier
-            nv = QotpVerifier.__new__(QotpVerifier)
-            nv.__dict__.update(v.__dict__)
-            nv.vs = type(v.vs)(v.trap, dict(v.vs.keys))
-            nv.vs.cheated = v.vs.cheated
-            inst.oracle = DirectOracle(nv)
-        else:
-            raise ValueError("only direct-transport instances are clonable")
-        inst._phase1 = dict(getattr(self, "_phase1", {}))
+        inst.oracle = DirectOracle(self.oracle.verifier.copy())
         return inst
-
-    def set_driver(self, driver) -> None:
-        self.session.driver = driver
 
     # -- the run ---------------------------------------------------------------
     def run(self, adversary) -> RunResult:
-        from .gadgets import BranchDead
-
-        try:
-            self.run_phase1(adversary)
-            return self.run_phase2(adversary)
-        except BranchDead:
-            ses = self.session
-            return RunResult(False, True, (), (), (), (), (), 0.0, [],
-                             [], ses, list(ses.log))
-
-    def run_phase1(self, adversary) -> None:
-        ses = self.session
-        prog = self.program
-        driver = ses.driver
-        state = ses.state
-        n3 = self.trap.n
-
-        b_ids, w_ids = adversary.prepare_b_w(state)
-        if len(b_ids) != prog.n_b:
-            raise ValueError("adversary must supply one qubit per B wire")
-        if self.world == "sim":
-            a_ids = [pauli_eigenstate_prep(label)(state)
-                     for label in self.a_labels]
-            e_ids = state.append_qubits(prog.n_work)
-        adversary.before(ses.attack, state, w_ids)
-
-        # teleport in
-        t_in = []
-        for i in range(prog.n_b):
-            bare = f"Bin{i}"
-            ses.materialize(bare)
-            xm, zm = bell_measure(ses, [b_ids[i]],
-                                  ses.registers[bare].ids, driver,
-                                  prob_sink=lambda p: ses._weigh(p))
-            t_in.append(PauliOperator.from_masks(1, xm, zm).to_label())
-        t_in = adversary.tamper_t_in(t_in)
-        if self.world == "real":
-            self.oracle.first_round(t_in)
-        else:
-            # apply the reported Pauli to S_in, call the ideal channel once,
-            # then teleport its output through the authentication
-            for i, label in enumerate(t_in):
-                p = PauliOperator.from_label(label)
-                ses.materialize(f"Sin{i}")
-                state.apply_pauli(p, ses.registers[f"Sin{i}"].ids)
-            self.ideal_calls += 1
-            if self.ideal_calls > 1:
-                raise RuntimeError("ideal functionality is one-shot")
-            wires = a_ids + [ses.registers[f"Sin{i}"].ids[0]
-                             for i in range(prog.n_b)] + e_ids
-            for g in prog.base_circuit:
-                state.apply_gate(g[0], *[wires[w] for w in g[1:]])
-            t_sim = []
-            for i in range(prog.n_b):
-                ses.materialize(f"Sout{i}")
-                xm, zm = bell_measure(
-                    ses, [ses.registers[f"Sin{i}"].ids[0]],
-                    ses.registers[f"Sout{i}"].ids, driver,
-                    prob_sink=lambda p: ses._weigh(p))
-                t_sim.append(PauliOperator.from_masks(1, xm, zm).to_label())
-            self.t_sim = tuple(t_sim)
-            self.oracle.first_round(t_sim)
-
-        # gadget rounds
-        steps, _ = build_schedule(prog.controlled_circuit)
-        data_map = {w: data_register_name(prog, w) for w in range(prog.wires)}
-        records = []
-        replies = []
-        need_k = None
-        round_index = 0
-        for step in steps:
-            kind = step[0]
-            if kind == "pauli":
-                continue
-            if kind == "cnot":
-                ses.transversal_cnot_physical(data_map[step[1]],
-                                              data_map[step[2]])
-                continue
-            wire, slot = step[1], step[2]
-            data = data_map[wire]
-            if kind in ("round-K", "round-T"):
-                magic = magic_register_name(slot)
-                ses.transversal_cnot_physical(magic, data)
-                bits = ses.measure_register(data)
-                ses.take_over(data, magic)
-            elif kind == "round-Tcorr":
-                magic = magic_register_name(slot)
-                if need_k:
-                    ses.transversal_cnot_physical(magic, data)
-                    bits = ses.measure_register(data)
-                    ses.take_over(data, magic)
-                else:
-                    bits = ses.measure_register(magic)
-            elif kind == "round-H":
-                out_name, pair_name = magic_pair_names(slot)
-                ses.materialize(out_name)
-                ses.transversal_cnot_physical(data, pair_name)
-                ses.bitwise_h_physical(data)
-                bits = ses.measure_register(data) + \
-                    ses.measure_register(pair_name)
-                ses.take_over(data, out_name)
-            bits = adversary.tamper_record(round_index, list(bits))
-            reply = self.oracle.round(bits)
-            records.append(tuple(bits))
-            replies.append(tuple(reply))
-            if kind == "round-T":
-                need_k = bool(reply[0])
-            adversary.between_rounds(round_index, reply, ses.attack, state,
-                                     w_ids)
-            round_index += 1
-
-        # the de-authentication resource is outcome-independent; bring it
-        # into the snapshot so phase-2 branches start from it
-        for i in range(prog.n_b):
-            ses.materialize(f"BoutR{i}")
-        self._phase1 = {"t_in": tuple(t_in), "records": tuple(records),
-                        "replies": tuple(replies), "w_ids": list(w_ids)}
-
-    def run_phase2(self, adversary) -> RunResult:
-        ses = self.session
-        prog = self.program
-        driver = ses.driver
-        ph1 = self._phase1
-        t_out = []
-        for i in range(prog.n_b):
-            bt = ses.registers[f"Bt{i}"]
-            br = ses.registers[f"BoutR{i}"]
-            xm, zm = bell_measure(ses, bt.ids, br.ids, driver,
-                                  prob_sink=lambda p: ses._weigh(p))
-            bt.status = "consumed"
-            br.status = "consumed"
-            t_out.append((xm, zm))
-        t_out = adversary.tamper_t_out(t_out)
-        s_hat, cheated = self.oracle.final(t_out)
-        b_out_qubits = [ses.aux[f"Bout{i}"]["out"]
-                        for i in range(prog.n_b)]
-        if not cheated:
-            if self.apply_final_key:
-                for i, label in enumerate(s_hat):
-                    ses.state.apply_pauli(PauliOperator.from_label(label),
-                                          [b_out_qubits[i]])
-            s_out = tuple(s_hat)
-        else:
-            s_out = ("random",)
-        return RunResult(not cheated, cheated, ph1["t_in"], ph1["records"],
-                         ph1["replies"], tuple(t_out), s_out,
-                         ses.prob_weight, b_out_qubits, ph1["w_ids"], ses,
-                         list(ses.log))
+        """One execution, each outcome Born-sampled from the outcome stream."""
+        leaves = []
+        _walk(self, adversary, _Sample(), leaves.append)
+        return leaves[0]
 
 
 def _auth_prep(name: str, logical_prep: Callable) -> Callable:
     def prep(session):
-        from .gadgets import authenticate_into
-
         q = logical_prep(session.state)
         authenticate_into(session, name, q)
 
@@ -1099,267 +953,261 @@ def simulate_sender_run(circuit, n_a: int, n_b: int, base_code: CssCode,
 
 
 # ---------------------------------------------------------------------------
-# exhaustive branch enumeration and the real-vs-simulated comparison
+# the receiver's round-schedule walk and its two measurement strategies
 # ---------------------------------------------------------------------------
 
-def enumerate_branches(run_fn, max_leaves: int = 1 << 22):
-    """Depth-first replay enumeration over all measurement outcome paths.
+def _outcome_bits(k: int, n: int) -> list[int]:
+    """Bits of joint outcome ``k``, first measured qubit most significant."""
+    return [(k >> (n - 1 - i)) & 1 for i in range(n)]
 
-    ``run_fn(driver)`` must rebuild the protocol deterministically and
-    return (weight, leaf_payload); zero-weight paths are pruned.
+
+def _pair_masks(bits) -> tuple[int, int]:
+    """(x mask, z mask) of Bell outcomes listed as (z bit, x bit) per pair."""
+    return bits_to_mask(bits[1::2]), bits_to_mask(bits[0::2])
+
+
+class _Sample:
+    """One branch per measurement: each qubit's outcome is Born-sampled from
+    the session's outcome stream.  A Bell pair is rotated and measured
+    before the next pair is touched."""
+
+    forks = False
+
+    def pairs(self, inst, pairs, then) -> None:
+        then(inst, self._bell(inst, pairs))
+
+    def registers(self, inst, names, then) -> None:
+        bits = []
+        for name in names:
+            bits += inst.session.measure_register(name)
+        then(inst, bits)
+
+    def leaves(self, inst, pairs, finish) -> None:
+        bits = self._bell(inst, pairs)
+        finish(inst, bits, inst.session.prob_weight, inst.session.state)
+
+    @staticmethod
+    def _bell(inst, pairs) -> list[int]:
+        ses = inst.session
+        bits = []
+        for d, q in pairs:
+            xm, zm = bell_measure(ses.state, [d], [q], ses.rng, ses._weigh)
+            bits += [zm, xm]
+        return bits
+
+
+class _Fan:
+    """One branch per joint outcome of weight at least ``min_weight``, read
+    from the dense state.  Every Bell pair is rotated before the joint
+    outcomes are read.  A branch continues on a clone of its parent; the
+    leaves of teleport-out keep only their posterior state."""
+
+    forks = True
+
+    def __init__(self, min_weight: float):
+        self.min_weight = min_weight
+
+    def pairs(self, inst, pairs, then) -> None:
+        self._fork(inst, self._rotate(inst, pairs), then)
+
+    def registers(self, inst, names, then) -> None:
+        ids = []
+        for name in names:
+            reg = inst.session.materialize(name)
+            ids += reg.ids
+            reg.status = "consumed"
+        self._fork(inst, ids, then)
+
+    def leaves(self, inst, pairs, finish) -> None:
+        ids = self._rotate(inst, pairs)
+        weight = inst.session.prob_weight
+        for k, p, post in inst.session.state.joint_outcomes(ids):
+            finish(inst, _outcome_bits(k, len(ids)), weight * p, post)
+
+    def _fork(self, inst, ids, then) -> None:
+        weight = inst.session.prob_weight
+        for k, p, post in inst.session.state.joint_outcomes(ids):
+            if weight * p < self.min_weight:
+                continue
+            child = inst.clone(post)
+            child.session.prob_weight = weight * p
+            then(child, _outcome_bits(k, len(ids)))
+
+    @staticmethod
+    def _rotate(inst, pairs) -> list:
+        state = inst.session.state
+        ids = []
+        for d, q in pairs:
+            state.apply_gate("CNOT", d, q)
+            state.apply_gate("H", d)
+            ids += [d, q]
+        return ids
+
+
+def _walk(inst: QotpInstance, adversary, strategy, emit) -> None:
+    """Run the receiver's side of the schedule on ``inst``.
+
+    Teleport-in, the simulator's splice of the one ideal call, the gadget
+    rounds of ``build_schedule`` and teleport-out happen in order; every
+    measurement goes to ``strategy``, which continues the walk on each
+    branch it makes.  Each finished branch reaches ``emit`` as a RunResult.
+    The adversary's quantum actions must not depend on the replies when
+    the strategy forks, since all branches share one adversary.
     """
-    leaves = []
-
-    def recurse(prefix):
-        driver = ReplayDriver(list(prefix))
-        weight, payload = run_fn(driver)
-        if weight == 0.0:
-            return
-        if driver.over_budget:
-            if len(leaves) > max_leaves:
-                raise RuntimeError("branch budget exceeded")
-            recurse(prefix + [0])
-            recurse(prefix + [1])
-        else:
-            leaves.append((weight, payload))
-
-    recurse([])
-    return leaves
-
-
-def _clone_verifier(v: QotpVerifier) -> QotpVerifier:
-    from .gadgets import VerifierState
-
-    nv = QotpVerifier.__new__(QotpVerifier)
-    nv.__dict__.update(v.__dict__)
-    nv.vs = VerifierState(v.trap, dict(v.vs.keys))
-    nv.vs.cheated = v.vs.cheated
-    return nv
-
-
-def enumerate_phase2_outcomes(inst: "QotpInstance",
-                              adversary) -> list[RunResult]:
-    """Every teleport-out outcome of a completed phase-1 instance.
-
-    Applies the Bell rotations once, reads the joint outcome distribution
-    directly from the dense state, and finalizes a verifier copy per
-    surviving outcome.
-    """
-    from types import SimpleNamespace
-
-    ses = inst.session
     prog = inst.program
-    ph1 = inst._phase1
-    pair_bits = []  # (wire, pair index, 'z'|'x') per measured qubit
-    measured = []
-    for i in range(prog.n_b):
-        bt = ses.registers[f"Bt{i}"]
-        br = ses.registers[f"BoutR{i}"]
-        for j, (d, iq) in enumerate(zip(bt.ids, br.ids)):
-            ses.state.apply_gate("CNOT", d, iq)
-            ses.state.apply_gate("H", d)
-            measured.extend([d, iq])
-            pair_bits.extend([(i, j, "z"), (i, j, "x")])
-        bt.status = "consumed"
-        br.status = "consumed"
-    results = []
-    nbits = len(measured)
-    b_out_qubits = [ses.aux[f"Bout{i}"]["out"] for i in range(prog.n_b)]
-    for k, prob, post in ses.state.joint_outcomes(measured):
-        t_out = [[0, 0] for _ in range(prog.n_b)]
-        for pos, (i, j, kind) in enumerate(pair_bits):
-            bit = (k >> (nbits - 1 - pos)) & 1
-            if kind == "x":
-                t_out[i][0] |= bit << j
-            else:
-                t_out[i][1] |= bit << j
-        t_out = adversary.tamper_t_out([tuple(t) for t in t_out])
-        verifier = _clone_verifier(inst.oracle.audit)
-        s_hat, cheated = verifier.finalize(t_out)
-        s_out = tuple(s_hat) if not cheated else ("random",)
-        results.append(RunResult(
-            not cheated, cheated, ph1["t_in"], ph1["records"],
-            ph1["replies"], tuple(t_out), s_out,
-            ses.prob_weight * prob, b_out_qubits, ph1["w_ids"],
-            SimpleNamespace(state=post), list(ses.log)))
-    return results
-
-
-def _fan_measurement(inst: "QotpInstance", ids: list,
-                     min_weight: float) -> list[tuple[list, "QotpInstance"]]:
-    """Branch the instance over every joint outcome of measuring ``ids``.
-
-    The parent's state is consumed; each child gets the posterior with the
-    measured qubits dropped, an updated weight, and fresh register /
-    verifier tables.
-    """
-    out = []
-    parent_weight = inst.session.prob_weight
-    for k, p, post in inst.session.state.joint_outcomes(ids):
-        w = parent_weight * p
-        if w < min_weight:
-            continue
-        child = inst.clone(state_override=post)
-        child.session.prob_weight = w
-        bits = [(k >> (len(ids) - 1 - i)) & 1 for i in range(len(ids))]
-        out.append((bits, child))
-    return out
-
-
-def enumerate_protocol_runs(make_instance, adversary_factory,
-                            min_weight: float = 1e-15):
-    """All outcome branches of one protocol configuration, exactly.
-
-    Instead of sampling, every measurement round fans out over the joint
-    outcome distribution read directly from the dense state; branches carry
-    cloned register and verifier tables.  Requires the direct oracle
-    transport, the dense backend, and adversaries whose quantum actions do
-    not depend on the replies (the Pauli-attack family used in tests).
-    """
-    results: list[RunResult] = []
-    adv = adversary_factory()
-    root = make_instance(None)
-    ses = root.session
-    prog = root.program
-    state = ses.state
-    b_ids, w_ids = adv.prepare_b_w(state)
+    ses = inst.session
+    b_ids, w_ids = adversary.prepare_b_w(ses.state)
     if len(b_ids) != prog.n_b:
         raise ValueError("adversary must supply one qubit per B wire")
-    if root.world == "sim":
-        a_ids = [pauli_eigenstate_prep(label)(state)
-                 for label in root.a_labels]
-        e_ids = state.append_qubits(prog.n_work)
-    adv.before(ses.attack, state, w_ids)
-
-    # teleport-in rotations, then fan over the Bell outcomes
-    measured = []
-    for i in range(prog.n_b):
-        ses.materialize(f"Bin{i}")
-        iq = ses.registers[f"Bin{i}"].ids[0]
-        state.apply_gate("CNOT", b_ids[i], iq)
-        state.apply_gate("H", b_ids[i])
-        measured.extend([b_ids[i], iq])
-        ses.registers[f"Bin{i}"].status = "consumed"
-
+    if inst.world == "sim":
+        a_ids = [pauli_eigenstate_prep(label)(ses.state)
+                 for label in inst.a_labels]
+        e_ids = ses.state.append_qubits(prog.n_work)
+    adversary.before(ses.attack, ses.state, w_ids)
     steps, _ = build_schedule(prog.controlled_circuit)
     data_map = {w: data_register_name(prog, w) for w in range(prog.wires)}
 
-    def after_t_in(inst, bits):
-        t_in = []
+    def labels(bits) -> list[str]:
+        masks = [_pair_masks(bits[2 * i:2 * i + 2]) for i in range(prog.n_b)]
+        return [PauliOperator.from_masks(1, x, z).to_label()
+                for x, z in masks]
+
+    def teleport_in_pairs(s):
         for i in range(prog.n_b):
-            zb, xb = bits[2 * i], bits[2 * i + 1]
-            t_in.append(PauliOperator.from_masks(1, xb, zb).to_label())
-        t_in = adv.tamper_t_in(t_in)
-        inst._phase1 = {"t_in": tuple(t_in), "records": (), "replies": (),
-                        "w_ids": [w for w in w_ids]}
-        if inst.world == "real":
-            inst.oracle.first_round(t_in)
-            start_rounds(inst)
+            bare = s.materialize(f"Bin{i}")
+            bare.status = "consumed"
+            yield b_ids[i], bare.ids[0]
+
+    def splice_pairs(s):
+        for i in range(prog.n_b):
+            sin = s.registers[f"Sin{i}"]
+            sout = s.materialize(f"Sout{i}")
+            sin.status = sout.status = "consumed"
+            yield sin.ids[0], sout.ids[0]
+
+    def teleport_out_pairs(s):
+        for i in range(prog.n_b):
+            bt, br = s.registers[f"Bt{i}"], s.registers[f"BoutR{i}"]
+            bt.status = br.status = "consumed"
+            yield from zip(bt.ids, br.ids)
+
+    def after_teleport_in(branch, bits):
+        t_in = tuple(adversary.tamper_t_in(labels(bits)))
+        if branch.world == "real":
+            branch.oracle.first_round(list(t_in))
+            rounds(branch, 0, None, t_in, (), ())
             return
-        # simulator: feed the reported Pauli into the extraction half,
-        # call the ideal channel once, teleport through authentication
-        st = inst.session.state
+        # simulator: apply the reported Pauli to S_in, call the ideal
+        # channel once, then teleport its output through the authentication
+        s = branch.session
         for i, label in enumerate(t_in):
-            p = PauliOperator.from_label(label)
-            inst.session.materialize(f"Sin{i}")
-            st.apply_pauli(p, inst.session.registers[f"Sin{i}"].ids)
-        inst.ideal_calls += 1
-        wires = a_ids + [inst.session.registers[f"Sin{i}"].ids[0]
+            s.materialize(f"Sin{i}")
+            s.state.apply_pauli(PauliOperator.from_label(label),
+                                s.registers[f"Sin{i}"].ids)
+        branch.ideal_calls += 1
+        if branch.ideal_calls > 1:
+            raise RuntimeError("ideal functionality is one-shot")
+        wires = a_ids + [s.registers[f"Sin{i}"].ids[0]
                          for i in range(prog.n_b)] + e_ids
         for g in prog.base_circuit:
-            st.apply_gate(g[0], *[wires[w] for w in g[1:]])
-        sim_measured = []
-        for i in range(prog.n_b):
-            inst.session.materialize(f"Sout{i}")
-            d = inst.session.registers[f"Sin{i}"].ids[0]
-            iq = inst.session.registers[f"Sout{i}"].ids[0]
-            st.apply_gate("CNOT", d, iq)
-            st.apply_gate("H", d)
-            sim_measured.extend([d, iq])
-            inst.session.registers[f"Sin{i}"].status = "consumed"
-            inst.session.registers[f"Sout{i}"].status = "consumed"
-        for bits2, child in _fan_measurement(inst, sim_measured, min_weight):
-            t_sim = []
+            s.state.apply_gate(g[0], *[wires[w] for w in g[1:]])
+
+        def after_splice(child, bits2):
+            child.oracle.first_round(labels(bits2))
+            rounds(child, 0, None, t_in, (), ())
+
+        strategy.pairs(branch, splice_pairs(s), after_splice)
+
+    def rounds(branch, pc, need_k, t_in, records, replies):
+        s = branch.session
+        while pc < len(steps) and steps[pc][0] in ("pauli", "cnot"):
+            if steps[pc][0] == "cnot":
+                s.transversal_cnot_physical(data_map[steps[pc][1]],
+                                            data_map[steps[pc][2]])
+            pc += 1
+        if pc == len(steps):
+            # the de-authentication resource is outcome-independent
             for i in range(prog.n_b):
-                zb, xb = bits2[2 * i], bits2[2 * i + 1]
-                t_sim.append(PauliOperator.from_masks(1, xb, zb).to_label())
-            child.oracle.first_round(t_sim)
-            start_rounds(child)
-
-    def start_rounds(inst):
-        walk(inst, 0, 0, None)
-
-    def walk(inst, step_idx, round_idx, need_k):
-        ses2 = inst.session
-        while step_idx < len(steps):
-            step = steps[step_idx]
-            kind = step[0]
-            if kind == "pauli":
-                step_idx += 1
-                continue
-            if kind == "cnot":
-                ses2.transversal_cnot_physical(data_map[step[1]],
-                                               data_map[step[2]])
-                step_idx += 1
-                continue
-            wire, slot = step[1], step[2]
-            data = data_map[wire]
-            if kind in ("round-K", "round-T"):
-                magic = magic_register_name(slot)
-                ses2.transversal_cnot_physical(magic, data)
-                reg = ses2.materialize(data)
-                ids = list(reg.ids)
-                reg.status = "consumed"
-                takeover = (data, magic)
-            elif kind == "round-Tcorr":
-                magic = magic_register_name(slot)
-                if need_k:
-                    ses2.transversal_cnot_physical(magic, data)
-                    reg = ses2.materialize(data)
-                    ids = list(reg.ids)
-                    reg.status = "consumed"
-                    takeover = (data, magic)
-                else:
-                    reg = ses2.materialize(magic)
-                    ids = list(reg.ids)
-                    reg.status = "consumed"
-                    takeover = None
-            elif kind == "round-H":
-                out_name, pair_name = magic_pair_names(slot)
-                ses2.materialize(out_name)
-                ses2.transversal_cnot_physical(data, pair_name)
-                ses2.bitwise_h_physical(data)
-                rd = ses2.materialize(data)
-                rp = ses2.materialize(pair_name)
-                ids = list(rd.ids) + list(rp.ids)
-                rd.status = "consumed"
-                rp.status = "consumed"
-                takeover = (data, out_name)
-            for bits, child in _fan_measurement(inst, ids, min_weight):
-                bits = adv.tamper_record(round_idx, bits)
-                if takeover is not None:
-                    child.session.take_over(*takeover)
-                reply = child.oracle.round(bits)
-                ph1 = child._phase1
-                child._phase1 = {
-                    "t_in": ph1["t_in"],
-                    "records": ph1["records"] + (tuple(bits),),
-                    "replies": ph1["replies"] + (tuple(reply),),
-                    "w_ids": ph1["w_ids"],
-                }
-                adv.between_rounds(round_idx, reply, child.session.attack,
-                                   child.session.state, w_ids)
-                nk = bool(reply[0]) if kind == "round-T" else None
-                walk(child, step_idx + 1, round_idx + 1, nk)
+                s.materialize(f"BoutR{i}")
+            strategy.leaves(
+                branch, teleport_out_pairs(s),
+                lambda leaf, bits, weight, state: finish(
+                    leaf, bits, weight, state, t_in, records, replies))
             return
-        # all rounds done: teleport out
-        for i in range(prog.n_b):
-            inst.session.materialize(f"BoutR{i}")
-        results.extend(enumerate_phase2_outcomes(inst, adv))
+        kind, wire, slot = steps[pc]
+        data = data_map[wire]
+        if kind == "round-H":
+            out_name, pair_name = magic_pair_names(slot)
+            s.materialize(out_name)
+            s.transversal_cnot_physical(data, pair_name)
+            s.bitwise_h_physical(data)
+            measured, takeover = (data, pair_name), (data, out_name)
+        elif kind == "round-Tcorr" and not need_k:
+            # the unused correction magic is measured bare
+            measured, takeover = (magic_register_name(slot),), None
+        else:
+            magic = magic_register_name(slot)
+            s.transversal_cnot_physical(magic, data)
+            measured, takeover = (data,), (data, magic)
 
-    for bits, child in _fan_measurement(root, measured, min_weight):
-        after_t_in(child, bits)
-    return results
+        def after_round(child, bits):
+            if takeover is not None:
+                child.session.take_over(*takeover)
+            bits = adversary.tamper_record(len(records), list(bits))
+            reply = child.oracle.round(bits)
+            adversary.between_rounds(len(records), reply,
+                                     child.session.attack,
+                                     child.session.state, w_ids)
+            rounds(child, pc + 1,
+                   bool(reply[0]) if kind == "round-T" else None, t_in,
+                   records + (tuple(bits),), replies + (tuple(reply),))
+
+        strategy.registers(branch, measured, after_round)
+
+    def finish(branch, bits, weight, state, t_in, records, replies):
+        per_wire = 2 * inst.trap.n
+        t_out = adversary.tamper_t_out(
+            [_pair_masks(bits[per_wire * i:per_wire * (i + 1)])
+             for i in range(prog.n_b)])
+        if strategy.forks:
+            # sibling leaves share the branch's verifier
+            s_hat, cheated = branch.oracle.audit.copy().finalize(t_out)
+        else:
+            s_hat, cheated = branch.oracle.final(t_out)
+        b_out_qubits = [branch.session.aux[f"Bout{i}"]["out"]
+                        for i in range(prog.n_b)]
+        if cheated:
+            s_out = ("random",)
+        else:
+            s_out = tuple(s_hat)
+            if branch.apply_final_key:
+                for q, label in zip(b_out_qubits, s_hat):
+                    state.apply_pauli(PauliOperator.from_label(label), [q])
+        emit(RunResult(not cheated, cheated, t_in, records, replies,
+                       tuple(t_out), s_out, weight, b_out_qubits, list(w_ids),
+                       state, None if strategy.forks else branch.session,
+                       list(branch.session.log)))
+
+    strategy.pairs(inst, teleport_in_pairs(ses), after_teleport_in)
+
+
+# ---------------------------------------------------------------------------
+# exact enumeration and the real-vs-simulated comparison
+# ---------------------------------------------------------------------------
+
+def enumerate_protocol_runs(inst: QotpInstance, adversary,
+                            min_weight: float = 1e-15) -> list[RunResult]:
+    """All outcome branches of one protocol instance, exactly.
+
+    The same walk as ``QotpInstance.run``, with every measurement fanned
+    out over the joint outcome distribution of the dense state instead of
+    sampled.  Requires the direct oracle transport, the dense backend, and
+    an adversary whose quantum actions do not depend on the replies (the
+    Pauli-attack family used in tests).
+    """
+    leaves: list[RunResult] = []
+    _walk(inst, adversary, _Fan(min_weight), leaves.append)
+    return leaves
 
 
 def _world_density_map(world: str, program: CompiledProgram,
@@ -1373,28 +1221,21 @@ def _world_density_map(world: str, program: CompiledProgram,
     measurement branch; the final-key register is expanded into its four
     values when the program rejected (uniform junk key).
     """
-    from .paulis import Permutation
-
     out: dict = {}
     weight_scale = 1.0 / (len(perms) * len(coset_letters))
     for perm in perms:
         trap = TrapCode(base_code, perm)
         for letter in coset_letters:
-            overrides = _coset_override(trap, letter, program)
-
-            def make_instance(driver, trap=trap, overrides=overrides):
-                return QotpInstance(
-                    program, base_code, seed, world=world, backend="sv",
-                    a_labels=a_labels, transport="direct", kappa=kappa,
-                    trap=trap, driver=driver, apply_final_key=False,
-                    key_overrides=overrides)
-
-            for result in enumerate_protocol_runs(make_instance,
-                                                  adversary_factory):
+            inst = QotpInstance(
+                program, base_code, seed, world=world, backend="sv",
+                a_labels=a_labels, transport="direct", kappa=kappa,
+                trap=trap, apply_final_key=False,
+                key_overrides=_coset_override(trap, letter, program))
+            for result in enumerate_protocol_runs(inst, adversary_factory()):
                 if result.weight == 0.0:
                     continue
                 keep = result.b_out_qubits + result.w_ids
-                rho = result.session.state.density_of(keep)
+                rho = result.state.density_of(keep)
                 transcript = (result.t_in, result.records, result.replies,
                               tuple(result.t_out))
                 w = result.weight * weight_scale
@@ -1443,14 +1284,12 @@ def compare_real_vs_sim(circuit, n_a: int, n_b: int, base_code: CssCode,
                              coset_letters)
     total = 0.0
     for key in set(real) | set(sim):
-        dim = None
         a = real.get(key)
         b = sim.get(key)
         if a is None:
             a = np.zeros_like(b)
         if b is None:
             b = np.zeros_like(a)
-        evals = np.linalg.eigvalsh(a - b)
-        total += 0.5 * float(np.sum(np.abs(evals)))
+        total += dn.trace_distance(a, b)
     return total
 

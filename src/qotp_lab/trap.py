@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .css import CssCode, LogicalClass
-from .gf2 import dot, parity, popcount
 from .paulis import PauliOperator, Permutation
 
 
@@ -199,8 +198,8 @@ class _ClassifyData:
 def classify_masks(data: _ClassifyData, x: int, z: int) -> tuple[str, str]:
     """(verdict, x_only_verdict) for the attack X^x Z^z, masks only."""
     x_syn = bool(x & data.zero_mask) or \
-        any(parity(r & x) for r in data.hz_rows)
-    a = parity(x & data.logical_z)
+        any((r & x).bit_count() & 1 for r in data.hz_rows)
+    a = (x & data.logical_z).bit_count() & 1
     if x_syn:
         x_only = "reject"
     elif a:
@@ -208,10 +207,10 @@ def classify_masks(data: _ClassifyData, x: int, z: int) -> tuple[str, str]:
     else:
         x_only = "trivial_accept"
     z_syn = bool(z & data.plus_mask) or \
-        any(parity(r & z) for r in data.hx_rows)
+        any((r & z).bit_count() & 1 for r in data.hx_rows)
     if x_syn or z_syn:
         return "reject", x_only
-    b = parity(z & data.logical_x)
+    b = (z & data.logical_x).bit_count() & 1
     verdict = "nontrivial_accept" if (a | b) else "trivial_accept"
     return verdict, x_only
 
@@ -392,7 +391,7 @@ def exact_placement_probability(base: CssCode, positions: list[int]) -> float:
         coset_words.append(word)
     count = 0
     for word in coset_words:
-        wb = popcount(word)
+        wb = word.bit_count()
         rest = w - wb
         if 0 <= rest <= n:
             count += math.comb(n, rest)

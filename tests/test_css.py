@@ -6,7 +6,7 @@ import pytest
 from qotp_lab import denseops as dn
 from qotp_lab.backends import StateVector, TableauState
 from qotp_lab.css import build_steane, build_toy_code, concatenate
-from qotp_lab.gf2 import dot, popcount
+from qotp_lab.gf2 import dot
 from qotp_lab.paulis import PauliOperator
 
 
@@ -132,7 +132,7 @@ class TestClassicalDecode:
             word = c ^ res.error
             # word must be a codeword of the right coset
             assert all(dot(r, word) == 0 for r in STEANE.hz)
-            assert popcount(word) % 2 == res.logical_bit
+            assert word.bit_count() % 2 == res.logical_bit
 
 
 class TestLogicalPauliOf:

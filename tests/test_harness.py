@@ -85,6 +85,21 @@ class TestCli:
         res = self._run("twirl-check", "--config", str(cfg))
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("command,config", [
+        ("twirl-check", [1, 2]),
+        ("qotp-attack", {"base": "nope"}),
+        ("qotp-attack", {"runs": 0}),
+        ("twirl-check", {"seed": "x"}),
+    ], ids=["top-level-list", "unknown-base", "zero-runs", "string-seed"])
+    def test_bad_config_one_line_exit_two(self, tmp_path, command, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        res = self._run(command, "--config", str(cfg),
+                        "--out", str(tmp_path / "out"))
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        assert len(res.stderr.strip().splitlines()) == 1, res.stderr
+
     def test_unknown_command_exit_two(self):
         res = self._run("no-such-command")
         assert res.returncode == 2

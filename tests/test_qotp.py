@@ -6,13 +6,13 @@ import pytest
 
 from qotp_lab import denseops as dn
 from qotp_lab.css import build_steane, build_toy_code
-from qotp_lab.gadgets import EIGENSTATE_VECTORS, SamplingDriver
+from qotp_lab.gadgets import EIGENSTATE_VECTORS
 from qotp_lab.paulis import PauliOperator, Permutation
 from qotp_lab.qotp import (DummyAdversary, PauliAttackAdversary, QotpInstance,
                            bell_measure, compile_controlled_program,
-                           controlled_gate, honest_receiver_run,
-                           make_teleport_through, simulate_sender_run,
-                           verify_controlled_table)
+                           controlled_gate, enumerate_protocol_runs,
+                           honest_receiver_run, make_teleport_through,
+                           simulate_sender_run, verify_controlled_table)
 from qotp_lab.rng import stream
 
 STEANE = build_steane()
@@ -74,7 +74,6 @@ class TestCompile:
 class TestTeleport:
     def test_plain_teleport_all_outcomes(self):
         rng = stream(5, "t")
-        driver = SamplingDriver(rng)
         seen = set()
         for _ in range(64):
             sv_psi = dn.random_state(1, rng)
@@ -83,7 +82,7 @@ class TestTeleport:
             sv = StateVector(0)
             d = sv.append_amplitudes(sv_psi)[0]
             in_ids, out_ids = make_teleport_through(sv, [], 1)
-            xm, zm = bell_measure(sv, [d], in_ids, driver)
+            xm, zm = bell_measure(sv, [d], in_ids, rng)
             seen.add((xm, zm))
             t = PauliOperator.from_masks(1, xm, zm)
             want = dn.pauli_matrix(t) @ sv_psi
@@ -93,7 +92,6 @@ class TestTeleport:
     def test_teleport_through_authentication(self):
         # resource P E |phi+>: post-state is P E T |psi>
         rng = stream(7, "t2")
-        driver = SamplingDriver(rng)
         from qotp_lab.backends import TableauState
         from qotp_lab.trap import (TrapCode, authenticate_register,
                                    random_pauli, verify_and_decode)
@@ -109,7 +107,7 @@ class TestTeleport:
             t.apply_gate("H", half)
             t.apply_gate("CNOT", half, epr)
             ids = authenticate_register(t, trap, key, epr)
-            xm, zm = bell_measure(t, [b], [half], driver)
+            xm, zm = bell_measure(t, [b], [half], rng)
             # de-authenticate and undo the teleport Pauli: recover |+>
             ok, out = verify_and_decode(t, trap, key, ids, rng)
             assert ok
@@ -208,19 +206,22 @@ class TestSimulator:
             assert np.allclose(rho, np.outer(want, want.conj()), atol=1e-9)
 
     def test_control_off_means_identity_gadgets(self):
-        """With the control qubit off, the encoded run leaves the dummy
-        data register untouched (checked on the tableau backend)."""
+        """The simulator runs the compiled circuit with its control off:
+        after the run the control register still de-authenticates, under
+        the verifier's final keys, to |0> (|1> in the real protocol)."""
         prog = compile_controlled_program([("X", 0)], 0, 1)
-        inst = QotpInstance(prog, STEANE, seed=403, world="sim",
-                            backend="tab", transport="direct")
-        res = inst.run(DummyAdversary())
-        assert res.accepted
-        # the simulator's dummy authenticated input must still decode to |0>
-        ses = res.session
-        ok, out = ses.recover_register("Ctl") if False else (True, None)
-        # control register stays |off>: verify via the verifier's key audit
-        verifier = inst.oracle.audit
-        assert not verifier.vs.cheated
+        for world, want in (("sim", 0), ("real", 1)):
+            inst = QotpInstance(prog, STEANE, seed=403, world=world,
+                                backend="tab", transport="direct")
+            res = inst.run(DummyAdversary())
+            assert res.accepted
+            ses = res.session
+            ses.verifier = inst.oracle.audit.vs
+            ok, out = ses.recover_register("Ctl")
+            assert ok
+            rho = np.zeros((2, 2))
+            rho[want, want] = 1.0
+            assert np.allclose(ses.state.density_of([out]), rho, atol=1e-9)
 
     def test_ideal_channel_one_shot(self):
         prog = compile_controlled_program([("X", 0)], 0, 1)
@@ -229,6 +230,51 @@ class TestSimulator:
         inst.ideal_calls = 1  # simulate a prior call
         with pytest.raises(RuntimeError):
             inst.run(DummyAdversary())
+
+
+def _toy_magic_attack():
+    return PauliAttackAdversary(
+        initial_attacks=[("M0", PauliOperator.from_masks(3, 0b001, 0))])
+
+
+class TestStrategies:
+    """Sampling and exact enumeration walk the same schedule: a sampled run
+    is always one of the enumerated branches (same transcript, weight and
+    output state), and the branch weights form a probability distribution."""
+
+    @pytest.mark.parametrize("channel,world,adversary", [
+        ([("X", 0)], "real", DummyAdversary),
+        ([("X", 0)], "sim", DummyAdversary),
+        ([("Y", 0)], "real", DummyAdversary),
+        ([("Y", 0)], "real", _toy_magic_attack),
+    ], ids=["X-real", "X-sim", "Y-real", "Y-real-M0-attack"])
+    def test_sampled_run_is_an_enumerated_leaf(self, channel, world,
+                                               adversary):
+        prog = compile_controlled_program(channel, 0, 1)
+
+        def instance(seed):
+            return QotpInstance(prog, TOY, seed=seed, world=world,
+                                backend="sv", transport="direct",
+                                apply_final_key=False)
+
+        def transcript(res):
+            return (res.t_in, res.records, res.replies, res.t_out, res.s_hat)
+
+        def output(res):
+            return res.state.density_of(res.b_out_qubits + res.w_ids)
+
+        for seed in range(501, 504):
+            leaves = enumerate_protocol_runs(instance(seed), adversary())
+            assert abs(sum(leaf.weight for leaf in leaves) - 1) < 1e-12
+            sampled = instance(seed).run(adversary())
+            # the simulator's splice outcomes are not in the transcript, so
+            # several leaves can share one
+            same = [leaf for leaf in leaves if leaf.weight > 0
+                    and transcript(leaf) == transcript(sampled)]
+            assert any(
+                np.isclose(leaf.weight, sampled.weight, rtol=1e-9, atol=0)
+                and np.allclose(output(leaf), output(sampled), atol=1e-9)
+                for leaf in same)
 
 
 class TestAbortChannel:
