@@ -1,45 +1,57 @@
-"""Benchmark: compiled tableau kernel vs the pure-Python fallback.
-
-Run both lanes:
+"""Benchmark: every tableau kernel that imports, in one process.
 
     python3 benchmarks/bench_tableau.py
-    QOTP_LAB_PURE=1 python3 benchmarks/bench_tableau.py
 
-or let the script fork itself with ``--both``.
+The pure-Python kernel always imports; the compiled one only when
+``_tableau_core`` has been built (see README).  The one-time-program line
+runs on the kernel ``TableauState`` selected (``backends.KERNEL``).
 """
 
-import argparse
-import os
-import subprocess
+import importlib
 import sys
 import time
 
 import numpy as np
 
+KERNEL_MODULES = (("compiled", "qotp_lab.backends._tableau_core"),
+                  ("pure", "qotp_lab.backends._tableau_pure"))
 
-def bench_kernel(n: int, gate_ops: int, measurements: int, seed: int):
-    from qotp_lab.backends import KERNEL, TableauState
 
+def importable_kernels() -> dict:
+    found = {}
+    for lane, module in KERNEL_MODULES:
+        try:
+            found[lane] = importlib.import_module(module).TableauKernel
+        except ImportError:
+            pass
+    return found
+
+
+def bench_kernel(kernel_cls, n: int, gate_ops: int, measurements: int,
+                 seed: int):
     rng = np.random.default_rng(seed)
-    state = TableauState(n)
+    kernel = kernel_cls(n)
     gates = []
     for _ in range(gate_ops):
         kind = int(rng.integers(0, 4))
         if kind == 3:
             c, t = rng.choice(n, size=2, replace=False)
-            gates.append(("CNOT", int(c), int(t)))
+            gates.append((kernel.cx, int(c), int(t)))
         else:
-            gates.append((["H", "K", "X"][kind], int(rng.integers(0, n))))
+            gates.append(((kernel.h, kernel.k, kernel.x)[kind],
+                          int(rng.integers(0, n))))
     t0 = time.perf_counter()
-    for g in gates:
-        state.apply_gate(*g)
+    for gate, *qubits in gates:
+        gate(*qubits)
     t_gates = time.perf_counter() - t0
-    targets = rng.integers(0, n, size=measurements)
+    targets = [int(q) for q in rng.integers(0, n, size=measurements)]
+    bits = [int(b) for b in rng.integers(0, 2, size=measurements)]
     t0 = time.perf_counter()
-    for q in targets:
-        state.measure(int(q), rng=rng)
+    for q, bit in zip(targets, bits):
+        kernel.peek(q)
+        kernel.measure(q, bit)
     t_measure = time.perf_counter() - t0
-    return KERNEL, t_gates, t_measure
+    return t_gates, t_measure
 
 
 def bench_protocol(seed: int):
@@ -56,27 +68,19 @@ def bench_protocol(seed: int):
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser()
-    parser.add_argument("--both", action="store_true",
-                        help="run compiled and pure lanes as subprocesses")
-    args = parser.parse_args()
-    if args.both:
-        for pure in ("0", "1"):
-            env = dict(os.environ, QOTP_LAB_PURE=pure)
-            subprocess.run([sys.executable, __file__], env=env, check=True)
-        return 0
-
     from qotp_lab.backends import KERNEL
 
-    print(f"== kernel: {KERNEL} ==")
-    print(f"{'qubits':>7} {'gates/s':>12} {'measure/s':>12}")
-    for n in (24, 64, 256, 1024):
-        ops = 4000 if n <= 256 else 1500
-        meas = 400 if n <= 256 else 150
-        _, t_gates, t_measure = bench_kernel(n, ops, meas, seed=7)
-        print(f"{n:>7} {ops / t_gates:>12.0f} {meas / t_measure:>12.0f}")
+    for lane, kernel_cls in importable_kernels().items():
+        print(f"== kernel: {lane} ==")
+        print(f"{'qubits':>7} {'gates/s':>12} {'measure/s':>12}")
+        for n in (24, 64, 256, 1024):
+            ops = 4000 if n <= 256 else 1500
+            meas = 400 if n <= 256 else 150
+            t_gates, t_measure = bench_kernel(kernel_cls, n, ops, meas,
+                                              seed=7)
+            print(f"{n:>7} {ops / t_gates:>12.0f} {meas / t_measure:>12.0f}")
     times = [bench_protocol(1000 + i) for i in range(5)]
-    print(f"one-time program evaluation (Steane, tableau lane): "
+    print(f"one-time program evaluation (Steane, {KERNEL} tableau lane): "
           f"{min(times) * 1000:.0f} ms best of 5")
     return 0
 

@@ -1,24 +1,20 @@
-import os
-
 from setuptools import Extension, setup
 
-ext_modules = []
-if os.environ.get("QOTP_LAB_PURE", "") != "1":
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            [
-                Extension(
-                    "qotp_lab.backends._tableau_core",
-                    ["src/qotp_lab/backends/_tableau_core.pyx"],
-                    optional=True,
-                )
-            ],
-            language_level="3",
-        )
-    except ImportError:
-        # No Cython: the pure-Python kernel is selected at import time.
-        ext_modules = []
+try:
+    from Cython.Build import cythonize
+except ImportError:
+    # No Cython: the pure-Python kernel is selected at import time.
+    ext_modules = []
+else:
+    ext_modules = cythonize(
+        [
+            Extension(
+                "qotp_lab.backends._tableau_core",
+                ["src/qotp_lab/backends/_tableau_core.pyx"],
+                optional=True,
+            )
+        ],
+        language_level="3",
+    )
 
 setup(ext_modules=ext_modules)

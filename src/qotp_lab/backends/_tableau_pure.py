@@ -4,8 +4,9 @@ Column-major layout: for each qubit there is one X plane and one Z plane,
 each a Python integer whose bit i is the row-i entry (rows 0..n-1 are
 destabilizers, rows n..2n-1 stabilizers).  Row signs live in one integer
 plane.  Single- and two-qubit gates are then O(1) big-integer operations and
-the measurement row sums are bit-sliced, which keeps this fallback usable at
-a few hundred qubits.
+a random measurement is one pass over the columns that does the bit-sliced
+row sums and the pivot-row moves together, which keeps this fallback usable
+at a few hundred qubits.
 
 Row i represents the Pauli (-1)^{sign_i} * prod_j letter(x_ij, z_ij) with
 letter(1,1) = Y.
@@ -102,9 +103,7 @@ class TableauKernel:
 
     def peek(self, q: int) -> tuple[bool, int]:
         """(is_random, value): value valid only when deterministic."""
-        n = self.n
-        stab_mask = ((1 << n) - 1) << n
-        if self.xcols[q] & stab_mask:
+        if self.xcols[q] >> self.n:
             return True, 0
         return False, self._deterministic_value(q)
 
@@ -119,73 +118,63 @@ class TableauKernel:
         return (acc >> 1) & 1
 
     def measure(self, q: int, random_bit: int) -> tuple[int, bool]:
-        """Measure qubit q; random_bit is consumed only for random outcomes."""
+        """Measure qubit q; random_bit is consumed only for random outcomes.
+
+        One pass over the columns: rows p and p-n are never in ``sel``, so
+        the row sums into ``sel`` and the move "destabilizer p-n := row p,
+        row p := Z_q" share it, each column reading its own row-p bits."""
         n = self.n
-        stab_mask = ((1 << n) - 1) << n
-        anti = self.xcols[q] & stab_mask
+        xcols, zcols = self.xcols, self.zcols
+        anti = xcols[q] >> n
         if not anti:
             return self._deterministic_value(q), False
-        p = (anti & -anti).bit_length() - 1  # first anticommuting stab row
-        xp, zp, rp = self._row_bits(p)
-        sel = (self.xcols[q] | 0) & ~(1 << p) & ~(1 << (p - n))
-        self._batched_rowsum(sel, xp, zp, rp)
-        # Destabilizer p-n := old stabilizer row p.
-        dbit = 1 << (p - n)
-        for j in range(n):
-            self.xcols[j] = (self.xcols[j] & ~dbit) | (dbit if (xp >> j) & 1 else 0)
-            self.zcols[j] = (self.zcols[j] & ~dbit) | (dbit if (zp >> j) & 1 else 0)
-        self.signs = (self.signs & ~dbit) | (dbit if rp else 0)
-        # Stabilizer row p := (-1)^{random_bit} Z_q.
-        pbit = 1 << p
-        for j in range(n):
-            self.xcols[j] &= ~pbit
-            self.zcols[j] &= ~pbit
-        self.zcols[q] |= pbit
-        self.signs = (self.signs & ~pbit) | (pbit if random_bit else 0)
-        return random_bit & 1, True
-
-    def _batched_rowsum(self, sel: int, xp: int, zp: int, rp: int) -> None:
-        """row_i <- row_p * row_i for every row i in ``sel`` (bit-sliced)."""
-        if not sel:
-            return
-        n = self.n
+        d = (anti & -anti).bit_length() - 1  # first anticommuting stab row
+        p = n + d
+        pbit, dbit = 1 << p, 1 << d
+        keep = ~(pbit | dbit)
+        sel = xcols[q] & keep
         # Two-bit accumulator per row of (|xi&zi| - |xi'&zi'| + 2|zp&xi|
         # + |xp&zp|) mod 4; the final result is 0 or 2 and bit 1 is the flip.
         lo = hi = 0
         c1 = 0  # |xp & zp| scalar
         for j in range(n):
-            xq, zq = self.xcols[j], self.zcols[j]
-            xpj, zpj = (xp >> j) & 1, (zp >> j) & 1
-            c1 += xpj & zpj
+            xq, zq = xcols[j], zcols[j]
+            xpj, zpj = (xq >> p) & 1, (zq >> p) & 1
             b = xq & zq                      # + |xi & zi|
             hi ^= lo & b
             lo ^= b
-            if zpj:                          # + 2 |zp & xi|
-                hi ^= xq
-            nxq = xq ^ (sel if xpj else 0)   # - |xi' & zi'| == +3*|..| mod 4
-            nzq = zq ^ (sel if zpj else 0)
-            b = nxq & nzq
-            # add 3*b: +b then +2b
+            if xpj:
+                xq ^= sel
+            if zpj:
+                hi ^= xcols[j]               # + 2 |zp & xi|
+                zq ^= sel
+            b = xq & zq                      # - |xi' & zi'| == +3|..| mod 4
             hi ^= lo & b
             lo ^= b
             hi ^= b
-            # update columns for selected rows
+            # destabilizer p-n := old stabilizer p; stabilizer p cleared
+            xq &= keep
+            zq &= keep
             if xpj:
-                self.xcols[j] = nxq
-            else:
-                self.xcols[j] = xq
+                xq |= dbit
+                c1 += zpj
             if zpj:
-                self.zcols[j] = nzq
-            else:
-                self.zcols[j] = zq
+                zq |= dbit
+            xcols[j], zcols[j] = xq, zq
+        zcols[q] |= pbit
         # add scalar (c1 + 2*rp) mod 4 over all rows
-        c = (c1 + 2 * rp) & 3
+        signs = self.signs
+        c = (c1 + 2 * ((signs >> p) & 1)) & 3
         if c & 1:
             hi ^= lo
             lo = ~lo
         if c & 2:
             hi = ~hi
-        self.signs ^= hi & sel
+        signs ^= hi & sel
+        # sign of destabilizer p-n := rp, stabilizer p := (-1)^{random_bit}
+        signs = (signs & keep) | (dbit if (signs >> p) & 1 else 0)
+        self.signs = signs | (pbit if random_bit else 0)
+        return random_bit & 1, True
 
     # -- resizing ----------------------------------------------------------
     def expand(self, k: int) -> None:

@@ -1,43 +1,31 @@
 """Stabilizer tableau backend.
 
 Wraps one of two interchangeable kernels: the compiled extension
-(``_tableau_core``, Cython) or the pure-Python bit-plane kernel
-(``_tableau_pure``).  Selection happens at import time; set
-``QOTP_LAB_PURE=1`` to force the fallback.  ``benchmarks/bench_tableau.py``
-compares the two.
+(``_tableau_core``, built from the committed Cython-generated C) when it
+imports, else the pure-Python bit-plane kernel (``_tableau_pure``).
+``KERNEL`` names the one in use; ``benchmarks/bench_tableau.py`` times
+every kernel that imports.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from ..gf2 import nullspace
 from ..paulis import PauliOperator
 
-if os.environ.get("QOTP_LAB_PURE", "") == "1":
+try:
+    from ._tableau_core import TableauKernel  # type: ignore
+
+    KERNEL = "compiled"
+except ImportError:
     from ._tableau_pure import TableauKernel
+
     KERNEL = "pure"
-else:
-    try:
-        from ._tableau_core import TableauKernel  # type: ignore
-
-        KERNEL = "compiled"
-    except ImportError:
-        from ._tableau_pure import TableauKernel
-
-        KERNEL = "pure"
 
 MAX_QUBITS = 4096
-
-_PAR16 = np.zeros(1 << 16, dtype=np.int8)
-for _v in range(1, 1 << 16):
-    _PAR16[_v] = _PAR16[_v >> 1] ^ (_v & 1)
-
-
-def _parity_of(arr: np.ndarray) -> np.ndarray:
-    return _PAR16[arr & 0xFFFF] ^ _PAR16[(arr >> 16) & 0xFFFF]
+_KERNEL_GATES = {"H": "h", "K": "k", "CNOT": "cx", "X": "x", "Y": "y",
+                 "Z": "z"}
 
 
 class TableauState:
@@ -45,20 +33,18 @@ class TableauState:
 
     kind = "tab"
 
-    def __init__(self, n: int = 0, capacity: int | None = None):
+    def __init__(self, n: int = 0):
         if n > MAX_QUBITS:
             raise ValueError("tableau backend capped at 4096 qubits")
-        cap = max(n, capacity or 0, 1)
-        self._kernel = TableauKernel(cap)
-        self._capacity = cap
+        # The kernel is at least one qubit wide; qubits past ``n`` stay |0>.
+        self._kernel = TableauKernel(max(n, 1))
         self.n = n
 
     # -- allocation ---------------------------------------------------------
     def append_qubits(self, k: int, state: str = "zero") -> list[int]:
         ids = list(range(self.n, self.n + k))
-        if self.n + k > self._capacity:
-            self._kernel.expand(self.n + k - self._capacity)
-            self._capacity = self.n + k
+        if self.n + k > self._kernel.n:
+            self._kernel.expand(self.n + k - self._kernel.n)
         self.n += k
         if state == "plus":
             for q in ids:
@@ -78,7 +64,6 @@ class TableauState:
     def copy(self) -> "TableauState":
         t = TableauState.__new__(TableauState)
         t._kernel = self._kernel.copy()
-        t._capacity = self._capacity
         t.n = self.n
         return t
 
@@ -89,21 +74,10 @@ class TableauState:
                 raise ValueError("gate target out of range")
         if len(set(qubits)) != len(qubits):
             raise ValueError("duplicate gate targets")
-        k = self._kernel
-        if name == "H":
-            k.h(*qubits)
-        elif name == "K":
-            k.k(*qubits)
-        elif name == "CNOT":
-            k.cx(*qubits)
-        elif name == "X":
-            k.x(*qubits)
-        elif name == "Y":
-            k.y(*qubits)
-        elif name == "Z":
-            k.z(*qubits)
-        else:
+        method = _KERNEL_GATES.get(name)
+        if method is None:
             raise ValueError(f"unknown gate {name!r}")
+        getattr(self._kernel, method)(*qubits)
 
     def apply_pauli(self, p: PauliOperator, qubits) -> None:
         x = z = 0
@@ -121,11 +95,10 @@ class TableauState:
     def measure(self, qubit: int, rng=None, forced: int | None = None):
         """Measure in the computational basis; returns (bit, probability)."""
         random, value = self._kernel.peek(qubit)
-        if not random:
-            bit = self._kernel.measure(qubit, 0)[0]
-            if forced is not None and forced != bit:
+        if not random:  # a deterministic measurement leaves the state as is
+            if forced is not None and forced != value:
                 return forced, 0.0
-            return bit, 1.0
+            return value, 1.0
         bit = forced if forced is not None else int(rng.integers(0, 2))
         self._kernel.measure(qubit, bit)
         return bit, 0.5
@@ -195,7 +168,7 @@ class TableauState:
                     zr |= 1 << (k - 1 - pos[q])
                 ycount += (x >> q) & (z >> q) & 1
             scale = (-1) ** (phase // 2) * (1j) ** ycount
-            signs = 1.0 - 2.0 * _parity_of(idx & zr)
+            signs = 1.0 - 2.0 * (np.bitwise_count(idx & zr) & 1)
             rho[idx ^ xr, idx] += scale * signs
         return rho / dim
 

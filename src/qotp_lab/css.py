@@ -360,7 +360,7 @@ def concatenate(code: CssCode, levels: int) -> CssCode:
 
 def code_from_spec(name: str, levels: int = 1) -> CssCode:
     builders = {"steane": build_steane, "toy": build_toy_code}
-    if name not in builders:
+    if not isinstance(name, str) or name not in builders:
         raise ValueError(f"unknown base code {name!r}; "
                          f"choose one of {sorted(builders)}")
     base = builders[name]()

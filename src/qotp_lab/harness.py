@@ -103,6 +103,39 @@ def emit_report(report: ExperimentReport, out_dir: str,
     return paths
 
 
+def config_int(config: dict, key: str, default: int, lo: int = 1,
+               hi: int | None = None) -> int:
+    """``config[key]`` (else ``default``), an integer in [lo, hi]; anything
+    else raises a ValueError naming the key and its allowed range."""
+    value = config.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) \
+            or value < lo or (hi is not None and value > hi):
+        allowed = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{key} must be an integer {allowed}, "
+                         f"got {value!r}")
+    return value
+
+
+def config_code(config: dict):
+    """The base code named by ``base`` concatenated ``levels`` times."""
+    return code_from_spec(config.get("base", "steane"),
+                          config_int(config, "levels", 1))
+
+
+def config_channel(config: dict, default: list) -> list[tuple]:
+    """``channel``: a non-empty list of gates, each a name then qubit
+    indices."""
+    channel = config.get("channel", default)
+    if not isinstance(channel, list) or not channel or not all(
+            isinstance(g, list) and g and isinstance(g[0], str)
+            and all(isinstance(q, int) and not isinstance(q, bool)
+                    and q >= 0 for q in g[1:])
+            for g in channel):
+        raise ValueError("channel must be a non-empty list of gates like "
+                         f"[\"H\", 0], got {channel!r}")
+    return [tuple(g) for g in channel]
+
+
 def worker_count() -> int:
     return max(1, int(os.environ.get("QOTP_LAB_THREADS", "1")))
 
@@ -115,7 +148,7 @@ def run_twirl_check(config: dict) -> tuple[ExperimentReport, None]:
     """Averaging an attack over Pauli conjugations equals its probabilistic
     Pauli mixture: the channel-twirl consequence of the sandwich identity."""
     seed = config.get("seed", 1)
-    trials = config.get("unitaries", 25)
+    trials = config_int(config, "unitaries", 25)
     tol = config.get("tolerance", 1e-10)
     rng = rngmod.stream(seed, "twirl")
     report = ExperimentReport("twirl-check", config)
@@ -149,11 +182,11 @@ def _security_chunk(args):
 def run_trap_security(config: dict) -> tuple[ExperimentReport, str]:
     seed = config.get("seed", 1)
     base_name = config.get("base", "steane")
-    levels = config.get("levels", 1)
-    weight = config.get("attack_weight", 3)
-    attacks = config.get("attacks", 40)
-    samples = config.get("samples", 100_000)
+    levels = config_int(config, "levels", 1)
     base = code_from_spec(base_name, levels)
+    weight = config_int(config, "attack_weight", 3, hi=3 * base.n)
+    attacks = config_int(config, "attacks", 40)
+    samples = config_int(config, "samples", 100_000)
     workers = worker_count()
     if workers > 1 and attacks >= workers:
         per = attacks // workers
@@ -192,9 +225,9 @@ def run_trap_security(config: dict) -> tuple[ExperimentReport, str]:
 def run_distance_exhaustive(config: dict) -> tuple[ExperimentReport, None]:
     """Exhaustive weight<=2 sweep over sampled permutations (criterion 2)."""
     seed = config.get("seed", 1)
-    perms = config.get("permutations", 1000)
-    base = code_from_spec(config.get("base", "steane"),
-                          config.get("levels", 1))
+    perms = config_int(config, "permutations", 1000)
+    limit_pairs = config_int(config, "limit_pairs", 0, lo=0)
+    base = config_code(config)
     rng = rngmod.stream(seed, "distance")
     from .trap import _ClassifyData, classify_masks
 
@@ -210,7 +243,7 @@ def run_distance_exhaustive(config: dict) -> tuple[ExperimentReport, None]:
                 for xj, zj in ((1, 0), (0, 1), (1, 1)):
                     pairs.append(((xi << i) | (xj << j),
                                   (zi << i) | (zj << j)))
-        if config.get("limit_pairs") and i >= config["limit_pairs"]:
+        if limit_pairs and i >= limit_pairs:
             break
     bad = 0
     for _ in range(perms):
@@ -243,9 +276,8 @@ def run_gadget_check(config: dict) -> tuple[ExperimentReport, None]:
         for label in labels:
             rng = rngmod.stream(seed, f"gadget-{gate}-{label}")
             circuit = [(gate, 0)]
-            cap = 21 * 8
             session, data, slots = make_gadget_session(
-                steane, circuit, [label], TableauState(0, capacity=cap), rng)
+                steane, circuit, [label], TableauState(0), rng)
             run_encoded_circuit(session, circuit, data, slots)
             ok, out = session.recover_register(data[0])
             want = dn.GATE_MATRICES[gate] @ EIGENSTATE_VECTORS[label]
@@ -259,8 +291,7 @@ def run_gadget_check(config: dict) -> tuple[ExperimentReport, None]:
     # CNOT on two registers
     rng = rngmod.stream(seed, "gadget-CNOT")
     session, data, slots = make_gadget_session(
-        steane, [("CNOT", 0, 1)], ["1", "0"], TableauState(0, capacity=42),
-        rng)
+        steane, [("CNOT", 0, 1)], ["1", "0"], TableauState(0), rng)
     run_encoded_circuit(session, [("CNOT", 0, 1)], data, slots)
     ok0, q0 = session.recover_register(data[0])
     ok1, q1 = session.recover_register(data[1])
@@ -286,19 +317,24 @@ def run_gadget_check(config: dict) -> tuple[ExperimentReport, None]:
 
 
 def run_qotp(config: dict) -> tuple[ExperimentReport, None]:
+    from .cotp import REDUCTION_POLY
     from .gadgets import EIGENSTATE_VECTORS
     from .qotp import honest_receiver_run
 
     seed = config.get("seed", 1)
-    channel = [tuple(g) for g in config.get("channel", [["H", 0]])]
-    code_cfg = config.get("code", {"base": "steane", "levels": 1})
-    base = code_from_spec(code_cfg.get("base", "steane"),
-                          code_cfg.get("levels", 1))
-    n_b = config.get("n_b", max(g[1] for g in channel) + 1
+    channel = config_channel(config, [["H", 0]])
+    code_cfg = config.get("code", {})
+    if not isinstance(code_cfg, dict):
+        raise ValueError(f"code must be an object, got {code_cfg!r}")
+    base = config_code(code_cfg)
+    n_b = config_int(config, "n_b", max(g[1] for g in channel) + 1
                      if all(len(g) == 2 for g in channel) else 2)
     b_labels = tuple(config.get("b_labels", ["0"] * n_b))
     backend = config.get("backend", "auto")
-    kappa = config.get("kappa", 16)
+    kappa = config_int(config, "kappa", 16)
+    if kappa not in REDUCTION_POLY:
+        raise ValueError(f"kappa must be one of {sorted(REDUCTION_POLY)}, "
+                         f"got {kappa}")
     result, inst = honest_receiver_run(
         channel, 0, n_b, base, seed, b_labels=b_labels, backend=backend,
         transport=config.get("transport", "brotp"), kappa=kappa)
@@ -342,15 +378,13 @@ def run_qotp_attack(config: dict) -> tuple[ExperimentReport, None]:
                        compile_controlled_program)
 
     seed = config.get("seed", 1)
-    runs = config.get("runs", 10_000)
-    if isinstance(runs, bool) or not isinstance(runs, int) or runs < 1:
-        raise ValueError(f"runs must be a positive integer, got {runs!r}")
-    base = code_from_spec(config.get("base", "steane"),
-                          config.get("levels", 1))
-    channel = [tuple(g) for g in config.get("channel", [["Y", 0]])]
+    runs = config_int(config, "runs", 10_000)
+    base = config_code(config)
+    channel = config_channel(config, [["Y", 0]])
     program = compile_controlled_program(channel, 0, 1)
     n3 = 3 * base.n
-    attack = P.from_masks(n3, config.get("attack_x_mask", 0b111), 0)
+    attack = P.from_masks(n3, config_int(config, "attack_x_mask", 0b111,
+                                         lo=0, hi=(1 << n3) - 1), 0)
     rejects = 0
     for t in range(runs):
         inst = QotpInstance(program, base, seed * 131071 + t, world="real",

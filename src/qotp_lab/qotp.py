@@ -773,12 +773,10 @@ class QotpInstance:
                 backend = "sv"
             else:
                 backend = "sum"
-        total_qubits = (len(reg_names) + len(self.magic_names)) * n3 + \
-            8 * n3 + 16
         if backend == "sv":
             state = StateVector(0)
         elif backend == "tab":
-            state = TableauState(0, capacity=total_qubits)
+            state = TableauState(0)
         else:
             state = StabilizerSum(0)
         self.backend_kind = backend

@@ -6,14 +6,21 @@ circuits, and the sum backend additionally on circuits with injected
 T-type magic.
 """
 
+import importlib.machinery
+import importlib.util
 import json
+import shutil
+import subprocess
+import sysconfig
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qotp_lab import denseops as dn
 from qotp_lab.backends import (KERNEL, StabilizerSum, StateVector,
-                               TableauState, measure_all, state_from_json)
+                               TableauState, _tableau_pure, measure_all,
+                               state_from_json)
 from qotp_lab.paulis import PauliOperator
 
 
@@ -304,7 +311,7 @@ class TestCapacity:
             s2.discard([s2.qubit_ids[0]])
 
     def test_tableau_expand(self):
-        t = TableauState(2, capacity=2)
+        t = TableauState(2)
         t.apply_gate("H", 0)
         t.apply_gate("CNOT", 0, 1)
         ids = t.append_qubits(3)
@@ -314,6 +321,67 @@ class TestCapacity:
         b1, _ = t.measure(1, rng=rng)
         b2, _ = t.measure(ids[0], rng=rng)
         assert b0 == b1 == b2
+
+
+@pytest.fixture(scope="module")
+def compiled_kernel(tmp_path_factory):
+    """The compiled kernel, built from the committed ``_tableau_core.c``
+    with the system C compiler (no Cython) and loaded from a temp dir."""
+    cc = shutil.which("cc") or shutil.which("gcc")
+    include = sysconfig.get_paths()["include"]
+    if cc is None or not (Path(include) / "Python.h").exists():
+        pytest.skip("building the compiled kernel needs cc and Python.h")
+    source = Path(_tableau_pure.__file__).with_name("_tableau_core.c")
+    target = tmp_path_factory.mktemp("kernel") / (
+        "_tableau_core" + sysconfig.get_config_var("EXT_SUFFIX"))
+    subprocess.run([cc, "-O2", "-shared", "-fPIC", f"-I{include}",
+                    str(source), "-o", str(target)],
+                   check=True, capture_output=True)
+    loader = importlib.machinery.ExtensionFileLoader("_tableau_core",
+                                                     str(target))
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_loader("_tableau_core", loader))
+    loader.exec_module(module)
+    return module.TableauKernel
+
+
+class TestKernelDifferential:
+    """The compiled and pure kernels agree row for row on random circuits."""
+
+    def test_random_circuits_match(self, compiled_kernel):
+        rng = np.random.default_rng(2024)
+        for circuit in range(300):
+            n = int(rng.integers(1, 80))
+            kernels = (compiled_kernel(n), _tableau_pure.TableauKernel(n))
+            for step in range(int(rng.integers(1, 160))):
+                op = int(rng.integers(0, 10))
+                n = kernels[1].n
+                if op < 5:
+                    gate, args = "hkxyz"[op], (int(rng.integers(0, n)),)
+                elif op == 5 and n > 1:
+                    gate = "cx"
+                    args = tuple(int(q) for q in
+                                 rng.choice(n, size=2, replace=False))
+                elif op == 6:
+                    gate = "apply_pauli"
+                    args = tuple(int.from_bytes(rng.bytes(n // 8 + 1),
+                                                "little") & ((1 << n) - 1)
+                                 for _ in "xz")
+                elif op == 7 and rng.random() < 0.2:
+                    gate, args = "expand", (int(rng.integers(1, 4)),)
+                else:
+                    q = int(rng.integers(0, n))
+                    peeks = [k.peek(q) for k in kernels]
+                    assert peeks[0] == peeks[1], (circuit, step)
+                    gate, args = "measure", (q, int(rng.integers(0, 2)))
+                results = [getattr(k, gate)(*args) for k in kernels]
+                assert results[0] == results[1], (circuit, step, gate)
+            compiled, pure = kernels
+            assert compiled.n == pure.n
+            for i in range(pure.n):
+                assert compiled.stab_row(i) == pure.stab_row(i), (circuit, i)
+                assert compiled.destab_row(i) == pure.destab_row(i), \
+                    (circuit, i)
 
 
 KERNELS_NOTE = f"active tableau kernel: {KERNEL}"

@@ -9,8 +9,8 @@ from qotp_lab import denseops as dn
 from qotp_lab.backends import StateVector, TableauState
 from qotp_lab.css import build_steane, build_toy_code
 from qotp_lab.gadgets import (EIGENSTATE_VECTORS, MagicSlot,
-                              magic_requirements, make_gadget_session,
-                              run_encoded_circuit, transcript_to_json)
+                              make_gadget_session, run_encoded_circuit,
+                              transcript_to_json)
 from qotp_lab.paulis import PauliOperator
 from qotp_lab.trap import random_pauli
 
@@ -25,9 +25,7 @@ GATE_MATRIX = {
 def run_single_gate(base, gate, label, backend_kind, seed):
     rng = np.random.default_rng(seed)
     circuit = [(gate, 0)]
-    cap = 3 * base.n * (1 + 2 * len(magic_requirements(circuit)))
-    backend = TableauState(0, capacity=cap) if backend_kind == "tab" \
-        else StateVector(0)
+    backend = TableauState(0) if backend_kind == "tab" else StateVector(0)
     session, data, slots = make_gadget_session(
         base, circuit, [label], backend, rng,
         discard_measured=(backend_kind == "sv"))
@@ -53,7 +51,7 @@ class TestPauliGadgets:
     def test_trap_keys_untouched_by_pauli_update(self):
         rng = np.random.default_rng(3)
         session, data, _ = make_gadget_session(
-            STEANE, [("Z", 0)], ["0"], TableauState(0, capacity=21), rng)
+            STEANE, [("Z", 0)], ["0"], TableauState(0), rng)
         session.materialize(data[0])
         before = session.verifier.keys[data[0]]
         session.gadget_pauli("Z", data[0])
@@ -69,7 +67,7 @@ class TestPauliGadgets:
 class TestCnotGadget:
     def test_cnot_on_one_zero(self):
         rng = np.random.default_rng(5)
-        backend = TableauState(0, capacity=42)
+        backend = TableauState(0)
         session, data, slots = make_gadget_session(
             STEANE, [("CNOT", 0, 1)], ["1", "0"], backend, rng)
         run_encoded_circuit(session, [("CNOT", 0, 1)], data, slots)
@@ -81,7 +79,7 @@ class TestCnotGadget:
 
     def test_cnot_key_update_rule(self):
         rng = np.random.default_rng(7)
-        backend = TableauState(0, capacity=42)
+        backend = TableauState(0)
         session, data, slots = make_gadget_session(
             STEANE, [("CNOT", 0, 1)], ["0", "0"], backend, rng)
         p1 = session.verifier.keys[data[0]]
@@ -96,7 +94,7 @@ class TestCnotGadget:
 
     def test_cnot_entangled_bell_output(self):
         rng = np.random.default_rng(9)
-        backend = TableauState(0, capacity=42)
+        backend = TableauState(0)
         session, data, slots = make_gadget_session(
             STEANE, [("CNOT", 0, 1)], ["+", "0"], backend, rng)
         run_encoded_circuit(session, [("CNOT", 0, 1)], data, slots)
@@ -175,14 +173,14 @@ class TestAuthenticatedMeasure:
     def test_honest(self):
         rng = np.random.default_rng(29)
         session, data, _ = make_gadget_session(
-            STEANE, [], ["1"], TableauState(0, capacity=21), rng)
+            STEANE, [], ["1"], TableauState(0), rng)
         c, a, ok = session.authenticated_measure(data[0])
         assert ok and a == 1
 
     def test_bit_flip_rejects(self):
         rng = np.random.default_rng(31)
         session, data, _ = make_gadget_session(
-            STEANE, [], ["0"], TableauState(0, capacity=21), rng)
+            STEANE, [], ["0"], TableauState(0), rng)
         c = session.measure_register(data[0])
         c[5] ^= 1  # tamper with the classical record
         rec = session.verifier.decode(data[0], c)
@@ -193,7 +191,7 @@ class TestAuthenticatedMeasure:
         rng = np.random.default_rng(37)
         for trial in range(20):
             session, data, _ = make_gadget_session(
-                STEANE, [], ["1"], TableauState(0, capacity=21), rng)
+                STEANE, [], ["1"], TableauState(0), rng)
             zmask = int(rng.integers(0, 1 << 21))
             session.materialize(data[0])
             session.attack(data[0], PauliOperator.from_masks(21, 0, zmask))
@@ -207,7 +205,7 @@ class TestForcing:
         rejects = 0
         runs = 400
         for _ in range(runs):
-            backend = TableauState(0, capacity=63)
+            backend = TableauState(0)
             session, data, slots = make_gadget_session(
                 STEANE, [("K", 0)], ["0"], backend, rng)
             session.attack(slots[0].names[0],
@@ -222,9 +220,8 @@ class TestEncodedCircuits:
     def test_clifford_circuit_offline(self):
         rng = np.random.default_rng(43)
         circuit = [("H", 0), ("K", 0), ("CNOT", 0, 1), ("Z", 1)]
-        cap = 42 + 21 * 4
         session, data, slots = make_gadget_session(
-            STEANE, circuit, ["0", "0"], TableauState(0, capacity=cap), rng)
+            STEANE, circuit, ["0", "0"], TableauState(0), rng)
         transcript = run_encoded_circuit(session, circuit, data, slots)
         assert all(e["gate"] != "T" for e in transcript)  # zero two-way rounds
         ok0, q0 = session.recover_register(data[0])
@@ -238,7 +235,7 @@ class TestEncodedCircuits:
     def test_single_h_on_zero_is_plus(self):
         rng = np.random.default_rng(47)
         session, data, slots = make_gadget_session(
-            STEANE, [("H", 0)], ["0"], TableauState(0, capacity=63), rng)
+            STEANE, [("H", 0)], ["0"], TableauState(0), rng)
         run_encoded_circuit(session, [("H", 0)], data, slots)
         ok, out = session.recover_register(data[0])
         assert ok
@@ -249,7 +246,7 @@ class TestEncodedCircuits:
     def test_inventory_mismatch(self):
         rng = np.random.default_rng(53)
         session, data, slots = make_gadget_session(
-            STEANE, [("K", 0)], ["0"], TableauState(0, capacity=63), rng)
+            STEANE, [("K", 0)], ["0"], TableauState(0), rng)
         with pytest.raises(ValueError):
             run_encoded_circuit(session, [("T", 0)], data, slots)
 
@@ -258,7 +255,7 @@ class TestEncodedCircuits:
         for _ in range(2):
             rng = np.random.default_rng(59)
             session, data, slots = make_gadget_session(
-                STEANE, [("K", 0)], ["+"], TableauState(0, capacity=63), rng)
+                STEANE, [("K", 0)], ["+"], TableauState(0), rng)
             t = run_encoded_circuit(session, [("K", 0)], data, slots)
             outs.append(transcript_to_json(t))
         assert outs[0] == outs[1]

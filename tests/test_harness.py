@@ -90,7 +90,14 @@ class TestCli:
         ("qotp-attack", {"base": "nope"}),
         ("qotp-attack", {"runs": 0}),
         ("twirl-check", {"seed": "x"}),
-    ], ids=["top-level-list", "unknown-base", "zero-runs", "string-seed"])
+        ("twirl-check", {"unitaries": "x"}),
+        ("trap-distance", {"permutations": "many"}),
+        ("qotp-run", {"channel": 5}),
+        ("trap-security", {"attacks": 0}),
+        ("trap-security", {"samples": 0}),
+    ], ids=["top-level-list", "unknown-base", "zero-runs", "string-seed",
+            "string-unitaries", "string-permutations", "int-channel",
+            "zero-attacks", "zero-samples"])
     def test_bad_config_one_line_exit_two(self, tmp_path, command, config):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -99,6 +106,8 @@ class TestCli:
         assert res.returncode == 2
         assert "Traceback" not in res.stderr
         assert len(res.stderr.strip().splitlines()) == 1, res.stderr
+        if isinstance(config, dict):  # the message names the bad key
+            assert all(key in res.stderr for key in config), res.stderr
 
     def test_unknown_command_exit_two(self):
         res = self._run("no-such-command")

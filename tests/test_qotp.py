@@ -99,7 +99,7 @@ class TestTeleport:
         for trial in range(10):
             trap = TrapCode(STEANE, Permutation.random(21, rng))
             key = random_pauli(21, rng)
-            t = TableauState(0, capacity=24)
+            t = TableauState(0)
             b = t.append_qubits(1)[0]
             t.apply_gate("H", b)  # |+> input
             half = t.append_qubits(1)[0]

@@ -28,7 +28,7 @@ def identity_trap(base):
 class TestBuild:
     def test_identity_pi_steane_encoding(self):
         trap = identity_trap(STEANE)
-        t = TableauState(0, capacity=21)
+        t = TableauState(0)
         data = t.append_qubits(1)[0]
         ids = authenticate_register(t, trap, PauliOperator.identity(21), data)
         # traps: positions 7..13 must be |0>, 14..20 must be |+>
@@ -50,11 +50,11 @@ class TestBuild:
     def test_reduced_density_matches_bare_encoding(self):
         rng = np.random.default_rng(2)
         trap = sample_trap_code(STEANE, rng)
-        t = TableauState(0, capacity=21)
+        t = TableauState(0)
         data = t.append_qubits(1)[0]
         ids = authenticate_register(t, trap, PauliOperator.identity(21), data)
         base_ids = [ids[p] for p in trap.base_positions][:4]
-        t2 = TableauState(0, capacity=7)
+        t2 = TableauState(0)
         d2 = t2.append_qubits(1)[0]
         ids2 = []
         fresh = t2.append_qubits(6)
@@ -109,7 +109,7 @@ class TestRoundTrip:
         for _ in range(10):
             key = sample_auth_key(base, ["r"], rng)
             trap, pk = key.trap, key.pauli_keys["r"]
-            t = TableauState(0, capacity=trap.n)
+            t = TableauState(0)
             data = t.append_qubits(1)[0]
             t.apply_gate("H", data)  # |+> survives the trip
             ids = authenticate_register(t, trap, pk, data)
@@ -136,7 +136,7 @@ class TestRoundTrip:
         for _ in range(10):
             key = sample_auth_key(STEANE, ["r"], rng)
             trap, pk = key.trap, key.pauli_keys["r"]
-            t = TableauState(0, capacity=21)
+            t = TableauState(0)
             data = t.append_qubits(1)[0]
             ids = authenticate_register(t, trap, pk, data)
             victim = trap.zero_trap_positions[3]
@@ -149,7 +149,7 @@ class TestRoundTrip:
         for _ in range(10):
             key = sample_auth_key(STEANE, ["r"], rng)
             trap, pk = key.trap, key.pauli_keys["r"]
-            t = TableauState(0, capacity=21)
+            t = TableauState(0)
             data = t.append_qubits(1)[0]
             ids = authenticate_register(t, trap, pk, data)
             victim = trap.plus_trap_positions[0]
@@ -242,7 +242,7 @@ class TestClassification:
         for _ in range(5):
             key = sample_auth_key(STEANE, ["r1", "r2"], rng)
             trap = key.trap
-            t = TableauState(0, capacity=42)
+            t = TableauState(0)
             d1 = t.append_qubits(1)[0]
             ids1 = authenticate_register(t, trap, key.pauli_keys["r1"], d1)
             d2 = t.append_qubits(1)[0]
