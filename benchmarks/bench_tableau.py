@@ -3,7 +3,8 @@
     python3 benchmarks/bench_tableau.py
 
 The pure-Python kernel always imports; the compiled one only when
-``_tableau_core`` has been built (see README).  The one-time-program line
+``_tableau_core.c`` has been built, by ``setup.py`` or by the one-line
+``gcc`` command in the README.  The one-time-program line
 runs on the kernel ``TableauState`` selected (``backends.KERNEL``).
 """
 

@@ -1,20 +1,8 @@
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    # No Cython: the pure-Python kernel is selected at import time.
-    ext_modules = []
-else:
-    ext_modules = cythonize(
-        [
-            Extension(
-                "qotp_lab.backends._tableau_core",
-                ["src/qotp_lab/backends/_tableau_core.pyx"],
-                optional=True,
-            )
-        ],
-        language_level="3",
-    )
-
-setup(ext_modules=ext_modules)
+# The compiled tableau kernel is optional: when it does not build, the
+# pure-Python kernel is selected at import time.
+setup(ext_modules=[
+    Extension("qotp_lab.backends._tableau_core",
+              ["src/qotp_lab/backends/_tableau_core.c"], optional=True),
+])

@@ -3,8 +3,9 @@
 Three interoperable state representations:
 
 - ``StateVector`` - dense amplitudes, <= 24 qubits, supports the T gate.
-- ``TableauState`` - stabilizer tableau, <= 4096 qubits (the compiled
-  kernel when it imports, else the pure-Python one; ``KERNEL`` names it).
+- ``TableauState`` - stabilizer tableau, <= 4096 qubits (the C kernel
+  ``_tableau_core`` when it has been built, else the pure-Python one;
+  ``KERNEL`` names it).
 - ``StabilizerSum`` - amplitude-weighted stabilizer terms, <= 256 qubits,
   rank <= 1024; covers circuits with few injected T-type magic states.
 

@@ -1,8 +1,9 @@
 """Stabilizer tableau backend.
 
-Wraps one of two interchangeable kernels: the compiled extension
-(``_tableau_core``, built from the committed Cython-generated C) when it
-imports, else the pure-Python bit-plane kernel (``_tableau_pure``).
+Wraps one of two interchangeable kernels with one layout and one algorithm:
+the compiled extension (``_tableau_core``, built from the hand-written
+``_tableau_core.c``) when it imports, else the pure-Python bit-plane kernel
+(``_tableau_pure``).
 ``KERNEL`` names the one in use; ``benchmarks/bench_tableau.py`` times
 every kernel that imports.
 """

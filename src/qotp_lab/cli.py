@@ -3,7 +3,6 @@
     qotp-lab <command> --config <file.json> [--seed N] [--out dir]
 
 Exit codes: 0 = all checks pass, 1 = some check fails, 2 = bad config.
-``QOTP_LAB_THREADS`` overrides the worker count for parallel sweeps.
 """
 
 from __future__ import annotations
@@ -46,8 +45,8 @@ def main(argv=None) -> int:
     seed = config.setdefault("seed", 1)
     if isinstance(seed, bool) or not isinstance(seed, int) \
             or not 0 <= seed < 2 ** 64:
-        print("configuration error: seed must be a 64-bit unsigned integer",
-              file=sys.stderr)
+        print("configuration error: seed must be a 64-bit unsigned integer, "
+              f"got {seed!r}", file=sys.stderr)
         return 2
 
     try:

@@ -10,9 +10,9 @@ wall-clock timing goes to a separate metadata file.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,6 +116,39 @@ def config_int(config: dict, key: str, default: int, lo: int = 1,
     return value
 
 
+def config_float(config: dict, key: str, default: float) -> float:
+    """``config[key]`` (else ``default``), a positive finite number."""
+    value = config.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not 0 < value < math.inf:
+        raise ValueError(f"{key} must be a positive number, got {value!r}")
+    return value
+
+
+def config_choice(config: dict, key: str, default: str, choices) -> str:
+    """``config[key]`` (else ``default``), one of ``choices``."""
+    value = config.get(key, default)
+    if not isinstance(value, str) or value not in choices:
+        raise ValueError(f"{key} must be one of [{', '.join(choices)}], "
+                         f"got {value!r}")
+    return value
+
+
+def config_choice_list(config: dict, key: str, default: list, choices,
+                       length: int | None = None) -> list:
+    """``config[key]`` (else ``default``), a non-empty list of ``choices``,
+    exactly ``length`` long when that is given."""
+    value = config.get(key, default)
+    if not isinstance(value, list) or not value \
+            or length not in (None, len(value)) \
+            or not all(isinstance(v, str) and v in choices for v in value):
+        size = "a non-empty list" if length is None else \
+            f"a list of {length}"
+        raise ValueError(f"{key} must be {size} of values from "
+                         f"[{', '.join(choices)}], got {value!r}")
+    return value
+
+
 def config_code(config: dict):
     """The base code named by ``base`` concatenated ``levels`` times."""
     return code_from_spec(config.get("base", "steane"),
@@ -136,10 +169,6 @@ def config_channel(config: dict, default: list) -> list[tuple]:
     return [tuple(g) for g in channel]
 
 
-def worker_count() -> int:
-    return max(1, int(os.environ.get("QOTP_LAB_THREADS", "1")))
-
-
 # ---------------------------------------------------------------------------
 # suites
 # ---------------------------------------------------------------------------
@@ -149,7 +178,7 @@ def run_twirl_check(config: dict) -> tuple[ExperimentReport, None]:
     Pauli mixture: the channel-twirl consequence of the sandwich identity."""
     seed = config.get("seed", 1)
     trials = config_int(config, "unitaries", 25)
-    tol = config.get("tolerance", 1e-10)
+    tol = config_float(config, "tolerance", 1e-10)
     rng = rngmod.stream(seed, "twirl")
     report = ExperimentReport("twirl-check", config)
     worst = 0.0
@@ -172,35 +201,14 @@ def run_twirl_check(config: dict) -> tuple[ExperimentReport, None]:
     return report, None
 
 
-def _security_chunk(args):
-    base_name, levels, weight, attacks, samples, chunk_seed = args
-    base = code_from_spec(base_name, levels)
-    rng = rngmod.stream(chunk_seed, "trap-security")
-    return security_sweep_rows(base, weight, attacks, samples, rng)
-
-
 def run_trap_security(config: dict) -> tuple[ExperimentReport, str]:
     seed = config.get("seed", 1)
-    base_name = config.get("base", "steane")
-    levels = config_int(config, "levels", 1)
-    base = code_from_spec(base_name, levels)
+    base = config_code(config)
     weight = config_int(config, "attack_weight", 3, hi=3 * base.n)
     attacks = config_int(config, "attacks", 40)
     samples = config_int(config, "samples", 100_000)
-    workers = worker_count()
-    if workers > 1 and attacks >= workers:
-        per = attacks // workers
-        counts = [per + (1 if i < attacks % workers else 0)
-                  for i in range(workers)]
-        jobs = [(base_name, levels, weight, c, samples,
-                 seed * 1000003 + i) for i, c in enumerate(counts) if c]
-        rows = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(_security_chunk, jobs):
-                rows.extend(chunk)
-    else:
-        rng = rngmod.stream(seed, "trap-security")
-        rows = security_sweep_rows(base, weight, attacks, samples, rng)
+    rng = rngmod.stream(seed, "trap-security")
+    rows = security_sweep_rows(base, weight, attacks, samples, rng)
     bound = (2 / 3) ** (weight / 2)
     worst = max(rows, key=lambda r: r.eps_hat)
     report = ExperimentReport("trap-security", config)
@@ -329,15 +337,20 @@ def run_qotp(config: dict) -> tuple[ExperimentReport, None]:
     base = config_code(code_cfg)
     n_b = config_int(config, "n_b", max(g[1] for g in channel) + 1
                      if all(len(g) == 2 for g in channel) else 2)
-    b_labels = tuple(config.get("b_labels", ["0"] * n_b))
-    backend = config.get("backend", "auto")
+    b_labels = tuple(config_choice_list(config, "b_labels", ["0"] * n_b,
+                                        tuple(EIGENSTATE_VECTORS),
+                                        length=n_b))
+    backend = config_choice(config, "backend", "auto",
+                            ("auto", "sv", "tab", "sum"))
+    transport = config_choice(config, "transport", "brotp",
+                              ("direct", "brotp"))
     kappa = config_int(config, "kappa", 16)
     if kappa not in REDUCTION_POLY:
         raise ValueError(f"kappa must be one of {sorted(REDUCTION_POLY)}, "
                          f"got {kappa}")
     result, inst = honest_receiver_run(
         channel, 0, n_b, base, seed, b_labels=b_labels, backend=backend,
-        transport=config.get("transport", "brotp"), kappa=kappa)
+        transport=transport, kappa=kappa)
     rho = result.state.density_of(result.b_out_qubits)
     vec = np.array([1.0 + 0j])
     for label in b_labels:
@@ -411,8 +424,8 @@ def run_sim_compare(config: dict) -> tuple[ExperimentReport, None]:
     seed = config.get("seed", 1)
     toy = build_toy_code()
     report = ExperimentReport("sim-compare", config)
-    cases = config.get("cases", ["dummy", "w-only", "data-attack",
-                                 "magic-attack"])
+    names = ["dummy", "w-only", "data-attack", "magic-attack"]
+    cases = config_choice_list(config, "cases", names, names)
     if "dummy" in cases:
         td = compare_real_vs_sim([("X", 0)], 0, 1, toy, seed,
                                  adversary_factory=DummyAdversary)

@@ -197,10 +197,14 @@ class TestCriterion7AttackDetection:
         rate = report.checks[0]["value"]
         lo, hi = report.extra["ci"]
         bound = 1 - (2 / 3) ** 1.5
-        ok = report.all_pass
+        # Exact rate: of the C(21,3) placements of the three X's, 35 land
+        # all on |+> traps and 7 are the Hamming code's weight-3 words.
+        exact = 1 - 42 / 1330
+        ok = report.all_pass and lo <= exact <= hi  # all_pass: lo >= bound
         _line("criterion-7 attack-detection", ok,
               f"rejection rate {rate:.4f} (95% CI [{lo:.4f},{hi:.4f}]) "
-              f">= {bound:.4f} over 10^4 keyed runs")
+              f">= {bound:.4f} and contains exact {exact:.6f} over 10^4 "
+              f"keyed runs")
 
 
 class TestCriterion8RealVsSim:

@@ -326,7 +326,8 @@ class TestCapacity:
 @pytest.fixture(scope="module")
 def compiled_kernel(tmp_path_factory):
     """The compiled kernel, built from the committed ``_tableau_core.c``
-    with the system C compiler (no Cython) and loaded from a temp dir."""
+    with the system C compiler, warning-free under strict C99, and loaded
+    from a temp dir."""
     cc = shutil.which("cc") or shutil.which("gcc")
     include = sysconfig.get_paths()["include"]
     if cc is None or not (Path(include) / "Python.h").exists():
@@ -334,7 +335,8 @@ def compiled_kernel(tmp_path_factory):
     source = Path(_tableau_pure.__file__).with_name("_tableau_core.c")
     target = tmp_path_factory.mktemp("kernel") / (
         "_tableau_core" + sysconfig.get_config_var("EXT_SUFFIX"))
-    subprocess.run([cc, "-O2", "-shared", "-fPIC", f"-I{include}",
+    subprocess.run([cc, "-std=c99", "-Wall", "-Wextra", "-Werror", "-O2",
+                    "-shared", "-fPIC", f"-I{include}",
                     str(source), "-o", str(target)],
                    check=True, capture_output=True)
     loader = importlib.machinery.ExtensionFileLoader("_tableau_core",
@@ -377,11 +379,20 @@ class TestKernelDifferential:
                 results = [getattr(k, gate)(*args) for k in kernels]
                 assert results[0] == results[1], (circuit, step, gate)
             compiled, pure = kernels
-            assert compiled.n == pure.n
-            for i in range(pure.n):
-                assert compiled.stab_row(i) == pure.stab_row(i), (circuit, i)
-                assert compiled.destab_row(i) == pure.destab_row(i), \
-                    (circuit, i)
+            n = pure.n
+            twins = [k.copy() for k in kernels]  # a copy is independent
+            for k in twins:
+                k.h(0)
+            rebuilt = compiled_kernel(n)  # set_row writes every row
+            for i in range(n):
+                rebuilt.set_row(i, *pure.destab_row(i))
+                rebuilt.set_row(n + i, *pure.stab_row(i))
+            for got, want in ((compiled, pure), (rebuilt, pure), twins):
+                assert got.n == want.n
+                for i in range(n):
+                    assert got.stab_row(i) == want.stab_row(i), (circuit, i)
+                    assert got.destab_row(i) == want.destab_row(i), \
+                        (circuit, i)
 
 
 KERNELS_NOTE = f"active tableau kernel: {KERNEL}"

@@ -65,6 +65,15 @@ class TestDeterminism:
         assert r1.to_canonical() == r2.to_canonical()
         assert c1 == c2
 
+    def test_thread_variable_changes_nothing(self, monkeypatch):
+        config = {"seed": 5, "attacks": 4, "samples": 2000}
+        monkeypatch.delenv("QOTP_LAB_THREADS", raising=False)
+        r1, c1 = run_experiment("trap-security", dict(config))
+        monkeypatch.setenv("QOTP_LAB_THREADS", "2")
+        r2, c2 = run_experiment("trap-security", dict(config))
+        assert r1.to_canonical() == r2.to_canonical()
+        assert c1 == c2
+
 
 class TestCli:
     def _run(self, *args):
@@ -95,9 +104,17 @@ class TestCli:
         ("qotp-run", {"channel": 5}),
         ("trap-security", {"attacks": 0}),
         ("trap-security", {"samples": 0}),
+        ("twirl-check", {"tolerance": "x"}),
+        ("sim-compare", {"cases": 5}),
+        ("sim-compare", {"cases": ["nope"]}),
+        ("qotp-run", {"b_labels": ["q"]}),
+        ("qotp-run", {"backend": "nope"}),
+        ("qotp-run", {"transport": "nope"}),
     ], ids=["top-level-list", "unknown-base", "zero-runs", "string-seed",
             "string-unitaries", "string-permutations", "int-channel",
-            "zero-attacks", "zero-samples"])
+            "zero-attacks", "zero-samples", "string-tolerance", "int-cases",
+            "unknown-case", "unknown-label", "unknown-backend",
+            "unknown-transport"])
     def test_bad_config_one_line_exit_two(self, tmp_path, command, config):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -108,6 +125,8 @@ class TestCli:
         assert len(res.stderr.strip().splitlines()) == 1, res.stderr
         if isinstance(config, dict):  # the message names the bad key
             assert all(key in res.stderr for key in config), res.stderr
+            assert all(repr(v) in res.stderr for v in config.values()), \
+                res.stderr
 
     def test_unknown_command_exit_two(self):
         res = self._run("no-such-command")
