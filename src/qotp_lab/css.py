@@ -73,10 +73,6 @@ class CssCode:
 
     # -- derived -----------------------------------------------------------
     @property
-    def n_physical(self) -> int:
-        return self.n
-
-    @property
     def k(self) -> int:
         return 1
 
@@ -111,16 +107,6 @@ class CssCode:
     def classical_decode(self, c: int) -> DecodeResult:
         a, e = self._decode(c)
         return DecodeResult(a, e)
-
-    def logical_indicator(self) -> int:
-        """A functional phi with phi.c = logical bit for clean codewords."""
-        rows = list(self.hx) + [self.logical_x]
-        rhs = [0] * len(self.hx) + [1]
-        # Solve phi over the column space: phi . hx_i = 0, phi . Lx = 1.
-        phi = solve(rows, self.n, rhs)
-        if phi is None:
-            raise AssertionError("no logical indicator functional")
-        return phi
 
     # -- symbolic classification ---------------------------------------------
     def syndromes_of(self, q: PauliOperator) -> tuple[tuple, tuple]:

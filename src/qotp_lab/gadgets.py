@@ -1,20 +1,22 @@
-"""Computing on authenticated data: gate gadgets and verifier key updates.
+"""Computing on authenticated data: the gate gadgets, written once.
 
-A session holds both roles of the interaction: the attacker side (quantum
-operations on authenticated registers, measurements, records sent) and the
-verifier side (classical keys, record decoding, key updates, corrections).
-The message log is the unit of audit; the verifier logic is deliberately
-self-contained so the one-time-program layer can wrap it into round
-functions unchanged.
+Each gadget has two halves.  The receiver's half is an ``AuthSession``: it
+holds the quantum state and the authenticated registers, applies the
+gadget's transversal operations, measures, and lets a magic register take
+over the data register's role.  The verifier's half is a
+``VerifierState``: it holds the classical Pauli keys, decodes the
+receiver's measurement records, updates the keys and answers with the
+decoded bits.  The one-time program (``qotp``) and ``run_encoded_circuit``
+both walk ``build_schedule`` and call the same two halves.
 
 Gadget flows (all registers share one trap-code key):
 
-- Pauli gates: attacker does nothing, verifier multiplies the key.
+- Pauli gates: the receiver does nothing, the verifier multiplies the key.
 - CNOT: bitwise transversal CNOT between position-paired physical qubits.
 - K: transversal CNOT from the K-magic register into the data register,
   bitwise measurement of the old data register, conditional key-level Y on
   the former magic register, which becomes the data register (one-way).
-- T: same with T-magic; the correction is KX, so the verifier must reply
+- T: same with T-magic; the correction is KX, so the verifier replies
   whether a K gadget (consuming the provisioned K-magic) is required
   (two-way).  An unused correction magic is consumed by bare measurement.
 - H: teleport-through-Hadamard against an authenticated two-register magic
@@ -24,29 +26,83 @@ Gadget flows (all registers share one trap-code key):
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .paulis import PauliOperator
-from .trap import TrapCode, RecordDecode, authenticate_register
+from .trap import (TrapCode, RecordDecode, authenticate_register,
+                   sample_auth_key, verify_and_decode)
 
 
-@dataclass(frozen=True)
-class MagicSlot:
-    kind: str         # "K" | "T" | "H"
-    names: tuple      # one register name (K/T) or two (H pair)
+# ---------------------------------------------------------------------------
+# the round schedule and the magic-register names
+# ---------------------------------------------------------------------------
+
+def magic_requirements(circuit) -> list[str]:
+    """Magic-register kinds consumed by the circuit, in order.
+
+    Every T provisions its own correction K-magic in the following slot, so
+    the register count is (#K + #H + #T) + #T.
+    """
+    kinds = []
+    for g in circuit:
+        name = g[0]
+        if name == "K":
+            kinds.append("K")
+        elif name == "T":
+            kinds.extend(["T", "K"])
+        elif name == "H":
+            kinds.append("H")
+    return kinds
 
 
-@dataclass
-class Register:
-    name: str
-    status: str = "virtual"            # virtual | live | consumed
-    ids: list | None = None            # physical-position order, length 3n
-    pending: list = field(default_factory=list)  # queued attack Paulis
+def build_schedule(circuit) -> tuple[list, int]:
+    """Step list shared by the verifier and the receiver, and its slot
+    count.  A step is ``("pauli", letter, wire)``, ``("cnot", control,
+    target)`` or ``(round kind, wire, magic slot)``."""
+    steps = []
+    slot = 0
+    for g in circuit:
+        if g[0] in ("X", "Y", "Z"):
+            steps.append(("pauli", g[0], g[1]))
+        elif g[0] == "CNOT":
+            steps.append(("cnot", g[1], g[2]))
+        elif g[0] == "K":
+            steps.append(("round-K", g[1], slot))
+            slot += 1
+        elif g[0] == "T":
+            steps.append(("round-T", g[1], slot))
+            steps.append(("round-Tcorr", g[1], slot + 1))
+            slot += 2
+        elif g[0] == "H":
+            steps.append(("round-H", g[1], slot))
+            slot += 1
+        else:
+            raise ValueError(f"gate {g[0]!r} outside the universal set")
+    return steps, slot
 
+
+def magic_register_name(slot: int) -> str:
+    return f"M{slot}"
+
+
+def magic_pair_names(slot: int) -> tuple[str, str]:
+    """The Hadamard pair of ``slot``: (output register, measured register)."""
+    return f"M{slot}", f"M{slot}pair"
+
+
+def magic_slots(circuit) -> list[tuple[str, tuple]]:
+    """(kind, register names) of every magic slot of ``circuit``."""
+    return [(kind, magic_pair_names(slot) if kind == "H"
+             else (magic_register_name(slot),))
+            for slot, kind in enumerate(magic_requirements(circuit))]
+
+
+# ---------------------------------------------------------------------------
+# the verifier's half
+# ---------------------------------------------------------------------------
 
 class VerifierState:
     """Classical verifier: keys, decoding, updates, cheat flag."""
@@ -56,16 +112,9 @@ class VerifierState:
         self.keys = dict(keys)
         self.cheated = False
 
-    # -- representations ------------------------------------------------------
-    def _rep(self, letter: str) -> PauliOperator:
-        base = self.trap.base
-        x = self.trap.embed_base_mask(base.logical_x) if letter in "XY" else 0
-        z = self.trap.embed_base_mask(base.logical_z) if letter in "ZY" else 0
-        return PauliOperator.from_masks(self.trap.n, x, z)
-
     # -- key updates ----------------------------------------------------------
     def update_pauli_gate(self, reg: str, letter: str) -> None:
-        self.keys[reg] = self.keys[reg] * self._rep(letter)
+        self.keys[reg] = self.keys[reg] * self.trap.logical_pauli(letter)
 
     def update_cnot(self, control: str, target: str) -> None:
         pc, pt = self.keys[control], self.keys[target]
@@ -92,9 +141,54 @@ class VerifierState:
             self.cheated = True
         return rec
 
+    # -- one gadget round -----------------------------------------------------
+    def gadget_round(self, kind: str, data: str, slot: int,
+                     record: list[int], need_k: bool | None) -> list[int]:
+        """Decode the record of one round and update the keys to match the
+        receiver's ``AuthSession.gadget_round``; returns the reply bits.
+        ``need_k`` is the reply of the preceding ``round-T``."""
+        if kind == "round-H":
+            out, pair = magic_pair_names(slot)
+            n3 = self.trap.n
+            self.update_cnot(data, pair)
+            self.update_bitwise_h(data)
+            rec_x = self.decode(data, record[:n3], hadamard=True)
+            rec_z = self.decode(pair, record[n3:])
+            del self.keys[pair]
+            self.rename(out, data)
+            if rec_z.logical_bit:
+                self.update_pauli_gate(data, "Z")
+            if rec_x.logical_bit:
+                self.update_pauli_gate(data, "X")
+            return [rec_x.logical_bit, rec_z.logical_bit]
+        magic = magic_register_name(slot)
+        if kind == "round-Tcorr" and not need_k:
+            rec = self.decode(magic, record)
+            del self.keys[magic]
+            return [rec.logical_bit]
+        # K, T and the K correction of T: the magic register takes over
+        self.update_cnot(magic, data)
+        rec = self.decode(data, record)
+        self.rename(magic, data)
+        if rec.logical_bit:
+            self.update_pauli_gate(data, "X" if kind == "round-T" else "Y")
+        return [rec.logical_bit]
+
+
+# ---------------------------------------------------------------------------
+# the receiver's half
+# ---------------------------------------------------------------------------
+
+@dataclass
+class Register:
+    name: str
+    status: str = "virtual"            # virtual | live | consumed
+    ids: list | None = None            # physical-position order, length 3n
+    pending: list = field(default_factory=list)  # queued attack Paulis
+
 
 class AuthSession:
-    """One verifier/attacker pair sharing a trap-code key."""
+    """The receiver's side: the state and its authenticated registers."""
 
     def __init__(self, trap: TrapCode, keys: dict[str, PauliOperator],
                  state, rng, discard_measured: bool = False):
@@ -102,11 +196,10 @@ class AuthSession:
         self.state = state
         self.rng = rng  # Born sampling of every measurement outcome
         self.discard_measured = discard_measured
-        # sender-side authentication always uses the sampled keys; the
-        # verifier's table evolves separately under gadget key updates
+        # the sender's keys, which the preparers authenticate under
         self.initial_keys = dict(keys)
-        self.verifier = VerifierState(trap, keys)
         self.registers: dict[str, Register] = {}
+        self.magic: list[tuple[str, tuple]] = []  # (kind, names) per slot
         self._groups: dict[str, Callable] = {}
         self.log: list[dict] = []
         self.aux: dict = {}  # preparer-owned bookkeeping, cloned with state
@@ -121,6 +214,14 @@ class AuthSession:
         if preparer is not None:
             for member in group or (name,):
                 self._groups[member] = preparer
+
+    def declare_magic(self, circuit) -> None:
+        """Declare the magic registers ``circuit`` consumes."""
+        for kind, names in magic_slots(circuit):
+            prep = magic_preparer(kind, names)
+            for nm in names:
+                self.declare(nm, prep, group=names)
+            self.magic.append((kind, names))
 
     def attack(self, name: str, pauli: PauliOperator) -> None:
         reg = self.registers[name]
@@ -166,21 +267,13 @@ class AuthSession:
         for qc, qt in zip(rc.ids, rt.ids):
             self.state.apply_gate("CNOT", qc, qt)
 
-    def transversal_cnot(self, control: str, target: str) -> None:
-        self.transversal_cnot_physical(control, target)
-        self.verifier.update_cnot(control, target)
-
     def bitwise_h_physical(self, reg: str) -> None:
         r = self.materialize(reg)
         for q in r.ids:
             self.state.apply_gate("H", q)
 
-    def bitwise_h(self, reg: str) -> None:
-        self.bitwise_h_physical(reg)
-        self.verifier.update_bitwise_h(reg)
-
     def take_over(self, data: str, magic: str) -> None:
-        """Attacker-side bookkeeping: the magic register becomes the data."""
+        """The magic register becomes the data register."""
         reg_magic = self.registers[magic]
         self.registers[data] = Register(data, "live", reg_magic.ids, [])
         self.registers[magic] = Register(magic, "consumed")
@@ -197,134 +290,39 @@ class AuthSession:
             self.state.discard(reg.ids)
         return bits
 
-    # -- gadgets ------------------------------------------------------------
-    def gadget_pauli(self, letter: str, reg: str) -> dict:
-        self.verifier.update_pauli_gate(reg, letter)
-        entry = {"gate": letter, "register": reg, "c_bits": None,
-                 "a_bit": None, "correction": None}
-        self.log.append(entry)
-        return entry
+    # -- one gadget round -----------------------------------------------------
+    def gadget_round(self, kind: str, data: str, slot: int,
+                     need_k: bool | None) -> tuple[tuple, tuple | None]:
+        """The quantum operations of one round before its measurement.
 
-    def gadget_cnot(self, control: str, target: str) -> dict:
-        self.transversal_cnot(control, target)
-        entry = {"gate": "CNOT", "register": f"{control}->{target}",
-                 "c_bits": None, "a_bit": None, "correction": None}
-        self.log.append(entry)
-        return entry
-
-    def _consume_into(self, data: str, magic: str) -> None:
-        """The former magic register takes over the data register's role."""
-        self.take_over(data, magic)
-        self.verifier.rename(magic, data)
-
-    def gadget_k(self, reg: str, magic: str) -> dict:
-        self.materialize(magic)
-        self.transversal_cnot(magic, reg)
-        c = self.measure_register(reg)
-        rec = self.verifier.decode(reg, c)
-        del self.verifier.keys[reg]
-        self._consume_into(reg, magic)
-        if rec.logical_bit:
-            self.verifier.update_pauli_gate(reg, "Y")
-        entry = {"gate": "K", "register": reg, "c_bits": c,
-                 "a_bit": rec.logical_bit,
-                 "correction": "Y" if rec.logical_bit else None,
-                 "accepted": rec.accepted}
-        self.log.append(entry)
-        return entry
-
-    def gadget_t(self, reg: str, magic: str, correction_magic: str) -> dict:
-        self.materialize(magic)
-        self.transversal_cnot(magic, reg)
-        c = self.measure_register(reg)
-        rec = self.verifier.decode(reg, c)
-        del self.verifier.keys[reg]
-        self._consume_into(reg, magic)
-        need_k = bool(rec.logical_bit)
-        entry = {"gate": "T", "register": reg, "c_bits": c,
-                 "a_bit": rec.logical_bit,
-                 "correction": "KX" if need_k else None,
-                 "accepted": rec.accepted}
-        self.log.append(entry)
-        if need_k:
-            self.verifier.update_pauli_gate(reg, "X")
-            self.gadget_k(reg, correction_magic)
-        else:
-            self.bare_consume(correction_magic)
-        return entry
-
-    def gadget_h(self, reg: str, magic_out: str, magic_in: str) -> dict:
-        """Teleport through the Hadamard magic pair.
-
-        ``magic_out`` carries the output; ``magic_in`` absorbs the CNOT from
-        the data register and is measured alongside it.
+        Returns the registers to measure, in record order, and the (data,
+        magic) pair whose magic register takes over once they are measured
+        (None for the bare consume of an unused correction magic).
+        ``need_k`` is the verifier's reply to the preceding ``round-T``.
         """
-        self.materialize(magic_out)
-        self.materialize(magic_in)
-        self.transversal_cnot(reg, magic_in)
-        self.bitwise_h(reg)
-        c_data = self.measure_register(reg)
-        rec_x = self.verifier.decode(reg, c_data, hadamard=True)
-        c_pair = self.measure_register(magic_in)
-        rec_z = self.verifier.decode(magic_in, c_pair)
-        del self.verifier.keys[reg]
-        del self.verifier.keys[magic_in]
-        self._consume_into(reg, magic_out)
-        if rec_z.logical_bit:
-            self.verifier.update_pauli_gate(reg, "Z")
-        if rec_x.logical_bit:
-            self.verifier.update_pauli_gate(reg, "X")
-        entry = {"gate": "H", "register": reg, "c_bits": c_data + c_pair,
-                 "a_bit": (rec_x.logical_bit, rec_z.logical_bit),
-                 "correction": f"X^{rec_x.logical_bit} Z^{rec_z.logical_bit}",
-                 "accepted": rec_x.accepted and rec_z.accepted}
-        self.log.append(entry)
-        return entry
+        if kind == "round-H":
+            out, pair = magic_pair_names(slot)
+            self.materialize(out)
+            self.transversal_cnot_physical(data, pair)
+            self.bitwise_h_physical(data)
+            return (data, pair), (data, out)
+        magic = magic_register_name(slot)
+        if kind == "round-Tcorr" and not need_k:
+            return (magic,), None
+        self.transversal_cnot_physical(magic, data)
+        return (data,), (data, magic)
 
-    def bare_consume(self, magic: str) -> dict:
-        """Measure an unused correction magic so the round count is fixed."""
-        self.materialize(magic)
-        c = self.measure_register(magic)
-        rec = self.verifier.decode(magic, c)
-        del self.verifier.keys[magic]
-        entry = {"gate": "consume", "register": magic, "c_bits": c,
-                 "a_bit": rec.logical_bit, "correction": None,
-                 "accepted": rec.accepted}
-        self.log.append(entry)
-        return entry
-
-    def authenticated_measure(self, reg: str) -> tuple[list[int], int, bool]:
-        """Bitwise measurement plus verifier-side decode of a data register."""
-        c = self.measure_register(reg)
-        rec = self.verifier.decode(reg, c)
-        entry = {"gate": "measure", "register": reg, "c_bits": c,
-                 "a_bit": rec.logical_bit, "correction": None,
-                 "accepted": rec.accepted}
-        self.log.append(entry)
-        return c, rec.logical_bit, rec.accepted
-
-    def recover_register(self, name: str) -> tuple[bool, int]:
-        """De-authenticate a register with the verifier's key.
+    def recover_register(self, name: str, key: PauliOperator
+                         ) -> tuple[bool, int]:
+        """De-authenticate a register under the verifier's ``key``.
 
         Measures every syndrome and trap qubit; returns (accepted, the live
         data qubit id).
         """
         reg = self.materialize(name)
-        key = self.verifier.keys[name]
-        self.state.apply_pauli(key.adjoint(), reg.ids)
-        for g in self.trap.decoding_ops(reg.ids):
-            self.state.apply_gate(*g)
-        accepted = True
-        dpos = self.trap.data_position()
-        for p in range(self.trap.n):
-            if p == dpos:
-                continue
-            bit, prob = self.state.measure(reg.ids[p], rng=self.rng)
-            self._weigh(prob)
-            if bit:
-                accepted = False
         reg.status = "consumed"
-        return accepted, reg.ids[dpos]
+        return verify_and_decode(self.state, self.trap, key, reg.ids,
+                                 self.rng)
 
 
 # ---------------------------------------------------------------------------
@@ -375,11 +373,12 @@ def magic_preparer(kind: str, names: tuple) -> Callable:
     return prep
 
 
-def data_preparer(name: str, logical_prep: Callable) -> Callable:
-    """Preparer for a data register; ``logical_prep(state) -> qubit id``."""
+def eigenstate_preparer(name: str, label: str) -> Callable:
+    """Preparer of register ``name``: the Pauli eigenstate ``label``,
+    authenticated."""
 
     def prep(session: AuthSession) -> None:
-        q = logical_prep(session.state)
+        q = pauli_eigenstate_prep(label)(session.state)
         authenticate_into(session, name, q)
 
     return prep
@@ -420,96 +419,57 @@ EIGENSTATE_VECTORS = {
 # encoded circuit runner
 # ---------------------------------------------------------------------------
 
-def magic_requirements(circuit) -> list[str]:
-    """Magic-register kinds consumed by the circuit, in order.
-
-    Every T provisions its own correction K-magic in the following slot, so
-    the register count is (#K + #H + #T) + #T.
-    """
-    kinds = []
-    for g in circuit:
-        name = g[0]
-        if name == "K":
-            kinds.append("K")
-        elif name == "T":
-            kinds.extend(["T", "K"])
-        elif name == "H":
-            kinds.append("H")
-    return kinds
-
-
-def run_encoded_circuit(session: AuthSession, circuit,
-                        data_regs: list[str],
-                        inventory: list[MagicSlot]) -> list[dict]:
+def run_encoded_circuit(session: AuthSession, verifier: VerifierState,
+                        circuit, data_regs: list[str]
+                        ) -> tuple[list[tuple], list[tuple]]:
     """Execute the gadget sequence for ``circuit`` on authenticated data.
 
     ``circuit`` is a gate list over logical wires; ``data_regs[w]`` names the
-    register holding wire w.  ``inventory`` lists the authenticated magic
-    registers in consumption order.
+    register holding wire w.  Returns the measurement record and the
+    verifier's reply of every round, as a protocol run does.
     """
-    need = magic_requirements(circuit)
-    have = [slot.kind for slot in inventory]
-    if need != have:
-        raise ValueError(f"magic inventory mismatch: need {need}, have {have}")
-    slots = iter(inventory)
-    transcript = []
-    for g in circuit:
-        name = g[0]
-        if name in ("X", "Y", "Z"):
-            transcript.append(session.gadget_pauli(name, data_regs[g[1]]))
-        elif name == "CNOT":
-            transcript.append(
-                session.gadget_cnot(data_regs[g[1]], data_regs[g[2]]))
-        elif name == "K":
-            slot = next(slots)
-            transcript.append(session.gadget_k(data_regs[g[1]], slot.names[0]))
-        elif name == "T":
-            slot_t = next(slots)
-            slot_k = next(slots)
-            transcript.append(session.gadget_t(
-                data_regs[g[1]], slot_t.names[0], slot_k.names[0]))
-        elif name == "H":
-            slot = next(slots)
-            transcript.append(session.gadget_h(
-                data_regs[g[1]], slot.names[0], slot.names[1]))
-        else:
-            raise ValueError(f"gate {name!r} outside the universal set")
-    return transcript
+    if session.magic != magic_slots(circuit):
+        raise ValueError("magic inventory mismatch: need "
+                         f"{magic_requirements(circuit)}, have "
+                         f"{[kind for kind, _ in session.magic]}")
+    steps, _ = build_schedule(circuit)
+    records, replies = [], []
+    need_k = None
+    for step in steps:
+        kind = step[0]
+        if kind == "pauli":
+            verifier.update_pauli_gate(data_regs[step[2]], step[1])
+            continue
+        if kind == "cnot":
+            control, target = data_regs[step[1]], data_regs[step[2]]
+            session.transversal_cnot_physical(control, target)
+            verifier.update_cnot(control, target)
+            continue
+        data, slot = data_regs[step[1]], step[2]
+        measured, takeover = session.gadget_round(kind, data, slot, need_k)
+        record = []
+        for name in measured:
+            record += session.measure_register(name)
+        if takeover is not None:
+            session.take_over(*takeover)
+        reply = verifier.gadget_round(kind, data, slot, record, need_k)
+        need_k = bool(reply[0]) if kind == "round-T" else None
+        records.append(tuple(record))
+        replies.append(tuple(reply))
+    return records, replies
 
 
 def make_gadget_session(base_code, circuit, input_labels: list[str],
                         backend, rng, discard_measured: bool = False
-                        ) -> tuple[AuthSession, list[str], list[MagicSlot]]:
-    """Fresh keys, declared data registers ("D0", ...) and magic inventory."""
-    from .trap import sample_auth_key
-
+                        ) -> tuple[AuthSession, VerifierState, list[str]]:
+    """Fresh keys, the receiver's session with declared data registers
+    ("D0", ...) and magic registers, and the verifier holding the keys."""
     data_names = [f"D{i}" for i in range(len(input_labels))]
-    kinds = magic_requirements(circuit)
-    magic_names = []
-    for i, kind in enumerate(kinds):
-        magic_names.extend([f"M{i}a", f"M{i}b"] if kind == "H" else [f"M{i}"])
+    magic_names = [nm for _, names in magic_slots(circuit) for nm in names]
     key = sample_auth_key(base_code, data_names + magic_names, rng)
     session = AuthSession(key.trap, key.pauli_keys, backend, rng,
                           discard_measured)
     for name, label in zip(data_names, input_labels):
-        session.declare(name, data_preparer(name, pauli_eigenstate_prep(label)))
-    slots = []
-    for i, kind in enumerate(kinds):
-        names = (f"M{i}a", f"M{i}b") if kind == "H" else (f"M{i}",)
-        prep = magic_preparer(kind, names)
-        for nm in names:
-            session.declare(nm, prep, group=names)
-        slots.append(MagicSlot(kind, names))
-    return session, data_names, slots
-
-
-def transcript_to_json(transcript: list[dict]) -> str:
-    def clean(entry):
-        out = dict(entry)
-        if out.get("c_bits") is not None:
-            out["c_bits"] = "".join(str(b) for b in out["c_bits"])
-        if isinstance(out.get("a_bit"), tuple):
-            out["a_bit"] = list(out["a_bit"])
-        return out
-
-    return json.dumps([clean(e) for e in transcript], sort_keys=True)
+        session.declare(name, eigenstate_preparer(name, label))
+    session.declare_magic(circuit)
+    return session, VerifierState(key.trap, key.pauli_keys), data_names

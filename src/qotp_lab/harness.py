@@ -103,6 +103,14 @@ def emit_report(report: ExperimentReport, out_dir: str,
     return paths
 
 
+def config_keys(config: dict, *accepted: str, name: str = "config") -> None:
+    """Reject a key of ``config`` that the command does not read."""
+    for key in config:
+        if key not in accepted:
+            raise ValueError(f"{name} has unknown key {key!r} (accepted: "
+                             f"{', '.join(sorted(accepted))}), got {config!r}")
+
+
 def config_int(config: dict, key: str, default: int, lo: int = 1,
                hi: int | None = None) -> int:
     """``config[key]`` (else ``default``), an integer in [lo, hi]; anything
@@ -176,6 +184,7 @@ def config_channel(config: dict, default: list) -> list[tuple]:
 def run_twirl_check(config: dict) -> tuple[ExperimentReport, None]:
     """Averaging an attack over Pauli conjugations equals its probabilistic
     Pauli mixture: the channel-twirl consequence of the sandwich identity."""
+    config_keys(config, "seed", "unitaries", "tolerance")
     seed = config.get("seed", 1)
     trials = config_int(config, "unitaries", 25)
     tol = config_float(config, "tolerance", 1e-10)
@@ -202,6 +211,8 @@ def run_twirl_check(config: dict) -> tuple[ExperimentReport, None]:
 
 
 def run_trap_security(config: dict) -> tuple[ExperimentReport, str]:
+    config_keys(config, "seed", "base", "levels", "attack_weight", "attacks",
+                "samples")
     seed = config.get("seed", 1)
     base = config_code(config)
     weight = config_int(config, "attack_weight", 3, hi=3 * base.n)
@@ -232,6 +243,8 @@ def run_trap_security(config: dict) -> tuple[ExperimentReport, str]:
 
 def run_distance_exhaustive(config: dict) -> tuple[ExperimentReport, None]:
     """Exhaustive weight<=2 sweep over sampled permutations (criterion 2)."""
+    config_keys(config, "seed", "base", "levels", "permutations",
+                "limit_pairs")
     seed = config.get("seed", 1)
     perms = config_int(config, "permutations", 1000)
     limit_pairs = config_int(config, "limit_pairs", 0, lo=0)
@@ -273,23 +286,32 @@ def run_gadget_check(config: dict) -> tuple[ExperimentReport, None]:
     from .gadgets import (EIGENSTATE_VECTORS, make_gadget_session,
                           run_encoded_circuit)
 
+    config_keys(config, "seed")
     seed = config.get("seed", 1)
     report = ExperimentReport("gadget-check", config)
     steane = build_steane()
     toy = build_toy_code()
     labels = ("0", "1", "+", "-", "+i", "-i")
+
+    def run(base, circuit, inputs, state, stream):
+        """The encoded circuit, then every data register de-authenticated:
+        (all accepted, the density of the data qubits)."""
+        session, verifier, data = make_gadget_session(
+            base, circuit, inputs, state, rngmod.stream(seed, stream),
+            discard_measured=isinstance(state, StateVector))
+        run_encoded_circuit(session, verifier, circuit, data)
+        recovered = [session.recover_register(d, verifier.keys[d])
+                     for d in data]
+        return (all(ok for ok, _ in recovered),
+                session.state.density_of([q for _, q in recovered]))
+
     worst = {}
     for gate in ("X", "Y", "Z", "K", "H"):
         errs = []
         for label in labels:
-            rng = rngmod.stream(seed, f"gadget-{gate}-{label}")
-            circuit = [(gate, 0)]
-            session, data, slots = make_gadget_session(
-                steane, circuit, [label], TableauState(0), rng)
-            run_encoded_circuit(session, circuit, data, slots)
-            ok, out = session.recover_register(data[0])
+            ok, rho = run(steane, [(gate, 0)], [label], TableauState(0),
+                          f"gadget-{gate}-{label}")
             want = dn.GATE_MATRICES[gate] @ EIGENSTATE_VECTORS[label]
-            rho = session.state.density_of([out])
             errs.append(0.0 if ok else 1.0)
             errs.append(float(np.max(np.abs(
                 rho - np.outer(want, want.conj())))))
@@ -297,27 +319,17 @@ def run_gadget_check(config: dict) -> tuple[ExperimentReport, None]:
         report.add_check(f"gadget_{gate}_exact", worst[gate], 1e-9,
                          worst[gate] <= 1e-9)
     # CNOT on two registers
-    rng = rngmod.stream(seed, "gadget-CNOT")
-    session, data, slots = make_gadget_session(
-        steane, [("CNOT", 0, 1)], ["1", "0"], TableauState(0), rng)
-    run_encoded_circuit(session, [("CNOT", 0, 1)], data, slots)
-    ok0, q0 = session.recover_register(data[0])
-    ok1, q1 = session.recover_register(data[1])
-    rho = session.state.density_of([q0, q1])
+    ok, rho = run(steane, [("CNOT", 0, 1)], ["1", "0"], TableauState(0),
+                  "gadget-CNOT")
     err = float(np.max(np.abs(rho - np.diag([0, 0, 0, 1.0]))))
     report.add_check("gadget_CNOT_exact", err, 1e-9,
-                     bool(ok0 and ok1 and err <= 1e-9))
+                     bool(ok and err <= 1e-9))
     # T at toy scale
     errs = []
     for label in labels:
-        rng = rngmod.stream(seed, f"gadget-T-{label}")
-        session, data, slots = make_gadget_session(
-            toy, [("T", 0)], [label], StateVector(0), rng,
-            discard_measured=True)
-        run_encoded_circuit(session, [("T", 0)], data, slots)
-        ok, out = session.recover_register(data[0])
-        want = dn.MT @ EIGENSTATE_VECTORS[label]
-        fid = dn.state_fidelity(want, session.state.density_of([out]))
+        ok, rho = run(toy, [("T", 0)], [label], StateVector(0),
+                      f"gadget-T-{label}")
+        fid = dn.state_fidelity(dn.MT @ EIGENSTATE_VECTORS[label], rho)
         errs.append(1 - fid if ok else 1.0)
     report.add_check("gadget_T_infidelity", max(errs), 1e-9,
                      max(errs) <= 1e-9)
@@ -329,11 +341,14 @@ def run_qotp(config: dict) -> tuple[ExperimentReport, None]:
     from .gadgets import EIGENSTATE_VECTORS
     from .qotp import honest_receiver_run
 
+    config_keys(config, "seed", "channel", "code", "n_b", "b_labels",
+                "backend", "transport", "kappa")
     seed = config.get("seed", 1)
     channel = config_channel(config, [["H", 0]])
     code_cfg = config.get("code", {})
     if not isinstance(code_cfg, dict):
         raise ValueError(f"code must be an object, got {code_cfg!r}")
+    config_keys(code_cfg, "base", "levels", name="code")
     base = config_code(code_cfg)
     n_b = config_int(config, "n_b", max(g[1] for g in channel) + 1
                      if all(len(g) == 2 for g in channel) else 2)
@@ -362,7 +377,7 @@ def run_qotp(config: dict) -> tuple[ExperimentReport, None]:
     report.add_check("output_fidelity", fidelity, 1 - 1e-9,
                      fidelity >= 1 - 1e-9)
     audit = inst.oracle.audit
-    recomputed = [audit.recompute_final_key(result.t_out, i).to_label()
+    recomputed = [audit.final_key(result.t_out, i).to_label()
                   for i in range(n_b)]
     report.extra["s_hat"] = list(result.s_hat)
     report.extra["s_hat_recomputed"] = recomputed
@@ -390,6 +405,8 @@ def run_qotp_attack(config: dict) -> tuple[ExperimentReport, None]:
     from .qotp import (PauliAttackAdversary, QotpInstance,
                        compile_controlled_program)
 
+    config_keys(config, "seed", "runs", "base", "levels", "channel",
+                "attack_x_mask")
     seed = config.get("seed", 1)
     runs = config_int(config, "runs", 10_000)
     base = config_code(config)
@@ -421,6 +438,7 @@ def run_sim_compare(config: dict) -> tuple[ExperimentReport, None]:
                        compare_real_vs_sim)
     from .paulis import PauliOperator as P
 
+    config_keys(config, "seed", "cases")
     seed = config.get("seed", 1)
     toy = build_toy_code()
     report = ExperimentReport("sim-compare", config)
@@ -484,6 +502,7 @@ def run_teleport_check(config: dict) -> tuple[ExperimentReport, None]:
     from .backends import StateVector
     from .qotp import bell_measure, make_teleport_through
 
+    config_keys(config, "seed")
     seed = config.get("seed", 1)
     rng = rngmod.stream(seed, "teleport")
     report = ExperimentReport("teleport-check", config)
@@ -549,6 +568,7 @@ def run_teleport_check(config: dict) -> tuple[ExperimentReport, None]:
 def run_brotp_check(config: dict) -> tuple[ExperimentReport, None]:
     from .cotp import gf_mul
 
+    config_keys(config, "seed")
     seed = config.get("seed", 1)
     report = ExperimentReport("brotp-check", config)
     # forgery bound at kappa=8, exhaustive

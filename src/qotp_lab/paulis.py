@@ -81,9 +81,6 @@ class PauliOperator:
     def is_identity(self) -> bool:
         return self.x == 0 and self.z == 0 and self.phase_exp == 0
 
-    def equal_up_to_phase(self, other: "PauliOperator") -> bool:
-        return self.n == other.n and self.x == other.x and self.z == other.z
-
     def to_label(self) -> str:
         disp = (self.phase_exp - self.y_count()) & 3
         letters = "".join(
@@ -106,9 +103,6 @@ class PauliOperator:
         # (i^p X^x Z^z)^dagger = i^{-p} Z^z X^x = i^{-p} (-1)^{|x&z|} X^x Z^z
         return PauliOperator(self.n, self.x, self.z,
                              -self.phase_exp + 2 * (self.x & self.z).bit_count())
-
-    def commutes_with(self, other: "PauliOperator") -> bool:
-        return commutation_sign(self, other) == 1
 
     def tensor(self, other: "PauliOperator") -> "PauliOperator":
         return PauliOperator(self.n + other.n,
@@ -221,10 +215,6 @@ class CliffordUnitary:
                     raise ValueError("gate target out of range")
             if g[0] == "CNOT" and g[1] == g[2]:
                 raise ValueError("CNOT control equals target")
-
-    @property
-    def gate_list(self) -> tuple:
-        return self.gates
 
     def conjugate(self, q: PauliOperator) -> PauliOperator:
         """Return C^dag q C, the unique q' with q C = C q'."""

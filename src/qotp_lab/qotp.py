@@ -17,12 +17,16 @@ The control qubit turns the whole compiled circuit into controlled-U; the
 simulator runs it switched off and splices the one ideal evaluation in via
 an extra teleportation.
 
-The receiver's side of the round schedule (teleport-in, the simulator's
-splice, the gadget rounds, teleport-out) is interpreted by one walk,
-``_walk``.  Every measurement on the way is handed to a strategy:
-``_Sample`` draws one Born outcome per qubit from the instance's outcome
-stream (``QotpInstance.run``), ``_Fan`` follows every joint outcome of the
-dense state as its own branch (``enumerate_protocol_runs``, the exact
+Both sides walk ``gadgets.build_schedule`` and run each gadget round
+through the two halves in ``gadgets``: the verifier (``QotpVerifier``,
+behind a direct call or the chained one-time-program transport) calls
+``VerifierState.gadget_round``, the receiver ``AuthSession.gadget_round``.
+The receiver's side (teleport-in, the simulator's splice, the gadget
+rounds, teleport-out) is interpreted by one walk, ``_walk``.  Every
+measurement on the way is handed to a strategy: ``_Sample`` draws one
+Born outcome per qubit from the instance's outcome stream
+(``QotpInstance.run``), ``_Fan`` follows every joint outcome of the dense
+state as its own branch (``enumerate_protocol_runs``, the exact
 real-vs-simulated comparison).
 """
 
@@ -30,7 +34,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -39,8 +42,8 @@ from .backends import StabilizerSum, StateVector, TableauState
 from .cotp import brotp_compile, brotp_query
 from .css import CssCode
 from .gadgets import (AuthSession, Register, VerifierState,
-                      authenticate_into, magic_preparer, magic_requirements,
-                      pauli_eigenstate_prep)
+                      authenticate_into, build_schedule, eigenstate_preparer,
+                      magic_requirements, magic_slots, pauli_eigenstate_prep)
 from .paulis import CliffordUnitary, PauliOperator
 from .trap import TrapCode, random_pauli, sample_trap_code
 
@@ -291,30 +294,6 @@ def make_teleport_through(state, clifford_ops: list, n: int) -> tuple[list, list
 # the reactive verifier behind the BR-OTP
 # ---------------------------------------------------------------------------
 
-def build_schedule(circuit) -> tuple[list, int]:
-    """Step list shared by the verifier and the receiver's quantum runner."""
-    steps = []
-    slot = 0
-    for g in circuit:
-        if g[0] in ("X", "Y", "Z"):
-            steps.append(("pauli", g[0], g[1]))
-        elif g[0] == "CNOT":
-            steps.append(("cnot", g[1], g[2]))
-        elif g[0] == "K":
-            steps.append(("round-K", g[1], slot))
-            slot += 1
-        elif g[0] == "T":
-            steps.append(("round-T", g[1], slot))
-            steps.append(("round-Tcorr", g[1], slot + 1))
-            slot += 2
-        elif g[0] == "H":
-            steps.append(("round-H", g[1], slot))
-            slot += 1
-        else:
-            raise ValueError(f"gate {g[0]!r} outside the universal set")
-    return steps, slot
-
-
 def bits_to_mask(bits) -> int:
     m = 0
     for i, b in enumerate(bits):
@@ -355,7 +334,6 @@ class QotpVerifier:
         self.data_map = {w: data_register_name(program, w)
                          for w in range(program.wires)}
         self.pc = 0
-        self.round_cursor = 0
         self.pending_need_k = None
         self.e_pi = trap_encoder_clifford(trap)
 
@@ -395,56 +373,11 @@ class QotpVerifier:
         if step is None:
             raise RuntimeError("no reactive round pending")
         kind, wire, slot = step
-        data = self.data_map[wire]
-        magic = magic_register_name(slot)
         self.pc += 1
-        self.round_cursor += 1
-        if kind == "round-K":
-            self.vs.update_cnot(magic, data)
-            rec = self.vs.decode(data, record)
-            self.vs.rename(magic, data)
-            if rec.logical_bit:
-                self.vs.update_pauli_gate(data, "Y")
-            return [rec.logical_bit]
-        if kind == "round-T":
-            self.vs.update_cnot(magic, data)
-            rec = self.vs.decode(data, record)
-            self.vs.rename(magic, data)
-            need_k = bool(rec.logical_bit)
-            if need_k:
-                self.vs.update_pauli_gate(data, "X")
-            self.pending_need_k = need_k
-            return [rec.logical_bit]
-        if kind == "round-Tcorr":
-            need_k = self.pending_need_k
-            self.pending_need_k = None
-            if need_k:
-                self.vs.update_cnot(magic, data)
-                rec = self.vs.decode(data, record)
-                self.vs.rename(magic, data)
-                if rec.logical_bit:
-                    self.vs.update_pauli_gate(data, "Y")
-            else:
-                rec = self.vs.decode(magic, record)
-                del self.vs.keys[magic]
-            return [rec.logical_bit]
-        if kind == "round-H":
-            n3 = self.trap.n
-            c_data, c_pair = record[:n3], record[n3:]
-            pair = magic_pair_names(slot)
-            self.vs.update_cnot(data, pair[1])
-            self.vs.update_bitwise_h(data)
-            rec_x = self.vs.decode(data, c_data, hadamard=True)
-            rec_z = self.vs.decode(pair[1], c_pair)
-            del self.vs.keys[data]
-            del self.vs.keys[pair[1]]
-            self.vs.rename(pair[0], data)
-            if rec_z.logical_bit:
-                self.vs.update_pauli_gate(data, "Z")
-            if rec_x.logical_bit:
-                self.vs.update_pauli_gate(data, "X")
-            return [rec_x.logical_bit, rec_z.logical_bit]
-        raise AssertionError(kind)
+        reply = self.vs.gadget_round(kind, self.data_map[wire], slot, record,
+                                     self.pending_need_k)
+        self.pending_need_k = bool(reply[0]) if kind == "round-T" else None
+        return reply
 
     def finalize(self, t_out: list[tuple[int, int]]) -> tuple[list[str], bool]:
         """Final decryption keys for B_out, or uniform bits on cheating."""
@@ -456,21 +389,12 @@ class QotpVerifier:
             labels = [random_pauli(1, gen).to_label()
                       for _ in range(self.program.n_b)]
             return labels, True
-        labels = []
-        for i in range(self.program.n_b):
-            xm, zm = t_out[i]
-            t_pauli = PauliOperator.from_masks(self.trap.n, xm, zm)
-            reg = self.data_map[self.program.n_a + i]
-            q = self.output_keys[i] * t_pauli * self.vs.keys[reg]
-            pulled = self.e_pi.conjugate(q)
-            dpos = self.trap.pi(0)
-            s_hat = PauliOperator.from_masks(
-                1, (pulled.x >> dpos) & 1, (pulled.z >> dpos) & 1)
-            labels.append(s_hat.to_label())
-        return labels, False
+        return [self.final_key(t_out, i).to_label()
+                for i in range(self.program.n_b)], False
 
-    def recompute_final_key(self, t_out, i: int) -> PauliOperator:
-        """The final-key formula, for audit against an independent path."""
+    def final_key(self, t_out, i: int) -> PauliOperator:
+        """The decryption key of output wire ``i`` under the current keys
+        and the teleport-out corrections ``t_out``."""
         xm, zm = t_out[i]
         t_pauli = PauliOperator.from_masks(self.trap.n, xm, zm)
         reg = self.data_map[self.program.n_a + i]
@@ -494,14 +418,6 @@ def data_register_name(program: CompiledProgram, wire: int) -> str:
     if wire == program.control_wire:
         return "Ctl"
     return f"Et{wire - program.n_a - program.n_b}"
-
-
-def magic_register_name(slot: int) -> str:
-    return f"M{slot}"
-
-
-def magic_pair_names(slot: int) -> tuple[str, str]:
-    return f"M{slot}", f"M{slot}pair"
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +454,6 @@ class BrotpOracle:
 
     def __init__(self, verifier: QotpVerifier, kappa: int, rng):
         self.cell = {"verifier": verifier}
-        ell = verifier.num_rounds + 2
         state0 = _serialize_verifier(verifier)
         state_len = len(state0) + 96
         cell = self.cell
@@ -608,7 +523,6 @@ def _serialize_verifier(v: QotpVerifier) -> bytes:
                  for name, p in v.vs.keys.items()},
         "cheated": v.vs.cheated,
         "pc": v.pc,
-        "round_cursor": v.round_cursor,
         "pending": v.pending_need_k,
     }
     return json.dumps(blob, sort_keys=True).encode()
@@ -622,7 +536,6 @@ def _deserialize_verifier(blob: bytes, program, trap, output_keys,
     v = QotpVerifier(program, trap, keys, output_keys, reject_seed)
     v.vs.cheated = data["cheated"]
     v.pc = data["pc"]
-    v.round_cursor = data["round_cursor"]
     v.pending_need_k = data["pending"]
     return v
 
@@ -743,16 +656,10 @@ class QotpInstance:
         n3 = self.trap.n
         reg_names = [data_register_name(program, w)
                      for w in range(program.wires)]
-        self.num_rounds = build_schedule(program.controlled_circuit)[1]
-        self.magic_names = []
-        kinds = magic_requirements(program.controlled_circuit)
-        for slot, kind in enumerate(kinds):
-            if kind == "H":
-                self.magic_names.extend(magic_pair_names(slot))
-            else:
-                self.magic_names.append(magic_register_name(slot))
-        keys = {name: random_pauli(n3, key_rng)
-                for name in reg_names + self.magic_names}
+        reg_names += [nm for _, names in
+                      magic_slots(program.controlled_circuit)
+                      for nm in names]
+        keys = {name: random_pauli(n3, key_rng) for name in reg_names}
         self.output_keys = [random_pauli(n3, key_rng)
                             for _ in range(program.n_b)]
         for name, p in (key_overrides or {}).items():
@@ -806,14 +713,14 @@ class QotpInstance:
         for i in range(prog.n_a):
             name = f"At{i}"
             label = "0" if self.world == "sim" else self.a_labels[i]
-            ses.declare(name, _auth_prep(name, pauli_eigenstate_prep(label)))
+            ses.declare(name, eigenstate_preparer(name, label))
         # workspace and control
         nw = prog.n_work + (1 if prog.uses_t_helper else 0)
         for j in range(nw):
             name = f"Et{j}"
-            ses.declare(name, _auth_prep(name, pauli_eigenstate_prep("0")))
+            ses.declare(name, eigenstate_preparer(name, "0"))
         ctl_label = "0" if self.world == "sim" else "1"
-        ses.declare("Ctl", _auth_prep("Ctl", pauli_eigenstate_prep(ctl_label)))
+        ses.declare("Ctl", eigenstate_preparer("Ctl", ctl_label))
         # teleport-through-authentication halves
         for i in range(prog.n_b):
             bare = f"Bin{i}" if self.world == "real" else f"Sout{i}"
@@ -866,14 +773,7 @@ class QotpInstance:
                 }
 
             ses.declare(name, prep)
-        # magic registers
-        kinds = magic_requirements(prog.controlled_circuit)
-        for slot, kind in enumerate(kinds):
-            names = magic_pair_names(slot) if kind == "H" \
-                else (magic_register_name(slot),)
-            prep = magic_preparer(kind, names)
-            for nm in names:
-                ses.declare(nm, prep, group=names)
+        ses.declare_magic(prog.controlled_circuit)
 
     # -- cloning (a branch of the exact enumeration) ---------------------------
     def clone(self, state) -> "QotpInstance":
@@ -904,14 +804,6 @@ class QotpInstance:
         leaves = []
         _walk(self, adversary, _Sample(), leaves.append)
         return leaves[0]
-
-
-def _auth_prep(name: str, logical_prep: Callable) -> Callable:
-    def prep(session):
-        q = logical_prep(session.state)
-        authenticate_into(session, name, q)
-
-    return prep
 
 
 # ---------------------------------------------------------------------------
@@ -1133,20 +1025,8 @@ def _walk(inst: QotpInstance, adversary, strategy, emit) -> None:
                     leaf, bits, weight, state, t_in, records, replies))
             return
         kind, wire, slot = steps[pc]
-        data = data_map[wire]
-        if kind == "round-H":
-            out_name, pair_name = magic_pair_names(slot)
-            s.materialize(out_name)
-            s.transversal_cnot_physical(data, pair_name)
-            s.bitwise_h_physical(data)
-            measured, takeover = (data, pair_name), (data, out_name)
-        elif kind == "round-Tcorr" and not need_k:
-            # the unused correction magic is measured bare
-            measured, takeover = (magic_register_name(slot),), None
-        else:
-            magic = magic_register_name(slot)
-            s.transversal_cnot_physical(magic, data)
-            measured, takeover = (data,), (data, magic)
+        measured, takeover = s.gadget_round(kind, data_map[wire], slot,
+                                            need_k)
 
         def after_round(child, bits):
             if takeover is not None:
@@ -1252,12 +1132,8 @@ def _coset_override(trap: TrapCode, letter: str, program: CompiledProgram):
     """Multiply the teleported-input register's pad by a logical rep."""
     if letter == "I":
         return {}
-    base = trap.base
-    x = trap.embed_base_mask(base.logical_x) if letter in "XY" else 0
-    z = trap.embed_base_mask(base.logical_z) if letter in "ZY" else 0
-    rep = PauliOperator.from_masks(trap.n, x, z)
     # the override multiplies the sampled key, deterministically re-derived
-    return {"__mul__Bt0": rep}
+    return {"__mul__Bt0": trap.logical_pauli(letter)}
 
 
 def compare_real_vs_sim(circuit, n_a: int, n_b: int, base_code: CssCode,

@@ -15,9 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .css import CssCode, LogicalClass
+from .css import CssCode
 from .paulis import PauliOperator, Permutation
 
 
@@ -84,6 +82,12 @@ class TrapCode:
     @property
     def logical_z(self) -> int:
         return self.embed_base_mask(self.base.logical_z)
+
+    def logical_pauli(self, letter: str) -> PauliOperator:
+        """The embedded logical representative of ``letter`` in IXYZ."""
+        return PauliOperator.from_masks(
+            self.n, self.logical_x if letter in "XY" else 0,
+            self.logical_z if letter in "ZY" else 0)
 
     def as_css(self) -> CssCode:
         """The trap code is itself a [[3n,1,d]] CSS code."""
@@ -232,11 +236,6 @@ class AuthKey:
 
     trap: TrapCode
     pauli_keys: dict[str, PauliOperator] = field(default_factory=dict)
-    output_key: PauliOperator | None = None
-
-    @property
-    def code_id(self) -> Permutation:
-        return self.trap.pi
 
 
 def random_pauli(n: int, rng) -> PauliOperator:
@@ -249,13 +248,11 @@ def sample_trap_code(base: CssCode, rng) -> TrapCode:
     return TrapCode(base, Permutation.random(3 * base.n, rng))
 
 
-def sample_auth_key(base: CssCode, registers, rng,
-                    with_output_key: bool = False) -> AuthKey:
+def sample_auth_key(base: CssCode, registers, rng) -> AuthKey:
     """Uniform permutation plus independent uniform Pauli key per register."""
     trap = sample_trap_code(base, rng)
     keys = {name: random_pauli(trap.n, rng) for name in registers}
-    out = random_pauli(trap.n, rng) if with_output_key else None
-    return AuthKey(trap, keys, out)
+    return AuthKey(trap, keys)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,9 @@ import pytest
 from qotp_lab import denseops as dn
 from qotp_lab.backends import StateVector, TableauState
 from qotp_lab.css import build_steane, build_toy_code
-from qotp_lab.gadgets import (EIGENSTATE_VECTORS, MagicSlot,
-                              make_gadget_session, run_encoded_circuit,
-                              transcript_to_json)
+from qotp_lab.gadgets import (EIGENSTATE_VECTORS, make_gadget_session,
+                              run_encoded_circuit)
 from qotp_lab.paulis import PauliOperator
-from qotp_lab.trap import random_pauli
 
 STEANE = build_steane()
 TOY = build_toy_code()
@@ -26,23 +24,28 @@ def run_single_gate(base, gate, label, backend_kind, seed):
     rng = np.random.default_rng(seed)
     circuit = [(gate, 0)]
     backend = TableauState(0) if backend_kind == "tab" else StateVector(0)
-    session, data, slots = make_gadget_session(
+    session, verifier, data = make_gadget_session(
         base, circuit, [label], backend, rng,
         discard_measured=(backend_kind == "sv"))
-    transcript = run_encoded_circuit(session, circuit, data, slots)
-    ok, out = session.recover_register(data[0])
-    return session, transcript, ok, out
+    records, replies = run_encoded_circuit(session, verifier, circuit, data)
+    ok, out = session.recover_register(data[0], verifier.keys[data[0]])
+    return session, (records, replies), ok, out
+
+
+def recover_all(session, verifier, data):
+    """(every register accepted, the data qubit ids)."""
+    pairs = [session.recover_register(d, verifier.keys[d]) for d in data]
+    return all(ok for ok, _ in pairs), [q for _, q in pairs]
 
 
 class TestPauliGadgets:
     def test_pauli_gadget_is_empty_and_key_updates(self):
-        rng = np.random.default_rng(1)
         for gate in ("X", "Y", "Z"):
             for label in ("0", "1", "+", "-", "+i", "-i"):
-                session, transcript, ok, out = run_single_gate(
+                session, (records, replies), ok, out = run_single_gate(
                     STEANE, gate, label, "tab", 7)
                 assert ok
-                assert transcript[0]["c_bits"] is None  # attacker did nothing
+                assert records == [] and replies == []  # receiver did nothing
                 want = GATE_MATRIX[gate] @ EIGENSTATE_VECTORS[label]
                 rho = session.state.density_of([out])
                 assert np.allclose(rho, np.outer(want, want.conj()),
@@ -50,12 +53,11 @@ class TestPauliGadgets:
 
     def test_trap_keys_untouched_by_pauli_update(self):
         rng = np.random.default_rng(3)
-        session, data, _ = make_gadget_session(
+        session, verifier, data = make_gadget_session(
             STEANE, [("Z", 0)], ["0"], TableauState(0), rng)
-        session.materialize(data[0])
-        before = session.verifier.keys[data[0]]
-        session.gadget_pauli("Z", data[0])
-        after = session.verifier.keys[data[0]]
+        before = verifier.keys[data[0]]
+        verifier.update_pauli_gate(data[0], "Z")
+        after = verifier.keys[data[0]]
         trap = session.trap
         diff = before * after
         base_mask = sum(1 << p for p in trap.base_positions)
@@ -67,42 +69,35 @@ class TestPauliGadgets:
 class TestCnotGadget:
     def test_cnot_on_one_zero(self):
         rng = np.random.default_rng(5)
-        backend = TableauState(0)
-        session, data, slots = make_gadget_session(
-            STEANE, [("CNOT", 0, 1)], ["1", "0"], backend, rng)
-        run_encoded_circuit(session, [("CNOT", 0, 1)], data, slots)
-        ok0, q0 = session.recover_register(data[0])
-        ok1, q1 = session.recover_register(data[1])
-        assert ok0 and ok1
-        assert np.allclose(session.state.density_of([q0, q1]),
+        session, verifier, data = make_gadget_session(
+            STEANE, [("CNOT", 0, 1)], ["1", "0"], TableauState(0), rng)
+        run_encoded_circuit(session, verifier, [("CNOT", 0, 1)], data)
+        ok, qubits = recover_all(session, verifier, data)
+        assert ok
+        assert np.allclose(session.state.density_of(qubits),
                            np.diag([0, 0, 0, 1]), atol=1e-12)
 
     def test_cnot_key_update_rule(self):
         rng = np.random.default_rng(7)
-        backend = TableauState(0)
-        session, data, slots = make_gadget_session(
-            STEANE, [("CNOT", 0, 1)], ["0", "0"], backend, rng)
-        p1 = session.verifier.keys[data[0]]
-        p2 = session.verifier.keys[data[1]]
-        session.materialize(data[0])
-        session.materialize(data[1])
-        session.gadget_cnot(data[0], data[1])
-        q1 = session.verifier.keys[data[0]]
-        q2 = session.verifier.keys[data[1]]
+        session, verifier, data = make_gadget_session(
+            STEANE, [("CNOT", 0, 1)], ["0", "0"], TableauState(0), rng)
+        p1 = verifier.keys[data[0]]
+        p2 = verifier.keys[data[1]]
+        verifier.update_cnot(data[0], data[1])
+        q1 = verifier.keys[data[0]]
+        q2 = verifier.keys[data[1]]
         assert q1.x == p1.x and q1.z == p1.z ^ p2.z
         assert q2.x == p2.x ^ p1.x and q2.z == p2.z
 
     def test_cnot_entangled_bell_output(self):
         rng = np.random.default_rng(9)
-        backend = TableauState(0)
-        session, data, slots = make_gadget_session(
-            STEANE, [("CNOT", 0, 1)], ["+", "0"], backend, rng)
-        run_encoded_circuit(session, [("CNOT", 0, 1)], data, slots)
-        ok0, q0 = session.recover_register(data[0])
-        ok1, q1 = session.recover_register(data[1])
-        assert ok0 and ok1
+        session, verifier, data = make_gadget_session(
+            STEANE, [("CNOT", 0, 1)], ["+", "0"], TableauState(0), rng)
+        run_encoded_circuit(session, verifier, [("CNOT", 0, 1)], data)
+        ok, qubits = recover_all(session, verifier, data)
+        assert ok
         bell = np.array([1, 0, 0, 1]) / np.sqrt(2)
-        assert np.allclose(session.state.density_of([q0, q1]),
+        assert np.allclose(session.state.density_of(qubits),
                            np.outer(bell, bell), atol=1e-12)
 
 
@@ -110,14 +105,15 @@ class TestMagicGadgets:
     @pytest.mark.parametrize("label", ["0", "1", "+", "-", "+i", "-i"])
     def test_k_gadget_steane(self, label):
         for seed in (11, 12, 13):
-            session, transcript, ok, out = run_single_gate(
+            session, (records, replies), ok, out = run_single_gate(
                 STEANE, "K", label, "tab", seed)
             assert ok
             want = dn.MK @ EIGENSTATE_VECTORS[label]
             assert np.allclose(session.state.density_of([out]),
                                np.outer(want, want.conj()), atol=1e-12)
-            entry = transcript[0]
-            assert (entry["correction"] == "Y") == bool(entry["a_bit"])
+            # one one-way round: a 21-bit record, a one-bit reply
+            assert [len(r) for r in records] == [21]
+            assert replies[0] in ((0,), (1,))
 
     @pytest.mark.parametrize("label", ["0", "1", "+", "-", "+i", "-i"])
     def test_h_gadget_steane(self, label):
@@ -144,11 +140,11 @@ class TestMagicGadgets:
     def test_t_gadget_consumes_correction_magic_always(self):
         seen = set()
         for seed in range(30):
-            session, transcript, ok, out = run_single_gate(
+            session, (records, replies), ok, out = run_single_gate(
                 TOY, "T", "+", "sv", 100 + seed)
-            gates = [e["gate"] for e in session.log if "gate" in e]
-            assert ("K" in gates) != ("consume" in gates)
-            seen.add(transcript[0]["a_bit"])
+            # the T round, then the K correction or the bare consume
+            assert len(records) == len(replies) == 2
+            seen.add(replies[0][0])
             for name, reg in session.registers.items():
                 if name.startswith("M"):
                     assert reg.status == "consumed"
@@ -159,10 +155,10 @@ class TestMagicGadgets:
 
         rng = np.random.default_rng(23)
         circuit = [("T", 0)]
-        session, data, slots = make_gadget_session(
+        session, verifier, data = make_gadget_session(
             STEANE, circuit, ["+"], StabilizerSum(0), rng)
-        run_encoded_circuit(session, circuit, data, slots)
-        ok, out = session.recover_register(data[0])
+        run_encoded_circuit(session, verifier, circuit, data)
+        ok, out = session.recover_register(data[0], verifier.keys[data[0]])
         assert ok
         want = dn.MT @ EIGENSTATE_VECTORS["+"]
         assert np.allclose(session.state.density_of([out]),
@@ -172,31 +168,31 @@ class TestMagicGadgets:
 class TestAuthenticatedMeasure:
     def test_honest(self):
         rng = np.random.default_rng(29)
-        session, data, _ = make_gadget_session(
+        session, verifier, data = make_gadget_session(
             STEANE, [], ["1"], TableauState(0), rng)
-        c, a, ok = session.authenticated_measure(data[0])
-        assert ok and a == 1
+        rec = verifier.decode(data[0], session.measure_register(data[0]))
+        assert rec.accepted and rec.logical_bit == 1
 
     def test_bit_flip_rejects(self):
         rng = np.random.default_rng(31)
-        session, data, _ = make_gadget_session(
+        session, verifier, data = make_gadget_session(
             STEANE, [], ["0"], TableauState(0), rng)
         c = session.measure_register(data[0])
         c[5] ^= 1  # tamper with the classical record
-        rec = session.verifier.decode(data[0], c)
+        rec = verifier.decode(data[0], c)
         assert not rec.accepted
-        assert session.verifier.cheated
+        assert verifier.cheated
 
     def test_z_paulis_never_disturb(self):
         rng = np.random.default_rng(37)
         for trial in range(20):
-            session, data, _ = make_gadget_session(
+            session, verifier, data = make_gadget_session(
                 STEANE, [], ["1"], TableauState(0), rng)
             zmask = int(rng.integers(0, 1 << 21))
             session.materialize(data[0])
             session.attack(data[0], PauliOperator.from_masks(21, 0, zmask))
-            c, a, ok = session.authenticated_measure(data[0])
-            assert ok and a == 1
+            rec = verifier.decode(data[0], session.measure_register(data[0]))
+            assert rec.accepted and rec.logical_bit == 1
 
 
 class TestForcing:
@@ -205,13 +201,11 @@ class TestForcing:
         rejects = 0
         runs = 400
         for _ in range(runs):
-            backend = TableauState(0)
-            session, data, slots = make_gadget_session(
-                STEANE, [("K", 0)], ["0"], backend, rng)
-            session.attack(slots[0].names[0],
-                           PauliOperator.from_masks(21, 0b111, 0))
-            run_encoded_circuit(session, [("K", 0)], data, slots)
-            if session.verifier.cheated:
+            session, verifier, data = make_gadget_session(
+                STEANE, [("K", 0)], ["0"], TableauState(0), rng)
+            session.attack("M0", PauliOperator.from_masks(21, 0b111, 0))
+            run_encoded_circuit(session, verifier, [("K", 0)], data)
+            if verifier.cheated:
                 rejects += 1
         assert rejects / runs >= 1 - (2 / 3) ** 1.5
 
@@ -220,24 +214,25 @@ class TestEncodedCircuits:
     def test_clifford_circuit_offline(self):
         rng = np.random.default_rng(43)
         circuit = [("H", 0), ("K", 0), ("CNOT", 0, 1), ("Z", 1)]
-        session, data, slots = make_gadget_session(
+        session, verifier, data = make_gadget_session(
             STEANE, circuit, ["0", "0"], TableauState(0), rng)
-        transcript = run_encoded_circuit(session, circuit, data, slots)
-        assert all(e["gate"] != "T" for e in transcript)  # zero two-way rounds
-        ok0, q0 = session.recover_register(data[0])
-        ok1, q1 = session.recover_register(data[1])
-        assert ok0 and ok1
+        records, replies = run_encoded_circuit(session, verifier, circuit,
+                                               data)
+        # one one-way round each for H and K, no two-way T rounds
+        assert [len(r) for r in replies] == [2, 1]
+        ok, qubits = recover_all(session, verifier, data)
+        assert ok
         u = dn.circuit_matrix(2, circuit)
         want = u @ np.eye(4, dtype=complex)[:, 0]
-        assert np.allclose(session.state.density_of([q0, q1]),
+        assert np.allclose(session.state.density_of(qubits),
                            np.outer(want, want.conj()), atol=1e-12)
 
     def test_single_h_on_zero_is_plus(self):
         rng = np.random.default_rng(47)
-        session, data, slots = make_gadget_session(
+        session, verifier, data = make_gadget_session(
             STEANE, [("H", 0)], ["0"], TableauState(0), rng)
-        run_encoded_circuit(session, [("H", 0)], data, slots)
-        ok, out = session.recover_register(data[0])
+        run_encoded_circuit(session, verifier, [("H", 0)], data)
+        ok, out = session.recover_register(data[0], verifier.keys[data[0]])
         assert ok
         plus = EIGENSTATE_VECTORS["+"]
         assert np.allclose(session.state.density_of([out]),
@@ -245,19 +240,19 @@ class TestEncodedCircuits:
 
     def test_inventory_mismatch(self):
         rng = np.random.default_rng(53)
-        session, data, slots = make_gadget_session(
+        session, verifier, data = make_gadget_session(
             STEANE, [("K", 0)], ["0"], TableauState(0), rng)
         with pytest.raises(ValueError):
-            run_encoded_circuit(session, [("T", 0)], data, slots)
+            run_encoded_circuit(session, verifier, [("T", 0)], data)
 
     def test_transcript_replayable(self):
         outs = []
         for _ in range(2):
             rng = np.random.default_rng(59)
-            session, data, slots = make_gadget_session(
+            session, verifier, data = make_gadget_session(
                 STEANE, [("K", 0)], ["+"], TableauState(0), rng)
-            t = run_encoded_circuit(session, [("K", 0)], data, slots)
-            outs.append(transcript_to_json(t))
+            outs.append(run_encoded_circuit(session, verifier, [("K", 0)],
+                                            data))
         assert outs[0] == outs[1]
 
 
@@ -276,12 +271,12 @@ H_MAGIC_VEC = np.array([1, 1, 1, -1], dtype=complex) / 2
 T_CORRECTION = np.exp(-1j * np.pi / 4) * (dn.MK @ dn.MX)
 
 
-def _gadget_kinds(circuit):
+def _magic_gate_kinds(circuit):
     return [g[0] for g in circuit if g[0] in ("K", "T", "H")]
 
 
 def outcome_bit_count(circuit):
-    return sum(2 if k == "H" else 1 for k in _gadget_kinds(circuit))
+    return sum(2 if k == "H" else 1 for k in _magic_gate_kinds(circuit))
 
 
 def _logical_gadget_contraction(circuit, n_data, outcomes):
@@ -293,7 +288,7 @@ def _logical_gadget_contraction(circuit, n_data, outcomes):
     qubit afterwards; the T correction is applied directly as the Clifford
     KX.  Corrections follow the projected outcome vector.
     """
-    kinds = _gadget_kinds(circuit)
+    kinds = _magic_gate_kinds(circuit)
     widths = {"K": 1, "T": 1, "H": 2}
     total_magic = sum(widths[k] for k in kinds)
     magic_vecs = [{"K": K_MAGIC_VEC, "T": T_MAGIC_VEC,
@@ -402,7 +397,7 @@ class TestMagicOutcomeIdentity:
         ([("K", 0), ("K", 0)], 1),
     ])
     def test_corrupted_outcomes_depend_on_difference(self, circuit, nd):
-        kinds = _gadget_kinds(circuit)
+        kinds = _magic_gate_kinds(circuit)
         bits = len(kinds)  # only K/T single-bit gadgets here
         table = {}
         for a in product((0, 1), repeat=bits):
@@ -423,7 +418,7 @@ class TestMagicOutcomeIdentity:
 
 def _corrupted_contraction(circuit, n_data, outcomes, reported):
     """Measurement gives ``outcomes`` but corrections follow ``reported``."""
-    kinds = _gadget_kinds(circuit)
+    kinds = _magic_gate_kinds(circuit)
     magic_vecs = [{"K": K_MAGIC_VEC, "T": T_MAGIC_VEC}[k] for k in kinds]
     mu = np.array([1.0 + 0j])
     for vv in magic_vecs:

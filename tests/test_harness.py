@@ -110,11 +110,13 @@ class TestCli:
         ("qotp-run", {"b_labels": ["q"]}),
         ("qotp-run", {"backend": "nope"}),
         ("qotp-run", {"transport": "nope"}),
+        ("twirl-check", {"unitaris": 3}),
+        ("qotp-run", {"code": {"base": "toy", "levle": 2}}),
     ], ids=["top-level-list", "unknown-base", "zero-runs", "string-seed",
             "string-unitaries", "string-permutations", "int-channel",
             "zero-attacks", "zero-samples", "string-tolerance", "int-cases",
             "unknown-case", "unknown-label", "unknown-backend",
-            "unknown-transport"])
+            "unknown-transport", "unknown-key", "unknown-code-key"])
     def test_bad_config_one_line_exit_two(self, tmp_path, command, config):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))

@@ -166,7 +166,7 @@ class TestHonestRuns:
                                             transport="direct")
             assert res.accepted
             audit = inst.oracle.audit
-            recomputed = [audit.recompute_final_key(res.t_out, i).to_label()
+            recomputed = [audit.final_key(res.t_out, i).to_label()
                           for i in range(1)]
             assert list(res.s_hat) == recomputed
 
@@ -216,8 +216,8 @@ class TestSimulator:
             res = inst.run(DummyAdversary())
             assert res.accepted
             ses = res.session
-            ses.verifier = inst.oracle.audit.vs
-            ok, out = ses.recover_register("Ctl")
+            ok, out = ses.recover_register("Ctl",
+                                           inst.oracle.audit.vs.keys["Ctl"])
             assert ok
             rho = np.zeros((2, 2))
             rho[want, want] = 1.0
