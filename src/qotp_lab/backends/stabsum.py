@@ -436,28 +436,39 @@ class StabilizerSum:
     def _sq_norm(self) -> float:
         return float(np.sum(np.abs(self.coeffs) ** 2))
 
-    def z_probabilities(self, qubit_id: int) -> tuple[float, float]:
+    def _outcomes(self, qubit_id: int) -> tuple[list, list[float]]:
+        """Canonicalize, then project a copy onto each Z outcome: the two
+        copies (None for an annihilated one) and their squared norms."""
         qubit = self._row(qubit_id)
         self.canonicalize()
-        probs = []
+        branches, norms = [], []
         for y in (0, 1):
             try:
                 br = self.copy()
                 br._project(qubit, y)
-                probs.append(br._sq_norm())
+                branches.append(br)
+                norms.append(br._sq_norm())
             except ValueError:
-                probs.append(0.0)
-        tot = probs[0] + probs[1]
-        return probs[0] / tot, probs[1] / tot
+                branches.append(None)
+                norms.append(0.0)
+        return branches, norms
+
+    def z_probabilities(self, qubit_id: int) -> tuple[float, float]:
+        _, norms = self._outcomes(qubit_id)
+        tot = norms[0] + norms[1]
+        return norms[0] / tot, norms[1] / tot
 
     def measure(self, qubit_id: int, rng=None, forced: int | None = None):
-        p0, p1 = self.z_probabilities(qubit_id)
+        branches, norms = self._outcomes(qubit_id)
+        tot = norms[0] + norms[1]
+        p0, p1 = norms[0] / tot, norms[1] / tot
         bit = forced if forced is not None else (1 if rng.random() < p1 else 0)
         prob = p1 if bit else p0
         if prob <= 1e-14:
             return bit, 0.0
-        self._project(self._row(qubit_id), bit)
-        self.coeffs = self.coeffs / np.sqrt(self._sq_norm())
+        # continue as the drawn outcome's projected copy
+        vars(self).update(vars(branches[bit]))
+        self.coeffs = self.coeffs / np.sqrt(norms[bit])
         return bit, prob
 
     # -- inspection ---------------------------------------------------------

@@ -168,14 +168,9 @@ class StateVector:
         first listed qubit as its most significant bit, and the posterior
         keeps only the unmeasured qubits (ids preserved).
         """
-        axes = [self._axis(q) for q in qubits]
-        rest_axes = [a for a in range(self.n) if a not in axes]
-        rest_ids = [self._ids[a] for a in rest_axes]
-        arr = self._amps.reshape((2,) * self.n)
-        arr = arr.transpose(axes + rest_axes).reshape(1 << len(axes), -1)
-        probs = np.sum(np.abs(arr) ** 2, axis=1)
+        arr, probs, rest_ids = self._outcome_rows(qubits)
         out = []
-        for k in range(1 << len(axes)):
+        for k in range(len(probs)):
             p = float(probs[k])
             if p < 1e-14:
                 continue
@@ -185,6 +180,34 @@ class StateVector:
             post._next_id = self._next_id
             out.append((k, p, post))
         return out
+
+    def joint_densities(self, qubits, keep) -> list[tuple]:
+        """(bits, probability, density of ``keep``) for every outcome of
+        measuring the listed qubits jointly: what ``joint_outcomes`` and
+        ``density_of(keep)`` on each posterior give, bit for bit, from one
+        stacked (outcome, keep, rest) view instead of one state per
+        outcome."""
+        arr, probs, rest_ids = self._outcome_rows(qubits)
+        kept = [rest_ids.index(q) for q in keep]
+        order = kept + [a for a in range(len(rest_ids)) if a not in kept]
+        arr = arr.reshape((len(probs),) + (2,) * len(rest_ids))
+        arr = arr.transpose([0] + [1 + a for a in order])
+        arr = arr.reshape(len(probs), 1 << len(kept), -1)
+        live = np.flatnonzero(probs >= 1e-14)
+        amps = arr[live] / np.sqrt(probs[live])[:, None, None]
+        rhos = amps @ amps.conj().transpose(0, 2, 1)
+        return [(k, float(probs[k]), rho) for k, rho in zip(live, rhos)]
+
+    def _outcome_rows(self, qubits):
+        """The amplitudes as one row per joint outcome of the listed qubits
+        (first listed most significant), each row over the other qubits in
+        axis order; the rows' probabilities; the other qubits' ids."""
+        axes = [self._axis(q) for q in qubits]
+        rest_axes = [a for a in range(self.n) if a not in axes]
+        arr = self._amps.reshape((2,) * self.n)
+        arr = arr.transpose(axes + rest_axes).reshape(1 << len(axes), -1)
+        probs = np.sum(np.abs(arr) ** 2, axis=1)
+        return arr, probs, [self._ids[a] for a in rest_axes]
 
     # -- inspection ----------------------------------------------------------
     def amplitudes(self, order: list[int] | None = None) -> np.ndarray:

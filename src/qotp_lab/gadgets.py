@@ -201,7 +201,6 @@ class AuthSession:
         self.registers: dict[str, Register] = {}
         self.magic: list[tuple[str, tuple]] = []  # (kind, names) per slot
         self._groups: dict[str, Callable] = {}
-        self.log: list[dict] = []
         self.aux: dict = {}  # preparer-owned bookkeeping, cloned with state
         self.prob_weight = 1.0
 
@@ -231,8 +230,6 @@ class AuthSession:
             reg.pending.append(pauli)
         else:
             raise ValueError(f"register {name} already consumed")
-        self.log.append({"event": "attack", "register": name,
-                         "pauli": pauli.to_label()})
 
     def materialize(self, name: str) -> Register:
         reg = self.registers[name]

@@ -27,7 +27,11 @@ measurement on the way is handed to a strategy: ``_Sample`` draws one
 Born outcome per qubit from the instance's outcome stream
 (``QotpInstance.run``), ``_Fan`` follows every joint outcome of the dense
 state as its own branch (``enumerate_protocol_runs``, the exact
-real-vs-simulated comparison).
+real-vs-simulated comparison).  ``_Fan`` takes the teleport-out outcomes
+of a branch as one batch: the verdict is decided once per branch, each
+leaf's final key is read from a per-branch table built by
+``QotpVerifier.final_key``, every leaf's output density comes from one
+stacked read of the state, and a rejected branch draws no junk key.
 """
 
 from __future__ import annotations
@@ -379,18 +383,66 @@ class QotpVerifier:
         self.pending_need_k = bool(reply[0]) if kind == "round-T" else None
         return reply
 
-    def finalize(self, t_out: list[tuple[int, int]]) -> tuple[list[str], bool]:
-        """Final decryption keys for B_out, or uniform bits on cheating."""
-        leftover = self._advance_silent_steps()
-        if leftover is not None:
+    def verdict(self) -> bool:
+        """Advance the silent steps after the last round and decide the
+        run: True when it cheated or left a round unplayed."""
+        if self._advance_silent_steps() is not None:
             self.vs.cheated = True
-        if self.vs.cheated:
+        return self.vs.cheated
+
+    def finalize(self, t_out: list[tuple[int, int]]) -> tuple[list[str], bool]:
+        """Final decryption keys for B_out, or uniform bits on cheating.
+
+        The verdict and the key of one run; an exact enumeration splits
+        them with ``branch_final``."""
+        if self.verdict():
             gen = rngmod.stream(self.reject_key_seed, "reject-key")
             labels = [random_pauli(1, gen).to_label()
                       for _ in range(self.program.n_b)]
             return labels, True
         return [self.final_key(t_out, i).to_label()
                 for i in range(self.program.n_b)], False
+
+    def branch_final(self):
+        """``finalize`` for every teleport-out outcome of one branch.
+
+        The verdict is decided once, here.  The returned function maps a
+        leaf's ``t_out`` to (labels, cheated).  A cheating branch draws no
+        junk key: its leaves get (None, True), since an enumeration expands
+        a rejection over all four key labels itself.  Otherwise each key
+        comes from a table built by ``final_key``, whose two output bits are
+        GF(2)-affine in the bits of t: per output wire, the key bits at
+        t = 0 and the bits each of the 2*3n unit Paulis flips (X on qubit j
+        is row j, Z on qubit j row 3n + j).  A leaf XORs the rows its t
+        selects.
+        """
+        if self.verdict():
+            return lambda t_out: (None, True)
+        n_b, n3 = self.program.n_b, self.trap.n
+        units = [(1 << j, 0) for j in range(n3)] + \
+            [(0, 1 << j) for j in range(n3)]
+
+        def key_bits(t, i):
+            p = self.final_key([t] * n_b, i)
+            return p.x | p.z << 1
+
+        table = []
+        for i in range(n_b):
+            base = key_bits((0, 0), i)
+            table.append((base, [key_bits(u, i) ^ base for u in units]))
+
+        def final(t_out):
+            labels = []
+            for (key, rows), (xm, zm) in zip(table, t_out):
+                t = xm | zm << n3
+                for row in rows:
+                    if t & 1:
+                        key ^= row
+                    t >>= 1
+                labels.append(_KEY_LABELS[key])
+            return labels, False
+
+        return final
 
     def final_key(self, t_out, i: int) -> PauliOperator:
         """The decryption key of output wire ``i`` under the current keys
@@ -403,6 +455,11 @@ class QotpVerifier:
         dpos = self.trap.pi(0)
         return PauliOperator.from_masks(
             1, (pulled.x >> dpos) & 1, (pulled.z >> dpos) & 1)
+
+
+# one-qubit key labels by their bits x | z << 1, as ``final_key`` labels them
+_KEY_LABELS = [PauliOperator.from_masks(1, k & 1, k >> 1).to_label()
+               for k in range(4)]
 
 
 def trap_encoder_clifford(trap: TrapCode) -> CliffordUnitary:
@@ -630,10 +687,12 @@ class RunResult:
     weight: float         # probability of this branch's outcomes
     b_out_qubits: list
     w_ids: list
-    state: object         # the state the output and W qubits live in
+    state: object         # the state the output and W qubits live in;
+                          # None for enumerated leaves
+    density: object       # enumerated leaves only: the density of
+                          # ``b_out_qubits + w_ids``, final key unapplied
     session: AuthSession | None  # the live session; None for enumerated
-                                 # leaves, which keep only their ``state``
-    transcript: list
+                                 # leaves
 
 
 class QotpInstance:
@@ -778,7 +837,7 @@ class QotpInstance:
     # -- cloning (a branch of the exact enumeration) ---------------------------
     def clone(self, state) -> "QotpInstance":
         """This instance continued on ``state``, with its own register
-        table, session log and verifier."""
+        table and verifier."""
         if not isinstance(self.oracle, DirectOracle):
             raise ValueError("only direct-transport instances are clonable")
         inst = QotpInstance.__new__(QotpInstance)
@@ -792,7 +851,6 @@ class QotpInstance:
                            None if r.ids is None else list(r.ids),
                            list(r.pending))
             for name, r in ses.registers.items()}
-        new_ses.log = list(ses.log)
         new_ses.aux = {k: dict(v) for k, v in ses.aux.items()}
         inst.session = new_ses
         inst.oracle = DirectOracle(self.oracle.verifier.copy())
@@ -872,9 +930,10 @@ class _Sample:
             bits += inst.session.measure_register(name)
         then(inst, bits)
 
-    def leaves(self, inst, pairs, finish) -> None:
+    def leaves(self, inst, pairs, keep, finish) -> None:
         bits = self._bell(inst, pairs)
-        finish(inst, bits, inst.session.prob_weight, inst.session.state)
+        finish(bits, inst.session.prob_weight, inst.oracle.final,
+               inst.session.state, None)
 
     @staticmethod
     def _bell(inst, pairs) -> list[int]:
@@ -889,8 +948,13 @@ class _Sample:
 class _Fan:
     """One branch per joint outcome of weight at least ``min_weight``, read
     from the dense state.  Every Bell pair is rotated before the joint
-    outcomes are read.  A branch continues on a clone of its parent; the
-    leaves of teleport-out keep only their posterior state."""
+    outcomes are read.  A branch continues on a clone of its parent.
+
+    Teleport-out is taken as one batch: the verifier decides the branch's
+    verdict and builds its key table once (``QotpVerifier.branch_final``),
+    and one stacked read of the rotated state gives every outcome's
+    probability and its density on the kept qubits.  A leaf keeps only that
+    density, and a rejected branch draws no junk key."""
 
     forks = True
 
@@ -908,11 +972,12 @@ class _Fan:
             reg.status = "consumed"
         self._fork(inst, ids, then)
 
-    def leaves(self, inst, pairs, finish) -> None:
+    def leaves(self, inst, pairs, keep, finish) -> None:
         ids = self._rotate(inst, pairs)
         weight = inst.session.prob_weight
-        for k, p, post in inst.session.state.joint_outcomes(ids):
-            finish(inst, _outcome_bits(k, len(ids)), weight * p, post)
+        final = inst.oracle.audit.branch_final()
+        for k, p, rho in inst.session.state.joint_densities(ids, keep):
+            finish(_outcome_bits(k, len(ids)), weight * p, final, None, rho)
 
     def _fork(self, inst, ids, then) -> None:
         weight = inst.session.prob_weight
@@ -1019,10 +1084,12 @@ def _walk(inst: QotpInstance, adversary, strategy, emit) -> None:
             # the de-authentication resource is outcome-independent
             for i in range(prog.n_b):
                 s.materialize(f"BoutR{i}")
+            b_out = [s.aux[f"Bout{i}"]["out"] for i in range(prog.n_b)]
             strategy.leaves(
-                branch, teleport_out_pairs(s),
-                lambda leaf, bits, weight, state: finish(
-                    leaf, bits, weight, state, t_in, records, replies))
+                branch, teleport_out_pairs(s), b_out + list(w_ids),
+                lambda bits, weight, final, state, density: finish(
+                    branch, bits, weight, final, state, density, b_out,
+                    t_in, records, replies))
             return
         kind, wire, slot = steps[pc]
         measured, takeover = s.gadget_round(kind, data_map[wire], slot,
@@ -1042,29 +1109,24 @@ def _walk(inst: QotpInstance, adversary, strategy, emit) -> None:
 
         strategy.registers(branch, measured, after_round)
 
-    def finish(branch, bits, weight, state, t_in, records, replies):
+    def finish(branch, bits, weight, final, state, density, b_out, t_in,
+               records, replies):
         per_wire = 2 * inst.trap.n
         t_out = adversary.tamper_t_out(
             [_pair_masks(bits[per_wire * i:per_wire * (i + 1)])
              for i in range(prog.n_b)])
-        if strategy.forks:
-            # sibling leaves share the branch's verifier
-            s_hat, cheated = branch.oracle.audit.copy().finalize(t_out)
-        else:
-            s_hat, cheated = branch.oracle.final(t_out)
-        b_out_qubits = [branch.session.aux[f"Bout{i}"]["out"]
-                        for i in range(prog.n_b)]
+        s_hat, cheated = final(t_out)
         if cheated:
             s_out = ("random",)
         else:
             s_out = tuple(s_hat)
             if branch.apply_final_key:
-                for q, label in zip(b_out_qubits, s_hat):
+                for q, label in zip(b_out, s_hat):
                     state.apply_pauli(PauliOperator.from_label(label), [q])
         emit(RunResult(not cheated, cheated, t_in, records, replies,
-                       tuple(t_out), s_out, weight, b_out_qubits, list(w_ids),
-                       state, None if strategy.forks else branch.session,
-                       list(branch.session.log)))
+                       tuple(t_out), s_out, weight, b_out, list(w_ids),
+                       state, density,
+                       None if strategy.forks else branch.session))
 
     strategy.pairs(inst, teleport_in_pairs(ses), after_teleport_in)
 
@@ -1079,10 +1141,15 @@ def enumerate_protocol_runs(inst: QotpInstance, adversary,
 
     The same walk as ``QotpInstance.run``, with every measurement fanned
     out over the joint outcome distribution of the dense state instead of
-    sampled.  Requires the direct oracle transport, the dense backend, and
-    an adversary whose quantum actions do not depend on the replies (the
-    Pauli-attack family used in tests).
+    sampled.  Each leaf carries the density of its output and W qubits
+    before the final key (``RunResult.density``), so the instance must be
+    built with ``apply_final_key=False``.  Requires the direct oracle
+    transport, the dense backend, and an adversary whose quantum actions do
+    not depend on the replies (the Pauli-attack family used in tests).
     """
+    if inst.apply_final_key:
+        raise ValueError("enumerated leaves keep the output before the final "
+                         "key: build the instance with apply_final_key=False")
     leaves: list[RunResult] = []
     _walk(inst, adversary, _Fan(min_weight), leaves.append)
     return leaves
@@ -1097,7 +1164,8 @@ def _world_density_map(world: str, program: CompiledProgram,
     The ensemble enumerates the shared permutation key, the one-time-pad
     coset representative on the teleported-input register, and every
     measurement branch; the final-key register is expanded into its four
-    values when the program rejected (uniform junk key).
+    values when the program rejected (a uniform junk key, which the
+    enumeration therefore never draws).
     """
     out: dict = {}
     weight_scale = 1.0 / (len(perms) * len(coset_letters))
@@ -1112,8 +1180,7 @@ def _world_density_map(world: str, program: CompiledProgram,
             for result in enumerate_protocol_runs(inst, adversary_factory()):
                 if result.weight == 0.0:
                     continue
-                keep = result.b_out_qubits + result.w_ids
-                rho = result.state.density_of(keep)
+                rho = result.density
                 transcript = (result.t_in, result.records, result.replies,
                               tuple(result.t_out))
                 w = result.weight * weight_scale

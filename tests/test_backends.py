@@ -268,6 +268,44 @@ class TestNormAndTerms:
                 assert np.allclose(m @ vec, vec, atol=1e-9), label
 
 
+class TestJointReads:
+    def test_joint_densities_match_posteriors_bit_for_bit(self):
+        """One stacked read gives each outcome's probability and kept
+        density exactly as a posterior state and its ``density_of`` do."""
+        rng = np.random.default_rng(43)
+        for n in (5, 8, 11):
+            s = StateVector(n)
+            run_circuit(s, random_clifford_circuit(n, 6 * n, rng))
+            s.apply_gate("T", 0)
+            ids = [int(q) for q in rng.permutation(n)]
+            measured, keep = ids[:3], ids[3:5]
+            want = [(k, p, post.density_of(keep))
+                    for k, p, post in s.joint_outcomes(measured)]
+            got = s.joint_densities(measured, keep)
+            assert [(k, p) for k, p, _ in got] == [(k, p) for k, p, _ in want]
+            for (_, _, a), (_, _, b) in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+
+    def test_stabsum_measure_projects_once_per_outcome(self, monkeypatch):
+        calls = []
+        project = StabilizerSum._project
+
+        def counting(self, j, y):
+            calls.append(y)
+            return project(self, j, y)
+
+        monkeypatch.setattr(StabilizerSum, "_project", counting)
+        sm = StabilizerSum(3)
+        sm.apply_gate("H", 0)
+        sm.inject_magic("T")
+        sm.apply_gate("CNOT", 0, 1)
+        rng = np.random.default_rng(47)
+        for q in (0, 1, 2):
+            sm.measure(q, rng=rng)
+        assert len(calls) == 2 * 3
+        assert abs(sm._sq_norm() - 1) < 1e-12
+
+
 class TestSerialization:
     def test_round_trip_all_backends(self):
         rng = np.random.default_rng(37)

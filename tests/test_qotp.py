@@ -273,8 +273,79 @@ class TestStrategies:
                     and transcript(leaf) == transcript(sampled)]
             assert any(
                 np.isclose(leaf.weight, sampled.weight, rtol=1e-9, atol=0)
-                and np.allclose(output(leaf), output(sampled), atol=1e-9)
+                and np.allclose(leaf.density, output(sampled), atol=1e-9)
                 for leaf in same)
+
+
+class TestBatchedLeaves:
+    """Teleport-out under exact enumeration is one batch per branch: one
+    verdict, one key table, one stacked density read."""
+
+    @staticmethod
+    def _accepted_verifier(channel, base, world, backend, seed):
+        inst = QotpInstance(compile_controlled_program(channel, 0, 1), base,
+                            seed=seed, world=world, backend=backend,
+                            transport="direct")
+        assert inst.run(DummyAdversary()).accepted
+        return inst.oracle.audit
+
+    @pytest.mark.parametrize("world", ["real", "sim"])
+    def test_key_table_matches_final_key_on_toy(self, world):
+        for channel in ([("X", 0)], [("Y", 0)]):
+            v = self._accepted_verifier(channel, TOY, world, "sv", 601)
+            final = v.branch_final()
+            for xm in range(8):
+                for zm in range(8):
+                    t_out = [(xm, zm)]
+                    assert final(t_out) == (
+                        [v.final_key(t_out, 0).to_label()], False)
+
+    def test_key_table_matches_final_key_on_steane(self):
+        v = self._accepted_verifier([("Y", 0)], STEANE, "real", "tab", 603)
+        final = v.branch_final()
+        gen = stream(603, "t-out")
+        for _ in range(200):
+            t_out = [(int(gen.integers(1 << 21)), int(gen.integers(1 << 21)))]
+            assert final(t_out) == ([v.final_key(t_out, 0).to_label()],
+                                    False)
+
+    def test_rejected_leaves_open_no_reject_key_stream(self, monkeypatch):
+        from qotp_lab import rng as rngmod
+
+        opened = []
+        real_stream = rngmod.stream
+
+        def counting_stream(seed, name):
+            opened.append(name)
+            return real_stream(seed, name)
+
+        monkeypatch.setattr(rngmod, "stream", counting_stream)
+        prog = compile_controlled_program([("Y", 0)], 0, 1)
+        rejected = 0
+        for seed in range(501, 504):
+            inst = QotpInstance(prog, TOY, seed=seed, world="real",
+                                backend="sv", transport="direct",
+                                apply_final_key=False)
+            leaves = enumerate_protocol_runs(inst, _toy_magic_attack())
+            rejected += sum(leaf.cheated for leaf in leaves)
+            assert all(leaf.s_hat == ("random",)
+                       for leaf in leaves if leaf.cheated)
+        assert rejected > 0
+        assert "reject-key" not in opened
+        # a sampled run that rejects still draws its junk key
+        for seed in range(501, 601):
+            inst = QotpInstance(prog, TOY, seed=seed, world="real",
+                                backend="sv", transport="direct")
+            if inst.run(_toy_magic_attack()).cheated:
+                break
+        assert opened.count("reject-key") == 1
+
+    def test_enumeration_needs_the_key_unapplied(self):
+        inst = QotpInstance(compile_controlled_program([("X", 0)], 0, 1),
+                            TOY, seed=605, world="real", backend="sv",
+                            transport="direct")
+        with pytest.raises(ValueError):
+            enumerate_protocol_runs(inst, DummyAdversary())
 
 
 class TestAbortChannel:
