@@ -52,7 +52,7 @@ def apply_gates(gates) -> None:
         gate(*qubits)
 
 
-def measure_all(kernel, shots) -> None:
+def measure_shots(kernel, shots) -> None:
     for q, bit in shots:
         kernel.peek(q)
         kernel.measure(q, bit)
@@ -85,7 +85,7 @@ def bench_kernel(kernel_cls, n: int, gate_ops: int, measurements: int,
     start = kernel.copy()
     return (repeat_rate(gate_ops, lambda: partial(apply_gates, gates)),
             repeat_rate(measurements,
-                        lambda: partial(measure_all, start.copy(), shots)))
+                        lambda: partial(measure_shots, start.copy(), shots)))
 
 
 def bench_protocol(seed: int):

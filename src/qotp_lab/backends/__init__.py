@@ -9,10 +9,11 @@ Three interoperable state representations:
 - ``StabilizerSum`` - amplitude-weighted stabilizer terms, <= 256 qubits,
   rank <= 1024; covers circuits with few injected T-type magic states.
 
-All expose: append_qubits, apply_gate, apply_pauli, measure,
-z_probabilities, density_of, copy, to_json/from_json.  ``state_from_json``
-rebuilds any of them from its JSON form; ``measure_all`` measures a list of
-qubits in turn.
+The contract is what the protocol runs call: ``append_qubits(k, state)``
+prepares qubits and returns their ids, ``discard(ids)`` drops collapsed
+ones, ``copy()``, ``apply_gate(name, *ids)``, ``apply_pauli(p, ids)``,
+``measure(id, rng)`` returns ``(bit, probability)`` with the bit drawn by
+the Born rule, and ``density_of(ids)`` is the reduced density matrix.
 """
 
 from __future__ import annotations
@@ -26,29 +27,4 @@ __all__ = [
     "TableauState",
     "StabilizerSum",
     "KERNEL",
-    "state_from_json",
-    "measure_all",
 ]
-
-
-def state_from_json(data: dict):
-    kind = data["backend"]
-    if kind == "sv":
-        return StateVector.from_json(data)
-    if kind == "tab":
-        return TableauState.from_json(data)
-    if kind == "sum":
-        return StabilizerSum.from_json(data)
-    raise ValueError(f"unknown backend {kind!r}")
-
-
-def measure_all(state, qubits, rng=None, forced=None) -> tuple[list[int], float]:
-    """Measure the listed qubits in order; returns (bits, joint probability)."""
-    bits = []
-    prob = 1.0
-    for i, q in enumerate(qubits):
-        f = None if forced is None else forced[i]
-        b, p = state.measure(q, rng=rng, forced=f)
-        bits.append(b)
-        prob *= p
-    return bits, prob

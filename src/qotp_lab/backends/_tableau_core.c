@@ -386,27 +386,6 @@ static PyObject *kernel_destab_row(Kernel *t, PyObject *arg)
     return row_tuple(t, i);
 }
 
-static PyObject *kernel_set_row(Kernel *t, PyObject *const *args,
-                                Py_ssize_t nargs)
-{
-    int row, j;
-    long sign;
-    if (!nargs_ok("set_row", nargs, 4)
-            || int_arg(args[0], "row", 0, 2L * t->n - 1, &row) < 0
-            || mask_arg(args[1], t->n, t->lo) < 0
-            || mask_arg(args[2], t->n, t->hi) < 0)
-        return NULL;
-    sign = PyLong_AsLong(args[3]);
-    if (sign == -1 && PyErr_Occurred())
-        return NULL;
-    for (j = 0; j < t->n; j++) {
-        put_bit(XP(t, j), row, get_bit(t->lo, j));
-        put_bit(ZP(t, j), row, get_bit(t->hi, j));
-    }
-    put_bit(t->signs, row, sign != 0);
-    Py_RETURN_NONE;
-}
-
 /* -- measurement ---------------------------------------------------------- */
 
 /* First stabilizer row with an X at qubit q, or -1 when Z_q commutes
@@ -580,8 +559,6 @@ static PyMethodDef kernel_methods[] = {
      "Stabilizer generator i as (xmask, zmask, signbit)."},
     {"destab_row", (PyCFunction)kernel_destab_row, METH_O,
      "Destabilizer i as (xmask, zmask, signbit)."},
-    {"set_row", FAST(kernel_set_row), METH_FASTCALL,
-     "Overwrite tableau row `row` (0..2n-1) with (x, z, sign)."},
     {"peek", (PyCFunction)kernel_peek, METH_O,
      "(is_random, value): value valid only when deterministic."},
     {"measure", FAST(kernel_measure), METH_FASTCALL,

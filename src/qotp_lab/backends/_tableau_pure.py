@@ -94,13 +94,6 @@ class TableauKernel:
     def destab_row(self, i: int) -> tuple[int, int, int]:
         return self._row_bits(i)
 
-    def set_row(self, row: int, x: int, z: int, sign: int) -> None:
-        bit = 1 << row
-        for j in range(self.n):
-            self.xcols[j] = (self.xcols[j] & ~bit) | (bit if (x >> j) & 1 else 0)
-            self.zcols[j] = (self.zcols[j] & ~bit) | (bit if (z >> j) & 1 else 0)
-        self.signs = (self.signs & ~bit) | (bit if sign else 0)
-
     def peek(self, q: int) -> tuple[bool, int]:
         """(is_random, value): value valid only when deterministic."""
         if self.xcols[q] >> self.n:

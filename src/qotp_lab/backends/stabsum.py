@@ -12,9 +12,6 @@ with per-term corrections that stay inside this family, so stabilizer-state
 inner products degenerate to coset/offset comparisons: parallel affine
 supports are equal or disjoint, no general inner-product routine is needed.
 Measurement probabilities with interference between terms are exact.
-
-Terms are exportable as (amplitude, stabilizer tableau) pairs; see
-``terms_as_tableaus``.
 """
 
 from __future__ import annotations
@@ -458,11 +455,11 @@ class StabilizerSum:
         tot = norms[0] + norms[1]
         return norms[0] / tot, norms[1] / tot
 
-    def measure(self, qubit_id: int, rng=None, forced: int | None = None):
+    def measure(self, qubit_id: int, rng):
         branches, norms = self._outcomes(qubit_id)
         tot = norms[0] + norms[1]
         p0, p1 = norms[0] / tot, norms[1] / tot
-        bit = forced if forced is not None else (1 if rng.random() < p1 else 0)
+        bit = 1 if rng.random() < p1 else 0
         prob = p1 if bit else p0
         if prob <= 1e-14:
             return bit, 0.0
@@ -530,102 +527,3 @@ class StabilizerSum:
                 vec[kk] = aa
             rho += np.outer(vec, vec.conj())
         return rho
-
-    def terms_as_tableaus(self) -> list[tuple[complex, dict]]:
-        """Terms as (amplitude, stabilizer-tableau dict) pairs."""
-        self.canonicalize()
-        out = []
-        for t in range(self.num_terms):
-            rows = self._term_stabilizers(t)
-            labels = []
-            for x, z, sign in rows:
-                lab = ("-" if sign else "+") + "".join(
-                    "IXZY"[((x >> j) & 1) | (((z >> j) & 1) << 1)]
-                    for j in range(self.n))
-                labels.append(lab)
-            out.append((complex(self.coeffs[t]), {"n": self.n,
-                                                  "stabilizers": labels}))
-        return out
-
-    def _term_stabilizers(self, t: int) -> list[tuple[int, int, int]]:
-        """Stabilizer generators (xmask, zmask, signbit) of term t."""
-        from ..gf2 import nullspace, solve
-
-        n, k = self.n, self.k
-        bmask = 0
-        for r in range(n):
-            bmask |= int(self.bs[t, r]) << r
-        gens: list[tuple[int, int, int]] = []
-        # Z-type: rows w with w.A = 0, sign (-1)^{w.b}
-        cols_as_rows = []
-        for c in range(k):
-            mask = 0
-            for r in range(n):
-                mask |= int(self.A[r, c]) << r
-            cols_as_rows.append(mask)
-        for w in nullspace(cols_as_rows, n):
-            sign = bin(w & bmask).count("1") & 1
-            gens.append((0, w, sign))
-        # X-type: one per column m
-        dd = (self.d + 2 * self.es[t]) & 3
-        for m in range(k):
-            xmask = 0
-            for r in range(n):
-                xmask |= int(self.A[r, m]) << r
-            # v . A = Q-row(m) + (d_m odd)*e_m, one equation per column
-            target = [(int(self.Q[m, c]) ^ (int(dd[m] & 1) if c == m else 0))
-                      for c in range(k)]
-            v = solve(cols_as_rows, n, target)
-            if v is None:
-                raise AssertionError("stabilizer extraction failed")
-            # generator i^{dd_m} X^{xmask} Z^v with sign correction (-1)^{v.b}
-            p = PauliOperator(n, xmask, v, int(dd[m]))
-            sign_corr = bin(v & bmask).count("1") & 1
-            disp = (p.phase_exp - p.y_count()) & 3
-            if disp not in (0, 2):
-                raise AssertionError("non-Hermitian stabilizer phase")
-            gens.append((xmask, v, ((disp >> 1) ^ sign_corr) & 1))
-        return gens
-
-    # -- serialization -------------------------------------------------------
-    def to_json(self) -> dict:
-        return {
-            "backend": "sum",
-            "n": self.n,
-            "ids": {str(k): v for k, v in self._row_of.items()},
-            "next_id": self._next_id,
-            "k": self.k,
-            "A": [[int(v) for v in row] for row in self.A],
-            "Q": [[int(v) for v in row] for row in self.Q],
-            "d": [int(v) for v in self.d],
-            "terms": [
-                {
-                    "b": [int(v) for v in self.bs[t]],
-                    "e": [int(v) for v in self.es[t]],
-                    "amplitude": [float(self.coeffs[t].real),
-                                  float(self.coeffs[t].imag)],
-                }
-                for t in range(self.num_terms)
-            ],
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "StabilizerSum":
-        s = StabilizerSum()
-        s.n = data["n"]
-        s._row_of = {int(k): v for k, v in data["ids"].items()}
-        s._next_id = data["next_id"]
-        used = set(s._row_of.values())
-        s._free_rows = [r for r in range(s.n) if r not in used]
-        s.k = data["k"]
-        s.A = np.array(data["A"], dtype=np.uint8).reshape(s.n, s.k)
-        s.Q = np.array(data["Q"], dtype=np.uint8).reshape(s.k, s.k)
-        s.d = np.array(data["d"], dtype=np.int64)
-        terms = data["terms"]
-        s.bs = np.array([t["b"] for t in terms], dtype=np.uint8).reshape(
-            len(terms), s.n)
-        s.es = np.array([t["e"] for t in terms], dtype=np.uint8).reshape(
-            len(terms), s.k)
-        s.coeffs = np.array(
-            [complex(t["amplitude"][0], t["amplitude"][1]) for t in terms])
-        return s

@@ -29,10 +29,6 @@ class StateVector:
     def n(self) -> int:
         return len(self._ids)
 
-    @property
-    def qubit_ids(self) -> list[int]:
-        return list(self._ids)
-
     def _axis(self, qubit_id: int) -> int:
         return self._ids.index(qubit_id)
 
@@ -147,12 +143,9 @@ class StateVector:
             return 0.0, 0.0
         return p0 / tot, p1 / tot
 
-    def measure(self, qubit: int, rng=None, forced: int | None = None):
+    def measure(self, qubit: int, rng):
         p0, p1 = self.z_probabilities(qubit)
-        if forced is not None:
-            bit = forced
-        else:
-            bit = 1 if rng.random() < p1 else 0
+        bit = 1 if rng.random() < p1 else 0
         prob = p1 if bit else p0
         ax = self._axis(qubit)
         view = self._amps.reshape((1 << ax, 2, -1))
@@ -227,21 +220,3 @@ class StateVector:
         arr = self._amps.reshape((2,) * self.n).transpose(perm)
         arr = arr.reshape((1 << len(keep), -1))
         return arr @ arr.conj().T
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self._amps))
-
-    # -- serialization -------------------------------------------------------
-    def to_json(self) -> dict:
-        return {
-            "backend": "sv",
-            "n": self.n,
-            "amplitudes": [[float(a.real), float(a.imag)] for a in self._amps],
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "StateVector":
-        s = StateVector()
-        amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
-        s.append_amplitudes(amps)
-        return s

@@ -93,23 +93,18 @@ class TableauState:
             return 0.5, 0.5
         return (1.0, 0.0) if value == 0 else (0.0, 1.0)
 
-    def measure(self, qubit: int, rng=None, forced: int | None = None):
+    def measure(self, qubit: int, rng):
         """Measure in the computational basis; returns (bit, probability)."""
         random, value = self._kernel.peek(qubit)
         if not random:  # a deterministic measurement leaves the state as is
-            if forced is not None and forced != value:
-                return forced, 0.0
             return value, 1.0
-        bit = forced if forced is not None else int(rng.integers(0, 2))
+        bit = int(rng.integers(0, 2))
         self._kernel.measure(qubit, bit)
         return bit, 0.5
 
     # -- inspection ----------------------------------------------------------
     def stabilizer_rows(self) -> list[tuple[int, int, int]]:
         return [self._kernel.stab_row(i) for i in range(self.n)]
-
-    def destabilizer_rows(self) -> list[tuple[int, int, int]]:
-        return [self._kernel.destab_row(i) for i in range(self.n)]
 
     def density_of(self, qubits) -> np.ndarray:
         """Reduced density matrix on the listed qubits (<= 12).
@@ -172,39 +167,3 @@ class TableauState:
             signs = 1.0 - 2.0 * (np.bitwise_count(idx & zr) & 1)
             rho[idx ^ xr, idx] += scale * signs
         return rho / dim
-
-    # -- serialization -------------------------------------------------------
-    def to_json(self) -> dict:
-        def row_label(r):
-            x, z, s = r
-            return ("-" if s else "+") + "".join(
-                "IXZY"[((x >> j) & 1) | (((z >> j) & 1) << 1)]
-                for j in range(self.n))
-
-        return {
-            "backend": "tab",
-            "n": self.n,
-            "destabilizers": [row_label(r) for r in self.destabilizer_rows()],
-            "stabilizers": [row_label(r) for r in self.stabilizer_rows()],
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "TableauState":
-        n = data["n"]
-        state = TableauState(n)
-        letters = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
-
-        def parse(label):
-            sign = 1 if label[0] == "-" else 0
-            x = z = 0
-            for j, ch in enumerate(label[1:]):
-                xb, zb = letters[ch]
-                x |= xb << j
-                z |= zb << j
-            return x, z, sign
-
-        for i, label in enumerate(data["destabilizers"]):
-            state._kernel.set_row(i, *parse(label))
-        for i, label in enumerate(data["stabilizers"]):
-            state._kernel.set_row(n + i, *parse(label))
-        return state

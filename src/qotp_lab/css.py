@@ -33,10 +33,6 @@ def _mask_from_string(s: str) -> int:
     return m
 
 
-def _mask_to_string(m: int, n: int) -> str:
-    return "".join("1" if (m >> j) & 1 else "0" for j in range(n))
-
-
 @dataclass(frozen=True)
 class DecodeResult:
     logical_bit: int
@@ -163,18 +159,6 @@ class CssCode:
         for i, row in enumerate(rows):
             m |= ((row >> j) & 1) << i
         return m
-
-    # -- serialization ---------------------------------------------------------
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "n": self.n,
-            "d": self.d,
-            "hx": [_mask_to_string(r, self.n) for r in self.hx],
-            "hz": [_mask_to_string(r, self.n) for r in self.hz],
-            "logical_x": _mask_to_string(self.logical_x, self.n),
-            "logical_z": _mask_to_string(self.logical_z, self.n),
-        }
 
 
 # ---------------------------------------------------------------------------

@@ -124,10 +124,6 @@ class PauliOperator:
         return (self.x | self.z) & ~mask == 0
 
 
-def multiply_paulis(a: PauliOperator, b: PauliOperator) -> PauliOperator:
-    return a * b
-
-
 def commutation_sign(p: PauliOperator, q: PauliOperator) -> int:
     """+1 if pq = qp, -1 if pq = -qp."""
     if p.n != q.n:
@@ -268,11 +264,6 @@ class CliffordUnitary:
                     m[row, k] = (img.x >> k) & 1
                     m[row, n + k] = (img.z >> k) & 1
         return m
-
-
-def conjugate_pauli_by_clifford(c: CliffordUnitary,
-                                q: PauliOperator) -> PauliOperator:
-    return c.conjugate(q)
 
 
 @dataclass(frozen=True)

@@ -218,11 +218,19 @@ def compile_controlled_program(circuit, n_a: int, n_b: int,
     """Replace every gate of U with its controlled decomposition."""
     verify_controlled_table()
     circuit = tuple(tuple(g) for g in circuit)
+    data_wires = n_a + n_b + n_work
     for g in circuit:
         if g[0] not in UNIVERSAL_GATES:
             raise ValueError(f"gate {g[0]!r} outside the universal set")
+        arity = 2 if g[0] == "CNOT" else 1
+        wires = set(g[1:])
+        if len(g) - 1 != arity or len(wires) != arity \
+                or not all(0 <= q < data_wires for q in wires):
+            raise ValueError(
+                f"gate {list(g)!r} of channel "
+                f"{[list(h) for h in circuit]!r} needs {arity} distinct "
+                f"wire(s) below n_a + n_b + n_work = {data_wires}")
     uses_helper = any(g[0] == "T" for g in circuit)
-    data_wires = n_a + n_b + n_work
     helper = data_wires if uses_helper else None
     control = data_wires + (1 if uses_helper else 0)
     controlled = []

@@ -8,7 +8,6 @@ T-type magic.
 
 import importlib.machinery
 import importlib.util
-import json
 import shutil
 import subprocess
 import sysconfig
@@ -19,8 +18,7 @@ import pytest
 
 from qotp_lab import denseops as dn
 from qotp_lab.backends import (KERNEL, StabilizerSum, StateVector,
-                               TableauState, _tableau_pure, measure_all,
-                               state_from_json)
+                               TableauState, _tableau_pure)
 from qotp_lab.paulis import PauliOperator
 
 
@@ -143,7 +141,7 @@ class TestBackendEquivalence:
                 gates = random_clifford_circuit(
                     4, 30, np.random.default_rng(5))
                 run_circuit(s, gates)
-                bits, _ = measure_all(s, [0, 1, 2, 3], rng=rng)
+                bits = [s.measure(q, rng=rng)[0] for q in range(4)]
                 transcripts.append(bits)
             assert transcripts[0] == transcripts[1]
 
@@ -247,26 +245,6 @@ class TestNormAndTerms:
             total += abs(a) ** 2
         assert abs(total - 1.0) < 1e-6
 
-    def test_terms_export_stabilizer_tableaus(self):
-        sm = StabilizerSum(2)
-        sm.apply_gate("H", 0)
-        sm.apply_gate("CNOT", 0, 1)
-        sm.inject_magic("T")
-        terms = sm.terms_as_tableaus()
-        assert len(terms) == sm.num_terms
-        # every exported generator must stabilize its own term
-        for t, (amp, tab) in enumerate(terms):
-            single = sm.copy()
-            single.bs = single.bs[t:t + 1]
-            single.es = single.es[t:t + 1]
-            single.coeffs = np.array([1.0 + 0j])
-            vec = single.dense_vector()
-            for label in tab["stabilizers"]:
-                p = PauliOperator.from_label(
-                    ("+" if label[0] == "+" else "-") + label[1:])
-                m = dn.pauli_matrix(p)
-                assert np.allclose(m @ vec, vec, atol=1e-9), label
-
 
 class TestJointReads:
     def test_joint_densities_match_posteriors_bit_for_bit(self):
@@ -306,27 +284,6 @@ class TestJointReads:
         assert abs(sm._sq_norm() - 1) < 1e-12
 
 
-class TestSerialization:
-    def test_round_trip_all_backends(self):
-        rng = np.random.default_rng(37)
-        gates = random_clifford_circuit(3, 12, rng)
-        for cls in (StateVector, TableauState, StabilizerSum):
-            s = cls(3)
-            run_circuit(s, gates)
-            if cls is StabilizerSum:
-                s.inject_magic("T")
-            data = json.loads(json.dumps(s.to_json()))
-            s2 = state_from_json(data)
-            keep = list(range(s.n))[:3]
-            assert np.allclose(s.density_of(keep), s2.density_of(keep),
-                               atol=1e-9)
-
-    def test_backend_tag(self):
-        assert StateVector(1).to_json()["backend"] == "sv"
-        assert TableauState(1).to_json()["backend"] == "tab"
-        assert StabilizerSum(1).to_json()["backend"] == "sum"
-
-
 class TestCapacity:
     def test_statevector_cap(self):
         s = StateVector(0)
@@ -338,15 +295,14 @@ class TestCapacity:
         s = StateVector(3)
         s.apply_gate("H", 0)
         s.apply_gate("CNOT", 0, 1)
-        ids = s.qubit_ids
-        s.measure(ids[1], rng=rng)
-        s.discard([ids[1]])
+        s.measure(1, rng=rng)
+        s.discard([1])
         assert s.n == 2
         with pytest.raises(ValueError):
             s2 = StateVector(2)
             s2.apply_gate("H", 0)
             s2.apply_gate("CNOT", 0, 1)
-            s2.discard([s2.qubit_ids[0]])
+            s2.discard([0])
 
     def test_tableau_expand(self):
         t = TableauState(2)
@@ -388,6 +344,13 @@ def compiled_kernel(tmp_path_factory):
 class TestKernelDifferential:
     """The compiled and pure kernels agree row for row on random circuits."""
 
+    def test_same_public_callables(self, compiled_kernel):
+        def api(kernel):
+            return {name for name in dir(kernel) if not name.startswith("_")
+                    and callable(getattr(kernel, name))}
+
+        assert api(compiled_kernel(3)) == api(_tableau_pure.TableauKernel(3))
+
     def test_random_circuits_match(self, compiled_kernel):
         rng = np.random.default_rng(2024)
         for circuit in range(300):
@@ -421,11 +384,7 @@ class TestKernelDifferential:
             twins = [k.copy() for k in kernels]  # a copy is independent
             for k in twins:
                 k.h(0)
-            rebuilt = compiled_kernel(n)  # set_row writes every row
-            for i in range(n):
-                rebuilt.set_row(i, *pure.destab_row(i))
-                rebuilt.set_row(n + i, *pure.stab_row(i))
-            for got, want in ((compiled, pure), (rebuilt, pure), twins):
+            for got, want in ((compiled, pure), twins):
                 assert got.n == want.n
                 for i in range(n):
                     assert got.stab_row(i) == want.stab_row(i), (circuit, i)

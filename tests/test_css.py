@@ -303,7 +303,9 @@ class TestToyCode:
         cls = toy.logical_pauli_of(PauliOperator.from_label("+Y"))
         assert cls.kind == "logical"
 
-    def test_json(self):
-        data = build_steane().to_json()
-        assert data["hx"] == ["0001111", "0110011", "1010101"]
-        assert data["n"] == 7 and data["d"] == 3
+    def test_steane_fields(self):
+        steane = build_steane()
+        rows = ["".join(str((r >> j) & 1) for j in range(steane.n))
+                for r in steane.hx]
+        assert rows == ["0001111", "0110011", "1010101"]
+        assert steane.n == 7 and steane.d == 3

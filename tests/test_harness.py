@@ -112,11 +112,21 @@ class TestCli:
         ("qotp-run", {"transport": "nope"}),
         ("twirl-check", {"unitaris": 3}),
         ("qotp-run", {"code": {"base": "toy", "levle": 2}}),
+        ("qotp-run", {"channel": [["CNOT", 0]]}),
+        ("qotp-run", {"channel": [["H"]]}),
+        ("qotp-run", {"channel": [["H", 5]], "n_b": 1}),
+        ("qotp-run", {"channel": [["CNOT", 0, 5]]}),
+        ("qotp-attack", {"channel": [["X", 3]]}),
+        ("qotp-run", {"channel": [["H", 0, 1]]}),
+        ("qotp-run", {"channel": [["CNOT", 1, 1]]}),
     ], ids=["top-level-list", "unknown-base", "zero-runs", "string-seed",
             "string-unitaries", "string-permutations", "int-channel",
             "zero-attacks", "zero-samples", "string-tolerance", "int-cases",
             "unknown-case", "unknown-label", "unknown-backend",
-            "unknown-transport", "unknown-key", "unknown-code-key"])
+            "unknown-transport", "unknown-key", "unknown-code-key",
+            "one-wire-cnot", "no-wire-gate", "wire-past-n_b",
+            "cnot-wire-past-n_b", "attack-wire-past-one",
+            "two-wire-single-gate", "cnot-one-wire-twice"])
     def test_bad_config_one_line_exit_two(self, tmp_path, command, config):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))

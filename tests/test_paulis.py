@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from qotp_lab import denseops as dn
 from qotp_lab.paulis import (CliffordUnitary, PauliOperator, Permutation,
-                             commutation_sign, conjugate_pauli_by_clifford,
-                             multiply_paulis, transpose_sign)
+                             commutation_sign, transpose_sign)
 
 
 def paulis_2q():

@@ -196,7 +196,6 @@ class TestClassification:
         over all 64 Paulis and all 6 permutations."""
         from itertools import permutations
 
-        rng = np.random.default_rng(29)
         for perm in permutations(range(3)):
             trap = TrapCode(TOY, Permutation(3, perm))
             for q in dn.all_paulis(3):
@@ -213,16 +212,12 @@ class TestClassification:
                 sv.apply_pauli(PauliOperator.identity(3), ids)
                 for g in trap.decoding_ops(ids):
                     sv.apply_gate(*g)
-                paccept = 1.0
                 dpos = trap.data_position()
-                state = sv
-                for p in range(3):
-                    if p == dpos:
-                        continue
-                    p0, _ = state.z_probabilities(ids[p])
-                    paccept *= p0
-                    if p0 > 0:
-                        state.measure(ids[p], forced=0)
+                checked = [ids[p] for p in range(3) if p != dpos]
+                # the exact all-zero outcome of the checked qubits
+                paccept, state = next(
+                    ((p, post) for bits, p, post in sv.joint_outcomes(checked)
+                     if bits == 0), (0.0, None))
                 if cls.verdict == "reject":
                     assert paccept < 1e-12
                 else:
