@@ -9,11 +9,12 @@ Three interoperable state representations:
 - ``StabilizerSum`` - amplitude-weighted stabilizer terms, <= 256 qubits,
   rank <= 1024; covers circuits with few injected T-type magic states.
 
-The contract is what the protocol runs call: ``append_qubits(k, state)``
-prepares qubits and returns their ids, ``discard(ids)`` drops collapsed
-ones, ``copy()``, ``apply_gate(name, *ids)``, ``apply_pauli(p, ids)``,
-``measure(id, rng)`` returns ``(bit, probability)`` with the bit drawn by
-the Born rule, and ``density_of(ids)`` is the reduced density matrix.
+The contract is what the protocol runs call: ``append_qubits(k)``
+prepares k |0> qubits and returns their ids, ``discard(ids)`` lets go of
+measured qubits (the tableau keeps them, as product states), ``copy()``,
+``apply_gate(name, *ids)``, ``apply_pauli(p, ids)``, ``measure(id, rng)``
+returns ``(bit, probability)`` with the bit drawn by the Born rule, and
+``density_of(ids)`` is the reduced density matrix.
 """
 
 from __future__ import annotations

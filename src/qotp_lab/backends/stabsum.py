@@ -69,7 +69,7 @@ class StabilizerSum:
     def _row(self, qubit_id: int) -> int:
         return self._row_of[qubit_id]
 
-    def append_qubits(self, k: int, state: str = "zero") -> list[int]:
+    def append_qubits(self, k: int) -> list[int]:
         ids = []
         for _ in range(k):
             if self._free_rows:
@@ -88,11 +88,6 @@ class StabilizerSum:
             self._next_id += 1
             self._row_of[qid] = row
             ids.append(qid)
-        if state == "plus":
-            for q in ids:
-                self.apply_gate("H", q)
-        elif state != "zero":
-            raise ValueError(f"unknown preparation {state!r}")
         return ids
 
     def discard(self, qubits) -> None:

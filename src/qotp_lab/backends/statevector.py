@@ -33,21 +33,13 @@ class StateVector:
         return self._ids.index(qubit_id)
 
     # -- allocation ---------------------------------------------------------
-    def append_qubits(self, k: int, state: str = "zero") -> list[int]:
+    def append_qubits(self, k: int) -> list[int]:
+        # checked before the 2^k amplitudes are allocated
         if self.n + k > MAX_QUBITS:
             raise ValueError("statevector backend capped at 24 qubits")
-        new_ids = list(range(self._next_id, self._next_id + k))
-        self._next_id += k
-        if state == "zero":
-            vec = np.zeros(1 << k, dtype=complex)
-            vec[0] = 1.0
-        elif state == "plus":
-            vec = np.full(1 << k, 2.0 ** (-k / 2), dtype=complex)
-        else:
-            raise ValueError(f"unknown preparation {state!r}")
-        self._amps = np.kron(self._amps, vec)
-        self._ids.extend(new_ids)
-        return new_ids
+        vec = np.zeros(1 << k, dtype=complex)
+        vec[0] = 1.0
+        return self.append_amplitudes(vec)
 
     def append_amplitudes(self, amps: np.ndarray) -> list[int]:
         k = int(np.log2(len(amps)))

@@ -42,25 +42,16 @@ class TableauState:
         self.n = n
 
     # -- allocation ---------------------------------------------------------
-    def append_qubits(self, k: int, state: str = "zero") -> list[int]:
+    def append_qubits(self, k: int) -> list[int]:
         ids = list(range(self.n, self.n + k))
         if self.n + k > self._kernel.n:
             self._kernel.expand(self.n + k - self._kernel.n)
         self.n += k
-        if state == "plus":
-            for q in ids:
-                self._kernel.h(q)
-        elif state != "zero":
-            raise ValueError(f"unknown preparation {state!r}")
         return ids
 
     def discard(self, qubits) -> None:
-        # Post-measurement qubits are product states; keeping them in the
-        # tableau is free, so discard only sanity-checks collapse.
-        for q in qubits:
-            random, _ = self._kernel.peek(q)
-            if random:
-                raise ValueError("discard requires a collapsed qubit")
+        """Keep the measured qubits: they stay in the tableau as product
+        states, and their columns still cost every later measurement."""
 
     def copy(self) -> "TableauState":
         t = TableauState.__new__(TableauState)

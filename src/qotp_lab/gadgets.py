@@ -191,11 +191,10 @@ class AuthSession:
     """The receiver's side: the state and its authenticated registers."""
 
     def __init__(self, trap: TrapCode, keys: dict[str, PauliOperator],
-                 state, rng, discard_measured: bool = False):
+                 state, rng):
         self.trap = trap
         self.state = state
         self.rng = rng  # Born sampling of every measurement outcome
-        self.discard_measured = discard_measured
         # the sender's keys, which the preparers authenticate under
         self.initial_keys = dict(keys)
         self.registers: dict[str, Register] = {}
@@ -276,6 +275,8 @@ class AuthSession:
         self.registers[magic] = Register(magic, "consumed")
 
     def measure_register(self, name: str) -> list[int]:
+        """Measure every qubit of the register, then let the state drop
+        them."""
         reg = self.materialize(name)
         bits = []
         for q in reg.ids:
@@ -283,8 +284,7 @@ class AuthSession:
             bits.append(bit)
             self._weigh(prob)
         reg.status = "consumed"
-        if self.discard_measured:
-            self.state.discard(reg.ids)
+        self.state.discard(reg.ids)
         return bits
 
     # -- one gadget round -----------------------------------------------------
@@ -457,15 +457,14 @@ def run_encoded_circuit(session: AuthSession, verifier: VerifierState,
 
 
 def make_gadget_session(base_code, circuit, input_labels: list[str],
-                        backend, rng, discard_measured: bool = False
+                        backend, rng
                         ) -> tuple[AuthSession, VerifierState, list[str]]:
     """Fresh keys, the receiver's session with declared data registers
     ("D0", ...) and magic registers, and the verifier holding the keys."""
     data_names = [f"D{i}" for i in range(len(input_labels))]
     magic_names = [nm for _, names in magic_slots(circuit) for nm in names]
     key = sample_auth_key(base_code, data_names + magic_names, rng)
-    session = AuthSession(key.trap, key.pauli_keys, backend, rng,
-                          discard_measured)
+    session = AuthSession(key.trap, key.pauli_keys, backend, rng)
     for name, label in zip(data_names, input_labels):
         session.declare(name, eigenstate_preparer(name, label))
     session.declare_magic(circuit)

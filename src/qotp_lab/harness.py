@@ -297,8 +297,7 @@ def run_gadget_check(config: dict) -> tuple[ExperimentReport, None]:
         """The encoded circuit, then every data register de-authenticated:
         (all accepted, the density of the data qubits)."""
         session, verifier, data = make_gadget_session(
-            base, circuit, inputs, state, rngmod.stream(seed, stream),
-            discard_measured=isinstance(state, StateVector))
+            base, circuit, inputs, state, rngmod.stream(seed, stream))
         run_encoded_circuit(session, verifier, circuit, data)
         recovered = [session.recover_register(d, verifier.keys[d])
                      for d in data]

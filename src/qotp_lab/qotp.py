@@ -9,16 +9,19 @@ Roles and register names (one protocol instance, |B| logical wires):
   half and the authenticated half the receiver's input teleports into
 - ``Bout{i}`` group   teleport-through-de-authentication: 3n EPR pairs with
   decode-then-encrypt applied to one side, syndrome wires kept but ignored
-- ``Et{j}`` / ``Ctl``   authenticated workspace |0> qubits and the control
-  qubit (|1> in the real protocol, |0> for the simulator)
+- ``Et0`` / ``Ctl``   the authenticated |0> helper wire of controlled-T
+  (present only when the channel has a T gate) and the control qubit (|1>
+  in the real protocol, |0> for the simulator)
 - ``M{i}``   authenticated magic registers, one per reactive round
 
 The control qubit turns the whole compiled circuit into controlled-U; the
 simulator runs it switched off and splices the one ideal evaluation in via
 an extra teleportation.
 
-Both sides walk ``gadgets.build_schedule`` and run each gadget round
-through the two halves in ``gadgets``: the verifier (``QotpVerifier``,
+``compile_controlled_program`` cuts the controlled circuit into its round
+schedule once (``gadgets.build_schedule``, kept as
+``CompiledProgram.steps``).  Both sides walk those steps and run each gadget
+round through the two halves in ``gadgets``: the verifier (``QotpVerifier``,
 behind a direct call or the chained one-time-program transport) calls
 ``VerifierState.gadget_round``, the receiver ``AuthSession.gadget_round``.
 The receiver's side (teleport-in, the simulator's splice, the gadget
@@ -47,7 +50,7 @@ from .cotp import brotp_compile, brotp_query
 from .css import CssCode
 from .gadgets import (AuthSession, Register, VerifierState,
                       authenticate_into, build_schedule, eigenstate_preparer,
-                      magic_requirements, magic_slots, pauli_eigenstate_prep)
+                      magic_slots, pauli_eigenstate_prep)
 from .paulis import CliffordUnitary, PauliOperator
 from .trap import TrapCode, random_pauli, sample_trap_code
 
@@ -176,87 +179,57 @@ def verify_controlled_table() -> None:
 
 @dataclass(frozen=True)
 class CompiledProgram:
-    """Controlled form of a channel circuit, ready for encoded execution."""
+    """Controlled form of a channel circuit, cut once into its round
+    schedule."""
 
-    base_circuit: tuple      # U over wires (A, B, E-work)
+    base_circuit: tuple      # U over wires (A, B)
     n_a: int
     n_b: int
-    n_work: int              # declared workspace wires of U itself
     uses_t_helper: bool      # extra |0> wire appended for controlled-T
-    controlled_circuit: tuple  # over wires (A, B, E-work [, helper], control)
-    magic_kinds: tuple       # kind per magic register, in round order
-    partition: tuple         # Clifford segments between magic gates
-    magic_gates: tuple       # the magic-consuming gates, in order
-    corrections: tuple       # correction descriptor per magic gate
-
-    @property
-    def r(self) -> int:
-        """Count of K/T/H gates in the controlled circuit."""
-        return sum(1 for g in self.controlled_circuit
-                   if g[0] in ("K", "T", "H"))
-
-    @property
-    def n_e(self) -> int:
-        return self.n_work + (1 if self.uses_t_helper else 0) + 1
+    controlled_circuit: tuple  # over wires (A, B [, helper], control)
+    steps: tuple             # build_schedule of controlled_circuit
+    num_rounds: int          # its round steps: #K + #H + 2 #T
 
     @property
     def wires(self) -> int:
-        return self.n_a + self.n_b + self.n_e
+        return self.n_a + self.n_b + (1 if self.uses_t_helper else 0) + 1
 
     @property
     def control_wire(self) -> int:
         return self.wires - 1
 
-    @property
-    def rounds(self) -> int:
-        """Reactive rounds: one per magic register, plus first and last."""
-        return len(self.magic_kinds) + 2
 
-
-def compile_controlled_program(circuit, n_a: int, n_b: int,
-                               n_work: int = 0) -> CompiledProgram:
-    """Replace every gate of U with its controlled decomposition."""
+def compile_controlled_program(circuit, n_a: int,
+                               n_b: int) -> CompiledProgram:
+    """Replace every gate of U with its controlled decomposition, and cut
+    the result into rounds."""
     verify_controlled_table()
     circuit = tuple(tuple(g) for g in circuit)
-    data_wires = n_a + n_b + n_work
+    channel = [list(h) for h in circuit]
+    data_wires = n_a + n_b
     for g in circuit:
         if g[0] not in UNIVERSAL_GATES:
-            raise ValueError(f"gate {g[0]!r} outside the universal set")
+            raise ValueError(
+                f"gate {g[0]!r} of channel {channel!r} is outside the "
+                f"universal set {list(UNIVERSAL_GATES)!r}")
         arity = 2 if g[0] == "CNOT" else 1
         wires = set(g[1:])
         if len(g) - 1 != arity or len(wires) != arity \
                 or not all(0 <= q < data_wires for q in wires):
             raise ValueError(
-                f"gate {list(g)!r} of channel "
-                f"{[list(h) for h in circuit]!r} needs {arity} distinct "
-                f"wire(s) below n_a + n_b + n_work = {data_wires}")
+                f"gate {list(g)!r} of channel {channel!r} needs {arity} "
+                f"distinct wire(s) below n_a + n_b = {data_wires}")
     uses_helper = any(g[0] == "T" for g in circuit)
     helper = data_wires if uses_helper else None
     control = data_wires + (1 if uses_helper else 0)
     controlled = []
     for g in circuit:
         controlled.extend(controlled_gate(g, control, helper))
-    controlled = tuple(controlled)
-    kinds = tuple(magic_requirements(controlled))
-    partition = []
-    magic_gates = []
-    corrections = []
-    segment = []
-    for g in controlled:
-        if g[0] in ("K", "T", "H"):
-            partition.append(tuple(segment))
-            segment = []
-            magic_gates.append(g)
-            corrections.append(
-                {"K": "Y", "T": "KX", "H": "XZ"}[g[0]])
-        else:
-            segment.append(g)
-    partition.append(tuple(segment))
+    steps, num_rounds = build_schedule(controlled)
     return CompiledProgram(
-        base_circuit=circuit, n_a=n_a, n_b=n_b, n_work=n_work,
-        uses_t_helper=uses_helper, controlled_circuit=controlled,
-        magic_kinds=kinds, partition=tuple(partition),
-        magic_gates=tuple(magic_gates), corrections=tuple(corrections))
+        base_circuit=circuit, n_a=n_a, n_b=n_b, uses_t_helper=uses_helper,
+        controlled_circuit=tuple(controlled), steps=tuple(steps),
+        num_rounds=num_rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +314,6 @@ class QotpVerifier:
         self.vs = VerifierState(trap, keys)
         self.output_keys = list(output_keys)
         self.reject_key_seed = reject_key_seed
-        self.steps, self.num_rounds = build_schedule(
-            program.controlled_circuit)
         self.data_map = {w: data_register_name(program, w)
                          for w in range(program.wires)}
         self.pc = 0
@@ -359,8 +330,9 @@ class QotpVerifier:
 
     # -- helpers -------------------------------------------------------------
     def _advance_silent_steps(self):
-        while self.pc < len(self.steps):
-            step = self.steps[self.pc]
+        steps = self.program.steps
+        while self.pc < len(steps):
+            step = steps[self.pc]
             if step[0] == "pauli":
                 self.vs.update_pauli_gate(self.data_map[step[2]], step[1])
             elif step[0] == "cnot":
@@ -552,7 +524,7 @@ class BrotpOracle:
             return json.dumps(labels).encode(), b""
 
         rounds = [g_first] + [make_round(i)
-                              for i in range(verifier.num_rounds)] + [g_final]
+                              for i in range(program.num_rounds)] + [g_final]
         self.program = brotp_compile(rounds, state0.ljust(state_len, b"\0"),
                                      kappa, state_len, rng)
         self.carried = b""
@@ -695,8 +667,8 @@ class RunResult:
     weight: float         # probability of this branch's outcomes
     b_out_qubits: list
     w_ids: list
-    state: object         # the state the output and W qubits live in;
-                          # None for enumerated leaves
+    state: object         # the state the output (final key applied) and
+                          # W qubits live in; None for enumerated leaves
     density: object       # enumerated leaves only: the density of
                           # ``b_out_qubits + w_ids``, final key unapplied
     session: AuthSession | None  # the live session; None for enumerated
@@ -709,10 +681,7 @@ class QotpInstance:
     def __init__(self, program: CompiledProgram, base_code: CssCode,
                  seed: int, world: str = "real", backend: str = "auto",
                  a_labels=(), transport: str = "direct", kappa: int = 16,
-                 trap: TrapCode | None = None,
-                 key_overrides: dict | None = None,
-                 apply_final_key: bool = True):
-        self.apply_final_key = apply_final_key
+                 trap: TrapCode | None = None, pad_coset: str = "I"):
         self.program = program
         self.base_code = base_code
         self.world = world
@@ -729,12 +698,9 @@ class QotpInstance:
         keys = {name: random_pauli(n3, key_rng) for name in reg_names}
         self.output_keys = [random_pauli(n3, key_rng)
                             for _ in range(program.n_b)]
-        for name, p in (key_overrides or {}).items():
-            if name.startswith("__mul__"):
-                target = name[len("__mul__"):]
-                keys[target] = keys[target] * p
-            else:
-                keys[name] = p
+        if pad_coset != "I":
+            # the exact comparison's pad coset on the teleported input
+            keys["Bt0"] = keys["Bt0"] * self.trap.logical_pauli(pad_coset)
         self.keys = keys
         # backend: Clifford-only controlled circuits run on the tableau;
         # T-bearing ones need the stabilizer-sum machinery, or the dense
@@ -755,8 +721,7 @@ class QotpInstance:
             state = StabilizerSum(0)
         self.backend_kind = backend
         self.session = AuthSession(self.trap, dict(keys), state,
-                                   rngmod.stream(seed, "outcomes"),
-                                   discard_measured=(backend in ("sv", "sum")))
+                                   rngmod.stream(seed, "outcomes"))
         self.a_labels = tuple(a_labels)
         verifier = QotpVerifier(program, self.trap, dict(keys),
                                 self.output_keys, seed)
@@ -781,11 +746,9 @@ class QotpInstance:
             name = f"At{i}"
             label = "0" if self.world == "sim" else self.a_labels[i]
             ses.declare(name, eigenstate_preparer(name, label))
-        # workspace and control
-        nw = prog.n_work + (1 if prog.uses_t_helper else 0)
-        for j in range(nw):
-            name = f"Et{j}"
-            ses.declare(name, eigenstate_preparer(name, "0"))
+        # the controlled-T helper and the control
+        if prog.uses_t_helper:
+            ses.declare("Et0", eigenstate_preparer("Et0", "0"))
         ctl_label = "0" if self.world == "sim" else "1"
         ses.declare("Ctl", eigenstate_preparer("Ctl", ctl_label))
         # teleport-through-authentication halves
@@ -879,13 +842,13 @@ class QotpInstance:
 def honest_receiver_run(circuit, n_a: int, n_b: int, base_code: CssCode,
                         seed: int, a_labels=(), b_labels=("0",),
                         backend: str = "auto", transport: str = "brotp",
-                        kappa: int = 16, n_work: int = 0):
+                        kappa: int = 16):
     """Compile, prepare, and honestly evaluate the one-time program.
 
     Returns (result, instance); the output state sits on
     ``result.b_out_qubits`` of ``result.session.state``.
     """
-    program = compile_controlled_program(circuit, n_a, n_b, n_work)
+    program = compile_controlled_program(circuit, n_a, n_b)
     inst = QotpInstance(program, base_code, seed, world="real",
                         backend=backend, a_labels=a_labels,
                         transport=transport, kappa=kappa)
@@ -898,9 +861,9 @@ def honest_receiver_run(circuit, n_a: int, n_b: int, base_code: CssCode,
 def simulate_sender_run(circuit, n_a: int, n_b: int, base_code: CssCode,
                         seed: int, a_labels=(), adversary=None,
                         backend: str = "auto", transport: str = "direct",
-                        kappa: int = 16, n_work: int = 0):
+                        kappa: int = 16):
     """Protocol-5 simulator execution against the given adversary."""
-    program = compile_controlled_program(circuit, n_a, n_b, n_work)
+    program = compile_controlled_program(circuit, n_a, n_b)
     inst = QotpInstance(program, base_code, seed, world="sim",
                         backend=backend, a_labels=a_labels,
                         transport=transport, kappa=kappa)
@@ -953,10 +916,15 @@ class _Sample:
         return bits
 
 
+# the lightest branch the exact enumeration keeps
+MIN_BRANCH_WEIGHT = 1e-15
+
+
 class _Fan:
-    """One branch per joint outcome of weight at least ``min_weight``, read
-    from the dense state.  Every Bell pair is rotated before the joint
-    outcomes are read.  A branch continues on a clone of its parent.
+    """One branch per joint outcome of weight at least
+    ``MIN_BRANCH_WEIGHT``, read from the dense state.  Every Bell pair is
+    rotated before the joint outcomes are read.  A branch continues on a
+    clone of its parent.
 
     Teleport-out is taken as one batch: the verifier decides the branch's
     verdict and builds its key table once (``QotpVerifier.branch_final``),
@@ -965,9 +933,6 @@ class _Fan:
     density, and a rejected branch draws no junk key."""
 
     forks = True
-
-    def __init__(self, min_weight: float):
-        self.min_weight = min_weight
 
     def pairs(self, inst, pairs, then) -> None:
         self._fork(inst, self._rotate(inst, pairs), then)
@@ -990,7 +955,7 @@ class _Fan:
     def _fork(self, inst, ids, then) -> None:
         weight = inst.session.prob_weight
         for k, p, post in inst.session.state.joint_outcomes(ids):
-            if weight * p < self.min_weight:
+            if weight * p < MIN_BRANCH_WEIGHT:
                 continue
             child = inst.clone(post)
             child.session.prob_weight = weight * p
@@ -1025,9 +990,8 @@ def _walk(inst: QotpInstance, adversary, strategy, emit) -> None:
     if inst.world == "sim":
         a_ids = [pauli_eigenstate_prep(label)(ses.state)
                  for label in inst.a_labels]
-        e_ids = ses.state.append_qubits(prog.n_work)
     adversary.before(ses.attack, ses.state, w_ids)
-    steps, _ = build_schedule(prog.controlled_circuit)
+    steps = prog.steps
     data_map = {w: data_register_name(prog, w) for w in range(prog.wires)}
 
     def labels(bits) -> list[str]:
@@ -1071,7 +1035,7 @@ def _walk(inst: QotpInstance, adversary, strategy, emit) -> None:
         if branch.ideal_calls > 1:
             raise RuntimeError("ideal functionality is one-shot")
         wires = a_ids + [s.registers[f"Sin{i}"].ids[0]
-                         for i in range(prog.n_b)] + e_ids
+                         for i in range(prog.n_b)]
         for g in prog.base_circuit:
             s.state.apply_gate(g[0], *[wires[w] for w in g[1:]])
 
@@ -1128,7 +1092,7 @@ def _walk(inst: QotpInstance, adversary, strategy, emit) -> None:
             s_out = ("random",)
         else:
             s_out = tuple(s_hat)
-            if branch.apply_final_key:
+            if not strategy.forks:  # enumerated leaves carry no state
                 for q, label in zip(b_out, s_hat):
                     state.apply_pauli(PauliOperator.from_label(label), [q])
         emit(RunResult(not cheated, cheated, t_in, records, replies,
@@ -1143,29 +1107,26 @@ def _walk(inst: QotpInstance, adversary, strategy, emit) -> None:
 # exact enumeration and the real-vs-simulated comparison
 # ---------------------------------------------------------------------------
 
-def enumerate_protocol_runs(inst: QotpInstance, adversary,
-                            min_weight: float = 1e-15) -> list[RunResult]:
+def enumerate_protocol_runs(inst: QotpInstance,
+                            adversary) -> list[RunResult]:
     """All outcome branches of one protocol instance, exactly.
 
     The same walk as ``QotpInstance.run``, with every measurement fanned
     out over the joint outcome distribution of the dense state instead of
     sampled.  Each leaf carries the density of its output and W qubits
-    before the final key (``RunResult.density``), so the instance must be
-    built with ``apply_final_key=False``.  Requires the direct oracle
-    transport, the dense backend, and an adversary whose quantum actions do
-    not depend on the replies (the Pauli-attack family used in tests).
+    before the final key (``RunResult.density``).  Requires the direct
+    oracle transport, the dense backend, and an adversary whose quantum
+    actions do not depend on the replies (the Pauli-attack family used in
+    tests).
     """
-    if inst.apply_final_key:
-        raise ValueError("enumerated leaves keep the output before the final "
-                         "key: build the instance with apply_final_key=False")
     leaves: list[RunResult] = []
-    _walk(inst, adversary, _Fan(min_weight), leaves.append)
+    _walk(inst, adversary, _Fan(), leaves.append)
     return leaves
 
 
 def _world_density_map(world: str, program: CompiledProgram,
                        base_code: CssCode, seed: int, adversary_factory,
-                       a_labels, perms, coset_letters, kappa: int = 16):
+                       a_labels, perms, coset_letters):
     """Exact classical-quantum output ensemble of one world.
 
     Returns {classical key: accumulated weighted density on (B_out, W)}.
@@ -1182,9 +1143,8 @@ def _world_density_map(world: str, program: CompiledProgram,
         for letter in coset_letters:
             inst = QotpInstance(
                 program, base_code, seed, world=world, backend="sv",
-                a_labels=a_labels, transport="direct", kappa=kappa,
-                trap=trap, apply_final_key=False,
-                key_overrides=_coset_override(trap, letter, program))
+                a_labels=a_labels, transport="direct", trap=trap,
+                pad_coset=letter)
             for result in enumerate_protocol_runs(inst, adversary_factory()):
                 if result.weight == 0.0:
                     continue
@@ -1203,17 +1163,8 @@ def _world_density_map(world: str, program: CompiledProgram,
     return out
 
 
-def _coset_override(trap: TrapCode, letter: str, program: CompiledProgram):
-    """Multiply the teleported-input register's pad by a logical rep."""
-    if letter == "I":
-        return {}
-    # the override multiplies the sampled key, deterministically re-derived
-    return {"__mul__Bt0": trap.logical_pauli(letter)}
-
-
 def compare_real_vs_sim(circuit, n_a: int, n_b: int, base_code: CssCode,
-                        seed: int, adversary_factory, a_labels=(),
-                        perms=None) -> float:
+                        seed: int, adversary_factory, a_labels=()) -> float:
     """Exact trace distance between the environment's view of the real
     protocol and of the simulator, at toy scale with full enumeration."""
     from . import denseops as dn
@@ -1221,9 +1172,8 @@ def compare_real_vs_sim(circuit, n_a: int, n_b: int, base_code: CssCode,
     from itertools import permutations as iperms
 
     program = compile_controlled_program(circuit, n_a, n_b)
-    if perms is None:
-        perms = [Permutation(3 * base_code.n, p)
-                 for p in iperms(range(3 * base_code.n))]
+    perms = [Permutation(3 * base_code.n, p)
+             for p in iperms(range(3 * base_code.n))]
     coset_letters = ("I", "X", "Z", "Y")
     real = _world_density_map("real", program, base_code, seed,
                               adversary_factory, a_labels, perms,

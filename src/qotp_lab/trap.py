@@ -329,25 +329,22 @@ class SecurityEstimate:
 
 def estimate_attack_security(base: CssCode, attack: PauliOperator,
                              samples: int, rng,
-                             traps: list[TrapCode] | None = None) -> SecurityEstimate:
+                             traps: list[_ClassifyData] | None = None
+                             ) -> SecurityEstimate:
     """Fraction of uniform permutations for which the fixed attack is a
     nontrivial accept, with a 95% Wilson CI, against (2/3)^{w/2}.
 
-    ``traps`` may supply a pre-sampled shared permutation set so several
-    attacks are estimated against identical code draws.
+    ``traps`` may supply a pre-sampled shared permutation set, as the
+    ``_ClassifyData`` of each code, so several attacks are estimated against
+    identical code draws; ``samples`` and ``rng`` are then unused.
     """
-    hits = 0
-    if traps is not None:
-        samples = len(traps)
-        for trap in traps:
-            data = trap if isinstance(trap, _ClassifyData) else _ClassifyData(trap)
-            v, _ = classify_masks(data, attack.x, attack.z)
-            hits += v == "nontrivial_accept"
+    if traps is None:
+        traps = (_ClassifyData(sample_trap_code(base, rng))
+                 for _ in range(samples))
     else:
-        for _ in range(samples):
-            trap = sample_trap_code(base, rng)
-            v, _ = classify_masks(_ClassifyData(trap), attack.x, attack.z)
-            hits += v == "nontrivial_accept"
+        samples = len(traps)
+    hits = sum(classify_masks(data, attack.x, attack.z)[0]
+               == "nontrivial_accept" for data in traps)
     eps_hat, lo, hi = wilson_interval(hits, samples)
     w = attack.weight()
     return SecurityEstimate(attack.to_label(), w, samples, eps_hat, lo, hi,

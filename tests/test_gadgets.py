@@ -25,8 +25,7 @@ def run_single_gate(base, gate, label, backend_kind, seed):
     circuit = [(gate, 0)]
     backend = TableauState(0) if backend_kind == "tab" else StateVector(0)
     session, verifier, data = make_gadget_session(
-        base, circuit, [label], backend, rng,
-        discard_measured=(backend_kind == "sv"))
+        base, circuit, [label], backend, rng)
     records, replies = run_encoded_circuit(session, verifier, circuit, data)
     ok, out = session.recover_register(data[0], verifier.keys[data[0]])
     return session, (records, replies), ok, out
@@ -149,6 +148,18 @@ class TestMagicGadgets:
                 if name.startswith("M"):
                     assert reg.status == "consumed"
         assert seen == {0, 1}
+
+    def test_statevector_drops_measured_registers(self):
+        session, verifier, data = make_gadget_session(
+            TOY, [("K", 0)], ["+"], StateVector(0), np.random.default_rng(61))
+        run_encoded_circuit(session, verifier, [("K", 0)], data)
+        # the data register was measured; only the former magic is left
+        assert session.state.n == 3
+        ok, out = session.recover_register(data[0], verifier.keys[data[0]])
+        assert ok
+        want = dn.MK @ EIGENSTATE_VECTORS["+"]
+        assert np.allclose(session.state.density_of([out]),
+                           np.outer(want, want.conj()), atol=1e-12)
 
     def test_t_gadget_steane_on_sum_backend(self):
         from qotp_lab.backends import StabilizerSum

@@ -119,6 +119,8 @@ class TestCli:
         ("qotp-attack", {"channel": [["X", 3]]}),
         ("qotp-run", {"channel": [["H", 0, 1]]}),
         ("qotp-run", {"channel": [["CNOT", 1, 1]]}),
+        ("qotp-run", {"channel": [["SWAP", 0, 1]]}),
+        ("qotp-attack", {"channel": [["SWAP", 0, 1]]}),
     ], ids=["top-level-list", "unknown-base", "zero-runs", "string-seed",
             "string-unitaries", "string-permutations", "int-channel",
             "zero-attacks", "zero-samples", "string-tolerance", "int-cases",
@@ -126,7 +128,8 @@ class TestCli:
             "unknown-transport", "unknown-key", "unknown-code-key",
             "one-wire-cnot", "no-wire-gate", "wire-past-n_b",
             "cnot-wire-past-n_b", "attack-wire-past-one",
-            "two-wire-single-gate", "cnot-one-wire-twice"])
+            "two-wire-single-gate", "cnot-one-wire-twice",
+            "alien-gate", "attack-alien-gate"])
     def test_bad_config_one_line_exit_two(self, tmp_path, command, config):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -155,3 +158,21 @@ class TestCli:
         a = (out1 / "twirl-check.report.json").read_bytes()
         b = (out2 / "twirl-check.report.json").read_bytes()
         assert a == b
+
+
+class TestBenchmarkTracer:
+    def test_every_traced_target_resolves(self):
+        """The benchmark's per-layer tracer wraps package functions from
+        outside; every owner it names must still have the attribute."""
+        import importlib.util
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                      path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        targets = tracer.targets()
+        assert targets
+        for owner, attr, name, _, _ in targets:
+            assert callable(getattr(owner, attr, None)), name

@@ -6,7 +6,7 @@ import pytest
 
 from qotp_lab import denseops as dn
 from qotp_lab.css import build_steane, build_toy_code
-from qotp_lab.gadgets import EIGENSTATE_VECTORS
+from qotp_lab.gadgets import EIGENSTATE_VECTORS, magic_slots
 from qotp_lab.paulis import PauliOperator, Permutation
 from qotp_lab.qotp import (DummyAdversary, PauliAttackAdversary, QotpInstance,
                            bell_measure, compile_controlled_program,
@@ -26,7 +26,7 @@ class TestCompile:
     def test_controlled_x_is_cnot(self):
         prog = compile_controlled_program([("X", 0)], 0, 1)
         assert prog.controlled_circuit == (("CNOT", prog.control_wire, 0),)
-        assert prog.r == 0
+        assert prog.num_rounds == 0
 
     def test_controlled_t_dense(self):
         # c-U|psi>|on> = T|psi>|on>, c-U|psi>|off> = |psi>|off>
@@ -48,23 +48,39 @@ class TestCompile:
                 want[(b << (n - 1)) | ctl] = target[b]
             assert np.allclose(out, want, atol=1e-10), ctl
 
+    CIRCUITS = ([("H", 0)], [("K", 0)], [("T", 0)], [("Y", 0)],
+                [("K", 0), ("H", 0)], [("CNOT", 0, 1), ("T", 1)])
+
+    @staticmethod
+    def _compile(circ):
+        return compile_controlled_program(
+            circ, 0, max(w for g in circ for w in g[1:]) + 1)
+
     def test_r_matches_magic_count(self):
-        for circ in ([("H", 0)], [("K", 0)], [("T", 0)], [("Y", 0)]):
-            prog = compile_controlled_program(circ, 0, 1)
-            assert prog.r == sum(1 for g in prog.controlled_circuit
-                                 if g[0] in ("K", "T", "H"))
-            # registers: every T provisions one correction K slot
-            t_count = sum(1 for g in prog.controlled_circuit if g[0] == "T")
-            assert len(prog.magic_kinds) == prog.r + t_count
+        for circ in self.CIRCUITS:
+            prog = self._compile(circ)
+            count = {k: sum(1 for g in prog.controlled_circuit if g[0] == k)
+                     for k in ("K", "T", "H")}
+            rounds = [s for s in prog.steps if s[0].startswith("round-")]
+            # every T provisions one correction K round, and every round
+            # consumes one magic register slot
+            assert len(rounds) == prog.num_rounds == \
+                count["K"] + count["H"] + 2 * count["T"] == \
+                len(magic_slots(prog.controlled_circuit))
+            assert [s[2] for s in rounds] == list(range(prog.num_rounds))
 
     def test_partition_reassembles(self):
-        prog = compile_controlled_program([("K", 0), ("H", 0)], 0, 1)
-        rebuilt = []
-        for seg, gate in zip(prog.partition, prog.magic_gates):
-            rebuilt.extend(seg)
-            rebuilt.append(gate)
-        rebuilt.extend(prog.partition[-1])
-        assert tuple(rebuilt) == prog.controlled_circuit
+        for circ in self.CIRCUITS:
+            prog = self._compile(circ)
+            rebuilt = []
+            for step in prog.steps:
+                if step[0] == "pauli":
+                    rebuilt.append((step[1], step[2]))
+                elif step[0] == "cnot":
+                    rebuilt.append(("CNOT", step[1], step[2]))
+                elif step[0] != "round-Tcorr":
+                    rebuilt.append((step[0][len("round-"):], step[1]))
+            assert tuple(rebuilt) == prog.controlled_circuit
 
     def test_rejects_alien_gate(self):
         with pytest.raises(ValueError):
@@ -254,13 +270,17 @@ class TestStrategies:
 
         def instance(seed):
             return QotpInstance(prog, TOY, seed=seed, world=world,
-                                backend="sv", transport="direct",
-                                apply_final_key=False)
+                                backend="sv", transport="direct")
 
         def transcript(res):
             return (res.t_in, res.records, res.replies, res.t_out, res.s_hat)
 
         def output(res):
+            # the sampled run applied the final key; leaves are before it
+            if res.accepted:
+                for q, label in zip(res.b_out_qubits, res.s_hat):
+                    res.state.apply_pauli(PauliOperator.from_label(label),
+                                          [q])
             return res.state.density_of(res.b_out_qubits + res.w_ids)
 
         for seed in range(501, 504):
@@ -324,8 +344,7 @@ class TestBatchedLeaves:
         rejected = 0
         for seed in range(501, 504):
             inst = QotpInstance(prog, TOY, seed=seed, world="real",
-                                backend="sv", transport="direct",
-                                apply_final_key=False)
+                                backend="sv", transport="direct")
             leaves = enumerate_protocol_runs(inst, _toy_magic_attack())
             rejected += sum(leaf.cheated for leaf in leaves)
             assert all(leaf.s_hat == ("random",)
@@ -339,13 +358,6 @@ class TestBatchedLeaves:
             if inst.run(_toy_magic_attack()).cheated:
                 break
         assert opened.count("reject-key") == 1
-
-    def test_enumeration_needs_the_key_unapplied(self):
-        inst = QotpInstance(compile_controlled_program([("X", 0)], 0, 1),
-                            TOY, seed=605, world="real", backend="sv",
-                            transport="direct")
-        with pytest.raises(ValueError):
-            enumerate_protocol_runs(inst, DummyAdversary())
 
 
 class TestAbortChannel:
