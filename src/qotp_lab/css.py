@@ -18,6 +18,7 @@ Conventions (fixed so fixtures are reproducible bit-for-bit):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 from .gf2 import dot, rref, solve
@@ -51,8 +52,6 @@ class LogicalClass:
     logical: PauliOperator | None
     syndrome_x: tuple  # X-error syndrome bits (Z-type checks on x-part)
     syndrome_z: tuple  # Z-error syndrome bits (X-type checks on z-part)
-    x_only_kind: str   # same partition ignoring the Z-error syndrome
-    x_logical_bit: int  # X-component of the induced logical
 
 
 @dataclass(frozen=True)
@@ -64,14 +63,9 @@ class CssCode:
     hz: tuple          # Z-type stabilizer generators (masks)
     logical_x: int     # mask of the logical X representative
     logical_z: int
-    self_dual: bool
     _decode: Callable[[int], tuple[int, int]] = field(compare=False)
 
     # -- derived -----------------------------------------------------------
-    @property
-    def k(self) -> int:
-        return 1
-
     @property
     def logical_x_pauli(self) -> PauliOperator:
         return PauliOperator.from_masks(self.n, self.logical_x, 0)
@@ -89,7 +83,7 @@ class CssCode:
             raise ValueError("logical X and Z must anticommute")
 
     # -- encoder -----------------------------------------------------------
-    @property
+    @cached_property
     def encoder(self) -> CliffordUnitary:
         return build_encoder(self)
 
@@ -114,19 +108,13 @@ class CssCode:
         if q.n != self.n:
             raise ValueError("size mismatch")
         sx, sz = self.syndromes_of(q)
+        if any(sx) or any(sz):
+            return LogicalClass("detected", None, sx, sz)
         a = dot(q.x, self.logical_z)  # anticommutation with logical Z
         b = dot(q.z, self.logical_x)
-        if any(sx):
-            x_only = "detected"
-        elif a:
-            x_only = "logical"
-        else:
-            x_only = "trivial"
-        if any(sx) or any(sz):
-            return LogicalClass("detected", None, sx, sz, x_only, a)
         induced = self._induced_logical(q, a, b)
         kind = "trivial" if induced.is_identity() else "logical"
-        return LogicalClass(kind, induced, sx, sz, x_only, a)
+        return LogicalClass(kind, induced, sx, sz)
 
     def _induced_logical(self, q: PauliOperator, a: int, b: int) -> PauliOperator:
         """Exact i^k X^a Z^b induced on the logical qubit (zero syndrome)."""
@@ -243,7 +231,6 @@ def build_steane() -> CssCode:
         hz=rows,
         logical_x=0b1111111,
         logical_z=0b1111111,
-        self_dual=True,
         _decode=_hamming_decode,
     )
 
@@ -258,7 +245,6 @@ def build_toy_code() -> CssCode:
         hz=(),
         logical_x=1,
         logical_z=1,
-        self_dual=True,
         _decode=lambda c: (c & 1, 0),
     )
 
@@ -323,7 +309,6 @@ def concatenate(code: CssCode, levels: int) -> CssCode:
         hz=tuple(inner_rows_z + outer_rows_z),
         logical_x=(1 << n2) - 1,
         logical_z=(1 << n2) - 1,
-        self_dual=code.self_dual,
         _decode=decode2,
     )
 

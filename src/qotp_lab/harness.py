@@ -20,10 +20,11 @@ import numpy as np
 from . import __version__, rng as rngmod
 from . import denseops as dn
 from .css import build_steane, build_toy_code, code_from_spec
-from .paulis import PauliOperator, Permutation
-from .trap import (TrapCode, classify_pauli_attack, estimate_attack_security,
-                   exact_placement_probability, sample_trap_code,
-                   security_sweep_rows, sweep_to_csv, wilson_interval)
+from .paulis import PauliOperator
+from .trap import (classify_masks, enumerate_attack_security,
+                   estimate_attack_security, exact_placement_probability,
+                   sample_trap_code, security_sweep_rows, sweep_to_csv,
+                   wilson_interval)
 
 # ---------------------------------------------------------------------------
 # canonical serialization
@@ -250,8 +251,6 @@ def run_distance_exhaustive(config: dict) -> tuple[ExperimentReport, None]:
     limit_pairs = config_int(config, "limit_pairs", 0, lo=0)
     base = config_code(config)
     rng = rngmod.stream(seed, "distance")
-    from .trap import _ClassifyData, classify_masks
-
     n3 = 3 * base.n
     singles = []
     for j in range(n3):
@@ -268,12 +267,12 @@ def run_distance_exhaustive(config: dict) -> tuple[ExperimentReport, None]:
             break
     bad = 0
     for _ in range(perms):
-        data = _ClassifyData(sample_trap_code(base, rng))
+        trap = sample_trap_code(base, rng)
         for x, z in singles:
-            if classify_masks(data, x, z)[0] == "nontrivial_accept":
+            if classify_masks(trap, x, z)[0] == "nontrivial_accept":
                 bad += 1
         for x, z in pairs:
-            if classify_masks(data, x, z)[0] == "nontrivial_accept":
+            if classify_masks(trap, x, z)[0] == "nontrivial_accept":
                 bad += 1
     report = ExperimentReport("trap-distance", config)
     report.add_check("weight_le2_nontrivial_accepts", bad, 0, bad == 0)
@@ -467,7 +466,7 @@ def run_sim_compare(config: dict) -> tuple[ExperimentReport, None]:
                          mode="exhaustive")
     if "magic-attack" in cases:
         attack = P.from_masks(3, 0b001, 0)  # X on one magic qubit
-        eps = _exact_toy_eps(attack)
+        eps = enumerate_attack_security(toy, attack)
 
         def factory():
             return PauliAttackAdversary(initial_attacks=[("M0", attack)])
@@ -478,21 +477,6 @@ def run_sim_compare(config: dict) -> tuple[ExperimentReport, None]:
                          td <= 2 * eps + 1e-9, mode="exhaustive")
         report.extra["magic_attack_eps_exact"] = eps
     return report, None
-
-
-def _exact_toy_eps(attack: PauliOperator) -> float:
-    """Exact nontrivial-accept probability of the attack over the toy
-    permutation family."""
-    from itertools import permutations
-
-    toy = build_toy_code()
-    hits = total = 0
-    for perm in permutations(range(3)):
-        trap = TrapCode(toy, Permutation(3, perm))
-        total += 1
-        if classify_pauli_attack(trap, attack).verdict == "nontrivial_accept":
-            hits += 1
-    return hits / total
 
 
 def run_teleport_check(config: dict) -> tuple[ExperimentReport, None]:
@@ -549,8 +533,6 @@ def run_teleport_check(config: dict) -> tuple[ExperimentReport, None]:
         sv.apply_pauli(atk[2], out_ids)
         xm, zm = bell_measure(sv, [d], in_ids, rng)
         t = PauliOperator.from_masks(1, xm, zm)
-        from .paulis import transpose_sign
-
         u_in_t = dn.pauli_matrix(atk[1]).T
         want = dn.pauli_matrix(atk[2]) @ dn.circuit_matrix(1, c_ops) @ \
             u_in_t @ dn.pauli_matrix(t) @ dn.pauli_matrix(atk[0]) @ psi

@@ -432,7 +432,7 @@ class QotpVerifier:
         reg = self.data_map[self.program.n_a + i]
         q = self.output_keys[i] * t_pauli * self.vs.keys[reg]
         pulled = self.e_pi.conjugate(q)
-        dpos = self.trap.pi(0)
+        dpos = self.trap.data_position()
         return PauliOperator.from_masks(
             1, (pulled.x >> dpos) & 1, (pulled.z >> dpos) & 1)
 
@@ -795,7 +795,7 @@ class QotpInstance:
                 for g in trap.decoding_ops(tmp_ids):
                     st.apply_gate(*g)
                 session.adopt(f"BoutR{i}", in_ids)
-                dpos = trap.pi(0)
+                dpos = trap.data_position()
                 session.aux[f"Bout{i}"] = {
                     "out": tmp_ids[dpos],
                     "syndromes": [q for p, q in enumerate(tmp_ids)

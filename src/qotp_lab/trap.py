@@ -7,26 +7,50 @@ register (quantum one-time pad).
 
 Role layout before permuting: positions 0..n-1 carry the encoded base block
 (in base-encoder wire order), n..2n-1 the |0> traps, 2n..3n-1 the |+> traps.
-Role r sits at physical position pi(r).
+Role r sits at physical position pi(r).  A ``TrapCode`` computes its trap
+masks and embedded base checks once; attack classification, record decoding
+and the security estimates all read them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import permutations
 
 from .css import CssCode
 from .paulis import PauliOperator, Permutation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrapCode:
+    """One permutation's trap code, its layout computed once.
+
+    ``zero_mask`` and ``plus_mask`` mark the |0> and |+> traps; ``hz_rows``,
+    ``hx_rows``, ``logical_x`` and ``logical_z`` are the base code's checks
+    and logicals embedded at their physical positions.  Together with the
+    trap singletons these rows are the checks of a [[3n,1,d]] CSS code.
+    """
+
     base: CssCode
     pi: Permutation
+    zero_mask: int = field(init=False, repr=False, compare=False)
+    plus_mask: int = field(init=False, repr=False, compare=False)
+    hz_rows: tuple = field(init=False, repr=False, compare=False)
+    hx_rows: tuple = field(init=False, repr=False, compare=False)
+    logical_x: int = field(init=False, repr=False, compare=False)
+    logical_z: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.pi.size != 3 * self.base.n:
             raise ValueError("permutation must act on 3n qubits")
+        put = object.__setattr__
+        put(self, "zero_mask", sum(1 << p for p in self.zero_trap_positions))
+        put(self, "plus_mask", sum(1 << p for p in self.plus_trap_positions))
+        put(self, "hz_rows", tuple(map(self.embed_base_mask, self.base.hz)))
+        put(self, "hx_rows", tuple(map(self.embed_base_mask, self.base.hx)))
+        put(self, "logical_x", self.embed_base_mask(self.base.logical_x))
+        put(self, "logical_z", self.embed_base_mask(self.base.logical_z))
 
     @property
     def n(self) -> int:
@@ -38,50 +62,35 @@ class TrapCode:
 
     # -- position bookkeeping ----------------------------------------------
     @property
-    def base_positions(self) -> list[int]:
-        return [self.pi(r) for r in range(self.base.n)]
+    def base_positions(self) -> tuple:
+        return self.pi.mapping[:self.base.n]
 
     @property
-    def zero_trap_positions(self) -> list[int]:
-        return [self.pi(r) for r in range(self.base.n, 2 * self.base.n)]
+    def zero_trap_positions(self) -> tuple:
+        return self.pi.mapping[self.base.n:2 * self.base.n]
 
     @property
-    def plus_trap_positions(self) -> list[int]:
-        return [self.pi(r) for r in range(2 * self.base.n, 3 * self.base.n)]
+    def plus_trap_positions(self) -> tuple:
+        return self.pi.mapping[2 * self.base.n:]
 
-    def _mask(self, positions) -> int:
-        m = 0
-        for p in positions:
-            m |= 1 << p
-        return m
+    def data_position(self) -> int:
+        return self.pi.mapping[0]
 
     def embed_base_mask(self, mask: int) -> int:
+        """Base-wire bits of ``mask`` moved to their physical positions."""
         out = 0
-        for wire in range(self.base.n):
+        for wire, p in enumerate(self.base_positions):
             if (mask >> wire) & 1:
-                out |= 1 << self.pi(wire)
+                out |= 1 << p
         return out
 
-    # -- stabilizer structure ------------------------------------------------
-    @property
-    def hx(self) -> tuple:
-        rows = [self.embed_base_mask(r) for r in self.base.hx]
-        rows += [1 << p for p in self.plus_trap_positions]
-        return tuple(rows)
-
-    @property
-    def hz(self) -> tuple:
-        rows = [self.embed_base_mask(r) for r in self.base.hz]
-        rows += [1 << p for p in self.zero_trap_positions]
-        return tuple(rows)
-
-    @property
-    def logical_x(self) -> int:
-        return self.embed_base_mask(self.base.logical_x)
-
-    @property
-    def logical_z(self) -> int:
-        return self.embed_base_mask(self.base.logical_z)
+    def base_word(self, mask: int) -> int:
+        """The base-wire bits of a physical ``mask``: the inverse of
+        ``embed_base_mask``."""
+        word = 0
+        for wire, p in enumerate(self.base_positions):
+            word |= ((mask >> p) & 1) << wire
+        return word
 
     def logical_pauli(self, letter: str) -> PauliOperator:
         """The embedded logical representative of ``letter`` in IXYZ."""
@@ -89,38 +98,13 @@ class TrapCode:
             self.n, self.logical_x if letter in "XY" else 0,
             self.logical_z if letter in "ZY" else 0)
 
-    def as_css(self) -> CssCode:
-        """The trap code is itself a [[3n,1,d]] CSS code."""
-        trap = self
-
-        def decode(c: int) -> tuple[int, int]:
-            rec = trap.decode_record(c)
-            err = 0  # coset-leader pattern: base error + fired zero-traps
-            err |= trap.embed_base_mask(rec.base_error)
-            for p in trap.zero_trap_positions:
-                if (c >> p) & 1:
-                    err |= 1 << p
-            return rec.logical_bit, err
-
-        return CssCode(
-            name=f"trap({self.base.name})",
-            n=self.n,
-            d=self.d,
-            hx=self.hx,
-            hz=self.hz,
-            logical_x=self.logical_x,
-            logical_z=self.logical_z,
-            self_dual=self.base.self_dual,
-            _decode=decode,
-        )
-
     # -- encoder as explicit operations ---------------------------------------
     def encoding_ops(self, ids: list[int]) -> list[tuple]:
         """Gate list realizing E_pi on the given 3n qubit ids.
 
         ``ids[p]`` is the qubit at physical position p; the logical data is
-        expected on ``ids[self.pi(0)]`` (base encoder wire 0), syndrome and
-        trap inputs must be |0>.
+        expected on ``ids[self.data_position()]`` (base encoder wire 0),
+        syndrome and trap inputs must be |0>.
         """
         gates = []
         for p in self.plus_trap_positions:
@@ -139,9 +123,6 @@ class TrapCode:
             gates.append(("H", ids[p]))
         return gates
 
-    def data_position(self) -> int:
-        return self.pi(0)
-
     # -- classical record decoding ---------------------------------------------
     def decode_record(self, c: int, hadamard: bool = False) -> "RecordDecode":
         """Decode a 3n-bit computational-basis record (already key-unmasked).
@@ -150,28 +131,15 @@ class TrapCode:
         the trap roles swap (|+> traps must now read 0, |0> traps are ignored)
         while the self-dual base decode is unchanged.
         """
-        word = 0
-        for wire in range(self.base.n):
-            if (c >> self.pi(wire)) & 1:
-                word |= 1 << wire
-        res = self.base.classical_decode(word)
-        checked = self.plus_trap_positions if hadamard else \
-            self.zero_trap_positions
-        traps_clean = all(((c >> p) & 1) == 0 for p in checked)
-        return RecordDecode(
-            logical_bit=res.logical_bit,
-            accepted=res.clean and traps_clean,
-            base_error=res.error,
-            traps_clean=traps_clean,
-        )
+        res = self.base.classical_decode(self.base_word(c))
+        traps = self.plus_mask if hadamard else self.zero_mask
+        return RecordDecode(res.logical_bit, res.clean and not c & traps)
 
 
 @dataclass(frozen=True)
 class RecordDecode:
     logical_bit: int
     accepted: bool
-    base_error: int
-    traps_clean: bool
 
 
 @dataclass(frozen=True)
@@ -180,53 +148,42 @@ class AttackClassification:
     x_only_verdict: str   # same set, ignoring the Z-error syndrome
     induced_logical: PauliOperator | None
 
-    def accepted(self) -> bool:
-        return self.verdict != "reject"
 
-
-class _ClassifyData:
-    """Per-permutation masks hoisted out of the classification loop."""
-
-    __slots__ = ("hz_rows", "hx_rows", "zero_mask", "plus_mask",
-                 "logical_x", "logical_z")
-
-    def __init__(self, trap: TrapCode):
-        self.hz_rows = [trap.embed_base_mask(r) for r in trap.base.hz]
-        self.hx_rows = [trap.embed_base_mask(r) for r in trap.base.hx]
-        self.zero_mask = trap._mask(trap.zero_trap_positions)
-        self.plus_mask = trap._mask(trap.plus_trap_positions)
-        self.logical_x = trap.embed_base_mask(trap.base.logical_x)
-        self.logical_z = trap.embed_base_mask(trap.base.logical_z)
-
-
-def classify_masks(data: _ClassifyData, x: int, z: int) -> tuple[str, str]:
+def classify_masks(trap: TrapCode, x: int, z: int) -> tuple[str, str]:
     """(verdict, x_only_verdict) for the attack X^x Z^z, masks only."""
-    x_syn = bool(x & data.zero_mask) or \
-        any((r & x).bit_count() & 1 for r in data.hz_rows)
-    a = (x & data.logical_z).bit_count() & 1
+    x_syn = bool(x & trap.zero_mask) or \
+        any((r & x).bit_count() & 1 for r in trap.hz_rows)
+    a = (x & trap.logical_z).bit_count() & 1
     if x_syn:
         x_only = "reject"
     elif a:
         x_only = "nontrivial_accept"
     else:
         x_only = "trivial_accept"
-    z_syn = bool(z & data.plus_mask) or \
-        any((r & z).bit_count() & 1 for r in data.hx_rows)
+    z_syn = bool(z & trap.plus_mask) or \
+        any((r & z).bit_count() & 1 for r in trap.hx_rows)
     if x_syn or z_syn:
         return "reject", x_only
-    b = (z & data.logical_x).bit_count() & 1
+    b = (z & trap.logical_x).bit_count() & 1
     verdict = "nontrivial_accept" if (a | b) else "trivial_accept"
     return verdict, x_only
 
 
 def classify_pauli_attack(trap: TrapCode, q: PauliOperator) -> AttackClassification:
-    """Exact symbolic classification of a Pauli attack on the trap code."""
+    """Exact symbolic classification of a Pauli attack on the trap code.
+
+    An accepted attack acts on the traps only through their stabilizers (Z
+    on |0> traps, X on |+> traps), so its induced logical is that of its
+    base part, phase included.
+    """
     if q.n != trap.n:
         raise ValueError("size mismatch")
-    verdict, x_only = classify_masks(_ClassifyData(trap), q.x, q.z)
+    verdict, x_only = classify_masks(trap, q.x, q.z)
     induced = None
     if verdict != "reject":
-        induced = trap.as_css().logical_pauli_of(q).logical
+        base_q = PauliOperator(trap.base.n, trap.base_word(q.x),
+                               trap.base_word(q.z), q.phase_exp)
+        induced = trap.base.logical_pauli_of(base_q).logical
     return AttackClassification(verdict, x_only, induced)
 
 
@@ -264,7 +221,7 @@ def authenticate_register(state, trap: TrapCode, key: PauliOperator,
     """Encode ``data_qubit`` plus fresh traps and apply the Pauli key.
 
     Returns the 3n register qubit ids in physical-position order; the data
-    qubit is placed at position pi(0).
+    qubit is placed at ``trap.data_position()``.
     """
     n3 = trap.n
     fresh = state.append_qubits(n3 - 1)
@@ -329,22 +286,21 @@ class SecurityEstimate:
 
 def estimate_attack_security(base: CssCode, attack: PauliOperator,
                              samples: int, rng,
-                             traps: list[_ClassifyData] | None = None
+                             traps: list[TrapCode] | None = None
                              ) -> SecurityEstimate:
     """Fraction of uniform permutations for which the fixed attack is a
     nontrivial accept, with a 95% Wilson CI, against (2/3)^{w/2}.
 
-    ``traps`` may supply a pre-sampled shared permutation set, as the
-    ``_ClassifyData`` of each code, so several attacks are estimated against
-    identical code draws; ``samples`` and ``rng`` are then unused.
+    ``traps`` may supply a pre-sampled shared set of trap codes, so several
+    attacks are estimated against identical code draws; ``samples`` and
+    ``rng`` are then unused.
     """
     if traps is None:
-        traps = (_ClassifyData(sample_trap_code(base, rng))
-                 for _ in range(samples))
+        traps = (sample_trap_code(base, rng) for _ in range(samples))
     else:
         samples = len(traps)
-    hits = sum(classify_masks(data, attack.x, attack.z)[0]
-               == "nontrivial_accept" for data in traps)
+    hits = sum(classify_masks(trap, attack.x, attack.z)[0]
+               == "nontrivial_accept" for trap in traps)
     eps_hat, lo, hi = wilson_interval(hits, samples)
     w = attack.weight()
     return SecurityEstimate(attack.to_label(), w, samples, eps_hat, lo, hi,
@@ -353,17 +309,11 @@ def estimate_attack_security(base: CssCode, attack: PauliOperator,
 
 def enumerate_attack_security(base: CssCode, attack: PauliOperator) -> float:
     """Exact Pr_pi[nontrivial accept] by enumeration (3n <= ~8 only)."""
-    from itertools import permutations
-
     n3 = 3 * base.n
-    total = 0
-    hits = 0
-    for perm in permutations(range(n3)):
-        trap = TrapCode(base, Permutation(n3, perm))
-        total += 1
-        if classify_pauli_attack(trap, attack).verdict == "nontrivial_accept":
-            hits += 1
-    return hits / total
+    verdicts = [classify_masks(TrapCode(base, Permutation(n3, perm)),
+                               attack.x, attack.z)[0]
+                for perm in permutations(range(n3))]
+    return verdicts.count("nontrivial_accept") / len(verdicts)
 
 
 def exact_placement_probability(base: CssCode, positions: list[int]) -> float:
@@ -399,8 +349,7 @@ def security_sweep_rows(base: CssCode, weight: int, attacks: int,
     All attacks are judged against one shared set of permutation draws.
     """
     n3 = 3 * base.n
-    trap_data = [_ClassifyData(sample_trap_code(base, rng))
-                 for _ in range(samples)]
+    traps = [sample_trap_code(base, rng) for _ in range(samples)]
     rows = []
     for _ in range(attacks):
         positions = rng.choice(n3, size=weight, replace=False)
@@ -409,7 +358,7 @@ def security_sweep_rows(base: CssCode, weight: int, attacks: int,
             mask |= 1 << int(p)
         attack = PauliOperator.from_masks(n3, mask, 0)
         rows.append(estimate_attack_security(
-            base, attack, samples, rng, traps=trap_data))
+            base, attack, samples, rng, traps=traps))
     return rows
 
 

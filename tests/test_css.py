@@ -77,6 +77,11 @@ class TestSteane:
         want[64] = b
         assert np.allclose(vec, want, atol=1e-12)
 
+    def test_encoder_built_once(self):
+        code = build_steane()
+        assert code.encoder is code.encoder
+        assert code.encoder == STEANE.encoder
+
     def test_distance_exhaustive_weight_two(self):
         # no weight-1 or weight-2 Pauli is an undetected nontrivial logical
         for q in dn.all_paulis(2):

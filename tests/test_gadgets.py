@@ -28,7 +28,8 @@ def run_single_gate(base, gate, label, backend_kind, seed):
         base, circuit, [label], backend, rng)
     records, replies = run_encoded_circuit(session, verifier, circuit, data)
     ok, out = session.recover_register(data[0], verifier.keys[data[0]])
-    return session, (records, replies), ok, out
+    # ok: the verifier accepted every gadget record and the final register
+    return session, (records, replies), ok and not verifier.cheated, out
 
 
 def recover_all(session, verifier, data):

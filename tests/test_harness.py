@@ -1,5 +1,6 @@
 """Driver, report, and CLI contract tests."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -73,6 +74,28 @@ class TestDeterminism:
         r2, c2 = run_experiment("trap-security", dict(config))
         assert r1.to_canonical() == r2.to_canonical()
         assert c1 == c2
+
+    # sha256 of report.to_canonical() and of the CSV (None: no CSV). A
+    # refactor keeps these; a change that alters a report on purpose
+    # records the new digests and says why.
+    @pytest.mark.parametrize("command,config,report_sha,csv_sha", [
+        ("trap-security", {"seed": 9, "attacks": 3, "samples": 500},
+         "3b67722ea7c75c0ccd5571b5c8f3d54bb19a5c9f3648be774c3032488b41b167",
+         "16f4cfffa67babb9cf4db2f41e1ed82894417f0023a013d801d0c25aa024a1d6"),
+        ("trap-distance", {"seed": 9, "permutations": 20},
+         "b2e0449575f083849d867f3162cd6768aa633789f90c16e6b6f9f9542a03274f",
+         None),
+        ("qotp-attack", {"seed": 9, "runs": 20},
+         "5a0a347d6152d39cfccca914752d8efba05f7bfec21fd1430697137fd62930a4",
+         None),
+    ])
+    def test_golden_digest(self, command, config, report_sha, csv_sha):
+        def sha(text):
+            return hashlib.sha256(text.encode()).hexdigest()
+
+        report, csv_text = run_experiment(command, dict(config))
+        assert sha(report.to_canonical()) == report_sha
+        assert (csv_text and sha(csv_text)) == csv_sha
 
 
 class TestCli:

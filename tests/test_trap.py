@@ -7,7 +7,8 @@ from scipy.stats import chisquare
 
 from qotp_lab import denseops as dn
 from qotp_lab.backends import StateVector, TableauState
-from qotp_lab.css import build_steane, build_toy_code
+from qotp_lab.css import build_steane, build_toy_code, concatenate
+from qotp_lab.gf2 import dot
 from qotp_lab.paulis import PauliOperator, Permutation
 from qotp_lab.trap import (AttackClassification, TrapCode,
                            authenticate_register, classify_pauli_attack,
@@ -43,9 +44,24 @@ class TestBuild:
     def test_trap_code_is_css(self):
         rng = np.random.default_rng(1)
         trap = sample_trap_code(STEANE, rng)
-        css = trap.as_css()
-        assert css.n == 21 and css.d == 3
-        assert len(css.hx) == 10 and len(css.hz) == 10
+        assert trap.n == 21 and trap.d == 3
+        # X checks: embedded base rows plus the |+> trap singletons; Z
+        # checks: embedded base rows plus the |0> trap singletons
+        hx = trap.hx_rows + tuple(1 << p for p in trap.plus_trap_positions)
+        hz = trap.hz_rows + tuple(1 << p for p in trap.zero_trap_positions)
+        assert len(hx) == 10 and len(hz) == 10
+        assert all(dot(rx, rz) == 0 for rx in hx for rz in hz)
+        assert all(dot(trap.logical_x, rz) == 0 for rz in hz)
+        assert all(dot(trap.logical_z, rx) == 0 for rx in hx)
+        assert dot(trap.logical_x, trap.logical_z) == 1
+        assert trap.zero_mask == sum(hz[3:]) and trap.plus_mask == sum(hx[3:])
+
+    def test_base_word_inverts_embedding(self):
+        rng = np.random.default_rng(3)
+        trap = sample_trap_code(STEANE, rng)
+        for word in range(1 << 7):
+            assert trap.base_word(trap.embed_base_mask(word)) == word
+        assert trap.base_word(trap.zero_mask | trap.plus_mask) == 0
 
     def test_reduced_density_matches_bare_encoding(self):
         rng = np.random.default_rng(2)
@@ -230,6 +246,48 @@ class TestClassification:
                         g = dn.pauli_matrix(cls.induced_logical)
                         assert np.allclose(rho, g @ want @ g.conj().T,
                                            atol=1e-9)
+
+    @pytest.mark.parametrize("base,attacks", [(STEANE, 40),
+                                              (concatenate(STEANE, 2), 8)])
+    def test_accepted_attacks_match_state_level(self, base, attacks):
+        """Accepted attacks built from a logical, random stabilizers and
+        random trap stabilizers: the tableau run accepts, and the data
+        comes out as g rho g^dagger for the classified induced logical."""
+        rng = np.random.default_rng(29)
+        inputs = {"0": [], "+": [("H",)], "+i": [("H",), ("K",)]}
+        for trial in range(attacks):
+            key = sample_auth_key(base, ["r"], rng)
+            trap, pk = key.trap, key.pauli_keys["r"]
+            a, b = trial & 1, (trial >> 1) & 1
+            x = trap.logical_x if a else 0
+            z = trap.logical_z if b else 0
+            for row in trap.hx_rows:
+                x ^= row * int(rng.integers(0, 2))
+            for row in trap.hz_rows:
+                z ^= row * int(rng.integers(0, 2))
+            for p in trap.plus_trap_positions:
+                x |= int(rng.integers(0, 2)) << p
+            for p in trap.zero_trap_positions:
+                z |= int(rng.integers(0, 2)) << p
+            attack = PauliOperator.from_masks(trap.n, x, z)
+            cls = classify_pauli_attack(trap, attack)
+            assert cls.verdict == ("nontrivial_accept" if a or b
+                                   else "trivial_accept")
+            g = cls.induced_logical
+            assert (g.x, g.z) == (a, b)
+            gm = dn.pauli_matrix(g)
+            for gates in inputs.values():
+                t = TableauState(0)
+                data = t.append_qubits(1)[0]
+                for (name,) in gates:
+                    t.apply_gate(name, data)
+                rho = t.density_of([data])
+                ids = authenticate_register(t, trap, pk, data)
+                t.apply_pauli(attack, ids)
+                ok, out = verify_and_decode(t, trap, pk, ids, rng)
+                assert ok
+                assert np.allclose(t.density_of([out]),
+                                   gm @ rho @ gm.conj().T, atol=1e-12)
 
     def test_key_reuse_two_registers(self):
         # attacks on one register never change the other's accept status
