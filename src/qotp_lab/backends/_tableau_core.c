@@ -403,7 +403,9 @@ static int first_anticommuting(Kernel *t, int q)
 }
 
 /* The deterministic outcome: the product of the stabilizer rows selected
- * by the destabilizer X bits at q, whose phase is counted mod 4. */
+ * by the destabilizer X bits at q, whose phase is counted mod 4.  A column
+ * with no X in the selected rows adds nothing, so its Z plane is not
+ * read, as in the pure kernel. */
 static int deterministic_value(Kernel *t, int q)
 {
     int j, w, n = t->n, W = t->W, first = n >> 6;  /* sel is in [n, 2n) */
@@ -415,10 +417,12 @@ static int deterministic_value(Kernel *t, int q)
     for (j = 0; j < n; j++) {
         const u64 *x = XP(t, j), *z = ZP(t, j);
         xs = zs = 0;
-        for (w = first; w < W; w++) {
-            zs += popcount64(z[w] & t->sel[w]);
+        for (w = first; w < W; w++)
             xs += popcount64(x[w] & t->sel[w]);
-        }
+        if (!xs)
+            continue;
+        for (w = first; w < W; w++)
+            zs += popcount64(z[w] & t->sel[w]);
         acc += zs * xs;
     }
     return (int)((acc >> 1) & 1);
@@ -436,13 +440,16 @@ static PyObject *kernel_peek(Kernel *t, PyObject *arg)
 
 /* Measure qubit q; random_bit is consumed only for random outcomes.
  *
- * One pass over the columns, as in the pure kernel: rows p and d = p-n are
- * never in sel, so the row sums row_i <- row_p * row_i for i in sel and the
- * move "destabilizer d := row p, row p := Z_q" share it, each column
- * reading its own row-p bits.  The phase of every row sum is kept as a
- * two-bit accumulator per row (lo, hi) of
+ * As in the pure kernel, rows p and d = p-n are never in sel, so the row
+ * sums row_i <- row_p * row_i for i in sel and the move "destabilizer
+ * d := row p, row p := Z_q" share one loop, each column reading its own
+ * row-p bits.  The phase of every row sum is kept as a two-bit accumulator
+ * per row (lo, hi) of
  * (|xi&zi| - |xi'&zi'| + 2|zp&xi| + |xp&zp| + 2 rp) mod 4, which ends at 0
- * or 2, so hi is the sign flip. */
+ * or 2, so hi is the sign flip.  Only the pivot rows' support is visited:
+ * a column where rows p and d are both clear adds |xi&zi| and then
+ * 3|xi&zi| (0 mod 4), takes no row sum and has no pivot bit to move, so
+ * it is skipped. */
 static PyObject *kernel_measure(Kernel *t, PyObject *const *args,
                                 Py_ssize_t nargs)
 {
@@ -464,9 +471,12 @@ static PyObject *kernel_measure(Kernel *t, PyObject *const *args,
     memset(lo, 0, (size_t)W * sizeof(u64));
     memset(hi, 0, (size_t)W * sizeof(u64));
     for (j = 0; j < n; j++) {
-        u64 *xp = XP(t, j), *zp = ZP(t, j), x, z, l, h, b;
+        u64 *xp = XP(t, j), *zp = ZP(t, j), x, z, l, h, b, mx, mz;
         int xpj = get_bit(xp, p), zpj = get_bit(zp, p);
-        u64 mx = -(u64)xpj, mz = -(u64)zpj;
+        if (!(xpj | zpj | get_bit(xp, d) | get_bit(zp, d)))
+            continue;
+        mx = -(u64)xpj;
+        mz = -(u64)zpj;
         for (w = 0; w < W; w++) {
             x = xp[w];
             z = zp[w];

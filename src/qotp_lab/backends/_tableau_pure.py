@@ -3,16 +3,21 @@
 Column-major layout: for each qubit there is one X plane and one Z plane,
 each a Python integer whose bit i is the row-i entry (rows 0..n-1 are
 destabilizers, rows n..2n-1 stabilizers).  Row signs live in one integer
-plane.  Single- and two-qubit gates are then O(1) big-integer operations and
-a random measurement is one pass over the columns that does the bit-sliced
-row sums and the pivot-row moves together, which keeps this fallback usable
-at a few hundred qubits.
+plane.  Single- and two-qubit gates are then O(1) big-integer operations.  A
+random measurement is one scan, then the pivot rows' support: one C-level
+scan finds the columns where the pivot stabilizer row or the destabilizer
+it overwrites has a bit, and only those columns run the bit-sliced row sums
+and the pivot-row moves, which keeps this fallback usable at a few hundred
+qubits.
 
 Row i represents the Pauli (-1)^{sign_i} * prod_j letter(x_ij, z_ij) with
 letter(1,1) = Y.
 """
 
 from __future__ import annotations
+
+from itertools import compress, repeat
+from operator import and_, or_
 
 
 class TableauKernel:
@@ -102,20 +107,27 @@ class TableauKernel:
 
     def _deterministic_value(self, q: int) -> int:
         n = self.n
-        # Select stabilizer rows indexed by destabilizer x-bits at q.
-        sel = (self.xcols[q] & ((1 << n) - 1)) << n
+        xcols, zcols = self.xcols, self.zcols
+        # Select stabilizer rows indexed by destabilizer x-bits at q; a
+        # column with no X in those rows adds nothing, so one scan finds
+        # the columns to count.
+        sel = (xcols[q] & ((1 << n) - 1)) << n
         acc = 2 * (self.signs & sel).bit_count()
-        for j in range(n):
-            acc += ((self.zcols[j] & sel).bit_count()
-                    * (self.xcols[j] & sel).bit_count())
+        for j in compress(range(n), map(and_, xcols, repeat(sel))):
+            acc += ((zcols[j] & sel).bit_count()
+                    * (xcols[j] & sel).bit_count())
         return (acc >> 1) & 1
 
     def measure(self, q: int, random_bit: int) -> tuple[int, bool]:
         """Measure qubit q; random_bit is consumed only for random outcomes.
 
-        One pass over the columns: rows p and p-n are never in ``sel``, so
-        the row sums into ``sel`` and the move "destabilizer p-n := row p,
-        row p := Z_q" share it, each column reading its own row-p bits."""
+        One scan, then the pivot rows' support: rows p and d = p-n are
+        never in ``sel``, so the row sums into ``sel`` and the move
+        "destabilizer d := row p, row p := Z_q" share one loop, each column
+        reading its own row-p bits.  A column where rows p and d are both
+        clear is left as it is: its phase terms add b and then 3b (0 mod 4),
+        it takes no row sum and it has no pivot bit to move, so the loop
+        runs only over the columns the scan finds."""
         n = self.n
         xcols, zcols = self.xcols, self.zcols
         anti = xcols[q] >> n
@@ -130,7 +142,10 @@ class TableauKernel:
         # + |xp&zp|) mod 4; the final result is 0 or 2 and bit 1 is the flip.
         lo = hi = 0
         c1 = 0  # |xp & zp| scalar
-        for j in range(n):
+        # Lazy is safe: the loop writes only column j, which the scan passed.
+        touched = compress(range(n), map(and_, map(or_, xcols, zcols),
+                                         repeat(pbit | dbit)))
+        for j in touched:
             xq, zq = xcols[j], zcols[j]
             xpj, zpj = (xq >> p) & 1, (zq >> p) & 1
             b = xq & zq                      # + |xi & zi|

@@ -294,13 +294,14 @@ def run_gadget_check(config: dict) -> tuple[ExperimentReport, None]:
 
     def run(base, circuit, inputs, state, stream):
         """The encoded circuit, then every data register de-authenticated:
-        (all accepted, the density of the data qubits)."""
+        (every gadget record and register accepted, the density of the data
+        qubits)."""
         session, verifier, data = make_gadget_session(
             base, circuit, inputs, state, rngmod.stream(seed, stream))
         run_encoded_circuit(session, verifier, circuit, data)
         recovered = [session.recover_register(d, verifier.keys[d])
                      for d in data]
-        return (all(ok for ok, _ in recovered),
+        return (all(ok for ok, _ in recovered) and not verifier.cheated,
                 session.state.density_of([q for _, q in recovered]))
 
     worst = {}

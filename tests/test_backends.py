@@ -392,4 +392,95 @@ class TestKernelDifferential:
                         (circuit, i)
 
 
+class FixedOutcome:
+    """An rng stub that draws the outcome ``bit`` wherever it has weight:
+    the tableau takes ``integers(0, 2)`` as the bit, the statevector
+    returns 1 exactly when ``random() < p1``."""
+
+    bit = 0
+
+    def integers(self, lo, hi):
+        return self.bit
+
+    def random(self):
+        return 0.25 if self.bit else 0.75
+
+
+def encoded_block_circuit(rng):
+    """A protocol-shaped run on <= 12 qubits: blocks of 3 or 4 qubits, each
+    encoded by a CNOT fan from its first qubit, coupled by transversal
+    gates, then measured one block at a time (sometimes after a bitwise H),
+    with a gadget-like round among the live blocks after each measured one.
+    Returns the qubit count, the ("gate", name, qubits) and
+    ("measure", block) steps, the block left live and each block's first
+    qubit."""
+    sizes = [int(k) for k in rng.integers(3, 5, size=3)]
+    starts = np.cumsum([0] + sizes)
+    blocks = [list(range(starts[i], starts[i + 1])) for i in range(3)]
+    steps = []
+
+    def transversal(live):
+        a, b = (blocks[i] for i in rng.choice(live, size=2, replace=False))
+        if rng.random() < 0.5:
+            a, b = b, a
+        steps.extend(("gate", "CNOT", (qa, qb)) for qa, qb in zip(a, b))
+        for q in a + b:
+            name = "IXYZHK"[int(rng.integers(0, 6))]
+            if name != "I" and rng.random() < 0.3:
+                steps.append(("gate", name, (q,)))
+
+    for block in blocks:
+        for name in ("H", "K", "X")[:int(rng.integers(0, 4))]:
+            steps.append(("gate", name, (block[0],)))
+        steps.extend(("gate", "CNOT", (block[0], q)) for q in block[1:])
+        if rng.random() < 0.5:
+            steps.extend(("gate", "H", (q,)) for q in block)
+    live = [0, 1, 2]
+    transversal(live)
+    for i in rng.permutation(3)[:2]:
+        if rng.random() < 0.5:
+            steps.extend(("gate", "H", (q,)) for q in blocks[i])
+        steps.append(("measure", blocks[i]))
+        live.remove(int(i))
+        if len(live) == 2:
+            transversal(live)
+    return int(starts[-1]), steps, blocks[live[0]], [b[0] for b in blocks]
+
+
+class TestTableauAgainstStatevector:
+    """The tableau against the dense statevector, an oracle independent of
+    both tableau kernels, on sparse encoded-block runs where a random
+    measurement's pivot rows cover few columns."""
+
+    @pytest.mark.parametrize("lane", ["pure", "compiled"])
+    def test_encoded_blocks_match(self, lane, request, monkeypatch):
+        from qotp_lab.backends import tableau
+
+        if lane == "compiled":
+            monkeypatch.setattr(tableau, "TableauKernel",
+                                request.getfixturevalue("compiled_kernel"))
+        else:
+            monkeypatch.setattr(tableau, "TableauKernel",
+                                _tableau_pure.TableauKernel)
+        rng = np.random.default_rng(1211)
+        fixed = FixedOutcome()
+        for trial in range(150):
+            n, steps, live, firsts = encoded_block_circuit(rng)
+            states = (TableauState(n), StateVector(n))
+            for step in steps:
+                if step[0] == "gate":
+                    for s in states:
+                        s.apply_gate(step[1], *step[2])
+                    continue
+                for q in step[1]:
+                    fixed.bit = int(rng.integers(0, 2))
+                    (tb, tp), (vb, vp) = (s.measure(q, fixed)
+                                          for s in states)
+                    assert tb == vb and abs(tp - vp) < 1e-9, (trial, q)
+            keep = sorted(set(live) | set(firsts))
+            assert np.allclose(states[0].density_of(keep),
+                               states[1].density_of(keep),
+                               atol=1e-9), trial
+
+
 KERNELS_NOTE = f"active tableau kernel: {KERNEL}"

@@ -183,6 +183,24 @@ class TestCli:
         assert a == b
 
 
+class TestGadgetCheck:
+    def test_flagged_gadget_record_fails_its_check(self, monkeypatch):
+        """A gadget run counts only when the verifier accepted every
+        gadget record, not just the recovered registers: a verifier that
+        decodes H-gadget records without the trap-role swap flags honest
+        runs, and gadget-check must fail that gadget."""
+        from qotp_lab.trap import TrapCode
+
+        decode = TrapCode.decode_record
+        monkeypatch.setattr(
+            TrapCode, "decode_record",
+            lambda self, c, hadamard=False: decode(self, c))
+        report, _ = run_experiment("gadget-check", {"seed": 5})
+        verdicts = {c["name"]: c["pass"] for c in report.checks}
+        assert verdicts["gadget_H_exact"] is False
+        assert verdicts["gadget_X_exact"] is True
+
+
 class TestBenchmarkTracer:
     def test_every_traced_target_resolves(self):
         """The benchmark's per-layer tracer wraps package functions from

@@ -330,6 +330,41 @@ class TestSecurityEstimation:
         est = estimate_attack_security(STEANE, attack, 50_000, rng)
         assert est.ci_lo <= exact <= est.ci_hi
 
+    @staticmethod
+    def _brute_placement(base, w):
+        """The nontrivial-accept probability of a weight-w X attack, by
+        listing every set of w slots it can land on (identity layout: base
+        block, then |0> traps, then |+> traps): none on a |0> trap, and
+        the base part passes every Z check but anticommutes with logical Z.
+        """
+        from itertools import combinations
+        from math import comb
+
+        n = base.n
+        count = 0
+        for slots in combinations(range(3 * n), w):
+            if any(n <= s < 2 * n for s in slots):
+                continue
+            word = sum(1 << s for s in slots if s < n)
+            if not any(dot(row, word) for row in base.hz) \
+                    and dot(base.logical_z, word):
+                count += 1
+        return count / comb(3 * n, w)
+
+    @pytest.mark.parametrize("base,weights", [(TOY, range(4)),
+                                              (STEANE, range(1, 8))],
+                             ids=["toy", "steane"])
+    def test_placement_matches_brute_force(self, base, weights):
+        for w in weights:
+            assert exact_placement_probability(base, list(range(w))) \
+                == self._brute_placement(base, w), w
+
+    def test_placement_distance_nine_pinned(self):
+        # computed once by enumerating all 2^24 coset words one by one
+        d9 = concatenate(STEANE, 2)
+        assert exact_placement_probability(d9, list(range(9))) \
+            == 3.489539973495428e-11
+
     def test_exact_enumeration_toy(self):
         # brute-force over all 6 permutations of the toy trap
         attack = PauliOperator.from_masks(3, 0b001, 0)  # X on position 0
