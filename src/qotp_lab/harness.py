@@ -21,9 +21,9 @@ from . import __version__, rng as rngmod
 from . import denseops as dn
 from .css import build_steane, build_toy_code, code_from_spec
 from .paulis import PauliOperator
-from .trap import (classify_masks, enumerate_attack_security,
+from .trap import (count_nontrivial, enumerate_attack_security,
                    estimate_attack_security, exact_placement_probability,
-                   sample_trap_code, security_sweep_rows, sweep_to_csv,
+                   sample_trap_tables, security_sweep_rows, sweep_to_csv,
                    wilson_interval)
 
 # ---------------------------------------------------------------------------
@@ -265,15 +265,8 @@ def run_distance_exhaustive(config: dict) -> tuple[ExperimentReport, None]:
                                   (zi << i) | (zj << j)))
         if limit_pairs and i >= limit_pairs:
             break
-    bad = 0
-    for _ in range(perms):
-        trap = sample_trap_code(base, rng)
-        for x, z in singles:
-            if classify_masks(trap, x, z)[0] == "nontrivial_accept":
-                bad += 1
-        for x, z in pairs:
-            if classify_masks(trap, x, z)[0] == "nontrivial_accept":
-                bad += 1
+    bad = int(count_nontrivial(sample_trap_tables(base, perms, rng),
+                               singles + pairs, n3).sum())
     report = ExperimentReport("trap-distance", config)
     report.add_check("weight_le2_nontrivial_accepts", bad, 0, bad == 0)
     report.extra["attacks_per_permutation"] = len(singles) + len(pairs)

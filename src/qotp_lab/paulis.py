@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .gf2 import dot
 
 _PHASE_LABEL = {0: "+", 1: "+i", 2: "-", 3: "-i"}
@@ -252,8 +254,6 @@ class CliffordUnitary:
     @property
     def symplectic_map(self):
         """2n x 2n GF(2) matrix of the conjugation action on (x|z) rows."""
-        import numpy as np
-
         n = self.n
         m = np.zeros((2 * n, 2 * n), dtype=np.uint8)
         for j in range(n):
@@ -285,8 +285,8 @@ class Permutation:
     def random(size: int, rng) -> "Permutation":
         # Fisher-Yates under the supplied generator.
         arr = list(range(size))
-        for i in range(size - 1, 0, -1):
-            j = int(rng.integers(0, i + 1))
+        swaps = _fisher_yates_swaps(size, 1, rng)[0].tolist()
+        for i, j in zip(range(size - 1, 0, -1), swaps):
             arr[i], arr[j] = arr[j], arr[i]
         return Permutation(size, tuple(arr))
 
@@ -315,3 +315,29 @@ class Permutation:
     def permute_pauli(self, p: PauliOperator) -> PauliOperator:
         return PauliOperator(p.n, self.permute_mask(p.x),
                              self.permute_mask(p.z), p.phase_exp)
+
+
+def _fisher_yates_swaps(size: int, count: int, rng) -> np.ndarray:
+    """The swap indices of ``count`` Fisher-Yates shuffles of ``size``
+    items, drawn in one call: row s, column k is the j in [0, i] swapped
+    with i = size - 1 - k.
+
+    The array draw yields the integers that the scalar draws
+    ``rng.integers(0, i + 1)`` would, in the same order, and leaves ``rng``
+    in the same state.
+    """
+    highs = np.tile(np.arange(size, 1, -1), count)
+    return rng.integers(0, highs).reshape(count, max(size - 1, 0))
+
+
+def random_permutations(size: int, count: int, rng) -> np.ndarray:
+    """``count`` successive ``Permutation.random(size, rng)`` mappings as
+    the rows of one (count, size) array, shuffled together."""
+    swaps = _fisher_yates_swaps(size, count, rng).T.copy()
+    cols = np.tile(np.arange(size)[:, None], (1, count))
+    every = np.arange(count)
+    for i, j in zip(range(size - 1, 0, -1), swaps):
+        held = cols[i].copy()
+        cols[i] = cols[j, every]
+        cols[j, every] = held
+    return cols.T

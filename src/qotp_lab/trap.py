@@ -8,8 +8,10 @@ register (quantum one-time pad).
 Role layout before permuting: positions 0..n-1 carry the encoded base block
 (in base-encoder wire order), n..2n-1 the |0> traps, 2n..3n-1 the |+> traps.
 Role r sits at physical position pi(r).  A ``TrapCode`` computes its trap
-masks and embedded base checks once; attack classification, record decoding
-and the security estimates all read them.
+masks and embedded base checks once; per-key attack classification and
+record decoding read them.  The Monte-Carlo estimates and sweeps instead lay
+out many permutations at once in a ``TrapTable`` of stacked uint64 masks and
+classify every (permutation, attack) pair with array operations.
 """
 
 from __future__ import annotations
@@ -21,7 +23,11 @@ from itertools import permutations
 import numpy as np
 
 from .css import CssCode
-from .paulis import PauliOperator, Permutation
+from .paulis import PauliOperator, Permutation, random_permutations
+
+_CHUNK = 1024       # permutations drawn and laid out at a time
+_BLOCK = 1 << 15    # (permutation, attack) pairs classified at a time
+_BIT = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,6 +177,114 @@ def classify_masks(trap: TrapCode, x: int, z: int) -> tuple[str, str]:
     return verdict, x_only
 
 
+@dataclass(frozen=True, eq=False)
+class TrapTable:
+    """The trap codes of S permutations as stacked uint64 masks.
+
+    Physical position p is bit p % 64 of word p // 64, W = ceil(3n / 64)
+    words per mask.  ``zero``, ``plus``, ``logical_x`` and ``logical_z`` have
+    shape (S, W) and ``hz_rows`` and ``hx_rows`` shape (S, r, W); row s holds
+    what ``TrapCode(base, Permutation(3n, perms[s]))`` holds as Python ints.
+    All six are views of one (S, 4 + r_z + r_x, W) array ``masks``.
+    """
+
+    masks: np.ndarray
+    rz: int
+
+    @classmethod
+    def build(cls, base: CssCode, perms: np.ndarray) -> "TrapTable":
+        """The table of the (S, 3n) permutation mappings ``perms``."""
+        n = base.n
+        roles = [range(n, 2 * n), range(2 * n, 3 * n)] + [
+            [wire for wire in range(n) if (mask >> wire) & 1]
+            for mask in (base.logical_x, base.logical_z, *base.hz, *base.hx)]
+        where = np.ascontiguousarray(perms.T)
+        bits = _BIT[where & 63]
+        masks = np.empty((len(perms), len(roles), -(-perms.shape[1] // 64)),
+                         dtype=np.uint64)
+        for word in range(masks.shape[2]):
+            held = np.where(where >> 6 == word, bits, 0)
+            for k, r in enumerate(roles):
+                masks[:, k, word] = np.bitwise_or.reduce(held[r], axis=0)
+        return cls(masks, len(base.hz))
+
+    zero = property(lambda self: self.masks[:, 0])
+    plus = property(lambda self: self.masks[:, 1])
+    logical_x = property(lambda self: self.masks[:, 2])
+    logical_z = property(lambda self: self.masks[:, 3])
+    hz_rows = property(lambda self: self.masks[:, 4:4 + self.rz])
+    hx_rows = property(lambda self: self.masks[:, 4 + self.rz:])
+
+    def nontrivial_accepts(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """(S, A) bool: the attack X^x[a] Z^z[a], given as (A, W) uint64
+        masks, is a nontrivial accept under permutation s; the first verdict
+        of ``classify_masks`` for every pair.
+
+        Every step is one elementwise pass over (S, A), one check row at a
+        time.  The low bit of an OR of popcounts is the OR of their
+        parities, so the odd-syndrome test keeps ORing popcounts and masks
+        the low bit once.
+        """
+        hit = _words_and(self.zero, x, np.bitwise_or) \
+            | _words_and(self.plus, z, np.bitwise_or)
+        odd = np.zeros(hit.shape, dtype=np.uint8)
+        for row in self.hz_rows.transpose(1, 0, 2):
+            odd |= _popcount(row, x)
+        for row in self.hx_rows.transpose(1, 0, 2):
+            odd |= _popcount(row, z)
+        flip = _popcount(self.logical_z, x) | _popcount(self.logical_x, z)
+        return ((flip & ~odd & 1) != 0) & (hit == 0)
+
+
+def _words_and(mask: np.ndarray, v: np.ndarray, fold) -> np.ndarray:
+    """(S, A) uint64: ``mask[s] & v[a]`` for (S, W) ``mask`` and (A, W)
+    ``v``, its W words folded together by the ufunc ``fold``."""
+    word = mask[:, None, 0] & v[None, :, 0]
+    for k in range(1, v.shape[1]):
+        fold(word, mask[:, None, k] & v[None, :, k], out=word)
+    return word
+
+
+def _popcount(mask: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(S, A) uint8 whose low bit is the parity of ``mask[s] & v[a]``."""
+    return np.bitwise_count(_words_and(mask, v, np.bitwise_xor))
+
+
+def _words(masks: list[int], n3: int) -> np.ndarray:
+    """Python-int masks on ``n3`` positions as an (A, W) uint64 array."""
+    return np.array([[(m >> shift) & 0xFFFF_FFFF_FFFF_FFFF for m in masks]
+                     for shift in range(0, n3, 64)], dtype=np.uint64).T
+
+
+def sample_trap_tables(base: CssCode, count: int, rng):
+    """``count`` uniform permutations as ``TrapTable``s of at most ``_CHUNK``
+    rows each: the permutations, and the stream left in ``rng``, of
+    ``count`` successive ``sample_trap_code`` calls."""
+    for start in range(0, count, _CHUNK):
+        yield TrapTable.build(base, random_permutations(
+            3 * base.n, min(_CHUNK, count - start), rng))
+
+
+def count_nontrivial(tables, attacks: list[tuple[int, int]],
+                     n3: int) -> np.ndarray:
+    """(A,) int64: for each attack X^x Z^z, given as an (x, z) pair of masks
+    on ``n3`` positions, the rows of all ``tables`` under which it is a
+    nontrivial accept; classified in blocks of at most ``_BLOCK``
+    (permutation, attack) pairs."""
+    x = _words([x for x, _ in attacks], n3)
+    z = _words([z for _, z in attacks], n3)
+    hits = np.zeros(len(attacks), dtype=np.int64)
+    step = min(len(attacks), _BLOCK) or 1
+    rows = max(1, _BLOCK // step)
+    for table in tables:
+        for a in range(0, len(attacks), step):
+            for s in range(0, len(table.masks), rows):
+                block = TrapTable(table.masks[s:s + rows], table.rz)
+                hits[a:a + step] += block.nontrivial_accepts(
+                    x[a:a + step], z[a:a + step]).sum(0)
+    return hits
+
+
 def classify_pauli_attack(trap: TrapCode, q: PauliOperator) -> AttackClassification:
     """Exact symbolic classification of a Pauli attack on the trap code.
 
@@ -272,7 +386,10 @@ def wilson_interval(hits: int, trials: int, z: float = 1.959963984540054):
     centre = (phat + z * z / (2 * trials)) / denom
     half = (z / denom) * math.sqrt(
         phat * (1 - phat) / trials + z * z / (4 * trials * trials))
-    return phat, max(0.0, centre - half), min(1.0, centre + half)
+    # at zero hits the lower end is exactly 0; centre - half would leave
+    # float cancellation residue up to ~1e-17
+    lo = 0.0 if hits == 0 else max(0.0, centre - half)
+    return phat, lo, min(1.0, centre + half)
 
 
 @dataclass(frozen=True)
@@ -286,36 +403,30 @@ class SecurityEstimate:
     bound: float
 
 
-def estimate_attack_security(base: CssCode, attack: PauliOperator,
-                             samples: int, rng,
-                             traps: list[TrapCode] | None = None
-                             ) -> SecurityEstimate:
-    """Fraction of uniform permutations for which the fixed attack is a
-    nontrivial accept, with a 95% Wilson CI, against (2/3)^{w/2}.
-
-    ``traps`` may supply a pre-sampled shared set of trap codes, so several
-    attacks are estimated against identical code draws; ``samples`` and
-    ``rng`` are then unused.
-    """
-    if traps is None:
-        traps = (sample_trap_code(base, rng) for _ in range(samples))
-    else:
-        samples = len(traps)
-    hits = sum(classify_masks(trap, attack.x, attack.z)[0]
-               == "nontrivial_accept" for trap in traps)
+def _estimate(attack: PauliOperator, hits: int,
+              samples: int) -> SecurityEstimate:
     eps_hat, lo, hi = wilson_interval(hits, samples)
     w = attack.weight()
     return SecurityEstimate(attack.to_label(), w, samples, eps_hat, lo, hi,
                             (2 / 3) ** (w / 2))
 
 
+def estimate_attack_security(base: CssCode, attack: PauliOperator,
+                             samples: int, rng) -> SecurityEstimate:
+    """Fraction of uniform permutations for which the fixed attack is a
+    nontrivial accept, with a 95% Wilson CI, against (2/3)^{w/2}."""
+    hits = count_nontrivial(sample_trap_tables(base, samples, rng),
+                            [(attack.x, attack.z)], attack.n)
+    return _estimate(attack, int(hits[0]), samples)
+
+
 def enumerate_attack_security(base: CssCode, attack: PauliOperator) -> float:
     """Exact Pr_pi[nontrivial accept] by enumeration (3n <= ~8 only)."""
     n3 = 3 * base.n
-    verdicts = [classify_masks(TrapCode(base, Permutation(n3, perm)),
-                               attack.x, attack.z)[0]
-                for perm in permutations(range(n3))]
-    return verdicts.count("nontrivial_accept") / len(verdicts)
+    perms = np.array(list(permutations(range(n3))))
+    hits = count_nontrivial([TrapTable.build(base, perms)],
+                            [(attack.x, attack.z)], n3)
+    return int(hits[0]) / len(perms)
 
 
 def _span(rows, offset: int = 0) -> np.ndarray:
@@ -359,20 +470,20 @@ def security_sweep_rows(base: CssCode, weight: int, attacks: int,
                         samples: int, rng) -> list[SecurityEstimate]:
     """Monte-Carlo sweep over sampled X-type attacks of the given weight.
 
-    All attacks are judged against one shared set of permutation draws.
+    All attacks are judged against one shared set of permutation draws,
+    all drawn before the attacks.
     """
     n3 = 3 * base.n
-    traps = [sample_trap_code(base, rng) for _ in range(samples)]
-    rows = []
+    tables = list(sample_trap_tables(base, samples, rng))
+    sampled = []
     for _ in range(attacks):
         positions = rng.choice(n3, size=weight, replace=False)
         mask = 0
         for p in positions:
             mask |= 1 << int(p)
-        attack = PauliOperator.from_masks(n3, mask, 0)
-        rows.append(estimate_attack_security(
-            base, attack, samples, rng, traps=traps))
-    return rows
+        sampled.append(PauliOperator.from_masks(n3, mask, 0))
+    hits = count_nontrivial(tables, [(a.x, a.z) for a in sampled], n3)
+    return [_estimate(a, int(h), samples) for a, h in zip(sampled, hits)]
 
 
 def sweep_to_csv(rows: list[SecurityEstimate], base: CssCode) -> str:

@@ -97,6 +97,25 @@ class TestDeterminism:
         assert sha(report.to_canonical()) == report_sha
         assert (csv_text and sha(csv_text)) == csv_sha
 
+    def test_golden_digest_distance_nine(self):
+        # three words per mask (3n = 147 > 64); the digest predates the
+        # batched trap tables
+        report, _ = run_experiment(
+            "trap-distance",
+            {"levels": 2, "permutations": 2, "limit_pairs": 3})
+        assert hashlib.sha256(report.to_canonical().encode()).hexdigest() \
+            == "762a020696879aeb0d6acad41ddc7ec6e5ee1a3ec9e83960a3f8d9c21a5d2e7b"
+
+    def test_zero_hit_rows_pass_at_distance_nine(self):
+        # the exact placement probability, 2.57e-19, is below the 1e-18
+        # that float cancellation once left as the zero-hit lower bound
+        report, csv_text = run_experiment(
+            "trap-security", {"levels": 2, "attack_weight": 5, "attacks": 2,
+                              "samples": 100})
+        assert report.all_pass, report.to_canonical()
+        assert all(line.split(",")[5] == "0"
+                   for line in csv_text.splitlines()[1:])
+
 
 class TestCli:
     def _run(self, *args):

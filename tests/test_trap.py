@@ -6,20 +6,25 @@ import pytest
 from scipy.stats import chisquare
 
 from qotp_lab import denseops as dn
+from qotp_lab import rng as rngmod
+from qotp_lab import trap as trapmod
 from qotp_lab.backends import StateVector, TableauState
 from qotp_lab.css import build_steane, build_toy_code, concatenate
 from qotp_lab.gf2 import dot
-from qotp_lab.paulis import PauliOperator, Permutation
-from qotp_lab.trap import (AttackClassification, TrapCode,
-                           authenticate_register, classify_pauli_attack,
+from qotp_lab.paulis import PauliOperator, Permutation, random_permutations
+from qotp_lab.trap import (AttackClassification, TrapCode, TrapTable,
+                           authenticate_register, classify_masks,
+                           classify_pauli_attack, count_nontrivial,
                            enumerate_attack_security,
                            estimate_attack_security,
                            exact_placement_probability, random_pauli,
                            sample_auth_key, sample_trap_code,
-                           verify_and_decode, wilson_interval)
+                           sample_trap_tables, verify_and_decode,
+                           wilson_interval)
 
 STEANE = build_steane()
 TOY = build_toy_code()
+D9 = concatenate(STEANE, 2)
 
 
 def identity_trap(base):
@@ -306,6 +311,133 @@ class TestClassification:
             assert ok2
 
 
+def _table_ints(table, s):
+    """Row s of a TrapTable as Python ints, in TrapCode's field order."""
+    def whole(words):
+        return sum(int(w) << (64 * k) for k, w in enumerate(words))
+    return (whole(table.zero[s]), whole(table.plus[s]),
+            tuple(map(whole, table.hz_rows[s])),
+            tuple(map(whole, table.hx_rows[s])),
+            whole(table.logical_x[s]), whole(table.logical_z[s]))
+
+
+def _code_ints(trap):
+    return (trap.zero_mask, trap.plus_mask, trap.hz_rows, trap.hx_rows,
+            trap.logical_x, trap.logical_z)
+
+
+class TestBatchedSampling:
+    """The batched sampler against S sequential scalar draws."""
+
+    @staticmethod
+    def _scalar_fisher_yates(size, rng):
+        # one rng.integers call per swap: the reference the one-call
+        # array draw must reproduce
+        arr = list(range(size))
+        for i in range(size - 1, 0, -1):
+            j = int(rng.integers(0, i + 1))
+            arr[i], arr[j] = arr[j], arr[i]
+        return tuple(arr)
+
+    @pytest.mark.parametrize("make", [
+        lambda: rngmod.stream(4, "trap-security"),
+        lambda: np.random.default_rng(4)], ids=["philox", "pcg64"])
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 21, 147])
+    def test_permutations_match_scalar_draws(self, make, size):
+        ref, one, batch = make(), make(), make()
+        want = [self._scalar_fisher_yates(size, ref) for _ in range(5)]
+        assert [Permutation.random(size, one).mapping
+                for _ in range(5)] == want
+        assert [tuple(p) for p in
+                random_permutations(size, 5, batch).tolist()] == want
+        tail = ref.integers(0, 2 ** 62)
+        assert one.integers(0, 2 ** 62) == tail
+        assert batch.integers(0, 2 ** 62) == tail
+
+    @pytest.mark.parametrize("make", [
+        lambda: rngmod.stream(5, "distance"),
+        lambda: np.random.default_rng(5)], ids=["philox", "pcg64"])
+    @pytest.mark.parametrize("base", [TOY, STEANE, D9],
+                             ids=["toy", "steane", "d9"])
+    def test_tables_match_sequential_trap_codes(self, make, base,
+                                                monkeypatch):
+        # chunks of 3 rows: the chunked stream is the unchunked one
+        monkeypatch.setattr(trapmod, "_CHUNK", 3)
+        a, b = make(), make()
+        tables = list(sample_trap_tables(base, 8, a))
+        assert [len(t.masks) for t in tables] == [3, 3, 2]
+        codes = [sample_trap_code(base, b) for _ in range(8)]
+        rows = [_table_ints(t, s) for t in tables for s in range(len(t.masks))]
+        assert rows == [_code_ints(c) for c in codes]
+        assert a.integers(0, 2 ** 62) == b.integers(0, 2 ** 62)
+
+
+class TestBatchedClassification:
+    """``TrapTable`` verdicts against the scalar ``classify_masks`` for every
+    (permutation, attack) pair."""
+
+    @staticmethod
+    def _attacks(base, codes, rng, count):
+        """Random X-, Z- and Y-bearing attacks of low weight, plus each
+        code's logicals dressed with its trap stabilizers (Z on |0> traps, X
+        on |+> traps), which that code accepts nontrivially, and with one
+        trap flip (X on a |0> trap, Z on a |+> trap), which it rejects."""
+        n3 = 3 * base.n
+        attacks = []
+        for _ in range(count):
+            support = rng.choice(n3, size=int(rng.integers(1, 4)),
+                                 replace=False)
+            x = z = 0
+            for p in support:
+                letter = int(rng.integers(1, 4))
+                x |= (letter & 1) << int(p)
+                z |= (letter >> 1) << int(p)
+            attacks.append((x, z))
+        for trap in codes:
+            dress_z = trap.zero_mask & random_pauli(n3, rng).z
+            dress_x = trap.plus_mask & random_pauli(n3, rng).x
+            flip_x = 1 << trap.zero_trap_positions[0]
+            flip_z = 1 << trap.plus_trap_positions[0]
+            attacks += [(trap.logical_x | dress_x, dress_z),
+                        (dress_x, trap.logical_z | dress_z),
+                        (trap.logical_x | dress_x, trap.logical_z),
+                        (trap.logical_x | flip_x, dress_z),
+                        (dress_x, trap.logical_z | flip_z)]
+        return attacks
+
+    @pytest.mark.parametrize("base,perms,count", [
+        (TOY, 6, 0), (STEANE, 12, 150), (D9, 4, 60)],
+        ids=["toy", "steane", "d9"])
+    def test_verdicts_match_classify_masks(self, base, perms, count,
+                                           monkeypatch):
+        rng = np.random.default_rng(61)
+        n3 = 3 * base.n
+        mappings = random_permutations(n3, perms, rng)
+        codes = [TrapCode(base, Permutation(n3, tuple(m)))
+                 for m in mappings.tolist()]
+        if base is TOY:
+            attacks = [(x, z) for x in range(8) for z in range(8)]
+        else:
+            attacks = self._attacks(base, codes, rng, count)
+        want = np.array([[classify_masks(c, x, z)[0] == "nontrivial_accept"
+                          for x, z in attacks] for c in codes])
+        assert want.any() and not want.all()
+        got = np.array([count_nontrivial(
+            [TrapTable.build(base, mappings[s:s + 1])], attacks, n3)
+            for s in range(perms)])
+        assert (got == want).all()
+        # blocks of 7 pairs split both the attacks and the permutations
+        monkeypatch.setattr(trapmod, "_BLOCK", 7)
+        table = TrapTable.build(base, mappings)
+        assert (count_nontrivial([table], attacks, n3)
+                == want.sum(axis=0)).all()
+
+    def test_toy_table_has_no_check_rows(self):
+        table = TrapTable.build(TOY, random_permutations(
+            3, 5, np.random.default_rng(2)))
+        assert table.hz_rows.shape == table.hx_rows.shape == (5, 0, 1)
+
+
 class TestSecurityEstimation:
     def test_identity_attack_eps_zero(self):
         rng = np.random.default_rng(37)
@@ -375,3 +507,9 @@ class TestSecurityEstimation:
     def test_wilson_interval_sane(self):
         phat, lo, hi = wilson_interval(50, 100)
         assert lo < 0.5 < hi and abs(phat - 0.5) < 1e-12
+
+    @pytest.mark.parametrize("trials", [100, 500, 2000])
+    def test_wilson_zero_hits_lower_bound_is_zero(self, trials):
+        # centre - half cancels to ~1e-18 here instead of 0
+        phat, lo, hi = wilson_interval(0, trials)
+        assert phat == 0.0 and lo == 0.0 and 0.0 < hi < 1.0
