@@ -2,13 +2,15 @@
 
     qotp-lab <command> --config <file.json> [--seed N] [--out dir]
 
-Exit codes: 0 = all checks pass, 1 = some check fails, 2 = bad config.
+Exit codes: 0 = all checks pass, 1 = some check fails, 2 = bad config or
+an output directory that cannot be made.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .harness import COMMANDS, emit_report, run_experiment
@@ -49,6 +51,11 @@ def main(argv=None) -> int:
               f"got {seed!r}", file=sys.stderr)
         return 2
 
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     try:
         report, csv_text = run_experiment(args.command, config)
     except ValueError as exc:

@@ -173,11 +173,16 @@ def is_abort(data: bytes) -> bool:
 
 
 def _bytes_to_blocks(data: bytes, kappa: int) -> list[int]:
-    step = kappa // 8 if kappa >= 8 else 1
-    blocks = []
-    for i in range(0, len(data), step):
-        blocks.append(int.from_bytes(data[i:i + step], "big") & ((1 << kappa) - 1))
-    return blocks or [0]
+    """The kappa-bit MAC blocks of ``data``, most significant first; below
+    kappa = 8 each byte splits into 8 / kappa blocks, so every bit is
+    tagged."""
+    if kappa < 8:
+        mask = (1 << kappa) - 1
+        return [(byte >> shift) & mask for byte in data
+                for shift in range(8 - kappa, -1, -kappa)] or [0]
+    step = kappa // 8
+    return [int.from_bytes(data[i:i + step], "big")
+            for i in range(0, len(data), step)] or [0]
 
 
 def _xor_bytes(a: bytes, b: bytes) -> bytes:

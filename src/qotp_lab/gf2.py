@@ -37,10 +37,6 @@ def rref(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
     return reduced, pivots
 
 
-def rank(rows: list[int], ncols: int) -> int:
-    return len(rref(rows, ncols)[0])
-
-
 def solve(rows: list[int], ncols: int, rhs: list[int]) -> int | None:
     """Solve A x = rhs for x (A given as row masks, rhs as a bit list).
 

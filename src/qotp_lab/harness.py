@@ -358,7 +358,7 @@ def run_qotp(config: dict) -> tuple[ExperimentReport, None]:
     result, inst = honest_receiver_run(
         channel, 0, n_b, base, seed, b_labels=b_labels, backend=backend,
         transport=transport, kappa=kappa)
-    rho = result.state.density_of(result.b_out_qubits)
+    rho = result.session.state.density_of(result.b_out_qubits)
     vec = np.array([1.0 + 0j])
     for label in b_labels:
         vec = np.kron(vec, EIGENSTATE_VECTORS[label])

@@ -21,15 +21,21 @@ an extra teleportation.
 ``compile_controlled_program`` cuts the controlled circuit into its round
 schedule once (``gadgets.build_schedule``, kept as
 ``CompiledProgram.steps``).  Both sides walk those steps and run each gadget
-round through the two halves in ``gadgets``: the verifier (``QotpVerifier``,
-behind a direct call or the chained one-time-program transport) calls
-``VerifierState.gadget_round``, the receiver ``AuthSession.gadget_round``.
+round through the two halves in ``gadgets``: the verifier (``QotpVerifier``)
+calls ``VerifierState.gadget_round``, the receiver
+``AuthSession.gadget_round``.  The receiver reaches the verifier through a
+transport with the verifier's method names: the direct one is the
+``QotpVerifier`` itself, the real one the chained one-time program
+(``BrotpOracle``).
+
 The receiver's side (teleport-in, the simulator's splice, the gadget
-rounds, teleport-out) is interpreted by one walk, ``_walk``.  Every
-measurement on the way is handed to a strategy: ``_Sample`` draws one
-Born outcome per qubit from the instance's outcome stream
-(``QotpInstance.run``), ``_Fan`` follows every joint outcome of the dense
-state as its own branch (``enumerate_protocol_runs``, the exact
+rounds, teleport-out) is interpreted by one walk, the generator ``_walk``,
+which yields one ``RunResult`` per finished branch.  Every measurement on
+the way is handed to a strategy, which yields each branch it makes with
+its outcome (Bell outcomes as x and z masks): ``_Sample`` yields the one
+branch of a Born outcome per qubit drawn from the instance's outcome
+stream (``QotpInstance.run``), ``_Fan`` every joint outcome of the dense
+state, each on its own clone (``enumerate_protocol_runs``, the exact
 real-vs-simulated comparison).  ``_Fan`` takes the teleport-out outcomes
 of a branch as one batch: the verdict is decided once per branch, each
 leaf's final key is read from a per-branch table built by
@@ -39,6 +45,7 @@ stacked read of the state, and a rejected branch draws no junk key.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -279,17 +286,10 @@ def make_teleport_through(state, clifford_ops: list, n: int) -> tuple[list, list
 # the reactive verifier behind the BR-OTP
 # ---------------------------------------------------------------------------
 
-def bits_to_mask(bits) -> int:
-    m = 0
-    for i, b in enumerate(bits):
-        m |= (b & 1) << i
-    return m
-
-
 def record_to_bytes(bits) -> bytes:
-    return bytes([len(bits) & 0xFF, (len(bits) >> 8) & 0xFF]) + bytes(
-        (bits_to_mask(bits) >> (8 * i)) & 0xFF
-        for i in range((len(bits) + 7) // 8))
+    mask = sum((b & 1) << i for i, b in enumerate(bits))
+    return len(bits).to_bytes(2, "little") + mask.to_bytes(
+        (len(bits) + 7) // 8, "little")
 
 
 def bytes_to_record(data: bytes) -> list[int]:
@@ -319,6 +319,11 @@ class QotpVerifier:
         self.pc = 0
         self.pending_need_k = None
         self.e_pi = trap_encoder_clifford(trap)
+
+    @property
+    def audit(self) -> "QotpVerifier":
+        """The live verifier: this one, as the direct transport."""
+        return self
 
     def copy(self) -> "QotpVerifier":
         """An independent verifier at the same point of the schedule."""
@@ -458,64 +463,39 @@ def data_register_name(program: CompiledProgram, wire: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# oracles: the verifier behind a direct call or the real reactive transport
+# the real reactive transport (the direct one is the ``QotpVerifier`` itself)
 # ---------------------------------------------------------------------------
 
-class DirectOracle:
-    """In-process verifier access (used for exhaustive enumerations)."""
-
-    def __init__(self, verifier: QotpVerifier):
-        self.verifier = verifier
-
-    def first_round(self, labels: list[str]) -> None:
-        self.verifier.receive_t_in(labels)
-
-    def round(self, record: list[int]) -> list[int]:
-        return self.verifier.process_round(record)
-
-    def final(self, t_out) -> tuple[list[str], bool]:
-        return self.verifier.finalize(t_out)
-
-    @property
-    def audit(self) -> QotpVerifier:
-        return self.verifier
-
-
 class BrotpOracle:
-    """The verifier wrapped into the reactive one-time program transport.
+    """The verifier wrapped into the reactive one-time program transport,
+    answering under the verifier's method names.
 
     Round payloads are byte strings; the verifier state is carried between
     rounds as the program's authenticated-encrypted internal state (it is
     re-serialized every round, exactly as the chained construction demands).
+    ``audit`` is the verifier the last round restored.
     """
 
     def __init__(self, verifier: QotpVerifier, kappa: int, rng):
-        self.cell = {"verifier": verifier}
+        self.audit = verifier
         state0 = _serialize_verifier(verifier)
         state_len = len(state0) + 96
-        cell = self.cell
-        program = verifier.program
-        trap = verifier.trap
-        output_keys = verifier.output_keys
-        reject_seed = verifier.reject_key_seed
 
         def restore(blob: bytes) -> QotpVerifier:
-            v = _deserialize_verifier(blob, program, trap, output_keys,
-                                      reject_seed)
-            cell["verifier"] = v
-            return v
+            self.audit = _deserialize_verifier(
+                blob, verifier.program, verifier.trap, verifier.output_keys,
+                verifier.reject_key_seed)
+            return self.audit
 
         def g_first(a_state, b1):
             v = restore(a_state)
             v.receive_t_in(json.loads(b1.decode()))
             return b"", _serialize_verifier(v)
 
-        def make_round(idx):
-            def g(b_i, s_prev):
-                v = restore(s_prev)
-                reply = v.process_round(bytes_to_record(b_i))
-                return bytes(reply), _serialize_verifier(v)
-            return g
+        def g_round(b_i, s_prev):
+            v = restore(s_prev)
+            reply = v.process_round(bytes_to_record(b_i))
+            return bytes(reply), _serialize_verifier(v)
 
         def g_final(b_last, s_prev):
             v = restore(s_prev)
@@ -523,8 +503,8 @@ class BrotpOracle:
             labels, cheated = v.finalize(t_out)
             return json.dumps(labels).encode(), b""
 
-        rounds = [g_first] + [make_round(i)
-                              for i in range(program.num_rounds)] + [g_final]
+        program = verifier.program
+        rounds = [g_first] + [g_round] * program.num_rounds + [g_final]
         self.program = brotp_compile(rounds, state0.ljust(state_len, b"\0"),
                                      kappa, state_len, rng)
         self.carried = b""
@@ -538,20 +518,16 @@ class BrotpOracle:
         self.cursor += 1
         return m
 
-    def first_round(self, labels: list[str]) -> None:
+    def receive_t_in(self, labels: list[str]) -> None:
         self._query(json.dumps(labels).encode())
 
-    def round(self, record: list[int]) -> list[int]:
+    def process_round(self, record: list[int]) -> list[int]:
         return list(self._query(record_to_bytes(record)))
 
-    def final(self, t_out) -> tuple[list[str], bool]:
+    def finalize(self, t_out) -> tuple[list[str], bool]:
         reply = self._query(json.dumps([list(t) for t in t_out]).encode())
         labels = json.loads(reply.decode())
         return labels, self.audit.vs.cheated
-
-    @property
-    def audit(self) -> QotpVerifier:
-        return self.cell["verifier"]
 
 
 def _serialize_verifier(v: QotpVerifier) -> bytes:
@@ -667,12 +643,11 @@ class RunResult:
     weight: float         # probability of this branch's outcomes
     b_out_qubits: list
     w_ids: list
-    state: object         # the state the output (final key applied) and
-                          # W qubits live in; None for enumerated leaves
     density: object       # enumerated leaves only: the density of
                           # ``b_out_qubits + w_ids``, final key unapplied
-    session: AuthSession | None  # the live session; None for enumerated
-                                 # leaves
+    session: AuthSession | None  # sampled runs only: the live session, whose
+                                 # state holds the output (final key
+                                 # applied) and W qubits
 
 
 class QotpInstance:
@@ -726,7 +701,7 @@ class QotpInstance:
         verifier = QotpVerifier(program, self.trap, dict(keys),
                                 self.output_keys, seed)
         if transport == "direct":
-            self.oracle = DirectOracle(verifier)
+            self.oracle = verifier
         else:
             self.oracle = BrotpOracle(verifier, kappa,
                                       rngmod.stream(seed, "brotp"))
@@ -757,11 +732,9 @@ class QotpInstance:
             auth = f"Bt{i}"
 
             def prep(session, bare=bare, auth=auth):
-                a, b = session.state.append_qubits(2)
-                session.state.apply_gate("H", a)
-                session.state.apply_gate("CNOT", a, b)
-                session.adopt(bare, [a])
-                authenticate_into(session, auth, b)
+                a, b = make_teleport_through(session.state, [], 1)
+                session.adopt(bare, a)
+                authenticate_into(session, auth, b[0])
 
             ses.declare(bare, prep, group=(bare, auth))
             ses.declare(auth, prep, group=(bare, auth))
@@ -771,11 +744,9 @@ class QotpInstance:
                 sin = f"Sin{i}"
 
                 def prep(session, name=name, sin=sin):
-                    a, b = session.state.append_qubits(2)
-                    session.state.apply_gate("H", a)
-                    session.state.apply_gate("CNOT", a, b)
-                    session.adopt(name, [a])
-                    session.adopt(sin, [b])
+                    a, b = make_teleport_through(session.state, [], 1)
+                    session.adopt(name, a)
+                    session.adopt(sin, b)
 
                 ses.declare(name, prep, group=(name, sin))
                 ses.declare(sin, prep, group=(name, sin))
@@ -786,11 +757,7 @@ class QotpInstance:
 
             def prep(session, i=i):
                 st = session.state
-                in_ids = st.append_qubits(n3)
-                tmp_ids = st.append_qubits(n3)
-                for a, b in zip(in_ids, tmp_ids):
-                    st.apply_gate("H", a)
-                    st.apply_gate("CNOT", a, b)
+                in_ids, tmp_ids = make_teleport_through(st, [], n3)
                 st.apply_pauli(output_keys[i], tmp_ids)
                 for g in trap.decoding_ops(tmp_ids):
                     st.apply_gate(*g)
@@ -809,7 +776,7 @@ class QotpInstance:
     def clone(self, state) -> "QotpInstance":
         """This instance continued on ``state``, with its own register
         table and verifier."""
-        if not isinstance(self.oracle, DirectOracle):
+        if not isinstance(self.oracle, QotpVerifier):
             raise ValueError("only direct-transport instances are clonable")
         inst = QotpInstance.__new__(QotpInstance)
         inst.__dict__.update(self.__dict__)
@@ -824,15 +791,13 @@ class QotpInstance:
             for name, r in ses.registers.items()}
         new_ses.aux = {k: dict(v) for k, v in ses.aux.items()}
         inst.session = new_ses
-        inst.oracle = DirectOracle(self.oracle.verifier.copy())
+        inst.oracle = self.oracle.copy()
         return inst
 
     # -- the run ---------------------------------------------------------------
     def run(self, adversary) -> RunResult:
         """One execution, each outcome Born-sampled from the outcome stream."""
-        leaves = []
-        _walk(self, adversary, _Sample(), leaves.append)
-        return leaves[0]
+        return next(_walk(self, adversary, _Sample()))
 
 
 # ---------------------------------------------------------------------------
@@ -875,49 +840,49 @@ def simulate_sender_run(circuit, n_a: int, n_b: int, base_code: CssCode,
 # the receiver's round-schedule walk and its two measurement strategies
 # ---------------------------------------------------------------------------
 
-def _outcome_bits(k: int, n: int) -> list[int]:
-    """Bits of joint outcome ``k``, first measured qubit most significant."""
-    return [(k >> (n - 1 - i)) & 1 for i in range(n)]
-
-
-def _pair_masks(bits) -> tuple[int, int]:
-    """(x mask, z mask) of Bell outcomes listed as (z bit, x bit) per pair."""
-    return bits_to_mask(bits[1::2]), bits_to_mask(bits[0::2])
-
-
 class _Sample:
     """One branch per measurement: each qubit's outcome is Born-sampled from
     the session's outcome stream.  A Bell pair is rotated and measured
     before the next pair is touched."""
 
-    forks = False
+    def pairs(self, inst, pairs):
+        ses = inst.session
+        xm = zm = 0
+        for j, (d, q) in enumerate(pairs):
+            x, z = bell_measure(ses.state, [d], [q], ses.rng, ses._weigh)
+            xm |= x << j
+            zm |= z << j
+        yield inst, (xm, zm)
 
-    def pairs(self, inst, pairs, then) -> None:
-        then(inst, self._bell(inst, pairs))
-
-    def registers(self, inst, names, then) -> None:
+    def registers(self, inst, names):
         bits = []
         for name in names:
             bits += inst.session.measure_register(name)
-        then(inst, bits)
+        yield inst, bits
 
-    def leaves(self, inst, pairs, keep, finish) -> None:
-        bits = self._bell(inst, pairs)
-        finish(bits, inst.session.prob_weight, inst.oracle.final,
-               inst.session.state, None)
-
-    @staticmethod
-    def _bell(inst, pairs) -> list[int]:
-        ses = inst.session
-        bits = []
-        for d, q in pairs:
-            xm, zm = bell_measure(ses.state, [d], [q], ses.rng, ses._weigh)
-            bits += [zm, xm]
-        return bits
+    def leaves(self, inst, pairs, keep):
+        (_, masks), = self.pairs(inst, pairs)
+        yield masks, inst.session.prob_weight, inst.oracle.finalize, None
 
 
 # the lightest branch the exact enumeration keeps
 MIN_BRANCH_WEIGHT = 1e-15
+
+
+@functools.cache
+def _fan_masks(n_pairs: int) -> list[tuple[int, int]]:
+    """(x mask, z mask) of every joint outcome of ``n_pairs`` rotated Bell
+    pairs, measured as (z bit, x bit) per pair, first bit most
+    significant."""
+    top = 2 * n_pairs - 1
+    table = []
+    for k in range(1 << (2 * n_pairs)):
+        xm = zm = 0
+        for j in range(n_pairs):
+            zm |= ((k >> (top - 2 * j)) & 1) << j
+            xm |= ((k >> (top - 2 * j - 1)) & 1) << j
+        table.append((xm, zm))
+    return table
 
 
 class _Fan:
@@ -932,34 +897,39 @@ class _Fan:
     probability and its density on the kept qubits.  A leaf keeps only that
     density, and a rejected branch draws no junk key."""
 
-    forks = True
+    def pairs(self, inst, pairs):
+        ids = self._rotate(inst, pairs)
+        masks = _fan_masks(len(ids) // 2)
+        for child, k in self._fork(inst, ids):
+            yield child, masks[k]
 
-    def pairs(self, inst, pairs, then) -> None:
-        self._fork(inst, self._rotate(inst, pairs), then)
-
-    def registers(self, inst, names, then) -> None:
+    def registers(self, inst, names):
         ids = []
         for name in names:
             reg = inst.session.materialize(name)
             ids += reg.ids
             reg.status = "consumed"
-        self._fork(inst, ids, then)
+        top = len(ids) - 1
+        for child, k in self._fork(inst, ids):
+            yield child, [(k >> (top - i)) & 1 for i in range(len(ids))]
 
-    def leaves(self, inst, pairs, keep, finish) -> None:
+    def leaves(self, inst, pairs, keep):
         ids = self._rotate(inst, pairs)
+        masks = _fan_masks(len(ids) // 2)
         weight = inst.session.prob_weight
-        final = inst.oracle.audit.branch_final()
+        final = inst.oracle.branch_final()
         for k, p, rho in inst.session.state.joint_densities(ids, keep):
-            finish(_outcome_bits(k, len(ids)), weight * p, final, None, rho)
+            yield masks[k], weight * p, final, rho
 
-    def _fork(self, inst, ids, then) -> None:
+    @staticmethod
+    def _fork(inst, ids):
         weight = inst.session.prob_weight
         for k, p, post in inst.session.state.joint_outcomes(ids):
             if weight * p < MIN_BRANCH_WEIGHT:
                 continue
             child = inst.clone(post)
             child.session.prob_weight = weight * p
-            then(child, _outcome_bits(k, len(ids)))
+            yield child, k
 
     @staticmethod
     def _rotate(inst, pairs) -> list:
@@ -972,15 +942,17 @@ class _Fan:
         return ids
 
 
-def _walk(inst: QotpInstance, adversary, strategy, emit) -> None:
-    """Run the receiver's side of the schedule on ``inst``.
+def _walk(inst: QotpInstance, adversary, strategy):
+    """Run the receiver's side of the schedule on ``inst``, yielding one
+    RunResult per finished branch.
 
     Teleport-in, the simulator's splice of the one ideal call, the gadget
     rounds of ``build_schedule`` and teleport-out happen in order; every
-    measurement goes to ``strategy``, which continues the walk on each
-    branch it makes.  Each finished branch reaches ``emit`` as a RunResult.
-    The adversary's quantum actions must not depend on the replies when
-    the strategy forks, since all branches share one adversary.
+    measurement goes to ``strategy``, which yields each branch it makes
+    with its outcome: (x mask, z mask) for Bell pairs, bit j of each mask
+    for pair j, and a bit list for registers.  The adversary's quantum
+    actions must not depend on the replies when the strategy forks, since
+    all branches share one adversary.
     """
     prog = inst.program
     ses = inst.session
@@ -993,11 +965,13 @@ def _walk(inst: QotpInstance, adversary, strategy, emit) -> None:
     adversary.before(ses.attack, ses.state, w_ids)
     steps = prog.steps
     data_map = {w: data_register_name(prog, w) for w in range(prog.wires)}
+    n3 = inst.trap.n
+    wire_mask = (1 << n3) - 1
 
-    def labels(bits) -> list[str]:
-        masks = [_pair_masks(bits[2 * i:2 * i + 2]) for i in range(prog.n_b)]
-        return [PauliOperator.from_masks(1, x, z).to_label()
-                for x, z in masks]
+    def labels(masks) -> list[str]:
+        xm, zm = masks
+        return [_KEY_LABELS[(xm >> i & 1) | (zm >> i & 1) << 1]
+                for i in range(prog.n_b)]
 
     def teleport_in_pairs(s):
         for i in range(prog.n_b):
@@ -1018,12 +992,60 @@ def _walk(inst: QotpInstance, adversary, strategy, emit) -> None:
             bt.status = br.status = "consumed"
             yield from zip(bt.ids, br.ids)
 
-    def after_teleport_in(branch, bits):
-        t_in = tuple(adversary.tamper_t_in(labels(bits)))
-        if branch.world == "real":
-            branch.oracle.first_round(list(t_in))
-            rounds(branch, 0, None, t_in, (), ())
+    def rounds(branch, pc, need_k, t_in, records, replies):
+        s = branch.session
+        while pc < len(steps) and steps[pc][0] in ("pauli", "cnot"):
+            if steps[pc][0] == "cnot":
+                s.transversal_cnot_physical(data_map[steps[pc][1]],
+                                            data_map[steps[pc][2]])
+            pc += 1
+        if pc < len(steps):
+            kind, wire, slot = steps[pc]
+            measured, takeover = s.gadget_round(kind, data_map[wire], slot,
+                                                need_k)
+            for child, bits in strategy.registers(branch, measured):
+                if takeover is not None:
+                    child.session.take_over(*takeover)
+                bits = adversary.tamper_record(len(records), list(bits))
+                reply = child.oracle.process_round(bits)
+                adversary.between_rounds(len(records), reply,
+                                         child.session.attack,
+                                         child.session.state, w_ids)
+                yield from rounds(
+                    child, pc + 1,
+                    bool(reply[0]) if kind == "round-T" else None, t_in,
+                    records + (tuple(bits),), replies + (tuple(reply),))
             return
+        # teleport-out; the de-authentication resource is
+        # outcome-independent
+        for i in range(prog.n_b):
+            s.materialize(f"BoutR{i}")
+        b_out = [s.aux[f"Bout{i}"]["out"] for i in range(prog.n_b)]
+        for (xm, zm), weight, final, density in strategy.leaves(
+                branch, teleport_out_pairs(s), b_out + list(w_ids)):
+            t_out = adversary.tamper_t_out(
+                [(xm >> n3 * i & wire_mask, zm >> n3 * i & wire_mask)
+                 for i in range(prog.n_b)])
+            s_hat, cheated = final(t_out)
+            sampled = density is None  # enumerated leaves carry no state
+            if cheated:
+                s_out = ("random",)
+            else:
+                s_out = tuple(s_hat)
+                if sampled:
+                    for q, label in zip(b_out, s_hat):
+                        s.state.apply_pauli(PauliOperator.from_label(label),
+                                            [q])
+            yield RunResult(not cheated, cheated, t_in, records, replies,
+                            tuple(t_out), s_out, weight, b_out, list(w_ids),
+                            density, s if sampled else None)
+
+    for branch, masks in strategy.pairs(inst, teleport_in_pairs(ses)):
+        t_in = tuple(adversary.tamper_t_in(labels(masks)))
+        if branch.world == "real":
+            branch.oracle.receive_t_in(list(t_in))
+            yield from rounds(branch, 0, None, t_in, (), ())
+            continue
         # simulator: apply the reported Pauli to S_in, call the ideal
         # channel once, then teleport its output through the authentication
         s = branch.session
@@ -1038,69 +1060,9 @@ def _walk(inst: QotpInstance, adversary, strategy, emit) -> None:
                          for i in range(prog.n_b)]
         for g in prog.base_circuit:
             s.state.apply_gate(g[0], *[wires[w] for w in g[1:]])
-
-        def after_splice(child, bits2):
-            child.oracle.first_round(labels(bits2))
-            rounds(child, 0, None, t_in, (), ())
-
-        strategy.pairs(branch, splice_pairs(s), after_splice)
-
-    def rounds(branch, pc, need_k, t_in, records, replies):
-        s = branch.session
-        while pc < len(steps) and steps[pc][0] in ("pauli", "cnot"):
-            if steps[pc][0] == "cnot":
-                s.transversal_cnot_physical(data_map[steps[pc][1]],
-                                            data_map[steps[pc][2]])
-            pc += 1
-        if pc == len(steps):
-            # the de-authentication resource is outcome-independent
-            for i in range(prog.n_b):
-                s.materialize(f"BoutR{i}")
-            b_out = [s.aux[f"Bout{i}"]["out"] for i in range(prog.n_b)]
-            strategy.leaves(
-                branch, teleport_out_pairs(s), b_out + list(w_ids),
-                lambda bits, weight, final, state, density: finish(
-                    branch, bits, weight, final, state, density, b_out,
-                    t_in, records, replies))
-            return
-        kind, wire, slot = steps[pc]
-        measured, takeover = s.gadget_round(kind, data_map[wire], slot,
-                                            need_k)
-
-        def after_round(child, bits):
-            if takeover is not None:
-                child.session.take_over(*takeover)
-            bits = adversary.tamper_record(len(records), list(bits))
-            reply = child.oracle.round(bits)
-            adversary.between_rounds(len(records), reply,
-                                     child.session.attack,
-                                     child.session.state, w_ids)
-            rounds(child, pc + 1,
-                   bool(reply[0]) if kind == "round-T" else None, t_in,
-                   records + (tuple(bits),), replies + (tuple(reply),))
-
-        strategy.registers(branch, measured, after_round)
-
-    def finish(branch, bits, weight, final, state, density, b_out, t_in,
-               records, replies):
-        per_wire = 2 * inst.trap.n
-        t_out = adversary.tamper_t_out(
-            [_pair_masks(bits[per_wire * i:per_wire * (i + 1)])
-             for i in range(prog.n_b)])
-        s_hat, cheated = final(t_out)
-        if cheated:
-            s_out = ("random",)
-        else:
-            s_out = tuple(s_hat)
-            if not strategy.forks:  # enumerated leaves carry no state
-                for q, label in zip(b_out, s_hat):
-                    state.apply_pauli(PauliOperator.from_label(label), [q])
-        emit(RunResult(not cheated, cheated, t_in, records, replies,
-                       tuple(t_out), s_out, weight, b_out, list(w_ids),
-                       state, density,
-                       None if strategy.forks else branch.session))
-
-    strategy.pairs(inst, teleport_in_pairs(ses), after_teleport_in)
+        for child, splice in strategy.pairs(branch, splice_pairs(s)):
+            child.oracle.receive_t_in(labels(splice))
+            yield from rounds(child, 0, None, t_in, (), ())
 
 
 # ---------------------------------------------------------------------------
@@ -1119,9 +1081,7 @@ def enumerate_protocol_runs(inst: QotpInstance,
     actions do not depend on the replies (the Pauli-attack family used in
     tests).
     """
-    leaves: list[RunResult] = []
-    _walk(inst, adversary, _Fan(), leaves.append)
-    return leaves
+    return list(_walk(inst, adversary, _Fan()))
 
 
 def _world_density_map(world: str, program: CompiledProgram,

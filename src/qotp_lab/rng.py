@@ -23,13 +23,3 @@ def stream(root_seed: int, name: str) -> np.random.Generator:
                                  spawn_key=(_stream_key(name),))
     return np.random.Generator(np.random.Philox(seq))
 
-
-def split(rng_or_seed, name: str, index: int = 0) -> np.random.Generator:
-    """Derive a per-trial generator, e.g. one per Monte-Carlo trajectory."""
-    if isinstance(rng_or_seed, np.random.Generator):
-        base = int(rng_or_seed.integers(0, 2**63))
-    else:
-        base = int(rng_or_seed)
-    seq = np.random.SeedSequence(entropy=base,
-                                 spawn_key=(_stream_key(name), index))
-    return np.random.Generator(np.random.Philox(seq))

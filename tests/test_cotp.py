@@ -194,6 +194,30 @@ class TestBrOtp:
         # abort probability >= 1 - 2^-16 per trial
         assert aborts >= trials - 5
 
+    def test_kappa2_mac_covers_every_state_bit(self):
+        """At kappa = 2 a flip of a carried state's high bit aborts for
+        exactly the 12 GF(4) MAC keys with a != 0 (a = 0 tags nothing)."""
+        class Feed:  # zero pad, then the MAC key bytes a and b
+            def __init__(self, a, b):
+                self.chunks = [bytes(2), bytes([a]), bytes([b])]
+
+            def bytes(self, n):
+                chunk = self.chunks.pop(0)
+                assert len(chunk) == n
+                return chunk
+
+        gs = [lambda a, b1: (b"", b"\x5a\x00"), lambda b2, s: (s, b"")]
+        aborted = set()
+        for a in range(4):
+            for b in range(4):
+                prog = brotp_compile(gs, b"", 2, 2, Feed(a, b))
+                _, carried = brotp_query(prog, 1, b"")
+                c0, c1 = decode_payload(carried)
+                tampered = encode_payload(bytes([c0[0] ^ 0x80]) + c0[1:], c1)
+                if brotp_query(prog, 2, b"", tampered) is None:
+                    aborted.add((a, b))
+        assert aborted == {(a, b) for a in range(1, 4) for b in range(4)}
+
     def test_state_ciphertext_uniform(self):
         from scipy.stats import chisquare
 

@@ -88,6 +88,17 @@ class TestDeterminism:
         ("qotp-attack", {"seed": 9, "runs": 20},
          "5a0a347d6152d39cfccca914752d8efba05f7bfec21fd1430697137fd62930a4",
          None),
+        ("sim-compare", {"seed": 9, "cases": ["dummy", "data-attack"]},
+         "7ebd101518157f3eebbd20435a9ad0362b12cac41a78a68de86ddfcfb90e2f1c",
+         None),
+        ("qotp-run", {"seed": 9, "channel": [["T", 0]],
+                      "code": {"base": "toy"}, "backend": "sv"},
+         "21fe35d2ae3f673a8b3fe861f859c67c2ce09ad62746bad53f82703204e03b14",
+         None),
+        ("qotp-run", {"seed": 9, "channel": [["K", 0]], "b_labels": ["+"],
+                      "backend": "sum"},
+         "035dd14fcb8cc6df5b722462c69ac69b5cd4032cf6407190f0b7ef28e8c2fbb8",
+         None),
     ])
     def test_golden_digest(self, command, config, report_sha, csv_sha):
         def sha(text):
@@ -184,6 +195,15 @@ class TestCli:
             assert all(key in res.stderr for key in config), res.stderr
             assert all(repr(v) in res.stderr for v in config.values()), \
                 res.stderr
+
+    def test_unwritable_out_one_line_exit_two(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        res = self._run("twirl-check", "--out", str(blocker / "out"))
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        assert len(res.stderr.strip().splitlines()) == 1, res.stderr
+        assert res.stdout == ""  # refused before the experiment ran
 
     def test_unknown_command_exit_two(self):
         res = self._run("no-such-command")

@@ -279,9 +279,9 @@ class TestStrategies:
             # the sampled run applied the final key; leaves are before it
             if res.accepted:
                 for q, label in zip(res.b_out_qubits, res.s_hat):
-                    res.state.apply_pauli(PauliOperator.from_label(label),
-                                          [q])
-            return res.state.density_of(res.b_out_qubits + res.w_ids)
+                    res.session.state.apply_pauli(
+                        PauliOperator.from_label(label), [q])
+            return res.session.state.density_of(res.b_out_qubits + res.w_ids)
 
         for seed in range(501, 504):
             leaves = enumerate_protocol_runs(instance(seed), adversary())
