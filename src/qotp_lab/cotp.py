@@ -189,6 +189,30 @@ def _xor_bytes(a: bytes, b: bytes) -> bytes:
     return bytes(x ^ y for x, y in zip(a, b))
 
 
+def _seal(state: bytes, pad: bytes, mac: MacKey) -> bytes:
+    """The carried form of ``state``: zero-filled to the pad's length,
+    one-time padded, then tagged."""
+    state = state.ljust(len(pad), b"\0")
+    if len(state) != len(pad):
+        raise ValueError("state exceeds the declared length")
+    c0 = _xor_bytes(state, pad)
+    tag = mac_tag_blocks(mac, _bytes_to_blocks(c0, mac.kappa))
+    return encode_payload(c0, tag.to_bytes((mac.kappa + 7) // 8, "big"))
+
+
+def _open(carried: bytes, pad: bytes, mac: MacKey) -> bytes | None:
+    """The state ``_seal`` put into ``carried``, or None when its framing,
+    its length or its tag is wrong."""
+    parts = decode_payload(carried)
+    if len(parts) != 2 or len(parts[0]) != len(pad):
+        return None
+    c0, c1 = parts
+    if not mac_verify_blocks(mac, _bytes_to_blocks(c0, mac.kappa),
+                             int.from_bytes(c1, "big")):
+        return None
+    return _xor_bytes(c0, pad)
+
+
 # ---------------------------------------------------------------------------
 # the bounded-reactive one-time program (Protocol-6-style construction)
 # ---------------------------------------------------------------------------
@@ -243,27 +267,12 @@ def brotp_compile(round_functions: list, sender_input, kappa: int,
             if i == 1:
                 m, s = g(sender, b_i)
             else:
-                parts = decode_payload(carried)
-                if len(parts) != 2:
+                s_prev = _open(carried, pads[i - 2], macs[i - 2])
+                if s_prev is None:
                     return abort_message("mac")
-                c0, c1 = parts
-                if len(c0) != state_len:
-                    return abort_message("mac")
-                tag = int.from_bytes(c1, "big")
-                if not mac_verify_blocks(macs[i - 2],
-                                         _bytes_to_blocks(c0, kappa), tag):
-                    return abort_message("mac")
-                s_prev = _xor_bytes(c0, pads[i - 2])
                 m, s = g(b_i, s_prev)
             if i < ell:
-                s = s.ljust(state_len, b"\0")
-                if len(s) != state_len:
-                    raise ValueError("state exceeds the declared length")
-                c0 = _xor_bytes(s, pads[i - 1])
-                tag = mac_tag_blocks(MacKey(macs[i - 1].a, macs[i - 1].b, kappa),
-                                     _bytes_to_blocks(c0, kappa))
-                tag_bytes = tag.to_bytes((kappa + 7) // 8, "big")
-                return encode_payload(m, encode_payload(c0, tag_bytes))
+                return encode_payload(m, _seal(s, pads[i - 1], macs[i - 1]))
             return encode_payload(m, b"")
 
         return f
@@ -341,7 +350,6 @@ class BrOtpSimulator:
                  state_len: int, rng):
         self.ideal = ideal
         self.ell = ell
-        self.kappa = kappa
         self.state_len = state_len
         self.pads = [rng.bytes(state_len) for _ in range(ell - 1)]
         self.macs = [MacKey.random(kappa, rng) for _ in range(ell - 1)]
@@ -356,17 +364,10 @@ class BrOtpSimulator:
                 any(not self.done[j] for j in range(i - 1)):
             self.aborted = True
             return abort_message("order")
-        if i > 1:
-            parts = decode_payload(carried)
-            if len(parts) != 2 or len(parts[0]) != self.state_len:
-                self.aborted = True
-                return abort_message("mac")
-            c0, c1 = parts
-            tag = int.from_bytes(c1, "big")
-            if not mac_verify_blocks(self.macs[i - 2],
-                                     _bytes_to_blocks(c0, self.kappa), tag):
-                self.aborted = True
-                return abort_message("mac")
+        if i > 1 and _open(carried, self.pads[i - 2],
+                           self.macs[i - 2]) is None:
+            self.aborted = True
+            return abort_message("mac")
         m = self.ideal.execute(i, b_i)
         if m is None:
             self.aborted = True
@@ -374,10 +375,6 @@ class BrOtpSimulator:
         self.done[i - 1] = True
         if i < self.ell:
             w = self.rng.bytes(self.state_len)  # random substitute state
-            c0 = _xor_bytes(w, self.pads[i - 1])
-            tag = mac_tag_blocks(
-                MacKey(self.macs[i - 1].a, self.macs[i - 1].b, self.kappa),
-                _bytes_to_blocks(c0, self.kappa))
-            return encode_payload(m, encode_payload(
-                c0, tag.to_bytes((self.kappa + 7) // 8, "big")))
+            return encode_payload(m, _seal(w, self.pads[i - 1],
+                                           self.macs[i - 1]))
         return encode_payload(m, b"")

@@ -1,13 +1,19 @@
 """Computing on authenticated data: the gate gadgets, written once.
 
-Each gadget has two halves.  The receiver's half is an ``AuthSession``: it
-holds the quantum state and the authenticated registers, applies the
-gadget's transversal operations, measures, and lets a magic register take
+Each gadget has two halves, and each half walks the round schedule of
+``build_schedule`` on its own.  The receiver's half is an ``AuthSession``:
+it holds the quantum state and the authenticated registers; its
+``next_round`` runs the transversal CNOTs up to the next round and that
+round's operations before measurement, and a magic register then takes
 over the data register's role.  The verifier's half is a
-``VerifierState``: it holds the classical Pauli keys, decodes the
-receiver's measurement records, updates the keys and answers with the
-decoded bits.  The one-time program (``qotp``) and ``run_encoded_circuit``
-both walk ``build_schedule`` and call the same two halves.
+``VerifierState``: it holds the classical Pauli keys, applies the silent
+Pauli and CNOT key updates, decodes the receiver's measurement record of
+every round (``process_round``), updates the keys and answers with the
+decoded bits; ``verdict`` finishes the schedule.  Apart from
+``build_schedule`` and ``magic_slots``, only the two halves read a step's
+kind.  The one-time program (``qotp``) and ``run_encoded_circuit`` just
+drive them: they measure what the session asks for and hand each record
+to the verifier.
 
 Gadget flows (all registers share one trap-code key):
 
@@ -39,24 +45,6 @@ from .trap import (TrapCode, RecordDecode, authenticate_register,
 # ---------------------------------------------------------------------------
 # the round schedule and the magic-register names
 # ---------------------------------------------------------------------------
-
-def magic_requirements(circuit) -> list[str]:
-    """Magic-register kinds consumed by the circuit, in order.
-
-    Every T provisions its own correction K-magic in the following slot, so
-    the register count is (#K + #H + #T) + #T.
-    """
-    kinds = []
-    for g in circuit:
-        name = g[0]
-        if name == "K":
-            kinds.append("K")
-        elif name == "T":
-            kinds.extend(["T", "K"])
-        elif name == "H":
-            kinds.append("H")
-    return kinds
-
 
 def build_schedule(circuit) -> tuple[list, int]:
     """Step list shared by the verifier and the receiver, and its slot
@@ -93,11 +81,17 @@ def magic_pair_names(slot: int) -> tuple[str, str]:
     return f"M{slot}", f"M{slot}pair"
 
 
-def magic_slots(circuit) -> list[tuple[str, tuple]]:
-    """(kind, register names) of every magic slot of ``circuit``."""
-    return [(kind, magic_pair_names(slot) if kind == "H"
+# the magic kind each round consumes: a T correction consumes a K-magic
+_SLOT_KINDS = {"round-K": "K", "round-T": "T", "round-Tcorr": "K",
+               "round-H": "H"}
+
+
+def magic_slots(steps) -> list[tuple[str, tuple]]:
+    """(kind, register names) of every magic slot of the schedule
+    ``steps``, in slot order."""
+    return [(_SLOT_KINDS[kind], magic_pair_names(slot) if kind == "round-H"
              else (magic_register_name(slot),))
-            for slot, kind in enumerate(magic_requirements(circuit))]
+            for kind, _, slot in steps if kind in _SLOT_KINDS]
 
 
 # ---------------------------------------------------------------------------
@@ -105,12 +99,26 @@ def magic_slots(circuit) -> list[tuple[str, tuple]]:
 # ---------------------------------------------------------------------------
 
 class VerifierState:
-    """Classical verifier: keys, decoding, updates, cheat flag."""
+    """The verifier's half: the classical Pauli keys and the verifier's place
+    in the round schedule ``steps``.
 
-    def __init__(self, trap: TrapCode, keys: dict[str, PauliOperator]):
+    It applies the silent Pauli and CNOT key updates itself.  Every round
+    decodes one measurement record, updates the keys to match the
+    receiver's ``AuthSession.next_round`` and replies with the decoded
+    bit(s).  A record of the wrong length, a rejected decode or an unplayed
+    round marks the run as cheating; cheating is remembered, never revealed
+    mid-run.  ``data[w]`` names the register holding wire w.
+    """
+
+    def __init__(self, trap: TrapCode, keys: dict[str, PauliOperator],
+                 steps, data):
         self.trap = trap
         self.keys = dict(keys)
+        self.steps = steps
+        self.data = data
         self.cheated = False
+        self.pc = 0          # the next step of ``steps``
+        self.need_k = None   # the last round-T's reply: K correction due
 
     # -- key updates ----------------------------------------------------------
     def update_pauli_gate(self, reg: str, letter: str) -> None:
@@ -141,15 +149,37 @@ class VerifierState:
             self.cheated = True
         return rec
 
-    # -- one gadget round -----------------------------------------------------
-    def gadget_round(self, kind: str, data: str, slot: int,
-                     record: list[int], need_k: bool | None) -> list[int]:
-        """Decode the record of one round and update the keys to match the
-        receiver's ``AuthSession.gadget_round``; returns the reply bits.
-        ``need_k`` is the reply of the preceding ``round-T``."""
+    # -- the schedule walk -----------------------------------------------------
+    def _advance(self) -> tuple | None:
+        """Apply the silent key updates up to the next round; returns that
+        round's step, or None at the end of the schedule."""
+        steps = self.steps
+        while self.pc < len(steps):
+            step = steps[self.pc]
+            if step[0] == "pauli":
+                self.update_pauli_gate(self.data[step[2]], step[1])
+            elif step[0] == "cnot":
+                self.update_cnot(self.data[step[1]], self.data[step[2]])
+            else:
+                return step
+            self.pc += 1
+        return None
+
+    def process_round(self, record: list[int]) -> list[int]:
+        """Decode the record of the next round and update the keys; returns
+        the reply bits."""
+        step = self._advance()
+        if step is None:
+            raise RuntimeError("no reactive round pending")
+        self.pc += 1
+        kind, wire, slot = step
+        data = self.data[wire]
+        n3 = self.trap.n
+        if len(record) != (2 * n3 if kind == "round-H" else n3):
+            self.cheated = True
+        need_k, self.need_k = self.need_k, None
         if kind == "round-H":
             out, pair = magic_pair_names(slot)
-            n3 = self.trap.n
             self.update_cnot(data, pair)
             self.update_bitwise_h(data)
             rec_x = self.decode(data, record[:n3], hadamard=True)
@@ -172,7 +202,16 @@ class VerifierState:
         self.rename(magic, data)
         if rec.logical_bit:
             self.update_pauli_gate(data, "X" if kind == "round-T" else "Y")
+        if kind == "round-T":
+            self.need_k = bool(rec.logical_bit)
         return [rec.logical_bit]
+
+    def verdict(self) -> bool:
+        """Apply the silent steps after the last round and decide the run:
+        True when it cheated or left a round unplayed."""
+        if self._advance() is not None:
+            self.cheated = True
+        return self.cheated
 
 
 # ---------------------------------------------------------------------------
@@ -188,20 +227,36 @@ class Register:
 
 
 class AuthSession:
-    """The receiver's side: the state and its authenticated registers."""
+    """The receiver's half: the state, its authenticated registers and the
+    receiver's place in the round schedule ``steps``.  ``data[w]`` names
+    the register holding wire w."""
 
     def __init__(self, trap: TrapCode, keys: dict[str, PauliOperator],
-                 state, rng):
+                 state, rng, steps, data):
         self.trap = trap
         self.state = state
         self.rng = rng  # Born sampling of every measurement outcome
         # the sender's keys, which the preparers authenticate under
         self.initial_keys = dict(keys)
+        self.steps = steps
+        self.data = data
+        self.pc = 0  # the next step of ``steps``
         self.registers: dict[str, Register] = {}
-        self.magic: list[tuple[str, tuple]] = []  # (kind, names) per slot
         self._groups: dict[str, Callable] = {}
-        self.aux: dict = {}  # preparer-owned bookkeeping, cloned with state
         self.prob_weight = 1.0
+
+    def clone(self, state) -> "AuthSession":
+        """This session continued on ``state``, with its own register
+        table."""
+        ses = AuthSession.__new__(AuthSession)
+        ses.__dict__.update(self.__dict__)
+        ses.state = state
+        ses.registers = {
+            name: Register(r.name, r.status,
+                           None if r.ids is None else list(r.ids),
+                           list(r.pending))
+            for name, r in self.registers.items()}
+        return ses
 
     # -- register lifecycle -----------------------------------------------------
     def declare(self, name: str, preparer: Callable | None = None,
@@ -213,13 +268,12 @@ class AuthSession:
             for member in group or (name,):
                 self._groups[member] = preparer
 
-    def declare_magic(self, circuit) -> None:
-        """Declare the magic registers ``circuit`` consumes."""
-        for kind, names in magic_slots(circuit):
+    def declare_magic(self) -> None:
+        """Declare the magic registers the schedule consumes."""
+        for kind, names in magic_slots(self.steps):
             prep = magic_preparer(kind, names)
             for nm in names:
                 self.declare(nm, prep, group=names)
-            self.magic.append((kind, names))
 
     def attack(self, name: str, pauli: PauliOperator) -> None:
         reg = self.registers[name]
@@ -287,16 +341,30 @@ class AuthSession:
         self.state.discard(reg.ids)
         return bits
 
-    # -- one gadget round -----------------------------------------------------
-    def gadget_round(self, kind: str, data: str, slot: int,
-                     need_k: bool | None) -> tuple[tuple, tuple | None]:
-        """The quantum operations of one round before its measurement.
+    # -- the schedule walk -----------------------------------------------------
+    def next_round(self, reply: list[int] | None
+                   ) -> tuple[tuple, tuple | None] | None:
+        """Run the transversal CNOTs up to the next round, then that round's
+        quantum operations before its measurement.
 
         Returns the registers to measure, in record order, and the (data,
         magic) pair whose magic register takes over once they are measured
-        (None for the bare consume of an unused correction magic).
-        ``need_k`` is the verifier's reply to the preceding ``round-T``.
+        (None for the bare consume of an unused correction magic); None at
+        the end of the schedule.  ``reply`` is the verifier's reply to the
+        previous round, which a ``round-Tcorr`` reads.
         """
+        steps = self.steps
+        while self.pc < len(steps) and steps[self.pc][0] in ("pauli", "cnot"):
+            step = steps[self.pc]
+            if step[0] == "cnot":
+                self.transversal_cnot_physical(self.data[step[1]],
+                                               self.data[step[2]])
+            self.pc += 1
+        if self.pc == len(steps):
+            return None
+        kind, wire, slot = steps[self.pc]
+        self.pc += 1
+        data = self.data[wire]
         if kind == "round-H":
             out, pair = magic_pair_names(slot)
             self.materialize(out)
@@ -304,7 +372,7 @@ class AuthSession:
             self.bitwise_h_physical(data)
             return (data, pair), (data, out)
         magic = magic_register_name(slot)
-        if kind == "round-Tcorr" and not need_k:
+        if kind == "round-Tcorr" and not reply[0]:
             return (magic,), None
         self.transversal_cnot_physical(magic, data)
         return (data,), (data, magic)
@@ -416,43 +484,31 @@ EIGENSTATE_VECTORS = {
 # encoded circuit runner
 # ---------------------------------------------------------------------------
 
-def run_encoded_circuit(session: AuthSession, verifier: VerifierState,
-                        circuit, data_regs: list[str]
+def run_encoded_circuit(session: AuthSession, verifier: VerifierState
                         ) -> tuple[list[tuple], list[tuple]]:
-    """Execute the gadget sequence for ``circuit`` on authenticated data.
+    """Drive both halves through their schedule on authenticated data.
 
-    ``circuit`` is a gate list over logical wires; ``data_regs[w]`` names the
-    register holding wire w.  Returns the measurement record and the
+    Measures what ``session.next_round`` asks for, hands each record to
+    ``verifier.process_round`` and decides the run with
+    ``verifier.verdict()``.  Returns the measurement record and the
     verifier's reply of every round, as a protocol run does.
     """
-    if session.magic != magic_slots(circuit):
-        raise ValueError("magic inventory mismatch: need "
-                         f"{magic_requirements(circuit)}, have "
-                         f"{[kind for kind, _ in session.magic]}")
-    steps, _ = build_schedule(circuit)
+    if session.steps != verifier.steps:
+        raise ValueError("the session and the verifier walk different "
+                         "schedules")
     records, replies = [], []
-    need_k = None
-    for step in steps:
-        kind = step[0]
-        if kind == "pauli":
-            verifier.update_pauli_gate(data_regs[step[2]], step[1])
-            continue
-        if kind == "cnot":
-            control, target = data_regs[step[1]], data_regs[step[2]]
-            session.transversal_cnot_physical(control, target)
-            verifier.update_cnot(control, target)
-            continue
-        data, slot = data_regs[step[1]], step[2]
-        measured, takeover = session.gadget_round(kind, data, slot, need_k)
+    reply = None
+    while (todo := session.next_round(reply)) is not None:
+        measured, takeover = todo
         record = []
         for name in measured:
             record += session.measure_register(name)
         if takeover is not None:
             session.take_over(*takeover)
-        reply = verifier.gadget_round(kind, data, slot, record, need_k)
-        need_k = bool(reply[0]) if kind == "round-T" else None
+        reply = verifier.process_round(record)
         records.append(tuple(record))
         replies.append(tuple(reply))
+    verifier.verdict()
     return records, replies
 
 
@@ -460,12 +516,16 @@ def make_gadget_session(base_code, circuit, input_labels: list[str],
                         backend, rng
                         ) -> tuple[AuthSession, VerifierState, list[str]]:
     """Fresh keys, the receiver's session with declared data registers
-    ("D0", ...) and magic registers, and the verifier holding the keys."""
+    ("D0", ...) and magic registers, and the verifier holding the keys, both
+    over the schedule of ``circuit``."""
+    steps, _ = build_schedule(circuit)
     data_names = [f"D{i}" for i in range(len(input_labels))]
-    magic_names = [nm for _, names in magic_slots(circuit) for nm in names]
+    magic_names = [nm for _, names in magic_slots(steps) for nm in names]
     key = sample_auth_key(base_code, data_names + magic_names, rng)
-    session = AuthSession(key.trap, key.pauli_keys, backend, rng)
+    session = AuthSession(key.trap, key.pauli_keys, backend, rng, steps,
+                          data_names)
     for name, label in zip(data_names, input_labels):
         session.declare(name, eigenstate_preparer(name, label))
-    session.declare_magic(circuit)
-    return session, VerifierState(key.trap, key.pauli_keys), data_names
+    session.declare_magic()
+    return session, VerifierState(key.trap, key.pauli_keys, steps,
+                                  data_names), data_names

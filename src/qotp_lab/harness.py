@@ -291,7 +291,7 @@ def run_gadget_check(config: dict) -> tuple[ExperimentReport, None]:
         qubits)."""
         session, verifier, data = make_gadget_session(
             base, circuit, inputs, state, rngmod.stream(seed, stream))
-        run_encoded_circuit(session, verifier, circuit, data)
+        run_encoded_circuit(session, verifier)
         recovered = [session.recover_register(d, verifier.keys[d])
                      for d in data]
         return (all(ok for ok, _ in recovered) and not verifier.cheated,

@@ -7,8 +7,9 @@ Roles and register names (one protocol instance, |B| logical wires):
 - ``At{i}``   authenticated sender-input qubits
 - ``Bin{i}`` / ``Bt{i}``   teleport-through-authentication pair: a bare EPR
   half and the authenticated half the receiver's input teleports into
-- ``Bout{i}`` group   teleport-through-de-authentication: 3n EPR pairs with
-  decode-then-encrypt applied to one side, syndrome wires kept but ignored
+- ``BoutR{i}`` / ``Bout{i}``   teleport-through-de-authentication: 3n EPR
+  pairs with decode-then-encrypt applied to one side; ``Bout{i}`` is its
+  one output qubit (the syndrome wires are kept but ignored)
 - ``Et0`` / ``Ctl``   the authenticated |0> helper wire of controlled-T
   (present only when the channel has a T gate) and the control qubit (|1>
   in the real protocol, |0> for the simulator)
@@ -20,16 +21,17 @@ an extra teleportation.
 
 ``compile_controlled_program`` cuts the controlled circuit into its round
 schedule once (``gadgets.build_schedule``, kept as
-``CompiledProgram.steps``).  Both sides walk those steps and run each gadget
-round through the two halves in ``gadgets``: the verifier (``QotpVerifier``)
-calls ``VerifierState.gadget_round``, the receiver
-``AuthSession.gadget_round``.  The receiver reaches the verifier through a
-transport with the verifier's method names: the direct one is the
-``QotpVerifier`` itself, the real one the chained one-time program
-(``BrotpOracle``).
+``CompiledProgram.steps``).  Each side walks those steps itself, as one of
+the two halves in ``gadgets``: the verifier (``QotpVerifier``) is a
+``VerifierState`` over them, and the receiver's ``AuthSession`` asks its
+own ``next_round``.  The receiver reaches the verifier through a transport
+with the verifier's method names: the direct one is the ``QotpVerifier``
+itself, the real one the chained one-time program (``BrotpOracle``), which
+carries the verifier's keys, cheat flag and place in the schedule from
+round to round.
 
-The receiver's side (teleport-in, the simulator's splice, the gadget
-rounds, teleport-out) is interpreted by one walk, the generator ``_walk``,
+The receiver's side (teleport-in, the simulator's splice, the session's
+gadget rounds, teleport-out) is driven by one walk, the generator ``_walk``,
 which yields one ``RunResult`` per finished branch.  Every measurement on
 the way is handed to a strategy, which yields each branch it makes with
 its outcome (Bell outcomes as x and z masks): ``_Sample`` yields the one
@@ -55,9 +57,9 @@ from . import rng as rngmod
 from .backends import StabilizerSum, StateVector, TableauState
 from .cotp import brotp_compile, brotp_query
 from .css import CssCode
-from .gadgets import (AuthSession, Register, VerifierState,
-                      authenticate_into, build_schedule, eigenstate_preparer,
-                      magic_slots, pauli_eigenstate_prep)
+from .gadgets import (AuthSession, VerifierState, authenticate_into,
+                      build_schedule, eigenstate_preparer, magic_slots,
+                      pauli_eigenstate_prep)
 from .paulis import CliffordUnitary, PauliOperator
 from .trap import TrapCode, random_pauli, sample_trap_code
 
@@ -298,26 +300,22 @@ def bytes_to_record(data: bytes) -> list[int]:
     return [(mask >> i) & 1 for i in range(n)]
 
 
-class QotpVerifier:
+class QotpVerifier(VerifierState):
     """The classical brain behind the reactive one-time program.
 
-    Walks the same schedule as the receiver, holding the evolving Pauli
-    keys; every round decodes one measurement record and replies with the
-    decoded bit(s).  Cheating is remembered, never revealed mid-run.
+    The verifier's half of the gadgets (``VerifierState``) over the
+    program's schedule, plus what the one-time program adds: the
+    teleport-in key update, and the final decryption keys (or junk keys on
+    cheating).
     """
 
     def __init__(self, program: CompiledProgram, trap: TrapCode,
                  keys: dict[str, PauliOperator],
                  output_keys: list[PauliOperator], reject_key_seed: int):
+        super().__init__(trap, keys, program.steps, data_registers(program))
         self.program = program
-        self.trap = trap
-        self.vs = VerifierState(trap, keys)
         self.output_keys = list(output_keys)
         self.reject_key_seed = reject_key_seed
-        self.data_map = {w: data_register_name(program, w)
-                         for w in range(program.wires)}
-        self.pc = 0
-        self.pending_need_k = None
         self.e_pi = trap_encoder_clifford(trap)
 
     @property
@@ -329,51 +327,17 @@ class QotpVerifier:
         """An independent verifier at the same point of the schedule."""
         nv = QotpVerifier.__new__(QotpVerifier)
         nv.__dict__.update(self.__dict__)
-        nv.vs = VerifierState(self.trap, self.vs.keys)
-        nv.vs.cheated = self.vs.cheated
+        nv.keys = dict(self.keys)
         return nv
-
-    # -- helpers -------------------------------------------------------------
-    def _advance_silent_steps(self):
-        steps = self.program.steps
-        while self.pc < len(steps):
-            step = steps[self.pc]
-            if step[0] == "pauli":
-                self.vs.update_pauli_gate(self.data_map[step[2]], step[1])
-            elif step[0] == "cnot":
-                self.vs.update_cnot(self.data_map[step[1]],
-                                    self.data_map[step[2]])
-            else:
-                return step
-            self.pc += 1
-        return None
 
     def receive_t_in(self, labels: list[str]) -> None:
         for i, label in enumerate(labels):
             p = PauliOperator.from_label(label)
-            reg = self.data_map[self.program.n_a + i]
+            reg = self.data[self.program.n_a + i]
             if p.x:
-                self.vs.update_pauli_gate(reg, "X")
+                self.update_pauli_gate(reg, "X")
             if p.z:
-                self.vs.update_pauli_gate(reg, "Z")
-
-    def process_round(self, record: list[int]) -> list[int]:
-        step = self._advance_silent_steps()
-        if step is None:
-            raise RuntimeError("no reactive round pending")
-        kind, wire, slot = step
-        self.pc += 1
-        reply = self.vs.gadget_round(kind, self.data_map[wire], slot, record,
-                                     self.pending_need_k)
-        self.pending_need_k = bool(reply[0]) if kind == "round-T" else None
-        return reply
-
-    def verdict(self) -> bool:
-        """Advance the silent steps after the last round and decide the
-        run: True when it cheated or left a round unplayed."""
-        if self._advance_silent_steps() is not None:
-            self.vs.cheated = True
-        return self.vs.cheated
+                self.update_pauli_gate(reg, "Z")
 
     def finalize(self, t_out: list[tuple[int, int]]) -> tuple[list[str], bool]:
         """Final decryption keys for B_out, or uniform bits on cheating.
@@ -434,8 +398,8 @@ class QotpVerifier:
         and the teleport-out corrections ``t_out``."""
         xm, zm = t_out[i]
         t_pauli = PauliOperator.from_masks(self.trap.n, xm, zm)
-        reg = self.data_map[self.program.n_a + i]
-        q = self.output_keys[i] * t_pauli * self.vs.keys[reg]
+        reg = self.data[self.program.n_a + i]
+        q = self.output_keys[i] * t_pauli * self.keys[reg]
         pulled = self.e_pi.conjugate(q)
         dpos = self.trap.data_position()
         return PauliOperator.from_masks(
@@ -452,14 +416,11 @@ def trap_encoder_clifford(trap: TrapCode) -> CliffordUnitary:
     return CliffordUnitary(trap.n, tuple(gates))
 
 
-def data_register_name(program: CompiledProgram, wire: int) -> str:
-    if wire < program.n_a:
-        return f"At{wire}"
-    if wire < program.n_a + program.n_b:
-        return f"Bt{wire - program.n_a}"
-    if wire == program.control_wire:
-        return "Ctl"
-    return f"Et{wire - program.n_a - program.n_b}"
+def data_registers(program: CompiledProgram) -> list[str]:
+    """The register holding each wire of the controlled circuit."""
+    return ([f"At{i}" for i in range(program.n_a)]
+            + [f"Bt{i}" for i in range(program.n_b)]
+            + (["Et0"] if program.uses_t_helper else []) + ["Ctl"])
 
 
 # ---------------------------------------------------------------------------
@@ -527,16 +488,16 @@ class BrotpOracle:
     def finalize(self, t_out) -> tuple[list[str], bool]:
         reply = self._query(json.dumps([list(t) for t in t_out]).encode())
         labels = json.loads(reply.decode())
-        return labels, self.audit.vs.cheated
+        return labels, self.audit.cheated
 
 
 def _serialize_verifier(v: QotpVerifier) -> bytes:
     blob = {
         "keys": {name: [format(p.x, "x"), format(p.z, "x")]
-                 for name, p in v.vs.keys.items()},
-        "cheated": v.vs.cheated,
+                 for name, p in v.keys.items()},
+        "cheated": v.cheated,
         "pc": v.pc,
-        "pending": v.pending_need_k,
+        "pending": v.need_k,
     }
     return json.dumps(blob, sort_keys=True).encode()
 
@@ -547,16 +508,16 @@ def _deserialize_verifier(blob: bytes, program, trap, output_keys,
     keys = {name: PauliOperator.from_masks(trap.n, int(x, 16), int(z, 16))
             for name, (x, z) in data["keys"].items()}
     v = QotpVerifier(program, trap, keys, output_keys, reject_seed)
-    v.vs.cheated = data["cheated"]
+    v.cheated = data["cheated"]
     v.pc = data["pc"]
-    v.pending_need_k = data["pending"]
+    v.need_k = data["pending"]
     return v
 
 
 # ---------------------------------------------------------------------------
 # adversaries (the environment's normal form, restricted to the callback
-# family the experiments exercise: product Pauli attacks between rounds
-# plus classical tampering of reports)
+# family the experiments exercise: product Pauli attacks before the first
+# round plus classical tampering of the measurement records)
 # ---------------------------------------------------------------------------
 
 class DummyAdversary:
@@ -573,26 +534,17 @@ class DummyAdversary:
     def before(self, attack, state, w_ids):
         pass
 
-    def between_rounds(self, index, reply, attack, state, w_ids):
-        pass
-
     def tamper_record(self, index, bits):
         return bits
 
-    def tamper_t_in(self, labels):
-        return labels
-
-    def tamper_t_out(self, masks):
-        return masks
-
 
 class PauliAttackAdversary(DummyAdversary):
-    """Applies fixed Pauli attacks to named registers at chosen times."""
+    """Applies fixed Pauli attacks to named registers before the first
+    round."""
 
-    def __init__(self, initial_attacks=(), round_attacks=None,
-                 b_labels=("0",), entangle_w=False):
+    def __init__(self, initial_attacks=(), b_labels=("0",),
+                 entangle_w=False):
         self.initial_attacks = list(initial_attacks)
-        self.round_attacks = dict(round_attacks or {})
         self.b_labels = tuple(b_labels)
         self.entangle_w = entangle_w
 
@@ -607,10 +559,6 @@ class PauliAttackAdversary(DummyAdversary):
 
     def before(self, attack, state, w_ids):
         for reg, pauli in self.initial_attacks:
-            attack(reg, pauli)
-
-    def between_rounds(self, index, reply, attack, state, w_ids):
-        for reg, pauli in self.round_attacks.get(index, ()):
             attack(reg, pauli)
 
 
@@ -665,11 +613,9 @@ class QotpInstance:
         self.trap = trap if trap is not None else \
             sample_trap_code(base_code, key_rng)
         n3 = self.trap.n
-        reg_names = [data_register_name(program, w)
-                     for w in range(program.wires)]
-        reg_names += [nm for _, names in
-                      magic_slots(program.controlled_circuit)
-                      for nm in names]
+        data = data_registers(program)
+        reg_names = data + [nm for _, names in magic_slots(program.steps)
+                            for nm in names]
         keys = {name: random_pauli(n3, key_rng) for name in reg_names}
         self.output_keys = [random_pauli(n3, key_rng)
                             for _ in range(program.n_b)]
@@ -696,7 +642,8 @@ class QotpInstance:
             state = StabilizerSum(0)
         self.backend_kind = backend
         self.session = AuthSession(self.trap, dict(keys), state,
-                                   rngmod.stream(seed, "outcomes"))
+                                   rngmod.stream(seed, "outcomes"),
+                                   program.steps, data)
         self.a_labels = tuple(a_labels)
         verifier = QotpVerifier(program, self.trap, dict(keys),
                                 self.output_keys, seed)
@@ -753,24 +700,20 @@ class QotpInstance:
         # de-authentication resource
         output_keys = self.output_keys
         for i in range(prog.n_b):
-            name = f"BoutR{i}"
+            name, out = f"BoutR{i}", f"Bout{i}"
 
-            def prep(session, i=i):
+            def prep(session, i=i, name=name, out=out):
                 st = session.state
                 in_ids, tmp_ids = make_teleport_through(st, [], n3)
                 st.apply_pauli(output_keys[i], tmp_ids)
                 for g in trap.decoding_ops(tmp_ids):
                     st.apply_gate(*g)
-                session.adopt(f"BoutR{i}", in_ids)
-                dpos = trap.data_position()
-                session.aux[f"Bout{i}"] = {
-                    "out": tmp_ids[dpos],
-                    "syndromes": [q for p, q in enumerate(tmp_ids)
-                                  if p != dpos],
-                }
+                session.adopt(name, in_ids)
+                session.adopt(out, [tmp_ids[trap.data_position()]])
 
-            ses.declare(name, prep)
-        ses.declare_magic(prog.controlled_circuit)
+            ses.declare(name, prep, group=(name, out))
+            ses.declare(out, prep, group=(name, out))
+        ses.declare_magic()
 
     # -- cloning (a branch of the exact enumeration) ---------------------------
     def clone(self, state) -> "QotpInstance":
@@ -780,17 +723,7 @@ class QotpInstance:
             raise ValueError("only direct-transport instances are clonable")
         inst = QotpInstance.__new__(QotpInstance)
         inst.__dict__.update(self.__dict__)
-        ses = self.session
-        new_ses = AuthSession.__new__(AuthSession)
-        new_ses.__dict__.update(ses.__dict__)
-        new_ses.state = state
-        new_ses.registers = {
-            name: Register(r.name, r.status,
-                           None if r.ids is None else list(r.ids),
-                           list(r.pending))
-            for name, r in ses.registers.items()}
-        new_ses.aux = {k: dict(v) for k, v in ses.aux.items()}
-        inst.session = new_ses
+        inst.session = self.session.clone(state)
         inst.oracle = self.oracle.copy()
         return inst
 
@@ -943,16 +876,14 @@ class _Fan:
 
 
 def _walk(inst: QotpInstance, adversary, strategy):
-    """Run the receiver's side of the schedule on ``inst``, yielding one
+    """Run the receiver's side of the protocol on ``inst``, yielding one
     RunResult per finished branch.
 
     Teleport-in, the simulator's splice of the one ideal call, the gadget
-    rounds of ``build_schedule`` and teleport-out happen in order; every
-    measurement goes to ``strategy``, which yields each branch it makes
-    with its outcome: (x mask, z mask) for Bell pairs, bit j of each mask
-    for pair j, and a bit list for registers.  The adversary's quantum
-    actions must not depend on the replies when the strategy forks, since
-    all branches share one adversary.
+    rounds (each asked of the session's ``next_round``) and teleport-out
+    happen in order; every measurement goes to ``strategy``, which yields
+    each branch it makes with its outcome: (x mask, z mask) for Bell
+    pairs, bit j of each mask for pair j, and a bit list for registers.
     """
     prog = inst.program
     ses = inst.session
@@ -963,8 +894,6 @@ def _walk(inst: QotpInstance, adversary, strategy):
         a_ids = [pauli_eigenstate_prep(label)(ses.state)
                  for label in inst.a_labels]
     adversary.before(ses.attack, ses.state, w_ids)
-    steps = prog.steps
-    data_map = {w: data_register_name(prog, w) for w in range(prog.wires)}
     n3 = inst.trap.n
     wire_mask = (1 << n3) - 1
 
@@ -992,40 +921,28 @@ def _walk(inst: QotpInstance, adversary, strategy):
             bt.status = br.status = "consumed"
             yield from zip(bt.ids, br.ids)
 
-    def rounds(branch, pc, need_k, t_in, records, replies):
+    def rounds(branch, t_in, records, replies):
         s = branch.session
-        while pc < len(steps) and steps[pc][0] in ("pauli", "cnot"):
-            if steps[pc][0] == "cnot":
-                s.transversal_cnot_physical(data_map[steps[pc][1]],
-                                            data_map[steps[pc][2]])
-            pc += 1
-        if pc < len(steps):
-            kind, wire, slot = steps[pc]
-            measured, takeover = s.gadget_round(kind, data_map[wire], slot,
-                                                need_k)
+        todo = s.next_round(replies[-1] if replies else None)
+        if todo is not None:
+            measured, takeover = todo
             for child, bits in strategy.registers(branch, measured):
                 if takeover is not None:
                     child.session.take_over(*takeover)
                 bits = adversary.tamper_record(len(records), list(bits))
                 reply = child.oracle.process_round(bits)
-                adversary.between_rounds(len(records), reply,
-                                         child.session.attack,
-                                         child.session.state, w_ids)
-                yield from rounds(
-                    child, pc + 1,
-                    bool(reply[0]) if kind == "round-T" else None, t_in,
-                    records + (tuple(bits),), replies + (tuple(reply),))
+                yield from rounds(child, t_in, records + (tuple(bits),),
+                                  replies + (tuple(reply),))
             return
         # teleport-out; the de-authentication resource is
         # outcome-independent
         for i in range(prog.n_b):
             s.materialize(f"BoutR{i}")
-        b_out = [s.aux[f"Bout{i}"]["out"] for i in range(prog.n_b)]
+        b_out = [s.registers[f"Bout{i}"].ids[0] for i in range(prog.n_b)]
         for (xm, zm), weight, final, density in strategy.leaves(
                 branch, teleport_out_pairs(s), b_out + list(w_ids)):
-            t_out = adversary.tamper_t_out(
-                [(xm >> n3 * i & wire_mask, zm >> n3 * i & wire_mask)
-                 for i in range(prog.n_b)])
+            t_out = [(xm >> n3 * i & wire_mask, zm >> n3 * i & wire_mask)
+                     for i in range(prog.n_b)]
             s_hat, cheated = final(t_out)
             sampled = density is None  # enumerated leaves carry no state
             if cheated:
@@ -1041,10 +958,10 @@ def _walk(inst: QotpInstance, adversary, strategy):
                             density, s if sampled else None)
 
     for branch, masks in strategy.pairs(inst, teleport_in_pairs(ses)):
-        t_in = tuple(adversary.tamper_t_in(labels(masks)))
+        t_in = tuple(labels(masks))
         if branch.world == "real":
             branch.oracle.receive_t_in(list(t_in))
-            yield from rounds(branch, 0, None, t_in, (), ())
+            yield from rounds(branch, t_in, (), ())
             continue
         # simulator: apply the reported Pauli to S_in, call the ideal
         # channel once, then teleport its output through the authentication
@@ -1062,7 +979,7 @@ def _walk(inst: QotpInstance, adversary, strategy):
             s.state.apply_gate(g[0], *[wires[w] for w in g[1:]])
         for child, splice in strategy.pairs(branch, splice_pairs(s)):
             child.oracle.receive_t_in(labels(splice))
-            yield from rounds(child, 0, None, t_in, (), ())
+            yield from rounds(child, t_in, (), ())
 
 
 # ---------------------------------------------------------------------------
@@ -1077,9 +994,7 @@ def enumerate_protocol_runs(inst: QotpInstance,
     out over the joint outcome distribution of the dense state instead of
     sampled.  Each leaf carries the density of its output and W qubits
     before the final key (``RunResult.density``).  Requires the direct
-    oracle transport, the dense backend, and an adversary whose quantum
-    actions do not depend on the replies (the Pauli-attack family used in
-    tests).
+    oracle transport and the dense backend.
     """
     return list(_walk(inst, adversary, _Fan()))
 

@@ -8,7 +8,8 @@ import pytest
 from qotp_lab import denseops as dn
 from qotp_lab.backends import StateVector, TableauState
 from qotp_lab.css import build_steane, build_toy_code
-from qotp_lab.gadgets import (EIGENSTATE_VECTORS, make_gadget_session,
+from qotp_lab.gadgets import (EIGENSTATE_VECTORS, VerifierState,
+                              build_schedule, make_gadget_session,
                               run_encoded_circuit)
 from qotp_lab.paulis import PauliOperator
 
@@ -26,7 +27,7 @@ def run_single_gate(base, gate, label, backend_kind, seed):
     backend = TableauState(0) if backend_kind == "tab" else StateVector(0)
     session, verifier, data = make_gadget_session(
         base, circuit, [label], backend, rng)
-    records, replies = run_encoded_circuit(session, verifier, circuit, data)
+    records, replies = run_encoded_circuit(session, verifier)
     ok, out = session.recover_register(data[0], verifier.keys[data[0]])
     # ok: the verifier accepted every gadget record and the final register
     return session, (records, replies), ok and not verifier.cheated, out
@@ -71,7 +72,7 @@ class TestCnotGadget:
         rng = np.random.default_rng(5)
         session, verifier, data = make_gadget_session(
             STEANE, [("CNOT", 0, 1)], ["1", "0"], TableauState(0), rng)
-        run_encoded_circuit(session, verifier, [("CNOT", 0, 1)], data)
+        run_encoded_circuit(session, verifier)
         ok, qubits = recover_all(session, verifier, data)
         assert ok
         assert np.allclose(session.state.density_of(qubits),
@@ -93,7 +94,7 @@ class TestCnotGadget:
         rng = np.random.default_rng(9)
         session, verifier, data = make_gadget_session(
             STEANE, [("CNOT", 0, 1)], ["+", "0"], TableauState(0), rng)
-        run_encoded_circuit(session, verifier, [("CNOT", 0, 1)], data)
+        run_encoded_circuit(session, verifier)
         ok, qubits = recover_all(session, verifier, data)
         assert ok
         bell = np.array([1, 0, 0, 1]) / np.sqrt(2)
@@ -153,7 +154,7 @@ class TestMagicGadgets:
     def test_statevector_drops_measured_registers(self):
         session, verifier, data = make_gadget_session(
             TOY, [("K", 0)], ["+"], StateVector(0), np.random.default_rng(61))
-        run_encoded_circuit(session, verifier, [("K", 0)], data)
+        run_encoded_circuit(session, verifier)
         # the data register was measured; only the former magic is left
         assert session.state.n == 3
         ok, out = session.recover_register(data[0], verifier.keys[data[0]])
@@ -169,7 +170,7 @@ class TestMagicGadgets:
         circuit = [("T", 0)]
         session, verifier, data = make_gadget_session(
             STEANE, circuit, ["+"], StabilizerSum(0), rng)
-        run_encoded_circuit(session, verifier, circuit, data)
+        run_encoded_circuit(session, verifier)
         ok, out = session.recover_register(data[0], verifier.keys[data[0]])
         assert ok
         want = dn.MT @ EIGENSTATE_VECTORS["+"]
@@ -216,7 +217,7 @@ class TestForcing:
             session, verifier, data = make_gadget_session(
                 STEANE, [("K", 0)], ["0"], TableauState(0), rng)
             session.attack("M0", PauliOperator.from_masks(21, 0b111, 0))
-            run_encoded_circuit(session, verifier, [("K", 0)], data)
+            run_encoded_circuit(session, verifier)
             if verifier.cheated:
                 rejects += 1
         assert rejects / runs >= 1 - (2 / 3) ** 1.5
@@ -228,8 +229,7 @@ class TestEncodedCircuits:
         circuit = [("H", 0), ("K", 0), ("CNOT", 0, 1), ("Z", 1)]
         session, verifier, data = make_gadget_session(
             STEANE, circuit, ["0", "0"], TableauState(0), rng)
-        records, replies = run_encoded_circuit(session, verifier, circuit,
-                                               data)
+        records, replies = run_encoded_circuit(session, verifier)
         # one one-way round each for H and K, no two-way T rounds
         assert [len(r) for r in replies] == [2, 1]
         ok, qubits = recover_all(session, verifier, data)
@@ -243,7 +243,7 @@ class TestEncodedCircuits:
         rng = np.random.default_rng(47)
         session, verifier, data = make_gadget_session(
             STEANE, [("H", 0)], ["0"], TableauState(0), rng)
-        run_encoded_circuit(session, verifier, [("H", 0)], data)
+        run_encoded_circuit(session, verifier)
         ok, out = session.recover_register(data[0], verifier.keys[data[0]])
         assert ok
         plus = EIGENSTATE_VECTORS["+"]
@@ -254,8 +254,10 @@ class TestEncodedCircuits:
         rng = np.random.default_rng(53)
         session, verifier, data = make_gadget_session(
             STEANE, [("K", 0)], ["0"], TableauState(0), rng)
+        steps, _ = build_schedule([("T", 0)])
+        t_verifier = VerifierState(session.trap, verifier.keys, steps, data)
         with pytest.raises(ValueError):
-            run_encoded_circuit(session, verifier, [("T", 0)], data)
+            run_encoded_circuit(session, t_verifier)
 
     def test_transcript_replayable(self):
         outs = []
@@ -263,8 +265,7 @@ class TestEncodedCircuits:
             rng = np.random.default_rng(59)
             session, verifier, data = make_gadget_session(
                 STEANE, [("K", 0)], ["+"], TableauState(0), rng)
-            outs.append(run_encoded_circuit(session, verifier, [("K", 0)],
-                                            data))
+            outs.append(run_encoded_circuit(session, verifier))
         assert outs[0] == outs[1]
 
 

@@ -99,6 +99,12 @@ class TestDeterminism:
                       "backend": "sum"},
          "035dd14fcb8cc6df5b722462c69ac69b5cd4032cf6407190f0b7ef28e8c2fbb8",
          None),
+        ("gadget-check", {"seed": 5},
+         "532a9217ff7804882623b6ada29ce56a2293897f2f9d275f7580948a29883077",
+         None),
+        ("brotp-check", {"seed": 9},
+         "8bf767e9067b9b2a21a83bfbc0e019d06dba12455664f55526fe01af34b98eac",
+         None),
     ])
     def test_golden_digest(self, command, config, report_sha, csv_sha):
         def sha(text):

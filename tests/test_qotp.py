@@ -66,7 +66,7 @@ class TestCompile:
             # consumes one magic register slot
             assert len(rounds) == prog.num_rounds == \
                 count["K"] + count["H"] + 2 * count["T"] == \
-                len(magic_slots(prog.controlled_circuit))
+                len(magic_slots(prog.steps))
             assert [s[2] for s in rounds] == list(range(prog.num_rounds))
 
     def test_partition_reassembles(self):
@@ -233,7 +233,7 @@ class TestSimulator:
             assert res.accepted
             ses = res.session
             ok, out = ses.recover_register("Ctl",
-                                           inst.oracle.audit.vs.keys["Ctl"])
+                                           inst.oracle.audit.keys["Ctl"])
             assert ok
             rho = np.zeros((2, 2))
             rho[want, want] = 1.0
@@ -424,3 +424,20 @@ class TestAbortChannel:
                 accepts += 1
         assert rejects == 40
         assert accepts == 40
+
+    @pytest.mark.parametrize("transport", ["direct", "brotp"])
+    @pytest.mark.parametrize("tamper", ["append", "drop"])
+    def test_record_of_wrong_length_rejected(self, transport, tamper):
+        """A record one bit longer or shorter than its round's 3n bits
+        rejects the run, however the extra or missing bit would decode."""
+
+        class LengthTamper(DummyAdversary):
+            def tamper_record(self, index, bits):
+                return bits + [0] if tamper == "append" else bits[:-1]
+
+        prog = compile_controlled_program([("Y", 0)], 0, 1)
+        for seed in range(100, 120):
+            inst = QotpInstance(prog, STEANE, seed=seed, world="real",
+                                backend="tab", transport=transport)
+            res = inst.run(LengthTamper())
+            assert res.cheated and not res.accepted, seed
