@@ -349,7 +349,7 @@ static PyObject *kernel_apply_pauli(Kernel *t, PyObject *const *args,
     Py_RETURN_NONE;
 }
 
-/* -- rows ----------------------------------------------------------------- */
+/* -- rows and columns ----------------------------------------------------- */
 
 static PyObject *row_tuple(Kernel *t, int row)
 {
@@ -384,6 +384,21 @@ static PyObject *kernel_destab_row(Kernel *t, PyObject *arg)
     if (int_arg(arg, "row", 0, (long)t->n - 1, &i) < 0)
         return NULL;
     return row_tuple(t, i);
+}
+
+static PyObject *kernel_column(Kernel *t, PyObject *arg)
+{
+    int q;
+    PyObject *x, *z;
+    if (qubit_arg(t, arg, &q) < 0)
+        return NULL;
+    x = words_to_int(XP(t, q), t->W);
+    z = x ? words_to_int(ZP(t, q), t->W) : NULL;
+    if (z == NULL) {
+        Py_XDECREF(x);
+        return NULL;
+    }
+    return Py_BuildValue("(NN)", x, z);
 }
 
 /* -- measurement ---------------------------------------------------------- */
@@ -569,6 +584,8 @@ static PyMethodDef kernel_methods[] = {
      "Stabilizer generator i as (xmask, zmask, signbit)."},
     {"destab_row", (PyCFunction)kernel_destab_row, METH_O,
      "Destabilizer i as (xmask, zmask, signbit)."},
+    {"column", (PyCFunction)kernel_column, METH_O,
+     "Qubit q's (X plane, Z plane): bit i is row i's entry."},
     {"peek", (PyCFunction)kernel_peek, METH_O,
      "(is_random, value): value valid only when deterministic."},
     {"measure", FAST(kernel_measure), METH_FASTCALL,

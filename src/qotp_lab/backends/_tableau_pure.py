@@ -99,6 +99,10 @@ class TableauKernel:
     def destab_row(self, i: int) -> tuple[int, int, int]:
         return self._row_bits(i)
 
+    def column(self, q: int) -> tuple[int, int]:
+        """Qubit q's (X plane, Z plane): bit i is row i's entry."""
+        return self.xcols[q], self.zcols[q]
+
     def peek(self, q: int) -> tuple[bool, int]:
         """(is_random, value): value valid only when deterministic."""
         if self.xcols[q] >> self.n:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..gf2 import relations
 from ..paulis import PauliOperator
 
 MAX_QUBITS = 256
@@ -44,6 +45,9 @@ class StabilizerSum:
         self._row_of: dict[int, int] = {}
         self._free_rows: list[int] = []
         self._next_id = 0
+        # True while the sum is known to be canonical: ``canonicalize``
+        # sets it, and every change that can break that form clears it
+        self._canonical = False
         if n:
             self.append_qubits(n)
 
@@ -64,12 +68,14 @@ class StabilizerSum:
         s._row_of = dict(self._row_of)
         s._free_rows = list(self._free_rows)
         s._next_id = self._next_id
+        s._canonical = self._canonical
         return s
 
     def _row(self, qubit_id: int) -> int:
         return self._row_of[qubit_id]
 
     def append_qubits(self, k: int) -> list[int]:
+        self._canonical = False
         ids = []
         for _ in range(k):
             if self._free_rows:
@@ -92,6 +98,7 @@ class StabilizerSum:
 
     def discard(self, qubits) -> None:
         """Free collapsed qubits; their rows become reusable."""
+        self._canonical = False
         for qid in list(qubits):
             q = self._row(qid)
             col = self.bs[:, q]
@@ -209,21 +216,14 @@ class StabilizerSum:
         self.A[:, p] = 0
 
     def _null_vector(self) -> np.ndarray | None:
-        """A nonzero gamma with A gamma = 0, if the columns are dependent."""
-        a = self.A.copy()
-        k = self.k
-        comb = np.eye(k, dtype=np.uint8)  # comb[c] = expansion of column c
-        pivots: list[tuple[int, int]] = []  # (row, column)
-        for c in range(k):
-            for pr, pc in pivots:
-                if a[pr, c]:
-                    a[:, c] ^= a[:, pc]
-                    comb[c] ^= comb[pc]
-            nz = np.flatnonzero(a[:, c])
-            if len(nz) == 0:
-                return comb[c]
-            pivots.append((int(nz[0]), c))
-        return None
+        """A nonzero gamma with A gamma = 0, if the columns are dependent:
+        the one relation of the first column that the earlier ones span."""
+        packed = np.packbits(self.A, axis=0)
+        found = relations([int.from_bytes(packed[:, c].tobytes(), "big")
+                           for c in range(self.k)])
+        if not found:
+            return None
+        return ((found[0] >> np.arange(self.k)) & 1).astype(np.uint8)
 
     def _eliminate_free_column(self, m: int) -> None:
         """Sum out variable m whose A-column is zero."""
@@ -272,26 +272,50 @@ class StabilizerSum:
     # -- canonical form and merging --------------------------------------
     def canonicalize(self) -> None:
         """Column-RREF the frame, reduce every b to its coset representative,
-        and merge identical terms."""
-        pivots: list[tuple[int, int]] = []  # (column, pivot row)
-        for c in range(self.k):
-            for pc, pr in pivots:
-                if self.A[pr, c]:
-                    self._subst_xor(pc, c)
-            rows = np.flatnonzero(self.A[:, c])
-            rows = [r for r in rows if r not in [pr for _, pr in pivots]]
-            if not rows:
+        and merge identical terms.  A no-op while the sum is known to be
+        in this form."""
+        if self._canonical:
+            return
+        k = self.k
+        A = self.A
+        # Forward pass.  While no column meets an earlier pivot row, each
+        # pivot is its column's first nonzero row: find that prefix in one
+        # go, then continue column by column.  prow[c] is column c's pivot
+        # row (a sum without rows has no columns).
+        prow = A.argmax(axis=0) if self.n else np.zeros(0, dtype=np.intp)
+        sub = A[prow]
+        bad = np.triu(sub, 1).any(axis=0) | (np.diagonal(sub) == 0)
+        start = int(np.argmax(bad)) if bad.any() else k
+        free = np.ones(self.n, dtype=bool)  # rows not yet a pivot
+        free[prow[:start]] = False
+        for c in range(start, k):
+            col = A[:, c]  # a view: the substitutions write through it
+            m = 0  # clear the earlier pivots' rows, in pivot order
+            while m < c:
+                hit = np.flatnonzero(col[prow[m:c]])
+                if not len(hit):
+                    break
+                m += int(hit[0])
+                self._subst_xor(m, c)
+                m += 1
+            rows = np.flatnonzero(col.astype(bool) & free)
+            if not len(rows):
                 raise AssertionError("frame lost full column rank")
-            pivots.append((c, int(rows[0])))
-        for c, r in pivots:
-            for c2 in range(self.k):
-                if c2 != c and self.A[r, c2]:
-                    self._subst_xor(c, c2)
-        # b-reduction: shift terms (u -> u xor e_c) so b vanishes on pivot rows
-        for c, r in pivots:
-            hit = self.bs[:, r].astype(bool)
-            if not hit.any():
-                continue
+            prow[c] = rows[0]
+            free[rows[0]] = False
+        # Back-reduction: pivot c clears its row in the other columns, which
+        # changes only the rows of later pivots.
+        dirty = (A[prow] != np.eye(k, dtype=np.uint8)).any(axis=1)
+        for c in range(int(np.argmax(dirty)) if dirty.any() else k, k):
+            for c2 in np.flatnonzero(A[prow[c]]):
+                if c2 != c:
+                    self._subst_xor(c, int(c2))
+        # b-reduction: shift terms (u -> u xor e_c) so b vanishes on pivot
+        # rows; column c is zero on the other pivot rows, so the terms each
+        # pivot shifts are known up front
+        hits = self.bs[:, prow].astype(bool)
+        for c in np.flatnonzero(hits.any(axis=0)):
+            hit = hits[:, c]
             dc = int(self.d[c])
             ec = self.es[hit, c].copy()
             self.coeffs[hit] *= (1j ** dc) * ((-1.0) ** ec)
@@ -300,6 +324,7 @@ class StabilizerSum:
             self.es[hit] ^= self.Q[c][None, :]
             self.bs[hit] ^= self.A[:, c][None, :]
         self._merge()
+        self._canonical = True
 
     def _merge(self) -> None:
         order: dict[bytes, int] = {}
@@ -323,6 +348,7 @@ class StabilizerSum:
         qubits = tuple(self._row(q) for q in qubit_ids)
         if len(set(qubits)) != len(qubits):
             raise ValueError("duplicate gate targets")
+        self._canonical = False
         if name == "X":
             self.bs[:, qubits[0]] ^= 1
         elif name == "Z":
@@ -368,6 +394,7 @@ class StabilizerSum:
         self._eliminate_free_column(m_star)
 
     def apply_pauli(self, p: PauliOperator, qubits) -> None:
+        self._canonical = False
         self.coeffs *= 1j ** p.phase_exp
         for jj, q in enumerate(qubits):
             xb, zb = (p.x >> jj) & 1, (p.z >> jj) & 1
@@ -379,6 +406,7 @@ class StabilizerSum:
     def inject_magic(self, kind: str) -> list[int]:
         """Append a magic register; K- and H-magic are stabilizer (rank x1),
         T-magic splits each term in two."""
+        self._canonical = False
         if kind == "K":
             ids = self.append_qubits(1)
             self.apply_gate("H", ids[0])
@@ -411,10 +439,12 @@ class StabilizerSum:
     def _project(self, j: int, y: int) -> None:
         row = self.A[j].astype(bool)
         if not row.any():
+            # dropping terms keeps the canonical form
             alive = self.bs[:, j] == y
             self.coeffs = np.where(alive, self.coeffs, 0.0)
             self._prune()
             return
+        self._canonical = False
         const = (self.bs[:, j] ^ y).astype(np.uint8)
         p = int(np.flatnonzero(row)[-1])
         members = row.copy()
@@ -428,68 +458,89 @@ class StabilizerSum:
     def _sq_norm(self) -> float:
         return float(np.sum(np.abs(self.coeffs) ** 2))
 
-    def _outcomes(self, qubit_id: int) -> tuple[list, list[float]]:
-        """Canonicalize, then project a copy onto each Z outcome: the two
-        copies (None for an annihilated one) and their squared norms."""
-        qubit = self._row(qubit_id)
-        self.canonicalize()
-        branches, norms = [], []
-        for y in (0, 1):
-            try:
-                br = self.copy()
-                br._project(qubit, y)
-                branches.append(br)
-                norms.append(br._sq_norm())
-            except ValueError:
-                branches.append(None)
-                norms.append(0.0)
-        return branches, norms
+    def _z_norms(self, j: int) -> tuple[float, float]:
+        """Squared norms of the projections of row j onto Z = 0 and Z = 1,
+        read off the canonical form without projecting.
+
+        Distinct canonical terms are orthogonal, and so are their halves
+        unless the two terms share b and their e words differ by exactly
+        the row A[j] (the character the outcome bit imposes on u): such a
+        pair adds (-1)^(y xor b_j) Re(conj(c_t) c_t') to outcome y.  With
+        a zero row the outcome is b_j in every term."""
+        mags = np.abs(self.coeffs) ** 2
+        bj = self.bs[:, j]
+        row = self.A[j]
+        if not row.any():
+            return float(np.sum(mags[bj == 0])), float(np.sum(mags[bj == 1]))
+        half = 0.5 * float(np.sum(mags))
+        shift = 0.0
+        if self.num_terms > 1:
+            keys = [b.tobytes() for b in self.bs]
+            index = {kb + e.tobytes(): t
+                     for t, (kb, e) in enumerate(zip(keys, self.es))}
+            for t, (kb, e) in enumerate(zip(keys, self.es)):
+                u = index.get(kb + (e ^ row).tobytes(), -1)
+                if u > t:
+                    re = (self.coeffs[t].conjugate() * self.coeffs[u]).real
+                    shift += -re if bj[t] else re
+        return half + shift, half - shift
 
     def z_probabilities(self, qubit_id: int) -> tuple[float, float]:
-        _, norms = self._outcomes(qubit_id)
-        tot = norms[0] + norms[1]
-        return norms[0] / tot, norms[1] / tot
+        self.canonicalize()
+        n0, n1 = self._z_norms(self._row(qubit_id))
+        tot = n0 + n1
+        return n0 / tot, n1 / tot
 
     def measure(self, qubit_id: int, rng):
-        branches, norms = self._outcomes(qubit_id)
-        tot = norms[0] + norms[1]
-        p0, p1 = norms[0] / tot, norms[1] / tot
+        """One Born draw from the canonical form's probabilities, then the
+        drawn outcome alone is projected and renormalised."""
+        p0, p1 = self.z_probabilities(qubit_id)
         bit = 1 if rng.random() < p1 else 0
         prob = p1 if bit else p0
         if prob <= 1e-14:
             return bit, 0.0
-        # continue as the drawn outcome's projected copy
-        vars(self).update(vars(branches[bit]))
-        self.coeffs = self.coeffs / np.sqrt(norms[bit])
+        self._project(self._row(qubit_id), bit)
+        self.coeffs = self.coeffs / np.sqrt(self._sq_norm())
         return bit, prob
 
     # -- inspection ---------------------------------------------------------
-    def sparse_amplitudes(self) -> dict[int, complex]:
-        """Exact amplitudes keyed by basis index (qubit 0 most significant)."""
+    def _amplitude_table(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """Every nonzero amplitude: (keys, amps), where keys[i] packs the
+        bits of basis state i on ``rows`` (in that order, most significant
+        first, as ``np.packbits``) and amps[i] is its amplitude.
+
+        Basis states come in order of first appearance over (term, u), and
+        each amplitude is summed in that order starting from zero, as a
+        running dictionary would sum it."""
         if self.k > 20:
             raise ValueError("dense reconstruction limited to 2^20 terms")
-        out: dict[int, complex] = {}
         k = self.k
+        rows = list(rows)
         us = np.arange(1 << k, dtype=np.int64)
-        ubits = ((us[:, None] >> np.arange(k)[None, :]) & 1).astype(np.uint8)
-        quad = np.zeros(1 << k, dtype=np.int64)
-        for m in range(k):
-            for w in range(m + 1, k):
-                if self.Q[m, w]:
-                    quad += ubits[:, m] * ubits[:, w]
-        xs = (ubits @ self.A.T.astype(np.int64)) & 1  # (2^k, n)
+        ubits = (us[:, None] >> np.arange(k)[None, :]) & 1
+        quad = ((ubits @ np.triu(self.Q, 1).astype(np.int64)) * ubits).sum(
+            axis=1)
         ipow = np.array([1, 1j, -1, -1j], dtype=complex)
+        amps = []
         for t in range(self.num_terms):
-            phase = (ubits.astype(np.int64) @ ((self.d + 2 * self.es[t]) & 3)) \
-                + 2 * quad
-            amps = self.coeffs[t] * (2.0 ** (-k / 2)) * ipow[phase & 3]
-            cells = xs ^ self.bs[t][None, :]
-            for row, amp in zip(cells, amps):
-                idx = 0
-                for b in row:
-                    idx = (idx << 1) | int(b)
-                out[idx] = out.get(idx, 0.0) + amp
-        return {i: a for i, a in out.items() if abs(a) > 1e-14}
+            phase = ubits @ ((self.d + 2 * self.es[t]) & 3) + 2 * quad
+            amps.append(self.coeffs[t] * (2.0 ** (-k / 2)) * ipow[phase & 3])
+        xs = ((ubits @ self.A[rows].T.astype(np.int64)) & 1).astype(np.uint8)
+        keys = (np.packbits(xs, axis=1)[None, :, :]
+                ^ np.packbits(self.bs[:, rows], axis=1)[:, None, :])
+        keys = keys.reshape(self.num_terms << k, keys.shape[2])
+        slot, first = _first_seen(keys)
+        acc = np.zeros(len(first), dtype=complex)
+        np.add.at(acc, slot, np.concatenate(amps))
+        nonzero = np.abs(acc) > 1e-14
+        return keys[first][nonzero], acc[nonzero]
+
+    def sparse_amplitudes(self) -> dict[int, complex]:
+        """Exact amplitudes keyed by basis index (qubit 0 most significant)."""
+        keys, amps = self._amplitude_table(range(self.n))
+        shift = 8 * keys.shape[1] - self.n
+        return {int.from_bytes(key.tobytes(), "big") >> shift: amp
+                for key, amp in zip(keys, amps)}
 
     def dense_vector(self) -> np.ndarray:
         vec = np.zeros(1 << self.n, dtype=complex)
@@ -498,27 +549,46 @@ class StabilizerSum:
         return vec
 
     def density_of(self, qubits) -> np.ndarray:
+        """Reduced density matrix on the listed qubits (<= 12): the sum of
+        |v><v| over the kept-qubit vectors v of each basis state of the
+        other qubits, in order of first appearance."""
         keep = [self._row(q) for q in qubits]
         if len(keep) > 12:
             raise ValueError("dense reduction limited to 12 qubits")
-        amps = self.sparse_amplitudes()
-        groups: dict[int, dict[int, complex]] = {}
+        r = len(keep)
         keepset = set(keep)
-        for idx, amp in amps.items():
-            kept = 0
-            rest = 0
-            for pos, q in enumerate(keep):
-                kept |= ((idx >> (self.n - 1 - q)) & 1) << (len(keep) - 1 - pos)
-            for q in range(self.n):
-                if q not in keepset:
-                    rest = (rest << 1) | ((idx >> (self.n - 1 - q)) & 1)
-            bucket = groups.setdefault(rest, {})
-            bucket[kept] = bucket.get(kept, 0.0) + amp
-        dim = 1 << len(keep)
+        rest = [q for q in range(self.n) if q not in keepset]
+        keys, amps = self._amplitude_table(keep + rest)
+        bits = np.unpackbits(keys, axis=1, count=self.n)
+        kept = bits[:, :r].astype(np.intp) @ (1 << np.arange(r - 1, -1, -1))
+        group, first = _first_seen(np.packbits(bits[:, r:], axis=1))
+        order = np.argsort(group, kind="stable")
+        group, kept, amps = group[order], kept[order], amps[order]
+        dim = 1 << r
         rho = np.zeros((dim, dim), dtype=complex)
-        for sub in groups.values():
-            vec = np.zeros(dim, dtype=complex)
-            for kk, aa in sub.items():
-                vec[kk] = aa
-            rho += np.outer(vec, vec.conj())
+        flat = rho.reshape(-1)
+        # |v><v| group after group, a block of groups at a time
+        per = max(1, (1 << 20) // (dim * dim))
+        for lo in range(0, len(first), per):
+            a, b = np.searchsorted(group, [lo, lo + per])
+            vecs = np.zeros((min(per, len(first) - lo), dim), dtype=complex)
+            vecs[group[a:b] - lo, kept[a:b]] = amps[a:b]
+            outer = vecs[:, :, None] * vecs.conj()[:, None, :]
+            np.add.at(flat, np.tile(np.arange(dim * dim), len(vecs)),
+                      outer.reshape(-1))
         return rho
+
+
+def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct rows of a uint8 array by first appearance:
+    (each row's number, the index where each number first appears)."""
+    if keys.shape[1] == 0:
+        keys = np.zeros((len(keys), 1), dtype=np.uint8)
+    rows = np.ascontiguousarray(keys).view(
+        np.dtype((np.void, keys.shape[1]))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty(len(first), dtype=np.intp)
+    number[order] = np.arange(len(first))
+    return number[inverse.ravel()], first[order]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..gf2 import nullspace
+from ..gf2 import relations
 from ..paulis import PauliOperator
 
 try:
@@ -101,60 +101,60 @@ class TableauState:
         """Reduced density matrix on the listed qubits (<= 12).
 
         Sums the stabilizer-group elements supported inside the kept set:
-        rho = 2^{-k} sum_{P in S_keep} P.
+        rho = 2^{-k} sum_{P in S_keep} P.  A Pauli on the kept qubits is in
+        the group (up to sign) exactly when it commutes with every
+        stabilizer generator, which the kept qubits' column planes decide.
+        It is then the product of the generators whose destabilizers it
+        anticommutes with, and only those generators' rows are read.
         """
         keep = list(qubits)
         k = len(keep)
         if k > 12:
             raise ValueError("dense reduction limited to 12 qubits")
-        pos = {q: i for i, q in enumerate(keep)}
-        keep_mask = 0
-        for q in keep:
-            keep_mask |= 1 << q
-        rows = self.stabilizer_rows()
-        # Generator combinations supported inside `keep`: nullspace of the
-        # outside-support matrix (unknown = generator selection vector).
-        cols = []
-        for j in range(self.n):
-            if (keep_mask >> j) & 1:
-                continue
-            colx = colz = 0
-            for i, (x, z, _) in enumerate(rows):
-                colx |= ((x >> j) & 1) << i
-                colz |= ((z >> j) & 1) << i
-            cols.append(colx)
-            cols.append(colz)
-        basis = nullspace(cols, len(rows))
+        n = self._kernel.n
+        planes = [self._kernel.column(q) for q in keep]
+        # unknown i is X on keep[i], unknown k + i is Z on keep[i]; each
+        # one's stabilizer and destabilizer rows it anticommutes with
+        flips = [z for _, z in planes] + [x for x, _ in planes]
+        elements = []  # (x, z, phase): i^phase X^x Z^z over keep bits
+        for combo in relations([f >> n for f in flips]):
+            gens = 0
+            for u, f in enumerate(flips):
+                if (combo >> u) & 1:
+                    gens ^= f
+            elements.append(self._product(gens & ((1 << n) - 1), keep))
         dim = 1 << k
         rho = np.zeros((dim, dim), dtype=complex)
         idx = np.arange(dim)
-        for combo_bits in range(1 << len(basis)):
-            combo = 0
-            cb, bi = combo_bits, 0
-            while cb:
-                if cb & 1:
-                    combo ^= basis[bi]
-                cb >>= 1
-                bi += 1
-            x = z = 0
-            phase = 0
-            for i, (rx, rz, rs) in enumerate(rows):
-                if (combo >> i) & 1:
-                    phase += (2 * rs + (rx & rz).bit_count()
-                              + 2 * (z & rx).bit_count())
-                    x ^= rx
-                    z ^= rz
-            phase = (phase - (x & z).bit_count()) % 4
-            # Restrict to keep, with qubit i of keep at index bit k-1-i.
-            xr = zr = 0
-            ycount = 0
-            for q in keep:
-                if (x >> q) & 1:
-                    xr |= 1 << (k - 1 - pos[q])
-                if (z >> q) & 1:
-                    zr |= 1 << (k - 1 - pos[q])
-                ycount += (x >> q) & (z >> q) & 1
-            scale = (-1) ** (phase // 2) * (1j) ** ycount
-            signs = 1.0 - 2.0 * (np.bitwise_count(idx & zr) & 1)
-            rho[idx ^ xr, idx] += scale * signs
+        for combo in range(1 << len(elements)):
+            x = z = phase = 0
+            for j, (bx, bz, bp) in enumerate(elements):
+                if (combo >> j) & 1:
+                    phase += bp + 2 * (z & bx).bit_count()
+                    x ^= bx
+                    z ^= bz
+            signs = 1.0 - 2.0 * (np.bitwise_count(idx & z) & 1)
+            rho[idx ^ x, idx] += _IPOW[phase & 3] * signs
         return rho / dim
+
+    def _product(self, gens: int, keep: list) -> tuple[int, int, int]:
+        """The product of the stabilizer generators in mask ``gens``, which
+        is supported on ``keep``, as (x, z, phase) for i^phase X^x Z^z with
+        qubit keep[i] at bit k-1-i."""
+        x = z = phase = 0
+        while gens:
+            low = gens & -gens
+            rx, rz, rs = self._kernel.stab_row(low.bit_length() - 1)
+            phase += 2 * rs + (rx & rz).bit_count() + 2 * (z & rx).bit_count()
+            x ^= rx
+            z ^= rz
+            gens ^= low
+        k = len(keep)
+        xr = zr = 0
+        for i, q in enumerate(keep):
+            xr |= ((x >> q) & 1) << (k - 1 - i)
+            zr |= ((z >> q) & 1) << (k - 1 - i)
+        return xr, zr, phase & 3
+
+
+_IPOW = (1, 1j, -1, -1j)

@@ -69,17 +69,21 @@ def solve(rows: list[int], ncols: int, rhs: list[int]) -> int | None:
     return x
 
 
-def nullspace(rows: list[int], ncols: int) -> list[int]:
-    """Basis of {x : A x = 0} with A given as row masks over ncols unknowns."""
-    reduced, pivots = rref(rows, ncols)
-    pivot_set = set(pivots)
+def relations(vectors: list[int]) -> list[int]:
+    """Basis of the linear relations among ``vectors``: masks c whose
+    selected vectors (bit u of c selects vectors[u]) XOR to zero."""
+    pivots: dict[int, tuple[int, int]] = {}  # leading bit -> (vector, c)
     basis = []
-    for j in range(ncols):
-        if j in pivot_set:
-            continue
-        vec = 1 << j
-        for r, p in zip(reduced, pivots):
-            if (r >> j) & 1:
-                vec |= 1 << p
-        basis.append(vec)
+    for u, v in enumerate(vectors):
+        c = 1 << u
+        while v:
+            p = v.bit_length() - 1
+            if p not in pivots:
+                pivots[p] = (v, c)
+                break
+            pv, pc = pivots[p]
+            v ^= pv
+            c ^= pc
+        else:
+            basis.append(c)
     return basis

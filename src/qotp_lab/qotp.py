@@ -331,6 +331,12 @@ class QotpVerifier(VerifierState):
         return nv
 
     def receive_t_in(self, labels: list[str]) -> None:
+        """Apply the receiver's teleport-in corrections to the input keys;
+        a report without exactly one label per B wire marks the run as
+        cheating and applies nothing."""
+        if len(labels) != self.program.n_b:
+            self.cheated = True
+            return
         for i, label in enumerate(labels):
             p = PauliOperator.from_label(label)
             reg = self.data[self.program.n_a + i]
@@ -343,7 +349,10 @@ class QotpVerifier(VerifierState):
         """Final decryption keys for B_out, or uniform bits on cheating.
 
         The verdict and the key of one run; an exact enumeration splits
-        them with ``branch_final``."""
+        them with ``branch_final``.  A ``t_out`` without exactly one
+        correction per B wire is cheating."""
+        if len(t_out) != self.program.n_b:
+            self.cheated = True
         if self.verdict():
             gen = rngmod.stream(self.reject_key_seed, "reject-key")
             labels = [random_pauli(1, gen).to_label()

@@ -19,6 +19,7 @@ import pytest
 from qotp_lab import denseops as dn
 from qotp_lab.backends import (KERNEL, StabilizerSum, StateVector,
                                TableauState, _tableau_pure)
+from qotp_lab.gf2 import rref
 from qotp_lab.paulis import PauliOperator
 
 
@@ -264,7 +265,9 @@ class TestJointReads:
             for (_, _, a), (_, _, b) in zip(got, want):
                 assert a.tobytes() == b.tobytes()
 
-    def test_stabsum_measure_projects_once_per_outcome(self, monkeypatch):
+    def test_stabsum_measure_projects_once(self, monkeypatch):
+        """A measurement projects the drawn outcome alone, once, after a
+        single ``rng.random()`` draw."""
         calls = []
         project = StabilizerSum._project
 
@@ -272,15 +275,25 @@ class TestJointReads:
             calls.append(y)
             return project(self, j, y)
 
+        class CountingRng:
+            def __init__(self, seed):
+                self.gen = np.random.default_rng(seed)
+                self.draws = 0
+
+            def random(self):
+                self.draws += 1
+                return self.gen.random()
+
         monkeypatch.setattr(StabilizerSum, "_project", counting)
         sm = StabilizerSum(3)
         sm.apply_gate("H", 0)
         sm.inject_magic("T")
         sm.apply_gate("CNOT", 0, 1)
-        rng = np.random.default_rng(47)
+        rng = CountingRng(47)
         for q in (0, 1, 2):
             sm.measure(q, rng=rng)
-        assert len(calls) == 2 * 3
+        assert len(calls) == 3
+        assert rng.draws == 3
         assert abs(sm._sq_norm() - 1) < 1e-12
 
 
@@ -481,6 +494,263 @@ class TestTableauAgainstStatevector:
             assert np.allclose(states[0].density_of(keep),
                                states[1].density_of(keep),
                                atol=1e-9), trial
+
+
+def two_copy_outcomes(sm, qubit_id):
+    """The former ``StabilizerSum`` measurement read: canonicalize, then
+    project a copy onto each Z outcome.  Returns the copies (None for an
+    annihilated one) and their squared norms."""
+    row = sm._row(qubit_id)
+    sm._canonical = False  # the former read canonicalized every time
+    sm.canonicalize()
+    branches, norms = [], []
+    for y in (0, 1):
+        try:
+            br = sm.copy()
+            br._project(row, y)
+            branches.append(br)
+            norms.append(br._sq_norm())
+        except ValueError:
+            branches.append(None)
+            norms.append(0.0)
+    return branches, norms
+
+
+class Draw:
+    """An rng stub whose one ``random()`` draw selects outcome ``bit``
+    wherever it has weight."""
+
+    def __init__(self, bit):
+        self.bit = bit
+
+    def random(self):
+        return 0.0 if self.bit else 1.0 - 2.0 ** -53
+
+
+class TestStabsumMeasureFromCanonicalForm:
+    """The closed-form measurement against the two-copy one it replaced,
+    on random sums with 1-3 T injections and gates between the
+    measurements."""
+
+    def test_matches_two_copy_measurement(self):
+        interfering = 0
+        for seed in range(200):
+            rng = np.random.default_rng(9000 + seed)
+            n = int(rng.integers(2, 6))
+            sm = StabilizerSum(n)
+            ids = list(range(n))
+            for _ in range(int(rng.integers(1, 4))):
+                run_circuit(sm, random_clifford_circuit(len(ids), 8, rng))
+                ids += sm.inject_magic("T")
+                sm.apply_gate("CNOT", ids[int(rng.integers(0, n))], ids[-1])
+            sm.canonicalize()  # so the gates below must clear the flag
+            gates = random_clifford_circuit(len(ids), 10, rng)
+            run_circuit(sm, [(g[0],) + tuple(ids[q] for q in g[1:])
+                             for g in gates])
+            for q in rng.permutation(ids):
+                q = int(q)
+                oracle = sm.copy()
+                branches, norms = two_copy_outcomes(oracle, q)
+                want = [norms[0] / sum(norms), norms[1] / sum(norms)]
+                row = sm.A[sm._row(q)]
+                got = sm.z_probabilities(q)
+                assert np.allclose(got, want, rtol=0, atol=1e-12), (seed, q)
+                if sm.num_terms > 1 and row.any() and \
+                        abs(want[0] - 0.5) > 1e-9:
+                    interfering += 1
+                bit = int(rng.integers(0, 2))
+                if want[bit] < 1e-9:
+                    bit ^= 1
+                drawn, prob = sm.measure(q, Draw(bit))
+                assert drawn == bit and abs(prob - want[bit]) < 1e-12
+                post = branches[bit].dense_vector() / np.sqrt(norms[bit])
+                assert np.allclose(sm.dense_vector(), post, rtol=0,
+                                   atol=1e-12), (seed, q)
+                gates = random_clifford_circuit(len(ids), 2, rng)
+                run_circuit(sm, [(g[0],) + tuple(ids[w] for w in g[1:])
+                                 for g in gates])
+        # pairs of terms that interfere moved some outcome off 1/2
+        assert interfering >= 20
+
+
+def dict_loop_density(sm, qubits):
+    """The former ``StabilizerSum.density_of``: amplitudes summed into a
+    dictionary term by term, then grouped bit by bit."""
+    k = sm.k
+    out = {}
+    us = np.arange(1 << k, dtype=np.int64)
+    ubits = ((us[:, None] >> np.arange(k)[None, :]) & 1).astype(np.uint8)
+    quad = np.zeros(1 << k, dtype=np.int64)
+    for m in range(k):
+        for w in range(m + 1, k):
+            if sm.Q[m, w]:
+                quad += ubits[:, m] * ubits[:, w]
+    xs = (ubits @ sm.A.T.astype(np.int64)) & 1
+    ipow = np.array([1, 1j, -1, -1j], dtype=complex)
+    for t in range(sm.num_terms):
+        phase = (ubits.astype(np.int64) @ ((sm.d + 2 * sm.es[t]) & 3)) \
+            + 2 * quad
+        amps = sm.coeffs[t] * (2.0 ** (-k / 2)) * ipow[phase & 3]
+        for row, amp in zip(xs ^ sm.bs[t][None, :], amps):
+            idx = 0
+            for b in row:
+                idx = (idx << 1) | int(b)
+            out[idx] = out.get(idx, 0.0) + amp
+    amps = {i: a for i, a in out.items() if abs(a) > 1e-14}
+    keep = [sm._row(q) for q in qubits]
+    groups = {}
+    for idx, amp in amps.items():
+        kept = rest = 0
+        for pos, q in enumerate(keep):
+            kept |= ((idx >> (sm.n - 1 - q)) & 1) << (len(keep) - 1 - pos)
+        for q in range(sm.n):
+            if q not in keep:
+                rest = (rest << 1) | ((idx >> (sm.n - 1 - q)) & 1)
+        bucket = groups.setdefault(rest, {})
+        bucket[kept] = bucket.get(kept, 0.0) + amp
+    dim = 1 << len(keep)
+    rho = np.zeros((dim, dim), dtype=complex)
+    for sub in groups.values():
+        vec = np.zeros(dim, dtype=complex)
+        for kk, aa in sub.items():
+            vec[kk] = aa
+        rho += np.outer(vec, vec.conj())
+    return rho
+
+
+def test_stabsum_density_matches_dict_loop():
+    """The array-built read sums in the same order as the dictionary loop
+    it replaced, so the bytes agree."""
+    for seed in range(40):
+        rng = np.random.default_rng(9500 + seed)
+        n = int(rng.integers(2, 6))
+        sm = StabilizerSum(n)
+        ids = list(range(n))
+        for _ in range(int(rng.integers(1, 4))):
+            run_circuit(sm, random_clifford_circuit(len(ids), 8, rng))
+            ids += sm.inject_magic("T")
+            sm.apply_gate("CNOT", ids[int(rng.integers(0, n))], ids[-1])
+        sm.measure(ids[-1], rng)
+        keep = [int(q) for q in
+                rng.permutation(ids)[:int(rng.integers(1, 4))]]
+        assert sm.density_of(keep).tobytes() == \
+            dict_loop_density(sm, keep).tobytes(), seed
+
+
+def column_loop_density(state, qubits):
+    """The former ``TableauState.density_of``: every stabilizer row, the
+    outside-support columns rebuilt bit by bit, and the nullspace of that
+    system from a full row-reduced form."""
+    keep = list(qubits)
+    k = len(keep)
+    pos = {q: i for i, q in enumerate(keep)}
+    keep_mask = 0
+    for q in keep:
+        keep_mask |= 1 << q
+    rows = state.stabilizer_rows()
+    cols = []
+    for j in range(state.n):
+        if (keep_mask >> j) & 1:
+            continue
+        colx = colz = 0
+        for i, (x, z, _) in enumerate(rows):
+            colx |= ((x >> j) & 1) << i
+            colz |= ((z >> j) & 1) << i
+        cols.append(colx)
+        cols.append(colz)
+    reduced, pivots = rref(cols, len(rows))
+    basis = []
+    for j in range(len(rows)):
+        if j in pivots:
+            continue
+        vec = 1 << j
+        for r, p in zip(reduced, pivots):
+            if (r >> j) & 1:
+                vec |= 1 << p
+        basis.append(vec)
+    dim = 1 << k
+    rho = np.zeros((dim, dim), dtype=complex)
+    idx = np.arange(dim)
+    for combo_bits in range(1 << len(basis)):
+        combo = 0
+        for bi, vec in enumerate(basis):
+            if (combo_bits >> bi) & 1:
+                combo ^= vec
+        x = z = 0
+        phase = 0
+        for i, (rx, rz, rs) in enumerate(rows):
+            if (combo >> i) & 1:
+                phase += (2 * rs + (rx & rz).bit_count()
+                          + 2 * (z & rx).bit_count())
+                x ^= rx
+                z ^= rz
+        phase = (phase - (x & z).bit_count()) % 4
+        xr = zr = 0
+        ycount = 0
+        for q in keep:
+            if (x >> q) & 1:
+                xr |= 1 << (k - 1 - pos[q])
+            if (z >> q) & 1:
+                zr |= 1 << (k - 1 - pos[q])
+            ycount += (x >> q) & (z >> q) & 1
+        scale = (-1) ** (phase // 2) * (1j) ** ycount
+        signs = 1.0 - 2.0 * (np.bitwise_count(idx & zr) & 1)
+        rho[idx ^ xr, idx] += scale * signs
+    return rho / dim
+
+
+class TestTableauDensityFromColumns:
+    """``TableauState.density_of`` reads the kept qubits' column planes;
+    it must give the former column-loop result bit for bit, and the
+    statevector's where that fits."""
+
+    @pytest.mark.parametrize("lane", ["pure", "compiled"])
+    def test_matches_column_loop(self, lane, request, monkeypatch):
+        from qotp_lab.backends import tableau
+
+        kernel = (request.getfixturevalue("compiled_kernel")
+                  if lane == "compiled" else _tableau_pure.TableauKernel)
+        monkeypatch.setattr(tableau, "TableauKernel", kernel)
+        rng = np.random.default_rng(77)
+        nontrivial = 0
+        for trial in range(24):
+            n = int(rng.integers(30, 201))
+            t = TableauState(n)
+            run_circuit(t, random_clifford_circuit(n, 2 * n, rng))
+            for q in rng.choice(n, size=n // 2, replace=False):
+                t.measure(int(q), rng)
+            run_circuit(t, random_clifford_circuit(n, n // 2, rng))
+            for _ in range(3):
+                keep = [int(q) for q in rng.choice(
+                    n, size=int(rng.integers(1, 5)), replace=False)]
+                got = t.density_of(keep)
+                assert got.tobytes() == \
+                    column_loop_density(t, keep).tobytes(), (trial, keep)
+                mixed = np.eye(len(got)) / len(got)
+                nontrivial += not np.array_equal(got, mixed)
+        assert nontrivial >= 20
+
+    @pytest.mark.parametrize("lane", ["pure", "compiled"])
+    def test_matches_statevector(self, lane, request, monkeypatch):
+        from qotp_lab.backends import tableau
+
+        kernel = (request.getfixturevalue("compiled_kernel")
+                  if lane == "compiled" else _tableau_pure.TableauKernel)
+        monkeypatch.setattr(tableau, "TableauKernel", kernel)
+        rng = np.random.default_rng(78)
+        for trial in range(40):
+            n = int(rng.integers(1, 13))
+            states = (TableauState(n), StateVector(n))
+            for g in random_clifford_circuit(n, 4 * n, rng):
+                for s in states:
+                    s.apply_gate(*g)
+            keep = [int(q) for q in rng.permutation(n)[
+                :int(rng.integers(1, min(n, 4) + 1))]]
+            assert np.allclose(states[0].density_of(keep),
+                               states[1].density_of(keep), atol=1e-9), trial
+            if n <= 8:  # the whole register: a pure state's projector
+                assert states[0].density_of(range(n)).tobytes() == \
+                    column_loop_density(states[0], range(n)).tobytes()
 
 
 KERNELS_NOTE = f"active tableau kernel: {KERNEL}"

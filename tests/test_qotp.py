@@ -441,3 +441,40 @@ class TestAbortChannel:
                                 backend="tab", transport=transport)
             res = inst.run(LengthTamper())
             assert res.cheated and not res.accepted, seed
+
+    @pytest.mark.parametrize("transport", ["direct", "brotp"])
+    @pytest.mark.parametrize("tamper", ["append", "drop"])
+    def test_teleport_in_report_of_wrong_length_rejected(self, transport,
+                                                         tamper):
+        """A teleport-in report with a label too many or too few rejects
+        the run: an appended "+X" would otherwise flip the control's key
+        by a logical X, and a dropped label would leave its pad
+        unapplied."""
+        prog = compile_controlled_program([("X", 0)], 0, 1)
+        for seed in range(20):
+            inst = QotpInstance(prog, STEANE, seed=seed, world="real",
+                                backend="tab", transport=transport)
+            send = inst.oracle.receive_t_in
+            inst.oracle.receive_t_in = lambda labels: send(
+                labels + ["+X"] if tamper == "append" else labels[:-1])
+            res = inst.run(DummyAdversary())
+            assert res.cheated and not res.accepted, seed
+            assert res.s_hat == ("random",), seed
+
+    @pytest.mark.parametrize("transport", ["direct", "brotp"])
+    @pytest.mark.parametrize("tamper", ["short", "long"])
+    def test_teleport_out_report_of_wrong_length_rejected(self, transport,
+                                                          tamper):
+        """A t_out with a correction too many or too few gets the junk
+        key of a rejected run, on the chained transport as well, where a
+        short one used to fail inside the last round function."""
+        prog = compile_controlled_program([("X", 0)], 0, 1)
+        for seed in range(20):
+            inst = QotpInstance(prog, STEANE, seed=seed, world="real",
+                                backend="tab", transport=transport)
+            finalize = inst.oracle.finalize
+            inst.oracle.finalize = lambda t_out: finalize(
+                t_out[:-1] if tamper == "short" else t_out + [(0, 0)])
+            res = inst.run(DummyAdversary())
+            assert res.cheated and not res.accepted, seed
+            assert res.s_hat == ("random",), seed
