@@ -11,7 +11,7 @@ Three interoperable state representations:
 
 The contract is what the protocol runs call: ``append_qubits(k)``
 prepares k |0> qubits and returns their ids, ``discard(ids)`` lets go of
-measured qubits (the tableau keeps them, as product states), ``copy()``,
+measured qubits (the tableau keeps them, as product states),
 ``apply_gate(name, *ids)``, ``apply_pauli(p, ids)``, ``measure(id, rng)``
 returns ``(bit, probability)`` with the bit drawn by the Born rule, and
 ``density_of(ids)`` is the reduced density matrix.

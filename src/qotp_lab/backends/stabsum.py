@@ -56,21 +56,6 @@ class StabilizerSum:
     def num_terms(self) -> int:
         return len(self.coeffs)
 
-    def copy(self) -> "StabilizerSum":
-        s = StabilizerSum.__new__(StabilizerSum)
-        s.n, s.k = self.n, self.k
-        s.A = self.A.copy()
-        s.Q = self.Q.copy()
-        s.d = self.d.copy()
-        s.bs = self.bs.copy()
-        s.es = self.es.copy()
-        s.coeffs = self.coeffs.copy()
-        s._row_of = dict(self._row_of)
-        s._free_rows = list(self._free_rows)
-        s._next_id = self._next_id
-        s._canonical = self._canonical
-        return s
-
     def _row(self, qubit_id: int) -> int:
         return self._row_of[qubit_id]
 

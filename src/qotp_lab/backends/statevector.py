@@ -66,13 +66,6 @@ class StateVector:
             self._amps = self._amps / norm
             self._ids.pop(ax)
 
-    def copy(self) -> "StateVector":
-        s = StateVector.__new__(StateVector)
-        s._amps = self._amps.copy()
-        s._ids = list(self._ids)
-        s._next_id = self._next_id
-        return s
-
     # -- operations ---------------------------------------------------------
     def apply_gate(self, name: str, *qubits: int) -> None:
         if len(set(qubits)) != len(qubits):

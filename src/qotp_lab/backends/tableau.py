@@ -53,12 +53,6 @@ class TableauState:
         """Keep the measured qubits: they stay in the tableau as product
         states, and their columns still cost every later measurement."""
 
-    def copy(self) -> "TableauState":
-        t = TableauState.__new__(TableauState)
-        t._kernel = self._kernel.copy()
-        t.n = self.n
-        return t
-
     # -- operations ---------------------------------------------------------
     def apply_gate(self, name: str, *qubits: int) -> None:
         for q in qubits:

@@ -134,7 +134,7 @@ def mac_tag_blocks(key: MacKey, blocks: list[int]) -> int:
 
 
 def mac_verify_blocks(key: MacKey, blocks: list[int], tag: int) -> bool:
-    return mac_tag_blocks(MacKey(key.a, key.b, key.kappa), blocks) == tag
+    return mac_tag_blocks(key, blocks) == tag
 
 
 # ---------------------------------------------------------------------------
@@ -223,14 +223,11 @@ class BrOtpProgram:
 
     ``round_functions`` follow the reactive shape: g_1(a, b_1) -> (m_1, s_1),
     g_i(b_i, s_{i-1}) -> (m_i, s_i); states are byte strings padded to
-    ``state_len`` bytes.
+    the ``state_len`` bytes given to ``brotp_compile``.
     """
 
     cotps: list
     ell: int
-    kappa: int
-    state_len: int
-    current_round: int = 0
     aborted: bool = False
 
     def query(self, i: int, b_i: bytes, carried: bytes = b"") -> bytes:
@@ -279,7 +276,7 @@ def brotp_compile(round_functions: list, sender_input, kappa: int,
 
     cotps = [CotpInstance(make_f(i), sender_input if i == 1 else None)
              for i in range(1, ell + 1)]
-    return BrOtpProgram(cotps, ell, kappa, state_len)
+    return BrOtpProgram(cotps, ell)
 
 
 def brotp_query(program: BrOtpProgram, i: int, b_i: bytes,

@@ -87,6 +87,14 @@ class CssCode:
     def encoder(self) -> CliffordUnitary:
         return build_encoder(self)
 
+    @cached_property
+    def data_images(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """(x mask, z mask) of E X_0 E^dag and of E Z_0 E^dag: the Paulis the
+        encoder E makes of X and Z on the data wire."""
+        images = [self.encoder.propagate(PauliOperator.single(self.n, 0, c))
+                  for c in "XZ"]
+        return tuple((p.x, p.z) for p in images)
+
     def encoder_wires(self) -> tuple[int, list[int], list[int]]:
         """(data wire, X-syndrome wires, Z-syndrome wires) of the encoder."""
         kx = len(self.hx)

@@ -342,8 +342,9 @@ def run_qotp(config: dict) -> tuple[ExperimentReport, None]:
         raise ValueError(f"code must be an object, got {code_cfg!r}")
     config_keys(code_cfg, "base", "levels", name="code")
     base = config_code(code_cfg)
+    # every backend's density_of, which reads the output, stops at 12
     n_b = config_int(config, "n_b", max(g[1] for g in channel) + 1
-                     if all(len(g) == 2 for g in channel) else 2)
+                     if all(len(g) == 2 for g in channel) else 2, hi=12)
     b_labels = tuple(config_choice_list(config, "b_labels", ["0"] * n_b,
                                         tuple(EIGENSTATE_VECTORS),
                                         length=n_b))
@@ -369,8 +370,7 @@ def run_qotp(config: dict) -> tuple[ExperimentReport, None]:
     report.add_check("output_fidelity", fidelity, 1 - 1e-9,
                      fidelity >= 1 - 1e-9)
     audit = inst.oracle.audit
-    recomputed = [audit.final_key(result.t_out, i).to_label()
-                  for i in range(n_b)]
+    recomputed = [audit.final_key(result.t_out, i) for i in range(n_b)]
     report.extra["s_hat"] = list(result.s_hat)
     report.extra["s_hat_recomputed"] = recomputed
     report.add_check("final_key_equation",
@@ -404,6 +404,10 @@ def run_qotp_attack(config: dict) -> tuple[ExperimentReport, None]:
     base = config_code(config)
     channel = config_channel(config, [["Y", 0]])
     program = compile_controlled_program(channel, 0, 1)
+    if not program.num_rounds:
+        raise ValueError(
+            f"channel {[list(g) for g in channel]!r} has no gadget round, "
+            "so no magic register M0 to attack")
     n3 = 3 * base.n
     attack = P.from_masks(n3, config_int(config, "attack_x_mask", 0b111,
                                          lo=0, hi=(1 << n3) - 1), 0)

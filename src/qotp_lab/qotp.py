@@ -39,10 +39,11 @@ branch of a Born outcome per qubit drawn from the instance's outcome
 stream (``QotpInstance.run``), ``_Fan`` every joint outcome of the dense
 state, each on its own clone (``enumerate_protocol_runs``, the exact
 real-vs-simulated comparison).  ``_Fan`` takes the teleport-out outcomes
-of a branch as one batch: the verdict is decided once per branch, each
-leaf's final key is read from a per-branch table built by
-``QotpVerifier.final_key``, every leaf's output density comes from one
-stacked read of the state, and a rejected branch draws no junk key.
+of a branch as one batch: the verdict is decided once per branch, every
+leaf's output density comes from one stacked read of the state, and a
+rejected branch draws no junk key.  Every final key, sampled or
+enumerated, is read by ``QotpVerifier.final_key``: two parities of the
+accumulated key against the encoder's images of the data wire's Z and X.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .css import CssCode
 from .gadgets import (AuthSession, VerifierState, authenticate_into,
                       build_schedule, eigenstate_preparer, magic_slots,
                       pauli_eigenstate_prep)
-from .paulis import CliffordUnitary, PauliOperator
+from .paulis import PauliOperator
 from .trap import TrapCode, random_pauli, sample_trap_code
 
 UNIVERSAL_GATES = ("X", "Y", "Z", "CNOT", "K", "T", "H")
@@ -316,7 +317,6 @@ class QotpVerifier(VerifierState):
         self.program = program
         self.output_keys = list(output_keys)
         self.reject_key_seed = reject_key_seed
-        self.e_pi = trap_encoder_clifford(trap)
 
     @property
     def audit(self) -> "QotpVerifier":
@@ -348,9 +348,10 @@ class QotpVerifier(VerifierState):
     def finalize(self, t_out: list[tuple[int, int]]) -> tuple[list[str], bool]:
         """Final decryption keys for B_out, or uniform bits on cheating.
 
-        The verdict and the key of one run; an exact enumeration splits
-        them with ``branch_final``.  A ``t_out`` without exactly one
-        correction per B wire is cheating."""
+        The verdict and the keys of one run; an exact enumeration decides
+        the verdict once per branch and reads each leaf's keys with
+        ``final_key``.  A ``t_out`` without exactly one correction per B
+        wire is cheating."""
         if len(t_out) != self.program.n_b:
             self.cheated = True
         if self.verdict():
@@ -358,71 +359,24 @@ class QotpVerifier(VerifierState):
             labels = [random_pauli(1, gen).to_label()
                       for _ in range(self.program.n_b)]
             return labels, True
-        return [self.final_key(t_out, i).to_label()
+        return [self.final_key(t_out, i)
                 for i in range(self.program.n_b)], False
 
-    def branch_final(self):
-        """``finalize`` for every teleport-out outcome of one branch.
-
-        The verdict is decided once, here.  The returned function maps a
-        leaf's ``t_out`` to (labels, cheated).  A cheating branch draws no
-        junk key: its leaves get (None, True), since an enumeration expands
-        a rejection over all four key labels itself.  Otherwise each key
-        comes from a table built by ``final_key``, whose two output bits are
-        GF(2)-affine in the bits of t: per output wire, the key bits at
-        t = 0 and the bits each of the 2*3n unit Paulis flips (X on qubit j
-        is row j, Z on qubit j row 3n + j).  A leaf XORs the rows its t
-        selects.
-        """
-        if self.verdict():
-            return lambda t_out: (None, True)
-        n_b, n3 = self.program.n_b, self.trap.n
-        units = [(1 << j, 0) for j in range(n3)] + \
-            [(0, 1 << j) for j in range(n3)]
-
-        def key_bits(t, i):
-            p = self.final_key([t] * n_b, i)
-            return p.x | p.z << 1
-
-        table = []
-        for i in range(n_b):
-            base = key_bits((0, 0), i)
-            table.append((base, [key_bits(u, i) ^ base for u in units]))
-
-        def final(t_out):
-            labels = []
-            for (key, rows), (xm, zm) in zip(table, t_out):
-                t = xm | zm << n3
-                for row in rows:
-                    if t & 1:
-                        key ^= row
-                    t >>= 1
-                labels.append(_KEY_LABELS[key])
-            return labels, False
-
-        return final
-
-    def final_key(self, t_out, i: int) -> PauliOperator:
-        """The decryption key of output wire ``i`` under the current keys
-        and the teleport-out corrections ``t_out``."""
+    def final_key(self, t_out, i: int) -> str:
+        """The decryption key label of output wire ``i`` under the current
+        keys and the teleport-out corrections ``t_out``: the logical Pauli
+        that the pad, the correction and the register's key together leave
+        on the data wire after decoding (``TrapCode.data_key``)."""
         xm, zm = t_out[i]
-        t_pauli = PauliOperator.from_masks(self.trap.n, xm, zm)
-        reg = self.data[self.program.n_a + i]
-        q = self.output_keys[i] * t_pauli * self.keys[reg]
-        pulled = self.e_pi.conjugate(q)
-        dpos = self.trap.data_position()
-        return PauliOperator.from_masks(
-            1, (pulled.x >> dpos) & 1, (pulled.z >> dpos) & 1)
+        pad = self.output_keys[i]
+        key = self.keys[self.data[self.program.n_a + i]]
+        return _KEY_LABELS[self.trap.data_key(pad.x ^ xm ^ key.x,
+                                              pad.z ^ zm ^ key.z)]
 
 
-# one-qubit key labels by their bits x | z << 1, as ``final_key`` labels them
+# one-qubit key labels by their bits x | z << 1
 _KEY_LABELS = [PauliOperator.from_masks(1, k & 1, k >> 1).to_label()
                for k in range(4)]
-
-
-def trap_encoder_clifford(trap: TrapCode) -> CliffordUnitary:
-    gates = trap.encoding_ops(list(range(trap.n)))
-    return CliffordUnitary(trap.n, tuple(gates))
 
 
 def data_registers(program: CompiledProgram) -> list[str]:
@@ -834,10 +788,10 @@ class _Fan:
     clone of its parent.
 
     Teleport-out is taken as one batch: the verifier decides the branch's
-    verdict and builds its key table once (``QotpVerifier.branch_final``),
-    and one stacked read of the rotated state gives every outcome's
-    probability and its density on the kept qubits.  A leaf keeps only that
-    density, and a rejected branch draws no junk key."""
+    verdict once, and one stacked read of the rotated state gives every
+    outcome's probability and its density on the kept qubits.  A leaf keeps
+    only that density and, on an accepted branch, reads its keys with
+    ``QotpVerifier.final_key``; a rejected branch draws no junk key."""
 
     def pairs(self, inst, pairs):
         ids = self._rotate(inst, pairs)
@@ -859,7 +813,14 @@ class _Fan:
         ids = self._rotate(inst, pairs)
         masks = _fan_masks(len(ids) // 2)
         weight = inst.session.prob_weight
-        final = inst.oracle.branch_final()
+        v = inst.oracle
+        cheated = v.verdict()
+
+        def final(t_out):
+            if cheated:
+                return None, True
+            return [v.final_key(t_out, i) for i in range(len(t_out))], False
+
         for k, p, rho in inst.session.state.joint_densities(ids, keep):
             yield masks[k], weight * p, final, rho
 

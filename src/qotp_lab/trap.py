@@ -38,6 +38,8 @@ class TrapCode:
     ``hx_rows``, ``logical_x`` and ``logical_z`` are the base code's checks
     and logicals embedded at their physical positions.  Together with the
     trap singletons these rows are the checks of a [[3n,1,d]] CSS code.
+    ``data_images`` is the base code's ``data_images`` embedded the same
+    way: where the trap encoder carries X and Z of the data position.
     """
 
     base: CssCode
@@ -48,6 +50,7 @@ class TrapCode:
     hx_rows: tuple = field(init=False, repr=False, compare=False)
     logical_x: int = field(init=False, repr=False, compare=False)
     logical_z: int = field(init=False, repr=False, compare=False)
+    data_images: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.pi.size != 3 * self.base.n:
@@ -59,6 +62,9 @@ class TrapCode:
         put(self, "hx_rows", tuple(map(self.embed_base_mask, self.base.hx)))
         put(self, "logical_x", self.embed_base_mask(self.base.logical_x))
         put(self, "logical_z", self.embed_base_mask(self.base.logical_z))
+        put(self, "data_images", tuple(
+            (self.embed_base_mask(x), self.embed_base_mask(z))
+            for x, z in self.base.data_images))
 
     @property
     def n(self) -> int:
@@ -105,6 +111,19 @@ class TrapCode:
         return PauliOperator.from_masks(
             self.n, self.logical_x if letter in "XY" else 0,
             self.logical_z if letter in "ZY" else 0)
+
+    def data_key(self, x: int, z: int) -> int:
+        """The Pauli X^a Z^b, as bits a | b << 1, that decoding leaves on the
+        data wire of a block hit by X^x Z^z (phase dropped).
+
+        a is the x bit of E^dag X^x Z^z E at the data position, so its
+        symplectic product with Z there; conjugating both by E, that is
+        the product of (x, z) with E Z E^dag.  b is the same with X.
+        """
+        (xx, xz), (zx, zz) = self.data_images
+        a = ((x & zz) ^ (z & zx)).bit_count() & 1
+        b = ((x & xz) ^ (z & xx)).bit_count() & 1
+        return a | b << 1
 
     # -- encoder as explicit operations ---------------------------------------
     def encoding_ops(self, ids: list[int]) -> list[tuple]:

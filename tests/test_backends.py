@@ -6,6 +6,7 @@ circuits, and the sum backend additionally on circuits with injected
 T-type magic.
 """
 
+import copy
 import importlib.machinery
 import importlib.util
 import shutil
@@ -506,7 +507,7 @@ def two_copy_outcomes(sm, qubit_id):
     branches, norms = [], []
     for y in (0, 1):
         try:
-            br = sm.copy()
+            br = copy.deepcopy(sm)
             br._project(row, y)
             branches.append(br)
             norms.append(br._sq_norm())
@@ -549,7 +550,7 @@ class TestStabsumMeasureFromCanonicalForm:
                              for g in gates])
             for q in rng.permutation(ids):
                 q = int(q)
-                oracle = sm.copy()
+                oracle = copy.deepcopy(sm)
                 branches, norms = two_copy_outcomes(oracle, q)
                 want = [norms[0] / sum(norms), norms[1] / sum(norms)]
                 row = sm.A[sm._row(q)]

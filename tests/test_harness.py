@@ -180,6 +180,8 @@ class TestCli:
         ("qotp-run", {"channel": [["CNOT", 1, 1]]}),
         ("qotp-run", {"channel": [["SWAP", 0, 1]]}),
         ("qotp-attack", {"channel": [["SWAP", 0, 1]]}),
+        ("qotp-attack", {"channel": [["X", 0]]}),
+        ("qotp-run", {"n_b": 13}),
     ], ids=["top-level-list", "unknown-base", "zero-runs", "string-seed",
             "string-unitaries", "string-permutations", "int-channel",
             "zero-attacks", "zero-samples", "string-tolerance", "int-cases",
@@ -188,7 +190,8 @@ class TestCli:
             "one-wire-cnot", "no-wire-gate", "wire-past-n_b",
             "cnot-wire-past-n_b", "attack-wire-past-one",
             "two-wire-single-gate", "cnot-one-wire-twice",
-            "alien-gate", "attack-alien-gate"])
+            "alien-gate", "attack-alien-gate", "attack-no-gadget-round",
+            "n_b-past-dense-limit"])
     def test_bad_config_one_line_exit_two(self, tmp_path, command, config):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))

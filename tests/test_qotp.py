@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 
 from qotp_lab import denseops as dn
-from qotp_lab.css import build_steane, build_toy_code
+from qotp_lab.css import build_steane, build_toy_code, concatenate
 from qotp_lab.gadgets import EIGENSTATE_VECTORS, magic_slots
-from qotp_lab.paulis import PauliOperator, Permutation
+from qotp_lab.paulis import CliffordUnitary, PauliOperator, Permutation
 from qotp_lab.qotp import (DummyAdversary, PauliAttackAdversary, QotpInstance,
                            bell_measure, compile_controlled_program,
                            controlled_gate, enumerate_protocol_runs,
                            honest_receiver_run, make_teleport_through,
                            simulate_sender_run, verify_controlled_table)
 from qotp_lab.rng import stream
+from qotp_lab.trap import random_pauli
 
 STEANE = build_steane()
 TOY = build_toy_code()
@@ -182,8 +183,7 @@ class TestHonestRuns:
                                             transport="direct")
             assert res.accepted
             audit = inst.oracle.audit
-            recomputed = [audit.final_key(res.t_out, i).to_label()
-                          for i in range(1)]
+            recomputed = [audit.final_key(res.t_out, i) for i in range(1)]
             assert list(res.s_hat) == recomputed
 
     def test_brotp_and_direct_transports_agree(self):
@@ -299,35 +299,34 @@ class TestStrategies:
 
 class TestBatchedLeaves:
     """Teleport-out under exact enumeration is one batch per branch: one
-    verdict, one key table, one stacked density read."""
-
-    @staticmethod
-    def _accepted_verifier(channel, base, world, backend, seed):
-        inst = QotpInstance(compile_controlled_program(channel, 0, 1), base,
-                            seed=seed, world=world, backend=backend,
-                            transport="direct")
-        assert inst.run(DummyAdversary()).accepted
-        return inst.oracle.audit
+    verdict and one stacked density read.  Every final key, sampled or
+    enumerated, comes from ``QotpVerifier.final_key``."""
 
     @pytest.mark.parametrize("world", ["real", "sim"])
-    def test_key_table_matches_final_key_on_toy(self, world):
-        for channel in ([("X", 0)], [("Y", 0)]):
-            v = self._accepted_verifier(channel, TOY, world, "sv", 601)
-            final = v.branch_final()
-            for xm in range(8):
-                for zm in range(8):
-                    t_out = [(xm, zm)]
-                    assert final(t_out) == (
-                        [v.final_key(t_out, 0).to_label()], False)
-
-    def test_key_table_matches_final_key_on_steane(self):
-        v = self._accepted_verifier([("Y", 0)], STEANE, "real", "tab", 603)
-        final = v.branch_final()
-        gen = stream(603, "t-out")
-        for _ in range(200):
-            t_out = [(int(gen.integers(1 << 21)), int(gen.integers(1 << 21)))]
-            assert final(t_out) == ([v.final_key(t_out, 0).to_label()],
-                                    False)
+    @pytest.mark.parametrize("base", [TOY, STEANE, concatenate(STEANE, 2)],
+                             ids=["toy", "steane", "d9"])
+    def test_final_key_matches_encoder_conjugation(self, base, world):
+        """The key's two parities against the trap encoder E as a
+        Clifford: the data-position bits of E^dag q E, for q the pad, the
+        teleport-out correction and the register key, all random."""
+        inst = QotpInstance(compile_controlled_program([("X", 0)], 0, 1),
+                            base, seed=601, world=world, transport="direct")
+        v = inst.oracle
+        assert not v.verdict()  # applies the CNOT key update, once
+        trap = v.trap
+        encoder = CliffordUnitary(
+            trap.n, tuple(trap.encoding_ops(list(range(trap.n)))))
+        dpos = trap.data_position()
+        gen = stream(601, "t-out")
+        for _ in range(100):
+            v.output_keys[0] = random_pauli(trap.n, gen)
+            v.keys["Bt0"] = random_pauli(trap.n, gen)
+            t = random_pauli(trap.n, gen)
+            pulled = encoder.conjugate(v.output_keys[0] * t * v.keys["Bt0"])
+            want = PauliOperator.from_masks(
+                1, pulled.x >> dpos & 1, pulled.z >> dpos & 1).to_label()
+            assert v.final_key([(t.x, t.z)], 0) == want
+            assert v.finalize([(t.x, t.z)]) == ([want], False)
 
     def test_rejected_leaves_open_no_reject_key_stream(self, monkeypatch):
         from qotp_lab import rng as rngmod

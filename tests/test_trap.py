@@ -1,6 +1,8 @@
 """Trap-scheme tests: construction, round trips, trap firing, attack
 classification against brute force, and the security bound."""
 
+import copy
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
@@ -225,7 +227,7 @@ class TestClassification:
                 data = sv.append_qubits(1)[0]
                 sv.apply_gate("H", data)
                 sv.apply_gate("K", data)  # |0>+i|1>: sensitive to X, Y and Z
-                ref = sv.copy()
+                ref = copy.deepcopy(sv)
                 ids = authenticate_register(
                     sv, trap, PauliOperator.identity(3), data)
                 sv.apply_pauli(q, ids)
