@@ -10,8 +10,8 @@ Three interoperable state representations:
   rank <= 1024; covers circuits with few injected T-type magic states.
 
 The contract is what the protocol runs call: ``append_qubits(k)``
-prepares k |0> qubits and returns their ids, ``discard(ids)`` lets go of
-measured qubits (the tableau keeps them, as product states),
+prepares k |0> qubits and returns their ids, ``discard(ids)`` frees
+collapsed qubits for reuse (and raises ``ValueError`` on one that is not),
 ``apply_gate(name, *ids)``, ``apply_pauli(p, ids)``, ``measure(id, rng)``
 returns ``(bit, probability)`` with the bit drawn by the Born rule, and
 ``density_of(ids)`` is the reduced density matrix.

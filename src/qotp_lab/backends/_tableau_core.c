@@ -4,11 +4,16 @@
  * column-major layout and the same algorithms as the pure-Python kernel
  * (_tableau_pure.py), which is its fallback and the reference the tests
  * compare it against.  For each qubit q there is one X plane and one Z
- * plane whose bit i is the row-i entry (rows 0..n-1 are destabilizers,
- * rows n..2n-1 stabilizers), plus one sign plane.  Each plane is packed
- * into W = ceil(2n/64) 64-bit words, as Stim packs its tableaus (Gidney,
- * arXiv:2103.02202); bits at rows >= 2n stay zero.  Row i represents
- * (-1)^{sign_i} * prod_j letter(x_ij, z_ij) with letter(1,1) = Y.
+ * plane whose bit i is the row-i entry, plus one sign plane, laid out over
+ * a row capacity C >= n: rows 0..n-1 are destabilizers and rows C..C+n-1
+ * stabilizers, and the rows in between stay zero.  Each plane is packed
+ * into W = ceil(2C/64) 64-bit words, as Stim packs its tableaus (Gidney,
+ * arXiv:2103.02202), and the block holds planes for C qubits, so appending
+ * inside the capacity sets two bits per qubit; only a growth past C, which
+ * doubles it, moves the stabilizer rows.  Row i represents
+ * (-1)^{sign_i} * prod_j letter(x_ij, z_ij) with letter(1,1) = Y.  (The
+ * pure kernel also keeps each column's support plane x | z for its scans;
+ * here two bit tests per column cost less than keeping it.)
  *
  * Only the public C API is used.  Build with setup.py, or with
  *   cc -O2 -shared -fPIC -I<python include dir> _tableau_core.c \
@@ -60,10 +65,11 @@ static void or_shifted(u64 *dst, const u64 *src, int lo, int hi, int shift)
 typedef struct {
     PyObject_HEAD
     int n;
+    int cap;        /* row capacity C: stabilizer i is row C + i */
     int W;          /* words per plane */
     u64 *block;     /* the one allocation holding every plane below */
-    u64 *xc;        /* n X planes; qubit q's plane is xc + q * W */
-    u64 *zc;        /* n Z planes */
+    u64 *xc;        /* C X planes; qubit q's plane is xc + q * W */
+    u64 *zc;        /* C Z planes */
     u64 *signs;
     u64 *lo, *hi, *sel;   /* scratch planes for measure, rows and masks */
 } Kernel;
@@ -71,31 +77,33 @@ typedef struct {
 #define XP(t, q) ((t)->xc + (size_t)(q) * (t)->W)
 #define ZP(t, q) ((t)->zc + (size_t)(q) * (t)->W)
 
-/* Point t at a zeroed block for n qubits; t is untouched on failure. */
-static int layout(Kernel *t, int n)
+/* Point t at a zeroed block for n qubits in a capacity of cap; t is
+ * untouched on failure. */
+static int layout(Kernel *t, int n, int cap)
 {
-    int W = (2 * n + 63) >> 6;
-    u64 *block = PyMem_Calloc((size_t)(2 * n + 4) * W, sizeof(u64));
+    int W = (2 * cap + 63) >> 6;
+    u64 *block = PyMem_Calloc((size_t)(2 * cap + 4) * W, sizeof(u64));
     if (block == NULL) {
         PyErr_NoMemory();
         return -1;
     }
     t->n = n;
+    t->cap = cap;
     t->W = W;
     t->block = block;
     t->xc = block;
-    t->zc = block + (size_t)n * W;
-    t->signs = t->zc + (size_t)n * W;
+    t->zc = block + (size_t)cap * W;
+    t->signs = t->zc + (size_t)cap * W;
     t->lo = t->signs + W;
     t->hi = t->lo + W;
     t->sel = t->hi + W;
     return 0;
 }
 
-static Kernel *new_kernel(PyTypeObject *type, int n)
+static Kernel *new_kernel(PyTypeObject *type, int n, int cap)
 {
     Kernel *t = (Kernel *)type->tp_alloc(type, 0);
-    if (t != NULL && layout(t, n) < 0) {
+    if (t != NULL && layout(t, n, cap) < 0) {
         Py_DECREF(t);
         return NULL;
     }
@@ -209,10 +217,10 @@ static PyObject *kernel_new(PyTypeObject *type, PyObject *args,
                      MAX_QUBITS, n);
         return NULL;
     }
-    t = new_kernel(type, n);
+    t = new_kernel(type, n, n);
     if (t == NULL)
         return NULL;
-    /* Destabilizer i = X_i (row i), stabilizer i = Z_i (row n+i). */
+    /* Destabilizer i = X_i (row i), stabilizer i = Z_i (row C+i). */
     for (q = 0; q < n; q++) {
         set_bit(XP(t, q), q);
         set_bit(ZP(t, q), n + q);
@@ -222,11 +230,11 @@ static PyObject *kernel_new(PyTypeObject *type, PyObject *args,
 
 static PyObject *kernel_copy(Kernel *t, PyObject *unused)
 {
-    Kernel *c = new_kernel(Py_TYPE(t), t->n);
+    Kernel *c = new_kernel(Py_TYPE(t), t->n, t->cap);
     (void)unused;
     if (c != NULL)
         memcpy(c->block, t->block,
-               (size_t)(2 * t->n + 1) * t->W * sizeof(u64));
+               (size_t)(2 * t->cap + 1) * t->W * sizeof(u64));
     return (PyObject *)c;
 }
 
@@ -375,7 +383,7 @@ static PyObject *kernel_stab_row(Kernel *t, PyObject *arg)
     int i;
     if (int_arg(arg, "row", 0, (long)t->n - 1, &i) < 0)
         return NULL;
-    return row_tuple(t, t->n + i);
+    return row_tuple(t, t->cap + i);
 }
 
 static PyObject *kernel_destab_row(Kernel *t, PyObject *arg)
@@ -386,14 +394,26 @@ static PyObject *kernel_destab_row(Kernel *t, PyObject *arg)
     return row_tuple(t, i);
 }
 
+/* Qubit q's plane over 2n rows, in t->lo: bit i < n is destabilizer i's
+ * entry, bit n + i stabilizer i's. */
+static void compact_plane(Kernel *t, const u64 *plane)
+{
+    memset(t->lo, 0, (size_t)t->W * sizeof(u64));
+    or_shifted(t->lo, plane, 0, t->n, 0);
+    or_shifted(t->lo, plane, t->cap, t->cap + t->n, t->n - t->cap);
+}
+
 static PyObject *kernel_column(Kernel *t, PyObject *arg)
 {
-    int q;
+    int q, nw;
     PyObject *x, *z;
     if (qubit_arg(t, arg, &q) < 0)
         return NULL;
-    x = words_to_int(XP(t, q), t->W);
-    z = x ? words_to_int(ZP(t, q), t->W) : NULL;
+    nw = (2 * t->n + 63) >> 6;
+    compact_plane(t, XP(t, q));
+    x = words_to_int(t->lo, nw);
+    compact_plane(t, ZP(t, q));
+    z = x ? words_to_int(t->lo, nw) : NULL;
     if (z == NULL) {
         Py_XDECREF(x);
         return NULL;
@@ -408,37 +428,63 @@ static PyObject *kernel_column(Kernel *t, PyObject *arg)
 static int first_anticommuting(Kernel *t, int q)
 {
     const u64 *x = XP(t, q);
-    int w, first = t->n >> 6;
+    int w, first = t->cap >> 6;
     for (w = first; w < t->W; w++) {
-        u64 v = w == first ? x[w] & (~0ULL << (t->n & 63)) : x[w];
+        u64 v = w == first ? x[w] & (~0ULL << (t->cap & 63)) : x[w];
         if (v)
             return (w << 6) + ctz64(v);
     }
     return -1;
 }
 
-/* The deterministic outcome: the product of the stabilizer rows selected
- * by the destabilizer X bits at q, whose phase is counted mod 4.  A column
- * with no X in the selected rows adds nothing, so its Z plane is not
- * read, as in the pure kernel. */
+/* Bit l of the result is the parity of v's bits below l. */
+static inline u64 parity_below(u64 v)
+{
+    v <<= 1;
+    v ^= v << 1;
+    v ^= v << 2;
+    v ^= v << 4;
+    v ^= v << 8;
+    v ^= v << 16;
+    v ^= v << 32;
+    return v;
+}
+
+/* The deterministic outcome: the sign of Z_q as the product of the
+ * stabilizer rows selected by the destabilizer X bits at q.  Over the
+ * selected rows i, in row order, one column's letters
+ * i^{a_i b_i} X^{a_i} Z^{b_i} multiply to the phase
+ * sum_i a_i b_i + 2 #{i < l : b_i a_l} (mod 4).  Only the words where the
+ * selection is non-zero are read, their indices kept in the lo scratch
+ * plane, and a column with no X in the selected rows adds nothing.  Right
+ * after a random measurement exactly one row is selected, and its sign is
+ * the value. */
 static int deterministic_value(Kernel *t, int q)
 {
-    int j, w, n = t->n, W = t->W, first = n >> 6;  /* sel is in [n, 2n) */
-    long long acc = 0, xs, zs;
-    memset(t->sel, 0, (size_t)W * sizeof(u64));
-    or_shifted(t->sel, XP(t, q), 0, n, n);
-    for (w = first; w < W; w++)
-        acc += 2 * popcount64(t->signs[w] & t->sel[w]);
+    int i, j, w, nw = 0, below, n = t->n, W = t->W;
+    long long acc = 0;
+    u64 *sel = t->sel, *words = t->lo;
+    memset(sel, 0, (size_t)W * sizeof(u64));
+    or_shifted(sel, XP(t, q), 0, n, t->cap);
+    for (w = t->cap >> 6; w < W; w++)
+        if (sel[w])
+            words[nw++] = (u64)w;
+    if (nw == 1 && !(sel[words[0]] & (sel[words[0]] - 1)))
+        return (t->signs[words[0]] & sel[words[0]]) != 0;
+    for (i = 0; i < nw; i++)
+        acc += 2 * popcount64(t->signs[words[i]] & sel[words[i]]);
     for (j = 0; j < n; j++) {
         const u64 *x = XP(t, j), *z = ZP(t, j);
-        xs = zs = 0;
-        for (w = first; w < W; w++)
-            xs += popcount64(x[w] & t->sel[w]);
-        if (!xs)
-            continue;
-        for (w = first; w < W; w++)
-            zs += popcount64(z[w] & t->sel[w]);
-        acc += zs * xs;
+        below = 0;  /* parity of the selected Z bits in earlier words */
+        for (i = 0; i < nw; i++) {
+            u64 xs = x[words[i]] & sel[words[i]];
+            u64 zs = z[words[i]] & sel[words[i]];
+            if (xs)
+                acc += popcount64(xs & zs)
+                    + 2 * (popcount64(xs & parity_below(zs))
+                           + below * popcount64(xs));
+            below ^= popcount64(zs) & 1;
+        }
     }
     return (int)((acc >> 1) & 1);
 }
@@ -453,33 +499,45 @@ static PyObject *kernel_peek(Kernel *t, PyObject *arg)
     return Py_BuildValue("(Oi)", Py_False, deterministic_value(t, q));
 }
 
-/* Measure qubit q; random_bit is consumed only for random outcomes.
+/* Measure qubit q; returns (bit, is_random).  The second argument is the
+ * outcome of a random measurement: an int, or a callable that draws it,
+ * called only when the outcome is random.
  *
- * As in the pure kernel, rows p and d = p-n are never in sel, so the row
- * sums row_i <- row_p * row_i for i in sel and the move "destabilizer
- * d := row p, row p := Z_q" share one loop, each column reading its own
- * row-p bits.  The phase of every row sum is kept as a two-bit accumulator
- * per row (lo, hi) of
+ * As in the pure kernel, rows p and d = p-C are never in sel, so the row
+ * sums row_i <- row_p * row_i for i in sel and the clearing of rows p and
+ * d share one loop, each column reading its own row-p bits.  The phase of
+ * every row sum is kept as a two-bit accumulator per row (lo, hi) of
  * (|xi&zi| - |xi'&zi'| + 2|zp&xi| + |xp&zp| + 2 rp) mod 4, which ends at 0
- * or 2, so hi is the sign flip.  Only the pivot rows' support is visited:
- * a column where rows p and d are both clear adds |xi&zi| and then
- * 3|xi&zi| (0 mod 4), takes no row sum and has no pivot bit to move, so
- * it is skipped. */
+ * or 2, so hi is the sign flip.  Only row p's support is visited: a
+ * column where row p is clear adds |xi&zi| and then 3|xi&zi| (0 mod 4)
+ * and takes no row sum, so it only loses its row-d bits.  The measured
+ * qubit is then left a column of its own, as the pure kernel explains:
+ * stabilizer p := (-1)^bit Z_q, destabilizer d := X_q, and no other row
+ * has support at q. */
 static PyObject *kernel_measure(Kernel *t, PyObject *const *args,
                                 Py_ssize_t nargs)
 {
     int q, p, d, j, w, n = t->n, W = t->W, c1 = 0, c;
     long random_bit;
     u64 *lo = t->lo, *hi = t->hi, *sel = t->sel;
+    PyObject *drawn;
     if (!nargs_ok("measure", nargs, 2) || qubit_arg(t, args[0], &q) < 0)
-        return NULL;
-    random_bit = PyLong_AsLong(args[1]);
-    if (random_bit == -1 && PyErr_Occurred())
         return NULL;
     p = first_anticommuting(t, q);
     if (p < 0)
         return Py_BuildValue("(iO)", deterministic_value(t, q), Py_False);
-    d = p - n;
+    if (PyCallable_Check(args[1])) {
+        drawn = PyObject_CallNoArgs(args[1]);
+        if (drawn == NULL)
+            return NULL;
+        random_bit = PyLong_AsLong(drawn);
+        Py_DECREF(drawn);
+    }
+    else
+        random_bit = PyLong_AsLong(args[1]);
+    if (random_bit == -1 && PyErr_Occurred())
+        return NULL;
+    d = p - t->cap;
     memcpy(sel, XP(t, q), (size_t)W * sizeof(u64));
     put_bit(sel, p, 0);
     put_bit(sel, d, 0);
@@ -488,8 +546,11 @@ static PyObject *kernel_measure(Kernel *t, PyObject *const *args,
     for (j = 0; j < n; j++) {
         u64 *xp = XP(t, j), *zp = ZP(t, j), x, z, l, h, b, mx, mz;
         int xpj = get_bit(xp, p), zpj = get_bit(zp, p);
-        if (!(xpj | zpj | get_bit(xp, d) | get_bit(zp, d)))
+        if (!(xpj | zpj)) {  /* no row sum: at most row d to clear */
+            put_bit(xp, d, 0);
+            put_bit(zp, d, 0);
             continue;
+        }
         mx = -(u64)xpj;
         mz = -(u64)zpj;
         for (w = 0; w < W; w++) {
@@ -512,14 +573,12 @@ static PyObject *kernel_measure(Kernel *t, PyObject *const *args,
             lo[w] = l;
             hi[w] = h;
         }
-        /* destabilizer d := old stabilizer p; stabilizer p cleared */
-        put_bit(xp, d, xpj);
-        put_bit(zp, d, zpj);
+        put_bit(xp, d, 0);
+        put_bit(zp, d, 0);
         put_bit(xp, p, 0);
         put_bit(zp, p, 0);
         c1 += xpj & zpj;
     }
-    set_bit(ZP(t, q), p);
     /* add the scalar (c1 + 2 rp) mod 4 to every row */
     c = (c1 + 2 * get_bit(t->signs, p)) & 3;
     for (w = 0; w < W; w++) {
@@ -531,37 +590,58 @@ static PyObject *kernel_measure(Kernel *t, PyObject *const *args,
             hi[w] = ~hi[w];
         t->signs[w] ^= hi[w] & sel[w];
     }
-    /* sign of destabilizer d := rp, stabilizer p := (-1)^random_bit */
-    put_bit(t->signs, d, get_bit(t->signs, p));
-    put_bit(t->signs, p, random_bit != 0);
-    return Py_BuildValue("(lO)", random_bit & 1, Py_True);
+    /* the stabilizers with Z at q, times row p, take its sign; then
+     * stabilizer p := (-1)^bit Z_q and destabilizer d := X_q */
+    random_bit &= 1;
+    for (w = t->cap >> 6; random_bit && w < W; w++)
+        t->signs[w] ^= ZP(t, q)[w]
+            & (w == t->cap >> 6 ? ~0ULL << (t->cap & 63) : ~0ULL);
+    memset(XP(t, q), 0, (size_t)W * sizeof(u64));
+    memset(ZP(t, q), 0, (size_t)W * sizeof(u64));
+    set_bit(XP(t, q), d);
+    set_bit(ZP(t, q), p);
+    put_bit(t->signs, d, 0);
+    put_bit(t->signs, p, (int)random_bit);
+    return Py_BuildValue("(lO)", random_bit, Py_True);
 }
 
 /* -- resizing ------------------------------------------------------------- */
 
-static PyObject *kernel_expand(Kernel *t, PyObject *arg)
+/* Move the stabilizer rows up to a capacity of cap rows. */
+static int regrow(Kernel *t, int cap)
 {
     Kernel old = *t;
-    int k, j, n = t->n, n2;
+    int j, n = t->n, shift = cap - t->cap;
+    if (layout(t, n, cap) < 0)
+        return -1;
+    for (j = 0; j < n; j++) {
+        or_shifted(XP(t, j), XP(&old, j), 0, n, 0);
+        or_shifted(XP(t, j), XP(&old, j), old.cap, old.cap + n, shift);
+        or_shifted(ZP(t, j), ZP(&old, j), 0, n, 0);
+        or_shifted(ZP(t, j), ZP(&old, j), old.cap, old.cap + n, shift);
+    }
+    or_shifted(t->signs, old.signs, 0, n, 0);
+    or_shifted(t->signs, old.signs, old.cap, old.cap + n, shift);
+    PyMem_Free(old.block);
+    return 0;
+}
+
+static PyObject *kernel_expand(Kernel *t, PyObject *arg)
+{
+    int k, j, n = t->n, n2, cap;
     if (int_arg(arg, "k", 0, MAX_QUBITS - n, &k) < 0)
         return NULL;
     n2 = n + k;
-    if (layout(t, n2) < 0)
-        return NULL;
-    /* destabilizer rows keep their index, stabilizer rows move up by k */
-    for (j = 0; j < n; j++) {
-        or_shifted(XP(t, j), XP(&old, j), 0, n, 0);
-        or_shifted(XP(t, j), XP(&old, j), n, 2 * n, k);
-        or_shifted(ZP(t, j), ZP(&old, j), 0, n, 0);
-        or_shifted(ZP(t, j), ZP(&old, j), n, 2 * n, k);
+    if (n2 > t->cap) {
+        cap = 2 * t->cap < n2 ? n2 : 2 * t->cap;
+        if (regrow(t, cap < MAX_QUBITS ? cap : MAX_QUBITS) < 0)
+            return NULL;
     }
-    or_shifted(t->signs, old.signs, 0, n, 0);
-    or_shifted(t->signs, old.signs, n, 2 * n, k);
     for (j = n; j < n2; j++) {
         set_bit(XP(t, j), j);
-        set_bit(ZP(t, j), n2 + j);
+        set_bit(ZP(t, j), t->cap + j);
     }
-    PyMem_Free(old.block);
+    t->n = n2;
     Py_RETURN_NONE;
 }
 

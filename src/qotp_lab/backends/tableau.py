@@ -6,9 +6,17 @@ the compiled extension (``_tableau_core``, built from the hand-written
 (``_tableau_pure``).
 ``KERNEL`` names the one in use; ``benchmarks/bench_tableau.py`` times
 every kernel that imports.
+
+Qubit ids map to kernel columns.  A random measurement leaves the measured
+qubit a column of its own, so a discarded qubit costs one sign read and at
+most one ``x`` to reset, and the next ``append_qubits`` reuses its column
+as a fresh |0>: a run's width is its peak of live qubits, not the number
+it ever appended.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -30,67 +38,116 @@ _KERNEL_GATES = {"H": "h", "K": "k", "CNOT": "cx", "X": "x", "Y": "y",
 
 
 class TableauState:
-    """Stabilizer state on up to 4096 qubits (state modulo global phase)."""
+    """Stabilizer state on up to 4096 qubits (state modulo global phase).
+
+    Qubit ids are stable handles over reusable kernel columns: a discarded
+    (collapsed) qubit is reset to |0> and its column goes on a free list,
+    which ``append_qubits`` takes from before it widens the kernel.
+    """
 
     kind = "tab"
 
     def __init__(self, n: int = 0):
         if n > MAX_QUBITS:
             raise ValueError("tableau backend capped at 4096 qubits")
-        # The kernel is at least one qubit wide; qubits past ``n`` stay |0>.
+        # The kernel is at least one column wide; a spare column is free.
         self._kernel = TableauKernel(max(n, 1))
-        self.n = n
+        self._col_of: dict[int, int] = {q: q for q in range(n)}
+        self._free: list[int] = [] if n else [0]
+        self._next_id = n
+
+    @property
+    def n(self) -> int:
+        return len(self._col_of)
+
+    def _col(self, qubit_id: int) -> int:
+        try:
+            return self._col_of[qubit_id]
+        except KeyError:
+            raise ValueError(f"no live qubit {qubit_id!r}") from None
 
     # -- allocation ---------------------------------------------------------
     def append_qubits(self, k: int) -> list[int]:
-        ids = list(range(self.n, self.n + k))
-        if self.n + k > self._kernel.n:
-            self._kernel.expand(self.n + k - self._kernel.n)
-        self.n += k
+        free = self._free
+        cols = [free.pop() for _ in range(min(k, len(free)))]
+        grow = k - len(cols)
+        if grow:
+            width = self._kernel.n
+            if width + grow > MAX_QUBITS:
+                raise ValueError("tableau backend capped at 4096 qubits")
+            self._kernel.expand(grow)
+            cols += range(width, width + grow)
+        ids = list(range(self._next_id, self._next_id + k))
+        self._next_id += k
+        self._col_of.update(zip(ids, cols))
         return ids
 
     def discard(self, qubits) -> None:
-        """Keep the measured qubits: they stay in the tableau as product
-        states, and their columns still cost every later measurement."""
+        """Free collapsed qubits: each is reset to |0> and its column is
+        reused by a later ``append_qubits``.  A qubit that is not collapsed
+        raises ``ValueError``."""
+        kernel = self._kernel
+        for qid in list(qubits):
+            col = self._col(qid)
+            random, value = kernel.peek(col)
+            if random:
+                raise ValueError("discard requires a collapsed qubit")
+            if value:
+                kernel.x(col)
+            del self._col_of[qid]
+            self._free.append(col)
 
     # -- operations ---------------------------------------------------------
     def apply_gate(self, name: str, *qubits: int) -> None:
-        for q in qubits:
-            if not 0 <= q < self.n:
-                raise ValueError("gate target out of range")
-        if len(set(qubits)) != len(qubits):
-            raise ValueError("duplicate gate targets")
         method = _KERNEL_GATES.get(name)
         if method is None:
             raise ValueError(f"unknown gate {name!r}")
-        getattr(self._kernel, method)(*qubits)
+        gate = getattr(self._kernel, method)
+        col_of = self._col_of
+        try:
+            if len(qubits) == 1:
+                gate(col_of[qubits[0]])
+                return
+            c, t = qubits
+            c, t = col_of[c], col_of[t]
+        except KeyError as err:
+            raise ValueError(f"no live qubit {err.args[0]!r}") from None
+        if c == t:
+            raise ValueError("duplicate gate targets")
+        gate(c, t)
 
     def apply_pauli(self, p: PauliOperator, qubits) -> None:
-        x = z = 0
-        for j, q in enumerate(qubits):
-            x |= ((p.x >> j) & 1) << q
-            z |= ((p.z >> j) & 1) << q
-        self._kernel.apply_pauli(x, z)
+        try:
+            cols = [*map(self._col_of.__getitem__, qubits)]
+        except KeyError as err:
+            raise ValueError(f"no live qubit {err.args[0]!r}") from None
+        width = (1 << len(cols)) - 1
+        masks = []
+        for bits in (p.x & width, p.z & width):
+            mask = 0
+            while bits:
+                low = bits & -bits
+                mask |= 1 << cols[low.bit_length() - 1]
+                bits ^= low
+            masks.append(mask)
+        self._kernel.apply_pauli(*masks)
 
     def z_probabilities(self, qubit: int) -> tuple[float, float]:
-        random, value = self._kernel.peek(qubit)
+        random, value = self._kernel.peek(self._col(qubit))
         if random:
             return 0.5, 0.5
         return (1.0, 0.0) if value == 0 else (0.0, 1.0)
 
     def measure(self, qubit: int, rng):
-        """Measure in the computational basis; returns (bit, probability)."""
-        random, value = self._kernel.peek(qubit)
-        if not random:  # a deterministic measurement leaves the state as is
-            return value, 1.0
-        bit = int(rng.integers(0, 2))
-        self._kernel.measure(qubit, bit)
-        return bit, 0.5
+        """Measure in the computational basis; returns (bit, probability).
+
+        One kernel call, which draws ``rng.integers(0, 2)`` only for a
+        random outcome; a deterministic one leaves the state as is."""
+        bit, random = self._kernel.measure(self._col(qubit),
+                                           partial(rng.integers, 0, 2))
+        return bit, 0.5 if random else 1.0
 
     # -- inspection ----------------------------------------------------------
-    def stabilizer_rows(self) -> list[tuple[int, int, int]]:
-        return [self._kernel.stab_row(i) for i in range(self.n)]
-
     def density_of(self, qubits) -> np.ndarray:
         """Reduced density matrix on the listed qubits (<= 12).
 
@@ -101,7 +158,7 @@ class TableauState:
         It is then the product of the generators whose destabilizers it
         anticommutes with, and only those generators' rows are read.
         """
-        keep = list(qubits)
+        keep = [self._col(q) for q in qubits]
         k = len(keep)
         if k > 12:
             raise ValueError("dense reduction limited to 12 qubits")
@@ -133,8 +190,8 @@ class TableauState:
 
     def _product(self, gens: int, keep: list) -> tuple[int, int, int]:
         """The product of the stabilizer generators in mask ``gens``, which
-        is supported on ``keep``, as (x, z, phase) for i^phase X^x Z^z with
-        qubit keep[i] at bit k-1-i."""
+        is supported on the columns ``keep``, as (x, z, phase) for
+        i^phase X^x Z^z with column keep[i] at bit k-1-i."""
         x = z = phase = 0
         while gens:
             low = gens & -gens

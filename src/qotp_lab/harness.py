@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__, rng as rngmod
 from . import denseops as dn
 from .css import build_steane, build_toy_code, code_from_spec
-from .paulis import PauliOperator
+from .paulis import CliffordUnitary, PauliOperator
 from .trap import (count_nontrivial, enumerate_attack_security,
                    estimate_attack_security, exact_placement_probability,
                    sample_trap_tables, security_sweep_rows, sweep_to_csv,
@@ -328,6 +328,27 @@ def run_gadget_check(config: dict) -> tuple[ExperimentReport, None]:
     return report, None
 
 
+def encoder_final_keys(verifier, t_out) -> list[str]:
+    """The decryption keys of a run, recomputed apart from
+    ``QotpVerifier.final_key``: each wire's pad, teleport-out correction
+    and register key, pulled back through the trap encoder E as a Clifford
+    (E^dag q E), read at the data position."""
+    trap = verifier.trap
+    encoder = CliffordUnitary(
+        trap.n, tuple(trap.encoding_ops(list(range(trap.n)))))
+    dpos = trap.data_position()
+    keys = []
+    for i in range(verifier.program.n_b):
+        xm, zm = t_out[i]
+        pad = verifier.output_keys[i]
+        key = verifier.keys[verifier.data[verifier.program.n_a + i]]
+        pulled = encoder.conjugate(PauliOperator.from_masks(
+            trap.n, pad.x ^ xm ^ key.x, pad.z ^ zm ^ key.z))
+        keys.append(PauliOperator.from_masks(
+            1, pulled.x >> dpos & 1, pulled.z >> dpos & 1).to_label())
+    return keys
+
+
 def run_qotp(config: dict) -> tuple[ExperimentReport, None]:
     from .cotp import REDUCTION_POLY
     from .gadgets import EIGENSTATE_VECTORS
@@ -369,8 +390,7 @@ def run_qotp(config: dict) -> tuple[ExperimentReport, None]:
     report.add_check("accepted", int(result.accepted), 1, result.accepted)
     report.add_check("output_fidelity", fidelity, 1 - 1e-9,
                      fidelity >= 1 - 1e-9)
-    audit = inst.oracle.audit
-    recomputed = [audit.final_key(result.t_out, i) for i in range(n_b)]
+    recomputed = encoder_final_keys(inst.oracle.audit, result.t_out)
     report.extra["s_hat"] = list(result.s_hat)
     report.extra["s_hat_recomputed"] = recomputed
     report.add_check("final_key_equation",

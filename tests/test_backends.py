@@ -497,6 +497,153 @@ class TestTableauAgainstStatevector:
                                atol=1e-9), trial
 
 
+def select_lane(lane, request, monkeypatch):
+    """Point ``TableauState`` at the named kernel lane."""
+    from qotp_lab.backends import tableau
+
+    kernel = (request.getfixturevalue("compiled_kernel")
+              if lane == "compiled" else _tableau_pure.TableauKernel)
+    monkeypatch.setattr(tableau, "TableauKernel", kernel)
+
+
+class TestDeterministicValue:
+    """A deterministic outcome is the sign of a product of stabilizer rows,
+    and that product's phase depends on the order of its letters in each
+    column.  A count that puts every selected Z before every selected X
+    gets it wrong, and when both kernels share such a fault the
+    differential test cannot see it, so these check against the dense
+    statevector."""
+
+    @pytest.mark.parametrize("lane", ["pure", "compiled"])
+    def test_pinned_three_qubit_case(self, lane, request, monkeypatch):
+        select_lane(lane, request, monkeypatch)
+        t = TableauState(3)
+        for gate in (("CNOT", 0, 1), ("H", 0), ("CNOT", 1, 2),
+                     ("CNOT", 0, 1)):
+            t.apply_gate(*gate)
+        assert t._kernel.peek(2) == (False, 0)
+        assert t.measure(2, np.random.default_rng(0)) == (0, 1.0)
+
+    @pytest.mark.parametrize("lane", ["pure", "compiled"])
+    def test_random_circuits_match_statevector(self, lane, request,
+                                               monkeypatch):
+        """Random H/K/X/CNOT/Pauli circuits with measurements on 4 and 6
+        qubits; some measured qubits are discarded and a fresh qubit takes
+        their column."""
+        select_lane(lane, request, monkeypatch)
+        rng = np.random.default_rng(1616)
+        fixed = FixedOutcome()
+        for trial in range(120):
+            n = int(rng.choice([4, 6]))
+            states = (TableauState(n), StateVector(n))
+            ids = list(range(n))
+            for step in range(120):
+                op = int(rng.integers(0, 9))
+                if op < 3:
+                    gate = ("HKX"[op], ids[int(rng.integers(0, n))])
+                    for s in states:
+                        s.apply_gate(*gate)
+                elif op < 6:
+                    a, b = rng.choice(n, size=2, replace=False)
+                    for s in states:
+                        s.apply_gate("CNOT", ids[a], ids[b])
+                elif op == 6:
+                    x, z = (int(m) for m in rng.integers(0, 1 << n, size=2))
+                    for s in states:
+                        s.apply_pauli(PauliOperator.from_masks(n, x, z), ids)
+                else:
+                    q = ids[int(rng.integers(0, n))]
+                    p1 = states[1].z_probabilities(q)[1]
+                    fixed.bit = (int(rng.integers(0, 2))
+                                 if 1e-9 < p1 < 1 - 1e-9 else int(p1 > 0.5))
+                    (tb, tp), (vb, vp) = (s.measure(q, fixed)
+                                          for s in states)
+                    assert tb == vb and abs(tp - vp) < 1e-9, (trial, step)
+                    if op == 8:
+                        for s in states:
+                            s.discard([q])
+                        fresh = [s.append_qubits(1)[0] for s in states]
+                        assert fresh[0] == fresh[1]
+                        ids[ids.index(q)] = fresh[0]
+
+
+class TestColumnReuse:
+    """Qubit ids are stable handles over reusable kernel columns, and the
+    kernel grows its capacity by doubling."""
+
+    def test_keyed_run_growth_and_width(self, monkeypatch):
+        """One keyed run at criterion 7's config appends 128 qubits, but
+        the teleport-out register's 42 reuse the columns of the two
+        measured round registers, so the kernel peaks at 86 columns and
+        grows at most ceil(log2 128) + 1 times."""
+        from qotp_lab.backends import tableau
+        from qotp_lab.css import build_steane
+        from qotp_lab.qotp import (PauliAttackAdversary, QotpInstance,
+                                   compile_controlled_program)
+
+        monkeypatch.setattr(tableau, "TableauKernel",
+                            _tableau_pure.TableauKernel)
+        regrowths = []
+        regrow = _tableau_pure.TableauKernel._regrow
+
+        def counting(kernel, cap):
+            regrowths.append(cap)
+            regrow(kernel, cap)
+
+        monkeypatch.setattr(_tableau_pure.TableauKernel, "_regrow", counting)
+        inst = QotpInstance(compile_controlled_program([("Y", 0)], 0, 1),
+                            build_steane(), 7 * 131071, world="real",
+                            backend="tab", transport="direct")
+        attack = PauliOperator.from_masks(21, 0b111, 0)
+        inst.run(PauliAttackAdversary(initial_attacks=[("M0", attack)]))
+        state = inst.session.state
+        assert state._next_id == 128
+        assert state._kernel.n == 86
+        assert len(regrowths) <= 8
+
+    @pytest.mark.parametrize("lane", ["pure", "compiled"])
+    def test_discarded_id_is_gone(self, lane, request, monkeypatch):
+        select_lane(lane, request, monkeypatch)
+        t = TableauState(2)
+        t.measure(0, np.random.default_rng(3))
+        t.discard([0])
+        assert t.n == 1
+        for call in (lambda: t.apply_gate("H", 0),
+                     lambda: t.apply_gate("CNOT", 1, 0),
+                     lambda: t.measure(0, np.random.default_rng(3)),
+                     lambda: t.discard([0])):
+            with pytest.raises(ValueError):
+                call()
+
+    @pytest.mark.parametrize("lane", ["pure", "compiled"])
+    def test_discard_requires_collapse(self, lane, request, monkeypatch):
+        select_lane(lane, request, monkeypatch)
+        t = TableauState(2)
+        t.apply_gate("H", 0)
+        t.apply_gate("CNOT", 0, 1)
+        with pytest.raises(ValueError, match="collapsed"):
+            t.discard([1])
+        assert t.n == 2
+
+    @pytest.mark.parametrize("lane", ["pure", "compiled"])
+    def test_reused_column_measures_zero(self, lane, request, monkeypatch):
+        select_lane(lane, request, monkeypatch)
+        t = TableauState(2)
+        t.apply_gate("H", 0)
+        t.apply_gate("CNOT", 0, 1)
+        fixed = FixedOutcome()
+        fixed.bit = 1
+        assert t.measure(0, fixed) == (1, 0.5)
+        col = t._col(0)
+        t.discard([0])
+        (q,) = t.append_qubits(1)
+        assert q == 2 and t._col(q) == col
+        assert t.measure(q, fixed) == (0, 1.0)
+        assert t.measure(1, fixed) == (1, 1.0)
+        assert np.array_equal(t.density_of([q, 1]),
+                              np.diag([0, 1, 0, 0]).astype(complex))
+
+
 def two_copy_outcomes(sm, qubit_id):
     """The former ``StabilizerSum`` measurement read: canonicalize, then
     project a copy onto each Z outcome.  Returns the copies (None for an
@@ -641,16 +788,18 @@ def test_stabsum_density_matches_dict_loop():
 def column_loop_density(state, qubits):
     """The former ``TableauState.density_of``: every stabilizer row, the
     outside-support columns rebuilt bit by bit, and the nullspace of that
-    system from a full row-reduced form."""
-    keep = list(qubits)
+    system from a full row-reduced form.  Works on kernel columns, which
+    the stabilizer rows' masks index."""
+    keep = [state._col(q) for q in qubits]
     k = len(keep)
     pos = {q: i for i, q in enumerate(keep)}
     keep_mask = 0
     for q in keep:
         keep_mask |= 1 << q
-    rows = state.stabilizer_rows()
+    width = state._kernel.n
+    rows = [state._kernel.stab_row(i) for i in range(width)]
     cols = []
-    for j in range(state.n):
+    for j in range(width):
         if (keep_mask >> j) & 1:
             continue
         colx = colz = 0

@@ -249,6 +249,30 @@ class TestGadgetCheck:
         assert verdicts["gadget_X_exact"] is True
 
 
+class TestFinalKeyAudit:
+    @pytest.mark.parametrize("transport", ["direct", "brotp"])
+    def test_swapped_key_bits_fail_the_audit(self, transport, monkeypatch):
+        """The audit recomputes the keys through the trap encoder, apart
+        from ``TrapCode.data_key``, so a final-key rule with its two bits
+        swapped fails it on both transports; it passes unmutated."""
+        from qotp_lab.trap import TrapCode
+
+        config = {"seed": 5, "channel": [["X", 0]], "b_labels": ["+i"],
+                  "backend": "tab", "transport": transport}
+        report, _ = run_experiment("qotp-run", config)
+        assert report.all_pass
+        data_key = TrapCode.data_key
+
+        def swapped(self, x, z):
+            k = data_key(self, x, z)
+            return (k >> 1) | (k & 1) << 1
+
+        monkeypatch.setattr(TrapCode, "data_key", swapped)
+        report, _ = run_experiment("qotp-run", config)
+        verdicts = {c["name"]: c["pass"] for c in report.checks}
+        assert verdicts["final_key_equation"] is False
+
+
 class TestBenchmarkTracer:
     def test_every_traced_target_resolves(self):
         """The benchmark's per-layer tracer wraps package functions from
