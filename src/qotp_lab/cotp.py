@@ -1,5 +1,5 @@
-"""Classical layer: one-time memories, one-time MAC, a trusted classical
-one-time-program oracle, and the bounded-reactive OTP built on top of it.
+"""Classical layer: one-time MAC, a trusted classical one-time-program
+oracle, and the bounded-reactive OTP built on top of it.
 
 The COTP is deliberately an ideal-functionality oracle (hybrid model), not a
 garbled-circuit realization.  The BR-OTP chains one COTP per round: each
@@ -13,7 +13,7 @@ single byte 0xFF followed by a one-byte reason code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 # ---------------------------------------------------------------------------
@@ -46,24 +46,8 @@ class DoubleUseError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# one-time memory and trusted COTP oracle
+# trusted COTP oracle
 # ---------------------------------------------------------------------------
-
-class OtmToken:
-    """Stores two strings; reveals exactly one, then self-destructs."""
-
-    def __init__(self, s0, s1):
-        self._slots = (s0, s1)
-        self.consumed = False
-
-    def execute(self, c: int):
-        if self.consumed:
-            raise DoubleUseError("one-time memory already executed")
-        self.consumed = True
-        value = self._slots[c & 1]
-        self._slots = (None, None)
-        return value
-
 
 class CotpInstance:
     """Trusted one-time program oracle for a classical two-party function."""
@@ -92,7 +76,6 @@ class MacKey:
     a: int
     b: int
     kappa: int
-    used: bool = False
 
     @staticmethod
     def random(kappa: int, rng) -> "MacKey":
@@ -101,21 +84,6 @@ class MacKey:
 
 def _rand_bits(rng, bits: int) -> int:
     return int.from_bytes(rng.bytes((bits + 7) // 8), "little") & ((1 << bits) - 1)
-
-
-def mac_tag(key: MacKey, m: int) -> int:
-    if m >> key.kappa:
-        raise ValueError("message length must equal kappa")
-    if key.used:
-        raise DoubleUseError("one-time MAC key already used")
-    key.used = True
-    return gf_mul(key.a, m, key.kappa) ^ key.b
-
-
-def mac_verify(key: MacKey, m: int, tag: int) -> bool:
-    if m >> key.kappa:
-        raise ValueError("message length must equal kappa")
-    return (gf_mul(key.a, m, key.kappa) ^ key.b) == tag
 
 
 def mac_tag_blocks(key: MacKey, blocks: list[int]) -> int:

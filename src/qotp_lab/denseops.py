@@ -11,7 +11,7 @@ from itertools import product
 
 import numpy as np
 
-from .paulis import CliffordUnitary, PauliOperator
+from .paulis import PauliOperator
 
 I2 = np.eye(2, dtype=complex)
 MX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -60,10 +60,6 @@ def circuit_matrix(n: int, gates) -> np.ndarray:
     return out
 
 
-def clifford_matrix(c: CliffordUnitary) -> np.ndarray:
-    return circuit_matrix(c.n, c.gates)
-
-
 def pauli_matrix(p: PauliOperator) -> np.ndarray:
     mats = []
     for j in range(p.n):
@@ -104,13 +100,6 @@ def pauli_decompose(m: np.ndarray) -> dict[PauliOperator, complex]:
         alpha = np.trace(mat.conj().T @ m) / dim
         if abs(alpha) > 1e-14:
             out[q] = complex(alpha)
-    return out
-
-
-def pauli_reconstruct(n: int, coeffs: dict[PauliOperator, complex]) -> np.ndarray:
-    out = np.zeros((1 << n, 1 << n), dtype=complex)
-    for q, a in coeffs.items():
-        out += a * pauli_matrix(q)
     return out
 
 

@@ -229,7 +229,11 @@ class Register:
 class AuthSession:
     """The receiver's half: the state, its authenticated registers and the
     receiver's place in the round schedule ``steps``.  ``data[w]`` names
-    the register holding wire w."""
+    the register holding wire w.
+
+    Only the session changes a register's status: ``materialize`` runs a
+    virtual register's preparer, which ``adopt``s it live, and ``consume``
+    and ``take_over`` retire it."""
 
     def __init__(self, trap: TrapCode, keys: dict[str, PauliOperator],
                  state, rng, steps, data):
@@ -301,6 +305,13 @@ class AuthSession:
             reg.pending.clear()
         return reg
 
+    def consume(self, name: str) -> list:
+        """Materialize the register and mark it consumed; returns its
+        physical ids."""
+        reg = self.materialize(name)
+        reg.status = "consumed"
+        return reg.ids
+
     def adopt(self, name: str, ids: list) -> None:
         """Mark a declared register live with the given physical ids."""
         reg = self.registers[name]
@@ -331,14 +342,13 @@ class AuthSession:
     def measure_register(self, name: str) -> list[int]:
         """Measure every qubit of the register, then let the state drop
         them."""
-        reg = self.materialize(name)
+        ids = self.consume(name)
         bits = []
-        for q in reg.ids:
+        for q in ids:
             bit, prob = self.state.measure(q, rng=self.rng)
             bits.append(bit)
             self._weigh(prob)
-        reg.status = "consumed"
-        self.state.discard(reg.ids)
+        self.state.discard(ids)
         return bits
 
     # -- the schedule walk -----------------------------------------------------
@@ -384,10 +394,8 @@ class AuthSession:
         Measures every syndrome and trap qubit; returns (accepted, the live
         data qubit id).
         """
-        reg = self.materialize(name)
-        reg.status = "consumed"
-        return verify_and_decode(self.state, self.trap, key, reg.ids,
-                                 self.rng)
+        return verify_and_decode(self.state, self.trap, key,
+                                 self.consume(name), self.rng)
 
 
 # ---------------------------------------------------------------------------

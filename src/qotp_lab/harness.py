@@ -515,7 +515,7 @@ def run_teleport_check(config: dict) -> tuple[ExperimentReport, None]:
         psi = dn.random_state(1, rng)
         d = sv.append_amplitudes(psi)[0]
         in_ids, out_ids = make_teleport_through(sv, [], 1)
-        xm, zm = bell_measure(sv, [d], in_ids, rng)
+        xm, zm = bell_measure(sv, [(d, in_ids[0])], rng)
         seen.add((xm, zm))
         t = PauliOperator.from_masks(1, xm, zm)
         want = dn.pauli_matrix(t) @ psi
@@ -531,7 +531,7 @@ def run_teleport_check(config: dict) -> tuple[ExperimentReport, None]:
         psi = dn.random_state(1, rng)
         d = sv.append_amplitudes(psi)[0]
         in_ids, out_ids = make_teleport_through(sv, c_ops, 1)
-        xm, zm = bell_measure(sv, [d], in_ids, rng)
+        xm, zm = bell_measure(sv, [(d, in_ids[0])], rng)
         t = PauliOperator.from_masks(1, xm, zm)
         want = dn.circuit_matrix(1, c_ops) @ dn.pauli_matrix(t) @ psi
         worst = max(worst, 1 - dn.state_fidelity(want, sv.density_of(out_ids)))
@@ -549,7 +549,7 @@ def run_teleport_check(config: dict) -> tuple[ExperimentReport, None]:
         sv.apply_pauli(atk[0], [d])
         sv.apply_pauli(atk[1], in_ids)
         sv.apply_pauli(atk[2], out_ids)
-        xm, zm = bell_measure(sv, [d], in_ids, rng)
+        xm, zm = bell_measure(sv, [(d, in_ids[0])], rng)
         t = PauliOperator.from_masks(1, xm, zm)
         u_in_t = dn.pauli_matrix(atk[1]).T
         want = dn.pauli_matrix(atk[2]) @ dn.circuit_matrix(1, c_ops) @ \

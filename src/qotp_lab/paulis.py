@@ -12,11 +12,8 @@ key-update bookkeeping downstream relies on that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
-
-from .gf2 import dot
 
 _PHASE_LABEL = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 _LABEL_PHASE = {v: k for k, v in _PHASE_LABEL.items()}
@@ -105,37 +102,6 @@ class PauliOperator:
         # (i^p X^x Z^z)^dagger = i^{-p} Z^z X^x = i^{-p} (-1)^{|x&z|} X^x Z^z
         return PauliOperator(self.n, self.x, self.z,
                              -self.phase_exp + 2 * (self.x & self.z).bit_count())
-
-    def tensor(self, other: "PauliOperator") -> "PauliOperator":
-        return PauliOperator(self.n + other.n,
-                             self.x | (other.x << self.n),
-                             self.z | (other.z << self.n),
-                             self.phase_exp + other.phase_exp)
-
-    def embed(self, n: int, positions: Sequence[int]) -> "PauliOperator":
-        """Place this Pauli's qubit j at ``positions[j]`` in an n-qubit space."""
-        if len(positions) != self.n:
-            raise ValueError("positions must cover every qubit")
-        x = z = 0
-        for j, p in enumerate(positions):
-            x |= ((self.x >> j) & 1) << p
-            z |= ((self.z >> j) & 1) << p
-        return PauliOperator(n, x, z, self.phase_exp)
-
-    def supported_within(self, mask: int) -> bool:
-        return (self.x | self.z) & ~mask == 0
-
-
-def commutation_sign(p: PauliOperator, q: PauliOperator) -> int:
-    """+1 if pq = qp, -1 if pq = -qp."""
-    if p.n != q.n:
-        raise ValueError("size mismatch")
-    return -1 if dot(p.x, q.z) ^ dot(p.z, q.x) else 1
-
-
-def transpose_sign(p: PauliOperator) -> int:
-    """-1 iff p contains an odd number of Y factors (P^T = y(P) P)."""
-    return -1 if p.y_count() & 1 else 1
 
 
 # --------------------------------------------------------------------------
@@ -241,30 +207,6 @@ class CliffordUnitary:
                 inv.append(g)
         return CliffordUnitary(self.n, tuple(inv))
 
-    def compose(self, other: "CliffordUnitary") -> "CliffordUnitary":
-        """Operator product self o other (other acts first)."""
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-        return CliffordUnitary(self.n, other.gates + self.gates)
-
-    def then(self, other: "CliffordUnitary") -> "CliffordUnitary":
-        """Circuit sequencing: self first, then other (= other o self)."""
-        return other.compose(self)
-
-    @property
-    def symplectic_map(self):
-        """2n x 2n GF(2) matrix of the conjugation action on (x|z) rows."""
-        n = self.n
-        m = np.zeros((2 * n, 2 * n), dtype=np.uint8)
-        for j in range(n):
-            for row, gen in ((j, PauliOperator.single(n, j, "X")),
-                             (n + j, PauliOperator.single(n, j, "Z"))):
-                img = self.conjugate(gen)
-                for k in range(n):
-                    m[row, k] = (img.x >> k) & 1
-                    m[row, n + k] = (img.z >> k) & 1
-        return m
-
 
 @dataclass(frozen=True)
 class Permutation:
@@ -278,10 +220,6 @@ class Permutation:
             raise ValueError("mapping is not a bijection")
 
     @staticmethod
-    def identity(size: int) -> "Permutation":
-        return Permutation(size, tuple(range(size)))
-
-    @staticmethod
     def random(size: int, rng) -> "Permutation":
         # Fisher-Yates under the supplied generator.
         arr = list(range(size))
@@ -289,32 +227,6 @@ class Permutation:
         for i, j in zip(range(size - 1, 0, -1), swaps):
             arr[i], arr[j] = arr[j], arr[i]
         return Permutation(size, tuple(arr))
-
-    def __call__(self, i: int) -> int:
-        return self.mapping[i]
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.size
-        for i, m in enumerate(self.mapping):
-            inv[m] = i
-        return Permutation(self.size, tuple(inv))
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self o other: apply other first."""
-        return Permutation(self.size,
-                           tuple(self.mapping[other.mapping[i]]
-                                 for i in range(self.size)))
-
-    def permute_mask(self, mask: int) -> int:
-        out = 0
-        for i in range(self.size):
-            if (mask >> i) & 1:
-                out |= 1 << self.mapping[i]
-        return out
-
-    def permute_pauli(self, p: PauliOperator) -> PauliOperator:
-        return PauliOperator(p.n, self.permute_mask(p.x),
-                             self.permute_mask(p.z), p.phase_exp)
 
 
 def _fisher_yates_swaps(size: int, count: int, rng) -> np.ndarray:

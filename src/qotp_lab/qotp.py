@@ -200,14 +200,6 @@ class CompiledProgram:
     steps: tuple             # build_schedule of controlled_circuit
     num_rounds: int          # its round steps: #K + #H + 2 #T
 
-    @property
-    def wires(self) -> int:
-        return self.n_a + self.n_b + (1 if self.uses_t_helper else 0) + 1
-
-    @property
-    def control_wire(self) -> int:
-        return self.wires - 1
-
 
 def compile_controlled_program(circuit, n_a: int,
                                n_b: int) -> CompiledProgram:
@@ -246,23 +238,25 @@ def compile_controlled_program(circuit, n_a: int,
 # Bell measurements and teleport resources
 # ---------------------------------------------------------------------------
 
-def bell_measure(state, data_ids, in_ids, rng,
-                 prob_sink=None) -> tuple[int, int]:
-    """Bell rotation + computational measurement on position-paired qubits,
-    one pair after the other, outcomes drawn from ``rng``.
+def bell_measure(state, pairs, rng, sink=None) -> tuple[int, int]:
+    """Bell rotation + computational measurement on the (d, q) qubit pairs
+    of the iterable ``pairs``, one pair after the other, outcomes drawn
+    from ``rng``.  The pairs are taken lazily: the next pair is asked for
+    only after the previous one is measured.  ``sink`` receives the
+    probability of every outcome.
 
-    Returns (x_mask, z_mask): the teleport correction Pauli X^x Z^z, with
-    the convention that the receiving half ends in X^x Z^z |psi> for a
-    plain EPR resource.
+    Returns (x_mask, z_mask), bit j for pair j: the teleport correction
+    Pauli X^x Z^z, with the convention that the receiving half ends in
+    X^x Z^z |psi> for a plain EPR resource.
     """
-    sink = prob_sink or (lambda p: None)
+    sink = sink or (lambda p: None)
     xm = zm = 0
-    for j, (d, i) in enumerate(zip(data_ids, in_ids)):
-        state.apply_gate("CNOT", d, i)
+    for j, (d, q) in enumerate(pairs):
+        state.apply_gate("CNOT", d, q)
         state.apply_gate("H", d)
         zbit, p1 = state.measure(d, rng=rng)
         sink(p1)
-        xbit, p2 = state.measure(i, rng=rng)
+        xbit, p2 = state.measure(q, rng=rng)
         sink(p2)
         xm |= xbit << j
         zm |= zbit << j
@@ -719,19 +713,6 @@ def honest_receiver_run(circuit, n_a: int, n_b: int, base_code: CssCode,
     return result, inst
 
 
-def simulate_sender_run(circuit, n_a: int, n_b: int, base_code: CssCode,
-                        seed: int, a_labels=(), adversary=None,
-                        backend: str = "auto", transport: str = "direct",
-                        kappa: int = 16):
-    """Protocol-5 simulator execution against the given adversary."""
-    program = compile_controlled_program(circuit, n_a, n_b)
-    inst = QotpInstance(program, base_code, seed, world="sim",
-                        backend=backend, a_labels=a_labels,
-                        transport=transport, kappa=kappa)
-    result = inst.run(adversary or DummyAdversary())
-    return result, inst
-
-
 # ---------------------------------------------------------------------------
 # the receiver's round-schedule walk and its two measurement strategies
 # ---------------------------------------------------------------------------
@@ -743,12 +724,7 @@ class _Sample:
 
     def pairs(self, inst, pairs):
         ses = inst.session
-        xm = zm = 0
-        for j, (d, q) in enumerate(pairs):
-            x, z = bell_measure(ses.state, [d], [q], ses.rng, ses._weigh)
-            xm |= x << j
-            zm |= z << j
-        yield inst, (xm, zm)
+        yield inst, bell_measure(ses.state, pairs, ses.rng, ses._weigh)
 
     def registers(self, inst, names):
         bits = []
@@ -802,9 +778,7 @@ class _Fan:
     def registers(self, inst, names):
         ids = []
         for name in names:
-            reg = inst.session.materialize(name)
-            ids += reg.ids
-            reg.status = "consumed"
+            ids += inst.session.consume(name)
         top = len(ids) - 1
         for child, k in self._fork(inst, ids):
             yield child, [(k >> (top - i)) & 1 for i in range(len(ids))]
@@ -874,22 +848,15 @@ def _walk(inst: QotpInstance, adversary, strategy):
 
     def teleport_in_pairs(s):
         for i in range(prog.n_b):
-            bare = s.materialize(f"Bin{i}")
-            bare.status = "consumed"
-            yield b_ids[i], bare.ids[0]
+            yield b_ids[i], s.consume(f"Bin{i}")[0]
 
     def splice_pairs(s):
         for i in range(prog.n_b):
-            sin = s.registers[f"Sin{i}"]
-            sout = s.materialize(f"Sout{i}")
-            sin.status = sout.status = "consumed"
-            yield sin.ids[0], sout.ids[0]
+            yield s.consume(f"Sin{i}")[0], s.consume(f"Sout{i}")[0]
 
     def teleport_out_pairs(s):
         for i in range(prog.n_b):
-            bt, br = s.registers[f"Bt{i}"], s.registers[f"BoutR{i}"]
-            bt.status = br.status = "consumed"
-            yield from zip(bt.ids, br.ids)
+            yield from zip(s.consume(f"Bt{i}"), s.consume(f"BoutR{i}"))
 
     def rounds(branch, t_in, records, replies):
         s = branch.session
@@ -937,9 +904,8 @@ def _walk(inst: QotpInstance, adversary, strategy):
         # channel once, then teleport its output through the authentication
         s = branch.session
         for i, label in enumerate(t_in):
-            s.materialize(f"Sin{i}")
             s.state.apply_pauli(PauliOperator.from_label(label),
-                                s.registers[f"Sin{i}"].ids)
+                                s.materialize(f"Sin{i}").ids)
         branch.ideal_calls += 1
         if branch.ideal_calls > 1:
             raise RuntimeError("ideal functionality is one-shot")

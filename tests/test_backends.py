@@ -7,12 +7,6 @@ T-type magic.
 """
 
 import copy
-import importlib.machinery
-import importlib.util
-import shutil
-import subprocess
-import sysconfig
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -331,30 +325,6 @@ class TestCapacity:
         assert b0 == b1 == b2
 
 
-@pytest.fixture(scope="module")
-def compiled_kernel(tmp_path_factory):
-    """The compiled kernel, built from the committed ``_tableau_core.c``
-    with the system C compiler, warning-free under strict C99, and loaded
-    from a temp dir."""
-    cc = shutil.which("cc") or shutil.which("gcc")
-    include = sysconfig.get_paths()["include"]
-    if cc is None or not (Path(include) / "Python.h").exists():
-        pytest.skip("building the compiled kernel needs cc and Python.h")
-    source = Path(_tableau_pure.__file__).with_name("_tableau_core.c")
-    target = tmp_path_factory.mktemp("kernel") / (
-        "_tableau_core" + sysconfig.get_config_var("EXT_SUFFIX"))
-    subprocess.run([cc, "-std=c99", "-Wall", "-Wextra", "-Werror", "-O2",
-                    "-shared", "-fPIC", f"-I{include}",
-                    str(source), "-o", str(target)],
-                   check=True, capture_output=True)
-    loader = importlib.machinery.ExtensionFileLoader("_tableau_core",
-                                                     str(target))
-    module = importlib.util.module_from_spec(
-        importlib.util.spec_from_loader("_tableau_core", loader))
-    loader.exec_module(module)
-    return module.TableauKernel
-
-
 class TestKernelDifferential:
     """The compiled and pure kernels agree row for row on random circuits."""
 
@@ -467,15 +437,8 @@ class TestTableauAgainstStatevector:
     measurement's pivot rows cover few columns."""
 
     @pytest.mark.parametrize("lane", ["pure", "compiled"])
-    def test_encoded_blocks_match(self, lane, request, monkeypatch):
-        from qotp_lab.backends import tableau
-
-        if lane == "compiled":
-            monkeypatch.setattr(tableau, "TableauKernel",
-                                request.getfixturevalue("compiled_kernel"))
-        else:
-            monkeypatch.setattr(tableau, "TableauKernel",
-                                _tableau_pure.TableauKernel)
+    def test_encoded_blocks_match(self, lane, select_lane):
+        select_lane(lane)
         rng = np.random.default_rng(1211)
         fixed = FixedOutcome()
         for trial in range(150):
@@ -497,15 +460,6 @@ class TestTableauAgainstStatevector:
                                atol=1e-9), trial
 
 
-def select_lane(lane, request, monkeypatch):
-    """Point ``TableauState`` at the named kernel lane."""
-    from qotp_lab.backends import tableau
-
-    kernel = (request.getfixturevalue("compiled_kernel")
-              if lane == "compiled" else _tableau_pure.TableauKernel)
-    monkeypatch.setattr(tableau, "TableauKernel", kernel)
-
-
 class TestDeterministicValue:
     """A deterministic outcome is the sign of a product of stabilizer rows,
     and that product's phase depends on the order of its letters in each
@@ -515,8 +469,8 @@ class TestDeterministicValue:
     statevector."""
 
     @pytest.mark.parametrize("lane", ["pure", "compiled"])
-    def test_pinned_three_qubit_case(self, lane, request, monkeypatch):
-        select_lane(lane, request, monkeypatch)
+    def test_pinned_three_qubit_case(self, lane, select_lane):
+        select_lane(lane)
         t = TableauState(3)
         for gate in (("CNOT", 0, 1), ("H", 0), ("CNOT", 1, 2),
                      ("CNOT", 0, 1)):
@@ -525,12 +479,11 @@ class TestDeterministicValue:
         assert t.measure(2, np.random.default_rng(0)) == (0, 1.0)
 
     @pytest.mark.parametrize("lane", ["pure", "compiled"])
-    def test_random_circuits_match_statevector(self, lane, request,
-                                               monkeypatch):
+    def test_random_circuits_match_statevector(self, lane, select_lane):
         """Random H/K/X/CNOT/Pauli circuits with measurements on 4 and 6
         qubits; some measured qubits are discarded and a fresh qubit takes
         their column."""
-        select_lane(lane, request, monkeypatch)
+        select_lane(lane)
         rng = np.random.default_rng(1616)
         fixed = FixedOutcome()
         for trial in range(120):
@@ -602,8 +555,8 @@ class TestColumnReuse:
         assert len(regrowths) <= 8
 
     @pytest.mark.parametrize("lane", ["pure", "compiled"])
-    def test_discarded_id_is_gone(self, lane, request, monkeypatch):
-        select_lane(lane, request, monkeypatch)
+    def test_discarded_id_is_gone(self, lane, select_lane):
+        select_lane(lane)
         t = TableauState(2)
         t.measure(0, np.random.default_rng(3))
         t.discard([0])
@@ -616,8 +569,8 @@ class TestColumnReuse:
                 call()
 
     @pytest.mark.parametrize("lane", ["pure", "compiled"])
-    def test_discard_requires_collapse(self, lane, request, monkeypatch):
-        select_lane(lane, request, monkeypatch)
+    def test_discard_requires_collapse(self, lane, select_lane):
+        select_lane(lane)
         t = TableauState(2)
         t.apply_gate("H", 0)
         t.apply_gate("CNOT", 0, 1)
@@ -626,8 +579,8 @@ class TestColumnReuse:
         assert t.n == 2
 
     @pytest.mark.parametrize("lane", ["pure", "compiled"])
-    def test_reused_column_measures_zero(self, lane, request, monkeypatch):
-        select_lane(lane, request, monkeypatch)
+    def test_reused_column_measures_zero(self, lane, select_lane):
+        select_lane(lane)
         t = TableauState(2)
         t.apply_gate("H", 0)
         t.apply_gate("CNOT", 0, 1)
@@ -855,12 +808,8 @@ class TestTableauDensityFromColumns:
     statevector's where that fits."""
 
     @pytest.mark.parametrize("lane", ["pure", "compiled"])
-    def test_matches_column_loop(self, lane, request, monkeypatch):
-        from qotp_lab.backends import tableau
-
-        kernel = (request.getfixturevalue("compiled_kernel")
-                  if lane == "compiled" else _tableau_pure.TableauKernel)
-        monkeypatch.setattr(tableau, "TableauKernel", kernel)
+    def test_matches_column_loop(self, lane, select_lane):
+        select_lane(lane)
         rng = np.random.default_rng(77)
         nontrivial = 0
         for trial in range(24):
@@ -881,12 +830,8 @@ class TestTableauDensityFromColumns:
         assert nontrivial >= 20
 
     @pytest.mark.parametrize("lane", ["pure", "compiled"])
-    def test_matches_statevector(self, lane, request, monkeypatch):
-        from qotp_lab.backends import tableau
-
-        kernel = (request.getfixturevalue("compiled_kernel")
-                  if lane == "compiled" else _tableau_pure.TableauKernel)
-        monkeypatch.setattr(tableau, "TableauKernel", kernel)
+    def test_matches_statevector(self, lane, select_lane):
+        select_lane(lane)
         rng = np.random.default_rng(78)
         for trial in range(40):
             n = int(rng.integers(1, 13))

@@ -1,4 +1,4 @@
-"""Classical stack: OTM semantics, the one-time MAC and its forgery bound,
+"""Classical stack: one-time semantics, the one-time MAC and its forgery bound,
 the reactive one-time program against its ideal functionality, and the
 receiver simulator."""
 
@@ -8,19 +8,23 @@ import numpy as np
 import pytest
 
 from qotp_lab.cotp import (BrOtpIdeal, BrOtpProgram, BrOtpSimulator,
-                           CotpInstance, DoubleUseError, MacKey, OtmToken,
+                           CotpInstance, DoubleUseError, MacKey,
                            brotp_compile, brotp_query, decode_payload,
-                           encode_payload, gf_mul, is_abort, mac_tag,
-                           mac_verify, run_honest_chain)
+                           encode_payload, gf_mul, is_abort, mac_tag_blocks,
+                           mac_verify_blocks, run_honest_chain)
+
+
+def otm(s0, s1):
+    """A one-time memory: the COTP oracle of the selection function."""
+    return CotpInstance(lambda slots, c: slots[c & 1], (s0, s1))
 
 
 class TestOtm:
     def test_basic(self):
-        token = OtmToken("0", "1")
-        assert token.execute(0) == "0"
+        assert otm("0", "1").execute(0) == "0"
 
     def test_double_use(self):
-        token = OtmToken("a", "b")
+        token = otm("a", "b")
         token.execute(1)
         with pytest.raises(DoubleUseError):
             token.execute(0)
@@ -30,8 +34,7 @@ class TestOtm:
         for _ in range(10_000):
             s0, s1 = rng.bytes(4), rng.bytes(4)
             c = int(rng.integers(0, 2))
-            token = OtmToken(s0, s1)
-            assert token.execute(c) == (s1 if c else s0)
+            assert otm(s0, s1).execute(c) == (s1 if c else s0)
 
 
 class TestGf:
@@ -67,22 +70,16 @@ class TestGf:
 
 
 class TestMac:
+    # a one-block message is tagged a*m + b
     def test_zero_a_gives_b(self):
+        key = MacKey(0, 0x5C, 8)
         for m in (0, 1, 0xAB):
-            key = MacKey(0, 0x5C, 8)
-            assert mac_tag(key, m) == 0x5C
-            key.used = False
+            assert mac_tag_blocks(key, [m]) == 0x5C
 
     def test_kappa2_example(self):
         # a = x (=2), b = 1, m = x+1 (=3): a*m = x^2+x = 1, tag = 0
         key = MacKey(0b10, 0b01, 2)
-        assert mac_tag(key, 0b11) == 0
-
-    def test_one_time_discipline(self):
-        key = MacKey(3, 7, 8)
-        mac_tag(key, 5)
-        with pytest.raises(DoubleUseError):
-            mac_tag(key, 6)
+        assert mac_tag_blocks(key, [0b11]) == 0
 
     def test_forgery_bound_exact_kappa8(self):
         """After one (m, sigma) pair the best forgery succeeds with
@@ -104,8 +101,8 @@ class TestMac:
     def test_verify(self):
         key = MacKey(0x13, 0x55, 8)
         t = gf_mul(0x13, 0x42, 8) ^ 0x55
-        assert mac_verify(key, 0x42, t)
-        assert not mac_verify(key, 0x42, t ^ 1)
+        assert mac_verify_blocks(key, [0x42], t)
+        assert not mac_verify_blocks(key, [0x42], t ^ 1)
 
 
 def toy_rounds(seed, ell=3):

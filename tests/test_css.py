@@ -87,8 +87,10 @@ class TestSteane:
         for q in dn.all_paulis(2):
             if q.weight() == 0:
                 continue
-            for pos in [(0, 1), (2, 5), (3, 6), (1, 4)]:
-                full = q.embed(7, pos)
+            for a, b in [(0, 1), (2, 5), (3, 6), (1, 4)]:
+                full = PauliOperator.from_masks(
+                    7, (q.x & 1) << a | (q.x >> 1) << b,
+                    (q.z & 1) << a | (q.z >> 1) << b)
                 cls = STEANE.logical_pauli_of(full)
                 assert cls.kind != "logical", (q, pos)
         # exhaustive over all single-qubit Paulis on every position

@@ -8,8 +8,9 @@ import sys
 
 import pytest
 
-from qotp_lab.harness import (ExperimentReport, canonical_json, emit_report,
-                              run_experiment)
+from qotp_lab import cli
+from qotp_lab.harness import (COMMANDS, ExperimentReport, canonical_json,
+                              emit_report, run_experiment)
 
 
 class TestCanonicalJson:
@@ -66,14 +67,21 @@ class TestDeterminism:
         assert r1.to_canonical() == r2.to_canonical()
         assert c1 == c2
 
-    def test_thread_variable_changes_nothing(self, monkeypatch):
-        config = {"seed": 5, "attacks": 4, "samples": 2000}
-        monkeypatch.delenv("QOTP_LAB_THREADS", raising=False)
-        r1, c1 = run_experiment("trap-security", dict(config))
-        monkeypatch.setenv("QOTP_LAB_THREADS", "2")
-        r2, c2 = run_experiment("trap-security", dict(config))
-        assert r1.to_canonical() == r2.to_canonical()
-        assert c1 == c2
+    @pytest.mark.parametrize("lane", ["pure", "compiled"])
+    @pytest.mark.parametrize("command,config,report_sha", [
+        ("qotp-attack", {"seed": 9, "runs": 20},
+         "5a0a347d6152d39cfccca914752d8efba05f7bfec21fd1430697137fd62930a4"),
+        ("gadget-check", {"seed": 5},
+         "532a9217ff7804882623b6ada29ce56a2293897f2f9d275f7580948a29883077"),
+    ], ids=["qotp-attack", "gadget-check"])
+    def test_kernel_lanes_give_golden_digests(self, lane, select_lane,
+                                              command, config, report_sha):
+        """The tableau-backed configs of ``test_golden_digest`` give the
+        same reports on either tableau kernel."""
+        select_lane(lane)
+        report, _ = run_experiment(command, dict(config))
+        assert hashlib.sha256(report.to_canonical().encode()).hexdigest() \
+            == report_sha
 
     # sha256 of report.to_canonical() and of the CSV (None: no CSV). A
     # refactor keeps these; a change that alters a report on purpose
@@ -132,6 +140,31 @@ class TestDeterminism:
         assert report.all_pass, report.to_canonical()
         assert all(line.split(",")[5] == "0"
                    for line in csv_text.splitlines()[1:])
+
+
+# every key each command reads, and the malformed values each one is tried
+# with; the values are all invalid, never a large valid size, which would
+# validate and then run for as long as it asks
+CONFIG_KEYS = {
+    "twirl-check": ("seed", "unitaries", "tolerance"),
+    "trap-security": ("seed", "base", "levels", "attack_weight", "attacks",
+                      "samples"),
+    "trap-distance": ("seed", "base", "levels", "permutations",
+                      "limit_pairs"),
+    "gadget-check": ("seed",),
+    "qotp-run": ("seed", "channel", "code", "n_b", "b_labels", "backend",
+                 "transport", "kappa"),
+    "qotp-attack": ("seed", "runs", "base", "levels", "channel",
+                    "attack_x_mask"),
+    "sim-compare": ("seed", "cases"),
+    "teleport-check": ("seed",),
+    "brotp-check": ("seed",),
+}
+MALFORMED = (None, True, [], {"?": 1}, -7, "?")
+FUZZED_CONFIGS = (
+    [(command, {key: value}) for command, keys in CONFIG_KEYS.items()
+     for key in keys for value in MALFORMED]
+    + [(command, {"no_such_key": 1}) for command in COMMANDS])
 
 
 class TestCli:
@@ -204,6 +237,27 @@ class TestCli:
             assert all(key in res.stderr for key in config), res.stderr
             assert all(repr(v) in res.stderr for v in config.values()), \
                 res.stderr
+
+    @pytest.mark.parametrize(
+        "command,config", FUZZED_CONFIGS,
+        ids=[f"{command}-{key}-{json.dumps(value, separators=(',', ':'))}"
+             for command, config in FUZZED_CONFIGS
+             for key, value in config.items()])
+    def test_fuzzed_config_one_line_exit_two(self, tmp_path, capsys,
+                                             command, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = cli.main([command, "--config", str(cfg),
+                         "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1, err
+        (key, value), = config.items()
+        assert key in err and repr(value) in err, err
+        if key == "no_such_key":  # the grid has every key the command reads
+            accepted = ", ".join(sorted(CONFIG_KEYS[command]))
+            assert f"(accepted: {accepted})" in err, err
 
     def test_unwritable_out_one_line_exit_two(self, tmp_path):
         blocker = tmp_path / "file"

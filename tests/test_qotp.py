@@ -12,7 +12,7 @@ from qotp_lab.qotp import (DummyAdversary, PauliAttackAdversary, QotpInstance,
                            bell_measure, compile_controlled_program,
                            controlled_gate, enumerate_protocol_runs,
                            honest_receiver_run, make_teleport_through,
-                           simulate_sender_run, verify_controlled_table)
+                           verify_controlled_table)
 from qotp_lab.rng import stream
 from qotp_lab.trap import random_pauli
 
@@ -26,13 +26,14 @@ class TestCompile:
 
     def test_controlled_x_is_cnot(self):
         prog = compile_controlled_program([("X", 0)], 0, 1)
-        assert prog.controlled_circuit == (("CNOT", prog.control_wire, 0),)
+        # wires: B wire 0, then the control
+        assert prog.controlled_circuit == (("CNOT", 1, 0),)
         assert prog.num_rounds == 0
 
     def test_controlled_t_dense(self):
         # c-U|psi>|on> = T|psi>|on>, c-U|psi>|off> = |psi>|off>
         prog = compile_controlled_program([("T", 0)], 0, 1)
-        n = prog.wires
+        n = 3  # B wire 0, the controlled-T helper, the control
         u = dn.circuit_matrix(n, prog.controlled_circuit)
         rng = np.random.default_rng(3)
         psi = dn.random_state(1, rng)
@@ -99,7 +100,7 @@ class TestTeleport:
             sv = StateVector(0)
             d = sv.append_amplitudes(sv_psi)[0]
             in_ids, out_ids = make_teleport_through(sv, [], 1)
-            xm, zm = bell_measure(sv, [d], in_ids, rng)
+            xm, zm = bell_measure(sv, [(d, in_ids[0])], rng)
             seen.add((xm, zm))
             t = PauliOperator.from_masks(1, xm, zm)
             want = dn.pauli_matrix(t) @ sv_psi
@@ -124,7 +125,7 @@ class TestTeleport:
             t.apply_gate("H", half)
             t.apply_gate("CNOT", half, epr)
             ids = authenticate_register(t, trap, key, epr)
-            xm, zm = bell_measure(t, [b], [half], rng)
+            xm, zm = bell_measure(t, [(b, half)], rng)
             # de-authenticate and undo the teleport Pauli: recover |+>
             ok, out = verify_and_decode(t, trap, key, ids, rng)
             assert ok
@@ -214,7 +215,9 @@ class TestSimulator:
     def test_dummy_adversary_output_correct(self):
         for circ, labels, gate in ([("X", 0)], ("0",), dn.MX), \
                 ([("H", 0)], ("0",), dn.MH):
-            res, inst = simulate_sender_run(circ, 0, 1, TOY, seed=401)
+            inst = QotpInstance(compile_controlled_program(circ, 0, 1), TOY,
+                                seed=401, world="sim")
+            res = inst.run(DummyAdversary())
             assert res.accepted
             assert inst.ideal_calls == 1
             rho = res.session.state.density_of(res.b_out_qubits)

@@ -30,7 +30,7 @@ D9 = concatenate(STEANE, 2)
 
 
 def identity_trap(base):
-    return TrapCode(base, Permutation.identity(3 * base.n))
+    return TrapCode(base, Permutation(3 * base.n, tuple(range(3 * base.n))))
 
 
 class TestBuild:
@@ -90,7 +90,7 @@ class TestBuild:
 
     def test_wrong_size_permutation(self):
         with pytest.raises(ValueError):
-            TrapCode(STEANE, Permutation.identity(20))
+            TrapCode(STEANE, Permutation(20, tuple(range(20))))
 
 
 class TestKeys:
@@ -204,14 +204,17 @@ class TestClassification:
                 if q1.weight() == 0:
                     continue
                 for j in range(21):
-                    cls = classify_pauli_attack(trap, q1.embed(21, [j]))
+                    cls = classify_pauli_attack(trap, PauliOperator.from_masks(
+                        21, q1.x << j, q1.z << j))
                     assert cls.verdict != "nontrivial_accept"
             for pidx in picked[:10]:
                 i, j = pairs[pidx]
                 for q2 in dn.all_paulis(2):
                     if q2.weight() != 2:
                         continue
-                    cls = classify_pauli_attack(trap, q2.embed(21, [i, j]))
+                    cls = classify_pauli_attack(trap, PauliOperator.from_masks(
+                        21, (q2.x & 1) << i | (q2.x >> 1) << j,
+                        (q2.z & 1) << i | (q2.z >> 1) << j))
                     assert cls.verdict != "nontrivial_accept"
 
     def test_toy_classification_matches_brute_force(self):
