@@ -7,6 +7,10 @@ round function verifies then unpads the carried, authenticated-encrypted
 state of the previous round; out-of-order or tampered queries abort, and
 aborts are absorbing.
 
+The carried states the quantum one-time program hands this layer are a
+fixed binary layout of its verifier (``qotp._serialize_verifier``), so
+a round's MAC tags each key's x and z words and little else.
+
 Wire encoding: payloads are length-prefixed byte strings; an abort is the
 single byte 0xFF followed by a one-byte reason code.
 """
@@ -170,9 +174,13 @@ def _seal(state: bytes, pad: bytes, mac: MacKey) -> bytes:
 
 def _open(carried: bytes, pad: bytes, mac: MacKey) -> bytes | None:
     """The state ``_seal`` put into ``carried``, or None when its framing,
-    its length or its tag is wrong."""
+    its length or its tag is wrong (a length prefix is framing too: one
+    that overstates its part's length is refused, and the tag part has
+    the width ``_seal`` gives it)."""
     parts = decode_payload(carried)
-    if len(parts) != 2 or len(parts[0]) != len(pad):
+    if len(parts) != 2 or len(parts[0]) != len(pad) \
+            or len(parts[1]) != (mac.kappa + 7) // 8 \
+            or encode_payload(*parts) != carried:
         return None
     c0, c1 = parts
     if not mac_verify_blocks(mac, _bytes_to_blocks(c0, mac.kappa),

@@ -396,24 +396,24 @@ class BrotpOracle:
 
     def __init__(self, verifier: QotpVerifier, kappa: int, rng):
         self.audit = verifier
-        state0 = _serialize_verifier(verifier)
-        state_len = len(state0) + 96
+        names = sorted(verifier.keys)
+        state0 = _serialize_verifier(verifier, names)
 
         def restore(blob: bytes) -> QotpVerifier:
             self.audit = _deserialize_verifier(
-                blob, verifier.program, verifier.trap, verifier.output_keys,
-                verifier.reject_key_seed)
+                blob, names, verifier.program, verifier.trap,
+                verifier.output_keys, verifier.reject_key_seed)
             return self.audit
 
         def g_first(a_state, b1):
             v = restore(a_state)
             v.receive_t_in(json.loads(b1.decode()))
-            return b"", _serialize_verifier(v)
+            return b"", _serialize_verifier(v, names)
 
         def g_round(b_i, s_prev):
             v = restore(s_prev)
             reply = v.process_round(bytes_to_record(b_i))
-            return bytes(reply), _serialize_verifier(v)
+            return bytes(reply), _serialize_verifier(v, names)
 
         def g_final(b_last, s_prev):
             v = restore(s_prev)
@@ -423,8 +423,7 @@ class BrotpOracle:
 
         program = verifier.program
         rounds = [g_first] + [g_round] * program.num_rounds + [g_final]
-        self.program = brotp_compile(rounds, state0.ljust(state_len, b"\0"),
-                                     kappa, state_len, rng)
+        self.program = brotp_compile(rounds, state0, kappa, len(state0), rng)
         self.carried = b""
         self.cursor = 1
 
@@ -448,26 +447,45 @@ class BrotpOracle:
         return labels, self.audit.cheated
 
 
-def _serialize_verifier(v: QotpVerifier) -> bytes:
-    blob = {
-        "keys": {name: [format(p.x, "x"), format(p.z, "x")]
-                 for name, p in v.keys.items()},
-        "cheated": v.cheated,
-        "pc": v.pc,
-        "pending": v.need_k,
-    }
-    return json.dumps(blob, sort_keys=True).encode()
+def _serialize_verifier(v: QotpVerifier, names: list[str]) -> bytes:
+    """The verifier's carried state, one fixed length for the sorted
+    register ``names`` it started with (its keys are always a subset):
+    ``pc`` (4 bytes), a flags byte (bit 0 ``cheated``; bits 1-2 ``need_k``:
+    0 for None, 1 for False, 2 for True), a presence bitmap with bit j for
+    ``names[j]``, then each name's key x and z as ceil(trap.n / 8)-byte
+    words, zero when absent.  Integers are big-endian."""
+    size = (v.trap.n + 7) // 8
+    flags = v.cheated | (0 if v.need_k is None else 1 + v.need_k) << 1
+    present = words = 0
+    for j, name in enumerate(names):
+        words <<= 16 * size
+        p = v.keys.get(name)
+        if p is not None:
+            present |= 1 << j
+            words |= p.x << 8 * size | p.z
+    return (v.pc.to_bytes(4, "big") + bytes([flags])
+            + present.to_bytes((len(names) + 7) // 8, "big")
+            + words.to_bytes(2 * size * len(names), "big"))
 
 
-def _deserialize_verifier(blob: bytes, program, trap, output_keys,
-                          reject_seed) -> QotpVerifier:
-    data = json.loads(blob.decode().rstrip("\0"))
-    keys = {name: PauliOperator.from_masks(trap.n, int(x, 16), int(z, 16))
-            for name, (x, z) in data["keys"].items()}
+def _deserialize_verifier(blob: bytes, names: list[str], program, trap,
+                          output_keys, reject_seed) -> QotpVerifier:
+    """The verifier ``_serialize_verifier`` wrote, its keys in ``names``
+    order."""
+    size = (trap.n + 7) // 8
+    at = 5 + (len(names) + 7) // 8
+    present = int.from_bytes(blob[5:at], "big")
+    keys = {}
+    for j, name in enumerate(names):
+        if present >> j & 1:
+            keys[name] = PauliOperator.from_masks(
+                trap.n, int.from_bytes(blob[at:at + size], "big"),
+                int.from_bytes(blob[at + size:at + 2 * size], "big"))
+        at += 2 * size
     v = QotpVerifier(program, trap, keys, output_keys, reject_seed)
-    v.cheated = data["cheated"]
-    v.pc = data["pc"]
-    v.need_k = data["pending"]
+    v.pc = int.from_bytes(blob[:4], "big")
+    v.cheated = bool(blob[4] & 1)
+    v.need_k = (None, False, True)[blob[4] >> 1]
     return v
 
 

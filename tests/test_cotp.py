@@ -7,10 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qotp_lab.cotp import (BrOtpIdeal, BrOtpProgram, BrOtpSimulator,
-                           CotpInstance, DoubleUseError, MacKey,
-                           brotp_compile, brotp_query, decode_payload,
-                           encode_payload, gf_mul, is_abort, mac_tag_blocks,
+from qotp_lab.cotp import (REDUCTION_POLY, BrOtpIdeal, BrOtpProgram,
+                           BrOtpSimulator, CotpInstance, DoubleUseError,
+                           MacKey, _bytes_to_blocks, brotp_compile,
+                           brotp_query, decode_payload, encode_payload,
+                           gf_mul, is_abort, mac_tag_blocks,
                            mac_verify_blocks, run_honest_chain)
 
 
@@ -103,6 +104,23 @@ class TestMac:
         t = gf_mul(0x13, 0x42, 8) ^ 0x55
         assert mac_verify_blocks(key, [0x42], t)
         assert not mac_verify_blocks(key, [0x42], t ^ 1)
+
+
+class TestMacBlocks:
+    def test_kappa2_splits_each_byte_into_bit_pairs(self):
+        assert _bytes_to_blocks(b"\xb4\x01", 2) == [2, 3, 1, 0, 0, 0, 0, 1]
+
+    def test_short_tail_block_at_kappa64(self):
+        data = bytes(range(1, 12))  # one 8-byte block, then 3 bytes
+        assert _bytes_to_blocks(data, 64) == [0x0102030405060708, 0x090A0B]
+
+    @pytest.mark.parametrize("kappa", sorted(REDUCTION_POLY))
+    def test_oversized_block_rejected(self, kappa):
+        key = MacKey(1, 0, kappa)
+        for bad in ([1 << kappa], [0, (1 << kappa) + 1, 0], [-1]):
+            with pytest.raises(ValueError, match="block length"):
+                mac_tag_blocks(key, bad)
+        assert mac_tag_blocks(key, [(1 << kappa) - 1]) == (1 << kappa) - 1
 
 
 def toy_rounds(seed, ell=3):
@@ -320,6 +338,100 @@ class TestSimulator:
                                   simd.get(k, Fraction(0)))
                     tv /= 2
                     assert tv <= Fraction(1, 2 ** (kappa - 1)), (b1, b2, d0, d1)
+
+    def test_transcript_tv_through_package_kappa2(self):
+        """Criterion 9 on the package's own chain: the exact transcript
+        distributions of ``brotp_compile``/``BrOtpProgram.query`` (real) and
+        ``BrOtpSimulator`` (ideal) at kappa = 2, every pad and MAC key fed
+        by a draw stub, under the honest strategy and every xor tamper
+        (d0, d1) of the carried state's last MAC block and of the tag, with
+        both first inputs (round 2's input only moves m2's parity).
+
+        The transcript is what the receiver sees: m1, the carried
+        ciphertext and tag, then m2 or the abort.  The simulator's
+        substitute state enters only through its xor with the pad, so one
+        substitute (zero) with every pad is its exact distribution.  A
+        tamper passes for exactly the one a with a * d0 = d1 when d0 != 0,
+        and never when only the tag moves; so the worlds are equal, except
+        by exactly 1/4 (within criterion 9's 2^(1-kappa)) where a passing
+        tamper changes m2."""
+        def g1(a, b1):
+            return bytes([b1[0] & 1]), bytes([3 * (b1[0] & 1) + 1])
+
+        def g2(b2, s):
+            return bytes([(s[0] + (b2[0] & 1)) & 1]), b""
+
+        gs = [g1, g2]
+        strategies = [(d0, d1) for d0 in range(4) for d1 in range(4)]
+        inputs = [(b1, b"\x01") for b1 in (b"\x00", b"\x01")]
+        counts = {(world, b, d): {} for world in ("real", "sim")
+                  for b in inputs for d in strategies}
+        for pad in range(256):
+            for a in range(4):
+                for b in range(4):
+                    key = [bytes([pad]), bytes([a]), bytes([b])]
+                    for b1, b2 in inputs:
+                        draws = _Draws(*key)
+                        real = brotp_compile(gs, None, 2, 1, draws)
+                        assert not draws.chunks
+                        draws = _Draws(*key, b"\x00")
+                        sim = BrOtpSimulator(BrOtpIdeal(gs, None), 2, 2, 1,
+                                             draws)
+                        for world, prog in (("real", real), ("sim", sim)):
+                            m1, carried = decode_payload(prog.query(1, b1))
+                            c0, tag = decode_payload(carried)
+                            for d0, d1 in strategies:
+                                out = _after_round1(prog).query(
+                                    2, b2, encode_payload(
+                                        bytes([c0[0] ^ d0]),
+                                        bytes([tag[0] ^ d1])))
+                                seen = (m1, c0, tag, out if is_abort(out)
+                                        else decode_payload(out)[0])
+                                n = counts[(world, (b1, b2), (d0, d1))]
+                                n[seen] = n.get(seen, 0) + 1
+                        assert not draws.chunks
+        for b1, b2 in inputs:
+            _, s1 = g1(None, b1)
+            for d0, d1 in strategies:
+                real = counts[("real", (b1, b2), (d0, d1))]
+                sim = counts[("sim", (b1, b2), (d0, d1))]
+                tv = Fraction(sum(abs(real.get(t, 0) - sim.get(t, 0))
+                                  for t in set(real) | set(sim)),
+                              2 * 256 * 16)
+                changes = g2(b2, bytes([s1[0] ^ d0])) != g2(b2, s1)
+                want = Fraction(1, 4) if d0 and changes else 0
+                assert tv == want <= Fraction(1, 2), (b1, b2, d0, d1, tv)
+                if (d0, d1) == (0, 0):  # the honest chain never aborts
+                    assert {seen[3] for seen in real} == {g2(b2, s1)[0]}
+
+
+def _after_round1(prog):
+    """An independent copy of a real program or simulator whose round 1 has
+    been played, as a replay of the same keys up to round 1 would be."""
+    if isinstance(prog, BrOtpProgram):
+        return _twin(prog, cotps=[_twin(c) for c in prog.cotps])
+    ideal = _twin(prog.ideal, evaluated=list(prog.ideal.evaluated))
+    return _twin(prog, done=list(prog.done), ideal=ideal)
+
+
+def _twin(obj, **fields):
+    """A shallow copy of ``obj`` with ``fields`` replaced."""
+    twin = object.__new__(type(obj))
+    twin.__dict__.update(obj.__dict__, **fields)
+    return twin
+
+
+class _Draws:
+    """An rng stub that hands out the given byte strings in order, each to
+    a draw of its own length."""
+
+    def __init__(self, *chunks):
+        self.chunks = list(chunks)
+
+    def bytes(self, n):
+        chunk = self.chunks.pop(0)
+        assert len(chunk) == n
+        return chunk
 
 
 def _run_tampered(gs, b1, b2, d0, d1, key, kappa, true_state):

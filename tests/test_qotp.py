@@ -1,10 +1,15 @@
 """Protocol-level tests: compilation, teleportation, honest end-to-end runs
 on every backend, key-equation audit, abort behavior, and attack forcing."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from qotp_lab import denseops as dn
+from qotp_lab import qotp
+from qotp_lab.cotp import (BrOtpProgram, abort_message, decode_payload,
+                            encode_payload)
 from qotp_lab.css import build_steane, build_toy_code, concatenate
 from qotp_lab.gadgets import EIGENSTATE_VECTORS, magic_slots
 from qotp_lab.paulis import CliffordUnitary, PauliOperator, Permutation
@@ -480,3 +485,71 @@ class TestAbortChannel:
             res = inst.run(DummyAdversary())
             assert res.cheated and not res.accepted, seed
             assert res.s_hat == ("random",), seed
+
+
+class TestCarriedState:
+    """The verifier's carried state on the chained transport: a fixed binary
+    layout that decodes to the verifier it encodes, keeps one length over
+    the whole run, and aborts the chain on any flipped byte."""
+
+    class AppendBit(DummyAdversary):
+        def tamper_record(self, index, bits):
+            return bits + [0] if index == 2 else bits
+
+    @pytest.mark.parametrize("adversary", [DummyAdversary, AppendBit])
+    def test_round_trip_length_and_flips(self, monkeypatch, adversary):
+        """Every state a T-channel run carries (its K corrections leave
+        ``need_k`` None, False and True; a record one bit long makes the
+        run cheat) decodes to the verifier it encodes, has the length of
+        the first, so ``_seal`` never finds it too long, and with any one
+        byte of its carried form flipped, or its tag widened by a leading
+        zero byte, aborts the next round on its MAC."""
+        states = []
+        encode = qotp._serialize_verifier
+
+        def spy(v, names):
+            blob = encode(v, names)
+            states.append((blob, names, dict(v.keys), v.pc, v.cheated,
+                           v.need_k))
+            return blob
+
+        flips = []
+        query = BrOtpProgram.query
+
+        def flipping_query(self, i, b_i, carried=b""):
+            bad_forms = []
+            if i > 1:
+                for j in range(len(carried)):
+                    bad = bytearray(carried)
+                    bad[j] ^= 0xFF
+                    bad_forms.append(bytes(bad))
+                # the same tag, one byte wider: a second byte string for
+                # the same state
+                c0, tag = decode_payload(carried)
+                bad_forms.append(encode_payload(c0, b"\0" + tag))
+            for bad in bad_forms:
+                twin = BrOtpProgram([copy.copy(c) for c in self.cotps],
+                                    self.ell)
+                flips.append(query(twin, i, b_i, bad))
+            return query(self, i, b_i, carried)
+
+        monkeypatch.setattr(qotp, "_serialize_verifier", spy)
+        monkeypatch.setattr(BrOtpProgram, "query", flipping_query)
+        inst = QotpInstance(compile_controlled_program([("T", 0)], 0, 1),
+                            TOY, seed=3, world="real", backend="sv",
+                            transport="brotp")
+        res = inst.run(adversary())
+        assert res.cheated == (adversary is self.AppendBit)
+        v0 = inst.oracle.audit
+        for blob, names, keys, pc, cheated, need_k in states:
+            v = qotp._deserialize_verifier(blob, names, v0.program, v0.trap,
+                                           v0.output_keys, v0.reject_key_seed)
+            # a key travels as its x and z masks (the phase is not a key)
+            assert [(name, p.x, p.z) for name, p in v.keys.items()] == \
+                [(name, keys[name].x, keys[name].z) for name in sorted(keys)]
+            assert (v.pc, v.cheated, v.need_k) == (pc, cheated, need_k)
+            assert type(v.need_k) is type(need_k)
+        assert len({len(blob) for blob, *_ in states}) == 1
+        assert {need_k for *_, need_k in states} == {None, False, True}
+        assert any(cheated for *_, cheated, _ in states) == res.cheated
+        assert flips and set(flips) == {abort_message("mac")}
