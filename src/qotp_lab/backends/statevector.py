@@ -159,12 +159,13 @@ class StateVector:
             out.append((k, p, post))
         return out
 
-    def joint_densities(self, qubits, keep) -> list[tuple]:
-        """(bits, probability, density of ``keep``) for every outcome of
-        measuring the listed qubits jointly: what ``joint_outcomes`` and
-        ``density_of(keep)`` on each posterior give, bit for bit, from one
-        stacked (outcome, keep, rest) view instead of one state per
-        outcome."""
+    def joint_densities(self, qubits, keep):
+        """Every outcome of measuring the listed qubits jointly, as one
+        stack: (live outcome indices, their probabilities, their densities
+        of ``keep``).  An outcome is live at probability 1e-14 or more, as
+        in ``joint_outcomes``, and each density is what ``density_of(keep)``
+        on that outcome's posterior gives, bit for bit, read from one
+        (outcome, keep, rest) view instead of one state per outcome."""
         arr, probs, rest_ids = self._outcome_rows(qubits)
         kept = [rest_ids.index(q) for q in keep]
         order = kept + [a for a in range(len(rest_ids)) if a not in kept]
@@ -173,8 +174,7 @@ class StateVector:
         arr = arr.reshape(len(probs), 1 << len(kept), -1)
         live = np.flatnonzero(probs >= 1e-14)
         amps = arr[live] / np.sqrt(probs[live])[:, None, None]
-        rhos = amps @ amps.conj().transpose(0, 2, 1)
-        return [(k, float(probs[k]), rho) for k, rho in zip(live, rhos)]
+        return live, probs[live], amps @ amps.conj().transpose(0, 2, 1)
 
     def _outcome_rows(self, qubits):
         """The amplitudes as one row per joint outcome of the listed qubits

@@ -122,10 +122,5 @@ def random_density(n: int, rng) -> np.ndarray:
     return rho / np.trace(rho)
 
 
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    evals = np.linalg.eigvalsh(a - b)
-    return 0.5 * float(np.sum(np.abs(evals)))
-
-
 def state_fidelity(vec: np.ndarray, rho: np.ndarray) -> float:
     return float(np.real(vec.conj() @ rho @ vec))

@@ -38,12 +38,15 @@ its outcome (Bell outcomes as x and z masks): ``_Sample`` yields the one
 branch of a Born outcome per qubit drawn from the instance's outcome
 stream (``QotpInstance.run``), ``_Fan`` every joint outcome of the dense
 state, each on its own clone (``enumerate_protocol_runs``, the exact
-real-vs-simulated comparison).  ``_Fan`` takes the teleport-out outcomes
-of a branch as one batch: the verdict is decided once per branch, every
-leaf's output density comes from one stacked read of the state, and a
+real-vs-simulated comparison).  ``_Fan`` ends a branch in one stacked
+leaf: the verdict is decided once per branch, every live teleport-out
+outcome's output density comes from one stacked read of the state, and a
 rejected branch draws no junk key.  Every final key, sampled or
-enumerated, is read by ``QotpVerifier.final_key``: two parities of the
-accumulated key against the encoder's images of the data wire's Z and X.
+enumerated, is read by one rule, ``TrapCode.data_key``: two parities of
+the accumulated key against the encoder's images of the data wire's Z
+and X (``QotpVerifier.final_key`` for one run, ``final_keys`` for every
+outcome of a stacked leaf at once).  The comparison adds each stacked
+leaf into one array per transcript prefix.
 """
 
 from __future__ import annotations
@@ -367,6 +370,18 @@ class QotpVerifier(VerifierState):
         return _KEY_LABELS[self.trap.data_key(pad.x ^ xm ^ key.x,
                                               pad.z ^ zm ^ key.z)]
 
+    def final_keys(self, t_out, i: int) -> np.ndarray:
+        """``final_key`` of every outcome of an enumerated branch at once,
+        as key bits x | z << 1, for ``t_out`` masks given as int64 arrays
+        over the outcomes.  ``TrapCode.data_key`` is linear, so the pad's
+        and the register's part is read once and each outcome's correction
+        is added to it."""
+        xm, zm = t_out[i]
+        pad = self.output_keys[i]
+        key = self.keys[self.data[self.program.n_a + i]]
+        return (self.trap.data_key(pad.x ^ key.x, pad.z ^ key.z)
+                ^ self.trap.data_key(xm, zm))
+
 
 # one-qubit key labels by their bits x | z << 1
 _KEY_LABELS = [PauliOperator.from_masks(1, k & 1, k >> 1).to_label()
@@ -556,17 +571,23 @@ class WOnlyAdversary(DummyAdversary):
 
 @dataclass
 class RunResult:
+    """A finished run: one sampled run, or the stacked leaf of one
+    enumerated branch, whose ``t_out`` masks, ``s_hat`` key bits,
+    ``weight`` and ``density`` are arrays over the branch's live
+    teleport-out outcomes."""
+
     accepted: bool
     cheated: bool
     t_in: tuple
     records: tuple
     replies: tuple
-    t_out: tuple
-    s_hat: tuple          # labels, or ("random",) when the key was junk
-    weight: float         # probability of this branch's outcomes
+    t_out: tuple          # (x mask, z mask) per B wire
+    s_hat: tuple          # labels (stacked: key bits x | z << 1), or
+                          # ("random",) when the key was junk
+    weight: float         # probability of this run's outcomes
     b_out_qubits: list
     w_ids: list
-    density: object       # enumerated leaves only: the density of
+    density: object       # enumerated leaves only: the densities of
                           # ``b_out_qubits + w_ids``, final key unapplied
     session: AuthSession | None  # sampled runs only: the live session, whose
                                  # state holds the output (final key
@@ -760,19 +781,19 @@ MIN_BRANCH_WEIGHT = 1e-15
 
 
 @functools.cache
-def _fan_masks(n_pairs: int) -> list[tuple[int, int]]:
-    """(x mask, z mask) of every joint outcome of ``n_pairs`` rotated Bell
-    pairs, measured as (z bit, x bit) per pair, first bit most
-    significant."""
+def _fan_masks(n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
+    """The x masks and the z masks of every joint outcome of ``n_pairs``
+    rotated Bell pairs, as two int64 arrays indexed by the outcome, each
+    pair measured as (z bit, x bit), first bit most significant."""
+    k = np.arange(1 << (2 * n_pairs), dtype=np.int64)
     top = 2 * n_pairs - 1
-    table = []
-    for k in range(1 << (2 * n_pairs)):
-        xm = zm = 0
-        for j in range(n_pairs):
-            zm |= ((k >> (top - 2 * j)) & 1) << j
-            xm |= ((k >> (top - 2 * j - 1)) & 1) << j
-        table.append((xm, zm))
-    return table
+    xm = np.zeros_like(k)
+    zm = np.zeros_like(k)
+    for j in range(n_pairs):
+        zm |= (k >> (top - 2 * j) & 1) << j
+        xm |= (k >> (top - 2 * j - 1) & 1) << j
+    xm.flags.writeable = zm.flags.writeable = False
+    return xm, zm
 
 
 class _Fan:
@@ -781,17 +802,19 @@ class _Fan:
     rotated before the joint outcomes are read.  A branch continues on a
     clone of its parent.
 
-    Teleport-out is taken as one batch: the verifier decides the branch's
-    verdict once, and one stacked read of the rotated state gives every
-    outcome's probability and its density on the kept qubits.  A leaf keeps
-    only that density and, on an accepted branch, reads its keys with
-    ``QotpVerifier.final_key``; a rejected branch draws no junk key."""
+    Teleport-out is one stacked leaf per branch: the verifier decides the
+    branch's verdict once, and one stacked read of the rotated state gives
+    every live outcome's probability and its density on the kept qubits.
+    The leaf carries the outcomes' masks, weights and densities as arrays
+    over those outcomes; an accepted branch reads every outcome's keys at
+    once with ``QotpVerifier.final_keys``, and a rejected one draws no junk
+    key."""
 
     def pairs(self, inst, pairs):
         ids = self._rotate(inst, pairs)
-        masks = _fan_masks(len(ids) // 2)
+        xs, zs = _fan_masks(len(ids) // 2)
         for child, k in self._fork(inst, ids):
-            yield child, masks[k]
+            yield child, (int(xs[k]), int(zs[k]))
 
     def registers(self, inst, names):
         ids = []
@@ -803,18 +826,18 @@ class _Fan:
 
     def leaves(self, inst, pairs, keep):
         ids = self._rotate(inst, pairs)
-        masks = _fan_masks(len(ids) // 2)
-        weight = inst.session.prob_weight
+        xs, zs = _fan_masks(len(ids) // 2)
         v = inst.oracle
         cheated = v.verdict()
 
         def final(t_out):
             if cheated:
                 return None, True
-            return [v.final_key(t_out, i) for i in range(len(t_out))], False
+            return [v.final_keys(t_out, i) for i in range(len(t_out))], False
 
-        for k, p, rho in inst.session.state.joint_densities(ids, keep):
-            yield masks[k], weight * p, final, rho
+        live, probs, rhos = inst.session.state.joint_densities(ids, keep)
+        yield ((xs[live], zs[live]), inst.session.prob_weight * probs, final,
+               rhos)
 
     @staticmethod
     def _fork(inst, ids):
@@ -946,9 +969,10 @@ def enumerate_protocol_runs(inst: QotpInstance,
 
     The same walk as ``QotpInstance.run``, with every measurement fanned
     out over the joint outcome distribution of the dense state instead of
-    sampled.  Each leaf carries the density of its output and W qubits
-    before the final key (``RunResult.density``).  Requires the direct
-    oracle transport and the dense backend.
+    sampled.  Each branch ends in one stacked leaf, which carries every
+    live teleport-out outcome's density of the output and W qubits before
+    the final key (``RunResult.density``).  Requires the direct oracle
+    transport and the dense backend.
     """
     return list(_walk(inst, adversary, _Fan()))
 
@@ -958,15 +982,21 @@ def _world_density_map(world: str, program: CompiledProgram,
                        a_labels, perms, coset_letters):
     """Exact classical-quantum output ensemble of one world.
 
-    Returns {classical key: accumulated weighted density on (B_out, W)}.
-    The ensemble enumerates the shared permutation key, the one-time-pad
-    coset representative on the teleported-input register, and every
-    measurement branch; the final-key register is expanded into its four
-    values when the program rejected (a uniform junk key, which the
-    enumeration therefore never draws).
+    Returns {(t_in, records, replies): accumulated weighted densities on
+    (B_out, W)}, one array per transcript prefix indexed [teleport-out
+    outcome, final-key slot].  The outcome index packs each output wire's
+    correction (x mask, z mask).  An accepted run's keys fill slots
+    0..4^n_b - 1 (key bits x | z << 1 per wire); a rejected run, whose final
+    key is uniform junk that the enumeration therefore never draws, adds
+    its density at weight 1/4^n_b into each of the slots after those, so
+    the view also holds the verdict.  The ensemble enumerates the shared permutation key, the one-time-pad coset
+    representative on the teleported-input register, and every measurement
+    branch, and each stacked leaf adds a whole branch's outcomes at once.
     """
     out: dict = {}
     weight_scale = 1.0 / (len(perms) * len(coset_letters))
+    n3 = 3 * base_code.n
+    n_keys = 4 ** program.n_b
     for perm in perms:
         trap = TrapCode(base_code, perm)
         for letter in coset_letters:
@@ -974,21 +1004,25 @@ def _world_density_map(world: str, program: CompiledProgram,
                 program, base_code, seed, world=world, backend="sv",
                 a_labels=a_labels, transport="direct", trap=trap,
                 pad_coset=letter)
-            for result in enumerate_protocol_runs(inst, adversary_factory()):
-                if result.weight == 0.0:
-                    continue
-                rho = result.density
-                transcript = (result.t_in, result.records, result.replies,
-                              tuple(result.t_out))
-                w = result.weight * weight_scale
-                if result.cheated:
-                    # junk final key: uniform over the four Pauli labels
-                    for label in ("+I", "+X", "+Y", "+Z"):
-                        key = (transcript, label)
-                        out[key] = out.get(key, 0) + (w / 4) * rho
+            for leaf in enumerate_protocol_runs(inst, adversary_factory()):
+                prefix = (leaf.t_in, leaf.records, leaf.replies)
+                acc = out.get(prefix)
+                if acc is None:
+                    acc = out[prefix] = np.zeros(
+                        (1 << 2 * n3 * program.n_b, 2 * n_keys)
+                        + leaf.density.shape[1:], dtype=complex)
+                outcome = 0
+                for i, (xm, zm) in enumerate(leaf.t_out):
+                    outcome |= (xm << n3 | zm) << 2 * n3 * i
+                w = (leaf.weight * weight_scale)[:, None, None]
+                if leaf.cheated:
+                    acc[outcome, n_keys:] += ((w / n_keys)
+                                              * leaf.density)[:, None]
                 else:
-                    key = (transcript, result.s_hat)
-                    out[key] = out.get(key, 0) + w * rho
+                    slot = 0
+                    for i, bits in enumerate(leaf.s_hat):
+                        slot |= bits.astype(np.int64) << 2 * i
+                    acc[outcome, slot] += w * leaf.density
     return out
 
 
@@ -996,7 +1030,6 @@ def compare_real_vs_sim(circuit, n_a: int, n_b: int, base_code: CssCode,
                         seed: int, adversary_factory, a_labels=()) -> float:
     """Exact trace distance between the environment's view of the real
     protocol and of the simulator, at toy scale with full enumeration."""
-    from . import denseops as dn
     from .paulis import Permutation
     from itertools import permutations as iperms
 
@@ -1011,13 +1044,10 @@ def compare_real_vs_sim(circuit, n_a: int, n_b: int, base_code: CssCode,
                              adversary_factory, a_labels, perms,
                              coset_letters)
     total = 0.0
-    for key in set(real) | set(sim):
-        a = real.get(key)
-        b = sim.get(key)
-        if a is None:
-            a = np.zeros_like(b)
-        if b is None:
-            b = np.zeros_like(a)
-        total += dn.trace_distance(a, b)
+    for prefix in dict.fromkeys([*real, *sim]):
+        diff = real.get(prefix, 0) - sim.get(prefix, 0)
+        diff = diff.reshape((-1,) + diff.shape[2:])
+        evals = np.linalg.eigvalsh(diff[np.any(diff != 0, axis=(1, 2))])
+        for td in 0.5 * np.sum(np.abs(evals), axis=1):
+            total += float(td)
     return total
-

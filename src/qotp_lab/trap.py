@@ -27,6 +27,7 @@ from .paulis import PauliOperator, Permutation, random_permutations
 
 _CHUNK = 1024       # permutations drawn and laid out at a time
 _BLOCK = 1 << 15    # (permutation, attack) pairs classified at a time
+_INT64_MAX = (1 << 63) - 1
 _BIT = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 
 
@@ -119,10 +120,19 @@ class TrapCode:
         a is the x bit of E^dag X^x Z^z E at the data position, so its
         symplectic product with Z there; conjugating both by E, that is
         the product of (x, z) with E Z E^dag.  b is the same with X.
+
+        ``x`` and ``z`` may also be int64 arrays of masks (every outcome of
+        an enumerated branch at once), which gives an array of keys.  Such
+        masks lie below 2^63, so only the images' low 63 bits meet them.
         """
         (xx, xz), (zx, zz) = self.data_images
-        a = ((x & zz) ^ (z & zx)).bit_count() & 1
-        b = ((x & xz) ^ (z & xx)).bit_count() & 1
+        if type(x) is int:
+            a = ((x & zz) ^ (z & zx)).bit_count() & 1
+            b = ((x & xz) ^ (z & xx)).bit_count() & 1
+        else:
+            xx, xz, zx, zz = (m & _INT64_MAX for m in (xx, xz, zx, zz))
+            a = np.bitwise_count((x & zz) ^ (z & zx)) & 1
+            b = np.bitwise_count((x & xz) ^ (z & xx)) & 1
         return a | b << 1
 
     # -- encoder as explicit operations ---------------------------------------

@@ -238,6 +238,19 @@ class TestCli:
             assert all(repr(v) in res.stderr for v in config.values()), \
                 res.stderr
 
+    @pytest.mark.parametrize("kappa", [2, 8])
+    def test_weak_mac_field_refused(self, tmp_path, capsys, kappa):
+        """``qotp-run`` refuses the MAC fields a carried state can be
+        forged in, naming the forgery bound."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kappa": kappa}))
+        code = cli.main(["qotp-run", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1, err
+        assert f"got {kappa}" in err and "m/2^kappa" in err, err
+
     @pytest.mark.parametrize(
         "command,config", FUZZED_CONFIGS,
         ids=[f"{command}-{key}-{json.dumps(value, separators=(',', ':'))}"

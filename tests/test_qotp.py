@@ -2,6 +2,7 @@
 on every backend, key-equation audit, abort behavior, and attack forcing."""
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -261,6 +262,29 @@ def _toy_magic_attack():
         initial_attacks=[("M0", PauliOperator.from_masks(3, 0b001, 0))])
 
 
+def _toy_data_attack():
+    return PauliAttackAdversary(
+        initial_attacks=[("Bt0", PauliOperator.from_masks(3, 0b010, 0b001))],
+        entangle_w=True)
+
+
+def _unstack(leaves):
+    """One RunResult per outcome of the stacked enumerated leaves, in
+    order: corrections as int masks, keys as labels (or ("random",)), and
+    the outcome's own weight and density."""
+    out = []
+    for leaf in leaves:
+        for k in range(len(leaf.weight)):
+            s_hat = leaf.s_hat if leaf.cheated else tuple(
+                qotp._KEY_LABELS[bits[k]] for bits in leaf.s_hat)
+            out.append(dataclasses.replace(
+                leaf, t_out=tuple((int(x[k]), int(z[k]))
+                                  for x, z in leaf.t_out),
+                s_hat=s_hat, weight=float(leaf.weight[k]),
+                density=leaf.density[k]))
+    return out
+
+
 class TestStrategies:
     """Sampling and exact enumeration walk the same schedule: a sampled run
     is always one of the enumerated branches (same transcript, weight and
@@ -292,7 +316,8 @@ class TestStrategies:
             return res.session.state.density_of(res.b_out_qubits + res.w_ids)
 
         for seed in range(501, 504):
-            leaves = enumerate_protocol_runs(instance(seed), adversary())
+            leaves = _unstack(enumerate_protocol_runs(instance(seed),
+                                                      adversary()))
             assert abs(sum(leaf.weight for leaf in leaves) - 1) < 1e-12
             sampled = instance(seed).run(adversary())
             # the simulator's splice outcomes are not in the transcript, so
@@ -335,6 +360,73 @@ class TestBatchedLeaves:
                 1, pulled.x >> dpos & 1, pulled.z >> dpos & 1).to_label()
             assert v.final_key([(t.x, t.z)], 0) == want
             assert v.finalize([(t.x, t.z)]) == ([want], False)
+        # the array rule over every outcome of four fanned-out Bell pairs,
+        # then over random masks as wide as an int64 holds
+        xs, zs = qotp._fan_masks(4)
+        width = min(trap.n, 63)
+        xs = np.concatenate([xs, gen.integers(0, 1 << width, 256)])
+        zs = np.concatenate([zs, gen.integers(0, 1 << width, 256)])
+        keys = v.final_keys([(xs, zs)], 0)
+        assert keys.shape == xs.shape
+        assert [qotp._KEY_LABELS[bits] for bits in keys] == [
+            v.final_key([(int(x), int(z))], 0) for x, z in zip(xs, zs)]
+
+    @pytest.mark.parametrize("adversary", [_toy_data_attack,
+                                           _toy_magic_attack],
+                             ids=["data-attack", "magic-attack"])
+    def test_stacked_accumulation_matches_per_leaf_dict(self, adversary):
+        """Every (transcript, key label) density of the per-leaf dict
+        accumulation equals the stacked array's slot, bit for bit, and
+        every other slot stays zero: one permutation, four pad cosets.
+        Under this permutation the data attack is always accepted and the
+        magic attack always rejected, so both kinds of addition are met."""
+        channel = [("X", 0)] if adversary is _toy_data_attack else [("Y", 0)]
+        prog = compile_controlled_program(channel, 0, 1)
+        perms = [Permutation(3, (1, 0, 2))]
+        cosets = ("I", "X", "Z", "Y")
+        weight_scale = 1.0 / (len(perms) * len(cosets))
+        verdicts = set()
+        for world in ("real", "sim"):
+            oracle = {}
+            for perm in perms:
+                trap = qotp.TrapCode(TOY, perm)
+                for letter in cosets:
+                    inst = QotpInstance(prog, TOY, 7, world=world,
+                                        backend="sv", transport="direct",
+                                        trap=trap, pad_coset=letter)
+                    for result in _unstack(enumerate_protocol_runs(
+                            inst, adversary())):
+                        rho = result.density
+                        transcript = (result.t_in, result.records,
+                                      result.replies, result.t_out)
+                        w = result.weight * weight_scale
+                        verdicts.add(result.cheated)
+                        if result.cheated:
+                            for label in ("+I", "+X", "+Y", "+Z"):
+                                key = (transcript, label)
+                                oracle[key] = oracle.get(key, 0) \
+                                    + (w / 4) * rho
+                        else:
+                            key = (transcript, result.s_hat)
+                            oracle[key] = oracle.get(key, 0) + w * rho
+            stacked = qotp._world_density_map(world, prog, TOY, 7,
+                                              adversary, (), perms, cosets)
+            filled = {prefix: np.zeros(acc.shape[:2], dtype=bool)
+                      for prefix, acc in stacked.items()}
+            for ((t_in, records, replies, t_out), label), rho \
+                    in oracle.items():
+                (xm, zm), = t_out
+                if isinstance(label, str):
+                    slot = 4 + qotp._KEY_LABELS.index(label)
+                else:
+                    slot = qotp._KEY_LABELS.index(label[0])
+                prefix = (t_in, records, replies)
+                assert np.array_equal(stacked[prefix][xm << 3 | zm, slot],
+                                      rho)
+                filled[prefix][xm << 3 | zm, slot] = True
+            for prefix, acc in stacked.items():
+                assert not acc[~filled[prefix]].any()
+        assert verdicts == {adversary is _toy_magic_attack}
 
     def test_rejected_leaves_open_no_reject_key_stream(self, monkeypatch):
         from qotp_lab import rng as rngmod
@@ -352,7 +444,8 @@ class TestBatchedLeaves:
         for seed in range(501, 504):
             inst = QotpInstance(prog, TOY, seed=seed, world="real",
                                 backend="sv", transport="direct")
-            leaves = enumerate_protocol_runs(inst, _toy_magic_attack())
+            leaves = _unstack(enumerate_protocol_runs(inst,
+                                                      _toy_magic_attack()))
             rejected += sum(leaf.cheated for leaf in leaves)
             assert all(leaf.s_hat == ("random",)
                        for leaf in leaves if leaf.cheated)
