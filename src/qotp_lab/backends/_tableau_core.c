@@ -71,7 +71,7 @@ typedef struct {
     u64 *xc;        /* C X planes; qubit q's plane is xc + q * W */
     u64 *zc;        /* C Z planes */
     u64 *signs;
-    u64 *lo, *hi, *sel;   /* scratch planes for measure, rows and masks */
+    u64 *lo, *hi, *sel;   /* scratch planes for measure and rows */
 } Kernel;
 
 #define XP(t, q) ((t)->xc + (size_t)(q) * (t)->W)
@@ -145,41 +145,6 @@ static int nargs_ok(const char *name, Py_ssize_t nargs, Py_ssize_t want)
     PyErr_Format(PyExc_TypeError, "%s() takes %zd arguments (%zd given)",
                  name, want, nargs);
     return 0;
-}
-
-/* The bits of a Python int in [0, 2**n) as ceil(n/64) words. */
-static int mask_arg(PyObject *arg, int n, u64 *words)
-{
-    int w, nw = (n + 63) >> 6, excess;
-    PyObject *next, *v = PyNumber_Index(arg), *shift = PyLong_FromLong(64);
-    if (v == NULL || shift == NULL)
-        goto fail;
-    for (w = 0; w < nw; w++) {
-        words[w] = PyLong_AsUnsignedLongLongMask(v);
-        if (words[w] == (u64)-1 && PyErr_Occurred())
-            goto fail;
-        next = PyNumber_Rshift(v, shift);
-        Py_DECREF(v);
-        v = next;
-        if (v == NULL)
-            goto fail;
-    }
-    /* a negative int leaves -1 here, one too wide leaves its high bits */
-    excess = PyObject_IsTrue(v);
-    if (excess < 0)
-        goto fail;
-    if (excess || ((n & 63) && words[nw - 1] >> (n & 63))) {
-        PyErr_Format(PyExc_ValueError,
-                     "mask must be an integer in [0, 2**%d)", n);
-        goto fail;
-    }
-    Py_DECREF(v);
-    Py_DECREF(shift);
-    return 0;
-fail:
-    Py_XDECREF(v);
-    Py_XDECREF(shift);
-    return -1;
 }
 
 /* A Python int from nw words, least significant word first. */
@@ -316,44 +281,12 @@ static PyObject *kernel_x(Kernel *t, PyObject *arg)
     Py_RETURN_NONE;
 }
 
-static PyObject *kernel_y(Kernel *t, PyObject *arg)
-{
-    int q;
-    if (qubit_arg(t, arg, &q) < 0)
-        return NULL;
-    flip_signs(t, XP(t, q));
-    flip_signs(t, ZP(t, q));
-    Py_RETURN_NONE;
-}
-
 static PyObject *kernel_z(Kernel *t, PyObject *arg)
 {
     int q;
     if (qubit_arg(t, arg, &q) < 0)
         return NULL;
     flip_signs(t, XP(t, q));
-    Py_RETURN_NONE;
-}
-
-static PyObject *kernel_apply_pauli(Kernel *t, PyObject *const *args,
-                                    Py_ssize_t nargs)
-{
-    int w, q, nw = (t->n + 63) >> 6;
-    u64 v;
-    if (!nargs_ok("apply_pauli", nargs, 2)
-            || mask_arg(args[0], t->n, t->lo) < 0
-            || mask_arg(args[1], t->n, t->hi) < 0)
-        return NULL;
-    for (w = 0; w < nw; w++) {
-        for (v = t->lo[w]; v; v &= v - 1) {
-            q = (w << 6) + ctz64(v);
-            flip_signs(t, ZP(t, q));
-        }
-        for (v = t->hi[w]; v; v &= v - 1) {
-            q = (w << 6) + ctz64(v);
-            flip_signs(t, XP(t, q));
-        }
-    }
     Py_RETURN_NONE;
 }
 
@@ -656,10 +589,7 @@ static PyMethodDef kernel_methods[] = {
     {"k", (PyCFunction)kernel_k, METH_O, "Phase gate K = diag(1, i) on q."},
     {"cx", FAST(kernel_cx), METH_FASTCALL, "CNOT from c to t."},
     {"x", (PyCFunction)kernel_x, METH_O, "Pauli X on qubit q."},
-    {"y", (PyCFunction)kernel_y, METH_O, "Pauli Y on qubit q."},
     {"z", (PyCFunction)kernel_z, METH_O, "Pauli Z on qubit q."},
-    {"apply_pauli", FAST(kernel_apply_pauli), METH_FASTCALL,
-     "Apply X^xmask Z^zmask (phases are global, not tracked here)."},
     {"stab_row", (PyCFunction)kernel_stab_row, METH_O,
      "Stabilizer generator i as (xmask, zmask, signbit)."},
     {"destab_row", (PyCFunction)kernel_destab_row, METH_O,

@@ -72,23 +72,8 @@ class TableauKernel:
     def x(self, q: int) -> None:
         self.signs ^= self.zcols[q]
 
-    def y(self, q: int) -> None:
-        self.signs ^= self.xcols[q] ^ self.zcols[q]
-
     def z(self, q: int) -> None:
         self.signs ^= self.xcols[q]
-
-    def apply_pauli(self, xmask: int, zmask: int) -> None:
-        """Apply X^xmask Z^zmask (phases are global, not tracked here)."""
-        if (xmask | zmask) >> self.n:  # also true for a negative mask
-            raise ValueError(f"mask must be an integer in [0, 2**{self.n})")
-        flips = 0
-        for mask, planes in ((xmask, self.zcols), (zmask, self.xcols)):
-            while mask:
-                low = mask & -mask
-                flips ^= planes[low.bit_length() - 1]
-                mask ^= low
-        self.signs ^= flips
 
     # -- measurement -------------------------------------------------------
     def _row_bits(self, row: int) -> tuple[int, int, int]:

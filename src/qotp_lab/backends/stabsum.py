@@ -388,37 +388,24 @@ class StabilizerSum:
             if xb:
                 self.apply_gate("X", q)
 
-    def inject_magic(self, kind: str) -> list[int]:
-        """Append a magic register; K- and H-magic are stabilizer (rank x1),
-        T-magic splits each term in two."""
+    def inject_magic(self) -> list[int]:
+        """Append one qubit in T magic |0> + e^{i pi/4}|1> (normalized),
+        which splits each term in two; K and H magic are made from gates."""
+        if 2 * self.num_terms > MAX_TERMS:
+            raise ValueError("stabilizer-sum rank budget exceeded")
         self._canonical = False
-        if kind == "K":
-            ids = self.append_qubits(1)
-            self.apply_gate("H", ids[0])
-            self.apply_gate("K", ids[0])
-            return ids
-        if kind == "H":
-            ids = self.append_qubits(2)
-            self.apply_gate("H", ids[0])
-            self.apply_gate("CNOT", ids[0], ids[1])
-            self.apply_gate("H", ids[1])
-            return ids
-        if kind == "T":
-            if 2 * self.num_terms > MAX_TERMS:
-                raise ValueError("stabilizer-sum rank budget exceeded")
-            ids = self.append_qubits(1)
-            m = self._grow_column()
-            self.A[self._row(ids[0]), m] = 1
-            alpha = (1 + np.exp(1j * np.pi / 4)) / 2
-            beta = (1 - np.exp(1j * np.pi / 4)) / 2
-            self.bs = np.vstack([self.bs, self.bs])
-            es2 = self.es.copy()
-            es2[:, m] ^= 1
-            self.es = np.vstack([self.es, es2])
-            self.coeffs = np.concatenate(
-                [self.coeffs * alpha, self.coeffs * beta])
-            return ids
-        raise ValueError(f"unknown magic kind {kind!r}")
+        ids = self.append_qubits(1)
+        m = self._grow_column()
+        self.A[self._row(ids[0]), m] = 1
+        alpha = (1 + np.exp(1j * np.pi / 4)) / 2
+        beta = (1 - np.exp(1j * np.pi / 4)) / 2
+        self.bs = np.vstack([self.bs, self.bs])
+        es2 = self.es.copy()
+        es2[:, m] ^= 1
+        self.es = np.vstack([self.es, es2])
+        self.coeffs = np.concatenate(
+            [self.coeffs * alpha, self.coeffs * beta])
+        return ids
 
     # -- measurement -------------------------------------------------------
     def _project(self, j: int, y: int) -> None:

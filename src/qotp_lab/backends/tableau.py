@@ -33,8 +33,7 @@ except ImportError:
     KERNEL = "pure"
 
 MAX_QUBITS = 4096
-_KERNEL_GATES = {"H": "h", "K": "k", "CNOT": "cx", "X": "x", "Y": "y",
-                 "Z": "z"}
+_KERNEL_GATES = {"H": "h", "K": "k", "CNOT": "cx", "X": "x", "Z": "z"}
 
 
 class TableauState:
@@ -101,7 +100,12 @@ class TableauState:
     def apply_gate(self, name: str, *qubits: int) -> None:
         method = _KERNEL_GATES.get(name)
         if method is None:
-            raise ValueError(f"unknown gate {name!r}")
+            if name != "Y":
+                raise ValueError(f"unknown gate {name!r}")
+            # Y = iXZ: the sign flips of X, then those of Z
+            self.apply_gate("X", *qubits)
+            self.apply_gate("Z", *qubits)
+            return
         gate = getattr(self._kernel, method)
         col_of = self._col_of
         try:
@@ -121,16 +125,14 @@ class TableauState:
             cols = [*map(self._col_of.__getitem__, qubits)]
         except KeyError as err:
             raise ValueError(f"no live qubit {err.args[0]!r}") from None
+        # a Pauli is its X and Z sign flips, one column per set bit
         width = (1 << len(cols)) - 1
-        masks = []
-        for bits in (p.x & width, p.z & width):
-            mask = 0
+        for bits, flip in ((p.x & width, self._kernel.x),
+                           (p.z & width, self._kernel.z)):
             while bits:
                 low = bits & -bits
-                mask |= 1 << cols[low.bit_length() - 1]
+                flip(cols[low.bit_length() - 1])
                 bits ^= low
-            masks.append(mask)
-        self._kernel.apply_pauli(*masks)
 
     def z_probabilities(self, qubit: int) -> tuple[float, float]:
         random, value = self._kernel.peek(self._col(qubit))

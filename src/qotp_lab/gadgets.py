@@ -263,21 +263,17 @@ class AuthSession:
         return ses
 
     # -- register lifecycle -----------------------------------------------------
-    def declare(self, name: str, preparer: Callable | None = None,
-                group: tuple | None = None) -> None:
-        """Declare a register; ``preparer(session)`` must materialize every
-        register of its group (set .ids and .status)."""
-        self.registers[name] = Register(name)
-        if preparer is not None:
-            for member in group or (name,):
-                self._groups[member] = preparer
+    def declare(self, names: tuple, preparer: Callable) -> None:
+        """Declare the registers ``names`` as one group:
+        ``preparer(session)`` must ``adopt`` every one of them."""
+        for name in names:
+            self.registers[name] = Register(name)
+            self._groups[name] = preparer
 
     def declare_magic(self) -> None:
         """Declare the magic registers the schedule consumes."""
         for kind, names in magic_slots(self.steps):
-            prep = magic_preparer(kind, names)
-            for nm in names:
-                self.declare(nm, prep, group=names)
+            self.declare(names, magic_preparer(kind, names))
 
     def attack(self, name: str, pauli: PauliOperator) -> None:
         reg = self.registers[name]
@@ -293,10 +289,7 @@ class AuthSession:
         if reg.status == "consumed":
             raise ValueError(f"register {name} already consumed")
         if reg.status == "virtual":
-            prep = self._groups.get(name)
-            if prep is None:
-                raise ValueError(f"register {name} has no preparer")
-            prep(self)
+            self._groups[name](self)
             if reg.status != "live":
                 raise AssertionError("preparer did not materialize "
                                      f"register {name}")
@@ -408,10 +401,26 @@ T_MAGIC_AMPLITUDES = np.array([1.0, np.exp(1j * np.pi / 4)]) / np.sqrt(2)
 def new_t_magic_qubit(state) -> int:
     """Append one qubit in |0> + e^{i pi/4}|1> (normalized)."""
     if hasattr(state, "inject_magic"):
-        return state.inject_magic("T")[0]
+        return state.inject_magic()[0]
     if hasattr(state, "append_amplitudes"):
         return state.append_amplitudes(T_MAGIC_AMPLITUDES.copy())[0]
     raise ValueError("backend cannot represent a T-type magic state")
+
+
+def make_teleport_through(state, clifford_ops: list, n: int) -> tuple[list, list]:
+    """n EPR pairs with the given operation applied to the receiving halves.
+
+    Returns (in_ids, out_ids); ``clifford_ops`` is a gate list over the out
+    wires 0..n-1 (applied after pairing).
+    """
+    in_ids = state.append_qubits(n)
+    out_ids = state.append_qubits(n)
+    for a, b in zip(in_ids, out_ids):
+        state.apply_gate("H", a)
+        state.apply_gate("CNOT", a, b)
+    for g in clifford_ops:
+        state.apply_gate(g[0], *[out_ids[w] for w in g[1:]])
+    return in_ids, out_ids
 
 
 def authenticate_into(session: AuthSession, name: str, data_qubit: int) -> None:
@@ -421,27 +430,20 @@ def authenticate_into(session: AuthSession, name: str, data_qubit: int) -> None:
 
 
 def magic_preparer(kind: str, names: tuple) -> Callable:
-    """Preparer closure producing an authenticated magic register (group)."""
+    """Preparer of the authenticated magic register (pair) ``names``: K
+    magic is the |+i> eigenstate, T magic the backend's T-magic qubit, and
+    H magic the teleport-through-H resource the H gadget consumes."""
 
     def prep(session: AuthSession) -> None:
         st = session.state
-        if kind == "K":
-            q = st.append_qubits(1)[0]
-            st.apply_gate("H", q)
-            st.apply_gate("K", q)
-            authenticate_into(session, names[0], q)
-        elif kind == "T":
-            q = new_t_magic_qubit(st)
-            authenticate_into(session, names[0], q)
-        elif kind == "H":
-            a, b = st.append_qubits(2)
-            st.apply_gate("H", a)
-            st.apply_gate("CNOT", a, b)
-            st.apply_gate("H", b)
+        if kind == "H":
+            (a,), (b,) = make_teleport_through(st, [("H", 0)], 1)
             authenticate_into(session, names[0], a)
             authenticate_into(session, names[1], b)
-        else:
-            raise ValueError(f"unknown magic kind {kind!r}")
+            return
+        q = (new_t_magic_qubit(st) if kind == "T"
+             else pauli_eigenstate_prep("+i")(st))
+        authenticate_into(session, names[0], q)
 
     return prep
 
@@ -533,7 +535,7 @@ def make_gadget_session(base_code, circuit, input_labels: list[str],
     session = AuthSession(key.trap, key.pauli_keys, backend, rng, steps,
                           data_names)
     for name, label in zip(data_names, input_labels):
-        session.declare(name, eigenstate_preparer(name, label))
+        session.declare((name,), eigenstate_preparer(name, label))
     session.declare_magic()
     return session, VerifierState(key.trap, key.pauli_keys, steps,
                                   data_names), data_names

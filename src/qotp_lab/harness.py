@@ -330,7 +330,7 @@ def run_gadget_check(config: dict) -> tuple[ExperimentReport, None]:
 
 def encoder_final_keys(verifier, t_out) -> list[str]:
     """The decryption keys of a run, recomputed apart from
-    ``QotpVerifier.final_key``: each wire's pad, teleport-out correction
+    ``QotpVerifier.final_keys``: each wire's pad, teleport-out correction
     and register key, pulled back through the trap encoder E as a Clifford
     (E^dag q E), read at the data position."""
     trap = verifier.trap
@@ -382,16 +382,23 @@ def run_qotp(config: dict) -> tuple[ExperimentReport, None]:
     result, inst = honest_receiver_run(
         channel, 0, n_b, base, seed, b_labels=b_labels, backend=backend,
         transport=transport, kappa=kappa)
-    rho = result.session.state.density_of(result.b_out_qubits)
     vec = np.array([1.0 + 0j])
     for label in b_labels:
         vec = np.kron(vec, EIGENSTATE_VECTORS[label])
     want = dn.circuit_matrix(n_b, channel) @ vec
-    fidelity = float(np.real(want.conj() @ rho @ want))
     report = ExperimentReport("qotp-run", config)
     report.add_check("accepted", int(result.accepted), 1, result.accepted)
+    try:
+        rho = result.session.state.density_of(result.b_out_qubits)
+    except ValueError as exc:
+        # a valid run whose output the backend cannot read (the stabilizer
+        # sum past 2^20 amplitudes): the check fails, with no value
+        rho = fidelity = None
+        report.extra["output_unread"] = str(exc)
+    else:
+        fidelity = float(np.real(want.conj() @ rho @ want))
     report.add_check("output_fidelity", fidelity, 1 - 1e-9,
-                     fidelity >= 1 - 1e-9)
+                     rho is not None and fidelity >= 1 - 1e-9)
     recomputed = encoder_final_keys(inst.oracle.audit, result.t_out)
     report.extra["s_hat"] = list(result.s_hat)
     report.extra["s_hat_recomputed"] = recomputed
@@ -405,7 +412,7 @@ def run_qotp(config: dict) -> tuple[ExperimentReport, None]:
         "t_out": [[int(x), int(z)] for x, z in result.t_out],
     }
     report.extra["accepted"] = bool(result.accepted)
-    if len(result.b_out_qubits) <= 12:
+    if rho is not None:
         report.extra["output_density"] = [
             [[float(v.real), float(v.imag)] for v in row] for row in rho]
     report.extra["backend"] = inst.backend_kind

@@ -42,11 +42,12 @@ real-vs-simulated comparison).  ``_Fan`` ends a branch in one stacked
 leaf: the verdict is decided once per branch, every live teleport-out
 outcome's output density comes from one stacked read of the state, and a
 rejected branch draws no junk key.  Every final key, sampled or
-enumerated, is read by one rule, ``TrapCode.data_key``: two parities of
-the accumulated key against the encoder's images of the data wire's Z
-and X (``QotpVerifier.final_key`` for one run, ``final_keys`` for every
-outcome of a stacked leaf at once).  The comparison adds each stacked
-leaf into one array per transcript prefix.
+enumerated, is read by one function, ``QotpVerifier.final_keys``, with
+one rule, ``TrapCode.data_key``: two parities of the accumulated key
+against the encoder's images of the data wire's Z and X, for the int
+masks of one run or for the mask arrays of every outcome of a stacked
+leaf at once.  The comparison adds each stacked leaf into one array per
+transcript prefix.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from .cotp import brotp_compile, brotp_query
 from .css import CssCode
 from .gadgets import (AuthSession, VerifierState, authenticate_into,
                       build_schedule, eigenstate_preparer, magic_slots,
-                      pauli_eigenstate_prep)
+                      make_teleport_through, pauli_eigenstate_prep)
 from .paulis import PauliOperator
 from .trap import TrapCode, random_pauli, sample_trap_code
 
@@ -238,7 +239,7 @@ def compile_controlled_program(circuit, n_a: int,
 
 
 # ---------------------------------------------------------------------------
-# Bell measurements and teleport resources
+# Bell measurements
 # ---------------------------------------------------------------------------
 
 def bell_measure(state, pairs, rng, sink=None) -> tuple[int, int]:
@@ -264,22 +265,6 @@ def bell_measure(state, pairs, rng, sink=None) -> tuple[int, int]:
         xm |= xbit << j
         zm |= zbit << j
     return xm, zm
-
-
-def make_teleport_through(state, clifford_ops: list, n: int) -> tuple[list, list]:
-    """n EPR pairs with the given operation applied to the receiving halves.
-
-    Returns (in_ids, out_ids); ``clifford_ops`` is a gate list over the out
-    wires 0..n-1 (applied after pairing).
-    """
-    in_ids = state.append_qubits(n)
-    out_ids = state.append_qubits(n)
-    for a, b in zip(in_ids, out_ids):
-        state.apply_gate("H", a)
-        state.apply_gate("CNOT", a, b)
-    for g in clifford_ops:
-        state.apply_gate(g[0], *[out_ids[w] for w in g[1:]])
-    return in_ids, out_ids
 
 
 # ---------------------------------------------------------------------------
@@ -328,18 +313,21 @@ class QotpVerifier(VerifierState):
         return nv
 
     def receive_t_in(self, labels: list[str]) -> None:
-        """Apply the receiver's teleport-in corrections to the input keys;
-        a report without exactly one label per B wire marks the run as
-        cheating and applies nothing."""
-        if len(labels) != self.program.n_b:
+        """Apply the receiver's teleport-in corrections to the input keys.
+        A report that is not a list of exactly one of the four key labels
+        (``_KEY_LABELS``) per B wire marks the run as cheating and applies
+        nothing."""
+        if (type(labels) is not list or len(labels) != self.program.n_b
+                or not all(type(label) is str and label in _KEY_BITS
+                           for label in labels)):
             self.cheated = True
             return
         for i, label in enumerate(labels):
-            p = PauliOperator.from_label(label)
+            bits = _KEY_BITS[label]
             reg = self.data[self.program.n_a + i]
-            if p.x:
+            if bits & 1:
                 self.update_pauli_gate(reg, "X")
-            if p.z:
+            if bits & 2:
                 self.update_pauli_gate(reg, "Z")
 
     def finalize(self, t_out: list[tuple[int, int]]) -> tuple[list[str], bool]:
@@ -347,35 +335,32 @@ class QotpVerifier(VerifierState):
 
         The verdict and the keys of one run; an exact enumeration decides
         the verdict once per branch and reads each leaf's keys with
-        ``final_key``.  A ``t_out`` without exactly one correction per B
-        wire is cheating."""
-        if len(t_out) != self.program.n_b:
+        ``final_keys``.  A ``t_out`` that is not one correction per B wire,
+        each a pair of int masks in [0, 2^3n), is cheating."""
+        if not self._well_formed(t_out):
             self.cheated = True
         if self.verdict():
             gen = rngmod.stream(self.reject_key_seed, "reject-key")
             labels = [random_pauli(1, gen).to_label()
                       for _ in range(self.program.n_b)]
             return labels, True
-        return [self.final_key(t_out, i)
+        return [_KEY_LABELS[self.final_keys(t_out, i)]
                 for i in range(self.program.n_b)], False
 
-    def final_key(self, t_out, i: int) -> str:
-        """The decryption key label of output wire ``i`` under the current
-        keys and the teleport-out corrections ``t_out``: the logical Pauli
-        that the pad, the correction and the register's key together leave
-        on the data wire after decoding (``TrapCode.data_key``)."""
-        xm, zm = t_out[i]
-        pad = self.output_keys[i]
-        key = self.keys[self.data[self.program.n_a + i]]
-        return _KEY_LABELS[self.trap.data_key(pad.x ^ xm ^ key.x,
-                                              pad.z ^ zm ^ key.z)]
+    def _well_formed(self, t_out) -> bool:
+        limit = 1 << self.trap.n
+        return (type(t_out) is list and len(t_out) == self.program.n_b
+                and all(type(t) in (list, tuple) and len(t) == 2
+                        and all(type(m) is int and 0 <= m < limit for m in t)
+                        for t in t_out))
 
-    def final_keys(self, t_out, i: int) -> np.ndarray:
-        """``final_key`` of every outcome of an enumerated branch at once,
-        as key bits x | z << 1, for ``t_out`` masks given as int64 arrays
-        over the outcomes.  ``TrapCode.data_key`` is linear, so the pad's
-        and the register's part is read once and each outcome's correction
-        is added to it."""
+    def final_keys(self, t_out, i: int):
+        """Key bits x | z << 1 of output wire ``i``: the logical Pauli that
+        the pad, the teleport-out correction ``t_out[i]`` and the register's
+        key leave on the data wire after decoding (``TrapCode.data_key``,
+        which is linear: the pad and key part is read once).  The masks
+        are ints (one run) or int64 arrays over a stacked leaf's outcomes,
+        and so is the result."""
         xm, zm = t_out[i]
         pad = self.output_keys[i]
         key = self.keys[self.data[self.program.n_a + i]]
@@ -383,9 +368,10 @@ class QotpVerifier(VerifierState):
                 ^ self.trap.data_key(xm, zm))
 
 
-# one-qubit key labels by their bits x | z << 1
+# one-qubit key labels by their bits x | z << 1, and back
 _KEY_LABELS = [PauliOperator.from_masks(1, k & 1, k >> 1).to_label()
                for k in range(4)]
+_KEY_BITS = {label: k for k, label in enumerate(_KEY_LABELS)}
 
 
 def data_registers(program: CompiledProgram) -> list[str]:
@@ -422,7 +408,7 @@ class BrotpOracle:
 
         def g_first(a_state, b1):
             v = restore(a_state)
-            v.receive_t_in(json.loads(b1.decode()))
+            v.receive_t_in(_decode_report(b1))
             return b"", _serialize_verifier(v, names)
 
         def g_round(b_i, s_prev):
@@ -432,8 +418,7 @@ class BrotpOracle:
 
         def g_final(b_last, s_prev):
             v = restore(s_prev)
-            t_out = [tuple(t) for t in json.loads(b_last.decode())]
-            labels, cheated = v.finalize(t_out)
+            labels, cheated = v.finalize(_decode_report(b_last))
             return json.dumps(labels).encode(), b""
 
         program = verifier.program
@@ -457,9 +442,18 @@ class BrotpOracle:
         return list(self._query(record_to_bytes(record)))
 
     def finalize(self, t_out) -> tuple[list[str], bool]:
-        reply = self._query(json.dumps([list(t) for t in t_out]).encode())
+        reply = self._query(json.dumps(t_out).encode())
         labels = json.loads(reply.decode())
         return labels, self.audit.cheated
+
+
+def _decode_report(payload: bytes):
+    """A receiver's JSON report, or None (a malformed report) when it does
+    not decode."""
+    try:
+        return json.loads(payload.decode())
+    except (ValueError, RecursionError):  # also UnicodeDecodeError
+        return None
 
 
 def _serialize_verifier(v: QotpVerifier, names: list[str]) -> bytes:
@@ -541,11 +535,7 @@ class PauliAttackAdversary(DummyAdversary):
     def prepare_b_w(self, state):
         if not self.entangle_w:
             return super().prepare_b_w(state)
-        b = state.append_qubits(1)
-        w = state.append_qubits(1)
-        state.apply_gate("H", b[0])
-        state.apply_gate("CNOT", b[0], w[0])
-        return b, w
+        return make_teleport_through(state, [], 1)
 
     def before(self, attack, state, w_ids):
         for reg, pauli in self.initial_attacks:
@@ -663,12 +653,12 @@ class QotpInstance:
         for i in range(prog.n_a):
             name = f"At{i}"
             label = "0" if self.world == "sim" else self.a_labels[i]
-            ses.declare(name, eigenstate_preparer(name, label))
+            ses.declare((name,), eigenstate_preparer(name, label))
         # the controlled-T helper and the control
         if prog.uses_t_helper:
-            ses.declare("Et0", eigenstate_preparer("Et0", "0"))
+            ses.declare(("Et0",), eigenstate_preparer("Et0", "0"))
         ctl_label = "0" if self.world == "sim" else "1"
-        ses.declare("Ctl", eigenstate_preparer("Ctl", ctl_label))
+        ses.declare(("Ctl",), eigenstate_preparer("Ctl", ctl_label))
         # teleport-through-authentication halves
         for i in range(prog.n_b):
             bare = f"Bin{i}" if self.world == "real" else f"Sout{i}"
@@ -679,8 +669,7 @@ class QotpInstance:
                 session.adopt(bare, a)
                 authenticate_into(session, auth, b[0])
 
-            ses.declare(bare, prep, group=(bare, auth))
-            ses.declare(auth, prep, group=(bare, auth))
+            ses.declare((bare, auth), prep)
         if self.world == "sim":
             for i in range(prog.n_b):
                 name = f"Bin{i}"
@@ -691,8 +680,7 @@ class QotpInstance:
                     session.adopt(name, a)
                     session.adopt(sin, b)
 
-                ses.declare(name, prep, group=(name, sin))
-                ses.declare(sin, prep, group=(name, sin))
+                ses.declare((name, sin), prep)
         # de-authentication resource
         output_keys = self.output_keys
         for i in range(prog.n_b):
@@ -707,8 +695,7 @@ class QotpInstance:
                 session.adopt(name, in_ids)
                 session.adopt(out, [tmp_ids[trap.data_position()]])
 
-            ses.declare(name, prep, group=(name, out))
-            ses.declare(out, prep, group=(name, out))
+            ses.declare((name, out), prep)
         ses.declare_magic()
 
     # -- cloning (a branch of the exact enumeration) ---------------------------

@@ -113,6 +113,14 @@ class TestDeterminism:
         ("brotp-check", {"seed": 9},
          "8bf767e9067b9b2a21a83bfbc0e019d06dba12455664f55526fe01af34b98eac",
          None),
+        # the teleport resource, and the H-magic pair on the sum
+        ("teleport-check", {"seed": 9},
+         "1d381ab09b62357e88f29d9a97772dfcf6d06ada26724e13577d95e341e08891",
+         None),
+        ("qotp-run", {"seed": 9, "channel": [["H", 0]], "b_labels": ["1"],
+                      "backend": "sum"},
+         "e02858221a5e4425455b4b0c0b11ef27f9f8266d19cd9e1fcf3645f2c2ad5414",
+         None),
     ])
     def test_golden_digest(self, command, config, report_sha, csv_sha):
         def sha(text):
@@ -179,6 +187,29 @@ class TestCli:
                         "--out", str(tmp_path))
         assert res.returncode == 0, res.stderr
         assert "[PASS]" in res.stdout
+
+    def test_unreadable_output_fails_its_check(self, tmp_path, capsys):
+        """T at Steane scale is a valid run whose output the stabilizer
+        sum cannot read at seed 3 (past 2^20 amplitudes): its fidelity
+        check fails with no value and the backend's reason, and the CLI
+        exits 1, not 2."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"channel": [["T", 0]],
+                                   "code": {"base": "steane"}}))
+        out_dir = tmp_path / "out"
+        code = cli.main(["qotp-run", "--config", str(cfg), "--seed", "3",
+                         "--out", str(out_dir)])
+        out, err = capsys.readouterr()
+        assert (code, err) == (1, "")
+        fails = [line for line in out.splitlines()
+                 if line.startswith("[FAIL]")]
+        assert len(fails) == 1
+        assert fails[0].startswith("[FAIL] output_fidelity: value=None ")
+        report = json.loads((out_dir / "qotp-run.report.json").read_text())
+        check, = (c for c in report["checks"]
+                  if c["name"] == "output_fidelity")
+        assert check["value"] is None and not check["pass"]
+        assert "2^20" in report["extra"]["output_unread"]
 
     def test_bad_config_exit_two(self, tmp_path):
         cfg = tmp_path / "bad.json"

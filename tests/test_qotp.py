@@ -190,7 +190,8 @@ class TestHonestRuns:
                                             transport="direct")
             assert res.accepted
             audit = inst.oracle.audit
-            recomputed = [audit.final_key(res.t_out, i) for i in range(1)]
+            recomputed = [qotp._KEY_LABELS[audit.final_keys(res.t_out, i)]
+                          for i in range(1)]
             assert list(res.s_hat) == recomputed
 
     def test_brotp_and_direct_transports_agree(self):
@@ -215,6 +216,27 @@ class TestHonestRuns:
         assert insts[0].keys == insts[1].keys
         assert insts[0].output_keys == insts[1].output_keys
         assert insts[0].trap.pi == insts[1].trap.pi
+
+
+class TestSenderInput:
+    def test_cnot_from_sender_wire(self):
+        """A CNOT from the sender's wire into B outputs |a> on B, in the
+        real protocol on either transport and in the simulator, which
+        makes its one ideal call with the sender's input."""
+        prog = compile_controlled_program([("CNOT", 0, 1)], 1, 1)
+        for a in ("0", "1"):
+            want = np.outer(EIGENSTATE_VECTORS[a], EIGENSTATE_VECTORS[a])
+            for world, transport in (("real", "direct"), ("real", "brotp"),
+                                     ("sim", "direct")):
+                inst = QotpInstance(prog, TOY, seed=71, world=world,
+                                    backend="sum", a_labels=(a,),
+                                    transport=transport)
+                res = inst.run(DummyAdversary())
+                assert res.accepted, (a, world, transport)
+                rho = res.session.state.density_of(res.b_out_qubits)
+                assert np.allclose(rho, want, atol=1e-9), (a, world,
+                                                           transport)
+                assert inst.ideal_calls == (world == "sim")
 
 
 class TestSimulator:
@@ -333,7 +355,7 @@ class TestStrategies:
 class TestBatchedLeaves:
     """Teleport-out under exact enumeration is one batch per branch: one
     verdict and one stacked density read.  Every final key, sampled or
-    enumerated, comes from ``QotpVerifier.final_key``."""
+    enumerated, comes from ``QotpVerifier.final_keys``."""
 
     @pytest.mark.parametrize("world", ["real", "sim"])
     @pytest.mark.parametrize("base", [TOY, STEANE, concatenate(STEANE, 2)],
@@ -358,18 +380,19 @@ class TestBatchedLeaves:
             pulled = encoder.conjugate(v.output_keys[0] * t * v.keys["Bt0"])
             want = PauliOperator.from_masks(
                 1, pulled.x >> dpos & 1, pulled.z >> dpos & 1).to_label()
-            assert v.final_key([(t.x, t.z)], 0) == want
+            assert qotp._KEY_LABELS[v.final_keys([(t.x, t.z)], 0)] == want
             assert v.finalize([(t.x, t.z)]) == ([want], False)
-        # the array rule over every outcome of four fanned-out Bell pairs,
-        # then over random masks as wide as an int64 holds
+        # the array masks against the int masks, over every outcome of four
+        # fanned-out Bell pairs, then over random masks as wide as an int64
+        # holds
         xs, zs = qotp._fan_masks(4)
         width = min(trap.n, 63)
         xs = np.concatenate([xs, gen.integers(0, 1 << width, 256)])
         zs = np.concatenate([zs, gen.integers(0, 1 << width, 256)])
         keys = v.final_keys([(xs, zs)], 0)
         assert keys.shape == xs.shape
-        assert [qotp._KEY_LABELS[bits] for bits in keys] == [
-            v.final_key([(int(x), int(z))], 0) for x, z in zip(xs, zs)]
+        assert keys.tolist() == [
+            v.final_keys([(int(x), int(z))], 0) for x, z in zip(xs, zs)]
 
     @pytest.mark.parametrize("adversary", [_toy_data_attack,
                                            _toy_magic_attack],
@@ -557,6 +580,58 @@ class TestAbortChannel:
             send = inst.oracle.receive_t_in
             inst.oracle.receive_t_in = lambda labels: send(
                 labels + ["+X"] if tamper == "append" else labels[:-1])
+            res = inst.run(DummyAdversary())
+            assert res.cheated and not res.accepted, seed
+            assert res.s_hat == ("random",), seed
+
+    @staticmethod
+    def _assert_rejected(transport, method, report):
+        """Runs on a Steane X-channel instance whose receiver sends
+        ``report`` in place of its own call to the verifier's ``method``
+        end as cheating, with the junk key and no exception."""
+        prog = compile_controlled_program([("X", 0)], 0, 1)
+        for seed in range(5):
+            inst = QotpInstance(prog, STEANE, seed=seed, world="real",
+                                backend="tab", transport=transport)
+            send = getattr(inst.oracle, method)
+            setattr(inst.oracle, method, lambda _: send(report))
+            res = inst.run(DummyAdversary())
+            assert res.cheated and not res.accepted, seed
+            assert res.s_hat == ("random",), seed
+
+    @pytest.mark.parametrize("transport", ["direct", "brotp"])
+    @pytest.mark.parametrize("labels", [["+Q"], ["+XZ"], ["-X"], ["X"],
+                                        [None], [["+X"]]], ids=str)
+    def test_malformed_teleport_in_report_rejected(self, transport, labels):
+        """A teleport-in correction is one of the four key labels; any
+        other report, however it would parse as a Pauli, is cheating."""
+        self._assert_rejected(transport, "receive_t_in", labels)
+
+    @pytest.mark.parametrize("transport", ["direct", "brotp"])
+    @pytest.mark.parametrize("t_out", [[(1 << 40, 0)], [(-1, 0)],
+                                       [("a", "b")], [(True, 0)], [(0,)],
+                                       [(0, 0, 0)], [0]], ids=str)
+    def test_malformed_teleport_out_report_rejected(self, transport, t_out):
+        """A teleport-out correction is a pair of non-bool ints in
+        [0, 2^3n); any other report is cheating."""
+        self._assert_rejected(transport, "finalize", t_out)
+
+    @pytest.mark.parametrize("step", ["t_in", "t_out"])
+    @pytest.mark.parametrize("payload", [b"\xff[", b"[" * 100_000],
+                             ids=["not-utf8", "nested-too-deep"])
+    def test_undecodable_chained_report_rejected(self, step, payload):
+        """On the chained transport a teleport-in or teleport-out payload
+        that does not decode as JSON is a malformed report, not an error
+        in the round function."""
+        prog = compile_controlled_program([("X", 0)], 0, 1)
+        at = 1 if step == "t_in" else prog.num_rounds + 2
+        for seed in range(5):
+            inst = QotpInstance(prog, STEANE, seed=seed, world="real",
+                                backend="tab", transport="brotp")
+            oracle = inst.oracle
+            query = oracle._query
+            oracle._query = lambda sent: query(
+                payload if oracle.cursor == at else sent)
             res = inst.run(DummyAdversary())
             assert res.cheated and not res.accepted, seed
             assert res.s_hat == ("random",), seed
