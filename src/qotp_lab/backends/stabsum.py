@@ -29,8 +29,6 @@ _SQRT2 = np.sqrt(2.0)
 
 
 class StabilizerSum:
-    kind = "sum"
-
     def __init__(self, n: int = 0):
         self.n = 0
         self.k = 0
@@ -57,7 +55,10 @@ class StabilizerSum:
         return len(self.coeffs)
 
     def _row(self, qubit_id: int) -> int:
-        return self._row_of[qubit_id]
+        try:
+            return self._row_of[qubit_id]
+        except KeyError:
+            raise ValueError(f"no live qubit {qubit_id!r}") from None
 
     def append_qubits(self, k: int) -> list[int]:
         self._canonical = False

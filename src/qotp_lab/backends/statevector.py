@@ -16,8 +16,6 @@ MAX_QUBITS = 24
 
 
 class StateVector:
-    kind = "sv"
-
     def __init__(self, n: int = 0):
         self._amps = np.ones((1,), dtype=complex)
         self._ids: list[int] = []
@@ -54,7 +52,6 @@ class StateVector:
     def discard(self, qubits) -> None:
         for q in list(qubits):
             ax = self._axis(q)
-            n = self.n
             view = self._amps.reshape((1 << ax, 2, -1))
             w0 = float(np.sum(np.abs(view[:, 0, :]) ** 2))
             w1 = float(np.sum(np.abs(view[:, 1, :]) ** 2))

@@ -44,8 +44,6 @@ class TableauState:
     which ``append_qubits`` takes from before it widens the kernel.
     """
 
-    kind = "tab"
-
     def __init__(self, n: int = 0):
         if n > MAX_QUBITS:
             raise ValueError("tableau backend capped at 4096 qubits")

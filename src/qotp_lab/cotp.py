@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from .rng import random_bits
+
 # ---------------------------------------------------------------------------
 # GF(2^kappa) arithmetic with fixed reduction polynomials
 # ---------------------------------------------------------------------------
@@ -83,11 +85,7 @@ class MacKey:
 
     @staticmethod
     def random(kappa: int, rng) -> "MacKey":
-        return MacKey(_rand_bits(rng, kappa), _rand_bits(rng, kappa), kappa)
-
-
-def _rand_bits(rng, bits: int) -> int:
-    return int.from_bytes(rng.bytes((bits + 7) // 8), "little") & ((1 << bits) - 1)
+        return MacKey(random_bits(rng, kappa), random_bits(rng, kappa), kappa)
 
 
 def mac_tag_blocks(key: MacKey, blocks: list[int]) -> int:

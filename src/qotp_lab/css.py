@@ -21,17 +21,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
-from .gf2 import dot, rref, solve
+from .gf2 import dot, relations, rref
 from .paulis import CliffordUnitary, PauliOperator
-
-
-def _mask_from_string(s: str) -> int:
-    # "0001111" with qubit 0 leftmost
-    m = 0
-    for j, ch in enumerate(s):
-        if ch == "1":
-            m |= 1 << j
-    return m
 
 
 @dataclass(frozen=True)
@@ -125,36 +116,30 @@ class CssCode:
         return LogicalClass(kind, induced, sx, sz)
 
     def _induced_logical(self, q: PauliOperator, a: int, b: int) -> PauliOperator:
-        """Exact i^k X^a Z^b induced on the logical qubit (zero syndrome)."""
-        lam = solve(
-            [self._col(self.hx, j) for j in range(self.n)], len(self.hx),
-            [((q.x >> j) & 1) ^ (a & (self.logical_x >> j) & 1)
-             for j in range(self.n)])
-        mu = solve(
-            [self._col(self.hz, j) for j in range(self.n)], len(self.hz),
-            [((q.z >> j) & 1) ^ (b & (self.logical_z >> j) & 1)
-             for j in range(self.n)])
-        if lam is None or mu is None:
-            raise AssertionError("zero-syndrome Pauli failed stabilizer solve")
+        """Exact i^k X^a Z^b induced on the logical qubit (zero syndrome).
+
+        The reference Pauli is X_L^a Z_L^b times the X (Z) checks that a
+        linear relation among the checks and ``rest``, the rest of q's x (z)
+        part, picks.  Commuting checks of one type multiply to a sign-free
+        Pauli, and the picked masks XOR to ``rest``: every such relation
+        gives X^rest (Z^rest).
+        """
+        rest_x = q.x ^ a * self.logical_x
+        rest_z = q.z ^ b * self.logical_z
+        for rows, rest in ((self.hx, rest_x), (self.hz, rest_z)):
+            if not any(c >> len(rows) & 1
+                       for c in relations([*rows, rest])):
+                raise AssertionError(
+                    "zero-syndrome Pauli failed stabilizer solve")
         ref = PauliOperator.identity(self.n)
         if a:
             ref = ref * self.logical_x_pauli
         if b:
             ref = ref * self.logical_z_pauli
-        for i, row in enumerate(self.hx):
-            if (lam >> i) & 1:
-                ref = ref * PauliOperator.from_masks(self.n, row, 0)
-        for i, row in enumerate(self.hz):
-            if (mu >> i) & 1:
-                ref = ref * PauliOperator.from_masks(self.n, 0, row)
+        ref = ref * PauliOperator.from_masks(self.n, rest_x, 0) \
+            * PauliOperator.from_masks(self.n, 0, rest_z)
         res = (q.phase_exp - ref.phase_exp) & 3
         return PauliOperator(1, a, b, res)
-
-    def _col(self, rows: tuple, j: int) -> int:
-        m = 0
-        for i, row in enumerate(rows):
-            m |= ((row >> j) & 1) << i
-        return m
 
 
 # ---------------------------------------------------------------------------
@@ -211,32 +196,27 @@ def build_encoder(code: CssCode) -> CliffordUnitary:
 # Steane, toy, and concatenated codes
 # ---------------------------------------------------------------------------
 
-_STEANE_ROWS = ("0001111", "0110011", "1010101")
+# qubit 0 is the leftmost character
+_STEANE_ROWS = tuple(int(row[::-1], 2)
+                     for row in ("0001111", "0110011", "1010101"))
 
 
 def _hamming_decode(c: int) -> tuple[int, int]:
-    rows = [_mask_from_string(s) for s in _STEANE_ROWS]
-    syn = tuple(dot(r, c) for r in rows)
-    e = 0
-    if any(syn):
-        for j in range(7):
-            if all(((r >> j) & 1) == s for r, s in zip(rows, syn)):
-                e = 1 << j
-                break
-        else:
-            raise AssertionError("Hamming syndrome must match a column")
-    word = c ^ e
-    return word.bit_count() & 1, e
+    # column j of the three rows reads j + 1 in binary, the top row most
+    # significant, so a nonzero syndrome s names the flipped qubit s - 1
+    top, mid, low = _STEANE_ROWS
+    s = dot(top, c) << 2 | dot(mid, c) << 1 | dot(low, c)
+    e = 1 << (s - 1) if s else 0
+    return (c ^ e).bit_count() & 1, e
 
 
 def build_steane() -> CssCode:
-    rows = tuple(_mask_from_string(s) for s in _STEANE_ROWS)
     return CssCode(
         name="steane",
         n=7,
         d=3,
-        hx=rows,
-        hz=rows,
+        hx=_STEANE_ROWS,
+        hz=_STEANE_ROWS,
         logical_x=0b1111111,
         logical_z=0b1111111,
         _decode=_hamming_decode,
@@ -268,53 +248,33 @@ def concatenate(code: CssCode, levels: int) -> CssCode:
     if code.logical_x != (1 << code.n) - 1 or code.logical_z != code.logical_x:
         raise ValueError("concatenation requires bitwise all-ones logicals")
     n, n2 = code.n, code.n * code.n
-    inner_rows_x = []
-    inner_rows_z = []
-    for j in range(n):
-        for r in code.hx:
-            inner_rows_x.append(r << (n * j))
-        for r in code.hz:
-            inner_rows_z.append(r << (n * j))
     block_ones = (1 << n) - 1
-    outer_rows_x = []
-    outer_rows_z = []
-    for r in code.hx:
-        m = 0
-        for j in range(n):
-            if (r >> j) & 1:
-                m |= block_ones << (n * j)
-        outer_rows_x.append(m)
-    for r in code.hz:
-        m = 0
-        for j in range(n):
-            if (r >> j) & 1:
-                m |= block_ones << (n * j)
-        outer_rows_z.append(m)
+
+    def lift(rows: tuple) -> tuple:
+        """Inner checks: each row on every block, block-major.  Outer
+        checks: each row with its bits spread over whole blocks."""
+        inner = [r << n * j for j in range(n) for r in rows]
+        outer = [sum(block_ones << n * j for j in range(n) if r >> j & 1)
+                 for r in rows]
+        return tuple(inner + outer)
 
     def decode2(c: int) -> tuple[int, int]:
-        inner_bits = 0
-        corrected_blocks = []
-        for j in range(n):
-            word = (c >> (n * j)) & block_ones
-            res = code.classical_decode(word)
-            inner_bits |= res.logical_bit << j
-            corrected_blocks.append(word ^ res.error)
-        outer = code.classical_decode(inner_bits)
-        a = outer.logical_bit
-        cword = 0
-        for j in range(n):
-            w = corrected_blocks[j]
-            if (outer.error >> j) & 1:
-                w ^= code.logical_x  # flip the block's logical value
-            cword |= w << (n * j)
-        return a, c ^ cword
+        # decode every block, then the word of their logical bits; an outer
+        # error flips a whole block's logical value
+        blocks = [code._decode(c >> n * j & block_ones) for j in range(n)]
+        a, flips = code._decode(
+            sum(bit << j for j, (bit, _) in enumerate(blocks)))
+        error = 0
+        for j, (_, e) in enumerate(blocks):
+            error |= (e ^ (block_ones if flips >> j & 1 else 0)) << n * j
+        return a, error
 
     return CssCode(
         name=f"{code.name}^2",
         n=n2,
         d=code.d ** 2,
-        hx=tuple(inner_rows_x + outer_rows_x),
-        hz=tuple(inner_rows_z + outer_rows_z),
+        hx=lift(code.hx),
+        hz=lift(code.hz),
         logical_x=(1 << n2) - 1,
         logical_z=(1 << n2) - 1,
         _decode=decode2,

@@ -38,8 +38,8 @@ from typing import Callable
 import numpy as np
 
 from .paulis import PauliOperator
-from .trap import (TrapCode, RecordDecode, authenticate_register,
-                   sample_auth_key, verify_and_decode)
+from .trap import (TrapCode, authenticate_register, sample_auth_key,
+                   verify_and_decode)
 
 
 # ---------------------------------------------------------------------------
@@ -139,15 +139,17 @@ class VerifierState:
 
     # -- decoding ---------------------------------------------------------------
     def decode(self, reg: str, c_bits: list[int],
-               hadamard: bool = False) -> RecordDecode:
+               hadamard: bool = False) -> int:
+        """The logical bit of ``reg``'s record; a rejected record marks the
+        run as cheating."""
         mask = 0
         for p, b in enumerate(c_bits):
             mask |= (b & 1) << p
         mask ^= self.keys[reg].x
-        rec = self.trap.decode_record(mask, hadamard=hadamard)
-        if not rec.accepted:
+        bit, accepted = self.trap.decode_record(mask, hadamard=hadamard)
+        if not accepted:
             self.cheated = True
-        return rec
+        return bit
 
     # -- the schedule walk -----------------------------------------------------
     def _advance(self) -> tuple | None:
@@ -182,29 +184,29 @@ class VerifierState:
             out, pair = magic_pair_names(slot)
             self.update_cnot(data, pair)
             self.update_bitwise_h(data)
-            rec_x = self.decode(data, record[:n3], hadamard=True)
-            rec_z = self.decode(pair, record[n3:])
+            bit_x = self.decode(data, record[:n3], hadamard=True)
+            bit_z = self.decode(pair, record[n3:])
             del self.keys[pair]
             self.rename(out, data)
-            if rec_z.logical_bit:
+            if bit_z:
                 self.update_pauli_gate(data, "Z")
-            if rec_x.logical_bit:
+            if bit_x:
                 self.update_pauli_gate(data, "X")
-            return [rec_x.logical_bit, rec_z.logical_bit]
+            return [bit_x, bit_z]
         magic = magic_register_name(slot)
         if kind == "round-Tcorr" and not need_k:
-            rec = self.decode(magic, record)
+            bit = self.decode(magic, record)
             del self.keys[magic]
-            return [rec.logical_bit]
+            return [bit]
         # K, T and the K correction of T: the magic register takes over
         self.update_cnot(magic, data)
-        rec = self.decode(data, record)
+        bit = self.decode(data, record)
         self.rename(magic, data)
-        if rec.logical_bit:
+        if bit:
             self.update_pauli_gate(data, "X" if kind == "round-T" else "Y")
         if kind == "round-T":
-            self.need_k = bool(rec.logical_bit)
-        return [rec.logical_bit]
+            self.need_k = bool(bit)
+        return [bit]
 
     def verdict(self) -> bool:
         """Apply the silent steps after the last round and decide the run:

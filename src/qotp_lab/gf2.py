@@ -37,38 +37,6 @@ def rref(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
     return reduced, pivots
 
 
-def solve(rows: list[int], ncols: int, rhs: list[int]) -> int | None:
-    """Solve A x = rhs for x (A given as row masks, rhs as a bit list).
-
-    Returns one solution mask over the ``ncols`` unknowns, or None.
-    """
-    # Gaussian elimination on the augmented system.
-    aug = [(rows[i], rhs[i] & 1) for i in range(len(rows))]
-    pivots: list[tuple[int, int, int]] = []  # (row, rhs, pivot col)
-    for row, b in aug:
-        for r, rb, p in pivots:
-            if (row >> p) & 1:
-                row ^= r
-                b ^= rb
-        if row == 0:
-            if b:
-                return None
-            continue
-        p = row.bit_length() - 1
-        pivots = [(r ^ row if (r >> p) & 1 else r,
-                   rb ^ b if (r >> p) & 1 else rb, q) for r, rb, q in pivots]
-        pivots.append((row, b, p))
-    x = 0
-    for r, b, p in pivots:
-        if b:
-            x |= 1 << p
-    # Verify (free variables set to zero always satisfy reduced system).
-    for row, b in [(rows[i], rhs[i] & 1) for i in range(len(rows))]:
-        if dot(row, x) != b:
-            return None
-    return x
-
-
 def relations(vectors: list[int]) -> list[int]:
     """Basis of the linear relations among ``vectors``: masks c whose
     selected vectors (bit u of c selects vectors[u]) XOR to zero."""

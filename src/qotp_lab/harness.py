@@ -671,6 +671,11 @@ def run_experiment(command: str, config: dict) -> tuple[ExperimentReport, str | 
     handler = COMMANDS.get(command)
     if handler is None:
         raise ValueError(f"unknown command {command!r}")
+    seed = config.get("seed", 1)
+    if isinstance(seed, bool) or not isinstance(seed, int) \
+            or not 0 <= seed < 2 ** 64:
+        raise ValueError(
+            f"seed must be a 64-bit unsigned integer, got {seed!r}")
     started = time.monotonic()
     report, csv_text = handler(config)
     report.wall_clock = time.monotonic() - started

@@ -23,3 +23,7 @@ def stream(root_seed: int, name: str) -> np.random.Generator:
                                  spawn_key=(_stream_key(name),))
     return np.random.Generator(np.random.Philox(seq))
 
+
+def random_bits(gen: np.random.Generator, n: int) -> int:
+    """``n`` uniform bits as an int, from one ``gen.bytes`` draw."""
+    return int.from_bytes(gen.bytes((n + 7) // 8), "little") & ((1 << n) - 1)

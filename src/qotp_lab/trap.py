@@ -24,6 +24,7 @@ import numpy as np
 
 from .css import CssCode
 from .paulis import PauliOperator, Permutation, random_permutations
+from .rng import random_bits
 
 _CHUNK = 1024       # permutations drawn and laid out at a time
 _BLOCK = 1 << 15    # (permutation, attack) pairs classified at a time
@@ -161,8 +162,9 @@ class TrapCode:
         return gates
 
     # -- classical record decoding ---------------------------------------------
-    def decode_record(self, c: int, hadamard: bool = False) -> "RecordDecode":
-        """Decode a 3n-bit computational-basis record (already key-unmasked).
+    def decode_record(self, c: int, hadamard: bool = False) -> tuple[int, bool]:
+        """(logical bit, accepted) of a 3n-bit computational-basis record
+        (already key-unmasked).
 
         With ``hadamard`` set, the record was taken right after a bitwise H:
         the trap roles swap (|+> traps must now read 0, |0> traps are ignored)
@@ -170,13 +172,7 @@ class TrapCode:
         """
         res = self.base.classical_decode(self.base_word(c))
         traps = self.plus_mask if hadamard else self.zero_mask
-        return RecordDecode(res.logical_bit, res.clean and not c & traps)
-
-
-@dataclass(frozen=True)
-class RecordDecode:
-    logical_bit: int
-    accepted: bool
+        return res.logical_bit, res.clean and not c & traps
 
 
 @dataclass(frozen=True)
@@ -341,9 +337,8 @@ class AuthKey:
 
 
 def random_pauli(n: int, rng) -> PauliOperator:
-    x = int.from_bytes(rng.bytes((n + 7) // 8), "little") & ((1 << n) - 1)
-    z = int.from_bytes(rng.bytes((n + 7) // 8), "little") & ((1 << n) - 1)
-    return PauliOperator.from_masks(n, x, z)
+    return PauliOperator.from_masks(n, random_bits(rng, n),
+                                    random_bits(rng, n))
 
 
 def sample_trap_code(base: CssCode, rng) -> TrapCode:
@@ -368,13 +363,9 @@ def authenticate_register(state, trap: TrapCode, key: PauliOperator,
     Returns the 3n register qubit ids in physical-position order; the data
     qubit is placed at ``trap.data_position()``.
     """
-    n3 = trap.n
-    fresh = state.append_qubits(n3 - 1)
-    ids: list[int] = []
-    it = iter(fresh)
+    fresh = state.append_qubits(trap.n - 1)
     dpos = trap.data_position()
-    for p in range(n3):
-        ids.append(data_qubit if p == dpos else next(it))
+    ids = fresh[:dpos] + [data_qubit] + fresh[dpos:]
     for g in trap.encoding_ops(ids):
         state.apply_gate(*g)
     state.apply_pauli(key, ids)

@@ -297,6 +297,20 @@ class TestCapacity:
             s2.apply_gate("CNOT", 0, 1)
             s2.discard([0])
 
+    @pytest.mark.parametrize("backend", [StateVector, TableauState,
+                                         StabilizerSum])
+    def test_dead_id_raises_value_error(self, backend):
+        """Every backend refuses an id that is not live the same way."""
+        s = backend(2)
+        s.measure(0, np.random.default_rng(3))
+        s.discard([0])
+        for call in (lambda: s.apply_gate("H", 0),
+                     lambda: s.measure(0, np.random.default_rng(3)),
+                     lambda: s.density_of([0]),
+                     lambda: s.discard([0])):
+            with pytest.raises(ValueError, match="0"):
+                call()
+
     def test_tableau_expand(self):
         t = TableauState(2)
         t.apply_gate("H", 0)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from qotp_lab import cli
@@ -121,6 +122,12 @@ class TestDeterminism:
                       "backend": "sum"},
          "e02858221a5e4425455b4b0c0b11ef27f9f8266d19cd9e1fcf3645f2c2ad5414",
          None),
+        # a keyed run on the distance-9 code: the concatenated decoder
+        ("qotp-run", {"seed": 9, "channel": [["Y", 0]],
+                      "code": {"base": "steane", "levels": 2},
+                      "b_labels": ["+"], "backend": "tab"},
+         "8b4c4cf5ef5d94d0ee053508501279a8ce128a3eaaf6c86bd229ee2cc9fc727b",
+         None),
     ])
     def test_golden_digest(self, command, config, report_sha, csv_sha):
         def sha(text):
@@ -210,6 +217,22 @@ class TestCli:
                   if c["name"] == "output_fidelity")
         assert check["value"] is None and not check["pass"]
         assert "2^20" in report["extra"]["output_unread"]
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, 2 ** 70],
+                             ids=["negative", "float", "bool", "past-64-bit"])
+    def test_bad_seed_refused_by_the_api(self, seed):
+        """The seed rule lives in ``run_experiment``, so library callers
+        cannot run one seed's streams under another seed's name."""
+        with pytest.raises(ValueError, match="seed must be"):
+            run_experiment("twirl-check", {"seed": seed, "unitaries": 1})
+
+    def test_bad_seed_one_line_exit_two(self, tmp_path):
+        res = self._run("twirl-check", "--seed", "-1",
+                        "--out", str(tmp_path))
+        assert res.returncode == 2
+        assert res.stderr.splitlines() == [
+            "configuration error: seed must be a 64-bit unsigned integer, "
+            "got -1"], res.stderr
 
     def test_bad_config_exit_two(self, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -327,6 +350,21 @@ class TestCli:
         a = (out1 / "twirl-check.report.json").read_bytes()
         b = (out2 / "twirl-check.report.json").read_bytes()
         assert a == b
+
+
+class TestReadme:
+    def test_library_quick_start_runs(self):
+        """The README's library quick start runs as written and leaves
+        H|1><1|H on the output wire."""
+        with open(os.path.join(os.path.dirname(__file__), os.pardir,
+                               "README.md")) as fh:
+            readme = fh.read()
+        section = readme.split("## Library quick start", 1)[1]
+        code = section.split("```python\n", 1)[1].split("```", 1)[0]
+        scope = {}
+        exec(code, scope)
+        minus = np.array([1, -1]) / np.sqrt(2)
+        assert np.allclose(scope["rho"], np.outer(minus, minus), atol=1e-9)
 
 
 class TestGadgetCheck:
