@@ -104,16 +104,10 @@ class StateVector:
     def apply_pauli(self, p: PauliOperator, qubits) -> None:
         self._amps = self._amps * (1j ** p.phase_exp)
         for j, q in enumerate(qubits):
-            xb, zb = (p.x >> j) & 1, (p.z >> j) & 1
-            if xb and zb:
-                ax = self._axis(q)
-                view = self._amps.reshape((1 << ax, 2, -1))
-                view[:, 1, :] *= -1.0
-                self.apply_gate("X", q)
-            elif xb:
-                self.apply_gate("X", q)
-            elif zb:
+            if (p.z >> j) & 1:
                 self.apply_gate("Z", q)
+            if (p.x >> j) & 1:
+                self.apply_gate("X", q)
 
     def z_probabilities(self, qubit: int) -> tuple[float, float]:
         ax = self._axis(qubit)

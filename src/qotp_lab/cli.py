@@ -2,8 +2,9 @@
 
     qotp-lab <command> --config <file.json> [--seed N] [--out dir]
 
-Exit codes: 0 = all checks pass, 1 = some check fails, 2 = bad config or
-an output directory that cannot be made.
+Exit codes: 0 = all checks pass, 1 = some check fails, 2 = bad config, or
+an output directory that cannot be made or a report that cannot be
+written.
 """
 
 from __future__ import annotations
@@ -56,7 +57,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    paths = emit_report(report, args.out, csv_text)
+    try:
+        paths = emit_report(report, args.out, csv_text)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     for check in report.checks:
         verdict = "PASS" if check["pass"] else "FAIL"
         print(f"[{verdict}] {check['name']}: value={check['value']} "

@@ -444,7 +444,7 @@ def magic_preparer(kind: str, names: tuple) -> Callable:
             authenticate_into(session, names[1], b)
             return
         q = (new_t_magic_qubit(st) if kind == "T"
-             else pauli_eigenstate_prep("+i")(st))
+             else prepare_eigenstate(st, "+i"))
         authenticate_into(session, names[0], q)
 
     return prep
@@ -455,31 +455,28 @@ def eigenstate_preparer(name: str, label: str) -> Callable:
     authenticated."""
 
     def prep(session: AuthSession) -> None:
-        q = pauli_eigenstate_prep(label)(session.state)
+        q = prepare_eigenstate(session.state, label)
         authenticate_into(session, name, q)
 
     return prep
 
 
-def pauli_eigenstate_prep(label: str) -> Callable:
-    """Logical preparation of |0>,|1>,|+>,|->,|+i>,|-i>."""
-
-    def prep(state) -> int:
-        q = state.append_qubits(1)[0]
-        if label in ("+", "-", "+i", "-i"):
-            state.apply_gate("H", q)
-        if label == "1":
-            state.apply_gate("X", q)
-        elif label == "-":
-            state.apply_gate("Z", q)
-        elif label == "+i":
-            state.apply_gate("K", q)
-        elif label == "-i":
-            state.apply_gate("K", q)
-            state.apply_gate("Z", q)
-        return q
-
-    return prep
+def prepare_eigenstate(state, label: str) -> int:
+    """Append one qubit of ``state`` in |0>,|1>,|+>,|->,|+i> or |-i>;
+    returns its id."""
+    q = state.append_qubits(1)[0]
+    if label in ("+", "-", "+i", "-i"):
+        state.apply_gate("H", q)
+    if label == "1":
+        state.apply_gate("X", q)
+    elif label == "-":
+        state.apply_gate("Z", q)
+    elif label == "+i":
+        state.apply_gate("K", q)
+    elif label == "-i":
+        state.apply_gate("K", q)
+        state.apply_gate("Z", q)
+    return q
 
 
 EIGENSTATE_VECTORS = {

@@ -19,8 +19,17 @@ import numpy as np
 
 from . import __version__, rng as rngmod
 from . import denseops as dn
+from .backends import StateVector, TableauState
+from .cotp import (BrOtpIdeal, brotp_compile, brotp_query, gf_mul,
+                   run_honest_chain)
 from .css import build_steane, build_toy_code, code_from_spec
+from .gadgets import (EIGENSTATE_VECTORS, make_gadget_session,
+                      run_encoded_circuit)
 from .paulis import CliffordUnitary, PauliOperator
+from .qotp import (DummyAdversary, PauliAttackAdversary, QotpInstance,
+                   WOnlyAdversary, bell_measure, compare_real_vs_sim,
+                   compile_controlled_program, honest_receiver_run,
+                   make_teleport_through)
 from .trap import (count_nontrivial, enumerate_attack_security,
                    estimate_attack_security, exact_placement_probability,
                    sample_trap_tables, security_sweep_rows, sweep_to_csv,
@@ -86,11 +95,8 @@ def emit_report(report: ExperimentReport, out_dir: str,
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
     report_path = os.path.join(out_dir, f"{report.command}.report.json")
-    try:
-        with open(report_path, "w") as fh:
-            fh.write(report.to_canonical())
-    except OSError as exc:
-        raise OSError(f"cannot write report {report_path}: {exc}") from exc
+    with open(report_path, "w") as fh:
+        fh.write(report.to_canonical())
     paths["report"] = report_path
     meta_path = os.path.join(out_dir, f"{report.command}.meta.json")
     with open(meta_path, "w") as fh:
@@ -182,11 +188,10 @@ def config_channel(config: dict, default: list) -> list[tuple]:
 # suites
 # ---------------------------------------------------------------------------
 
-def run_twirl_check(config: dict) -> tuple[ExperimentReport, None]:
+def run_twirl_check(config: dict, seed: int) -> tuple[ExperimentReport, None]:
     """Averaging an attack over Pauli conjugations equals its probabilistic
     Pauli mixture: the channel-twirl consequence of the sandwich identity."""
     config_keys(config, "seed", "unitaries", "tolerance")
-    seed = config.get("seed", 1)
     trials = config_int(config, "unitaries", 25)
     tol = config_float(config, "tolerance", 1e-10)
     rng = rngmod.stream(seed, "twirl")
@@ -211,10 +216,9 @@ def run_twirl_check(config: dict) -> tuple[ExperimentReport, None]:
     return report, None
 
 
-def run_trap_security(config: dict) -> tuple[ExperimentReport, str]:
+def run_trap_security(config: dict, seed: int) -> tuple[ExperimentReport, str]:
     config_keys(config, "seed", "base", "levels", "attack_weight", "attacks",
                 "samples")
-    seed = config.get("seed", 1)
     base = config_code(config)
     weight = config_int(config, "attack_weight", 3, hi=3 * base.n)
     attacks = config_int(config, "attacks", 40)
@@ -242,29 +246,23 @@ def run_trap_security(config: dict) -> tuple[ExperimentReport, str]:
     return report, sweep_to_csv(rows, base)
 
 
-def run_distance_exhaustive(config: dict) -> tuple[ExperimentReport, None]:
+def run_distance_exhaustive(config: dict,
+                            seed: int) -> tuple[ExperimentReport, None]:
     """Exhaustive weight<=2 sweep over sampled permutations (criterion 2)."""
     config_keys(config, "seed", "base", "levels", "permutations",
                 "limit_pairs")
-    seed = config.get("seed", 1)
     perms = config_int(config, "permutations", 1000)
     limit_pairs = config_int(config, "limit_pairs", 0, lo=0)
     base = config_code(config)
     rng = rngmod.stream(seed, "distance")
     n3 = 3 * base.n
-    singles = []
-    for j in range(n3):
-        for xb, zb in ((1, 0), (0, 1), (1, 1)):
-            singles.append((xb << j, zb << j))
-    pairs = []
-    for i in range(n3):
-        for j in range(i + 1, n3):
-            for xi, zi in ((1, 0), (0, 1), (1, 1)):
-                for xj, zj in ((1, 0), (0, 1), (1, 1)):
-                    pairs.append(((xi << i) | (xj << j),
-                                  (zi << i) | (zj << j)))
-        if limit_pairs and i >= limit_pairs:
-            break
+    letters = ((1, 0), (0, 1), (1, 1))  # X, Z, Y as (x, z) bits
+    singles = [(xb << j, zb << j) for j in range(n3) for xb, zb in letters]
+    # the pairs whose first qubit is in rows 0..limit_pairs (0: every row)
+    rows = range(min(n3, limit_pairs + 1) if limit_pairs else n3)
+    pairs = [((xi << i) | (xj << j), (zi << i) | (zj << j))
+             for i in rows for j in range(i + 1, n3)
+             for xi, zi in letters for xj, zj in letters]
     bad = int(count_nontrivial(sample_trap_tables(base, perms, rng),
                                singles + pairs, n3).sum())
     report = ExperimentReport("trap-distance", config)
@@ -273,13 +271,8 @@ def run_distance_exhaustive(config: dict) -> tuple[ExperimentReport, None]:
     return report, None
 
 
-def run_gadget_check(config: dict) -> tuple[ExperimentReport, None]:
-    from .backends import StateVector, TableauState
-    from .gadgets import (EIGENSTATE_VECTORS, make_gadget_session,
-                          run_encoded_circuit)
-
+def run_gadget_check(config: dict, seed: int) -> tuple[ExperimentReport, None]:
     config_keys(config, "seed")
-    seed = config.get("seed", 1)
     report = ExperimentReport("gadget-check", config)
     steane = build_steane()
     toy = build_toy_code()
@@ -349,13 +342,9 @@ def encoder_final_keys(verifier, t_out) -> list[str]:
     return keys
 
 
-def run_qotp(config: dict) -> tuple[ExperimentReport, None]:
-    from .gadgets import EIGENSTATE_VECTORS
-    from .qotp import honest_receiver_run
-
+def run_qotp(config: dict, seed: int) -> tuple[ExperimentReport, None]:
     config_keys(config, "seed", "channel", "code", "n_b", "b_labels",
                 "backend", "transport", "kappa")
-    seed = config.get("seed", 1)
     channel = config_channel(config, [["H", 0]])
     code_cfg = config.get("code", {})
     if not isinstance(code_cfg, dict):
@@ -419,16 +408,11 @@ def run_qotp(config: dict) -> tuple[ExperimentReport, None]:
     return report, None
 
 
-def run_qotp_attack(config: dict) -> tuple[ExperimentReport, None]:
+def run_qotp_attack(config: dict, seed: int) -> tuple[ExperimentReport, None]:
     """Rejection rate for a logically nontrivial X attack on a magic
     register, over keyed runs (criterion 7)."""
-    from .paulis import PauliOperator as P
-    from .qotp import (PauliAttackAdversary, QotpInstance,
-                       compile_controlled_program)
-
     config_keys(config, "seed", "runs", "base", "levels", "channel",
                 "attack_x_mask")
-    seed = config.get("seed", 1)
     runs = config_int(config, "runs", 10_000)
     base = config_code(config)
     channel = config_channel(config, [["Y", 0]])
@@ -438,8 +422,9 @@ def run_qotp_attack(config: dict) -> tuple[ExperimentReport, None]:
             f"channel {[list(g) for g in channel]!r} has no gadget round, "
             "so no magic register M0 to attack")
     n3 = 3 * base.n
-    attack = P.from_masks(n3, config_int(config, "attack_x_mask", 0b111,
-                                         lo=0, hi=(1 << n3) - 1), 0)
+    x_mask = config_int(config, "attack_x_mask", 0b111, lo=0,
+                        hi=(1 << n3) - 1)
+    attack = PauliOperator.from_masks(n3, x_mask, 0)
     rejects = 0
     for t in range(runs):
         inst = QotpInstance(program, base, seed * 131071 + t, world="real",
@@ -458,132 +443,95 @@ def run_qotp_attack(config: dict) -> tuple[ExperimentReport, None]:
     return report, None
 
 
-def run_sim_compare(config: dict) -> tuple[ExperimentReport, None]:
-    from .qotp import (DummyAdversary, PauliAttackAdversary, WOnlyAdversary,
-                       compare_real_vs_sim)
-    from .paulis import PauliOperator as P
-
+def run_sim_compare(config: dict, seed: int) -> tuple[ExperimentReport, None]:
     config_keys(config, "seed", "cases")
-    seed = config.get("seed", 1)
     toy = build_toy_code()
     report = ExperimentReport("sim-compare", config)
-    names = ["dummy", "w-only", "data-attack", "magic-attack"]
-    cases = config_choice_list(config, "cases", names, names)
-    if "dummy" in cases:
-        td = compare_real_vs_sim([("X", 0)], 0, 1, toy, seed,
-                                 adversary_factory=DummyAdversary)
-        report.add_check("dummy_trace_distance", td, 1e-9, td <= 1e-9,
-                         mode="exhaustive")
-    if "w-only" in cases:
-        td = compare_real_vs_sim([("X", 0)], 0, 1, toy, seed,
-                                 adversary_factory=WOnlyAdversary)
-        report.add_check("w_only_trace_distance", td, 1e-9, td <= 1e-9,
-                         mode="exhaustive")
-    if "data-attack" in cases:
-        attack = P.from_masks(3, 0b010, 0b001)
-
-        def factory():
-            return PauliAttackAdversary(
-                initial_attacks=[("Bt0", attack)], entangle_w=True)
-
-        td = compare_real_vs_sim([("X", 0)], 0, 1, toy, seed,
-                                 adversary_factory=factory)
+    data_attack = PauliOperator.from_masks(3, 0b010, 0b001)
+    magic_attack = PauliOperator.from_masks(3, 0b001, 0)  # X on one qubit
+    # each case: (channel, adversary factory), checked in this order
+    table = {
+        "dummy": ([("X", 0)], DummyAdversary),
+        "w-only": ([("X", 0)], WOnlyAdversary),
         # data-register tampering is reproducible exactly by the simulator
-        report.add_check("data_attack_trace_distance", td, 1e-9, td <= 1e-9,
-                         mode="exhaustive")
-    if "magic-attack" in cases:
-        attack = P.from_masks(3, 0b001, 0)  # X on one magic qubit
-        eps = enumerate_attack_security(toy, attack)
-
-        def factory():
-            return PauliAttackAdversary(initial_attacks=[("M0", attack)])
-
-        td = compare_real_vs_sim([("Y", 0)], 0, 1, toy, seed,
+        "data-attack": ([("X", 0)], lambda: PauliAttackAdversary(
+            initial_attacks=[("Bt0", data_attack)], entangle_w=True)),
+        "magic-attack": ([("Y", 0)], lambda: PauliAttackAdversary(
+            initial_attacks=[("M0", magic_attack)])),
+    }
+    cases = config_choice_list(config, "cases", list(table), list(table))
+    for name, (channel, factory) in table.items():
+        if name not in cases:
+            continue
+        td = compare_real_vs_sim(channel, 0, 1, toy, seed,
                                  adversary_factory=factory)
-        report.add_check("magic_attack_trace_distance", td, 2 * eps,
-                         td <= 2 * eps + 1e-9, mode="exhaustive")
-        # exactly 0 here: the worlds differ only in where the channel's Y
-        # acts (the control's CNOT between the two K gadgets, or the ideal
-        # call before them), every gadget outcome is uniform whatever the
-        # data, and the attack leaves a Pauli, which meets Y up to a phase
-        report.add_check("magic_attack_trace_distance_exact", td, 1e-9,
-                         td <= 1e-9, mode="exhaustive")
-        report.extra["magic_attack_eps_exact"] = eps
+        check = name.replace("-", "_") + "_trace_distance"
+        if name == "magic-attack":
+            eps = enumerate_attack_security(toy, magic_attack)
+            report.add_check(check, td, 2 * eps, td <= 2 * eps + 1e-9,
+                             mode="exhaustive")
+            report.extra["magic_attack_eps_exact"] = eps
+            # exactly 0 here: the worlds differ only in where the channel's
+            # Y acts (the control's CNOT between the two K gadgets, or the
+            # ideal call before them), every gadget outcome is uniform
+            # whatever the data, and the attack leaves a Pauli, which meets
+            # Y up to a phase
+            check += "_exact"
+        report.add_check(check, td, 1e-9, td <= 1e-9, mode="exhaustive")
     return report, None
 
 
-def run_teleport_check(config: dict) -> tuple[ExperimentReport, None]:
+def run_teleport_check(config: dict,
+                       seed: int) -> tuple[ExperimentReport, None]:
     """Teleportation identities: plain, through-authentication, and under
     product Pauli attacks (dense comparison)."""
-    from .backends import StateVector
-    from .qotp import bell_measure, make_teleport_through
-
     config_keys(config, "seed")
-    seed = config.get("seed", 1)
     rng = rngmod.stream(seed, "teleport")
     report = ExperimentReport("teleport-check", config)
-    # plain teleport: all outcomes observed, output = T|psi>
-    seen = set()
-    worst = 0.0
-    for _ in range(64):
+    c_ops = [("H", 0), ("K", 0)]
+
+    def teleport(ops, attacked):
+        """Teleport a random |psi> through ``ops``, under a random product
+        Pauli attack (U_d, U_in, U_out) when ``attacked``: the Bell outcome
+        T and the infidelity of the output to U_out C U_in^T T U_d |psi>."""
         sv = StateVector(0)
         psi = dn.random_state(1, rng)
         d = sv.append_amplitudes(psi)[0]
-        in_ids, out_ids = make_teleport_through(sv, [], 1)
+        in_ids, out_ids = make_teleport_through(sv, ops, 1)
+        u_d = u_in = u_out = np.eye(2)
+        if attacked:
+            atk = [PauliOperator(1, int(rng.integers(0, 2)),
+                                 int(rng.integers(0, 2)), 0)
+                   for _ in range(3)]
+            for p, ids in zip(atk, ([d], in_ids, out_ids)):
+                sv.apply_pauli(p, ids)
+            u_d, u_in, u_out = (dn.pauli_matrix(p) for p in atk)
         xm, zm = bell_measure(sv, [(d, in_ids[0])], rng)
-        seen.add((xm, zm))
-        t = PauliOperator.from_masks(1, xm, zm)
-        want = dn.pauli_matrix(t) @ psi
-        rho = sv.density_of(out_ids)
-        worst = max(worst, 1 - dn.state_fidelity(want, rho))
+        t = dn.pauli_matrix(PauliOperator.from_masks(1, xm, zm))
+        want = u_out @ dn.circuit_matrix(1, ops) @ u_in.T @ t @ u_d @ psi
+        if attacked:
+            want = want / np.linalg.norm(want)
+        return (xm, zm), 1 - dn.state_fidelity(want, sv.density_of(out_ids))
+
+    # plain teleport: all outcomes observed, output = T|psi>
+    plain = [teleport([], False) for _ in range(64)]
+    worst = max(0.0, *(inf for _, inf in plain))
+    seen = {outcome for outcome, _ in plain}
     report.add_check("plain_teleport_infidelity", worst, 1e-9, worst <= 1e-9)
     report.add_check("all_outcomes_observed", len(seen), 4, len(seen) == 4)
     # through a Clifford: out = C T |psi>
-    c_ops = [("H", 0), ("K", 0)]
-    worst = 0.0
-    for _ in range(32):
-        sv = StateVector(0)
-        psi = dn.random_state(1, rng)
-        d = sv.append_amplitudes(psi)[0]
-        in_ids, out_ids = make_teleport_through(sv, c_ops, 1)
-        xm, zm = bell_measure(sv, [(d, in_ids[0])], rng)
-        t = PauliOperator.from_masks(1, xm, zm)
-        want = dn.circuit_matrix(1, c_ops) @ dn.pauli_matrix(t) @ psi
-        worst = max(worst, 1 - dn.state_fidelity(want, sv.density_of(out_ids)))
+    worst = max(0.0, *(teleport(c_ops, False)[1] for _ in range(32)))
     report.add_check("through_clifford_infidelity", worst, 1e-9,
                      worst <= 1e-9)
     # product Pauli attack: out = U_out C U_in^T T U_d |psi>
-    worst = 0.0
-    for _ in range(32):
-        sv = StateVector(0)
-        psi = dn.random_state(1, rng)
-        d = sv.append_amplitudes(psi)[0]
-        in_ids, out_ids = make_teleport_through(sv, c_ops, 1)
-        atk = [PauliOperator(1, int(rng.integers(0, 2)),
-                             int(rng.integers(0, 2)), 0) for _ in range(3)]
-        sv.apply_pauli(atk[0], [d])
-        sv.apply_pauli(atk[1], in_ids)
-        sv.apply_pauli(atk[2], out_ids)
-        xm, zm = bell_measure(sv, [(d, in_ids[0])], rng)
-        t = PauliOperator.from_masks(1, xm, zm)
-        u_in_t = dn.pauli_matrix(atk[1]).T
-        want = dn.pauli_matrix(atk[2]) @ dn.circuit_matrix(1, c_ops) @ \
-            u_in_t @ dn.pauli_matrix(t) @ dn.pauli_matrix(atk[0]) @ psi
-        nrm = np.linalg.norm(want)
-        if nrm < 1e-12:
-            continue
-        want = want / nrm
-        worst = max(worst, 1 - dn.state_fidelity(want, sv.density_of(out_ids)))
+    worst = max(0.0, *(teleport(c_ops, True)[1] for _ in range(32)))
     report.add_check("attacked_teleport_infidelity", worst, 1e-9,
                      worst <= 1e-9)
     return report, None
 
 
-def run_brotp_check(config: dict) -> tuple[ExperimentReport, None]:
-    from .cotp import gf_mul
-
+def run_brotp_check(config: dict, seed: int) -> tuple[ExperimentReport, None]:
     config_keys(config, "seed")
-    seed = config.get("seed", 1)
     report = ExperimentReport("brotp-check", config)
     # forgery bound at kappa=8, exhaustive
     kappa = 8
@@ -598,8 +546,6 @@ def run_brotp_check(config: dict) -> tuple[ExperimentReport, None]:
     report.add_check("mac_forgery_probability", best / 256, 2 ** -8,
                      best == 1, mode="exhaustive")
     # honest chain == ideal, exhaustively over 1-bit domains
-    from .cotp import BrOtpIdeal, brotp_compile, run_honest_chain
-
     mismatch = 0
     for gseed in range(4):
         gs = _toy_rounds(gseed)
@@ -615,8 +561,6 @@ def run_brotp_check(config: dict) -> tuple[ExperimentReport, None]:
     report.add_check("honest_chain_matches_ideal", mismatch, 0, mismatch == 0,
                      mode="exhaustive")
     # out-of-order aborts
-    from .cotp import brotp_query
-
     aborts = 0
     trials = 0
     for gseed in range(4):
@@ -654,6 +598,7 @@ def _toy_rounds(seed, ell=3):
 # dispatch
 # ---------------------------------------------------------------------------
 
+# each handler takes the config and the seed ``run_experiment`` checked
 COMMANDS = {
     "twirl-check": run_twirl_check,
     "trap-security": run_trap_security,
@@ -677,6 +622,6 @@ def run_experiment(command: str, config: dict) -> tuple[ExperimentReport, str | 
         raise ValueError(
             f"seed must be a 64-bit unsigned integer, got {seed!r}")
     started = time.monotonic()
-    report, csv_text = handler(config)
+    report, csv_text = handler(config, seed)
     report.wall_clock = time.monotonic() - started
     return report, csv_text

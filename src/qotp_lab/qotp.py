@@ -64,7 +64,7 @@ from .cotp import brotp_compile, brotp_query
 from .css import CssCode
 from .gadgets import (AuthSession, VerifierState, authenticate_into,
                       build_schedule, eigenstate_preparer, magic_slots,
-                      make_teleport_through, pauli_eigenstate_prep)
+                      make_teleport_through, prepare_eigenstate)
 from .paulis import PauliOperator
 from .trap import TrapCode, random_pauli, sample_trap_code
 
@@ -156,14 +156,10 @@ def controlled_gate(gate: tuple, control: int, workspace: int) -> list[tuple]:
     raise ValueError(f"gate {name!r} outside the universal set")
 
 
-_TABLE_VERIFIED = False
-
-
+@functools.cache
 def verify_controlled_table() -> None:
-    """Dense unitary check of every decomposition entry (build-time gate)."""
-    global _TABLE_VERIFIED
-    if _TABLE_VERIFIED:
-        return
+    """Dense unitary check of every decomposition entry (build-time gate,
+    run once)."""
     from . import denseops as dn
 
     def ctrl(u):
@@ -188,7 +184,6 @@ def verify_controlled_table() -> None:
     if not (np.allclose(got[np.ix_(cols, cols)], want, atol=1e-10)
             and np.allclose(got[np.ix_(other, cols)], 0, atol=1e-10)):
         raise AssertionError("controlled-T table entry is wrong")
-    _TABLE_VERIFIED = True
 
 
 @dataclass(frozen=True)
@@ -278,8 +273,13 @@ def record_to_bytes(bits) -> bytes:
 
 
 def bytes_to_record(data: bytes) -> list[int]:
-    n = data[0] | (data[1] << 8)
+    """The bits ``record_to_bytes`` wrote. Any other payload (short, long,
+    or with a mask bit at or above the count) gives [], a record of no
+    round's length, which the round takes as cheating."""
+    n = int.from_bytes(data[:2], "little")
     mask = int.from_bytes(data[2:], "little")
+    if len(data) != 2 + (n + 7) // 8 or mask >> n:
+        return []
     return [(mask >> i) & 1 for i in range(n)]
 
 
@@ -510,10 +510,8 @@ class DummyAdversary:
     b_labels = ("0",)
 
     def prepare_b_w(self, state):
-        ids = []
-        for label in self.b_labels:
-            ids.append(pauli_eigenstate_prep(label)(state))
-        return ids, []
+        return [prepare_eigenstate(state, label)
+                for label in self.b_labels], []
 
     def before(self, attack, state, w_ids):
         pass
@@ -584,6 +582,10 @@ class RunResult:
                                  # applied) and W qubits
 
 
+# the state backend of each ``backend`` name
+_BACKENDS = {"sv": StateVector, "tab": TableauState, "sum": StabilizerSum}
+
+
 class QotpInstance:
     """One prepared one-time program plus the runner for its receiver."""
 
@@ -620,12 +622,7 @@ class QotpInstance:
                 backend = "sv"
             else:
                 backend = "sum"
-        if backend == "sv":
-            state = StateVector(0)
-        elif backend == "tab":
-            state = TableauState(0)
-        else:
-            state = StabilizerSum(0)
+        state = _BACKENDS[backend](0)
         self.backend_kind = backend
         self.session = AuthSession(self.trap, dict(keys), state,
                                    rngmod.stream(seed, "outcomes"),
@@ -659,28 +656,27 @@ class QotpInstance:
             ses.declare(("Et0",), eigenstate_preparer("Et0", "0"))
         ctl_label = "0" if self.world == "sim" else "1"
         ses.declare(("Ctl",), eigenstate_preparer("Ctl", ctl_label))
+
+        def epr_pair(first, second, authenticate):
+            """Declare an EPR pair: ``first`` holds one half, ``second`` the
+            other, authenticated into a register when ``authenticate``."""
+            def prep(session):
+                a, b = make_teleport_through(session.state, [], 1)
+                session.adopt(first, a)
+                if authenticate:
+                    authenticate_into(session, second, b[0])
+                else:
+                    session.adopt(second, b)
+
+            ses.declare((first, second), prep)
+
         # teleport-through-authentication halves
         for i in range(prog.n_b):
             bare = f"Bin{i}" if self.world == "real" else f"Sout{i}"
-            auth = f"Bt{i}"
-
-            def prep(session, bare=bare, auth=auth):
-                a, b = make_teleport_through(session.state, [], 1)
-                session.adopt(bare, a)
-                authenticate_into(session, auth, b[0])
-
-            ses.declare((bare, auth), prep)
+            epr_pair(bare, f"Bt{i}", True)
         if self.world == "sim":
             for i in range(prog.n_b):
-                name = f"Bin{i}"
-                sin = f"Sin{i}"
-
-                def prep(session, name=name, sin=sin):
-                    a, b = make_teleport_through(session.state, [], 1)
-                    session.adopt(name, a)
-                    session.adopt(sin, b)
-
-                ses.declare((name, sin), prep)
+                epr_pair(f"Bin{i}", f"Sin{i}", False)
         # de-authentication resource
         output_keys = self.output_keys
         for i in range(prog.n_b):
@@ -863,7 +859,7 @@ def _walk(inst: QotpInstance, adversary, strategy):
     if len(b_ids) != prog.n_b:
         raise ValueError("adversary must supply one qubit per B wire")
     if inst.world == "sim":
-        a_ids = [pauli_eigenstate_prep(label)(ses.state)
+        a_ids = [prepare_eigenstate(ses.state, label)
                  for label in inst.a_labels]
     adversary.before(ses.attack, ses.state, w_ids)
     n3 = inst.trap.n

@@ -128,6 +128,13 @@ class TestDeterminism:
                       "b_labels": ["+"], "backend": "tab"},
          "8b4c4cf5ef5d94d0ee053508501279a8ce128a3eaaf6c86bd229ee2cc9fc727b",
          None),
+        # the W-only adversary and the simulator's EPR pairs
+        ("sim-compare", {"seed": 9, "cases": ["w-only"]},
+         "a53fae9d4eb6f3f4ab1f88a117c38cef62dda3471820f68c3fdd8886dcc36d0c",
+         None),
+        ("twirl-check", {"seed": 9},
+         "70f64e35590ed71f2df749c1620fe7f74cd09e673718d0bbcbd3f1015edb69a8",
+         None),
     ])
     def test_golden_digest(self, command, config, report_sha, csv_sha):
         def sha(text):
@@ -334,6 +341,19 @@ class TestCli:
         assert "Traceback" not in res.stderr
         assert len(res.stderr.strip().splitlines()) == 1, res.stderr
         assert res.stdout == ""  # refused before the experiment ran
+
+    @pytest.mark.parametrize("name", ["twirl-check.report.json",
+                                      "twirl-check.meta.json"])
+    def test_unwritable_report_one_line_exit_two(self, tmp_path, capsys,
+                                                 name):
+        """A report file that cannot be written (a directory holds its
+        name) is an output error, exit 2, not a failed check."""
+        (tmp_path / name).mkdir()
+        code = cli.main(["twirl-check", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines() == [err.strip()], err
+        assert err.startswith("output error: ") and name in err, err
 
     def test_unknown_command_exit_two(self):
         res = self._run("no-such-command")

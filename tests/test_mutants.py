@@ -1,0 +1,70 @@
+"""The mutant table: each row plants one bug in-process and names the
+report checks that must read FAIL under it.
+
+A check that stays green whatever the code does shows nothing; a row here
+is the evidence that its checks see the bug they are named for. Each row
+replaces one module attribute with ``monkeypatch`` and runs a command
+through ``run_experiment``; the unmutated run of every command passes.
+"""
+
+import pytest
+
+from qotp_lab import harness, qotp
+from qotp_lab.harness import run_experiment
+
+_bell_measure = harness.bell_measure
+
+
+def _bell_swapped(*args, **kwargs):
+    """Bell measurement reporting (z, x) for (x, z)."""
+    return _bell_measure(*args, **kwargs)[::-1]
+
+
+def _bell_zero(*args, **kwargs):
+    """Bell measurement that measures, then always reports (0, 0)."""
+    _bell_measure(*args, **kwargs)
+    return 0, 0
+
+
+_KEY_LABELS_X_Z_SWAPPED = [qotp._KEY_LABELS[k] for k in (0, 2, 1, 3)]
+
+TELEPORT = ("teleport-check", {"seed": 1})
+SIM = ("sim-compare", {"seed": 7, "cases": ["dummy", "w-only",
+                                            "data-attack"]})
+
+# (owner, attribute, mutant, run, checks that read FAIL under the mutant)
+MUTANTS = {
+    "bell-outcome-swapped": (
+        harness, "bell_measure", _bell_swapped, TELEPORT,
+        ["plain_teleport_infidelity", "through_clifford_infidelity",
+         "attacked_teleport_infidelity"]),
+    "bell-outcome-always-zero": (
+        harness, "bell_measure", _bell_zero, TELEPORT,
+        ["all_outcomes_observed"]),
+    "key-labels-x-z-swapped": (
+        qotp, "_KEY_LABELS", _KEY_LABELS_X_Z_SWAPPED, SIM,
+        ["dummy_trace_distance", "w_only_trace_distance",
+         "data_attack_trace_distance"]),
+}
+
+
+def _verdicts(run):
+    command, config = run
+    report, _ = run_experiment(command, dict(config))
+    return {c["name"]: c["pass"] for c in report.checks}
+
+
+@pytest.mark.parametrize("run", [TELEPORT, SIM], ids=lambda r: r[0])
+def test_unmutated_run_passes(run):
+    verdicts = _verdicts(run)
+    assert all(verdicts.values()), verdicts
+
+
+@pytest.mark.parametrize("owner,attr,mutant,run,checks",
+                         list(MUTANTS.values()), ids=list(MUTANTS))
+def test_mutant_fails_its_checks(monkeypatch, owner, attr, mutant, run,
+                                 checks):
+    monkeypatch.setattr(owner, attr, mutant)
+    verdicts = _verdicts(run)
+    assert {name: verdicts[name] for name in checks} == \
+        dict.fromkeys(checks, False), verdicts

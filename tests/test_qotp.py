@@ -9,8 +9,8 @@ import pytest
 
 from qotp_lab import denseops as dn
 from qotp_lab import qotp
-from qotp_lab.cotp import (BrOtpProgram, abort_message, decode_payload,
-                            encode_payload)
+from qotp_lab.cotp import (BrOtpProgram, abort_message, brotp_query,
+                            decode_payload, encode_payload)
 from qotp_lab.css import build_steane, build_toy_code, concatenate
 from qotp_lab.gadgets import EIGENSTATE_VECTORS, magic_slots
 from qotp_lab.paulis import CliffordUnitary, PauliOperator, Permutation
@@ -635,6 +635,24 @@ class TestAbortChannel:
             res = inst.run(DummyAdversary())
             assert res.cheated and not res.accepted, seed
             assert res.s_hat == ("random",), seed
+
+    @pytest.mark.parametrize("payload", [
+        b"", b"\x01", b"\x15\x00", qotp.record_to_bytes([0] * 21) + b"\x00"],
+        ids=["empty", "one-byte", "no-mask-bytes", "trailing-byte"])
+    def test_undecodable_chained_record_rejected(self, payload):
+        """On the chained transport a round payload that is not exactly a
+        record as ``record_to_bytes`` writes it is cheating: the round
+        advances and replies with its one bit, and nothing raises."""
+        prog = compile_controlled_program([("K", 0)], 0, 1)
+        inst = QotpInstance(prog, STEANE, seed=5, world="real",
+                            backend="tab", transport="brotp")
+        oracle = inst.oracle
+        oracle.receive_t_in([qotp._KEY_LABELS[0]])
+        assert not oracle.audit.cheated
+        reply, _ = brotp_query(oracle.program, oracle.cursor, payload,
+                               oracle.carried)
+        assert len(reply) == 1
+        assert oracle.audit.cheated
 
     @pytest.mark.parametrize("transport", ["direct", "brotp"])
     @pytest.mark.parametrize("tamper", ["short", "long"])
