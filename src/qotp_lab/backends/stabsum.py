@@ -12,9 +12,17 @@ with per-term corrections that stay inside this family, so stabilizer-state
 inner products degenerate to coset/offset comparisons: parallel affine
 supports are equal or disjoint, no general inner-product routine is needed.
 Measurement probabilities with interference between terms are exact.
+
+The frame is GF(2) bit-planes in Python integers: A one per column (bit r
+is row r), Q one per row, d two planes (``d0``, ``d1``: the low and high
+bits), each term's b and e one each.  A new column goes last and a dropped
+one closes the gap; only the amplitudes ``coeffs`` are a numpy array.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate, compress, count, repeat
+from operator import and_, neg, or_
 
 import numpy as np
 
@@ -28,15 +36,29 @@ _OMEGA = np.exp(1j * np.pi / 4)
 _SQRT2 = np.sqrt(2.0)
 
 
+def _ones(x: int):
+    """The positions of the set bits of x, in increasing order."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def _meeting(masks: list[int], bits: int):
+    """The indices of the masks that share a bit with ``bits``, in
+    increasing order.  Lazy, so a loop may change a mask it has passed."""
+    return compress(count(), map(and_, masks, repeat(bits)))
+
+
 class StabilizerSum:
     def __init__(self, n: int = 0):
         self.n = 0
         self.k = 0
-        self.A = np.zeros((0, 0), dtype=np.uint8)
-        self.Q = np.zeros((0, 0), dtype=np.uint8)
-        self.d = np.zeros(0, dtype=np.int64)
-        self.bs = np.zeros((1, 0), dtype=np.uint8)
-        self.es = np.zeros((1, 0), dtype=np.uint8)
+        self.cols: list[int] = []  # A, one integer per column
+        self.Q: list[int] = []  # Q, one integer per row
+        self.d0 = self.d1 = 0
+        self.bs = [0]
+        self.es = [0]
         self.coeffs = np.ones(1, dtype=complex)
         # stable qubit ids over reusable rows: discarded (collapsed) qubits
         # free their row so long protocols stay inside the qubit cap
@@ -71,10 +93,6 @@ class StabilizerSum:
                     raise ValueError(
                         "stabilizer-sum backend capped at 256 qubits")
                 row = self.n
-                self.A = np.vstack(
-                    [self.A, np.zeros((1, self.k), dtype=np.uint8)])
-                self.bs = np.hstack(
-                    [self.bs, np.zeros((self.num_terms, 1), dtype=np.uint8)])
                 self.n += 1
             qid = self._next_id
             self._next_id += 1
@@ -87,161 +105,137 @@ class StabilizerSum:
         self._canonical = False
         for qid in list(qubits):
             q = self._row(qid)
-            col = self.bs[:, q]
-            if self.A[q].any() or (len(col) and col.max() != col.min()):
+            if self._row_bits(q) or len({b >> q & 1 for b in self.bs}) > 1:
                 raise ValueError("discard requires a collapsed qubit")
-            self.A[q, :] = 0
-            self.bs[:, q] = 0
+            self.bs = [b & ~(1 << q) for b in self.bs]
             del self._row_of[qid]
             self._free_rows.append(q)
 
     # -- phase-form plumbing -------------------------------------------
+    def _row_bits(self, j: int) -> int:
+        """Row j of A, as a mask over the columns."""
+        row = 0
+        for c in _meeting(self.cols, 1 << j):
+            row |= 1 << c
+        return row
+
+    def _d(self, c: int) -> int:
+        return (self.d0 >> c & 1) | (self.d1 >> c & 1) << 1
+
+    def _add_d(self, mask: int, value: int) -> None:
+        """d_c += value (mod 4) for every column c in mask."""
+        if value & 1:
+            self.d1 ^= self.d0 & mask
+            self.d0 ^= mask
+        if value & 2:
+            self.d1 ^= mask
+
+    def _toggle_q(self, mask: int) -> None:
+        """Q_mw ^= 1 for every pair m != w of columns in mask."""
+        for m in _ones(mask):
+            self.Q[m] ^= mask ^ (1 << m)
+
     def _grow_column(self) -> int:
-        m = self.k
-        self.A = np.hstack([self.A, np.zeros((self.n, 1), dtype=np.uint8)])
-        self.Q = np.pad(self.Q, ((0, 1), (0, 1)))
-        self.d = np.append(self.d, 0)
-        self.es = np.hstack(
-            [self.es, np.zeros((self.num_terms, 1), dtype=np.uint8)])
+        self.cols.append(0)
+        self.Q.append(0)
         self.k += 1
-        return m
+        return self.k - 1
 
-    def _drop_columns(self, cols) -> None:
-        keep = [c for c in range(self.k) if c not in set(cols)]
-        self.A = self.A[:, keep]
-        self.Q = self.Q[np.ix_(keep, keep)]
-        self.d = self.d[keep]
-        self.es = self.es[:, keep]
-        self.k = len(keep)
+    def _drop_columns(self, drop) -> None:
+        for c in sorted(drop, reverse=True):
+            del self.cols[c], self.Q[c]
+            low, high = (1 << c) - 1, -1 << c
+            self.Q = [q & low | q >> 1 & high for q in self.Q]
+            self.es = [e & low | e >> 1 & high for e in self.es]
+            self.d0 = self.d0 & low | self.d0 >> 1 & high
+            self.d1 = self.d1 & low | self.d1 >> 1 & high
+            self.k -= 1
 
-    def _lift_xor(self, support: np.ndarray, coeff: int,
-                  const_bits: np.ndarray) -> None:
+    def _lift_xor(self, support: int, coeff: int, const_bits) -> None:
         """Multiply phases by i^{coeff * ((+)_{m in support} u_m xor const_t)}."""
         coeff &= 3
         if coeff == 0:
             return
-        sup = support.astype(bool)
-        self.d[sup] = (self.d[sup] + coeff) & 3
+        self._add_d(support, coeff)
         if coeff & 1:
-            idx = np.flatnonzero(sup)
-            if len(idx) > 1:
-                self.Q[np.ix_(idx, idx)] ^= 1
-                self.Q[idx, idx] = 0
-        cb = const_bits.astype(bool)
-        if cb.any():
-            self.coeffs[cb] *= 1j ** coeff
+            self._toggle_q(support)
+        hit = [t for t, bit in enumerate(const_bits) if bit]
+        if hit:
+            self.coeffs[hit] *= 1j ** coeff
             if coeff & 1:
-                self.es[np.ix_(cb, sup)] ^= 1
+                for t in hit:
+                    self.es[t] ^= support
 
     def _subst_xor(self, m: int, v: int) -> None:
         """Variable change u_m <- u_m xor u_v (column op col_v ^= col_m)."""
-        dm = int(self.d[m])
-        qmv = int(self.Q[m, v])
-        qrow = self.Q[m].copy()
-        qrow[m] = qrow[v] = 0
-        self.A[:, v] ^= self.A[:, m]
-        self.es[:, v] ^= self.es[:, m]
-        self.d[v] = (self.d[v] + dm + 2 * qmv) & 3
-        self.Q[v, :] ^= qrow
-        self.Q[:, v] ^= qrow
-        self.Q[v, v] = 0
+        Q = self.Q
+        dm = self._d(m)
+        qrow = Q[m] & ~(1 << v)
+        self._add_d(1 << v, dm + 2 * (Q[m] >> v & 1))
+        self.cols[v] ^= self.cols[m]
+        self.es = [e ^ (e >> m & 1) << v for e in self.es]
+        Q[v] ^= qrow
+        for w in _ones(qrow):
+            Q[w] ^= 1 << v
         if dm & 1:
-            self.Q[m, v] ^= 1
-            self.Q[v, m] ^= 1
+            Q[m] ^= 1 << v
+            Q[v] ^= 1 << m
 
-    def _subst_affine(self, p: int, members: np.ndarray,
-                      const_bits: np.ndarray) -> None:
+    def _subst_affine(self, p: int, members: int, const_bits) -> None:
         """Variable elimination u_p <- ((+)_{m in members} u_m) xor const_t.
 
-        Does not drop column p; the caller removes it afterwards.
+        Leaves variable p's own entries as they were; the caller drops
+        column p right after.
         """
-        mem = members.astype(bool)
-        mem[p] = False
-        cb = const_bits.astype(np.uint8)
-        cbb = cb.astype(bool)
-        dp = int(self.d[p])
-        qp = self.Q[p].copy()
-        qp[p] = 0
-        ep = self.es[:, p].copy()
-        colp = self.A[:, p].copy()
-        midx = np.flatnonzero(mem)
+        mem = members & ~(1 << p)
+        hit = [t for t, bit in enumerate(const_bits) if bit]
+        dp, qp, colp = self._d(p), self.Q[p], self.cols[p]
+        ep = [e >> p & 1 for e in self.es]
         # A and b
-        for m in midx:
-            self.A[:, m] ^= colp
-        if cbb.any():
-            self.bs[cbb] ^= colp
+        for m in _ones(mem):
+            self.cols[m] ^= colp
+        for t in hit:
+            self.bs[t] ^= colp
         # d_p * u_p
-        self.d[mem] = (self.d[mem] + dp) & 3
-        if dp & 1 and len(midx) > 1:
-            self.Q[np.ix_(midx, midx)] ^= 1
-            self.Q[midx, midx] = 0
-        if (dp & 3) and cbb.any():
-            self.coeffs[cbb] *= 1j ** (dp & 3)
+        self._add_d(mem, dp)
         if dp & 1:
-            self.es[np.ix_(cbb, mem)] ^= 1
+            self._toggle_q(mem)
+        if (dp & 3) and hit:
+            self.coeffs[hit] *= 1j ** (dp & 3)
         # 2 e_p u_p
-        if len(midx):
-            self.es[:, midx] ^= ep[:, None]
-        self.coeffs *= (-1.0) ** (ep * cb)
+        self.coeffs *= (-1.0) ** np.array(
+            [e & c for e, c in zip(ep, const_bits)], dtype=np.uint8)
         # 2 Q[p, w] u_p u_w
-        qidx = np.flatnonzero(qp)
-        if len(qidx):
-            toggle = np.zeros_like(self.Q)
-            toggle[np.ix_(midx, qidx)] ^= 1
-            toggle = toggle ^ toggle.T
-            self.Q ^= toggle
-            self.Q[np.arange(self.k), np.arange(self.k)] = 0
-            both = mem & qp.astype(bool)
-            self.d[both] = (self.d[both] + 2) & 3
-            self.es[cbb] ^= qp[None, :].astype(np.uint8)
-        # zero out consumed entries of p
-        self.d[p] = 0
-        self.Q[p, :] = 0
-        self.Q[:, p] = 0
-        self.es[:, p] = 0
-        self.A[:, p] = 0
-
-    def _null_vector(self) -> np.ndarray | None:
-        """A nonzero gamma with A gamma = 0, if the columns are dependent:
-        the one relation of the first column that the earlier ones span."""
-        packed = np.packbits(self.A, axis=0)
-        found = relations([int.from_bytes(packed[:, c].tobytes(), "big")
-                           for c in range(self.k)])
-        if not found:
-            return None
-        return ((found[0] >> np.arange(self.k)) & 1).astype(np.uint8)
+        for r in _ones(mem):
+            self.Q[r] ^= qp
+        for r in _ones(qp):
+            self.Q[r] ^= mem
+        self._add_d(mem & qp, 2)
+        # the e words' share of the three parts above: mem where e_p is
+        # set; where const_t is, Q[p], and mem too for an odd d_p
+        flip = qp ^ (mem if dp & 1 else 0)
+        self.es = [e ^ (mem if e_p else 0) ^ (flip if c else 0)
+                   for e, e_p, c in zip(self.es, ep, const_bits)]
 
     def _eliminate_free_column(self, m: int) -> None:
-        """Sum out variable m whose A-column is zero."""
-        dd = int(self.d[m])
-        lam = self.Q[m].copy().astype(bool)
-        lam[m] = False
-        ee = self.es[:, m].copy()
-        # consume m's entries
-        self.d[m] = 0
-        self.Q[m, :] = 0
-        self.Q[:, m] = 0
-        self.es[:, m] = 0
+        """Sum out variable m whose A-column is zero (after an H gate)."""
+        dd = self._d(m)
+        lam = self.Q[m]
+        ee = [e >> m & 1 for e in self.es]
+        # m's own entries stay stale until its column is dropped below: the
+        # steps in between carry them only into m's own entries
         if dd & 1:
             # sum_v i^{(dd+2e)v} (-1)^{(Lam.u)v} = sqrt(2) w^{+-1}; the sqrt(2)
             # cancels against the 2^{-k/2} normalization shift.
-            g = (((dd + 2 * ee) & 3) == 3).astype(np.uint8)
+            g = [int((dd + 2 * e) & 3 == 3) for e in ee]
             self.coeffs = self.coeffs * _OMEGA
             self._lift_xor(lam, 3, g)
             self._drop_columns([m])
             return
-        c0 = (dd >> 1) & 1
-        const = (c0 ^ ee).astype(np.uint8)
-        if not lam.any():
-            alive = const == 0
-            self.coeffs = np.where(alive, self.coeffs * _SQRT2, 0.0)
-            self._drop_columns([m])
-            self._prune()
-            return
-        p = int(np.flatnonzero(lam)[-1])
-        members = lam.copy()
-        members[p] = False
-        self._subst_affine(p, members, const)
+        # lam is never empty: Q couples the H gate's new column to the
+        # columns summed into m an odd number of times
+        p = lam.bit_length() - 1
+        self._subst_affine(p, lam ^ (1 << p), [(dd >> 1 & 1) ^ e for e in ee])
         self._drop_columns([m, p])
 
     def _prune(self) -> None:
@@ -251,8 +245,8 @@ class StabilizerSum:
         if not keep.all():
             if not keep.any():
                 raise ValueError("state annihilated (zero-probability branch)")
-            self.bs = self.bs[keep]
-            self.es = self.es[keep]
+            self.bs = [b for b, kept in zip(self.bs, keep) if kept]
+            self.es = [e for e, kept in zip(self.es, keep) if kept]
             self.coeffs = self.coeffs[keep]
 
     # -- canonical form and merging --------------------------------------
@@ -262,88 +256,85 @@ class StabilizerSum:
         in this form."""
         if self._canonical:
             return
-        k = self.k
-        A = self.A
-        # Forward pass.  While no column meets an earlier pivot row, each
-        # pivot is its column's first nonzero row: find that prefix in one
-        # go, then continue column by column.  prow[c] is column c's pivot
-        # row (a sum without rows has no columns).
-        prow = A.argmax(axis=0) if self.n else np.zeros(0, dtype=np.intp)
-        sub = A[prow]
-        bad = np.triu(sub, 1).any(axis=0) | (np.diagonal(sub) == 0)
-        start = int(np.argmax(bad)) if bad.any() else k
-        free = np.ones(self.n, dtype=bool)  # rows not yet a pivot
-        free[prow[:start]] = False
+        cols, k = self.cols, self.k
+        # Forward pass: clear each column on the earlier pivots' rows, in
+        # pivot order, and make its first remaining row its pivot; piv[c]
+        # is column c's pivot row as a one-bit mask.  While no column
+        # meets an earlier one's first row, each pivot is its column's
+        # first row: find that prefix in one go.
+        piv = list(map(and_, cols, map(neg, cols)))
+        before = list(accumulate(piv, or_, initial=0))
+        start = next(compress(count(), map(and_, cols, before)), k)
+        pivots = before[start]
         for c in range(start, k):
-            col = A[:, c]  # a view: the substitutions write through it
-            m = 0  # clear the earlier pivots' rows, in pivot order
-            while m < c:
-                hit = np.flatnonzero(col[prow[m:c]])
-                if not len(hit):
-                    break
-                m += int(hit[0])
-                self._subst_xor(m, c)
-                m += 1
-            rows = np.flatnonzero(col.astype(bool) & free)
-            if not len(rows):
-                raise AssertionError("frame lost full column rank")
-            prow[c] = rows[0]
-            free[rows[0]] = False
-        # Back-reduction: pivot c clears its row in the other columns, which
-        # changes only the rows of later pivots.
-        dirty = (A[prow] != np.eye(k, dtype=np.uint8)).any(axis=1)
-        for c in range(int(np.argmax(dirty)) if dirty.any() else k, k):
-            for c2 in np.flatnonzero(A[prow[c]]):
+            if cols[c] & pivots:
+                for m in range(c):
+                    if cols[c] & piv[m]:
+                        self._subst_xor(m, c)
+            piv[c] = cols[c] & -cols[c]
+            pivots |= piv[c]
+        if not all(piv):
+            raise AssertionError("frame lost full column rank")
+        # Back-reduction: pivot c clears its row in the other columns.  That
+        # changes only rows of later pivots that column c already meets, so
+        # the dirty rows are known up front.
+        dirty = 0
+        for col, bit in zip(cols, piv):
+            dirty |= col & pivots ^ bit
+        for c in _meeting(piv, dirty):
+            for c2 in _meeting(cols, piv[c]):
                 if c2 != c:
-                    self._subst_xor(c, int(c2))
+                    self._subst_xor(c, c2)
         # b-reduction: shift terms (u -> u xor e_c) so b vanishes on pivot
         # rows; column c is zero on the other pivot rows, so the terms each
         # pivot shifts are known up front
-        hits = self.bs[:, prow].astype(bool)
-        for c in np.flatnonzero(hits.any(axis=0)):
-            hit = hits[:, c]
-            dc = int(self.d[c])
-            ec = self.es[hit, c].copy()
+        hits = 0
+        for b in self.bs:
+            hits |= b
+        for c in _meeting(piv, hits):
+            hit = list(_meeting(self.bs, piv[c]))
+            dc = self._d(c)
+            ec = np.array([self.es[t] >> c & 1 for t in hit], dtype=np.uint8)
             self.coeffs[hit] *= (1j ** dc) * ((-1.0) ** ec)
-            if dc & 1:
-                self.es[hit, c] = ec ^ 1
-            self.es[hit] ^= self.Q[c][None, :]
-            self.bs[hit] ^= self.A[:, c][None, :]
+            flip = self.Q[c] ^ (dc & 1) << c
+            for t in hit:
+                self.es[t] ^= flip
+                self.bs[t] ^= cols[c]
         self._merge()
         self._canonical = True
 
     def _merge(self) -> None:
-        order: dict[bytes, int] = {}
-        new_b, new_e, new_c = [], [], []
-        for t in range(self.num_terms):
-            key = self.bs[t].tobytes() + self.es[t].tobytes()
+        order: dict[tuple[int, int], int] = {}  # (b, e) -> slot in new_c
+        new_c = []
+        for t, key in enumerate(zip(self.bs, self.es)):
             if key in order:
                 new_c[order[key]] += self.coeffs[t]
             else:
                 order[key] = len(new_c)
-                new_b.append(self.bs[t])
-                new_e.append(self.es[t])
                 new_c.append(self.coeffs[t])
-        self.bs = np.array(new_b, dtype=np.uint8).reshape(len(new_c), self.n)
-        self.es = np.array(new_e, dtype=np.uint8).reshape(len(new_c), self.k)
-        self.coeffs = np.array(new_c, dtype=complex)
+        if len(new_c) < self.num_terms:
+            self.bs = [b for b, _ in order]
+            self.es = [e for _, e in order]
+            self.coeffs = np.array(new_c, dtype=complex)
         self._prune()
 
     # -- gates -----------------------------------------------------------
     def apply_gate(self, name: str, *qubit_ids: int) -> None:
-        qubits = tuple(self._row(q) for q in qubit_ids)
+        qubits = tuple(map(self._row, qubit_ids))
         if len(set(qubits)) != len(qubits):
             raise ValueError("duplicate gate targets")
         self._canonical = False
         if name == "X":
-            self.bs[:, qubits[0]] ^= 1
+            bit = 1 << qubits[0]
+            self.bs = [b ^ bit for b in self.bs]
         elif name == "Z":
             j = qubits[0]
-            self._lift_xor(self.A[j], 2, np.zeros(self.num_terms, dtype=np.uint8))
-            self.coeffs *= (-1.0) ** self.bs[:, j]
+            self._lift_xor(self._row_bits(j), 2, ())
+            self.coeffs *= (-1.0) ** np.array([b >> j & 1 for b in self.bs],
+                                              dtype=np.uint8)
         elif name == "K":
             j = qubits[0]
-            self._lift_xor(self.A[j], 1, self.bs[:, j])
+            self._lift_xor(self._row_bits(j), 1, [b >> j & 1 for b in self.bs])
         elif name == "Y":
             j = qubit_ids[0]
             self.apply_gate("Z", j)
@@ -351,32 +342,36 @@ class StabilizerSum:
             self.coeffs *= 1j
         elif name == "CNOT":
             c, t = qubits
-            self.A[t] ^= self.A[c]
-            self.bs[:, t] ^= self.bs[:, c]
+            bit = 1 << t
+            for m in _meeting(self.cols, 1 << c):
+                self.cols[m] ^= bit
+            self.bs = [b ^ bit if b >> c & 1 else b for b in self.bs]
         elif name == "H":
             self._hgate(qubits[0])
         else:
             raise ValueError(f"unknown gate {name!r}")
 
     def _hgate(self, j: int) -> None:
-        sup = self.A[j].copy().astype(bool)
-        cj = self.bs[:, j].copy()
+        bit = 1 << j
+        sup = self._row_bits(j)
         m_new = self._grow_column()
-        self.A[j, :] = 0
-        self.A[j, m_new] = 1
-        idx = np.flatnonzero(sup)
-        if len(idx):
-            self.Q[idx, m_new] ^= 1
-            self.Q[m_new, idx] ^= 1
-        self.es[:, m_new] = cj
-        self.bs[:, j] = 0
-        gamma = self._null_vector()
-        if gamma is None:
+        new = 1 << m_new
+        for c in _ones(sup):
+            self.cols[c] ^= bit
+            self.Q[c] ^= new
+        self.cols[m_new] = bit
+        self.Q[m_new] = sup
+        self.es = [e | new if b & bit else e for b, e in zip(self.bs, self.es)]
+        self.bs = [b & ~bit for b in self.bs]
+        # A had full column rank, so the columns have at most one relation
+        # gamma (bit c selects column c), and none if row j was zero
+        found = relations(self.cols) if sup else []
+        if not found:
             return
-        sup_g = np.flatnonzero(gamma)
-        m_star = int(sup_g[-1])
-        for m in sup_g[:-1]:
-            self._subst_xor(int(m), m_star)
+        gamma = found[0]
+        m_star = gamma.bit_length() - 1
+        for m in _ones(gamma ^ (1 << m_star)):
+            self._subst_xor(m, m_star)
         self._eliminate_free_column(m_star)
 
     def apply_pauli(self, p: PauliOperator, qubits) -> None:
@@ -397,39 +392,35 @@ class StabilizerSum:
         self._canonical = False
         ids = self.append_qubits(1)
         m = self._grow_column()
-        self.A[self._row(ids[0]), m] = 1
+        self.cols[m] = 1 << self._row(ids[0])
         alpha = (1 + np.exp(1j * np.pi / 4)) / 2
         beta = (1 - np.exp(1j * np.pi / 4)) / 2
-        self.bs = np.vstack([self.bs, self.bs])
-        es2 = self.es.copy()
-        es2[:, m] ^= 1
-        self.es = np.vstack([self.es, es2])
+        self.bs = self.bs + self.bs
+        self.es = self.es + [e ^ (1 << m) for e in self.es]
         self.coeffs = np.concatenate(
             [self.coeffs * alpha, self.coeffs * beta])
         return ids
 
     # -- measurement -------------------------------------------------------
     def _project(self, j: int, y: int) -> None:
-        row = self.A[j].astype(bool)
-        if not row.any():
+        row = self._row_bits(j)
+        bj = [b >> j & 1 for b in self.bs]
+        if not row:
             # dropping terms keeps the canonical form
-            alive = self.bs[:, j] == y
-            self.coeffs = np.where(alive, self.coeffs, 0.0)
+            self.coeffs = np.where(np.array(bj) == y, self.coeffs, 0.0)
             self._prune()
             return
         self._canonical = False
-        const = (self.bs[:, j] ^ y).astype(np.uint8)
-        p = int(np.flatnonzero(row)[-1])
-        members = row.copy()
-        members[p] = False
-        self._subst_affine(p, members, const)
+        p = row.bit_length() - 1
+        self._subst_affine(p, row ^ (1 << p), [bit ^ y for bit in bj])
         self._drop_columns([p])
-        self.bs[:, j] = y
+        bit = 1 << j
+        self.bs = [b | bit if y else b & ~bit for b in self.bs]
         self.coeffs = self.coeffs / _SQRT2
         self.canonicalize()
 
     def _sq_norm(self) -> float:
-        return float(np.sum(np.abs(self.coeffs) ** 2))
+        return float((np.abs(self.coeffs) ** 2).sum())
 
     def _z_norms(self, j: int) -> tuple[float, float]:
         """Squared norms of the projections of row j onto Z = 0 and Z = 1,
@@ -441,18 +432,18 @@ class StabilizerSum:
         pair adds (-1)^(y xor b_j) Re(conj(c_t) c_t') to outcome y.  With
         a zero row the outcome is b_j in every term."""
         mags = np.abs(self.coeffs) ** 2
-        bj = self.bs[:, j]
-        row = self.A[j]
-        if not row.any():
-            return float(np.sum(mags[bj == 0])), float(np.sum(mags[bj == 1]))
-        half = 0.5 * float(np.sum(mags))
+        bj = [b >> j & 1 for b in self.bs]
+        row = self._row_bits(j)
+        if not row:
+            one = np.array(bj, dtype=bool)
+            return float(mags[~one].sum()), float(mags[one].sum())
+        half = 0.5 * float(mags.sum())
         shift = 0.0
         if self.num_terms > 1:
-            keys = [b.tobytes() for b in self.bs]
-            index = {kb + e.tobytes(): t
-                     for t, (kb, e) in enumerate(zip(keys, self.es))}
-            for t, (kb, e) in enumerate(zip(keys, self.es)):
-                u = index.get(kb + (e ^ row).tobytes(), -1)
+            terms = list(zip(self.bs, self.es))
+            index = {key: t for t, key in enumerate(terms)}
+            for t, (b, e) in enumerate(terms):
+                u = index.get((b, e ^ row), -1)
                 if u > t:
                     re = (self.coeffs[t].conjugate() * self.coeffs[u]).real
                     shift += -re if bj[t] else re
@@ -477,6 +468,14 @@ class StabilizerSum:
         return bit, prob
 
     # -- inspection ---------------------------------------------------------
+    def _frame_arrays(self):
+        """The frame as uint8 bit arrays: (A (n x k), Q (k x k), d (k, as
+        int64), b (terms x n), e (terms x k))."""
+        d = _bit_rows([self.d0, self.d1], self.k).astype(np.int64)
+        return (_bit_rows(self.cols, self.n).T, _bit_rows(self.Q, self.k),
+                d[0] + 2 * d[1], _bit_rows(self.bs, self.n),
+                _bit_rows(self.es, self.k))
+
     def _amplitude_table(self, rows) -> tuple[np.ndarray, np.ndarray]:
         """Every nonzero amplitude: (keys, amps), where keys[i] packs the
         bits of basis state i on ``rows`` (in that order, most significant
@@ -489,18 +488,19 @@ class StabilizerSum:
             raise ValueError("dense reconstruction limited to 2^20 terms")
         k = self.k
         rows = list(rows)
+        A, Q, d, bs, es = self._frame_arrays()
         us = np.arange(1 << k, dtype=np.int64)
         ubits = (us[:, None] >> np.arange(k)[None, :]) & 1
-        quad = ((ubits @ np.triu(self.Q, 1).astype(np.int64)) * ubits).sum(
+        quad = ((ubits @ np.triu(Q, 1).astype(np.int64)) * ubits).sum(
             axis=1)
         ipow = np.array([1, 1j, -1, -1j], dtype=complex)
         amps = []
         for t in range(self.num_terms):
-            phase = ubits @ ((self.d + 2 * self.es[t]) & 3) + 2 * quad
+            phase = ubits @ ((d + 2 * es[t]) & 3) + 2 * quad
             amps.append(self.coeffs[t] * (2.0 ** (-k / 2)) * ipow[phase & 3])
-        xs = ((ubits @ self.A[rows].T.astype(np.int64)) & 1).astype(np.uint8)
+        xs = ((ubits @ A[rows].T.astype(np.int64)) & 1).astype(np.uint8)
         keys = (np.packbits(xs, axis=1)[None, :, :]
-                ^ np.packbits(self.bs[:, rows], axis=1)[:, None, :])
+                ^ np.packbits(bs[:, rows], axis=1)[:, None, :])
         keys = keys.reshape(self.num_terms << k, keys.shape[2])
         slot, first = _first_seen(keys)
         acc = np.zeros(len(first), dtype=complex)
@@ -550,6 +550,15 @@ class StabilizerSum:
             np.add.at(flat, np.tile(np.arange(dim * dim), len(vecs)),
                       outer.reshape(-1))
         return rho
+
+
+def _bit_rows(values: list[int], width: int) -> np.ndarray:
+    """Bit i of each integer at column i of its row, as a uint8 array."""
+    size = (width + 7) // 8
+    raw = np.frombuffer(b"".join(v.to_bytes(size, "little") for v in values),
+                        dtype=np.uint8)
+    bits = np.unpackbits(raw, bitorder="little")
+    return bits.reshape(len(values), 8 * size)[:, :width]
 
 
 def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

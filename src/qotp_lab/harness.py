@@ -92,21 +92,30 @@ class ExperimentReport:
 
 def emit_report(report: ExperimentReport, out_dir: str,
                 csv_text: str | None = None) -> dict:
+    """Write the report, its meta file and the CSV (if any) into
+    ``out_dir``.  If one cannot be written, the files this call wrote are
+    removed before the ``OSError`` propagates, so no report is left
+    without its meta file."""
     os.makedirs(out_dir, exist_ok=True)
-    paths = {}
-    report_path = os.path.join(out_dir, f"{report.command}.report.json")
-    with open(report_path, "w") as fh:
-        fh.write(report.to_canonical())
-    paths["report"] = report_path
-    meta_path = os.path.join(out_dir, f"{report.command}.meta.json")
-    with open(meta_path, "w") as fh:
-        fh.write(canonical_json({"wall_clock_seconds": report.wall_clock}))
-    paths["meta"] = meta_path
+    texts = {"report": ("report.json", report.to_canonical()),
+             "meta": ("meta.json", canonical_json(
+                 {"wall_clock_seconds": report.wall_clock}))}
     if csv_text is not None:
-        csv_path = os.path.join(out_dir, f"{report.command}.csv")
-        with open(csv_path, "w") as fh:
-            fh.write(csv_text)
-        paths["csv"] = csv_path
+        texts["csv"] = ("csv", csv_text)
+    paths = {}
+    try:
+        for kind, (suffix, text) in texts.items():
+            path = os.path.join(out_dir, f"{report.command}.{suffix}")
+            with open(path, "w") as fh:
+                paths[kind] = path
+                fh.write(text)
+    except OSError:
+        for path in paths.values():
+            try:
+                os.remove(path)
+            except OSError:
+                pass
+        raise
     return paths
 
 

@@ -7,6 +7,7 @@ T-type magic.
 """
 
 import copy
+import hashlib
 
 import numpy as np
 import pytest
@@ -652,7 +653,7 @@ class TestStabsumMeasureFromCanonicalForm:
                 oracle = copy.deepcopy(sm)
                 branches, norms = two_copy_outcomes(oracle, q)
                 want = [norms[0] / sum(norms), norms[1] / sum(norms)]
-                row = sm.A[sm._row(q)]
+                row = sm._frame_arrays()[0][sm._row(q)]
                 got = sm.z_probabilities(q)
                 assert np.allclose(got, want, rtol=0, atol=1e-12), (seed, q)
                 if sm.num_terms > 1 and row.any() and \
@@ -675,7 +676,9 @@ class TestStabsumMeasureFromCanonicalForm:
 
 def dict_loop_density(sm, qubits):
     """The former ``StabilizerSum.density_of``: amplitudes summed into a
-    dictionary term by term, then grouped bit by bit."""
+    dictionary term by term, then grouped bit by bit.  Reads the frame as
+    arrays."""
+    A, Q, d, bs, es = sm._frame_arrays()
     k = sm.k
     out = {}
     us = np.arange(1 << k, dtype=np.int64)
@@ -683,15 +686,15 @@ def dict_loop_density(sm, qubits):
     quad = np.zeros(1 << k, dtype=np.int64)
     for m in range(k):
         for w in range(m + 1, k):
-            if sm.Q[m, w]:
+            if Q[m, w]:
                 quad += ubits[:, m] * ubits[:, w]
-    xs = (ubits @ sm.A.T.astype(np.int64)) & 1
+    xs = (ubits @ A.T.astype(np.int64)) & 1
     ipow = np.array([1, 1j, -1, -1j], dtype=complex)
     for t in range(sm.num_terms):
-        phase = (ubits.astype(np.int64) @ ((sm.d + 2 * sm.es[t]) & 3)) \
+        phase = (ubits.astype(np.int64) @ ((d + 2 * es[t]) & 3)) \
             + 2 * quad
         amps = sm.coeffs[t] * (2.0 ** (-k / 2)) * ipow[phase & 3]
-        for row, amp in zip(xs ^ sm.bs[t][None, :], amps):
+        for row, amp in zip(xs ^ bs[t][None, :], amps):
             idx = 0
             for b in row:
                 idx = (idx << 1) | int(b)
@@ -848,3 +851,37 @@ class TestTableauDensityFromColumns:
 
 
 KERNELS_NOTE = f"active tableau kernel: {KERNEL}"
+
+
+def test_stabsum_contract_digest():
+    """Seeded Clifford+T runs through the public contract alone: every
+    probability, outcome bit and density the sum returns, hashed, so a
+    change of internal layout that moves one bit of any of them fails."""
+    digest = hashlib.sha256()
+    for seed in range(60):
+        rng = np.random.default_rng(9700 + seed)
+        sm = StabilizerSum(int(rng.integers(2, 7)))
+        ids = list(range(sm.n))
+        for _ in range(int(rng.integers(1, 4))):
+            run_circuit(sm, [(g[0],) + tuple(ids[q] for q in g[1:])
+                             for g in random_clifford_circuit(len(ids), 10,
+                                                              rng)])
+            ids += sm.inject_magic()
+            sm.apply_gate("CNOT", ids[int(rng.integers(0, len(ids) - 1))],
+                          ids[-1])
+        pair = [ids[q] for q in rng.choice(len(ids), 2, replace=False)]
+        sm.apply_pauli(PauliOperator(2, *(int(v) for v in
+                                          rng.integers(0, 4, size=3))), pair)
+        for q in rng.permutation(ids)[:len(ids) - 2]:
+            q = int(q)
+            digest.update(np.array(sm.z_probabilities(q)).tobytes())
+            bit, prob = sm.measure(q, rng)
+            digest.update(bytes([bit]) + np.float64(prob).tobytes())
+            sm.discard([q])
+            ids.remove(q)
+            run_circuit(sm, [(g[0],) + tuple(ids[w] for w in g[1:])
+                             for g in random_clifford_circuit(len(ids), 3,
+                                                              rng)])
+        digest.update(sm.density_of(ids).tobytes())
+    assert digest.hexdigest() == \
+        "34e215ec5a7f97daedd7a9c90eb87b9eaaf5b6e107c0d676f9dd7a3d41f49ebd"

@@ -135,6 +135,11 @@ class TestDeterminism:
         ("twirl-check", {"seed": 9},
          "70f64e35590ed71f2df749c1620fe7f74cd09e673718d0bbcbd3f1015edb69a8",
          None),
+        # the one two-qubit run on the sum; its density has 1e-16 residues
+        ("qotp-run", {"seed": 9, "channel": [["CNOT", 0, 1]], "n_b": 2,
+                      "b_labels": ["+", "0"], "backend": "sum"},
+         "fb46c44e28d0455843b831358ad938eac0c1e640b20cb29c719fa708507bceed",
+         None),
     ])
     def test_golden_digest(self, command, config, report_sha, csv_sha):
         def sha(text):
@@ -347,13 +352,16 @@ class TestCli:
     def test_unwritable_report_one_line_exit_two(self, tmp_path, capsys,
                                                  name):
         """A report file that cannot be written (a directory holds its
-        name) is an output error, exit 2, not a failed check."""
+        name) is an output error, exit 2, not a failed check, and the
+        files written before it are removed: no report without its meta."""
         (tmp_path / name).mkdir()
         code = cli.main(["twirl-check", "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert code == 2
         assert err.splitlines() == [err.strip()], err
         assert err.startswith("output error: ") and name in err, err
+        assert not (tmp_path / "twirl-check.report.json").is_file()
+        assert [p.name for p in tmp_path.iterdir()] == [name]
 
     def test_unknown_command_exit_two(self):
         res = self._run("no-such-command")

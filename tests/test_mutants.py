@@ -3,16 +3,19 @@ report checks that must read FAIL under it.
 
 A check that stays green whatever the code does shows nothing; a row here
 is the evidence that its checks see the bug they are named for. Each row
-replaces one module attribute with ``monkeypatch`` and runs a command
-through ``run_experiment``; the unmutated run of every command passes.
+replaces one module or class attribute with ``monkeypatch`` and runs a
+command through ``run_experiment``; the unmutated run of every command
+passes.
 """
 
 import pytest
 
 from qotp_lab import harness, qotp
+from qotp_lab.backends import StabilizerSum
 from qotp_lab.harness import run_experiment
 
 _bell_measure = harness.bell_measure
+_sum_apply_gate = StabilizerSum.apply_gate
 
 
 def _bell_swapped(*args, **kwargs):
@@ -26,11 +29,28 @@ def _bell_zero(*args, **kwargs):
     return 0, 0
 
 
+def _sum_h_then_z(self, name, *qubit_ids):
+    """The sum's H followed by Z."""
+    _sum_apply_gate(self, name, *qubit_ids)
+    if name == "H":
+        _sum_apply_gate(self, "Z", *qubit_ids)
+
+
+def _sum_cnot_reversed(self, name, *qubit_ids):
+    """The sum's CNOT with control and target swapped."""
+    _sum_apply_gate(self, name, *(qubit_ids[::-1] if name == "CNOT"
+                                  else qubit_ids))
+
+
 _KEY_LABELS_X_Z_SWAPPED = [qotp._KEY_LABELS[k] for k in (0, 2, 1, 3)]
 
 TELEPORT = ("teleport-check", {"seed": 1})
 SIM = ("sim-compare", {"seed": 7, "cases": ["dummy", "w-only",
                                             "data-attack"]})
+SUM_K = ("qotp-run", {"seed": 9, "channel": [["K", 0]], "b_labels": ["+"],
+                      "backend": "sum"})
+SUM_CNOT = ("qotp-run", {"seed": 9, "channel": [["CNOT", 0, 1]], "n_b": 2,
+                         "b_labels": ["+", "0"], "backend": "sum"})
 
 # (owner, attribute, mutant, run, checks that read FAIL under the mutant)
 MUTANTS = {
@@ -45,6 +65,12 @@ MUTANTS = {
         qotp, "_KEY_LABELS", _KEY_LABELS_X_Z_SWAPPED, SIM,
         ["dummy_trace_distance", "w_only_trace_distance",
          "data_attack_trace_distance"]),
+    "sum-h-then-z": (
+        StabilizerSum, "apply_gate", _sum_h_then_z, SUM_K,
+        ["output_fidelity"]),
+    "sum-cnot-reversed": (
+        StabilizerSum, "apply_gate", _sum_cnot_reversed, SUM_CNOT,
+        ["accepted", "output_fidelity", "final_key_equation"]),
 }
 
 
@@ -54,7 +80,9 @@ def _verdicts(run):
     return {c["name"]: c["pass"] for c in report.checks}
 
 
-@pytest.mark.parametrize("run", [TELEPORT, SIM], ids=lambda r: r[0])
+@pytest.mark.parametrize("run", [TELEPORT, SIM, SUM_K, SUM_CNOT],
+                         ids=["teleport-check", "sim-compare", "qotp-run-K",
+                              "qotp-run-CNOT"])
 def test_unmutated_run_passes(run):
     verdicts = _verdicts(run)
     assert all(verdicts.values()), verdicts
