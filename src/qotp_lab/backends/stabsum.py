@@ -68,6 +68,8 @@ class StabilizerSum:
         # True while the sum is known to be canonical: ``canonicalize``
         # sets it, and every change that can break that form clears it
         self._canonical = False
+        # row j of A as ``measure`` read it, handed to its ``_project``
+        self._row_read: tuple[int, int] | None = None
         if n:
             self.append_qubits(n)
 
@@ -403,7 +405,8 @@ class StabilizerSum:
 
     # -- measurement -------------------------------------------------------
     def _project(self, j: int, y: int) -> None:
-        row = self._row_bits(j)
+        read, self._row_read = self._row_read, None
+        row = read[1] if read and read[0] == j else self._row_bits(j)
         bj = [b >> j & 1 for b in self.bs]
         if not row:
             # dropping terms keeps the canonical form
@@ -422,7 +425,7 @@ class StabilizerSum:
     def _sq_norm(self) -> float:
         return float((np.abs(self.coeffs) ** 2).sum())
 
-    def _z_norms(self, j: int) -> tuple[float, float]:
+    def _z_norms(self, j: int, row: int) -> tuple[float, float]:
         """Squared norms of the projections of row j onto Z = 0 and Z = 1,
         read off the canonical form without projecting.
 
@@ -430,10 +433,10 @@ class StabilizerSum:
         unless the two terms share b and their e words differ by exactly
         the row A[j] (the character the outcome bit imposes on u): such a
         pair adds (-1)^(y xor b_j) Re(conj(c_t) c_t') to outcome y.  With
-        a zero row the outcome is b_j in every term."""
+        a zero row the outcome is b_j in every term.  ``row`` is row j of
+        A (``_row_bits(j)``)."""
         mags = np.abs(self.coeffs) ** 2
         bj = [b >> j & 1 for b in self.bs]
-        row = self._row_bits(j)
         if not row:
             one = np.array(bj, dtype=bool)
             return float(mags[~one].sum()), float(mags[one].sum())
@@ -450,20 +453,29 @@ class StabilizerSum:
         return half + shift, half - shift
 
     def z_probabilities(self, qubit_id: int) -> tuple[float, float]:
+        return self._z_read(qubit_id)[:2]
+
+    def _z_read(self, qubit_id: int) -> tuple[float, float, int, int]:
+        """The outcome probabilities of the canonical form, the qubit's row
+        j and row j of A, read once."""
         self.canonicalize()
-        n0, n1 = self._z_norms(self._row(qubit_id))
+        j = self._row(qubit_id)
+        row = self._row_bits(j)
+        n0, n1 = self._z_norms(j, row)
         tot = n0 + n1
-        return n0 / tot, n1 / tot
+        return n0 / tot, n1 / tot, j, row
 
     def measure(self, qubit_id: int, rng):
         """One Born draw from the canonical form's probabilities, then the
-        drawn outcome alone is projected and renormalised."""
-        p0, p1 = self.z_probabilities(qubit_id)
+        drawn outcome alone is projected and renormalised; both read row j
+        of A once."""
+        p0, p1, j, row = self._z_read(qubit_id)
         bit = 1 if rng.random() < p1 else 0
         prob = p1 if bit else p0
         if prob <= 1e-14:
             return bit, 0.0
-        self._project(self._row(qubit_id), bit)
+        self._row_read = (j, row)
+        self._project(j, bit)
         self.coeffs = self.coeffs / np.sqrt(self._sq_norm())
         return bit, prob
 

@@ -30,7 +30,8 @@ from .qotp import (DummyAdversary, PauliAttackAdversary, QotpInstance,
                    WOnlyAdversary, bell_measure, compare_real_vs_sim,
                    compile_controlled_program, honest_receiver_run,
                    make_teleport_through)
-from .trap import (count_nontrivial, enumerate_attack_security,
+from .trap import (count_nontrivial, enumerate_attack_rejection,
+                   enumerate_attack_security,
                    estimate_attack_security, exact_placement_probability,
                    sample_trap_tables, security_sweep_rows, sweep_to_csv,
                    wilson_interval)
@@ -472,9 +473,10 @@ def run_sim_compare(config: dict, seed: int) -> tuple[ExperimentReport, None]:
     for name, (channel, factory) in table.items():
         if name not in cases:
             continue
-        td = compare_real_vs_sim(channel, 0, 1, toy, seed,
-                                 adversary_factory=factory)
-        check = name.replace("-", "_") + "_trace_distance"
+        td, rejected = compare_real_vs_sim(channel, 0, 1, toy, seed,
+                                           adversary_factory=factory)
+        case = name.replace("-", "_")
+        check = case + "_trace_distance"
         if name == "magic-attack":
             eps = enumerate_attack_security(toy, magic_attack)
             report.add_check(check, td, 2 * eps, td <= 2 * eps + 1e-9,
@@ -487,6 +489,17 @@ def run_sim_compare(config: dict, seed: int) -> tuple[ExperimentReport, None]:
             # Y up to a phase
             check += "_exact"
         report.add_check(check, td, 1e-9, td <= 1e-9, mode="exhaustive")
+        # the verdict, which both worlds share, against the trap
+        # classifier: the magic attack is rejected on the permutations that
+        # classify it so; nothing else is rejected (the data attack hits Bt0
+        # after the last trap check, so the classifier's 1/2 for its Pauli
+        # does not apply)
+        expected = (enumerate_attack_rejection(toy, magic_attack)
+                    if name == "magic-attack" else 0.0)
+        off = max(abs(weight - expected) for weight in rejected)
+        report.add_check(case + "_reject_weight", off, 1e-12, off <= 1e-12,
+                         mode="exhaustive")
+        report.extra[case + "_reject_weights"] = list(rejected)
     return report, None
 
 

@@ -33,15 +33,16 @@ round to round.
 The receiver's side (teleport-in, the simulator's splice, the session's
 gadget rounds, teleport-out) is driven by one walk, the generator ``_walk``,
 which yields one ``RunResult`` per finished branch.  Every measurement on
-the way is handed to a strategy, which yields each branch it makes with
-its outcome (Bell outcomes as x and z masks): ``_Sample`` yields the one
-branch of a Born outcome per qubit drawn from the instance's outcome
-stream (``QotpInstance.run``), ``_Fan`` every joint outcome of the dense
-state, each on its own clone (``enumerate_protocol_runs``, the exact
-real-vs-simulated comparison).  ``_Fan`` ends a branch in one stacked
-leaf: the verdict is decided once per branch, every live teleport-out
-outcome's output density comes from one stacked read of the state, and a
-rejected branch draws no junk key.  Every final key, sampled or
+the way is handed to a strategy, which returns the branches that go on,
+each with its verifier and its outcome (Bell outcomes as x and z masks):
+``_Sample`` keeps the one branch of a Born outcome per qubit drawn from
+the instance's outcome stream (``QotpInstance.run``), ``_Fan`` every
+joint outcome of the dense state (``enumerate_protocol_runs``, the exact
+real-vs-simulated comparison).  ``_Fan`` holds an instance's live branches
+as the rows of one stacked state, so each gate runs once per stack, and
+ends a branch in one stacked leaf: the verdict is decided once per branch,
+every live teleport-out outcome's output density comes from one stacked
+read of the state, and a rejected branch draws no junk key.  Every final key, sampled or
 enumerated, is read by one function, ``QotpVerifier.final_keys``, with
 one rule, ``TrapCode.data_key``: two parities of the accumulated key
 against the encoder's images of the data wire's Z and X, for the int
@@ -54,7 +55,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -694,22 +695,19 @@ class QotpInstance:
             ses.declare((name, out), prep)
         ses.declare_magic()
 
-    # -- cloning (a branch of the exact enumeration) ---------------------------
+    # -- cloning (a part of an enumerated stack) -------------------------------
     def clone(self, state) -> "QotpInstance":
         """This instance continued on ``state``, with its own register
-        table and verifier."""
-        if not isinstance(self.oracle, QotpVerifier):
-            raise ValueError("only direct-transport instances are clonable")
+        table; its branches keep their own verifiers."""
         inst = QotpInstance.__new__(QotpInstance)
         inst.__dict__.update(self.__dict__)
         inst.session = self.session.clone(state)
-        inst.oracle = self.oracle.copy()
         return inst
 
     # -- the run ---------------------------------------------------------------
     def run(self, adversary) -> RunResult:
         """One execution, each outcome Born-sampled from the outcome stream."""
-        return next(_walk(self, adversary, _Sample()))
+        return next(_walk(self, adversary, _Sample()))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -739,24 +737,40 @@ def honest_receiver_run(circuit, n_a: int, n_b: int, base_code: CssCode,
 # the receiver's round-schedule walk and its two measurement strategies
 # ---------------------------------------------------------------------------
 
+@dataclass
+class _Branch:
+    """One branch of the walk: its verifier, its outcome at every fork so
+    far (the enumeration's leaf order) and its transcript.  A sampled run
+    is one branch; an enumerated stack holds one per row of its state."""
+
+    oracle: object
+    path: tuple = ()
+    t_in: tuple = ()
+    records: tuple = ()
+    replies: tuple = ()
+
+
 class _Sample:
     """One branch per measurement: each qubit's outcome is Born-sampled from
     the session's outcome stream.  A Bell pair is rotated and measured
     before the next pair is touched."""
 
-    def pairs(self, inst, pairs):
+    def pairs(self, inst, branches, pairs):
         ses = inst.session
-        yield inst, bell_measure(ses.state, pairs, ses.rng, ses._weigh)
+        return branches, [bell_measure(ses.state, pairs, ses.rng, ses._weigh)]
 
-    def registers(self, inst, names):
+    def registers(self, inst, branches, names):
         bits = []
         for name in names:
             bits += inst.session.measure_register(name)
-        yield inst, bits
+        return branches, [bits]
 
-    def leaves(self, inst, pairs, keep):
-        (_, masks), = self.pairs(inst, pairs)
-        yield masks, inst.session.prob_weight, inst.oracle.finalize, None
+    def correct(self, inst, rows, pauli, qubits):
+        inst.session.state.apply_pauli(pauli, qubits)
+
+    def leaves(self, inst, branches, pairs, keep):
+        _, (masks,) = self.pairs(inst, branches, pairs)
+        yield branches[0], masks, inst.session.prob_weight, None
 
 
 # the lightest branch the exact enumeration keeps
@@ -781,56 +795,63 @@ def _fan_masks(n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
 
 class _Fan:
     """One branch per joint outcome of weight at least
-    ``MIN_BRANCH_WEIGHT``, read from the dense state.  Every Bell pair is
-    rotated before the joint outcomes are read.  A branch continues on a
-    clone of its parent.
+    ``MIN_BRANCH_WEIGHT``, read from the dense state.  The live branches
+    of an instance are the rows of one stacked state, weighted by the
+    session's ``prob_weight`` array: a gate runs once per stack, and a fork
+    gathers every live outcome's posterior into the next stack, row-major.
+    Every Bell pair is rotated before the joint outcomes are read.  The
+    stack parts by rows only where the receiver's next round reads the
+    verifier's reply.
 
-    Teleport-out is one stacked leaf per branch: the verifier decides the
-    branch's verdict once, and one stacked read of the rotated state gives
-    every live outcome's probability and its density on the kept qubits.
-    The leaf carries the outcomes' masks, weights and densities as arrays
-    over those outcomes; an accepted branch reads every outcome's keys at
-    once with ``QotpVerifier.final_keys``, and a rejected one draws no junk
-    key."""
+    Teleport-out is one stacked leaf per branch: one stacked read of the
+    rotated state gives every row's live outcomes' probabilities and
+    densities on the kept qubits, as arrays over those outcomes."""
 
-    def pairs(self, inst, pairs):
+    def pairs(self, inst, branches, pairs):
         ids = self._rotate(inst, pairs)
         xs, zs = _fan_masks(len(ids) // 2)
-        for child, k in self._fork(inst, ids):
-            yield child, (int(xs[k]), int(zs[k]))
+        branches, ks = self._fork(inst, branches, ids)
+        return branches, [(int(xs[k]), int(zs[k])) for k in ks]
 
-    def registers(self, inst, names):
+    def registers(self, inst, branches, names):
         ids = []
         for name in names:
             ids += inst.session.consume(name)
         top = len(ids) - 1
-        for child, k in self._fork(inst, ids):
-            yield child, [(k >> (top - i)) & 1 for i in range(len(ids))]
+        branches, ks = self._fork(inst, branches, ids)
+        return branches, [[(k >> (top - i)) & 1 for i in range(len(ids))]
+                          for k in ks]
 
-    def leaves(self, inst, pairs, keep):
+    def correct(self, inst, rows, pauli, qubits):
+        inst.session.state.apply_pauli(pauli, qubits, rows)
+
+    def split(self, inst, branches, rows):
+        """The listed rows' stack, on an instance of its own."""
+        part = inst.clone(inst.session.state.select(rows))
+        part.session.prob_weight = inst.session.prob_weight[rows]
+        return part, [branches[r] for r in rows]
+
+    def leaves(self, inst, branches, pairs, keep):
         ids = self._rotate(inst, pairs)
         xs, zs = _fan_masks(len(ids) // 2)
-        v = inst.oracle
-        cheated = v.verdict()
-
-        def final(t_out):
-            if cheated:
-                return None, True
-            return [v.final_keys(t_out, i) for i in range(len(t_out))], False
-
         live, probs, rhos = inst.session.state.joint_densities(ids, keep)
-        yield ((xs[live], zs[live]), inst.session.prob_weight * probs, final,
-               rhos)
+        rows, ks = np.divmod(live, len(xs))
+        ends = np.searchsorted(rows, np.arange(len(branches) + 1))
+        for r, branch in enumerate(branches):
+            at = slice(ends[r], ends[r + 1])
+            yield (branch, (xs[ks[at]], zs[ks[at]]),
+                   inst.session.prob_weight[r] * probs[at], rhos[at])
 
     @staticmethod
-    def _fork(inst, ids):
-        weight = inst.session.prob_weight
-        for k, p, post in inst.session.state.joint_outcomes(ids):
-            if weight * p < MIN_BRANCH_WEIGHT:
-                continue
-            child = inst.clone(post)
-            child.session.prob_weight = weight * p
-            yield child, k
+    def _fork(inst, branches, ids):
+        ses = inst.session
+        live, ses.prob_weight, ses.state = ses.state.fork(
+            ids, ses.prob_weight, MIN_BRANCH_WEIGHT)
+        rows, ks = np.divmod(live, 1 << len(ids))
+        ks = ks.tolist()
+        return [replace(branches[r], oracle=branches[r].oracle.copy(),
+                        path=branches[r].path + (k,))
+                for r, k in zip(rows.tolist(), ks)], ks
 
     @staticmethod
     def _rotate(inst, pairs) -> list:
@@ -845,13 +866,17 @@ class _Fan:
 
 def _walk(inst: QotpInstance, adversary, strategy):
     """Run the receiver's side of the protocol on ``inst``, yielding one
-    RunResult per finished branch.
+    (outcome path, RunResult) per finished branch.
 
     Teleport-in, the simulator's splice of the one ideal call, the gadget
     rounds (each asked of the session's ``next_round``) and teleport-out
-    happen in order; every measurement goes to ``strategy``, which yields
-    each branch it makes with its outcome: (x mask, z mask) for Bell
-    pairs, bit j of each mask for pair j, and a bit list for registers.
+    happen in order; every measurement goes to ``strategy``, which returns
+    the branches that go on and each one's outcome: (x mask, z mask) for
+    Bell pairs, bit j of each mask for pair j, and a bit list for
+    registers.  A leaf with a density (enumerated) is decided by its
+    branch's verdict and reads every outcome's keys at once with
+    ``QotpVerifier.final_keys``, drawing no junk key when rejected; a
+    sampled one is finalized, and its final key applied.
     """
     prog = inst.program
     ses = inst.session
@@ -882,64 +907,83 @@ def _walk(inst: QotpInstance, adversary, strategy):
         for i in range(prog.n_b):
             yield from zip(s.consume(f"Bt{i}"), s.consume(f"BoutR{i}"))
 
-    def rounds(branch, t_in, records, replies):
-        s = branch.session
-        todo = s.next_round(replies[-1] if replies else None)
+    def rounds(inst, branches):
+        if not branches:
+            return
+        s = inst.session
+        last = [b.replies[-1] if b.replies else None for b in branches]
+        bits = [reply and reply[0] for reply in last]
+        if s.reads_reply() and len(set(bits)) > 1:
+            # the branches part by the reply bit the next round reads
+            for bit in sorted(set(bits)):
+                yield from rounds(*strategy.split(inst, branches, [
+                    r for r, b in enumerate(bits) if b == bit]))
+            return
+        todo = s.next_round(last[0])
         if todo is not None:
             measured, takeover = todo
-            for child, bits in strategy.registers(branch, measured):
-                if takeover is not None:
-                    child.session.take_over(*takeover)
-                bits = adversary.tamper_record(len(records), list(bits))
-                reply = child.oracle.process_round(bits)
-                yield from rounds(child, t_in, records + (tuple(bits),),
-                                  replies + (tuple(reply),))
+            branches, outcomes = strategy.registers(inst, branches, measured)
+            if takeover is not None:
+                s.take_over(*takeover)
+            for b, bits in zip(branches, outcomes):
+                bits = adversary.tamper_record(len(b.records), list(bits))
+                reply = b.oracle.process_round(bits)
+                b.records += (tuple(bits),)
+                b.replies += (tuple(reply),)
+            yield from rounds(inst, branches)
             return
         # teleport-out; the de-authentication resource is
         # outcome-independent
         for i in range(prog.n_b):
             s.materialize(f"BoutR{i}")
         b_out = [s.registers[f"Bout{i}"].ids[0] for i in range(prog.n_b)]
-        for (xm, zm), weight, final, density in strategy.leaves(
-                branch, teleport_out_pairs(s), b_out + list(w_ids)):
+        for b, (xm, zm), weight, density in strategy.leaves(
+                inst, branches, teleport_out_pairs(s), b_out + list(w_ids)):
             t_out = [(xm >> n3 * i & wire_mask, zm >> n3 * i & wire_mask)
                      for i in range(prog.n_b)]
-            s_hat, cheated = final(t_out)
-            sampled = density is None  # enumerated leaves carry no state
-            if cheated:
-                s_out = ("random",)
+            sampled = density is None
+            if sampled:
+                s_hat, cheated = b.oracle.finalize(t_out)
             else:
-                s_out = tuple(s_hat)
-                if sampled:
-                    for q, label in zip(b_out, s_hat):
-                        s.state.apply_pauli(PauliOperator.from_label(label),
-                                            [q])
-            yield RunResult(not cheated, cheated, t_in, records, replies,
-                            tuple(t_out), s_out, weight, b_out, list(w_ids),
-                            density, s if sampled else None)
+                cheated = b.oracle.verdict()
+                s_hat = None if cheated else [
+                    b.oracle.final_keys(t_out, i) for i in range(prog.n_b)]
+            s_out = ("random",) if cheated else tuple(s_hat)
+            if sampled and not cheated:
+                for q, label in zip(b_out, s_hat):
+                    s.state.apply_pauli(PauliOperator.from_label(label), [q])
+            yield b.path, RunResult(
+                not cheated, cheated, b.t_in, b.records, b.replies,
+                tuple(t_out), s_out, weight, b_out, list(w_ids), density,
+                s if sampled else None)
 
-    for branch, masks in strategy.pairs(inst, teleport_in_pairs(ses)):
-        t_in = tuple(labels(masks))
-        if branch.world == "real":
-            branch.oracle.receive_t_in(list(t_in))
-            yield from rounds(branch, t_in, (), ())
-            continue
-        # simulator: apply the reported Pauli to S_in, call the ideal
-        # channel once, then teleport its output through the authentication
-        s = branch.session
-        for i, label in enumerate(t_in):
-            s.state.apply_pauli(PauliOperator.from_label(label),
-                                s.materialize(f"Sin{i}").ids)
-        branch.ideal_calls += 1
-        if branch.ideal_calls > 1:
-            raise RuntimeError("ideal functionality is one-shot")
-        wires = a_ids + [s.registers[f"Sin{i}"].ids[0]
-                         for i in range(prog.n_b)]
-        for g in prog.base_circuit:
-            s.state.apply_gate(g[0], *[wires[w] for w in g[1:]])
-        for child, splice in strategy.pairs(branch, splice_pairs(s)):
-            child.oracle.receive_t_in(labels(splice))
-            yield from rounds(child, t_in, (), ())
+    branches, outcomes = strategy.pairs(inst, [_Branch(inst.oracle)],
+                                        teleport_in_pairs(ses))
+    for b, masks in zip(branches, outcomes):
+        b.t_in = tuple(labels(masks))
+    if inst.world == "real":
+        for b in branches:
+            b.oracle.receive_t_in(list(b.t_in))
+        yield from rounds(inst, branches)
+        return
+    # simulator: apply each branch's reported Pauli to S_in, call the ideal
+    # channel once, then teleport its output through the authentication
+    for i in range(prog.n_b):
+        ids = ses.materialize(f"Sin{i}").ids
+        for label in sorted({b.t_in[i] for b in branches}):
+            strategy.correct(inst, [r for r, b in enumerate(branches)
+                                    if b.t_in[i] == label],
+                             PauliOperator.from_label(label), ids)
+    inst.ideal_calls += 1
+    if inst.ideal_calls > 1:
+        raise RuntimeError("ideal functionality is one-shot")
+    wires = a_ids + [ses.registers[f"Sin{i}"].ids[0] for i in range(prog.n_b)]
+    for g in prog.base_circuit:
+        ses.state.apply_gate(g[0], *[wires[w] for w in g[1:]])
+    branches, outcomes = strategy.pairs(inst, branches, splice_pairs(ses))
+    for b, splice in zip(branches, outcomes):
+        b.oracle.receive_t_in(labels(splice))
+    yield from rounds(inst, branches)
 
 
 # ---------------------------------------------------------------------------
@@ -952,12 +996,18 @@ def enumerate_protocol_runs(inst: QotpInstance,
 
     The same walk as ``QotpInstance.run``, with every measurement fanned
     out over the joint outcome distribution of the dense state instead of
-    sampled.  Each branch ends in one stacked leaf, which carries every
-    live teleport-out outcome's density of the output and W qubits before
-    the final key (``RunResult.density``).  Requires the direct oracle
-    transport and the dense backend.
+    sampled.  The branches run as the rows of stacked states, and the
+    leaves come in depth-first order of their outcomes.  Each branch ends
+    in one stacked leaf, which carries every live teleport-out outcome's
+    density of the output and W qubits before the final key
+    (``RunResult.density``).  Requires the direct oracle transport and the
+    dense backend.
     """
-    return list(_walk(inst, adversary, _Fan()))
+    if not isinstance(inst.oracle, QotpVerifier):
+        raise ValueError("only direct-transport instances are enumerable")
+    inst.session.prob_weight = np.ones(1)  # the weight of each row
+    return [leaf for _, leaf in sorted(_walk(inst, adversary, _Fan()),
+                                       key=lambda found: found[0])]
 
 
 def _world_density_map(world: str, program: CompiledProgram,
@@ -1010,9 +1060,12 @@ def _world_density_map(world: str, program: CompiledProgram,
 
 
 def compare_real_vs_sim(circuit, n_a: int, n_b: int, base_code: CssCode,
-                        seed: int, adversary_factory, a_labels=()) -> float:
+                        seed: int, adversary_factory, a_labels=()
+                        ) -> tuple[float, tuple[float, float]]:
     """Exact trace distance between the environment's view of the real
-    protocol and of the simulator, at toy scale with full enumeration."""
+    protocol and of the simulator, at toy scale with full enumeration, and
+    each world's enumerated reject weight, (real, sim): the mass in the
+    slots after the keys, which only the verifier's verdict fills."""
     from .paulis import Permutation
     from itertools import permutations as iperms
 
@@ -1026,6 +1079,10 @@ def compare_real_vs_sim(circuit, n_a: int, n_b: int, base_code: CssCode,
     sim = _world_density_map("sim", program, base_code, seed,
                              adversary_factory, a_labels, perms,
                              coset_letters)
+    n_keys = 4 ** n_b
+    rejected = tuple(
+        sum(float(np.trace(acc[:, n_keys:], axis1=2, axis2=3).real.sum())
+            for acc in world.values()) for world in (real, sim))
     total = 0.0
     for prefix in dict.fromkeys([*real, *sim]):
         diff = real.get(prefix, 0) - sim.get(prefix, 0)
@@ -1033,4 +1090,4 @@ def compare_real_vs_sim(circuit, n_a: int, n_b: int, base_code: CssCode,
         evals = np.linalg.eigvalsh(diff[np.any(diff != 0, axis=(1, 2))])
         for td in 0.5 * np.sum(np.abs(evals), axis=1):
             total += float(td)
-    return total
+    return total, rejected

@@ -449,6 +449,16 @@ def enumerate_attack_security(base: CssCode, attack: PauliOperator) -> float:
     return int(hits[0]) / len(perms)
 
 
+def enumerate_attack_rejection(base: CssCode, attack: PauliOperator) -> float:
+    """Exact Pr_pi[reject] by enumeration (3n <= ~8 only), from the
+    classifier alone (no record decode)."""
+    n3 = 3 * base.n
+    perms = list(permutations(range(n3)))
+    return sum(classify_pauli_attack(TrapCode(base, Permutation(n3, p)),
+                                     attack).verdict == "reject"
+               for p in perms) / len(perms)
+
+
 def _span(rows, offset: int = 0) -> np.ndarray:
     """``offset`` XOR every combination of ``rows``, as uint64 words."""
     table = np.array([offset], dtype=np.uint64)

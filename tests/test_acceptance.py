@@ -4,6 +4,7 @@ Each test prints one PASS/FAIL line; `pytest -s tests/test_acceptance.py`
 shows the full scoreboard.  Tolerances are pinned here, not configurable.
 """
 
+import hashlib
 import time
 from fractions import Fraction
 
@@ -212,6 +213,10 @@ class TestCriterion8RealVsSim:
         t0 = time.time()
         report, _ = run_experiment("sim-compare", {"seed": 8})
         elapsed = time.time() - t0
+        # the only pin on the magic-attack enumeration
+        digest = hashlib.sha256(report.to_canonical().encode()).hexdigest()
+        assert digest == ("ed9a6e6658bb0de827de662b302f32a7"
+                          "b185ea6d6440063c48f05704cc7abd30")
         ok = report.all_pass and elapsed < 600.0
         detail = ", ".join(f"{c['name']}={c['value']:.2e}(<= {c['bound']})"
                            if isinstance(c["bound"], float) else

@@ -312,6 +312,23 @@ class TestCapacity:
             with pytest.raises(ValueError, match="0"):
                 call()
 
+    @pytest.mark.parametrize("backend", [StateVector, TableauState,
+                                         StabilizerSum])
+    def test_unknown_gate_raises_value_error(self, backend):
+        """Every backend refuses a gate name outside its set the same way,
+        and the state is left as it was."""
+        s = backend(2)
+        with pytest.raises(ValueError, match="unknown gate 'S'"):
+            s.apply_gate("S", 0)
+        assert s.z_probabilities(0) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("count", [0, 3, 6])
+    def test_amplitude_count_not_a_power_of_two_raises(self, count):
+        s = StateVector(1)
+        with pytest.raises(ValueError, match="not a power of two"):
+            s.append_amplitudes(np.ones(count, dtype=complex))
+        assert s.n == 1 and s.amplitudes().tolist() == [1, 0]
+
     def test_tableau_expand(self):
         t = TableauState(2)
         t.apply_gate("H", 0)

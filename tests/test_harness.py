@@ -98,7 +98,7 @@ class TestDeterminism:
          "5a0a347d6152d39cfccca914752d8efba05f7bfec21fd1430697137fd62930a4",
          None),
         ("sim-compare", {"seed": 9, "cases": ["dummy", "data-attack"]},
-         "7ebd101518157f3eebbd20435a9ad0362b12cac41a78a68de86ddfcfb90e2f1c",
+         "fae6b52d3a5f51f296ca2c2346b30cb88312222197fde582e14210999d81d16f",
          None),
         ("qotp-run", {"seed": 9, "channel": [["T", 0]],
                       "code": {"base": "toy"}, "backend": "sv"},
@@ -130,7 +130,7 @@ class TestDeterminism:
          None),
         # the W-only adversary and the simulator's EPR pairs
         ("sim-compare", {"seed": 9, "cases": ["w-only"]},
-         "a53fae9d4eb6f3f4ab1f88a117c38cef62dda3471820f68c3fdd8886dcc36d0c",
+         "6ab1e10f4fb0b36f1c089ec2b56709f4c69248b92a9876c59f24f1899c68d5c5",
          None),
         ("twirl-check", {"seed": 9},
          "70f64e35590ed71f2df749c1620fe7f74cd09e673718d0bbcbd3f1015edb69a8",

@@ -13,9 +13,11 @@ import pytest
 from qotp_lab import harness, qotp
 from qotp_lab.backends import StabilizerSum
 from qotp_lab.harness import run_experiment
+from qotp_lab.trap import TrapCode
 
 _bell_measure = harness.bell_measure
 _sum_apply_gate = StabilizerSum.apply_gate
+_decode_record = TrapCode.decode_record
 
 
 def _bell_swapped(*args, **kwargs):
@@ -42,11 +44,18 @@ def _sum_cnot_reversed(self, name, *qubit_ids):
                                   else qubit_ids))
 
 
+def _decode_skipping_a_trap(self, c, hadamard=False):
+    """The record decode with its lowest trap position ignored."""
+    traps = self.plus_mask if hadamard else self.zero_mask
+    return _decode_record(self, c & ~(traps & -traps), hadamard)
+
+
 _KEY_LABELS_X_Z_SWAPPED = [qotp._KEY_LABELS[k] for k in (0, 2, 1, 3)]
 
 TELEPORT = ("teleport-check", {"seed": 1})
 SIM = ("sim-compare", {"seed": 7, "cases": ["dummy", "w-only",
                                             "data-attack"]})
+SIM_MAGIC = ("sim-compare", {"seed": 8, "cases": ["magic-attack"]})
 SUM_K = ("qotp-run", {"seed": 9, "channel": [["K", 0]], "b_labels": ["+"],
                       "backend": "sum"})
 SUM_CNOT = ("qotp-run", {"seed": 9, "channel": [["CNOT", 0, 1]], "n_b": 2,
@@ -65,6 +74,9 @@ MUTANTS = {
         qotp, "_KEY_LABELS", _KEY_LABELS_X_Z_SWAPPED, SIM,
         ["dummy_trace_distance", "w_only_trace_distance",
          "data_attack_trace_distance"]),
+    "decode-skips-a-trap-bit": (
+        TrapCode, "decode_record", _decode_skipping_a_trap, SIM_MAGIC,
+        ["magic_attack_reject_weight"]),
     "sum-h-then-z": (
         StabilizerSum, "apply_gate", _sum_h_then_z, SUM_K,
         ["output_fidelity"]),
@@ -80,6 +92,7 @@ def _verdicts(run):
     return {c["name"]: c["pass"] for c in report.checks}
 
 
+# SIM_MAGIC's unmutated run is criterion 8's (every case at seed 8)
 @pytest.mark.parametrize("run", [TELEPORT, SIM, SUM_K, SUM_CNOT],
                          ids=["teleport-check", "sim-compare", "qotp-run-K",
                               "qotp-run-CNOT"])
