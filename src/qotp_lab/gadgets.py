@@ -38,8 +38,8 @@ from typing import Callable
 import numpy as np
 
 from .paulis import PauliOperator
-from .trap import (TrapCode, authenticate_register, sample_auth_key,
-                   verify_and_decode)
+from .trap import (TrapCode, authenticate_register, place_register,
+                   sample_auth_key, verify_and_decode)
 
 
 # ---------------------------------------------------------------------------
@@ -415,14 +415,20 @@ def new_t_magic_qubit(state) -> int:
     raise ValueError("backend cannot represent a T-type magic state")
 
 
-def make_teleport_through(state, clifford_ops: list, n: int) -> tuple[list, list]:
+def make_teleport_through(state, clifford_ops: list, n: int,
+                          trap: TrapCode | None = None) -> tuple[list, list]:
     """n EPR pairs with the given operation applied to the receiving halves.
 
     Returns (in_ids, out_ids); ``clifford_ops`` is a gate list over the out
-    wires 0..n-1 (applied after pairing).
+    wires 0..n-1 (applied after pairing).  With ``trap``, each half is a
+    register in ``trap``'s position order, placed before the pairs are made
+    (``place_register``).
     """
     in_ids = state.append_qubits(n)
     out_ids = state.append_qubits(n)
+    if trap is not None:
+        place_register(state, trap, in_ids)
+        place_register(state, trap, out_ids)
     for a, b in zip(in_ids, out_ids):
         state.apply_gate("H", a)
         state.apply_gate("CNOT", a, b)

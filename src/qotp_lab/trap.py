@@ -366,10 +366,21 @@ def authenticate_register(state, trap: TrapCode, key: PauliOperator,
     fresh = state.append_qubits(trap.n - 1)
     dpos = trap.data_position()
     ids = fresh[:dpos] + [data_qubit] + fresh[dpos:]
+    place_register(state, trap, ids)
     for g in trap.encoding_ops(ids):
         state.apply_gate(*g)
     state.apply_pauli(key, ids)
     return ids
+
+
+def place_register(state, trap: TrapCode, ids: list[int]) -> None:
+    """Tell ``state`` that ``ids``, in physical-position order, hold a
+    register placed by ``trap``'s permutation, before any gate acts on its
+    fresh qubits.  A replayed keyed run (``backends.frame.FrameReplay``)
+    relabels them by role; the other backends have no ``relabel``."""
+    relabel = getattr(state, "relabel", None)
+    if relabel is not None:
+        relabel(ids, trap.pi.mapping)
 
 
 def verify_and_decode(state, trap: TrapCode, key: PauliOperator,

@@ -191,10 +191,12 @@ class TestCriterion6HonestQotp:
 
 class TestCriterion7AttackDetection:
     def test_rejection_rate(self):
+        t0 = time.time()
         report, _ = run_experiment(
             "qotp-attack", {"seed": 7, "runs": 10_000,
                             "channel": [["Y", 0]],
                             "attack_x_mask": 0b111})
+        elapsed = time.time() - t0
         rate = report.checks[0]["value"]
         lo, hi = report.extra["ci"]
         bound = 1 - (2 / 3) ** 1.5
@@ -205,7 +207,7 @@ class TestCriterion7AttackDetection:
         _line("criterion-7 attack-detection", ok,
               f"rejection rate {rate:.4f} (95% CI [{lo:.4f},{hi:.4f}]) "
               f">= {bound:.4f} and contains exact {exact:.6f} over 10^4 "
-              f"keyed runs")
+              f"keyed runs, {elapsed:.1f}s")
 
 
 class TestCriterion8RealVsSim:

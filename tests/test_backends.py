@@ -15,6 +15,7 @@ import pytest
 from qotp_lab import denseops as dn
 from qotp_lab.backends import (KERNEL, StabilizerSum, StateVector,
                                TableauState, _tableau_pure)
+from qotp_lab.backends.frame import FrameReplay, Recorder
 from qotp_lab.gf2 import rref
 from qotp_lab.paulis import PauliOperator
 
@@ -865,6 +866,88 @@ class TestTableauDensityFromColumns:
             if n <= 8:  # the whole register: a pure state's projector
                 assert states[0].density_of(range(n)).tobytes() == \
                     column_loop_density(states[0], range(n)).tobytes()
+
+
+class TestFrameReplay:
+    """``FrameReplay`` against ``TableauState``, outcome for outcome, on
+    seeded random Clifford circuits.  Each run places its registers by a
+    permutation of its own and keys them with Paulis of its own; each
+    round measures some roles in position order, bare or as Bell pairs of
+    two registers placed alike, so the permutation sets the order in which
+    the measurements of a segment are taken."""
+
+    M = 6  # qubits per register
+
+    def _rounds(self, seed):
+        rng = np.random.default_rng(seed)
+        return [(random_clifford_circuit(self.M, 14, rng),
+                 [int(q) for q in rng.integers(0, 8, size=2)],
+                 sorted(int(r) for r in rng.choice(
+                     self.M, size=int(rng.integers(1, self.M + 1)),
+                     replace=False)),
+                 bool(rng.integers(0, 2))) for _ in range(4)]
+
+    def _run(self, state, rounds, seed):
+        """Every (bit, probability), the outcome rng's state afterwards,
+        the density of three live qubits, and the reference if ``state``
+        records one."""
+        keys = np.random.default_rng(seed)  # this run's placings and keys
+        rng = np.random.default_rng(99)
+        outcomes, older = [], []
+        for gates, links, roles, bell in rounds:
+            pi = [int(p) for p in keys.permutation(self.M)]
+            regs = []
+            for _ in range(1 + bell):
+                ids = state.append_qubits(self.M)
+                if isinstance(state, (Recorder, FrameReplay)):
+                    state.relabel(ids, pi)
+                state.apply_pauli(PauliOperator.from_masks(
+                    self.M, *(int(v) for v in keys.integers(
+                        0, 1 << self.M, size=2))), ids)
+                regs.append(ids)
+                role = [ids[p] for p in pi]
+                run_circuit(state, [(g[0],) + tuple(role[q] for q in g[1:])
+                                    for g in gates])
+                for k in links if older else ():
+                    state.apply_gate("CNOT", older[k % len(older)],
+                                     role[k % self.M])
+            positions = sorted(pi[r] for r in roles)
+            if bell:
+                for p in positions:
+                    d, q = regs[0][p], regs[1][p]
+                    state.apply_gate("CNOT", d, q)
+                    state.apply_gate("H", d)
+                    outcomes += [state.measure(d, rng), state.measure(q, rng)]
+            else:
+                outcomes += [state.measure(regs[0][p], rng)
+                             for p in positions]
+            measured = {ids[p] for ids in regs[:1 + bell] for p in positions}
+            state.discard(sorted(measured))
+            older = [ids[p] for ids in regs for p in pi
+                     if ids[p] not in measured] + older
+        ref = state.finish() if isinstance(state, Recorder) else None
+        return outcomes, rng.bit_generator.state, \
+            state.density_of(older[:3]), ref
+
+    @pytest.mark.parametrize("lane", ["pure", "compiled"])
+    def test_matches_tableau(self, lane, select_lane):
+        select_lane(lane)
+        orders = 0
+        for circuit in range(40):
+            rounds = self._rounds(circuit)
+            ref = self._run(Recorder(), rounds, 0)[3]
+            patterns = set()
+            for seed in range(1, 5):
+                want = self._run(TableauState(0), rounds, seed)
+                got = self._run(FrameReplay(ref), rounds, seed)
+                assert got[:2] == want[:2], (circuit, seed)
+                assert np.allclose(got[2], want[2], atol=1e-12), \
+                    (circuit, seed)
+                patterns.add(tuple(p for _, p in want[0]))
+            orders += len(patterns) > 1
+        # the measurement order that the placing sets decides which
+        # outcomes are random
+        assert orders >= 5
 
 
 KERNELS_NOTE = f"active tableau kernel: {KERNEL}"

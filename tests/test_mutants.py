@@ -50,6 +50,11 @@ def _decode_skipping_a_trap(self, c, hadamard=False):
     return _decode_record(self, c & ~(traps & -traps), hadamard)
 
 
+def _verdict_never_cheated(self):
+    """The verifier's verdict, which never marks a run as cheating."""
+    return False
+
+
 _KEY_LABELS_X_Z_SWAPPED = [qotp._KEY_LABELS[k] for k in (0, 2, 1, 3)]
 
 TELEPORT = ("teleport-check", {"seed": 1})
@@ -58,6 +63,8 @@ SIM = ("sim-compare", {"seed": 7, "cases": ["dummy", "w-only",
 SIM_MAGIC = ("sim-compare", {"seed": 8, "cases": ["magic-attack"]})
 SUM_K = ("qotp-run", {"seed": 9, "channel": [["K", 0]], "b_labels": ["+"],
                       "backend": "sum"})
+# every run after the second replays its reference (``backends.frame``)
+ATTACK = ("qotp-attack", {"seed": 9, "runs": 20})
 SUM_CNOT = ("qotp-run", {"seed": 9, "channel": [["CNOT", 0, 1]], "n_b": 2,
                          "b_labels": ["+", "0"], "backend": "sum"})
 
@@ -83,6 +90,9 @@ MUTANTS = {
     "sum-cnot-reversed": (
         StabilizerSum, "apply_gate", _sum_cnot_reversed, SUM_CNOT,
         ["accepted", "output_fidelity", "final_key_equation"]),
+    "verifier-never-marks-cheating": (
+        qotp.QotpVerifier, "verdict", _verdict_never_cheated, ATTACK,
+        ["rejection_rate"]),
 }
 
 
@@ -93,9 +103,9 @@ def _verdicts(run):
 
 
 # SIM_MAGIC's unmutated run is criterion 8's (every case at seed 8)
-@pytest.mark.parametrize("run", [TELEPORT, SIM, SUM_K, SUM_CNOT],
+@pytest.mark.parametrize("run", [TELEPORT, SIM, SUM_K, SUM_CNOT, ATTACK],
                          ids=["teleport-check", "sim-compare", "qotp-run-K",
-                              "qotp-run-CNOT"])
+                              "qotp-run-CNOT", "qotp-attack"])
 def test_unmutated_run_passes(run):
     verdicts = _verdicts(run)
     assert all(verdicts.values()), verdicts

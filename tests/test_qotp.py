@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 
 from qotp_lab import denseops as dn
-from qotp_lab import qotp
+from qotp_lab import gadgets, qotp
+from qotp_lab.backends.frame import FrameReplay
 from qotp_lab.cotp import (BrOtpProgram, abort_message, brotp_query,
                             decode_payload, encode_payload)
 from qotp_lab.css import build_steane, build_toy_code, concatenate
 from qotp_lab.gadgets import EIGENSTATE_VECTORS, magic_slots
 from qotp_lab.paulis import CliffordUnitary, PauliOperator, Permutation
 from qotp_lab.qotp import (DummyAdversary, PauliAttackAdversary, QotpInstance,
-                           bell_measure, compile_controlled_program,
+                           RunResult, bell_measure, compile_controlled_program,
                            controlled_gate, enumerate_protocol_runs,
                            honest_receiver_run, make_teleport_through,
                            verify_controlled_table)
@@ -277,6 +278,99 @@ class TestSimulator:
         inst.ideal_calls = 1  # simulate a prior call
         with pytest.raises(RuntimeError):
             inst.run(DummyAdversary())
+
+
+class TestFrameReplay:
+    """From the third keyed run of one shape on one program object, a run
+    replays the second run's reference through a Pauli frame."""
+
+    def test_keyed_runs_match_the_tableau(self, monkeypatch):
+        """Criterion 7's config: 200 runs on one program give every
+        ``RunResult`` field, and every measurement's probability, of the
+        same seed on a fresh program, which stays on the tableau.  The
+        permutation decides which measurements are random, so more than
+        one random/deterministic pattern occurs."""
+        weighed = []
+        weigh = gadgets.AuthSession._weigh
+
+        def recording(session, p):
+            weighed.append(p)
+            weigh(session, p)
+
+        monkeypatch.setattr(gadgets.AuthSession, "_weigh", recording)
+        attack = PauliOperator.from_masks(21, 0b111, 0)
+        prog = compile_controlled_program([("Y", 0)], 0, 1)
+        fields = [f.name for f in dataclasses.fields(RunResult)
+                  if f.name != "session"]
+        patterns = set()
+        for t in range(200):
+            runs = []
+            for program in (prog, compile_controlled_program([("Y", 0)],
+                                                             0, 1)):
+                weighed.clear()
+                inst = QotpInstance(program, STEANE, 7 * 131071 + t,
+                                    world="real", backend="tab",
+                                    transport="direct")
+                runs.append((inst.run(PauliAttackAdversary(
+                    initial_attacks=[("M0", attack)])), tuple(weighed)))
+            (got, got_p), (want, want_p) = runs
+            assert isinstance(got.session.state, FrameReplay) == (t >= 2)
+            assert [getattr(got, f) for f in fields] == \
+                [getattr(want, f) for f in fields], t
+            assert got_p == want_p, t
+            patterns.add(want_p)
+        assert len(patterns) >= 2
+
+    def test_replayed_run_continues_past_its_end(self):
+        """As in ``test_control_off_means_identity_gadgets``, a replayed
+        run's control register de-authenticates after the run, with the
+        acceptance, density and draws of the same seed on the tableau."""
+        prog = compile_controlled_program([("X", 0)], 0, 1)
+        for world in ("sim", "real"):
+            outs = []
+            for program, seed in ((prog, 401), (prog, 402), (prog, 403),
+                                  (compile_controlled_program(
+                                      [("X", 0)], 0, 1), 403)):
+                inst = QotpInstance(program, STEANE, seed=seed, world=world,
+                                    backend="tab", transport="direct")
+                res = inst.run(DummyAdversary())
+                ses = res.session
+                ok, out = ses.recover_register(
+                    "Ctl", inst.oracle.audit.keys["Ctl"])
+                outs.append((ses.state, ok, ses.state.density_of([out]),
+                             int(ses.rng.integers(0, 1 << 62))))
+            (replay, *got), (_, *want) = outs[2:]
+            assert isinstance(replay, FrameReplay)
+            assert got[0] and got[0] == want[0] and got[2] == want[2]
+            assert np.allclose(got[1], want[1], atol=1e-12)
+
+    def test_a_call_off_the_reference_raises(self):
+        """A replayed run that makes a gate its reference lacks raises; it
+        does not fall back to the tableau."""
+
+        class ExtraH(DummyAdversary):
+            extra = False
+
+            def prepare_b_w(self, state):
+                b, w = super().prepare_b_w(state)
+                if self.extra:
+                    state.apply_gate("H", b[0])
+                return b, w
+
+        prog = compile_controlled_program([("X", 0)], 0, 1)
+
+        def run(seed, adversary):
+            return QotpInstance(prog, STEANE, seed=seed, world="real",
+                                backend="tab",
+                                transport="direct").run(adversary)
+
+        run(0, ExtraH())
+        run(1, ExtraH())
+        assert isinstance(run(2, ExtraH()).session.state, FrameReplay)
+        off = ExtraH()
+        off.extra = True
+        with pytest.raises(RuntimeError, match="leaves its reference"):
+            run(3, off)
 
 
 def _toy_magic_attack():
