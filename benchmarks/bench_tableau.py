@@ -1,37 +1,21 @@
-"""Benchmark: every tableau kernel that imports, in one process.
+"""Benchmark: the tableau kernel, and one one-time-program evaluation.
 
-    python3 benchmarks/bench_tableau.py
+    PYTHONPATH=src python3 benchmarks/bench_tableau.py
 
-The pure-Python kernel always imports; the compiled one only when
-``_tableau_core.c`` has been built, by ``setup.py`` or by the one-line
-``gcc`` command in the README.  Each kernel row repeats its seeded gates
-and its seeded measurements until each has run ``MIN_SECONDS``.  The gate
-and measure columns scramble the tableau with random gates, so a random
-measurement's pivot rows are dense; the block-measure column measures
-protocol-shaped 21-qubit encoded blocks one block at a time, where the
-pivot rows cover a few columns.  The one-time-program line runs on the
-kernel ``TableauState`` selected (``backends.KERNEL``).
+Each row repeats its seeded gates and its seeded measurements until each
+has run ``MIN_SECONDS``.  The gate and measure columns scramble the tableau
+with random gates, so a random measurement's pivot rows are dense; the
+block-measure column measures protocol-shaped 21-qubit encoded blocks one
+block at a time, where the pivot rows cover a few columns.
 """
 
-import importlib
 import sys
 import time
 from functools import partial
 
 import numpy as np
 
-KERNEL_MODULES = (("compiled", "qotp_lab.backends._tableau_core"),
-                  ("pure", "qotp_lab.backends._tableau_pure"))
-
-
-def importable_kernels() -> dict:
-    found = {}
-    for lane, module in KERNEL_MODULES:
-        try:
-            found[lane] = importlib.import_module(module).TableauKernel
-        except ImportError:
-            pass
-    return found
+from qotp_lab.backends._tableau_pure import TableauKernel
 
 
 MIN_SECONDS = 0.5  # each row repeats its seeded ops until it ran this long
@@ -60,9 +44,9 @@ def measure_shots(kernel, shots) -> None:
         kernel.measure(q, bit)
 
 
-def bench_kernel(kernel_cls, n: int, gate_ops: int, measurements: int,
+def bench_kernel(n: int, gate_ops: int, measurements: int,
                  seed: int) -> tuple[float, float]:
-    """(gates/s, measurements/s) of one kernel at ``n`` qubits.
+    """(gates/s, measurements/s) of the kernel at ``n`` qubits.
 
     Gate cost does not depend on the state, so the gate passes continue on
     one kernel.  Every measurement pass starts from a copy of the state
@@ -70,7 +54,7 @@ def bench_kernel(kernel_cls, n: int, gate_ops: int, measurements: int,
     deterministic outcomes.
     """
     rng = np.random.default_rng(seed)
-    kernel = kernel_cls(n)
+    kernel = TableauKernel(n)
     gates = []
     for _ in range(gate_ops):
         kind = int(rng.integers(0, 4))
@@ -117,17 +101,17 @@ def encoded_blocks(kernel, n: int, rng) -> list[tuple[int, int]]:
     return list(zip(order, bits))
 
 
-def bench_blocks(kernel_cls, n: int, seed: int) -> float:
+def bench_blocks(n: int, seed: int) -> float:
     """Measurements/s over every encoded block at ``n`` qubits; each pass
     starts from a copy of the prepared state."""
-    start = kernel_cls(n)
+    start = TableauKernel(n)
     shots = encoded_blocks(start, n, np.random.default_rng(seed))
     return repeat_rate(len(shots),
                        lambda: partial(measure_shots, start.copy(), shots))
 
 
 def bench_protocol(seed: int):
-    """One Steane-scale one-time-program evaluation on the tableau lane."""
+    """One Steane-scale one-time-program evaluation on the tableau."""
     from qotp_lab.css import build_steane
     from qotp_lab.qotp import honest_receiver_run
 
@@ -140,22 +124,17 @@ def bench_protocol(seed: int):
 
 
 def main() -> int:
-    from qotp_lab.backends import KERNEL
-
-    for lane, kernel_cls in importable_kernels().items():
-        print(f"== kernel: {lane} ==")
-        print(f"{'qubits':>7} {'gates/s':>12} {'measure/s':>12} "
-              f"{'block-measure/s':>16}")
-        for n in (24, 64, 256, 1024):
-            ops = 4000 if n <= 256 else 1500
-            meas = 400 if n <= 256 else 150
-            gates_s, measure_s = bench_kernel(kernel_cls, n, ops, meas,
-                                              seed=7)
-            blocks_s = bench_blocks(kernel_cls, n, seed=7)
-            print(f"{n:>7} {gates_s:>12.0f} {measure_s:>12.0f} "
-                  f"{blocks_s:>16.0f}")
+    print(f"{'qubits':>7} {'gates/s':>12} {'measure/s':>12} "
+          f"{'block-measure/s':>16}")
+    for n in (24, 64, 256, 1024):
+        ops = 4000 if n <= 256 else 1500
+        meas = 400 if n <= 256 else 150
+        gates_s, measure_s = bench_kernel(n, ops, meas, seed=7)
+        blocks_s = bench_blocks(n, seed=7)
+        print(f"{n:>7} {gates_s:>12.0f} {measure_s:>12.0f} "
+              f"{blocks_s:>16.0f}")
     times = [bench_protocol(1000 + i) for i in range(5)]
-    print(f"one-time program evaluation (Steane, {KERNEL} tableau lane): "
+    print("one-time program evaluation (Steane, tableau backend): "
           f"{min(times) * 1000:.2f} ms best of 5")
     return 0
 

@@ -3,9 +3,8 @@
 Three interoperable state representations:
 
 - ``StateVector`` - dense amplitudes, <= 24 qubits, supports the T gate.
-- ``TableauState`` - stabilizer tableau, <= 4096 qubits (the C kernel
-  ``_tableau_core`` when it has been built, else the pure-Python one;
-  ``KERNEL`` names it).
+- ``TableauState`` - stabilizer tableau, <= 4096 qubits, on one
+  pure-Python bit-plane kernel.
 - ``StabilizerSum`` - amplitude-weighted stabilizer terms, <= 256 qubits,
   rank <= 1024; covers circuits with few injected T-type magic states.
 

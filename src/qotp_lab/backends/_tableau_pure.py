@@ -10,8 +10,8 @@ are then O(1) big-integer operations.  A random measurement is one scan,
 then the pivot rows' support: one C-level scan of each column's support
 plane (x | z, kept beside the X and Z planes) finds the columns where the
 pivot stabilizer row or its destabilizer has a bit, and only those columns
-run the bit-sliced row sums and the pivot-row clears, which keeps this
-fallback usable at a few hundred qubits.
+run the bit-sliced row sums and the pivot-row clears, which keeps the
+kernel usable at a few hundred qubits.
 
 Row i represents the Pauli (-1)^{sign_i} * prod_j letter(x_ij, z_ij) with
 letter(1,1) = Y.
@@ -76,19 +76,14 @@ class TableauKernel:
         self.signs ^= self.xcols[q]
 
     # -- measurement -------------------------------------------------------
-    def _row_bits(self, row: int) -> tuple[int, int, int]:
+    def stab_row(self, i: int) -> tuple[int, int, int]:
+        """Stabilizer generator i as (xmask, zmask, signbit)."""
+        row = self._cap + i
         x = z = 0
         for j in range(self.n):
             x |= ((self.xcols[j] >> row) & 1) << j
             z |= ((self.zcols[j] >> row) & 1) << j
         return x, z, (self.signs >> row) & 1
-
-    def stab_row(self, i: int) -> tuple[int, int, int]:
-        """Stabilizer generator i as (xmask, zmask, signbit)."""
-        return self._row_bits(self._cap + i)
-
-    def destab_row(self, i: int) -> tuple[int, int, int]:
-        return self._row_bits(i)
 
     def column(self, q: int) -> tuple[int, int]:
         """Qubit q's (X plane, Z plane) over 2n rows: bit i < n is

@@ -1,11 +1,7 @@
 """Stabilizer tableau backend.
 
-Wraps one of two interchangeable kernels with one layout and one algorithm:
-the compiled extension (``_tableau_core``, built from the hand-written
-``_tableau_core.c``) when it imports, else the pure-Python bit-plane kernel
-(``_tableau_pure``).
-``KERNEL`` names the one in use; ``benchmarks/bench_tableau.py`` times
-every kernel that imports.
+Wraps the pure-Python bit-plane kernel (``_tableau_pure``);
+``benchmarks/bench_tableau.py`` times it.
 
 Qubit ids map to kernel columns.  A random measurement leaves the measured
 qubit a column of its own, so a discarded qubit costs one sign read and at
@@ -22,15 +18,9 @@ import numpy as np
 
 from ..gf2 import relations
 from ..paulis import PauliOperator
+from ._tableau_pure import TableauKernel
 
-try:
-    from ._tableau_core import TableauKernel  # type: ignore
-
-    KERNEL = "compiled"
-except ImportError:
-    from ._tableau_pure import TableauKernel
-
-    KERNEL = "pure"
+KERNEL = "pure"  # kept: ``perfbench/worker.py`` imports it and reports it
 
 MAX_QUBITS = 4096
 _KERNEL_GATES = {"H": "h", "K": "k", "CNOT": "cx", "X": "x", "Z": "z"}

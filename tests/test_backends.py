@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from qotp_lab import denseops as dn
-from qotp_lab.backends import (KERNEL, StabilizerSum, StateVector,
-                               TableauState, _tableau_pure)
+from qotp_lab.backends import (StabilizerSum, StateVector, TableauState,
+                               _tableau_pure)
 from qotp_lab.backends.frame import FrameReplay, Recorder
 from qotp_lab.gf2 import rref
 from qotp_lab.paulis import PauliOperator
@@ -343,61 +343,10 @@ class TestCapacity:
         assert b0 == b1 == b2
 
 
-class TestKernelDifferential:
-    """The compiled and pure kernels agree row for row on random circuits."""
-
-    def test_same_public_callables(self, compiled_kernel):
-        """Both lanes expose exactly this API: a Pauli reaches the kernel
-        as ``x`` and ``z`` sign flips, one column at a time."""
-        def api(kernel):
-            return {name for name in dir(kernel) if not name.startswith("_")
-                    and callable(getattr(kernel, name))}
-
-        want = {"copy", "h", "k", "cx", "x", "z", "stab_row", "destab_row",
-                "column", "peek", "measure", "expand"}
-        assert api(compiled_kernel(3)) == want
-        assert api(_tableau_pure.TableauKernel(3)) == want
-
-    def test_random_circuits_match(self, compiled_kernel):
-        rng = np.random.default_rng(2024)
-        for circuit in range(300):
-            n = int(rng.integers(1, 80))
-            kernels = (compiled_kernel(n), _tableau_pure.TableauKernel(n))
-            for step in range(int(rng.integers(1, 160))):
-                op = int(rng.integers(0, 8))
-                n = kernels[1].n
-                if op < 4:
-                    gate, args = "hkxz"[op], (int(rng.integers(0, n)),)
-                elif op == 4 and n > 1:
-                    gate = "cx"
-                    args = tuple(int(q) for q in
-                                 rng.choice(n, size=2, replace=False))
-                elif op == 5 and rng.random() < 0.2:
-                    gate, args = "expand", (int(rng.integers(1, 4)),)
-                else:
-                    q = int(rng.integers(0, n))
-                    peeks = [k.peek(q) for k in kernels]
-                    assert peeks[0] == peeks[1], (circuit, step)
-                    gate, args = "measure", (q, int(rng.integers(0, 2)))
-                results = [getattr(k, gate)(*args) for k in kernels]
-                assert results[0] == results[1], (circuit, step, gate)
-            compiled, pure = kernels
-            n = pure.n
-            twins = [k.copy() for k in kernels]  # a copy is independent
-            for k in twins:
-                k.h(0)
-            for got, want in ((compiled, pure), twins):
-                assert got.n == want.n
-                for i in range(n):
-                    assert got.stab_row(i) == want.stab_row(i), (circuit, i)
-                    assert got.destab_row(i) == want.destab_row(i), \
-                        (circuit, i)
-
-
 class FixedOutcome:
     """An rng stub that draws the outcome ``bit`` wherever it has weight:
-    the tableau takes ``integers(0, 2)`` as the bit, the statevector
-    returns 1 exactly when ``random() < p1``."""
+    the tableau takes ``integers(0, 2)`` as the bit, the statevector and
+    the stabilizer sum return 1 exactly when ``random() < p1``."""
 
     bit = 0
 
@@ -406,6 +355,64 @@ class FixedOutcome:
 
     def random(self):
         return 0.25 if self.bit else 0.75
+
+
+class TestKernelDifferential:
+    """The tableau kernel against the stabilizer sum, an independent
+    backend, on random circuits past 12 qubits and across the kernel's
+    capacity regrowth."""
+
+    def test_same_public_callables(self):
+        """The kernel exposes exactly the calls ``TableauState`` and
+        ``frame.py`` make: a Pauli reaches it as ``x`` and ``z`` sign
+        flips, one column at a time."""
+        want = {"copy", "h", "k", "cx", "x", "z", "stab_row", "column",
+                "peek", "measure", "expand"}
+        kernel = _tableau_pure.TableauKernel(3)
+        assert {name for name in dir(kernel) if not name.startswith("_")
+                and callable(getattr(kernel, name))} == want
+
+    def test_random_circuits_match(self):
+        """H/K/X/Z/CNOT circuits on 1-79 qubits that append qubits and
+        measure (sometimes discarding the measured qubit): the same ids,
+        bits and probabilities, then the same density of 4 kept qubits."""
+        rng = np.random.default_rng(2024)
+        fixed = FixedOutcome()
+        for circuit in range(300):
+            n = int(rng.integers(1, 80))
+            states = (TableauState(n), StabilizerSum(n))
+            ids = list(range(n))
+            for step in range(int(rng.integers(1, 160))):
+                op = int(rng.integers(0, 8))
+                if op < 4:
+                    gate = ("HKXZ"[op], ids[int(rng.integers(0, len(ids)))])
+                elif op == 4 and len(ids) > 1:
+                    a, b = rng.choice(len(ids), size=2, replace=False)
+                    gate = ("CNOT", ids[a], ids[b])
+                elif op == 5 and rng.random() < 0.2:
+                    k = int(rng.integers(1, 4))
+                    new = [s.append_qubits(k) for s in states]
+                    assert new[0] == new[1], (circuit, step)
+                    ids += new[0]
+                    continue
+                else:
+                    q = ids[int(rng.integers(0, len(ids)))]
+                    fixed.bit = int(rng.integers(0, 2))
+                    got, want = (s.measure(q, fixed) for s in states)
+                    assert got[0] == want[0] and abs(got[1] - want[1]) \
+                        < 1e-9, (circuit, step)
+                    if len(ids) > 1 and rng.random() < 0.3:
+                        for s in states:
+                            s.discard([q])
+                        ids.remove(q)
+                    continue
+                for s in states:
+                    s.apply_gate(*gate)
+            keep = [ids[int(i)] for i in rng.choice(
+                len(ids), size=min(4, len(ids)), replace=False)]
+            assert np.allclose(states[0].density_of(keep),
+                               states[1].density_of(keep),
+                               atol=1e-9), circuit
 
 
 def encoded_block_circuit(rng):
@@ -451,12 +458,10 @@ def encoded_block_circuit(rng):
 
 class TestTableauAgainstStatevector:
     """The tableau against the dense statevector, an oracle independent of
-    both tableau kernels, on sparse encoded-block runs where a random
+    the tableau kernel, on sparse encoded-block runs where a random
     measurement's pivot rows cover few columns."""
 
-    @pytest.mark.parametrize("lane", ["pure", "compiled"])
-    def test_encoded_blocks_match(self, lane, select_lane):
-        select_lane(lane)
+    def test_encoded_blocks_match(self):
         rng = np.random.default_rng(1211)
         fixed = FixedOutcome()
         for trial in range(150):
@@ -482,13 +487,9 @@ class TestDeterministicValue:
     """A deterministic outcome is the sign of a product of stabilizer rows,
     and that product's phase depends on the order of its letters in each
     column.  A count that puts every selected Z before every selected X
-    gets it wrong, and when both kernels share such a fault the
-    differential test cannot see it, so these check against the dense
-    statevector."""
+    gets it wrong, so these check against the dense statevector."""
 
-    @pytest.mark.parametrize("lane", ["pure", "compiled"])
-    def test_pinned_three_qubit_case(self, lane, select_lane):
-        select_lane(lane)
+    def test_pinned_three_qubit_case(self):
         t = TableauState(3)
         for gate in (("CNOT", 0, 1), ("H", 0), ("CNOT", 1, 2),
                      ("CNOT", 0, 1)):
@@ -496,12 +497,10 @@ class TestDeterministicValue:
         assert t._kernel.peek(2) == (False, 0)
         assert t.measure(2, np.random.default_rng(0)) == (0, 1.0)
 
-    @pytest.mark.parametrize("lane", ["pure", "compiled"])
-    def test_random_circuits_match_statevector(self, lane, select_lane):
+    def test_random_circuits_match_statevector(self):
         """Random H/K/X/CNOT/Pauli circuits with measurements on 4 and 6
         qubits; some measured qubits are discarded and a fresh qubit takes
         their column."""
-        select_lane(lane)
         rng = np.random.default_rng(1616)
         fixed = FixedOutcome()
         for trial in range(120):
@@ -547,13 +546,10 @@ class TestColumnReuse:
         the teleport-out register's 42 reuse the columns of the two
         measured round registers, so the kernel peaks at 86 columns and
         grows at most ceil(log2 128) + 1 times."""
-        from qotp_lab.backends import tableau
         from qotp_lab.css import build_steane
         from qotp_lab.qotp import (PauliAttackAdversary, QotpInstance,
                                    compile_controlled_program)
 
-        monkeypatch.setattr(tableau, "TableauKernel",
-                            _tableau_pure.TableauKernel)
         regrowths = []
         regrow = _tableau_pure.TableauKernel._regrow
 
@@ -572,9 +568,7 @@ class TestColumnReuse:
         assert state._kernel.n == 86
         assert len(regrowths) <= 8
 
-    @pytest.mark.parametrize("lane", ["pure", "compiled"])
-    def test_discarded_id_is_gone(self, lane, select_lane):
-        select_lane(lane)
+    def test_discarded_id_is_gone(self):
         t = TableauState(2)
         t.measure(0, np.random.default_rng(3))
         t.discard([0])
@@ -586,9 +580,7 @@ class TestColumnReuse:
             with pytest.raises(ValueError):
                 call()
 
-    @pytest.mark.parametrize("lane", ["pure", "compiled"])
-    def test_discard_requires_collapse(self, lane, select_lane):
-        select_lane(lane)
+    def test_discard_requires_collapse(self):
         t = TableauState(2)
         t.apply_gate("H", 0)
         t.apply_gate("CNOT", 0, 1)
@@ -596,9 +588,7 @@ class TestColumnReuse:
             t.discard([1])
         assert t.n == 2
 
-    @pytest.mark.parametrize("lane", ["pure", "compiled"])
-    def test_reused_column_measures_zero(self, lane, select_lane):
-        select_lane(lane)
+    def test_reused_column_measures_zero(self):
         t = TableauState(2)
         t.apply_gate("H", 0)
         t.apply_gate("CNOT", 0, 1)
@@ -827,9 +817,7 @@ class TestTableauDensityFromColumns:
     it must give the former column-loop result bit for bit, and the
     statevector's where that fits."""
 
-    @pytest.mark.parametrize("lane", ["pure", "compiled"])
-    def test_matches_column_loop(self, lane, select_lane):
-        select_lane(lane)
+    def test_matches_column_loop(self):
         rng = np.random.default_rng(77)
         nontrivial = 0
         for trial in range(24):
@@ -849,9 +837,7 @@ class TestTableauDensityFromColumns:
                 nontrivial += not np.array_equal(got, mixed)
         assert nontrivial >= 20
 
-    @pytest.mark.parametrize("lane", ["pure", "compiled"])
-    def test_matches_statevector(self, lane, select_lane):
-        select_lane(lane)
+    def test_matches_statevector(self):
         rng = np.random.default_rng(78)
         for trial in range(40):
             n = int(rng.integers(1, 13))
@@ -929,9 +915,7 @@ class TestFrameReplay:
         return outcomes, rng.bit_generator.state, \
             state.density_of(older[:3]), ref
 
-    @pytest.mark.parametrize("lane", ["pure", "compiled"])
-    def test_matches_tableau(self, lane, select_lane):
-        select_lane(lane)
+    def test_matches_tableau(self):
         orders = 0
         for circuit in range(40):
             rounds = self._rounds(circuit)
@@ -948,9 +932,6 @@ class TestFrameReplay:
         # the measurement order that the placing sets decides which
         # outcomes are random
         assert orders >= 5
-
-
-KERNELS_NOTE = f"active tableau kernel: {KERNEL}"
 
 
 def test_stabsum_contract_digest():

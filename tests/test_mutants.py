@@ -12,12 +12,14 @@ import pytest
 
 from qotp_lab import harness, qotp
 from qotp_lab.backends import StabilizerSum
+from qotp_lab.backends._tableau_pure import TableauKernel
 from qotp_lab.harness import run_experiment
 from qotp_lab.trap import TrapCode
 
 _bell_measure = harness.bell_measure
 _sum_apply_gate = StabilizerSum.apply_gate
 _decode_record = TrapCode.decode_record
+_kernel_k = TableauKernel.k
 
 
 def _bell_swapped(*args, **kwargs):
@@ -44,6 +46,12 @@ def _sum_cnot_reversed(self, name, *qubit_ids):
                                   else qubit_ids))
 
 
+def _kernel_k_dagger(self, q):
+    """The tableau kernel's K applied three times: K^3 = K^dagger."""
+    for _ in range(3):
+        _kernel_k(self, q)
+
+
 def _decode_skipping_a_trap(self, c, hadamard=False):
     """The record decode with its lowest trap position ignored."""
     traps = self.plus_mask if hadamard else self.zero_mask
@@ -65,6 +73,7 @@ SUM_K = ("qotp-run", {"seed": 9, "channel": [["K", 0]], "b_labels": ["+"],
                       "backend": "sum"})
 # every run after the second replays its reference (``backends.frame``)
 ATTACK = ("qotp-attack", {"seed": 9, "runs": 20})
+GADGETS = ("gadget-check", {"seed": 5})
 SUM_CNOT = ("qotp-run", {"seed": 9, "channel": [["CNOT", 0, 1]], "n_b": 2,
                          "b_labels": ["+", "0"], "backend": "sum"})
 
@@ -90,6 +99,10 @@ MUTANTS = {
     "sum-cnot-reversed": (
         StabilizerSum, "apply_gate", _sum_cnot_reversed, SUM_CNOT,
         ["accepted", "output_fidelity", "final_key_equation"]),
+    "tableau-k-is-k-dagger": (
+        TableauKernel, "k", _kernel_k_dagger, GADGETS,
+        ["gadget_X_exact", "gadget_Y_exact", "gadget_Z_exact",
+         "gadget_K_exact", "gadget_H_exact"]),
     "verifier-never-marks-cheating": (
         qotp.QotpVerifier, "verdict", _verdict_never_cheated, ATTACK,
         ["rejection_rate"]),
@@ -103,9 +116,10 @@ def _verdicts(run):
 
 
 # SIM_MAGIC's unmutated run is criterion 8's (every case at seed 8)
-@pytest.mark.parametrize("run", [TELEPORT, SIM, SUM_K, SUM_CNOT, ATTACK],
+@pytest.mark.parametrize("run", [TELEPORT, SIM, SUM_K, SUM_CNOT, ATTACK,
+                                 GADGETS],
                          ids=["teleport-check", "sim-compare", "qotp-run-K",
-                              "qotp-run-CNOT", "qotp-attack"])
+                              "qotp-run-CNOT", "qotp-attack", "gadget-check"])
 def test_unmutated_run_passes(run):
     verdicts = _verdicts(run)
     assert all(verdicts.values()), verdicts
