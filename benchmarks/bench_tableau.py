@@ -1,4 +1,4 @@
-"""Benchmark: the tableau kernel, and one one-time-program evaluation.
+"""Benchmark: the stabilizer tableau, and one one-time-program evaluation.
 
     PYTHONPATH=src python3 benchmarks/bench_tableau.py
 
@@ -6,7 +6,8 @@ Each row repeats its seeded gates and its seeded measurements until each
 has run ``MIN_SECONDS``.  The gate and measure columns scramble the tableau
 with random gates, so a random measurement's pivot rows are dense; the
 block-measure column measures protocol-shaped 21-qubit encoded blocks one
-block at a time, where the pivot rows cover a few columns.
+block at a time, where the pivot rows cover a few columns.  Every call is a
+``TableauState`` call, as a protocol run makes it.
 """
 
 import sys
@@ -15,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from qotp_lab.backends._tableau_pure import TableauKernel
+from qotp_lab.backends import TableauState
 
 
 MIN_SECONDS = 0.5  # each row repeats its seeded ops until it ran this long
@@ -34,42 +35,52 @@ def repeat_rate(ops: int, make_pass) -> float:
     return done / elapsed
 
 
-def apply_gates(gates) -> None:
-    for gate, *qubits in gates:
-        gate(*qubits)
+def apply_gates(state, gates) -> None:
+    for gate in gates:
+        state.apply_gate(*gate)
 
 
-def measure_shots(kernel, shots) -> None:
-    for q, bit in shots:  # one call each, as ``TableauState.measure`` makes
-        kernel.measure(q, bit)
+class Draw:
+    """An rng stub whose ``integers`` returns the current shot's bit."""
+
+    bit = 0
+
+    def integers(self, lo, hi):
+        return self.bit
+
+
+def measure_shots(state, shots) -> None:
+    draw = Draw()
+    for q, bit in shots:  # one call each; ``bit`` is used if random
+        draw.bit = bit
+        state.measure(q, draw)
 
 
 def bench_kernel(n: int, gate_ops: int, measurements: int,
                  seed: int) -> tuple[float, float]:
-    """(gates/s, measurements/s) of the kernel at ``n`` qubits.
+    """(gates/s, measurements/s) of the tableau at ``n`` qubits.
 
     Gate cost does not depend on the state, so the gate passes continue on
-    one kernel.  Every measurement pass starts from a copy of the state
-    the first gate pass left, so each pass sees the same mix of random and
+    one state.  Every measurement pass starts from a copy of the state the
+    first gate pass left, so each pass sees the same mix of random and
     deterministic outcomes.
     """
     rng = np.random.default_rng(seed)
-    kernel = TableauKernel(n)
+    state = TableauState(n)
     gates = []
     for _ in range(gate_ops):
         kind = int(rng.integers(0, 4))
         if kind == 3:
             c, t = rng.choice(n, size=2, replace=False)
-            gates.append((kernel.cx, int(c), int(t)))
+            gates.append(("CNOT", int(c), int(t)))
         else:
-            gates.append(((kernel.h, kernel.k, kernel.x)[kind],
-                          int(rng.integers(0, n))))
+            gates.append(("HKX"[kind], int(rng.integers(0, n))))
     targets = [int(q) for q in rng.integers(0, n, size=measurements)]
     bits = [int(b) for b in rng.integers(0, 2, size=measurements)]
     shots = list(zip(targets, bits))
-    apply_gates(gates)
-    start = kernel.copy()
-    return (repeat_rate(gate_ops, lambda: partial(apply_gates, gates)),
+    apply_gates(state, gates)
+    start = state.copy()
+    return (repeat_rate(gate_ops, lambda: partial(apply_gates, state, gates)),
             repeat_rate(measurements,
                         lambda: partial(measure_shots, start.copy(), shots)))
 
@@ -77,8 +88,8 @@ def bench_kernel(n: int, gate_ops: int, measurements: int,
 BLOCK = 21  # one trap-code register at Steane scale: 7 base qubits, 14 traps
 
 
-def encoded_blocks(kernel, n: int, rng) -> list[tuple[int, int]]:
-    """Prepare protocol-shaped 21-qubit blocks on ``kernel`` and return the
+def encoded_blocks(state, n: int, rng) -> list[tuple[int, int]]:
+    """Prepare protocol-shaped 21-qubit blocks on ``state`` and return the
     seeded (qubit, bit) shots that measure them one block at a time.
 
     Each block, in a seeded order, is a CNOT fan from its first qubit onto
@@ -88,14 +99,14 @@ def encoded_blocks(kernel, n: int, rng) -> list[tuple[int, int]]:
     blocks = [[int(q) for q in rng.permutation(range(s, s + BLOCK))]
               for s in range(0, n - BLOCK + 1, BLOCK)]
     for block in blocks:
-        kernel.h(block[0])
+        state.apply_gate("H", block[0])
         for q in block[1:7]:
-            kernel.cx(block[0], q)
+            state.apply_gate("CNOT", block[0], q)
         for q in block[14:]:
-            kernel.h(q)
+            state.apply_gate("H", q)
     for a, b in zip(blocks[0::2], blocks[1::2]):
         for qa, qb in zip(a, b):
-            kernel.cx(qa, qb)
+            state.apply_gate("CNOT", qa, qb)
     order = [q for block in blocks for q in block]
     bits = [int(b) for b in rng.integers(0, 2, size=len(order))]
     return list(zip(order, bits))
@@ -104,7 +115,7 @@ def encoded_blocks(kernel, n: int, rng) -> list[tuple[int, int]]:
 def bench_blocks(n: int, seed: int) -> float:
     """Measurements/s over every encoded block at ``n`` qubits; each pass
     starts from a copy of the prepared state."""
-    start = TableauKernel(n)
+    start = TableauState(n)
     shots = encoded_blocks(start, n, np.random.default_rng(seed))
     return repeat_rate(len(shots),
                        lambda: partial(measure_shots, start.copy(), shots))

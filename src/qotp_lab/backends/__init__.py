@@ -3,8 +3,8 @@
 Three interoperable state representations:
 
 - ``StateVector`` - dense amplitudes, <= 24 qubits, supports the T gate.
-- ``TableauState`` - stabilizer tableau, <= 4096 qubits, on one
-  pure-Python bit-plane kernel.
+- ``TableauState`` - stabilizer tableau, <= 4096 qubits, one pure-Python
+  class over integer bit-planes.
 - ``StabilizerSum`` - amplitude-weighted stabilizer terms, <= 256 qubits,
   rank <= 1024; covers circuits with few injected T-type magic states.
 

@@ -32,8 +32,8 @@ A run must make the reference's calls with its qubits relabelled.  Calls on
 disjoint qubits may come in another order, but each segment, and each
 stretch between segments, is finished before the next begins.  A call that
 leaves the reference raises; a read, or a call after the reference's last
-entry, hands over to a ``TableauState`` rebuilt from the reference's final
-state, its columns relabelled and the frame applied as sign flips.
+entry, hands over to a copy of the reference's final ``TableauState``,
+its ids relabelled and the frame applied as sign flips.
 """
 
 from __future__ import annotations
@@ -41,6 +41,14 @@ from __future__ import annotations
 from .tableau import TableauState
 
 _PAULI_GATES = ("X", "Y", "Z")
+
+
+class _ZeroDraw:
+    """The outcome draw of the reference's random measurements: always 0."""
+
+    @staticmethod
+    def integers(lo: int, hi: int) -> int:
+        return 0
 
 
 def _spread(bits: int, labels) -> int:
@@ -171,7 +179,7 @@ class _Reference:
         for name, qubits in entries:
             if name != "measure":
                 state.apply_gate(name, *qubits)
-        kernel, cols = state._kernel, state._col_of
+        cols = state._col_of
         where = {c: r for r, c in cols.items()}
 
         def by_id(mask: int) -> int:
@@ -184,11 +192,11 @@ class _Reference:
             if name != "measure":
                 continue
             r = qubits[0]
-            stab = kernel.column(cols[r])[0] >> kernel.n
+            stab = state.xcols[cols[r]] >> state._cap
             if stab:
-                x, z, _ = kernel.stab_row((stab & -stab).bit_length() - 1)
+                x, z, _ = state.stab_row((stab & -stab).bit_length() - 1)
                 basis.append([r, by_id(x), by_id(z)])
-            bit, _ = kernel.measure(cols[r], 0)
+            bit, _ = state.measure(r, _ZeroDraw)
             outcome |= bit << r
         # each element commutes with the Z of every qubit measured before
         # its own, so clearing later pivots from earlier elements, last
@@ -250,7 +258,7 @@ class FrameReplay:
     def _slow(self, method, *args):
         """A call that is not the next entry of its qubits in the current
         region: it may open the next region; past the reference's last
-        entry it goes to the rebuilt tableau; otherwise it raises."""
+        entry it goes to the copied tableau; otherwise it raises."""
         if (self._real is None and self._hi < self._ref.size
                 and min(self._nxt) >= self._hi):
             self._next_region()
@@ -266,18 +274,16 @@ class FrameReplay:
         if min(self._nxt, default=0) < self._ref.size:
             raise RuntimeError("the run leaves its reference mid-run")
         self._close_segment()
-        final = self._ref.final
-        real = TableauState.__new__(TableauState)
-        real._kernel = kernel = final._kernel.copy()
-        real._col_of = {u: final._col_of[r] for u, r in self._sig.items()}
-        real._free = list(final._free)
+        real = self._ref.final.copy()
+        cols = real._col_of
+        real._col_of = {u: cols[r] for u, r in self._sig.items()}
         real._next_id = self._next_id
         for u, col in real._col_of.items():
             r = self._sig[u]
             if self._fx >> r & 1:
-                kernel.x(col)
+                real.signs ^= real.zcols[col]
             if self._fz >> r & 1:
-                kernel.z(col)
+                real.signs ^= real.xcols[col]
         self._real = real
         for name in ("append_qubits", "apply_gate", "apply_pauli", "measure",
                      "discard", "density_of"):

@@ -194,6 +194,18 @@ def config_channel(config: dict, default: list) -> list[tuple]:
     return [tuple(g) for g in channel]
 
 
+def refuse_t_on_tableau(program, channel: list, backend: str) -> None:
+    """Refuse, before the first run, a program whose controlled circuit
+    holds T gates (the controlled H, K, T and CNOT do) on the tableau,
+    which cannot represent T-type magic states; ``backend`` names the
+    setting that chose the tableau."""
+    if program.has_t:
+        raise ValueError(
+            f"channel {[list(g) for g in channel]!r} needs T-type magic "
+            f"states (the controlled H, K, T and CNOT hold T gates), which "
+            f"{backend} cannot represent")
+
+
 # ---------------------------------------------------------------------------
 # suites
 # ---------------------------------------------------------------------------
@@ -378,6 +390,9 @@ def run_qotp(config: dict, seed: int) -> tuple[ExperimentReport, None]:
         raise ValueError(f"kappa must be 16 or 64, got {kappa}: a carried "
                          "state of m MAC blocks is forged with probability "
                          "up to m/2^kappa")
+    if backend == "tab":
+        refuse_t_on_tableau(compile_controlled_program(channel, 0, n_b),
+                            channel, "backend 'tab'")
     result, inst = honest_receiver_run(
         channel, 0, n_b, base, seed, b_labels=b_labels, backend=backend,
         transport=transport, kappa=kappa)
@@ -431,6 +446,7 @@ def run_qotp_attack(config: dict, seed: int) -> tuple[ExperimentReport, None]:
         raise ValueError(
             f"channel {[list(g) for g in channel]!r} has no gadget round, "
             "so no magic register M0 to attack")
+    refuse_t_on_tableau(program, channel, "the tableau qotp-attack runs on")
     n3 = 3 * base.n
     x_mask = config_int(config, "attack_x_mask", 0b111, lo=0,
                         hi=(1 << n3) - 1)

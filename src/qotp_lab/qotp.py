@@ -204,6 +204,12 @@ class CompiledProgram:
     replays: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
 
+    @property
+    def has_t(self) -> bool:
+        """The controlled circuit holds a T gate, so a run needs T-type
+        magic states, which the tableau cannot represent."""
+        return any(g[0] == "T" for g in self.controlled_circuit)
+
 
 def compile_controlled_program(circuit, n_a: int,
                                n_b: int) -> CompiledProgram:
@@ -629,8 +635,7 @@ class QotpInstance:
         # T-bearing ones need the stabilizer-sum machinery, or the dense
         # backend at toy scale
         if backend == "auto":
-            has_t = any(g[0] == "T" for g in program.controlled_circuit)
-            if not has_t:
+            if not program.has_t:
                 backend = "tab"
             elif base_code.n == 1:
                 backend = "sv"

@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from qotp_lab import denseops as dn
-from qotp_lab.backends import (StabilizerSum, StateVector, TableauState,
-                               _tableau_pure)
+from qotp_lab.backends import StabilizerSum, StateVector, TableauState
 from qotp_lab.backends.frame import FrameReplay, Recorder
 from qotp_lab.gf2 import rref
 from qotp_lab.paulis import PauliOperator
@@ -358,19 +357,20 @@ class FixedOutcome:
 
 
 class TestKernelDifferential:
-    """The tableau kernel against the stabilizer sum, an independent
-    backend, on random circuits past 12 qubits and across the kernel's
-    capacity regrowth."""
+    """The tableau against the stabilizer sum, an independent backend, on
+    random circuits past 12 qubits and across the tableau's capacity
+    regrowth."""
 
     def test_same_public_callables(self):
-        """The kernel exposes exactly the calls ``TableauState`` and
-        ``frame.py`` make: a Pauli reaches it as ``x`` and ``z`` sign
-        flips, one column at a time."""
-        want = {"copy", "h", "k", "cx", "x", "z", "stab_row", "column",
-                "peek", "measure", "expand"}
-        kernel = _tableau_pure.TableauKernel(3)
-        assert {name for name in dir(kernel) if not name.startswith("_")
-                and callable(getattr(kernel, name))} == want
+        """The tableau exposes the backend contract, ``z_probabilities``,
+        and the two reads ``frame.py`` makes: ``copy`` for the hand-over
+        and ``stab_row`` for a segment's flip basis."""
+        want = {"append_qubits", "discard", "apply_gate", "apply_pauli",
+                "measure", "z_probabilities", "density_of", "copy",
+                "stab_row"}
+        state = TableauState(3)
+        assert {name for name in dir(state) if not name.startswith("_")
+                and callable(getattr(state, name))} == want
 
     def test_random_circuits_match(self):
         """H/K/X/Z/CNOT circuits on 1-79 qubits that append qubits and
@@ -458,7 +458,7 @@ def encoded_block_circuit(rng):
 
 class TestTableauAgainstStatevector:
     """The tableau against the dense statevector, an oracle independent of
-    the tableau kernel, on sparse encoded-block runs where a random
+    the tableau, on sparse encoded-block runs where a random
     measurement's pivot rows cover few columns."""
 
     def test_encoded_blocks_match(self):
@@ -494,7 +494,7 @@ class TestDeterministicValue:
         for gate in (("CNOT", 0, 1), ("H", 0), ("CNOT", 1, 2),
                      ("CNOT", 0, 1)):
             t.apply_gate(*gate)
-        assert t._kernel.peek(2) == (False, 0)
+        assert t.z_probabilities(2) == (1.0, 0.0)
         assert t.measure(2, np.random.default_rng(0)) == (0, 1.0)
 
     def test_random_circuits_match_statevector(self):
@@ -538,26 +538,26 @@ class TestDeterministicValue:
 
 
 class TestColumnReuse:
-    """Qubit ids are stable handles over reusable kernel columns, and the
-    kernel grows its capacity by doubling."""
+    """Qubit ids are stable handles over reusable columns, and the tableau
+    grows its capacity by doubling."""
 
     def test_keyed_run_growth_and_width(self, monkeypatch):
         """One keyed run at criterion 7's config appends 128 qubits, but
         the teleport-out register's 42 reuse the columns of the two
-        measured round registers, so the kernel peaks at 86 columns and
+        measured round registers, so the tableau peaks at 86 columns and
         grows at most ceil(log2 128) + 1 times."""
         from qotp_lab.css import build_steane
         from qotp_lab.qotp import (PauliAttackAdversary, QotpInstance,
                                    compile_controlled_program)
 
         regrowths = []
-        regrow = _tableau_pure.TableauKernel._regrow
+        regrow = TableauState._regrow
 
-        def counting(kernel, cap):
+        def counting(state, cap):
             regrowths.append(cap)
-            regrow(kernel, cap)
+            regrow(state, cap)
 
-        monkeypatch.setattr(_tableau_pure.TableauKernel, "_regrow", counting)
+        monkeypatch.setattr(TableauState, "_regrow", counting)
         inst = QotpInstance(compile_controlled_program([("Y", 0)], 0, 1),
                             build_steane(), 7 * 131071, world="real",
                             backend="tab", transport="direct")
@@ -565,7 +565,7 @@ class TestColumnReuse:
         inst.run(PauliAttackAdversary(initial_attacks=[("M0", attack)]))
         state = inst.session.state
         assert state._next_id == 128
-        assert state._kernel.n == 86
+        assert len(state.xcols) == 86
         assert len(regrowths) <= 8
 
     def test_discarded_id_is_gone(self):
@@ -751,7 +751,7 @@ def test_stabsum_density_matches_dict_loop():
 def column_loop_density(state, qubits):
     """The former ``TableauState.density_of``: every stabilizer row, the
     outside-support columns rebuilt bit by bit, and the nullspace of that
-    system from a full row-reduced form.  Works on kernel columns, which
+    system from a full row-reduced form.  Works on tableau columns, which
     the stabilizer rows' masks index."""
     keep = [state._col(q) for q in qubits]
     k = len(keep)
@@ -759,8 +759,8 @@ def column_loop_density(state, qubits):
     keep_mask = 0
     for q in keep:
         keep_mask |= 1 << q
-    width = state._kernel.n
-    rows = [state._kernel.stab_row(i) for i in range(width)]
+    width = len(state.xcols)
+    rows = [state.stab_row(i) for i in range(width)]
     cols = []
     for j in range(width):
         if (keep_mask >> j) & 1:

@@ -264,6 +264,8 @@ class TestCli:
         ("qotp-run", {"channel": [["SWAP", 0, 1]]}),
         ("qotp-attack", {"channel": [["SWAP", 0, 1]]}),
         ("qotp-attack", {"channel": [["X", 0]]}),
+        ("qotp-attack", {"channel": [["H", 0]]}),
+        ("qotp-run", {"channel": [["T", 0]], "backend": "tab"}),
         ("qotp-run", {"n_b": 13}),
     ], ids=["top-level-list", "unknown-base", "zero-runs", "string-seed",
             "string-unitaries", "string-permutations", "int-channel",
@@ -274,6 +276,7 @@ class TestCli:
             "cnot-wire-past-n_b", "attack-wire-past-one",
             "two-wire-single-gate", "cnot-one-wire-twice",
             "alien-gate", "attack-alien-gate", "attack-no-gadget-round",
+            "attack-t-bearing-channel", "t-channel-on-tableau",
             "n_b-past-dense-limit"])
     def test_bad_config_one_line_exit_two(self, tmp_path, command, config):
         cfg = tmp_path / "cfg.json"
@@ -421,19 +424,37 @@ class TestFinalKeyAudit:
         assert verdicts["final_key_equation"] is False
 
 
+def load_script(name: str, *parts: str):
+    """The repository script at ``parts``, loaded by path as module
+    ``name``."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1].joinpath(*parts)
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestBenchmarkTracer:
     def test_every_traced_target_resolves(self):
         """The benchmark's per-layer tracer wraps package functions from
         outside; every owner it names must still have the attribute."""
-        import importlib.util
-        from pathlib import Path
-
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-        spec = importlib.util.spec_from_file_location("perfbench_tracer",
-                                                      path)
-        tracer = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracer)
+        tracer = load_script("perfbench_tracer", "perfbench", "tracer.py")
         targets = tracer.targets()
         assert targets
         for owner, attr, name, _, _ in targets:
             assert callable(getattr(owner, attr, None)), name
+
+
+class TestTableauBenchmark:
+    def test_rows_run(self, monkeypatch):
+        """``benchmarks/bench_tableau.py`` drives the tableau through its
+        public calls; its gate, measure and block-measure rows run at tiny
+        sizes, one pass each."""
+        bench = load_script("bench_tableau", "benchmarks", "bench_tableau.py")
+        monkeypatch.setattr(bench, "MIN_SECONDS", 1e-9)
+        gates_s, measure_s = bench.bench_kernel(24, 40, 8, seed=7)
+        assert gates_s > 0 and measure_s > 0
+        assert bench.bench_blocks(42, seed=7) > 0
