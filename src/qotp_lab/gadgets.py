@@ -382,12 +382,6 @@ class AuthSession:
         self.transversal_cnot_physical(magic, data)
         return (data,), (data, magic)
 
-    def reads_reply(self) -> bool:
-        """Whether the next round reads the verifier's last reply: a T
-        gadget's correction round."""
-        rounds = [s for s in self.steps[self.pc:] if s[0] in _SLOT_KINDS]
-        return bool(rounds) and rounds[0][0] == "round-Tcorr"
-
     def recover_register(self, name: str, key: PauliOperator
                          ) -> tuple[bool, int]:
         """De-authenticate a register under the verifier's ``key``.

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__, rng as rngmod
 from . import denseops as dn
-from .backends import StateVector, TableauState
+from .backends import StateVector, TableauState, stabsum, statevector, tableau
 from .cotp import (BrOtpIdeal, brotp_compile, brotp_query, gf_mul,
                    run_honest_chain)
 from .css import build_steane, build_toy_code, code_from_spec
@@ -29,7 +29,7 @@ from .paulis import CliffordUnitary, PauliOperator
 from .qotp import (DummyAdversary, PauliAttackAdversary, QotpInstance,
                    WOnlyAdversary, bell_measure, compare_real_vs_sim,
                    compile_controlled_program, honest_receiver_run,
-                   make_teleport_through)
+                   make_teleport_through, pick_backend)
 from .trap import (count_nontrivial, enumerate_attack_rejection,
                    enumerate_attack_security,
                    estimate_attack_security, exact_placement_probability,
@@ -390,9 +390,20 @@ def run_qotp(config: dict, seed: int) -> tuple[ExperimentReport, None]:
         raise ValueError(f"kappa must be 16 or 64, got {kappa}: a carried "
                          "state of m MAC blocks is forged with probability "
                          "up to m/2^kappa")
+    program = compile_controlled_program(channel, 0, n_b)
     if backend == "tab":
-        refuse_t_on_tableau(compile_controlled_program(channel, 0, n_b),
-                            channel, "backend 'tab'")
+        refuse_t_on_tableau(program, channel, "backend 'tab'")
+    kind = pick_backend(program, base, backend)
+    module = {"sv": statevector, "tab": tableau, "sum": stabsum}[kind]
+    cap = module.MAX_QUBITS
+    # teleport-out holds each B wire's Bt register and both halves of its
+    # BoutR resource at once: 3 * 3n live qubits per wire
+    if 9 * base.n * n_b > cap:
+        raise ValueError(
+            f"backend {backend!r} runs on {module.__name__}, capped at {cap} "
+            f"qubits, but code {code_cfg!r} (n = {base.n}) needs at least "
+            f"{9 * base.n * n_b}: teleport-out holds 9n qubits per B wire, "
+            f"for n_b = {n_b}")
     result, inst = honest_receiver_run(
         channel, 0, n_b, base, seed, b_labels=b_labels, backend=backend,
         transport=transport, kappa=kappa)

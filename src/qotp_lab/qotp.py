@@ -31,18 +31,22 @@ carries the verifier's keys, cheat flag and place in the schedule from
 round to round.
 
 The receiver's side (teleport-in, the simulator's splice, the session's
-gadget rounds, teleport-out) is driven by one walk, the generator ``_walk``,
-which yields one ``RunResult`` per finished branch.  Every measurement on
-the way is handed to a strategy, which returns the branches that go on,
-each with its verifier and its outcome (Bell outcomes as x and z masks):
-``_Sample`` keeps the one branch of a Born outcome per qubit drawn from
-the instance's outcome stream (``QotpInstance.run``), ``_Fan`` every
-joint outcome of the dense state (``enumerate_protocol_runs``, the exact
-real-vs-simulated comparison).  ``_Fan`` holds an instance's live branches
-as the rows of one stacked state, so each gate runs once per stack, and
-ends a branch in one stacked leaf: the verdict is decided once per branch,
-every live teleport-out outcome's output density comes from one stacked
-read of the state, and a rejected branch draws no junk key.  Every final key, sampled or
+gadget rounds, teleport-out) is driven by one straight-line walk, the
+generator ``_walk``, which yields one ``RunResult`` per finished branch.
+Every measurement on the way is handed to a strategy, which returns the
+branches that go on, each with its verifier and its outcome (Bell
+outcomes as x and z masks): ``_Sample`` keeps the one branch of a Born
+outcome per qubit drawn from the instance's outcome stream
+(``QotpInstance.run``), ``_Fan`` every joint outcome of the dense state
+(``enumerate_protocol_runs``, the exact real-vs-simulated comparison).
+``_Fan`` holds an instance's live branches as the rows of one stacked
+state from teleport-in to teleport-out, so each gate runs once per stack,
+and ends a branch in one stacked leaf: the verdict is decided once per
+branch, every live teleport-out outcome's output density comes from one
+stacked read of the state, and a rejected branch draws no junk key.  The
+enumeration refuses a program with a T gate, whose correction rounds read
+the verifier's reply and whose branches no toy run could hold, so the
+stack never parts.  Every final key, sampled or
 enumerated, is read by one function, ``QotpVerifier.final_keys``, with
 one rule, ``TrapCode.data_key``: two parities of the accumulated key
 against the encoder's images of the data wire's Z and X, for the int
@@ -606,6 +610,19 @@ class RunResult:
 _BACKENDS = {"sv": StateVector, "tab": TableauState, "sum": StabilizerSum}
 
 
+def pick_backend(program: CompiledProgram, base_code: CssCode,
+                 backend: str) -> str:
+    """The backend name a run of ``program`` uses for ``backend``:
+    ``"auto"`` puts Clifford-only controlled circuits on the tableau, and
+    T-bearing ones on the stabilizer sum, or the dense backend at toy
+    scale."""
+    if backend != "auto":
+        return backend
+    if not program.has_t:
+        return "tab"
+    return "sv" if base_code.n == 1 else "sum"
+
+
 class QotpInstance:
     """One prepared one-time program plus the runner for its receiver."""
 
@@ -631,16 +648,7 @@ class QotpInstance:
             # the exact comparison's pad coset on the teleported input
             keys["Bt0"] = keys["Bt0"] * self.trap.logical_pauli(pad_coset)
         self.keys = keys
-        # backend: Clifford-only controlled circuits run on the tableau;
-        # T-bearing ones need the stabilizer-sum machinery, or the dense
-        # backend at toy scale
-        if backend == "auto":
-            if not program.has_t:
-                backend = "tab"
-            elif base_code.n == 1:
-                backend = "sv"
-            else:
-                backend = "sum"
+        backend = pick_backend(program, base_code, backend)
         state = _BACKENDS[backend](0)
         self.backend_kind = backend
         self.session = AuthSession(self.trap, dict(keys), state,
@@ -713,10 +721,10 @@ class QotpInstance:
             ses.declare((name, out), prep)
         ses.declare_magic()
 
-    # -- cloning (a part of an enumerated stack) -------------------------------
+    # -- cloning (no run calls it; ``perfbench``'s tracer wraps it) -----------
     def clone(self, state) -> "QotpInstance":
         """This instance continued on ``state``, with its own register
-        table; its branches keep their own verifiers."""
+        table."""
         inst = QotpInstance.__new__(QotpInstance)
         inst.__dict__.update(self.__dict__)
         inst.session = self.session.clone(state)
@@ -747,7 +755,7 @@ class QotpInstance:
                     ses.state = frame.FrameReplay(seen[1])
                 else:
                     ses.state = recorder = frame.Recorder()
-        result = next(_walk(self, adversary, _Sample()))[1]
+        result = next(_walk(self, adversary, _Sample()))
         if recorder is not None:
             seen[1] = recorder.finish()
         return result
@@ -782,12 +790,11 @@ def honest_receiver_run(circuit, n_a: int, n_b: int, base_code: CssCode,
 
 @dataclass
 class _Branch:
-    """One branch of the walk: its verifier, its outcome at every fork so
-    far (the enumeration's leaf order) and its transcript.  A sampled run
-    is one branch; an enumerated stack holds one per row of its state."""
+    """One branch of the walk: its verifier and its transcript.  A sampled
+    run is one branch; an enumerated stack holds one per row of its
+    state."""
 
     oracle: object
-    path: tuple = ()
     t_in: tuple = ()
     records: tuple = ()
     replies: tuple = ()
@@ -842,9 +849,7 @@ class _Fan:
     of an instance are the rows of one stacked state, weighted by the
     session's ``prob_weight`` array: a gate runs once per stack, and a fork
     gathers every live outcome's posterior into the next stack, row-major.
-    Every Bell pair is rotated before the joint outcomes are read.  The
-    stack parts by rows only where the receiver's next round reads the
-    verifier's reply.
+    Every Bell pair is rotated before the joint outcomes are read.
 
     Teleport-out is one stacked leaf per branch: one stacked read of the
     rotated state gives every row's live outcomes' probabilities and
@@ -868,12 +873,6 @@ class _Fan:
     def correct(self, inst, rows, pauli, qubits):
         inst.session.state.apply_pauli(pauli, qubits, rows)
 
-    def split(self, inst, branches, rows):
-        """The listed rows' stack, on an instance of its own."""
-        part = inst.clone(inst.session.state.select(rows))
-        part.session.prob_weight = inst.session.prob_weight[rows]
-        return part, [branches[r] for r in rows]
-
     def leaves(self, inst, branches, pairs, keep):
         ids = self._rotate(inst, pairs)
         xs, zs = _fan_masks(len(ids) // 2)
@@ -892,9 +891,8 @@ class _Fan:
             ids, ses.prob_weight, MIN_BRANCH_WEIGHT)
         rows, ks = np.divmod(live, 1 << len(ids))
         ks = ks.tolist()
-        return [replace(branches[r], oracle=branches[r].oracle.copy(),
-                        path=branches[r].path + (k,))
-                for r, k in zip(rows.tolist(), ks)], ks
+        return [replace(branches[r], oracle=branches[r].oracle.copy())
+                for r in rows.tolist()], ks
 
     @staticmethod
     def _rotate(inst, pairs) -> list:
@@ -909,16 +907,16 @@ class _Fan:
 
 def _walk(inst: QotpInstance, adversary, strategy):
     """Run the receiver's side of the protocol on ``inst``, yielding one
-    (outcome path, RunResult) per finished branch.
+    RunResult per finished branch.
 
-    Teleport-in, the simulator's splice of the one ideal call, the gadget
-    rounds (each asked of the session's ``next_round``) and teleport-out
-    happen in order; every measurement goes to ``strategy``, which returns
-    the branches that go on and each one's outcome: (x mask, z mask) for
-    Bell pairs, bit j of each mask for pair j, and a bit list for
-    registers.  A leaf with a density (enumerated) is decided by its
-    branch's verdict and reads every outcome's keys at once with
-    ``QotpVerifier.final_keys``, drawing no junk key when rejected; a
+    Straight-line code over one stack: teleport-in, the simulator's splice
+    of the one ideal call, the gadget rounds (each asked of the session's
+    ``next_round``) and teleport-out.  Every measurement goes to
+    ``strategy``, which returns the branches that go on and each one's
+    outcome: (x mask, z mask) for Bell pairs, bit j of each mask for pair
+    j, and a bit list for registers.  A leaf with a density (enumerated) is
+    decided by its branch's verdict and reads every outcome's keys at once
+    with ``QotpVerifier.final_keys``, drawing no junk key when rejected; a
     sampled one is finalized, and its final key applied.
     """
     prog = inst.program
@@ -936,89 +934,59 @@ def _walk(inst: QotpInstance, adversary, strategy):
         return [_KEY_LABELS[(xm >> i & 1) | (zm >> i & 1) << 1]
                 for i in range(prog.n_b)]
 
-    def teleport_in_pairs(s):
-        for i in range(prog.n_b):
-            yield b_ids[i], s.consume(f"Bin{i}")[0]
-
-    def splice_pairs(s):
-        for i in range(prog.n_b):
-            yield s.consume(f"Sin{i}")[0], s.consume(f"Sout{i}")[0]
-
-    branches, outcomes = strategy.pairs(inst, [_Branch(inst.oracle)],
-                                        teleport_in_pairs(ses))
+    # each generator consumes a wire's registers only when its pair is due
+    branches, outcomes = strategy.pairs(inst, [_Branch(inst.oracle)], (
+        (b_ids[i], ses.consume(f"Bin{i}")[0]) for i in range(prog.n_b)))
     for b, masks in zip(branches, outcomes):
         b.t_in = tuple(labels(masks))
     if inst.world == "real":
         for b in branches:
             b.oracle.receive_t_in(list(b.t_in))
-        yield from _rounds(inst, branches, strategy, adversary, w_ids)
-        return
-    # simulator: apply each branch's reported Pauli to S_in, call the ideal
-    # channel once, then teleport its output through the authentication
-    for i in range(prog.n_b):
-        ids = ses.materialize(f"Sin{i}").ids
-        for label in sorted({b.t_in[i] for b in branches}):
-            strategy.correct(inst, [r for r, b in enumerate(branches)
-                                    if b.t_in[i] == label],
-                             PauliOperator.from_label(label), ids)
-    inst.ideal_calls += 1
-    if inst.ideal_calls > 1:
-        raise RuntimeError("ideal functionality is one-shot")
-    wires = a_ids + [ses.registers[f"Sin{i}"].ids[0] for i in range(prog.n_b)]
-    for g in prog.base_circuit:
-        ses.state.apply_gate(g[0], *[wires[w] for w in g[1:]])
-    branches, outcomes = strategy.pairs(inst, branches, splice_pairs(ses))
-    for b, splice in zip(branches, outcomes):
-        b.oracle.receive_t_in(labels(splice))
-    yield from _rounds(inst, branches, strategy, adversary, w_ids)
-
-
-def _teleport_out_pairs(s: AuthSession, n_b: int):
-    for i in range(n_b):
-        yield from zip(s.consume(f"Bt{i}"), s.consume(f"BoutR{i}"))
-
-
-def _rounds(inst: QotpInstance, branches: list, strategy, adversary, w_ids):
-    """``_walk``'s gadget rounds and teleport-out, for the branches that
-    share ``inst``'s state.  A module function, not a closure of ``_walk``:
-    a closure that calls itself is a reference cycle, and every run's
-    walk would wait for the cyclic collector."""
-    if not branches:
-        return
-    prog = inst.program
-    s = inst.session
-    last = [b.replies[-1] if b.replies else None for b in branches]
-    bits = [reply and reply[0] for reply in last]
-    if s.reads_reply() and len(set(bits)) > 1:
-        # the branches part by the reply bit the next round reads
-        for bit in sorted(set(bits)):
-            yield from _rounds(*strategy.split(inst, branches, [
-                r for r, b in enumerate(bits) if b == bit]),
-                strategy, adversary, w_ids)
-        return
-    todo = s.next_round(last[0])
-    if todo is not None:
+    else:
+        # simulator: apply each branch's reported Pauli to S_in, call the
+        # ideal channel once, then teleport its output through the
+        # authentication
+        for i in range(prog.n_b):
+            ids = ses.materialize(f"Sin{i}").ids
+            for label in sorted({b.t_in[i] for b in branches}):
+                strategy.correct(inst, [r for r, b in enumerate(branches)
+                                        if b.t_in[i] == label],
+                                 PauliOperator.from_label(label), ids)
+        inst.ideal_calls += 1
+        if inst.ideal_calls > 1:
+            raise RuntimeError("ideal functionality is one-shot")
+        wires = a_ids + [ses.registers[f"Sin{i}"].ids[0]
+                         for i in range(prog.n_b)]
+        for g in prog.base_circuit:
+            ses.state.apply_gate(g[0], *[wires[w] for w in g[1:]])
+        branches, outcomes = strategy.pairs(inst, branches, (
+            (ses.consume(f"Sin{i}")[0], ses.consume(f"Sout{i}")[0])
+            for i in range(prog.n_b)))
+        for b, splice in zip(branches, outcomes):
+            b.oracle.receive_t_in(labels(splice))
+    # the gadget rounds.  Only a T correction reads the verifier's reply,
+    # and a T-bearing program runs only sampled, as one branch.
+    reply = None
+    while (todo := ses.next_round(reply)) is not None:
         measured, takeover = todo
         branches, outcomes = strategy.registers(inst, branches, measured)
         if takeover is not None:
-            s.take_over(*takeover)
+            ses.take_over(*takeover)
         for b, bits in zip(branches, outcomes):
             bits = adversary.tamper_record(len(b.records), list(bits))
             reply = b.oracle.process_round(bits)
             b.records += (tuple(bits),)
             b.replies += (tuple(reply),)
-        yield from _rounds(inst, branches, strategy, adversary, w_ids)
-        return
-    # teleport-out; the de-authentication resource is
-    # outcome-independent
+    # teleport-out; the de-authentication resource is outcome-independent
     for i in range(prog.n_b):
-        s.materialize(f"BoutR{i}")
-    b_out = [s.registers[f"Bout{i}"].ids[0] for i in range(prog.n_b)]
+        ses.materialize(f"BoutR{i}")
+    b_out = [ses.registers[f"Bout{i}"].ids[0] for i in range(prog.n_b)]
+    pairs = (pair for i in range(prog.n_b) for pair in zip(
+        ses.consume(f"Bt{i}"), ses.consume(f"BoutR{i}")))
     n3 = inst.trap.n
     wire_mask = (1 << n3) - 1
     for b, (xm, zm), weight, density in strategy.leaves(
-            inst, branches, _teleport_out_pairs(s, prog.n_b),
-            b_out + list(w_ids)):
+            inst, branches, pairs, b_out + list(w_ids)):
         t_out = [(xm >> n3 * i & wire_mask, zm >> n3 * i & wire_mask)
                  for i in range(prog.n_b)]
         sampled = density is None
@@ -1031,11 +999,11 @@ def _rounds(inst: QotpInstance, branches: list, strategy, adversary, w_ids):
         s_out = ("random",) if cheated else tuple(s_hat)
         if sampled and not cheated:
             for q, label in zip(b_out, s_hat):
-                s.state.apply_pauli(PauliOperator.from_label(label), [q])
-        yield b.path, RunResult(
+                ses.state.apply_pauli(PauliOperator.from_label(label), [q])
+        yield RunResult(
             not cheated, cheated, b.t_in, b.records, b.replies,
             tuple(t_out), s_out, weight, b_out, list(w_ids), density,
-            s if sampled else None)
+            ses if sampled else None)
 
 
 # ---------------------------------------------------------------------------
@@ -1048,18 +1016,28 @@ def enumerate_protocol_runs(inst: QotpInstance,
 
     The same walk as ``QotpInstance.run``, with every measurement fanned
     out over the joint outcome distribution of the dense state instead of
-    sampled.  The branches run as the rows of stacked states, and the
-    leaves come in depth-first order of their outcomes.  Each branch ends
-    in one stacked leaf, which carries every live teleport-out outcome's
-    density of the output and W qubits before the final key
-    (``RunResult.density``).  Requires the direct oracle transport and the
-    dense backend.
+    sampled.  The branches run as the rows of one stack from teleport-in
+    to teleport-out, and the leaves come in depth-first order of their
+    outcomes, the row order of every fork.  Each branch ends in one
+    stacked leaf, which carries every live teleport-out outcome's density
+    of the output and W qubits before the final key (``RunResult.density``).
+
+    Requires the direct oracle transport and the dense backend, and
+    refuses a program with a T gate before any gate runs: the T
+    correction round reads the verifier's reply, and the smallest such
+    program (controlled K) has 7 rounds of 3-bit records on the toy code,
+    millions of branches.
     """
+    if inst.program.has_t:
+        raise ValueError("the controlled circuit holds T gates: its runs "
+                         "have too many branches to enumerate")
+    if inst.backend_kind != "sv":
+        raise ValueError("only dense-backend instances are enumerable, "
+                         f"got backend {inst.backend_kind!r}")
     if not isinstance(inst.oracle, QotpVerifier):
         raise ValueError("only direct-transport instances are enumerable")
     inst.session.prob_weight = np.ones(1)  # the weight of each row
-    return [leaf for _, leaf in sorted(_walk(inst, adversary, _Fan()),
-                                       key=lambda found: found[0])]
+    return list(_walk(inst, adversary, _Fan()))
 
 
 def _world_density_map(world: str, program: CompiledProgram,

@@ -11,8 +11,9 @@ passes.
 import numpy as np
 import pytest
 
-from qotp_lab import cotp, denseops, harness, qotp
+from qotp_lab import cotp, denseops, gadgets, harness, qotp
 from qotp_lab.backends import StabilizerSum, TableauState
+from qotp_lab.gadgets import AuthSession
 from qotp_lab.harness import run_experiment
 from qotp_lab.trap import TrapCode, TrapTable
 
@@ -23,6 +24,7 @@ _decode_record = TrapCode.decode_record
 _pauli_decompose = denseops.pauli_decompose
 _nontrivial_accepts = TrapTable.nontrivial_accepts
 _open = cotp._open
+_transversal_cnot = AuthSession.transversal_cnot_physical
 
 
 def _bell_swapped(*args, **kwargs):
@@ -90,6 +92,21 @@ def _verdict_never_cheated(self):
     return False
 
 
+def _verdict_always_cheated(self):
+    """The verifier's verdict, which marks every run as cheating."""
+    return True
+
+
+def _transversal_cnot_reversed(self, control, target):
+    """The session's transversal CNOT with control and target swapped."""
+    _transversal_cnot(self, target, control)
+
+
+def _accepts_every_pair(self, x, z):
+    """The nontrivial-accept table accepting every (x, z) pair."""
+    return np.ones((len(self.masks), len(x)), dtype=bool)
+
+
 _KEY_LABELS_X_Z_SWAPPED = [qotp._KEY_LABELS[k] for k in (0, 2, 1, 3)]
 
 TELEPORT = ("teleport-check", {"seed": 1})
@@ -106,6 +123,8 @@ SUM_CNOT = ("qotp-run", {"seed": 9, "channel": [["CNOT", 0, 1]], "n_b": 2,
 TWIRL = ("twirl-check", {"seed": 1})
 DISTANCE = ("trap-distance", {"seed": 1, "permutations": 50})
 BROTP = ("brotp-check", {"seed": 1})
+# the golden-digest config of trap-security
+TRAP = ("trap-security", {"seed": 9, "attacks": 3, "samples": 500})
 
 # (owner, attribute, mutant, run, checks that read FAIL under the mutant)
 MUTANTS = {
@@ -148,6 +167,20 @@ MUTANTS = {
     "open-keeps-the-pad": (
         cotp, "_open", _open_still_padded, BROTP,
         ["honest_chain_matches_ideal"]),
+    "t-magic-conjugated": (
+        gadgets, "T_MAGIC_AMPLITUDES", gadgets.T_MAGIC_AMPLITUDES.conj(),
+        GADGETS, ["gadget_T_infidelity"]),
+    "transversal-cnot-reversed": (
+        AuthSession, "transversal_cnot_physical", _transversal_cnot_reversed,
+        GADGETS, ["gadget_CNOT_exact", "gadget_K_exact", "gadget_H_exact",
+                  "gadget_T_infidelity"]),
+    "verifier-always-marks-cheating": (
+        qotp.QotpVerifier, "verdict", _verdict_always_cheated, SIM,
+        ["dummy_reject_weight", "w_only_reject_weight",
+         "data_attack_reject_weight"]),
+    "trap-table-accepts-everything": (
+        TrapTable, "nontrivial_accepts", _accepts_every_pair, TRAP,
+        ["worst_eps_hat", "worst_ci_hi", "placement_exact_in_ci"]),
 }
 
 
@@ -159,10 +192,11 @@ def _verdicts(run):
 
 # SIM_MAGIC's unmutated run is criterion 8's (every case at seed 8)
 @pytest.mark.parametrize("run", [TELEPORT, SIM, SUM_K, SUM_CNOT, ATTACK,
-                                 GADGETS, TWIRL, DISTANCE, BROTP],
+                                 GADGETS, TWIRL, DISTANCE, BROTP, TRAP],
                          ids=["teleport-check", "sim-compare", "qotp-run-K",
                               "qotp-run-CNOT", "qotp-attack", "gadget-check",
-                              "twirl-check", "trap-distance", "brotp-check"])
+                              "twirl-check", "trap-distance", "brotp-check",
+                              "trap-security"])
 def test_unmutated_run_passes(run):
     verdicts = _verdicts(run)
     assert all(verdicts.values()), verdicts
@@ -176,3 +210,45 @@ def test_mutant_fails_its_checks(monkeypatch, owner, attr, mutant, run,
     verdicts = _verdicts(run)
     assert {name: verdicts[name] for name in checks} == \
         dict.fromkeys(checks, False), verdicts
+
+
+# the check names no row fails yet
+UNCOVERED = {
+    # reads exactly 0 whenever its ``_exact`` twin passes, so likely no
+    # mutant can fail it alone
+    "magic_attack_trace_distance",
+    # no verified mutant yet; its run is criterion 8's config, about 5 s
+    "magic_attack_trace_distance_exact",
+    # a query out of order is also refused by the MAC (``_open`` refuses
+    # the empty carried state), so a mutant of the order check alone
+    # leaves it green
+    "out_of_order_aborts",
+}
+
+# one small run of every command, for the names of its checks
+NAMED_RUNS = {
+    "twirl-check": TWIRL,
+    "trap-security": TRAP,
+    "trap-distance": DISTANCE,
+    "gadget-check": GADGETS,
+    "qotp-run": SUM_K,
+    "qotp-attack": ATTACK,
+    "sim-compare": ("sim-compare", {"seed": 7}),
+    "teleport-check": TELEPORT,
+    "brotp-check": BROTP,
+}
+
+
+def test_every_check_has_a_mutant_row(monkeypatch):
+    """Each check name of every command has a row above that fails it, or
+    is on ``UNCOVERED``; every name on ``UNCOVERED`` is still a check no
+    row covers."""
+    # the names are the same whatever the comparison reads
+    monkeypatch.setattr(harness, "compare_real_vs_sim",
+                        lambda *args, **kwargs: (0.0, (0.0, 0.0)))
+    names = set()
+    for command in harness.COMMANDS:
+        names |= set(_verdicts(NAMED_RUNS[command]))
+    covered = {name for *_, checks in MUTANTS.values() for name in checks}
+    assert covered <= names, covered - names
+    assert names - covered == UNCOVERED, names - covered ^ UNCOVERED

@@ -445,39 +445,22 @@ class TestStrategies:
                 and np.allclose(leaf.density, output(sampled), atol=1e-9)
                 for leaf in same)
 
-    @pytest.mark.parametrize("world", ["real", "sim"])
-    def test_split_stacks_give_the_same_leaves(self, world, monkeypatch):
-        """A stack that parts by the verifier's reply before a round gives
-        the leaves of the unparted stack, bit for bit and in the same
-        order.  Only a T correction round reads the reply, and no T-bearing
-        program is small enough to enumerate, so every round is made to
-        read it here: the magic attack's second K round then parts the
-        branches by the first round's decoded bit."""
-        from qotp_lab.gadgets import AuthSession
-
-        prog = compile_controlled_program([("Y", 0)], 0, 1)
-
-        def leaves():
-            inst = QotpInstance(prog, TOY, seed=511, world=world,
-                                backend="sv", transport="direct")
-            return enumerate_protocol_runs(inst, _toy_magic_attack())
-
-        def key(leaf):
-            return (leaf.t_in, leaf.records, leaf.replies, leaf.cheated,
-                    [(x.tolist(), z.tolist()) for x, z in leaf.t_out],
-                    leaf.weight.tobytes(), leaf.density.tobytes())
-
-        whole = leaves()
-        splits = []
-        clone = QotpInstance.clone
-        monkeypatch.setattr(AuthSession, "reads_reply", lambda self: True)
-        monkeypatch.setattr(QotpInstance, "clone", lambda self, state: (
-            splits.append(state.rows), clone(self, state))[1])
-        parted = leaves()
-        assert len(splits) >= 2 and len(parted) == len(whole)
-        assert [key(leaf) for leaf in parted] == [key(leaf)
-                                                  for leaf in whole]
-        assert len({leaf.replies[0] for leaf in whole}) == 2
+    @pytest.mark.parametrize("channel,backend,refusal", [
+        ([("K", 0)], "sv", "T gates"),
+        ([("X", 0)], "tab", "dense-backend"),
+        ([("X", 0)], "sum", "dense-backend"),
+    ], ids=["T-bearing", "tableau", "stabilizer-sum"])
+    def test_enumeration_refuses_before_any_gate(self, channel, backend,
+                                                  refusal):
+        """A T-bearing program (whose correction rounds read the
+        verifier's reply) and a non-dense backend are refused before the
+        walk appends a qubit."""
+        prog = compile_controlled_program(channel, 0, 1)
+        inst = QotpInstance(prog, TOY, seed=511, backend=backend,
+                            transport="direct")
+        with pytest.raises(ValueError, match=refusal):
+            enumerate_protocol_runs(inst, DummyAdversary())
+        assert inst.session.state.n == 0
 
 
 class TestBatchedLeaves:
