@@ -7,7 +7,8 @@ creation order, with the first live id as the most significant index bit.
 A state is a stack of rows over the same qubits: one row for a run, one per
 branch when the exact comparison enumerates outcomes.  Gates, Paulis and
 appended qubits act on every row at once, and ``fork`` and
-``joint_densities`` read every row; the other reads take a one-row state.
+``joint_densities`` read every row; the other reads and collapses refuse
+a stack.
 """
 
 from __future__ import annotations
@@ -40,6 +41,12 @@ class StateVector:
 
     def _axis(self, qubit_id: int) -> int:
         return self._ids.index(qubit_id)
+
+    def _one_row(self) -> None:
+        """Refuse a stack: the reads and collapses below take one run."""
+        if self.rows != 1:
+            raise ValueError(f"a stack of {self.rows} rows, where one row "
+                             "was expected")
 
     def _stack(self, amps: np.ndarray, ids) -> "StateVector":
         """The rows ``amps`` over the qubits ``ids``, sharing this state's
@@ -87,6 +94,7 @@ class StateVector:
         return new_ids
 
     def discard(self, qubits) -> None:
+        self._one_row()
         for q in list(qubits):
             ax = self._axis(q)
             view = self._amps.reshape((1 << ax, 2, -1))
@@ -182,6 +190,7 @@ class StateVector:
                 self.apply_gate("X", q)
 
     def z_probabilities(self, qubit: int) -> tuple[float, float]:
+        self._one_row()
         ax = self._axis(qubit)
         view = self._amps.reshape((1 << ax, 2, -1))
         p0 = float(np.sum(np.abs(view[:, 0, :]) ** 2))
@@ -258,6 +267,7 @@ class StateVector:
     # -- inspection ----------------------------------------------------------
     def amplitudes(self, order: list[int] | None = None) -> np.ndarray:
         """Statevector with the given qubit-id order (default: id order)."""
+        self._one_row()
         if order is None or order == self._ids:
             return self._amps.reshape(-1).copy()
         perm = [self._axis(q) for q in order]
@@ -265,6 +275,7 @@ class StateVector:
             self._amps.reshape((2,) * self.n).transpose(perm)).reshape(-1)
 
     def density_of(self, qubits) -> np.ndarray:
+        self._one_row()
         keep = [self._axis(q) for q in qubits]
         if len(keep) > 12:
             raise ValueError("dense reduction limited to 12 qubits")

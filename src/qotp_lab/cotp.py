@@ -223,7 +223,9 @@ class BrOtpProgram:
 
 def brotp_compile(round_functions: list, sender_input, kappa: int,
                   state_len: int, rng) -> BrOtpProgram:
-    """Wrap the round functions into one COTP per round with MAC chaining."""
+    """Wrap the round functions into one COTP per round with MAC chaining;
+    a round function that returns None refuses its round, which aborts
+    with ``order``."""
     ell = len(round_functions)
     if ell < 1:
         raise ValueError("need at least one round")
@@ -236,12 +238,15 @@ def brotp_compile(round_functions: list, sender_input, kappa: int,
         def f(sender, receiver):
             b_i, carried = receiver
             if i == 1:
-                m, s = g(sender, b_i)
+                out = g(sender, b_i)
             else:
                 s_prev = _open(carried, pads[i - 2], macs[i - 2])
                 if s_prev is None:
                     return abort_message("mac")
-                m, s = g(b_i, s_prev)
+                out = g(b_i, s_prev)
+            if out is None:
+                return abort_message("order")
+            m, s = out
             if i < ell:
                 return encode_payload(m, _seal(s, pads[i - 1], macs[i - 1]))
             return encode_payload(m, b"")
@@ -312,40 +317,17 @@ class BrOtpIdeal:
 # the simulator for a corrupted receiver
 # ---------------------------------------------------------------------------
 
-class BrOtpSimulator:
-    """Ideal-world receiver simulation: answers like the real program but
-    carries fresh random states, consulting the ideal functionality once per
-    in-order round."""
+def brotp_simulator(ideal: BrOtpIdeal, ell: int, kappa: int, state_len: int,
+                    rng) -> BrOtpProgram:
+    """Ideal-world receiver simulation: the real chain over round functions
+    that answer from the ideal functionality and carry fresh random states
+    (a substitute state is drawn after its round's carried state opens)."""
+    def answer(i: int, b_i: bytes):
+        m = ideal.execute(i, b_i)
+        if m is None:  # the ideal refuses a call out of order
+            return None
+        return m, rng.bytes(state_len) if i < ell else b""
 
-    def __init__(self, ideal: BrOtpIdeal, ell: int, kappa: int,
-                 state_len: int, rng):
-        self.ideal = ideal
-        self.ell = ell
-        self.state_len = state_len
-        self.pads = [rng.bytes(state_len) for _ in range(ell - 1)]
-        self.macs = [MacKey.random(kappa, rng) for _ in range(ell - 1)]
-        self.rng = rng
-        self.done = [False] * ell
-        self.aborted = False
-
-    def query(self, i: int, b_i: bytes, carried: bytes = b"") -> bytes:
-        if self.aborted:
-            return abort_message("absorbed")
-        if i < 1 or i > self.ell or self.done[i - 1] or \
-                any(not self.done[j] for j in range(i - 1)):
-            self.aborted = True
-            return abort_message("order")
-        if i > 1 and _open(carried, self.pads[i - 2],
-                           self.macs[i - 2]) is None:
-            self.aborted = True
-            return abort_message("mac")
-        m = self.ideal.execute(i, b_i)
-        if m is None:
-            self.aborted = True
-            return abort_message("order")
-        self.done[i - 1] = True
-        if i < self.ell:
-            w = self.rng.bytes(self.state_len)  # random substitute state
-            return encode_payload(m, _seal(w, self.pads[i - 1],
-                                           self.macs[i - 1]))
-        return encode_payload(m, b"")
+    rounds = [lambda _a, b_1: answer(1, b_1)] + [
+        lambda b_i, _s, i=i: answer(i, b_i) for i in range(2, ell + 1)]
+    return brotp_compile(rounds, None, kappa, state_len, rng)

@@ -396,14 +396,16 @@ def run_qotp(config: dict, seed: int) -> tuple[ExperimentReport, None]:
     kind = pick_backend(program, base, backend)
     module = {"sv": statevector, "tab": tableau, "sum": stabsum}[kind]
     cap = module.MAX_QUBITS
-    # teleport-out holds each B wire's Bt register and both halves of its
-    # BoutR resource at once: 3 * 3n live qubits per wire
-    if 9 * base.n * n_b > cap:
+    # a run's peak of live qubits, all held at teleport-out
+    need = 3 * base.n * (3 * n_b + 1 + program.uses_t_helper) + 2 * n_b
+    if need > cap:
         raise ValueError(
             f"backend {backend!r} runs on {module.__name__}, capped at {cap} "
-            f"qubits, but code {code_cfg!r} (n = {base.n}) needs at least "
-            f"{9 * base.n * n_b}: teleport-out holds 9n qubits per B wire, "
-            f"for n_b = {n_b}")
+            f"qubits, but code {code_cfg!r} (n = {base.n}) with channel "
+            f"{[list(g) for g in channel]!r} and n_b = {n_b} needs {need}: "
+            f"teleport-out holds 9n qubits per B wire, 3n for Ctl, 3n for "
+            f"Et0 when the channel holds T, and the 2 per wire that "
+            f"teleport-in measured")
     result, inst = honest_receiver_run(
         channel, 0, n_b, base, seed, b_labels=b_labels, backend=backend,
         transport=transport, kappa=kappa)

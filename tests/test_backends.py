@@ -246,6 +246,29 @@ class TestJointReads:
             for a, (_, _, b) in zip(rhos, want):
                 assert a.tobytes() == b.tobytes()
 
+    def test_one_row_operations_refuse_a_stack(self):
+        """A fork's stack (qubit 1 |+> and qubit 2 |1> on both rows) is
+        refused, left as it was, by the reads and collapses of one run,
+        which would otherwise normalise or reshape across rows."""
+        s = StateVector(3)
+        s.apply_gate("H", 0)
+        s.apply_gate("H", 1)
+        s.apply_gate("X", 2)
+        _, _, stack = s.fork([0], [1.0], 0.0)
+        before = stack._amps.copy()
+        for call in (lambda: stack.measure(1, np.random.default_rng(1)),
+                     lambda: stack.z_probabilities(1),
+                     lambda: stack.discard([2]),
+                     lambda: stack.density_of([1]),
+                     lambda: stack.amplitudes()):
+            with pytest.raises(ValueError, match="stack of 2 rows"):
+                call()
+        assert stack._amps.tobytes() == before.tobytes()
+        row = stack.select(slice(1, 2))
+        assert row.measure(2, np.random.default_rng(1)) == (1, 1.0)
+        row.discard([2])
+        assert np.allclose(row.density_of([1]), 0.5)
+
     def test_stabsum_measure_projects_once(self, monkeypatch):
         """A measurement projects the drawn outcome alone, once, after a
         single ``rng.random()`` draw."""

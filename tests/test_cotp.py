@@ -7,10 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qotp_lab.cotp import (REDUCTION_POLY, BrOtpIdeal, BrOtpProgram,
-                           BrOtpSimulator, CotpInstance, DoubleUseError,
-                           MacKey, _bytes_to_blocks, brotp_compile,
-                           brotp_query, decode_payload, encode_payload,
+from qotp_lab.cotp import (REDUCTION_POLY, BrOtpIdeal, CotpInstance,
+                           DoubleUseError, MacKey, _bytes_to_blocks,
+                           abort_message, brotp_compile, brotp_query,
+                           brotp_simulator, decode_payload, encode_payload,
                            gf_mul, is_abort, mac_tag_blocks,
                            mac_verify_blocks, run_honest_chain)
 
@@ -247,6 +247,15 @@ class TestBrOtp:
         assert chisquare(counts).pvalue > 1e-4
 
 
+def _replay_round2(prog):
+    """Rounds 1 and 2 played in order, then round 2 again with its own
+    carried state: the answers."""
+    out1 = prog.query(1, b"0")
+    _, carried = decode_payload(out1)
+    return [out1, prog.query(2, b"0", carried),
+            prog.query(2, b"0", carried)]
+
+
 class TestSimulator:
     def test_honest_adversary_identical_messages(self):
         for seed in range(4):
@@ -256,8 +265,8 @@ class TestSimulator:
                 prog = brotp_compile(gs, b"\x01", 16, 1,
                                      np.random.default_rng(31))
                 real = run_honest_chain(prog, inputs)
-                sim = BrOtpSimulator(BrOtpIdeal(gs, b"\x01"), 3, 16, 1,
-                                     np.random.default_rng(32))
+                sim = brotp_simulator(BrOtpIdeal(gs, b"\x01"), 3, 16, 1,
+                                      np.random.default_rng(32))
                 got = []
                 carried = b""
                 for i, b_i in enumerate(inputs, start=1):
@@ -281,8 +290,8 @@ class TestSimulator:
             bad = encode_payload(bytes([c0[0] ^ delta]), c1)
             if brotp_query(prog, 2, b"0", bad) is None:
                 real_aborts += 1
-            sim = BrOtpSimulator(BrOtpIdeal(gs, b"\x00"), 3, 16, 1,
-                                 np.random.default_rng(7000 + t))
+            sim = brotp_simulator(BrOtpIdeal(gs, b"\x00"), 3, 16, 1,
+                                  np.random.default_rng(7000 + t))
             out1 = sim.query(1, b"0")
             m, carried_s = decode_payload(out1)
             c0s, c1s = decode_payload(carried_s)
@@ -292,6 +301,47 @@ class TestSimulator:
         # both worlds abort with probability >= 1 - 2^-16; rates must agree
         assert real_aborts >= trials - 2
         assert sim_aborts >= trials - 2
+
+    @pytest.mark.parametrize("misuse,want", [
+        (lambda prog: [prog.query(1, b"0"), prog.query(1, b"0")], "ff03"),
+        (lambda prog: [prog.query(2, b"0")], "ff01"),
+        (lambda prog: [prog.query(4, b"0")], "ff02"),
+        (_replay_round2, "ff03"),
+    ], ids=["round1-replayed", "round2-first", "round4-of-3",
+            "round2-replayed"])
+    def test_misuse_answered_as_the_chain_answers(self, misuse, want):
+        """The simulator is the chain over simulated rounds, so each misuse
+        gets the chain's abort bytes, and every query after it ``absorbed``;
+        a different abort would tell the two worlds apart with certainty."""
+        gs = toy_rounds(6)
+        for prog in (brotp_compile(gs, b"\x00", 16, 1,
+                                   np.random.default_rng(41)),
+                     brotp_simulator(BrOtpIdeal(gs, b"\x00"), 3, 16, 1,
+                                     np.random.default_rng(41))):
+            assert misuse(prog)[-1] == bytes.fromhex(want)
+            assert prog.query(1, b"0") == bytes.fromhex("ff04")
+
+    def test_round2_first_forgeries_kappa2(self):
+        """Round 2 played first with every (c0, tag) guess at kappa = 2: the
+        chain runs round 2 on the 2^-kappa of the guesses its MAC accepts;
+        the simulator's ideal refuses round 2 before round 1, so it answers
+        exactly those with ``order`` and the rest with ``mac``, as the
+        chain does."""
+        gs = toy_rounds(6)
+        forged = 0
+        for c0 in range(256):
+            for tag in range(4):
+                guess = encode_payload(bytes([c0]), bytes([tag]))
+                real = brotp_compile(gs, b"\x00", 2, 1,
+                                     np.random.default_rng(43))
+                sim = brotp_simulator(BrOtpIdeal(gs, b"\x00"), 3, 2, 1,
+                                      np.random.default_rng(43))
+                out = real.query(2, b"0", guess)
+                forged += not is_abort(out)
+                assert sim.query(2, b"0", guess) == abort_message(
+                    "mac" if is_abort(out) else "order")
+                assert not is_abort(out) or out == abort_message("mac")
+        assert forged == 256
 
     def test_transcript_tv_exhaustive_kappa2(self):
         """Exact transcript-distribution comparison, enumerating all keys and
@@ -342,7 +392,7 @@ class TestSimulator:
     def test_transcript_tv_through_package_kappa2(self):
         """Criterion 9 on the package's own chain: the exact transcript
         distributions of ``brotp_compile``/``BrOtpProgram.query`` (real) and
-        ``BrOtpSimulator`` (ideal) at kappa = 2, every pad and MAC key fed
+        ``brotp_simulator`` (ideal) at kappa = 2, every pad and MAC key fed
         by a draw stub, under the honest strategy and every xor tamper
         (d0, d1) of the carried state's last MAC block and of the tag, with
         both first inputs (round 2's input only moves m2's parity).
@@ -375,12 +425,16 @@ class TestSimulator:
                         real = brotp_compile(gs, None, 2, 1, draws)
                         assert not draws.chunks
                         draws = _Draws(*key, b"\x00")
-                        sim = BrOtpSimulator(BrOtpIdeal(gs, None), 2, 2, 1,
-                                             draws)
+                        ideal = BrOtpIdeal(gs, None)
+                        sim = brotp_simulator(ideal, 2, 2, 1, draws)
                         for world, prog in (("real", real), ("sim", sim)):
                             m1, carried = decode_payload(prog.query(1, b1))
                             c0, tag = decode_payload(carried)
+                            # the simulated rounds share one ideal
+                            played = dict(vars(ideal))
                             for d0, d1 in strategies:
+                                vars(ideal).update(played, evaluated=list(
+                                    played["evaluated"]))
                                 out = _after_round1(prog).query(
                                     2, b2, encode_payload(
                                         bytes([c0[0] ^ d0]),
@@ -406,12 +460,10 @@ class TestSimulator:
 
 
 def _after_round1(prog):
-    """An independent copy of a real program or simulator whose round 1 has
-    been played, as a replay of the same keys up to round 1 would be."""
-    if isinstance(prog, BrOtpProgram):
-        return _twin(prog, cotps=[_twin(c) for c in prog.cotps])
-    ideal = _twin(prog.ideal, evaluated=list(prog.ideal.evaluated))
-    return _twin(prog, done=list(prog.done), ideal=ideal)
+    """An independent copy of a program whose round 1 has been played, as a
+    replay of the same keys up to round 1 would be; a simulator's rounds
+    still share its one ideal functionality."""
+    return _twin(prog, cotps=[_twin(c) for c in prog.cotps])
 
 
 def _twin(obj, **fields):

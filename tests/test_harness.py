@@ -271,6 +271,10 @@ class TestCli:
         ("qotp-run", {"code": {"base": "steane", "levels": 2},
                       "backend": "sum"}),
         ("qotp-run", {"code": {"base": "steane", "levels": 2}}),
+        ("qotp-run", {"channel": [["X", 0], ["X", 1]], "n_b": 2,
+                      "code": {"base": "toy"}, "backend": "sv"}),
+        ("qotp-run", {"channel": [["CNOT", 0, 1]], "n_b": 2,
+                      "code": {"base": "toy"}, "backend": "auto"}),
     ], ids=["top-level-list", "unknown-base", "zero-runs", "string-seed",
             "string-unitaries", "string-permutations", "int-channel",
             "zero-attacks", "zero-samples", "string-tolerance", "int-cases",
@@ -282,7 +286,8 @@ class TestCli:
             "alien-gate", "attack-alien-gate", "attack-no-gadget-round",
             "attack-t-bearing-channel", "t-channel-on-tableau",
             "n_b-past-dense-limit", "steane-past-dense-cap",
-            "d9-past-sum-cap", "d9-auto-past-sum-cap"])
+            "d9-past-sum-cap", "d9-auto-past-sum-cap",
+            "toy-two-wires-past-dense-cap", "toy-cnot-auto-past-dense-cap"])
     def test_bad_config_one_line_exit_two(self, tmp_path, command, config):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -295,16 +300,6 @@ class TestCli:
             assert all(key in res.stderr for key in config), res.stderr
             assert all(repr(v) in res.stderr for v in config.values()), \
                 res.stderr
-
-    def test_capacity_refusal_relabels_no_other_error(self):
-        """The capacity refusal counts only what teleport-out holds; a run
-        that passes that bound and still outgrows the backend fails with
-        the backend's own line."""
-        with pytest.raises(ValueError) as caught:
-            run_experiment("qotp-run", {
-                "channel": [["X", 0], ["X", 1]], "n_b": 2,
-                "code": {"base": "toy"}, "backend": "sv"})
-        assert str(caught.value) == "statevector backend capped at 24 qubits"
 
     @pytest.mark.parametrize("kappa", [2, 8])
     def test_weak_mac_field_refused(self, tmp_path, capsys, kappa):
