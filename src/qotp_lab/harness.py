@@ -10,7 +10,6 @@ wall-clock timing goes to a separate metadata file.
 from __future__ import annotations
 
 import json
-import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -30,11 +29,9 @@ from .qotp import (DummyAdversary, PauliAttackAdversary, QotpInstance,
                    WOnlyAdversary, bell_measure, compare_real_vs_sim,
                    compile_controlled_program, honest_receiver_run,
                    make_teleport_through, pick_backend)
-from .trap import (count_nontrivial, enumerate_attack_rejection,
-                   enumerate_attack_security,
-                   estimate_attack_security, exact_placement_probability,
-                   sample_trap_tables, security_sweep_rows, sweep_to_csv,
-                   wilson_interval)
+from .trap import (count_nontrivial, estimate_attack_security,
+                   exact_attack_probabilities, sample_trap_tables,
+                   security_sweep_rows, sweep_to_csv, wilson_interval)
 
 # ---------------------------------------------------------------------------
 # canonical serialization
@@ -141,15 +138,6 @@ def config_int(config: dict, key: str, default: int, lo: int = 1,
     return value
 
 
-def config_float(config: dict, key: str, default: float) -> float:
-    """``config[key]`` (else ``default``), a positive finite number."""
-    value = config.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not 0 < value < math.inf:
-        raise ValueError(f"{key} must be a positive number, got {value!r}")
-    return value
-
-
 def config_choice(config: dict, key: str, default: str, choices) -> str:
     """``config[key]`` (else ``default``), one of ``choices``."""
     value = config.get(key, default)
@@ -213,9 +201,8 @@ def refuse_t_on_tableau(program, channel: list, backend: str) -> None:
 def run_twirl_check(config: dict, seed: int) -> tuple[ExperimentReport, None]:
     """Averaging an attack over Pauli conjugations equals its probabilistic
     Pauli mixture: the channel-twirl consequence of the sandwich identity."""
-    config_keys(config, "seed", "unitaries", "tolerance")
+    config_keys(config, "seed", "unitaries")
     trials = config_int(config, "unitaries", 25)
-    tol = config_float(config, "tolerance", 1e-10)
     rng = rngmod.stream(seed, "twirl")
     report = ExperimentReport("twirl-check", config)
     worst = 0.0
@@ -234,7 +221,8 @@ def run_twirl_check(config: dict, seed: int) -> tuple[ExperimentReport, None]:
             qm = dn.pauli_matrix(q)
             mixture += abs(alpha) ** 2 * (qm @ rho @ qm.conj().T)
         worst = max(worst, float(np.max(np.abs(twirled - mixture))))
-    report.add_check("pauli_twirl_matches_mixture", worst, tol, worst <= tol)
+    report.add_check("pauli_twirl_matches_mixture", worst, 1e-10,
+                     worst <= 1e-10)
     return report, None
 
 
@@ -255,10 +243,8 @@ def run_trap_security(config: dict, seed: int) -> tuple[ExperimentReport, str]:
     report.add_check("worst_ci_hi", worst.ci_hi, bound,
                      worst.ci_hi <= bound, mode="monte-carlo")
     # exact cross-check: transversal X placed on the first base-block row
-    positions = list(range(base.n))
-    mask = sum(1 << p for p in positions)
-    attack = PauliOperator.from_masks(3 * base.n, mask, 0)
-    exact = exact_placement_probability(base, positions)
+    attack = PauliOperator.from_masks(3 * base.n, (1 << base.n) - 1, 0)
+    exact = exact_attack_probabilities(base, base.n)[2]
     rng2 = rngmod.stream(seed, "trap-security-exact")
     est = estimate_attack_security(base, attack, samples, rng2)
     report.add_check("placement_exact_in_ci", exact,
@@ -271,19 +257,15 @@ def run_trap_security(config: dict, seed: int) -> tuple[ExperimentReport, str]:
 def run_distance_exhaustive(config: dict,
                             seed: int) -> tuple[ExperimentReport, None]:
     """Exhaustive weight<=2 sweep over sampled permutations (criterion 2)."""
-    config_keys(config, "seed", "base", "levels", "permutations",
-                "limit_pairs")
+    config_keys(config, "seed", "base", "levels", "permutations")
     perms = config_int(config, "permutations", 1000)
-    limit_pairs = config_int(config, "limit_pairs", 0, lo=0)
     base = config_code(config)
     rng = rngmod.stream(seed, "distance")
     n3 = 3 * base.n
     letters = ((1, 0), (0, 1), (1, 1))  # X, Z, Y as (x, z) bits
     singles = [(xb << j, zb << j) for j in range(n3) for xb, zb in letters]
-    # the pairs whose first qubit is in rows 0..limit_pairs (0: every row)
-    rows = range(min(n3, limit_pairs + 1) if limit_pairs else n3)
     pairs = [((xi << i) | (xj << j), (zi << i) | (zj << j))
-             for i in rows for j in range(i + 1, n3)
+             for i in range(n3) for j in range(i + 1, n3)
              for xi, zi in letters for xj, zj in letters]
     bad = int(count_nontrivial(sample_trap_tables(base, perms, rng),
                                singles + pairs, n3).sum())
@@ -506,8 +488,10 @@ def run_sim_compare(config: dict, seed: int) -> tuple[ExperimentReport, None]:
                                            adversary_factory=factory)
         case = name.replace("-", "_")
         check = case + "_trace_distance"
+        expected = 0.0
         if name == "magic-attack":
-            eps = enumerate_attack_security(toy, magic_attack)
+            expected, _, eps = exact_attack_probabilities(
+                toy, magic_attack.weight())
             report.add_check(check, td, 2 * eps, td <= 2 * eps + 1e-9,
                              mode="exhaustive")
             report.extra["magic_attack_eps_exact"] = eps
@@ -518,13 +502,10 @@ def run_sim_compare(config: dict, seed: int) -> tuple[ExperimentReport, None]:
             # Y up to a phase
             check += "_exact"
         report.add_check(check, td, 1e-9, td <= 1e-9, mode="exhaustive")
-        # the verdict, which both worlds share, against the trap
-        # classifier: the magic attack is rejected on the permutations that
-        # classify it so; nothing else is rejected (the data attack hits Bt0
-        # after the last trap check, so the classifier's 1/2 for its Pauli
-        # does not apply)
-        expected = (enumerate_attack_rejection(toy, magic_attack)
-                    if name == "magic-attack" else 0.0)
+        # the verdict, which both worlds share, against the trap's exact
+        # count: the magic attack is rejected with its exact reject
+        # probability; nothing else is rejected (the data attack hits Bt0
+        # after the last trap check, so no trap count applies to it)
         off = max(abs(weight - expected) for weight in rejected)
         report.add_check(case + "_reject_weight", off, 1e-12, off <= 1e-12,
                          mode="exhaustive")

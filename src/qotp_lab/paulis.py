@@ -87,9 +87,6 @@ class PauliOperator:
             for j in range(self.n))
         return _PHASE_LABEL[disp] + letters
 
-    def __str__(self) -> str:
-        return self.to_label()
-
     # -- algebra -----------------------------------------------------------
     def __mul__(self, other: "PauliOperator") -> "PauliOperator":
         if self.n != other.n:

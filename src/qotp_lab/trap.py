@@ -11,14 +11,18 @@ Role r sits at physical position pi(r).  A ``TrapCode`` computes its trap
 masks and embedded base checks once; per-key attack classification and
 record decoding read them.  The Monte-Carlo estimates and sweeps instead lay
 out many permutations at once in a ``TrapTable`` of stacked uint64 masks and
-classify every (permutation, attack) pair with array operations.
+classify every (permutation, attack) pair with array operations.  Their
+exact values come from one closed form, ``attack_counts``: under a uniform
+permutation an X attack of weight w lands on a uniform w-subset of the
+roles, so its reject, trivial-accept and nontrivial-accept counts are
+hypergeometric sums over the weight histograms of the base code's
+stabilizer and logical-X cosets, at any scale.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import permutations
 
 import numpy as np
 
@@ -71,10 +75,6 @@ class TrapCode:
     @property
     def n(self) -> int:
         return 3 * self.base.n
-
-    @property
-    def d(self) -> int:
-        return self.base.d
 
     # -- position bookkeeping ----------------------------------------------
     @property
@@ -451,60 +451,61 @@ def estimate_attack_security(base: CssCode, attack: PauliOperator,
     return _estimate(attack, int(hits[0]), samples)
 
 
-def enumerate_attack_security(base: CssCode, attack: PauliOperator) -> float:
-    """Exact Pr_pi[nontrivial accept] by enumeration (3n <= ~8 only)."""
-    n3 = 3 * base.n
-    perms = np.array(list(permutations(range(n3))))
-    hits = count_nontrivial([TrapTable.build(base, perms)],
-                            [(attack.x, attack.z)], n3)
-    return int(hits[0]) / len(perms)
-
-
-def enumerate_attack_rejection(base: CssCode, attack: PauliOperator) -> float:
-    """Exact Pr_pi[reject] by enumeration (3n <= ~8 only), from the
-    classifier alone (no record decode)."""
-    n3 = 3 * base.n
-    perms = list(permutations(range(n3)))
-    return sum(classify_pauli_attack(TrapCode(base, Permutation(n3, p)),
-                                     attack).verdict == "reject"
-               for p in perms) / len(perms)
-
-
-def _span(rows, offset: int = 0) -> np.ndarray:
-    """``offset`` XOR every combination of ``rows``, as uint64 words."""
-    table = np.array([offset], dtype=np.uint64)
+def _span(rows) -> np.ndarray:
+    """Every combination of ``rows`` XORed together, as uint64 words."""
+    table = np.zeros(1, dtype=np.uint64)
     for row in rows:
         table = np.concatenate((table, table ^ np.uint64(row)))
     return table
 
 
-def exact_placement_probability(base: CssCode, positions: list[int]) -> float:
-    """Exact probability that X on the given positions is a nontrivial accept.
+def _placements(hist: np.ndarray, n: int, weight: int) -> int:
+    """Sum over k of hist[k] C(n, weight - k): the role subsets whose base
+    part is one of the hist[k] words of weight k and whose other
+    weight - k roles are among the n |+> traps."""
+    return sum(int(h) * math.comb(n, weight - k)
+               for k, h in enumerate(hist[:weight + 1]))
 
-    Counts role subsets combinatorially: the pulled-back X-pattern must avoid
-    the |0> traps and its base part must be a zero-syndrome logical-X coset
-    word; the remainder lands on |+> traps.  The coset's weight histogram
-    comes from two span tables of half the X checks each: every coset word
-    is one word of the first (shifted by the logical X) XOR one of the
-    second, so 2^24 words at distance 9 are 2^12 x 2^12 popcounts.
+
+def attack_counts(base: CssCode, weight: int) -> tuple[int, int, int]:
+    """Of the C(3n, w) role subsets a weight-w X attack can land on, the
+    numbers that are rejected, trivially accepted and nontrivially
+    accepted.
+
+    The attack is accepted when it hits no |0> trap and its base part has
+    zero syndrome: a word of span(hx) (trivial) or of the logical-X coset
+    (nontrivial); the rest lands on |+> traps.  Both weight histograms come
+    from two span tables of half the X checks each: every word is one word
+    of the first XOR one of the second, shifted by the logical X for the
+    coset, so 2^24 words at distance 9 are 2^12 x 2^12 popcounts.
     """
     n = base.n
-    w = len(positions)
     if n > 64:
-        raise ValueError("exact placement counting needs a base code of "
+        raise ValueError("exact attack counting needs a base code of "
                          f"at most 64 qubits, got {n}")
     half = len(base.hx) // 2
-    left = _span(base.hx[:half], base.logical_x)
+    left = _span(base.hx[:half])
     right = _span(base.hx[half:])
-    weights = np.zeros(n + 1, dtype=np.int64)
+    hists = np.zeros((2, n + 1), dtype=np.int64)
     step = max(1, (1 << 20) // len(right))
     for start in range(0, len(left), step):
         words = left[start:start + step, None] ^ right[None, :]
-        weights += np.bincount(np.bitwise_count(words).ravel(),
-                               minlength=n + 1)
-    count = sum(int(weights[wb]) * math.comb(n, w - wb)
-                for wb in range(n + 1) if 0 <= w - wb <= n)
-    return count / math.comb(3 * n, w)
+        for hist, coset in zip(hists, (words,
+                                       words ^ np.uint64(base.logical_x))):
+            hist += np.bincount(np.bitwise_count(coset).ravel(),
+                                minlength=n + 1)
+    trivial, nontrivial = (_placements(h, n, weight) for h in hists)
+    return (math.comb(3 * n, weight) - trivial - nontrivial, trivial,
+            nontrivial)
+
+
+def exact_attack_probabilities(base: CssCode,
+                               weight: int) -> tuple[float, float, float]:
+    """Exact Pr_pi of (reject, trivial accept, nontrivial accept) for an X
+    attack of the given weight under a uniform permutation: the
+    ``attack_counts``, each divided once by C(3n, w)."""
+    total = math.comb(3 * base.n, weight)
+    return tuple(count / total for count in attack_counts(base, weight))
 
 
 def security_sweep_rows(base: CssCode, weight: int, attacks: int,

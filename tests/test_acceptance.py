@@ -16,6 +16,7 @@ from qotp_lab.css import build_steane, build_toy_code
 from qotp_lab.harness import run_experiment
 from qotp_lab.paulis import PauliOperator
 from qotp_lab.rng import stream
+from qotp_lab.trap import exact_attack_probabilities
 
 
 def _line(name: str, ok: bool, detail: str) -> None:
@@ -27,8 +28,7 @@ class TestCriterion1PauliSandwich:
     def test_twirled_channel_equals_pauli_mixture(self):
         t0 = time.time()
         report, _ = run_experiment("twirl-check", {"seed": 1,
-                                                   "unitaries": 25,
-                                                   "tolerance": 1e-10})
+                                                   "unitaries": 25})
         elapsed = time.time() - t0
         worst = report.checks[0]["value"]
         ok = report.all_pass and elapsed < 5.0
@@ -202,7 +202,8 @@ class TestCriterion7AttackDetection:
         bound = 1 - (2 / 3) ** 1.5
         # Exact rate: of the C(21,3) placements of the three X's, 35 land
         # all on |+> traps and 7 are the Hamming code's weight-3 words.
-        exact = 1 - 42 / 1330
+        exact = exact_attack_probabilities(build_steane(), 3)[0]
+        assert exact == (1330 - 35 - 7) / 1330
         ok = report.all_pass and lo <= exact <= hi  # all_pass: lo >= bound
         _line("criterion-7 attack-detection", ok,
               f"rejection rate {rate:.4f} (95% CI [{lo:.4f},{hi:.4f}]) "

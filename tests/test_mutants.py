@@ -11,7 +11,7 @@ passes.
 import numpy as np
 import pytest
 
-from qotp_lab import cotp, denseops, gadgets, harness, qotp
+from qotp_lab import cotp, denseops, gadgets, harness, qotp, trap
 from qotp_lab.backends import StabilizerSum, TableauState
 from qotp_lab.gadgets import AuthSession
 from qotp_lab.harness import run_experiment
@@ -25,6 +25,7 @@ _pauli_decompose = denseops.pauli_decompose
 _nontrivial_accepts = TrapTable.nontrivial_accepts
 _open = cotp._open
 _transversal_cnot = AuthSession.transversal_cnot_physical
+_placements = trap._placements
 
 
 def _bell_swapped(*args, **kwargs):
@@ -74,6 +75,13 @@ def _accepts_ignoring_an_x_check(self, x, z):
     """The nontrivial-accept table with the first X-check row ignored."""
     masks = np.delete(self.masks, 4 + self.rz, axis=1)
     return _nontrivial_accepts(TrapTable(masks, self.rz), x, z)
+
+
+def _placements_without_plus_traps(hist, n, weight):
+    """The closed form's count with no |+> trap for the rest of the attack:
+    its C(n, w - k) factor becomes C(0, w - k), so only base words of the
+    attack's full weight count."""
+    return _placements(hist, 0, weight)
 
 
 def _gf_mul_as_and(a, b, kappa):
@@ -189,6 +197,9 @@ MUTANTS = {
     "trap-table-accepts-everything": (
         TrapTable, "nontrivial_accepts", _accepts_every_pair, TRAP,
         ["worst_eps_hat", "worst_ci_hi", "placement_exact_in_ci"]),
+    "closed-form-drops-plus-trap-placements": (
+        trap, "_placements", _placements_without_plus_traps, TRAP,
+        ["placement_exact_in_ci"]),
 }
 
 

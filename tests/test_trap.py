@@ -2,6 +2,8 @@
 classification against brute force, and the security bound."""
 
 import copy
+from itertools import combinations, permutations
+from math import comb
 
 import numpy as np
 import pytest
@@ -15,11 +17,10 @@ from qotp_lab.css import build_steane, build_toy_code, concatenate
 from qotp_lab.gf2 import dot
 from qotp_lab.paulis import PauliOperator, Permutation, random_permutations
 from qotp_lab.trap import (AttackClassification, TrapCode, TrapTable,
-                           authenticate_register, classify_masks,
-                           classify_pauli_attack, count_nontrivial,
-                           enumerate_attack_security,
-                           estimate_attack_security,
-                           exact_placement_probability, random_pauli,
+                           attack_counts, authenticate_register,
+                           classify_masks, classify_pauli_attack,
+                           count_nontrivial, estimate_attack_security,
+                           exact_attack_probabilities, random_pauli,
                            sample_auth_key, sample_trap_code,
                            sample_trap_tables, verify_and_decode,
                            wilson_interval)
@@ -27,6 +28,8 @@ from qotp_lab.trap import (AttackClassification, TrapCode, TrapTable,
 STEANE = build_steane()
 TOY = build_toy_code()
 D9 = concatenate(STEANE, 2)
+# the order of ``exact_attack_probabilities``
+OUTCOMES = ("reject", "trivial_accept", "nontrivial_accept")
 
 
 def identity_trap(base):
@@ -51,7 +54,7 @@ class TestBuild:
     def test_trap_code_is_css(self):
         rng = np.random.default_rng(1)
         trap = sample_trap_code(STEANE, rng)
-        assert trap.n == 21 and trap.d == 3
+        assert trap.n == 21 and trap.base.d == 3
         # X checks: embedded base rows plus the |+> trap singletons; Z
         # checks: embedded base rows plus the |0> trap singletons
         hx = trap.hx_rows + tuple(1 << p for p in trap.plus_trap_positions)
@@ -220,8 +223,6 @@ class TestClassification:
     def test_toy_classification_matches_brute_force(self):
         """For the 3-qubit toy trap, compare against density-matrix simulation
         over all 64 Paulis and all 6 permutations."""
-        from itertools import permutations
-
         for perm in permutations(range(3)):
             trap = TrapCode(TOY, Permutation(3, perm))
             for q in dn.all_paulis(3):
@@ -462,52 +463,46 @@ class TestSecurityEstimation:
         positions = list(range(7))
         mask = sum(1 << p for p in positions)
         attack = PauliOperator.from_masks(21, mask, 0)
-        exact = exact_placement_probability(STEANE, positions)
+        exact = exact_attack_probabilities(STEANE, 7)[2]
         assert exact == pytest.approx(246 / 116280)
         est = estimate_attack_security(STEANE, attack, 50_000, rng)
         assert est.ci_lo <= exact <= est.ci_hi
 
     @staticmethod
     def _brute_placement(base, w):
-        """The nontrivial-accept probability of a weight-w X attack, by
-        listing every set of w slots it can land on (identity layout: base
-        block, then |0> traps, then |+> traps): none on a |0> trap, and
-        the base part passes every Z check but anticommutes with logical Z.
-        """
-        from itertools import combinations
-        from math import comb
-
-        n = base.n
-        count = 0
-        for slots in combinations(range(3 * n), w):
-            if any(n <= s < 2 * n for s in slots):
-                continue
-            word = sum(1 << s for s in slots if s < n)
-            if not any(dot(row, word) for row in base.hz) \
-                    and dot(base.logical_z, word):
-                count += 1
-        return count / comb(3 * n, w)
+        """The (reject, trivial accept, nontrivial accept) counts of a
+        weight-w X attack, by listing every set of w slots it can land on
+        under the identity layout (base block, then |0> traps, then |+>
+        traps) and classifying each with ``classify_masks``."""
+        trap = identity_trap(base)
+        verdicts = [classify_masks(trap, sum(1 << s for s in slots), 0)[0]
+                    for slots in combinations(range(3 * base.n), w)]
+        return tuple(map(verdicts.count, OUTCOMES))
 
     @pytest.mark.parametrize("base,weights", [(TOY, range(4)),
-                                              (STEANE, range(1, 8))],
+                                              (STEANE, range(8))],
                              ids=["toy", "steane"])
     def test_placement_matches_brute_force(self, base, weights):
         for w in weights:
-            assert exact_placement_probability(base, list(range(w))) \
-                == self._brute_placement(base, w), w
+            counts = self._brute_placement(base, w)
+            assert attack_counts(base, w) == counts, w
+            assert exact_attack_probabilities(base, w) == tuple(
+                c / comb(3 * base.n, w) for c in counts), w
 
     def test_placement_distance_nine_pinned(self):
         # computed once by enumerating all 2^24 coset words one by one
-        d9 = concatenate(STEANE, 2)
-        assert exact_placement_probability(d9, list(range(9))) \
-            == 3.489539973495428e-11
+        assert exact_attack_probabilities(D9, 9)[2] == 3.489539973495428e-11
+        assert sum(attack_counts(D9, 9)) == comb(147, 9)
 
     def test_exact_enumeration_toy(self):
-        # brute-force over all 6 permutations of the toy trap
-        attack = PauliOperator.from_masks(3, 0b001, 0)  # X on position 0
-        exact = enumerate_attack_security(TOY, attack)
-        # X lands on the base role (prob 1/3) and is then logical X
-        assert exact == pytest.approx(1 / 3)
+        # every X attack on the toy trap against all 6 permutations
+        for x in range(8):
+            attack = PauliOperator.from_masks(3, x, 0)
+            verdicts = [classify_pauli_attack(
+                TrapCode(TOY, Permutation(3, p)), attack).verdict
+                for p in permutations(range(3))]
+            assert exact_attack_probabilities(TOY, attack.weight()) == \
+                tuple(verdicts.count(v) / 6 for v in OUTCOMES), x
 
     def test_wilson_interval_sane(self):
         phat, lo, hi = wilson_interval(50, 100)
