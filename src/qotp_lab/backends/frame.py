@@ -16,7 +16,8 @@ it, and its state is always the frame applied to the reference's state.
 
 A segment is a stretch of logged gates and measurements with no append or
 discard in it, split before a gate on a qubit it has already measured:
-one ``measure_register`` or one ``bell_measure``.  Its gates can all act
+one ``measure_register`` or one ``bell_measure``, each of which ends in
+one discard of every qubit it measured.  Its gates can all act
 before its measurements.  The reference keeps the segment's outcomes o
 and a basis of flip directions: stabilizers P of the state before the
 measurements, each of which maps the post-measurement state of o to that

@@ -257,7 +257,11 @@ def bell_measure(state, pairs, rng, sink=None) -> tuple[int, int]:
     of the iterable ``pairs``, one pair after the other, outcomes drawn
     from ``rng``.  The pairs are taken lazily: the next pair is asked for
     only after the previous one is measured.  ``sink`` receives the
-    probability of every outcome.
+    probability of every outcome.  The measured qubits are only classical
+    bits, so the pairs are then dropped, all in one ``state.discard``
+    after the last pair: a frame replay reads the Bell measurement as one
+    segment and one discard, and a discard between pairs leaves its
+    reference.
 
     Returns (x_mask, z_mask), bit j for pair j: the teleport correction
     Pauli X^x Z^z, with the convention that the receiving half ends in
@@ -265,6 +269,7 @@ def bell_measure(state, pairs, rng, sink=None) -> tuple[int, int]:
     """
     sink = sink or (lambda p: None)
     xm = zm = 0
+    measured = []
     for j, (d, q) in enumerate(pairs):
         state.apply_gate("CNOT", d, q)
         state.apply_gate("H", d)
@@ -274,6 +279,8 @@ def bell_measure(state, pairs, rng, sink=None) -> tuple[int, int]:
         sink(p2)
         xm |= xbit << j
         zm |= zbit << j
+        measured += (d, q)
+    state.discard(measured)
     return xm, zm
 
 

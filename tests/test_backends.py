@@ -567,8 +567,9 @@ class TestColumnReuse:
     def test_keyed_run_growth_and_width(self, monkeypatch):
         """One keyed run at criterion 7's config appends 128 qubits, but
         the teleport-out register's 42 reuse the columns of the two
-        measured round registers, so the tableau peaks at 86 columns and
-        grows at most ceil(log2 128) + 1 times."""
+        measured round registers and of teleport-in's Bell pair, so the
+        tableau peaks at 84 = 3n(3 n_b + 1) columns and grows at most
+        ceil(log2 128) + 1 times."""
         from qotp_lab.css import build_steane
         from qotp_lab.qotp import (PauliAttackAdversary, QotpInstance,
                                    compile_controlled_program)
@@ -588,7 +589,7 @@ class TestColumnReuse:
         inst.run(PauliAttackAdversary(initial_attacks=[("M0", attack)]))
         state = inst.session.state
         assert state._next_id == 128
-        assert len(state.xcols) == 86
+        assert len(state.xcols) == 84
         assert len(regrowths) <= 8
 
     def test_discarded_id_is_gone(self):

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from qotp_lab import cli
+from qotp_lab.backends import StateVector
 from qotp_lab.harness import (COMMANDS, ExperimentReport, canonical_json,
-                              emit_report, run_experiment)
+                              emit_report, run_experiment, worst_of)
 
 
 class TestCanonicalJson:
@@ -53,6 +54,28 @@ class TestReports:
             assert "bound" in check and "value" in check
             assert isinstance(check["pass"], bool)
 
+    def test_nan_deviation_fails_its_check(self, monkeypatch):
+        """A measurement that leaves the state NaN makes every teleport
+        infidelity NaN, and each check reads NaN and fails; ``max`` would
+        have dropped the NaNs after its first argument and passed 0.0."""
+        measure = StateVector.measure
+
+        def measure_to_nan(self, qubit, rng):
+            out = measure(self, qubit, rng)
+            self._amps = np.full_like(self._amps, np.nan)
+            return out
+
+        monkeypatch.setattr(StateVector, "measure", measure_to_nan)
+        with np.errstate(invalid="ignore"):
+            report, _ = run_experiment("teleport-check", {"seed": 9})
+        checks = {c["name"]: c for c in report.checks
+                  if c["name"].endswith("_infidelity")}
+        assert len(checks) == 3
+        for check in checks.values():
+            assert np.isnan(check["value"]) and not check["pass"], check
+        assert worst_of([0.0, 2.0, 1.0]) == 2.0
+        assert np.isnan(worst_of([0.0, 1.0, float("nan")]))
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("command,config", [
@@ -86,7 +109,7 @@ class TestDeterminism:
          None),
         ("qotp-run", {"seed": 9, "channel": [["T", 0]],
                       "code": {"base": "toy"}, "backend": "sv"},
-         "21fe35d2ae3f673a8b3fe861f859c67c2ce09ad62746bad53f82703204e03b14",
+         "f168c56590d053234ad72b8ab7c5d34499037c19526dab6c948b42098fc16919",
          None),
         ("qotp-run", {"seed": 9, "channel": [["K", 0]], "b_labels": ["+"],
                       "backend": "sum"},
@@ -100,7 +123,7 @@ class TestDeterminism:
          None),
         # the teleport resource, and the H-magic pair on the sum
         ("teleport-check", {"seed": 9},
-         "1d381ab09b62357e88f29d9a97772dfcf6d06ada26724e13577d95e341e08891",
+         "a863b9ccb1612e17c379480f7970cbf424478ef765bc361a92bfce47a19d82c6",
          None),
         ("qotp-run", {"seed": 9, "channel": [["H", 0]], "b_labels": ["1"],
                       "backend": "sum"},
@@ -274,9 +297,9 @@ class TestCli:
         ("qotp-run", {"code": {"base": "steane", "levels": 2},
                       "backend": "sum"}),
         ("qotp-run", {"code": {"base": "steane", "levels": 2}}),
-        ("qotp-run", {"channel": [["X", 0], ["X", 1]], "n_b": 2,
+        ("qotp-run", {"channel": [["X", 0], ["X", 1], ["X", 2]], "n_b": 3,
                       "code": {"base": "toy"}, "backend": "sv"}),
-        ("qotp-run", {"channel": [["CNOT", 0, 1]], "n_b": 2,
+        ("qotp-run", {"channel": [["CNOT", 0, 1]], "n_b": 3,
                       "code": {"base": "toy"}, "backend": "auto"}),
     ], ids=["top-level-list", "unknown-base", "zero-runs", "string-seed",
             "string-unitaries", "string-permutations", "int-channel",
@@ -290,7 +313,8 @@ class TestCli:
             "attack-t-bearing-channel", "t-channel-on-tableau",
             "n_b-past-dense-limit", "steane-past-dense-cap",
             "d9-past-sum-cap", "d9-auto-past-sum-cap",
-            "toy-two-wires-past-dense-cap", "toy-cnot-auto-past-dense-cap"])
+            "toy-three-wires-past-dense-cap",
+            "toy-cnot-three-wires-past-dense-cap"])
     def test_bad_config_one_line_exit_two(self, tmp_path, command, config):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -303,6 +327,18 @@ class TestCli:
             assert all(key in res.stderr for key in config), res.stderr
             assert all(repr(v) in res.stderr for v in config.values()), \
                 res.stderr
+
+    @pytest.mark.parametrize("config", [
+        {"channel": [["X", 0], ["X", 1]], "n_b": 2, "code": {"base": "toy"},
+         "backend": "sv"},
+        {"channel": [["CNOT", 0, 1]], "n_b": 2, "code": {"base": "toy"},
+         "backend": "auto"},
+    ], ids=["toy-two-wires-on-dense", "toy-cnot-auto-on-dense"])
+    def test_two_toy_wires_fit_the_dense_cap(self, config):
+        """Two toy wires peak at 21 live qubits, under the dense cap of
+        24: each Bell measurement drops the pair it measured."""
+        report, _ = run_experiment("qotp-run", dict(config))
+        assert report.all_pass, report.checks
 
     @pytest.mark.parametrize("kappa", [2, 8])
     def test_weak_mac_field_refused(self, tmp_path, capsys, kappa):

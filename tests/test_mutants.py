@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from qotp_lab import cotp, denseops, gadgets, harness, qotp, trap
-from qotp_lab.backends import StabilizerSum, TableauState
+from qotp_lab.backends import StabilizerSum, StateVector, TableauState
 from qotp_lab.gadgets import AuthSession
 from qotp_lab.harness import run_experiment
 from qotp_lab.trap import TrapCode, TrapTable
@@ -37,6 +37,21 @@ def _bell_zero(*args, **kwargs):
     """Bell measurement that measures, then always reports (0, 0)."""
     _bell_measure(*args, **kwargs)
     return 0, 0
+
+
+def _discard_keeping_the_empty_half(self, qubits):
+    """The dense discard keeping, of each collapsed qubit, the half with
+    no weight: the state becomes 0/0, NaN."""
+    for q in list(qubits):
+        ax = self._axis(q)
+        view = self._amps.reshape((1 << ax, 2, -1))
+        w0 = float(np.sum(np.abs(view[:, 0, :]) ** 2))
+        w1 = float(np.sum(np.abs(view[:, 1, :]) ** 2))
+        self._amps = np.ascontiguousarray(
+            view[:, 1 if w0 >= w1 else 0, :]).reshape(1, -1)
+        with np.errstate(invalid="ignore"):
+            self._amps = self._amps / np.linalg.norm(self._amps)
+        self._ids.pop(ax)
 
 
 def _sum_h_then_z(self, name, *qubit_ids):
@@ -126,6 +141,9 @@ TELEPORT = ("teleport-check", {"seed": 1})
 SIM = ("sim-compare", {"seed": 7, "cases": ["dummy", "w-only",
                                             "data-attack"]})
 SIM_MAGIC = ("sim-compare", {"seed": 8, "cases": ["magic-attack"]})
+# the dense backend's Bell pairs and registers
+T_SV = ("qotp-run", {"seed": 9, "channel": [["T", 0]],
+                     "code": {"base": "toy"}, "backend": "sv"})
 SUM_K = ("qotp-run", {"seed": 9, "channel": [["K", 0]], "b_labels": ["+"],
                       "backend": "sum"})
 # every run after the second replays its reference (``backends.frame``)
@@ -148,6 +166,13 @@ MUTANTS = {
     "bell-outcome-always-zero": (
         harness, "bell_measure", _bell_zero, TELEPORT,
         ["all_outcomes_observed"]),
+    "discard-keeps-the-empty-half": (
+        StateVector, "discard", _discard_keeping_the_empty_half, TELEPORT,
+        ["plain_teleport_infidelity", "through_clifford_infidelity",
+         "attacked_teleport_infidelity"]),
+    "discard-keeps-the-empty-half-in-a-run": (
+        StateVector, "discard", _discard_keeping_the_empty_half, T_SV,
+        ["accepted", "output_fidelity", "final_key_equation"]),
     "key-labels-x-z-swapped": (
         qotp, "_KEY_LABELS", _KEY_LABELS_X_Z_SWAPPED, SIM,
         ["dummy_trace_distance", "w_only_trace_distance",

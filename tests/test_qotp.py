@@ -9,6 +9,7 @@ import pytest
 
 from qotp_lab import denseops as dn
 from qotp_lab import gadgets, qotp
+from qotp_lab.backends import StabilizerSum, StateVector, TableauState
 from qotp_lab.backends.frame import FrameReplay
 from qotp_lab.cotp import (BrOtpProgram, abort_message, brotp_query,
                             decode_payload, encode_payload)
@@ -217,6 +218,65 @@ class TestHonestRuns:
         assert insts[0].keys == insts[1].keys
         assert insts[0].output_keys == insts[1].output_keys
         assert insts[0].trap.pi == insts[1].trap.pi
+
+
+# the map of each backend's live ids
+LIVE_IDS = {StateVector: "_ids", TableauState: "_col_of",
+            StabilizerSum: "_row_of"}
+
+
+class TestLiveQubits:
+    @pytest.mark.parametrize("circ,nb,peak,backends", [
+        ([("X", 0)], 1, 12, ("sv", "tab", "sum")),
+        ([("T", 0)], 1, 15, ("sv", "sum")),
+        ([("X", 0), ("X", 1)], 2, 21, ("sv", "tab", "sum")),
+    ])
+    def test_peak_and_dropped_bell_pairs(self, monkeypatch, circ, nb, peak,
+                                         backends):
+        """A toy run peaks at 3n(3 n_b + 1 + t) live qubits, held at
+        teleport-out, on every backend that can run it, and no qubit a
+        Bell measurement measured is live after it."""
+        program = compile_controlled_program(circ, 0, nb)
+        assert peak == 3 * TOY.n * (3 * nb + 1 + program.uses_t_helper)
+        seen = {"peak": 0, "pairs": 0}
+
+        def counting(append, attr):
+            def wrapped(self, *args):
+                ids = append(self, *args)
+                seen["peak"] = max(seen["peak"], len(getattr(self, attr)))
+                return ids
+            return wrapped
+
+        for cls, attr in LIVE_IDS.items():
+            for name in ("append_qubits", "append_amplitudes"):
+                if hasattr(cls, name):
+                    monkeypatch.setattr(
+                        cls, name, counting(getattr(cls, name), attr))
+
+        def checked(state, pairs, rng, sink=None):
+            measured = []
+
+            def taken():
+                for pair in pairs:
+                    measured.extend(pair)
+                    yield pair
+
+            masks = bell_measure(state, taken(), rng, sink)
+            assert not set(measured) & set(getattr(state,
+                                                   LIVE_IDS[type(state)]))
+            seen["pairs"] += len(measured) // 2
+            return masks
+
+        monkeypatch.setattr(qotp, "bell_measure", checked)
+        for backend in backends:
+            seen.update(peak=0, pairs=0)
+            res, _ = honest_receiver_run(circ, 0, nb, TOY, seed=5,
+                                         b_labels=("0",) * nb,
+                                         backend=backend)
+            assert res.accepted
+            assert seen["peak"] == peak, backend
+            # teleport-in alone measures a pair per wire, teleport-out more
+            assert seen["pairs"] >= 2 * nb, backend
 
 
 class TestSenderInput:
