@@ -16,8 +16,8 @@ it, and its state is always the frame applied to the reference's state.
 
 A segment is a stretch of logged gates and measurements with no append or
 discard in it, split before a gate on a qubit it has already measured:
-one ``measure_register`` or one ``bell_measure``, each of which ends in
-one discard of every qubit it measured.  Its gates can all act
+one ``trap.measure_and_drop`` or one ``bell_measure``, each of which ends
+in one discard of every qubit it measured.  Its gates can all act
 before its measurements.  The reference keeps the segment's outcomes o
 and a basis of flip directions: stabilizers P of the state before the
 measurements, each of which maps the post-measurement state of o to that
@@ -32,9 +32,10 @@ chosen so far.
 A run must make the reference's calls with its qubits relabelled.  Calls on
 disjoint qubits may come in another order, but each segment, and each
 stretch between segments, is finished before the next begins.  A call that
-leaves the reference raises; a read, or a call after the reference's last
-entry, hands over to a copy of the reference's final ``TableauState``,
-its ids relabelled and the frame applied as sign flips.
+leaves the reference raises, also past its last entry.  Once the run has
+made every call, ``final_state`` hands out its state: a copy of the
+reference's final ``TableauState``, its ids relabelled and the frame
+applied as sign flips.
 """
 
 from __future__ import annotations
@@ -214,7 +215,7 @@ class _Reference:
 class FrameReplay:
     """A run replayed against a reference (``Recorder.finish``), with
     ``TableauState``'s call surface and the same outcomes, probabilities
-    and draws.
+    and draws; ``final_state`` is the ``TableauState`` the run ends in.
 
     ``_sig`` maps run ids to reference ids, ``_nxt[r]`` is reference id
     r's next entry, and ``_fx`` and ``_fz`` are the frame's X and Z bits by
@@ -236,11 +237,10 @@ class FrameReplay:
         self._vecs = None
         self._placed = 0
         self._next_id = 0
-        self._real = None
         if ref.regions:
             self._next_region()
 
-    # -- regions and the hand-over ---------------------------------------------
+    # -- regions and the final state -------------------------------------------
     def _close_segment(self) -> None:
         if self._vecs is not None:
             self._fx ^= self._cx
@@ -258,22 +258,20 @@ class FrameReplay:
 
     def _slow(self, method, *args):
         """A call that is not the next entry of its qubits in the current
-        region: it may open the next region; past the reference's last
-        entry it goes to the copied tableau; otherwise it raises."""
-        if (self._real is None and self._hi < self._ref.size
-                and min(self._nxt) >= self._hi):
+        region: it opens the next region, or it leaves the reference and
+        raises."""
+        if self._hi < self._ref.size and min(self._nxt) >= self._hi:
             self._next_region()
             return method(self, *args)
-        return getattr(self._hand_over(), method.__name__)(*args)
+        raise RuntimeError("the run leaves its reference at "
+                           + method.__name__)
 
-    def _hand_over(self) -> TableauState:
-        """The ``TableauState`` this run is: the reference's final state
-        with its columns relabelled and the frame applied.  From here on
-        every call goes to it."""
-        if self._real is not None:
-            return self._real
+    def final_state(self) -> TableauState:
+        """The state the run ends in, once it has made every call of its
+        reference: a copy of the reference's final state with its columns
+        relabelled and the frame applied."""
         if min(self._nxt, default=0) < self._ref.size:
-            raise RuntimeError("the run leaves its reference mid-run")
+            raise RuntimeError("the run has not reached its reference's end")
         self._close_segment()
         real = self._ref.final.copy()
         cols = real._col_of
@@ -285,10 +283,6 @@ class FrameReplay:
                 real.signs ^= real.zcols[col]
             if self._fz >> r & 1:
                 real.signs ^= real.xcols[col]
-        self._real = real
-        for name in ("append_qubits", "apply_gate", "apply_pauli", "measure",
-                     "discard", "density_of"):
-            setattr(self, name, getattr(real, name))
         return real
 
     def _ref_ids(self, qubits) -> list[int]:
@@ -316,8 +310,6 @@ class FrameReplay:
         permutation ``pi``: its role-r qubit takes the label of the
         reference's role-r qubit of the same placing.  Only qubits that no
         call has touched since their append change label."""
-        if self._real is not None:
-            return
         ref, nxt, born = self._ref, self._nxt, self._ref.born
         roles = [ids[p] for p in pi]
         old = self._ref_ids(roles)
@@ -423,4 +415,4 @@ class FrameReplay:
 
     # -- reads ---------------------------------------------------------------------
     def density_of(self, qubits):
-        return self._hand_over().density_of(qubits)
+        return self.final_state().density_of(qubits)

@@ -38,8 +38,8 @@ from typing import Callable
 import numpy as np
 
 from .paulis import PauliOperator
-from .trap import (TrapCode, authenticate_register, place_register,
-                   sample_auth_key, verify_and_decode)
+from .trap import (TrapCode, authenticate_register, measure_and_drop,
+                   place_register, sample_auth_key, verify_and_decode)
 
 
 # ---------------------------------------------------------------------------
@@ -337,14 +337,8 @@ class AuthSession:
     def measure_register(self, name: str) -> list[int]:
         """Measure every qubit of the register, then let the state drop
         them."""
-        ids = self.consume(name)
-        bits = []
-        for q in ids:
-            bit, prob = self.state.measure(q, rng=self.rng)
-            bits.append(bit)
-            self._weigh(prob)
-        self.state.discard(ids)
-        return bits
+        return measure_and_drop(self.state, self.consume(name), self.rng,
+                                self._weigh)
 
     # -- the schedule walk -----------------------------------------------------
     def next_round(self, reply: list[int] | None
@@ -386,8 +380,8 @@ class AuthSession:
                          ) -> tuple[bool, int]:
         """De-authenticate a register under the verifier's ``key``.
 
-        Measures every syndrome and trap qubit; returns (accepted, the live
-        data qubit id).
+        Measures and drops every syndrome and trap qubit; returns
+        (accepted, the live data qubit id).
         """
         return verify_and_decode(self.state, self.trap, key,
                                  self.consume(name), self.rng)

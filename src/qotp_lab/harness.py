@@ -50,7 +50,10 @@ def _canon(value) -> str:
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         out = format(float(value), ".17g")
-        return out if ("." in out or "e" in out or "n" in out) else out + ".0"
+        if "n" in out:  # nan, inf or -inf: JSON has no token for them
+            out = out.replace("nan", "NaN").replace("inf", "Infinity")
+            return f'"{out}"'
+        return out if ("." in out or "e" in out) else out + ".0"
     if value is None:
         return "null"
     return json.dumps(str(value))
@@ -188,18 +191,6 @@ def config_channel(config: dict, default: list) -> list[tuple]:
         raise ValueError("channel must be a non-empty list of gates like "
                          f"[\"H\", 0], got {channel!r}")
     return [tuple(g) for g in channel]
-
-
-def refuse_t_on_tableau(program, channel: list, backend: str) -> None:
-    """Refuse, before the first run, a program whose controlled circuit
-    holds T gates (the controlled H, K, T and CNOT do) on the tableau,
-    which cannot represent T-type magic states; ``backend`` names the
-    setting that chose the tableau."""
-    if program.has_t:
-        raise ValueError(
-            f"channel {[list(g) for g in channel]!r} needs T-type magic "
-            f"states (the controlled H, K, T and CNOT hold T gates), which "
-            f"{backend} cannot represent")
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +372,6 @@ def run_qotp(config: dict, seed: int) -> tuple[ExperimentReport, None]:
                          "state of m MAC blocks is forged with probability "
                          "up to m/2^kappa")
     program = compile_controlled_program(channel, 0, n_b)
-    if backend == "tab":
-        refuse_t_on_tableau(program, channel, "backend 'tab'")
     kind = pick_backend(program, base, backend)
     module = {"sv": statevector, "tab": tableau, "sum": stabsum}[kind]
     cap = module.MAX_QUBITS
@@ -396,7 +385,7 @@ def run_qotp(config: dict, seed: int) -> tuple[ExperimentReport, None]:
             f"teleport-out holds 9n qubits per B wire, 3n for Ctl and 3n "
             f"for Et0 when the channel holds T")
     result, inst = honest_receiver_run(
-        channel, 0, n_b, base, seed, b_labels=b_labels, backend=backend,
+        program, base, seed, b_labels=b_labels, backend=kind,
         transport=transport, kappa=kappa)
     vec = np.array([1.0 + 0j])
     for label in b_labels:
@@ -448,7 +437,6 @@ def run_qotp_attack(config: dict, seed: int) -> tuple[ExperimentReport, None]:
         raise ValueError(
             f"channel {[list(g) for g in channel]!r} has no gadget round, "
             "so no magic register M0 to attack")
-    refuse_t_on_tableau(program, channel, "the tableau qotp-attack runs on")
     n3 = 3 * base.n
     x_mask = config_int(config, "attack_x_mask", 0b111, lo=0,
                         hi=(1 << n3) - 1)

@@ -194,7 +194,7 @@ def verify_controlled_table() -> None:
 @dataclass(frozen=True)
 class CompiledProgram:
     """Controlled form of a channel circuit, cut once into its round
-    schedule."""
+    schedule and scanned once for T gates (``has_t``)."""
 
     base_circuit: tuple      # U over wires (A, B)
     n_a: int
@@ -203,16 +203,12 @@ class CompiledProgram:
     controlled_circuit: tuple  # over wires (A, B [, helper], control)
     steps: tuple             # build_schedule of controlled_circuit
     num_rounds: int          # its round steps: #K + #H + 2 #T
+    has_t: bool              # the controlled circuit holds a T gate, so a
+                             # run needs T-type magic states
     # per run shape: [runs begun, the reference its replays share]
     # (``QotpInstance.run``)
     replays: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
-
-    @property
-    def has_t(self) -> bool:
-        """The controlled circuit holds a T gate, so a run needs T-type
-        magic states, which the tableau cannot represent."""
-        return any(g[0] == "T" for g in self.controlled_circuit)
 
 
 def compile_controlled_program(circuit, n_a: int,
@@ -245,7 +241,7 @@ def compile_controlled_program(circuit, n_a: int,
     return CompiledProgram(
         base_circuit=circuit, n_a=n_a, n_b=n_b, uses_t_helper=uses_helper,
         controlled_circuit=tuple(controlled), steps=tuple(steps),
-        num_rounds=num_rounds)
+        num_rounds=num_rounds, has_t=any(g[0] == "T" for g in controlled))
 
 
 # ---------------------------------------------------------------------------
@@ -527,9 +523,13 @@ def _deserialize_verifier(blob: bytes, names: list[str], program, trap,
 # ---------------------------------------------------------------------------
 
 class DummyAdversary:
-    """The honest receiver: prepares |0> inputs, never deviates."""
+    """The honest receiver: prepares its inputs (|0> unless ``b_labels``
+    says otherwise), never deviates."""
 
     b_labels = ("0",)
+
+    def __init__(self, b_labels=("0",)):
+        self.b_labels = tuple(b_labels)
 
     def shape(self) -> tuple:
         """What decides the backend calls of a run against this adversary;
@@ -622,7 +622,13 @@ def pick_backend(program: CompiledProgram, base_code: CssCode,
     """The backend name a run of ``program`` uses for ``backend``:
     ``"auto"`` puts Clifford-only controlled circuits on the tableau, and
     T-bearing ones on the stabilizer sum, or the dense backend at toy
-    scale."""
+    scale.  ``"tab"`` with a T-bearing program raises ``ValueError``: the
+    tableau cannot represent T-type magic states."""
+    if backend == "tab" and program.has_t:
+        raise ValueError(
+            f"channel {[list(g) for g in program.base_circuit]!r} needs "
+            f"T-type magic states (the controlled H, K, T and CNOT hold T "
+            f"gates), which backend 'tab' cannot represent")
     if backend != "auto":
         return backend
     if not program.has_t:
@@ -637,6 +643,7 @@ class QotpInstance:
                  seed: int, world: str = "real", backend: str = "auto",
                  a_labels=(), transport: str = "direct", kappa: int = 16,
                  trap: TrapCode | None = None, pad_coset: str = "I"):
+        backend = pick_backend(program, base_code, backend)
         self.program = program
         self.base_code = base_code
         self.world = world
@@ -655,10 +662,9 @@ class QotpInstance:
             # the exact comparison's pad coset on the teleported input
             keys["Bt0"] = keys["Bt0"] * self.trap.logical_pauli(pad_coset)
         self.keys = keys
-        backend = pick_backend(program, base_code, backend)
-        state = _BACKENDS[backend](0)
         self.backend_kind = backend
-        self.session = AuthSession(self.trap, dict(keys), state,
+        self.session = AuthSession(self.trap, dict(keys),
+                                   _BACKENDS[backend](0),
                                    rngmod.stream(seed, "outcomes"),
                                    program.steps, data)
         self.a_labels = tuple(a_labels)
@@ -772,23 +778,20 @@ class QotpInstance:
 # high-level entry points
 # ---------------------------------------------------------------------------
 
-def honest_receiver_run(circuit, n_a: int, n_b: int, base_code: CssCode,
+def honest_receiver_run(program: CompiledProgram, base_code: CssCode,
                         seed: int, a_labels=(), b_labels=("0",),
                         backend: str = "auto", transport: str = "brotp",
                         kappa: int = 16):
-    """Compile, prepare, and honestly evaluate the one-time program.
+    """Prepare the compiled ``program`` (``compile_controlled_program``)
+    and honestly evaluate it once.
 
     Returns (result, instance); the output state sits on
     ``result.b_out_qubits`` of ``result.session.state``.
     """
-    program = compile_controlled_program(circuit, n_a, n_b)
     inst = QotpInstance(program, base_code, seed, world="real",
                         backend=backend, a_labels=a_labels,
                         transport=transport, kappa=kappa)
-    adversary = DummyAdversary()
-    adversary.b_labels = tuple(b_labels)
-    result = inst.run(adversary)
-    return result, inst
+    return inst.run(DummyAdversary(b_labels)), inst
 
 
 # ---------------------------------------------------------------------------

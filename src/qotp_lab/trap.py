@@ -383,9 +383,25 @@ def place_register(state, trap: TrapCode, ids: list[int]) -> None:
         relabel(ids, trap.pi.mapping)
 
 
+def measure_and_drop(state, ids, rng, sink=None) -> list[int]:
+    """The bits of the qubits ``ids``, measured in order with outcomes
+    drawn from ``rng`` and each probability handed to ``sink``; then the
+    qubits are dropped in one ``state.discard``, which a frame replay reads
+    as the end of one segment."""
+    sink = sink or (lambda p: None)
+    bits = []
+    for q in ids:
+        bit, prob = state.measure(q, rng=rng)
+        bits.append(bit)
+        sink(prob)
+    state.discard(ids)
+    return bits
+
+
 def verify_and_decode(state, trap: TrapCode, key: PauliOperator,
                       ids: list[int], rng) -> tuple[bool, int]:
-    """Strip the key, decode, and measure every syndrome/trap qubit.
+    """Strip the key, decode, and measure and drop every syndrome/trap
+    qubit.
 
     Returns (accepted, data qubit id); acceptance requires every measured
     bit to be zero.
@@ -393,15 +409,9 @@ def verify_and_decode(state, trap: TrapCode, key: PauliOperator,
     state.apply_pauli(key.adjoint(), ids)
     for g in trap.decoding_ops(ids):
         state.apply_gate(*g)
-    accepted = True
     dpos = trap.data_position()
-    for p in range(trap.n):
-        if p == dpos:
-            continue
-        bit, _ = state.measure(ids[p], rng=rng)
-        if bit:
-            accepted = False
-    return accepted, ids[dpos]
+    bits = measure_and_drop(state, ids[:dpos] + ids[dpos + 1:], rng)
+    return not any(bits), ids[dpos]
 
 
 # ---------------------------------------------------------------------------

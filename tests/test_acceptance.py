@@ -153,7 +153,8 @@ class TestCriterion5GadgetSoundness:
 class TestCriterion6HonestQotp:
     def test_end_to_end_channels(self):
         from qotp_lab.gadgets import EIGENSTATE_VECTORS
-        from qotp_lab.qotp import honest_receiver_run
+        from qotp_lab.qotp import (compile_controlled_program,
+                                   honest_receiver_run)
 
         steane = build_steane()
         toy = build_toy_code()
@@ -169,8 +170,8 @@ class TestCriterion6HonestQotp:
         all_accept = True
         for circ, nb, labels, backend, code in cases:
             res, inst = honest_receiver_run(
-                circ, 0, nb, code, seed=6, b_labels=labels, backend=backend,
-                transport="brotp")
+                compile_controlled_program(circ, 0, nb), code, seed=6,
+                b_labels=labels, backend=backend, transport="brotp")
             all_accept &= res.accepted
             rho = res.session.state.density_of(res.b_out_qubits)
             vec = np.array([1.0 + 0j])

@@ -33,6 +33,18 @@ class TestCanonicalJson:
         r.add_check("x", 0.1, 0.2, True)
         assert r.to_canonical() == r.to_canonical()
 
+    def test_nonfinite_values_load(self):
+        """NaN and infinite check values are written as the strings
+        "NaN", "Infinity" and "-Infinity", so every report is valid JSON;
+        null stays the value of a check with no value."""
+        r = ExperimentReport("demo", {})
+        r.add_check("x", float("nan"), 1e-9, False)
+        r.add_check("y", np.float64("inf"), -np.inf, False)
+        r.add_check("z", None, 1.0, False)
+        checks = json.loads(r.to_canonical())["checks"]
+        assert [(c["value"], c["bound"]) for c in checks] == [
+            ("NaN", 1e-9), ("Infinity", "-Infinity"), (None, 1.0)]
+
 
 class TestReports:
     def test_emit_and_reload(self, tmp_path):
@@ -430,6 +442,19 @@ class TestReadme:
         minus = np.array([1, -1]) / np.sqrt(2)
         assert np.allclose(scope["rho"], np.outer(minus, minus), atol=1e-9)
 
+    def test_example_descriptor_runs(self, tmp_path):
+        """The README's example ``qotp-run`` descriptor runs through the
+        CLI with every check passing."""
+        with open(os.path.join(os.path.dirname(__file__), os.pardir,
+                               "README.md")) as fh:
+            readme = fh.read()
+        section = readme.split("Example program descriptor for `qotp-run`",
+                               1)[1]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(section.split("```json\n", 1)[1].split("```", 1)[0])
+        assert cli.main(["qotp-run", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 0
+
 
 class TestGadgetCheck:
     def test_flagged_gadget_record_fails_its_check(self, monkeypatch):
@@ -447,6 +472,26 @@ class TestGadgetCheck:
         verdicts = {c["name"]: c["pass"] for c in report.checks}
         assert verdicts["gadget_H_exact"] is False
         assert verdicts["gadget_X_exact"] is True
+
+
+class TestQotpRun:
+    def test_compiles_once(self, monkeypatch):
+        """``qotp-run`` runs the program it compiled and checked."""
+        from qotp_lab import harness, qotp
+
+        calls = []
+        compile_program = qotp.compile_controlled_program
+
+        def counting(*args):
+            calls.append(args)
+            return compile_program(*args)
+
+        monkeypatch.setattr(harness, "compile_controlled_program", counting)
+        monkeypatch.setattr(qotp, "compile_controlled_program", counting)
+        report, _ = run_experiment("qotp-run", {
+            "seed": 5, "channel": [["X", 0]], "backend": "tab"})
+        assert report.all_pass
+        assert len(calls) == 1
 
 
 class TestFinalKeyAudit:

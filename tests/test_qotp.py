@@ -32,6 +32,14 @@ class TestCompile:
     def test_table_verifies(self):
         verify_controlled_table()
 
+    def test_tableau_refuses_a_t_bearing_program(self):
+        """The controlled K holds T gates: the tableau refuses its
+        program when the instance is made, before any run."""
+        prog = compile_controlled_program([("K", 0)], 0, 1)
+        with pytest.raises(ValueError,
+                           match=r"channel \[\['K', 0\]\].*backend 'tab'"):
+            QotpInstance(prog, STEANE, seed=1, backend="tab")
+
     def test_controlled_x_is_cnot(self):
         prog = compile_controlled_program([("X", 0)], 0, 1)
         # wires: B wire 0, then the control
@@ -154,9 +162,9 @@ CLIFFORD_CASES = [
 class TestHonestRuns:
     @pytest.mark.parametrize("circ,nb,labels,backend", CLIFFORD_CASES)
     def test_steane_clifford_channels(self, circ, nb, labels, backend):
-        res, inst = honest_receiver_run(circ, 0, nb, STEANE, seed=101,
-                                        b_labels=labels, backend=backend,
-                                        transport="brotp")
+        res, inst = honest_receiver_run(
+            compile_controlled_program(circ, 0, nb), STEANE, seed=101,
+            b_labels=labels, backend=backend, transport="brotp")
         assert res.accepted and not res.cheated
         rho = res.session.state.density_of(res.b_out_qubits)
         vec = np.array([1.0 + 0j])
@@ -166,9 +174,9 @@ class TestHonestRuns:
         assert np.allclose(rho, np.outer(want, want.conj()), atol=1e-8)
 
     def test_toy_t_channel_fidelity(self):
-        res, inst = honest_receiver_run([("T", 0)], 0, 1, TOY, seed=103,
-                                        b_labels=("+",), backend="sv",
-                                        transport="brotp")
+        res, inst = honest_receiver_run(
+            compile_controlled_program([("T", 0)], 0, 1), TOY, seed=103,
+            b_labels=("+",), backend="sv", transport="brotp")
         assert res.accepted
         want = dn.MT @ EIGENSTATE_VECTORS["+"]
         fid = dn.state_fidelity(want,
@@ -177,8 +185,9 @@ class TestHonestRuns:
 
     def test_identity_channel_round_trip(self):
         for label in ("0", "1", "+", "-i"):
-            res, inst = honest_receiver_run([], 0, 1, STEANE, seed=107,
-                                            b_labels=(label,), backend="tab")
+            res, inst = honest_receiver_run(
+                compile_controlled_program([], 0, 1), STEANE, seed=107,
+                b_labels=(label,), backend="tab")
             assert res.accepted
             want = EIGENSTATE_VECTORS[label]
             assert np.allclose(res.session.state.density_of(res.b_out_qubits),
@@ -186,10 +195,10 @@ class TestHonestRuns:
 
     def test_key_equation_audit(self):
         for seed in range(5):
-            res, inst = honest_receiver_run([("Y", 0)], 0, 1, STEANE,
-                                            seed=200 + seed, b_labels=("+",),
-                                            backend="tab",
-                                            transport="direct")
+            res, inst = honest_receiver_run(
+                compile_controlled_program([("Y", 0)], 0, 1), STEANE,
+                seed=200 + seed, b_labels=("+",), backend="tab",
+                transport="direct")
             assert res.accepted
             audit = inst.oracle.audit
             recomputed = [qotp._KEY_LABELS[audit.final_keys(res.t_out, i)]
@@ -199,9 +208,9 @@ class TestHonestRuns:
     def test_brotp_and_direct_transports_agree(self):
         outs = []
         for transport in ("direct", "brotp"):
-            res, inst = honest_receiver_run([("H", 0)], 0, 1, TOY, seed=301,
-                                            b_labels=("0",), backend="sv",
-                                            transport=transport)
+            res, inst = honest_receiver_run(
+                compile_controlled_program([("H", 0)], 0, 1), TOY, seed=301,
+                b_labels=("0",), backend="sv", transport=transport)
             outs.append((res.accepted, res.t_in, res.records, res.s_hat))
         assert outs[0] == outs[1]
 
@@ -270,13 +279,25 @@ class TestLiveQubits:
         monkeypatch.setattr(qotp, "bell_measure", checked)
         for backend in backends:
             seen.update(peak=0, pairs=0)
-            res, _ = honest_receiver_run(circ, 0, nb, TOY, seed=5,
-                                         b_labels=("0",) * nb,
-                                         backend=backend)
+            res, _ = honest_receiver_run(
+                compile_controlled_program(circ, 0, nb), TOY, seed=5,
+                b_labels=("0",) * nb, backend=backend)
             assert res.accepted
             assert seen["peak"] == peak, backend
             # teleport-in alone measures a pair per wire, teleport-out more
             assert seen["pairs"] >= 2 * nb, backend
+
+    @pytest.mark.parametrize("backend",
+                             [StateVector, TableauState, StabilizerSum])
+    def test_recovered_register_keeps_its_data_qubit_only(self, backend):
+        """De-authentication drops every syndrome and trap qubit it
+        measured, as a gadget round drops its magic register."""
+        session, verifier, data = gadgets.make_gadget_session(
+            TOY, [("K", 0)], ["+"], backend(0), np.random.default_rng(8))
+        gadgets.run_encoded_circuit(session, verifier)
+        ok, out = session.recover_register(data[0], verifier.keys[data[0]])
+        assert ok and not verifier.cheated
+        assert set(getattr(session.state, LIVE_IDS[backend])) == {out}
 
 
 class TestSenderInput:
@@ -383,8 +404,9 @@ class TestFrameReplay:
 
     def test_replayed_run_continues_past_its_end(self):
         """As in ``test_control_off_means_identity_gadgets``, a replayed
-        run's control register de-authenticates after the run, with the
-        acceptance, density and draws of the same seed on the tableau."""
+        run's control register de-authenticates after the run, on the
+        state the replay hands out, with the acceptance, density and draws
+        of the same seed on the tableau."""
         prog = compile_controlled_program([("X", 0)], 0, 1)
         for world in ("sim", "real"):
             outs = []
@@ -395,14 +417,42 @@ class TestFrameReplay:
                                     backend="tab", transport="direct")
                 res = inst.run(DummyAdversary())
                 ses = res.session
+                run_state = ses.state
+                if isinstance(run_state, FrameReplay):
+                    ses.state = run_state.final_state()
                 ok, out = ses.recover_register(
                     "Ctl", inst.oracle.audit.keys["Ctl"])
-                outs.append((ses.state, ok, ses.state.density_of([out]),
+                outs.append((run_state, ok, ses.state.density_of([out]),
                              int(ses.rng.integers(0, 1 << 62))))
             (replay, *got), (_, *want) = outs[2:]
             assert isinstance(replay, FrameReplay)
             assert got[0] and got[0] == want[0] and got[2] == want[2]
             assert np.allclose(got[1], want[1], atol=1e-12)
+
+    def test_a_finished_replay_hands_out_its_final_state(self):
+        """Past its reference's last entry a replay refuses a Clifford
+        call, and ``final_state()`` is the state the same seed leaves on a
+        plain tableau: the same live ids and the same density."""
+        prog = compile_controlled_program([("X", 0)], 0, 1)
+
+        def run(program, seed):
+            return QotpInstance(program, TOY, seed=seed, world="real",
+                                backend="tab", transport="direct").run(
+                DummyAdversary()).session.state
+
+        run(prog, 0)
+        run(prog, 1)  # records the reference
+        for seed in range(2, 6):
+            replay = run(prog, seed)
+            plain = run(compile_controlled_program([("X", 0)], 0, 1), seed)
+            assert isinstance(replay, FrameReplay)
+            final = replay.final_state()
+            ids = sorted(plain._col_of)
+            assert sorted(final._col_of) == ids
+            assert np.allclose(final.density_of(ids), plain.density_of(ids),
+                               atol=1e-12), seed
+            with pytest.raises(RuntimeError, match="leaves its reference"):
+                replay.apply_gate("H", ids[0])
 
     def test_a_call_off_the_reference_raises(self):
         """A replayed run that makes a gate its reference lacks raises; it
@@ -816,7 +866,7 @@ class TestAbortChannel:
         advances and replies with its one bit, and nothing raises."""
         prog = compile_controlled_program([("K", 0)], 0, 1)
         inst = QotpInstance(prog, STEANE, seed=5, world="real",
-                            backend="tab", transport="brotp")
+                            backend="auto", transport="brotp")
         oracle = inst.oracle
         oracle.receive_t_in([qotp._KEY_LABELS[0]])
         assert not oracle.audit.cheated
