@@ -13,7 +13,8 @@ prepares k |0> qubits and returns their ids, ``discard(ids)`` frees
 collapsed qubits for reuse (and raises ``ValueError`` on one that is not),
 ``apply_gate(name, *ids)``, ``apply_pauli(p, ids)``, ``measure(id, rng)``
 returns ``(bit, probability)`` with the bit drawn by the Born rule, and
-``density_of(ids)`` is the reduced density matrix.
+``density_of(ids)`` is the reduced density matrix (<= 12 qubits; the sum
+reads it from Pauli expectations, whatever its rank k).
 """
 
 from __future__ import annotations

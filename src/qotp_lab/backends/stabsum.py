@@ -11,7 +11,9 @@ and per-term data (b_t, e_t, c_t).  Clifford gates update the shared frame
 with per-term corrections that stay inside this family, so stabilizer-state
 inner products degenerate to coset/offset comparisons: parallel affine
 supports are equal or disjoint, no general inner-product routine is needed.
-Measurement probabilities with interference between terms are exact.
+Measurement probabilities with interference between terms are exact, and
+the reduced density is read from Pauli expectations, each a key match in
+the frame (Bravyi et al.'s low-rank overlap, arXiv:1808.00128).
 
 The frame is GF(2) bit-planes in Python integers: A one per column (bit r
 is row r), Q one per row, d two planes (``d0``, ``d1``: the low and high
@@ -68,8 +70,6 @@ class StabilizerSum:
         # True while the sum is known to be canonical: ``canonicalize``
         # sets it, and every change that can break that form clears it
         self._canonical = False
-        # row j of A as ``measure`` read it, handed to its ``_project``
-        self._row_read: tuple[int, int] | None = None
         if n:
             self.append_qubits(n)
 
@@ -287,23 +287,27 @@ class StabilizerSum:
             for c2 in _meeting(cols, piv[c]):
                 if c2 != c:
                     self._subst_xor(c, c2)
-        # b-reduction: shift terms (u -> u xor e_c) so b vanishes on pivot
-        # rows; column c is zero on the other pivot rows, so the terms each
-        # pivot shifts are known up front
-        hits = 0
-        for b in self.bs:
-            hits |= b
-        for c in _meeting(piv, hits):
-            hit = list(_meeting(self.bs, piv[c]))
-            dc = self._d(c)
-            ec = np.array([self.es[t] >> c & 1 for t in hit], dtype=np.uint8)
-            self.coeffs[hit] *= (1j ** dc) * ((-1.0) ** ec)
-            flip = self.Q[c] ^ (dc & 1) << c
-            for t in hit:
-                self.es[t] ^= flip
-                self.bs[t] ^= cols[c]
+        self._reduce_b(self.bs, self.es, self.coeffs)
         self._merge()
         self._canonical = True
+
+    def _reduce_b(self, bs: list[int], es: list[int], coeffs) -> None:
+        """Return terms to their canonical (b, e) keys over the column-RREF
+        frame, in place: u -> u xor e_c clears b on column c's pivot row
+        and leaves the other pivot rows as they are."""
+        hits = 0
+        for b in bs:
+            hits |= b
+        piv = [col & -col for col in self.cols]
+        for c in _meeting(piv, hits):
+            hit = list(_meeting(bs, piv[c]))
+            dc = self._d(c)
+            ec = np.array([es[t] >> c & 1 for t in hit], dtype=np.uint8)
+            coeffs[hit] *= (1j ** dc) * ((-1.0) ** ec)
+            flip = self.Q[c] ^ (dc & 1) << c
+            for t in hit:
+                es[t] ^= flip
+                bs[t] ^= self.cols[c]
 
     def _merge(self) -> None:
         order: dict[tuple[int, int], int] = {}  # (b, e) -> slot in new_c
@@ -404,9 +408,7 @@ class StabilizerSum:
         return ids
 
     # -- measurement -------------------------------------------------------
-    def _project(self, j: int, y: int) -> None:
-        read, self._row_read = self._row_read, None
-        row = read[1] if read and read[0] == j else self._row_bits(j)
+    def _project(self, j: int, y: int, row: int) -> None:
         bj = [b >> j & 1 for b in self.bs]
         if not row:
             # dropping terms keeps the canonical form
@@ -474,115 +476,61 @@ class StabilizerSum:
         prob = p1 if bit else p0
         if prob <= 1e-14:
             return bit, 0.0
-        self._row_read = (j, row)
-        self._project(j, bit)
+        self._project(j, bit, row)
         self.coeffs = self.coeffs / np.sqrt(self._sq_norm())
         return bit, prob
 
     # -- inspection ---------------------------------------------------------
-    def _frame_arrays(self):
-        """The frame as uint8 bit arrays: (A (n x k), Q (k x k), d (k, as
-        int64), b (terms x n), e (terms x k))."""
-        d = _bit_rows([self.d0, self.d1], self.k).astype(np.int64)
-        return (_bit_rows(self.cols, self.n).T, _bit_rows(self.Q, self.k),
-                d[0] + 2 * d[1], _bit_rows(self.bs, self.n),
-                _bit_rows(self.es, self.k))
-
-    def _amplitude_table(self, rows) -> tuple[np.ndarray, np.ndarray]:
-        """Every nonzero amplitude: (keys, amps), where keys[i] packs the
-        bits of basis state i on ``rows`` (in that order, most significant
-        first, as ``np.packbits``) and amps[i] is its amplitude.
-
-        Basis states come in order of first appearance over (term, u), and
-        each amplitude is summed in that order starting from zero, as a
-        running dictionary would sum it."""
-        if self.k > 20:
-            raise ValueError("dense reconstruction limited to 2^20 terms")
-        k = self.k
-        rows = list(rows)
-        A, Q, d, bs, es = self._frame_arrays()
-        us = np.arange(1 << k, dtype=np.int64)
-        ubits = (us[:, None] >> np.arange(k)[None, :]) & 1
-        quad = ((ubits @ np.triu(Q, 1).astype(np.int64)) * ubits).sum(
-            axis=1)
-        ipow = np.array([1, 1j, -1, -1j], dtype=complex)
-        amps = []
-        for t in range(self.num_terms):
-            phase = ubits @ ((d + 2 * es[t]) & 3) + 2 * quad
-            amps.append(self.coeffs[t] * (2.0 ** (-k / 2)) * ipow[phase & 3])
-        xs = ((ubits @ A[rows].T.astype(np.int64)) & 1).astype(np.uint8)
-        keys = (np.packbits(xs, axis=1)[None, :, :]
-                ^ np.packbits(bs[:, rows], axis=1)[:, None, :])
-        keys = keys.reshape(self.num_terms << k, keys.shape[2])
-        slot, first = _first_seen(keys)
-        acc = np.zeros(len(first), dtype=complex)
-        np.add.at(acc, slot, np.concatenate(amps))
-        nonzero = np.abs(acc) > 1e-14
-        return keys[first][nonzero], acc[nonzero]
-
-    def sparse_amplitudes(self) -> dict[int, complex]:
-        """Exact amplitudes keyed by basis index (qubit 0 most significant)."""
-        keys, amps = self._amplitude_table(range(self.n))
-        shift = 8 * keys.shape[1] - self.n
-        return {int.from_bytes(key.tobytes(), "big") >> shift: amp
-                for key, amp in zip(keys, amps)}
-
-    def dense_vector(self) -> np.ndarray:
-        vec = np.zeros(1 << self.n, dtype=complex)
-        for idx, amp in self.sparse_amplitudes().items():
-            vec[idx] = amp
-        return vec
-
     def density_of(self, qubits) -> np.ndarray:
-        """Reduced density matrix on the listed qubits (<= 12): the sum of
-        |v><v| over the kept-qubit vectors v of each basis state of the
-        other qubits, in order of first appearance."""
+        """Reduced density matrix on the listed qubits (<= 12), the first
+        listed most significant: rho = 2^-m sum_{x,z} conj(<Z^z X^x>)
+        Z^z X^x over the m kept qubits.
+
+        Each expectation is an overlap in the canonical frame, where
+        distinct (b, e) keys are orthogonal terms: X^x XORs the kept rows
+        into every b, and the b-reduction returns each term to its key;
+        Z^z XORs the kept rows of A into every e and signs each
+        coefficient by (-1)^{z.b}.  Only the (x, z) pairs whose image
+        meets a key of the sum are visited."""
         keep = [self._row(q) for q in qubits]
-        if len(keep) > 12:
+        m = len(keep)
+        if m > 12:
             raise ValueError("dense reduction limited to 12 qubits")
-        r = len(keep)
-        keepset = set(keep)
-        rest = [q for q in range(self.n) if q not in keepset]
-        keys, amps = self._amplitude_table(keep + rest)
-        bits = np.unpackbits(keys, axis=1, count=self.n)
-        kept = bits[:, :r].astype(np.intp) @ (1 << np.arange(r - 1, -1, -1))
-        group, first = _first_seen(np.packbits(bits[:, r:], axis=1))
-        order = np.argsort(group, kind="stable")
-        group, kept, amps = group[order], kept[order], amps[order]
-        dim = 1 << r
+        self.canonicalize()
+        dim = 1 << m
+        # bit m-1-p of a pattern is kept qubit p: each pattern's rows, the
+        # e flip of Z on them, and the patterns z indexed by that flip
+        rows, flips, zs_of = [0] * dim, [0] * dim, {0: [0]}
+        for z in range(1, dim):
+            low = z & -z
+            q = keep[m - low.bit_length()]
+            rows[z] = rows[z ^ low] | 1 << q
+            flips[z] = flips[z ^ low] ^ self._row_bits(q)
+            zs_of.setdefault(flips[z], []).append(z)
+        by_b: dict[int, list] = {}
+        for b, e, c in zip(self.bs, self.es, self.coeffs.conj()):
+            by_b.setdefault(b, []).append((e, c))
+        expect: dict[int, np.ndarray] = {}  # x -> <Z^z X^x> over all z
+        for x in range(dim):
+            bs, es = [b ^ rows[x] for b in self.bs], self.es[:]
+            coeffs = self.coeffs.copy()
+            self._reduce_b(bs, es, coeffs)
+            for b, e, c in zip(bs, es, coeffs):
+                for e0, c0 in by_b.get(b, ()):
+                    zs = zs_of.get(e ^ e0)
+                    if zs is None:
+                        continue
+                    expect.setdefault(x, np.zeros(dim, dtype=complex))[zs] += [
+                        c0 * c * (-1) ** (rows[z] & b).bit_count() for z in zs]
+        # the sum over z is a Walsh-Hadamard transform of each row
+        table, h = np.conj(np.array(list(expect.values()))), 1
+        while h < dim:
+            pairs = table.reshape(len(expect), -1, 2, h)
+            table = np.stack((pairs[:, :, 0] + pairs[:, :, 1],
+                              pairs[:, :, 0] - pairs[:, :, 1]), axis=2)
+            h *= 2
         rho = np.zeros((dim, dim), dtype=complex)
-        flat = rho.reshape(-1)
-        # |v><v| group after group, a block of groups at a time
-        per = max(1, (1 << 20) // (dim * dim))
-        for lo in range(0, len(first), per):
-            a, b = np.searchsorted(group, [lo, lo + per])
-            vecs = np.zeros((min(per, len(first) - lo), dim), dtype=complex)
-            vecs[group[a:b] - lo, kept[a:b]] = amps[a:b]
-            outer = vecs[:, :, None] * vecs.conj()[:, None, :]
-            np.add.at(flat, np.tile(np.arange(dim * dim), len(vecs)),
-                      outer.reshape(-1))
+        idx = np.arange(dim)
+        for x, row in zip(expect, table.reshape(len(expect), dim)):
+            rho[idx, idx ^ x] = row / dim
         return rho
-
-
-def _bit_rows(values: list[int], width: int) -> np.ndarray:
-    """Bit i of each integer at column i of its row, as a uint8 array."""
-    size = (width + 7) // 8
-    raw = np.frombuffer(b"".join(v.to_bytes(size, "little") for v in values),
-                        dtype=np.uint8)
-    bits = np.unpackbits(raw, bitorder="little")
-    return bits.reshape(len(values), 8 * size)[:, :width]
-
-
-def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Number the distinct rows of a uint8 array by first appearance:
-    (each row's number, the index where each number first appears)."""
-    if keys.shape[1] == 0:
-        keys = np.zeros((len(keys), 1), dtype=np.uint8)
-    rows = np.ascontiguousarray(keys).view(
-        np.dtype((np.void, keys.shape[1]))).ravel()
-    _, first, inverse = np.unique(rows, return_index=True,
-                                  return_inverse=True)
-    order = np.argsort(first)
-    number = np.empty(len(first), dtype=np.intp)
-    number[order] = np.arange(len(first))
-    return number[inverse.ravel()], first[order]

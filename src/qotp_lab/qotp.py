@@ -618,17 +618,19 @@ _BACKENDS = {"sv": StateVector, "tab": TableauState, "sum": StabilizerSum}
 
 
 def pick_backend(program: CompiledProgram, base_code: CssCode,
-                 backend: str) -> str:
+                 backend: str, chosen_by: str | None = None) -> str:
     """The backend name a run of ``program`` uses for ``backend``:
     ``"auto"`` puts Clifford-only controlled circuits on the tableau, and
     T-bearing ones on the stabilizer sum, or the dense backend at toy
     scale.  ``"tab"`` with a T-bearing program raises ``ValueError``: the
-    tableau cannot represent T-type magic states."""
+    tableau cannot represent T-type magic states; the refusal names
+    ``chosen_by`` (by default, the ``backend`` setting)."""
     if backend == "tab" and program.has_t:
         raise ValueError(
             f"channel {[list(g) for g in program.base_circuit]!r} needs "
             f"T-type magic states (the controlled H, K, T and CNOT hold T "
-            f"gates), which backend 'tab' cannot represent")
+            f"gates), which {chosen_by or f'backend {backend!r}'} cannot "
+            f"represent")
     if backend != "auto":
         return backend
     if not program.has_t:

@@ -38,6 +38,55 @@ def run_circuit(state, gates):
         state.apply_gate(*g)
 
 
+def frame_arrays(sm):
+    """A stabilizer sum's frame as uint8 bit arrays: (A (n x k), Q (k x k),
+    d (k, as int64), b (terms x n), e (terms x k))."""
+    def bit_rows(values, width):
+        return np.array([[v >> i & 1 for i in range(width)] for v in values],
+                        dtype=np.uint8).reshape(len(values), width)
+
+    d = bit_rows([sm.d0, sm.d1], sm.k).astype(np.int64)
+    return (bit_rows(sm.cols, sm.n).T,
+            bit_rows(sm.Q, sm.k), d[0] + 2 * d[1], bit_rows(sm.bs, sm.n),
+            bit_rows(sm.es, sm.k))
+
+
+def sum_amplitudes(sm):
+    """A stabilizer sum's nonzero amplitudes keyed by basis index (row 0
+    most significant), summed into a dictionary term by term over all 2^k
+    points of each term: the dense oracle."""
+    A, Q, d, bs, es = frame_arrays(sm)
+    k = sm.k
+    out = {}
+    us = np.arange(1 << k, dtype=np.int64)
+    ubits = ((us[:, None] >> np.arange(k)[None, :]) & 1).astype(np.uint8)
+    quad = np.zeros(1 << k, dtype=np.int64)
+    for m in range(k):
+        for w in range(m + 1, k):
+            if Q[m, w]:
+                quad += ubits[:, m] * ubits[:, w]
+    xs = (ubits @ A.T.astype(np.int64)) & 1
+    ipow = np.array([1, 1j, -1, -1j], dtype=complex)
+    for t in range(sm.num_terms):
+        phase = (ubits.astype(np.int64) @ ((d + 2 * es[t]) & 3)) \
+            + 2 * quad
+        amps = sm.coeffs[t] * (2.0 ** (-k / 2)) * ipow[phase & 3]
+        for row, amp in zip(xs ^ bs[t][None, :], amps):
+            idx = 0
+            for b in row:
+                idx = (idx << 1) | int(b)
+            out[idx] = out.get(idx, 0.0) + amp
+    return {i: a for i, a in out.items() if abs(a) > 1e-14}
+
+
+def dense_vector(sm):
+    """A stabilizer sum's 2^n amplitudes from the oracle above."""
+    vec = np.zeros(1 << sm.n, dtype=complex)
+    for idx, amp in sum_amplitudes(sm).items():
+        vec[idx] = amp
+    return vec
+
+
 class TestGateSemantics:
     def test_h_on_zero(self):
         s = StateVector(1)
@@ -92,7 +141,7 @@ class TestBackendEquivalence:
             run_circuit(sv, gates)
             sm = StabilizerSum(4)
             run_circuit(sm, gates)
-            assert np.allclose(sm.dense_vector(), sv.amplitudes(), atol=1e-10)
+            assert np.allclose(dense_vector(sm), sv.amplitudes(), atol=1e-10)
 
     def test_measurement_correlations_bell(self):
         rng = np.random.default_rng(7)
@@ -158,7 +207,7 @@ class TestPauliApplication:
             sm = StabilizerSum(3)
             run_circuit(sm, gates)
             sm.apply_pauli(p, [0, 1, 2])
-            assert np.allclose(sm.dense_vector(), want, atol=1e-10)
+            assert np.allclose(dense_vector(sm), want, atol=1e-10)
 
 
 class TestMagicInjection:
@@ -170,7 +219,26 @@ class TestMagicInjection:
         vec = np.array([1, np.exp(1j * np.pi / 4)]) / np.sqrt(2)
         assert np.allclose(sm.density_of(ids), np.outer(vec, vec.conj()),
                            atol=1e-9)
-        assert np.allclose(sm.dense_vector(), vec, atol=1e-9)
+        assert np.allclose(dense_vector(sm), vec, atol=1e-9)
+
+    def test_wide_frame_reads_one_qubit(self):
+        """A sum with k = 23 reads its T magic qubit as |T><T| and half
+        of a Bell pair as I/2, past the 2^20 amplitudes a dense
+        reconstruction would need."""
+        sm = StabilizerSum(44)
+        for a in range(0, 44, 2):
+            sm.apply_gate("H", a)
+            sm.apply_gate("CNOT", a, a + 1)
+        (t,) = sm.inject_magic()
+        sm.apply_gate("H", t)
+        sm.apply_gate("K", 3)
+        sm.apply_gate("H", t)
+        sm.canonicalize()
+        assert sm.k == 23 and sm.num_terms == 2
+        vec = np.array([1, np.exp(1j * np.pi / 4)]) / np.sqrt(2)
+        assert np.abs(sm.density_of([t]) -
+                      np.outer(vec, vec.conj())).max() < 1e-12
+        assert np.abs(sm.density_of([3]) - np.eye(2) / 2).max() < 1e-12
 
     def test_rank_budget(self):
         sm = StabilizerSum(0)
@@ -189,7 +257,7 @@ class TestMagicInjection:
             gates = random_clifford_circuit(4, 14, rng)
             run_circuit(sm, gates)
             run_circuit(sv, gates)
-            assert np.allclose(sm.dense_vector(),
+            assert np.allclose(dense_vector(sm),
                                sv.amplitudes(), atol=1e-9), trial
 
     def test_measurement_with_interference(self):
@@ -222,7 +290,7 @@ class TestNormAndTerms:
         run_circuit(sm, random_clifford_circuit(6, 40, rng))
         vec = None
         total = 0.0
-        for idx, a in sm.sparse_amplitudes().items():
+        for idx, a in sum_amplitudes(sm).items():
             total += abs(a) ** 2
         assert abs(total - 1.0) < 1e-6
 
@@ -275,9 +343,9 @@ class TestJointReads:
         calls = []
         project = StabilizerSum._project
 
-        def counting(self, j, y):
+        def counting(self, j, y, row):
             calls.append(y)
-            return project(self, j, y)
+            return project(self, j, y, row)
 
         class CountingRng:
             def __init__(self, seed):
@@ -640,7 +708,7 @@ def two_copy_outcomes(sm, qubit_id):
     for y in (0, 1):
         try:
             br = copy.deepcopy(sm)
-            br._project(row, y)
+            br._project(row, y, br._row_bits(row))
             branches.append(br)
             norms.append(br._sq_norm())
         except ValueError:
@@ -685,10 +753,10 @@ class TestStabsumMeasureFromCanonicalForm:
                 oracle = copy.deepcopy(sm)
                 branches, norms = two_copy_outcomes(oracle, q)
                 want = [norms[0] / sum(norms), norms[1] / sum(norms)]
-                row = sm._frame_arrays()[0][sm._row(q)]
+                row = sm._row_bits(sm._row(q))
                 got = sm.z_probabilities(q)
                 assert np.allclose(got, want, rtol=0, atol=1e-12), (seed, q)
-                if sm.num_terms > 1 and row.any() and \
+                if sm.num_terms > 1 and row and \
                         abs(want[0] - 0.5) > 1e-9:
                     interfering += 1
                 bit = int(rng.integers(0, 2))
@@ -696,8 +764,8 @@ class TestStabsumMeasureFromCanonicalForm:
                     bit ^= 1
                 drawn, prob = sm.measure(q, Draw(bit))
                 assert drawn == bit and abs(prob - want[bit]) < 1e-12
-                post = branches[bit].dense_vector() / np.sqrt(norms[bit])
-                assert np.allclose(sm.dense_vector(), post, rtol=0,
+                post = dense_vector(branches[bit]) / np.sqrt(norms[bit])
+                assert np.allclose(dense_vector(sm), post, rtol=0,
                                    atol=1e-12), (seed, q)
                 gates = random_clifford_circuit(len(ids), 2, rng)
                 run_circuit(sm, [(g[0],) + tuple(ids[w] for w in g[1:])
@@ -707,31 +775,9 @@ class TestStabsumMeasureFromCanonicalForm:
 
 
 def dict_loop_density(sm, qubits):
-    """The former ``StabilizerSum.density_of``: amplitudes summed into a
-    dictionary term by term, then grouped bit by bit.  Reads the frame as
-    arrays."""
-    A, Q, d, bs, es = sm._frame_arrays()
-    k = sm.k
-    out = {}
-    us = np.arange(1 << k, dtype=np.int64)
-    ubits = ((us[:, None] >> np.arange(k)[None, :]) & 1).astype(np.uint8)
-    quad = np.zeros(1 << k, dtype=np.int64)
-    for m in range(k):
-        for w in range(m + 1, k):
-            if Q[m, w]:
-                quad += ubits[:, m] * ubits[:, w]
-    xs = (ubits @ A.T.astype(np.int64)) & 1
-    ipow = np.array([1, 1j, -1, -1j], dtype=complex)
-    for t in range(sm.num_terms):
-        phase = (ubits.astype(np.int64) @ ((d + 2 * es[t]) & 3)) \
-            + 2 * quad
-        amps = sm.coeffs[t] * (2.0 ** (-k / 2)) * ipow[phase & 3]
-        for row, amp in zip(xs ^ bs[t][None, :], amps):
-            idx = 0
-            for b in row:
-                idx = (idx << 1) | int(b)
-            out[idx] = out.get(idx, 0.0) + amp
-    amps = {i: a for i, a in out.items() if abs(a) > 1e-14}
+    """The former ``StabilizerSum.density_of``: the oracle's amplitudes,
+    grouped bit by bit."""
+    amps = sum_amplitudes(sm)
     keep = [sm._row(q) for q in qubits]
     groups = {}
     for idx, amp in amps.items():
@@ -754,8 +800,9 @@ def dict_loop_density(sm, qubits):
 
 
 def test_stabsum_density_matches_dict_loop():
-    """The array-built read sums in the same order as the dictionary loop
-    it replaced, so the bytes agree."""
+    """The Pauli-expectation read agrees with the dictionary loop over
+    every amplitude, on kept sets of 1 to n qubits in any order, after
+    Y gates, phased Paulis and a measurement."""
     for seed in range(40):
         rng = np.random.default_rng(9500 + seed)
         n = int(rng.integers(2, 6))
@@ -765,11 +812,15 @@ def test_stabsum_density_matches_dict_loop():
             run_circuit(sm, random_clifford_circuit(len(ids), 8, rng))
             ids += sm.inject_magic()
             sm.apply_gate("CNOT", ids[int(rng.integers(0, n))], ids[-1])
+            sm.apply_gate("Y", ids[int(rng.integers(0, len(ids)))])
+        pair = [ids[q] for q in rng.choice(len(ids), 2, replace=False)]
+        sm.apply_pauli(PauliOperator(2, *(int(v) for v in
+                                          rng.integers(0, 4, size=3))), pair)
         sm.measure(ids[-1], rng)
         keep = [int(q) for q in
-                rng.permutation(ids)[:int(rng.integers(1, 4))]]
-        assert sm.density_of(keep).tobytes() == \
-            dict_loop_density(sm, keep).tobytes(), seed
+                rng.permutation(ids)[:int(rng.integers(1, len(ids) + 1))]]
+        assert np.abs(sm.density_of(keep) -
+                      dict_loop_density(sm, keep)).max() <= 1e-12, seed
 
 
 def column_loop_density(state, qubits):
@@ -989,4 +1040,4 @@ def test_stabsum_contract_digest():
                                                               rng)])
         digest.update(sm.density_of(ids).tobytes())
     assert digest.hexdigest() == \
-        "34e215ec5a7f97daedd7a9c90eb87b9eaaf5b6e107c0d676f9dd7a3d41f49ebd"
+        "ffdf1ef2f3d569d187854602c06f4001d3ffa54d534579eef0edb0fc3e7904dc"

@@ -19,6 +19,7 @@ from qotp_lab.trap import TrapCode, TrapTable
 
 _bell_measure = harness.bell_measure
 _sum_apply_gate = StabilizerSum.apply_gate
+_sum_density_of = StabilizerSum.density_of
 _tableau_apply_gate = TableauState.apply_gate
 _decode_record = TrapCode.decode_record
 _pauli_decompose = denseops.pauli_decompose
@@ -65,6 +66,12 @@ def _sum_cnot_reversed(self, name, *qubit_ids):
     """The sum's CNOT with control and target swapped."""
     _sum_apply_gate(self, name, *(qubit_ids[::-1] if name == "CNOT"
                                   else qubit_ids))
+
+
+def _sum_read_unconjugated(self, qubits):
+    """The sum's read without the conjugate on each expectation, which
+    gives the transpose of the density."""
+    return _sum_density_of(self, qubits).T
 
 
 def _tableau_k_dagger(self, name, *qubit_ids):
@@ -186,6 +193,9 @@ MUTANTS = {
     "sum-cnot-reversed": (
         StabilizerSum, "apply_gate", _sum_cnot_reversed, SUM_CNOT,
         ["accepted", "output_fidelity", "final_key_equation"]),
+    "sum-read-unconjugated": (
+        StabilizerSum, "density_of", _sum_read_unconjugated, SUM_K,
+        ["output_fidelity"]),
     "tableau-k-is-k-dagger": (
         TableauState, "apply_gate", _tableau_k_dagger, GADGETS,
         ["gadget_X_exact", "gadget_Y_exact", "gadget_Z_exact",
