@@ -30,6 +30,7 @@ import numpy as np
 
 from ..gf2 import relations
 from ..paulis import PauliOperator
+from .blocks import BlockCalls
 
 MAX_QUBITS = 256
 MAX_TERMS = 1024
@@ -52,7 +53,7 @@ def _meeting(masks: list[int], bits: int):
     return compress(count(), map(and_, masks, repeat(bits)))
 
 
-class StabilizerSum:
+class StabilizerSum(BlockCalls):
     def __init__(self, n: int = 0):
         self.n = 0
         self.k = 0

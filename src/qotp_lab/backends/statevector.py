@@ -17,12 +17,13 @@ import numpy as np
 
 from ..denseops import GATE_MATRICES
 from ..paulis import PauliOperator
+from .blocks import BlockCalls
 
 MAX_QUBITS = 24
 _BLOCK = 1 << 13  # amplitudes a gate copies, or a read takes, at a time
 
 
-class StateVector:
+class StateVector(BlockCalls):
     def __init__(self, n: int = 0):
         self._amps = np.ones((1, 1), dtype=complex)
         self._ids: list[int] = []

@@ -32,13 +32,14 @@ import numpy as np
 
 from ..gf2 import relations
 from ..paulis import PauliOperator
+from .blocks import BlockCalls
 
 KERNEL = "pure"  # kept: ``perfbench/worker.py`` imports it and reports it
 
 MAX_QUBITS = 4096
 
 
-class TableauState:
+class TableauState(BlockCalls):
     """Stabilizer state on up to 4096 qubits (state modulo global phase).
 
     Qubit ids are stable handles over reusable columns: a discarded

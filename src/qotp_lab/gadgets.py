@@ -38,8 +38,8 @@ from typing import Callable
 import numpy as np
 
 from .paulis import PauliOperator
-from .trap import (TrapCode, authenticate_register, measure_and_drop,
-                   place_register, sample_auth_key, verify_and_decode)
+from .trap import (TrapCode, authenticate_register, place_register,
+                   sample_auth_key, verify_and_decode)
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +320,13 @@ class AuthSession:
     def transversal_cnot_physical(self, control: str, target: str) -> None:
         rc = self.materialize(control)
         rt = self.materialize(target)
-        for qc, qt in zip(rc.ids, rt.ids):
-            self.state.apply_gate("CNOT", qc, qt)
+        # in role order (``trap.pi``): every keyed run of a program then
+        # makes one gate list, up to the relabelling of its ids
+        self.state.apply_gates([("CNOT", rc.ids[p], rt.ids[p])
+                                for p in self.trap.pi.mapping])
 
     def bitwise_h_physical(self, reg: str) -> None:
-        r = self.materialize(reg)
-        for q in r.ids:
-            self.state.apply_gate("H", q)
+        self.state.apply_gates([("H", q) for q in self.materialize(reg).ids])
 
     def take_over(self, data: str, magic: str) -> None:
         """The magic register becomes the data register."""
@@ -337,8 +337,8 @@ class AuthSession:
     def measure_register(self, name: str) -> list[int]:
         """Measure every qubit of the register, then let the state drop
         them."""
-        return measure_and_drop(self.state, self.consume(name), self.rng,
-                                self._weigh)
+        return self.state.measure_and_drop(self.consume(name), self.rng,
+                                           self._weigh)
 
     # -- the schedule walk -----------------------------------------------------
     def next_round(self, reply: list[int] | None
@@ -410,18 +410,20 @@ def make_teleport_through(state, clifford_ops: list, n: int,
     Returns (in_ids, out_ids); ``clifford_ops`` is a gate list over the out
     wires 0..n-1 (applied after pairing).  With ``trap``, each half is a
     register in ``trap``'s position order, placed before the pairs are made
-    (``place_register``).
+    (``place_register``), and the pairs are made in role order, so that
+    every run of a program makes them as one gate list up to relabelling.
     """
     in_ids = state.append_qubits(n)
     out_ids = state.append_qubits(n)
+    order = range(n)
     if trap is not None:
         place_register(state, trap, in_ids)
         place_register(state, trap, out_ids)
-    for a, b in zip(in_ids, out_ids):
-        state.apply_gate("H", a)
-        state.apply_gate("CNOT", a, b)
-    for g in clifford_ops:
-        state.apply_gate(g[0], *[out_ids[w] for w in g[1:]])
+        order = trap.pi.mapping
+    state.apply_gates(
+        [g for p in order for g in (("H", in_ids[p]),
+                                    ("CNOT", in_ids[p], out_ids[p]))]
+        + [(g[0], *[out_ids[w] for w in g[1:]]) for g in clifford_ops])
     return in_ids, out_ids
 
 

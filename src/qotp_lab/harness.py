@@ -29,9 +29,10 @@ from .qotp import (DummyAdversary, PauliAttackAdversary, QotpInstance,
                    WOnlyAdversary, bell_measure, compare_real_vs_sim,
                    compile_controlled_program, honest_receiver_run,
                    make_teleport_through, pick_backend)
-from .trap import (count_nontrivial, estimate_attack_security,
-                   exact_attack_probabilities, sample_trap_tables,
-                   security_sweep_rows, sweep_to_csv, wilson_interval)
+from .trap import (classify_pauli_attack, count_nontrivial,
+                   estimate_attack_security, exact_attack_probabilities,
+                   sample_trap_tables, security_sweep_rows, sweep_to_csv,
+                   wilson_interval)
 
 # ---------------------------------------------------------------------------
 # canonical serialization
@@ -412,8 +413,8 @@ def run_qotp(config: dict, seed: int) -> tuple[ExperimentReport, None]:
         "t_out": [[int(x), int(z)] for x, z in result.t_out],
     }
     report.extra["accepted"] = bool(result.accepted)
-    report.extra["output_density"] = [
-        [[float(v.real), float(v.imag)] for v in row] for row in rho]
+    report.extra["output_density"] = np.stack((rho.real, rho.imag),
+                                              -1).tolist()
     report.extra["backend"] = inst.backend_kind
     return report, None
 
@@ -437,14 +438,32 @@ def run_qotp_attack(config: dict, seed: int) -> tuple[ExperimentReport, None]:
     x_mask = config_int(config, "attack_x_mask", 0b111, lo=0,
                         hi=(1 << n3) - 1)
     attack = PauliOperator.from_masks(n3, x_mask, 0)
-    rejects = 0
-    for t in range(runs):
+
+    def run(program, t):
         inst = QotpInstance(program, base, seed * 131071 + t, world="real",
                             backend="tab", transport="direct")
-        adv = PauliAttackAdversary(initial_attacks=[("M0", attack)])
-        result = inst.run(adv)
-        if result.cheated:
-            rejects += 1
+        return inst, inst.run(PauliAttackAdversary(
+            initial_attacks=[("M0", attack)]))
+
+    # runs from the third on replay; the third, the middle and the last
+    # rerun on a fresh program, which keeps them on a plain tableau
+    replayed = sorted({2, runs // 2, runs - 1}) if runs >= 3 else []
+    rejects = misses = mismatches = 0
+    kept = {}
+    for t in range(runs):
+        inst, result = run(program, t)
+        rejects += result.cheated
+        verdict = classify_pauli_attack(inst.trap, attack).verdict
+        misses += result.cheated != (verdict == "reject")
+        if t in replayed:
+            kept[t] = inst, result
+    for t, (inst, got) in kept.items():
+        plain, want = run(compile_controlled_program(channel, 0, 1), t)
+        mismatches += sum(v != vars(want)[f] for f, v in vars(got).items()
+                          if f != "session")
+        for a, b in zip(_read_after_run(inst, got),
+                        _read_after_run(plain, want)):
+            mismatches += not np.allclose(a, b, atol=1e-12)
     rate = rejects / runs
     bound = 1 - (2 / 3) ** (base.d / 2)
     phat, lo, hi = wilson_interval(rejects, runs)
@@ -452,7 +471,23 @@ def run_qotp_attack(config: dict, seed: int) -> tuple[ExperimentReport, None]:
     report.add_check("rejection_rate", rate, bound, lo >= bound,
                      mode="monte-carlo")
     report.extra["ci"] = [lo, hi]
+    report.add_check("attack_verdict_mismatches", misses, 0, misses == 0)
+    report.add_check("replay_matches_tableau", mismatches, 0,
+                     mismatches == 0)
+    report.extra["replay_runs_compared"] = replayed or \
+        "none: a run replays from the third run on"
     return report, None
+
+
+def _read_after_run(inst: QotpInstance, result) -> tuple:
+    """A run's output density and its control register's de-authentication
+    (acceptance, density), read on a replay's ``final_state``."""
+    ses = result.session
+    if hasattr(ses.state, "final_state"):
+        ses.state = ses.state.final_state()
+    rho = ses.state.density_of(result.b_out_qubits)
+    ok, out = ses.recover_register("Ctl", inst.oracle.audit.keys["Ctl"])
+    return rho, ok, ses.state.density_of([out])
 
 
 def run_sim_compare(config: dict, seed: int) -> tuple[ExperimentReport, None]:

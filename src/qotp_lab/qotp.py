@@ -250,34 +250,18 @@ def compile_controlled_program(circuit, n_a: int,
 
 def bell_measure(state, pairs, rng, sink=None) -> tuple[int, int]:
     """Bell rotation + computational measurement on the (d, q) qubit pairs
-    of the iterable ``pairs``, one pair after the other, outcomes drawn
-    from ``rng``.  The pairs are taken lazily: the next pair is asked for
-    only after the previous one is measured.  ``sink`` receives the
-    probability of every outcome.  The measured qubits are only classical
-    bits, so the pairs are then dropped, all in one ``state.discard``
-    after the last pair: a frame replay reads the Bell measurement as one
-    segment and one discard, and a discard between pairs leaves its
-    reference.
+    of the iterable ``pairs``, outcomes drawn from ``rng``, as one block
+    call of the state (``BlockCalls.bell_measure``): one pair after the
+    other, the next asked for only once the previous one is measured, then
+    the measured pairs dropped.  ``sink`` receives each probability.
 
     Returns (x_mask, z_mask), bit j for pair j: the teleport correction
     Pauli X^x Z^z, with the convention that the receiving half ends in
     X^x Z^z |psi> for a plain EPR resource.
     """
-    sink = sink or (lambda p: None)
-    xm = zm = 0
-    measured = []
-    for j, (d, q) in enumerate(pairs):
-        state.apply_gate("CNOT", d, q)
-        state.apply_gate("H", d)
-        zbit, p1 = state.measure(d, rng=rng)
-        sink(p1)
-        xbit, p2 = state.measure(q, rng=rng)
-        sink(p2)
-        xm |= xbit << j
-        zm |= zbit << j
-        measured += (d, q)
-    state.discard(measured)
-    return xm, zm
+    bits = state.bell_measure(pairs, rng, sink)
+    return (sum(b << j for j, b in enumerate(bits[1::2])),
+            sum(b << j for j, b in enumerate(bits[::2])))
 
 
 # ---------------------------------------------------------------------------
@@ -728,8 +712,7 @@ class QotpInstance:
                 st = session.state
                 in_ids, tmp_ids = make_teleport_through(st, [], n3, trap)
                 st.apply_pauli(output_keys[i], tmp_ids)
-                for g in trap.decoding_ops(tmp_ids):
-                    st.apply_gate(*g)
+                st.apply_gates(trap.decoding_ops(tmp_ids))
                 session.adopt(name, in_ids)
                 session.adopt(out, [tmp_ids[trap.data_position()]])
 

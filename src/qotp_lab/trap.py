@@ -21,6 +21,7 @@ stabilizer and logical-X cosets, at any scale.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -144,22 +145,18 @@ class TrapCode:
         expected on ``ids[self.data_position()]`` (base encoder wire 0),
         syndrome and trap inputs must be |0>.
         """
-        gates = []
-        for p in self.plus_trap_positions:
-            gates.append(("H", ids[p]))
-        base_ids = [ids[p] for p in self.base_positions]
-        for g in self.base.encoder.gates:
-            gates.append((g[0], *[base_ids[w] for w in g[1:]]))
-        return gates
+        return [("H", ids[p]) for p in self.plus_trap_positions] + \
+            self._on_base(self.base.encoder.gates, ids)
 
     def decoding_ops(self, ids: list[int]) -> list[tuple]:
-        gates = []
-        base_ids = [ids[p] for p in self.base_positions]
-        for g in self.base.encoder.inverse().gates:
-            gates.append((g[0], *[base_ids[w] for w in g[1:]]))
-        for p in self.plus_trap_positions:
-            gates.append(("H", ids[p]))
-        return gates
+        return self._on_base(_decoder_gates(self.base), ids) + \
+            [("H", ids[p]) for p in self.plus_trap_positions]
+
+    def _on_base(self, gates, ids: list[int]) -> list[tuple]:
+        """The base-wire gate list ``gates`` on the qubits ``ids``."""
+        w = [ids[p] for p in self.base_positions]
+        return [(g[0], w[g[1]]) if len(g) == 2 else (g[0], w[g[1]], w[g[2]])
+                for g in gates]
 
     # -- classical record decoding ---------------------------------------------
     def decode_record(self, c: int, hadamard: bool = False) -> tuple[int, bool]:
@@ -173,6 +170,11 @@ class TrapCode:
         res = self.base.classical_decode(self.base_word(c))
         traps = self.plus_mask if hadamard else self.zero_mask
         return res.logical_bit, res.clean and not c & traps
+
+
+@functools.cache
+def _decoder_gates(base: CssCode) -> tuple:
+    return base.encoder.inverse().gates
 
 
 @dataclass(frozen=True)
@@ -367,8 +369,7 @@ def authenticate_register(state, trap: TrapCode, key: PauliOperator,
     dpos = trap.data_position()
     ids = fresh[:dpos] + [data_qubit] + fresh[dpos:]
     place_register(state, trap, ids)
-    for g in trap.encoding_ops(ids):
-        state.apply_gate(*g)
+    state.apply_gates(trap.encoding_ops(ids))
     state.apply_pauli(key, ids)
     return ids
 
@@ -383,21 +384,6 @@ def place_register(state, trap: TrapCode, ids: list[int]) -> None:
         relabel(ids, trap.pi.mapping)
 
 
-def measure_and_drop(state, ids, rng, sink=None) -> list[int]:
-    """The bits of the qubits ``ids``, measured in order with outcomes
-    drawn from ``rng`` and each probability handed to ``sink``; then the
-    qubits are dropped in one ``state.discard``, which a frame replay reads
-    as the end of one segment."""
-    sink = sink or (lambda p: None)
-    bits = []
-    for q in ids:
-        bit, prob = state.measure(q, rng=rng)
-        bits.append(bit)
-        sink(prob)
-    state.discard(ids)
-    return bits
-
-
 def verify_and_decode(state, trap: TrapCode, key: PauliOperator,
                       ids: list[int], rng) -> tuple[bool, int]:
     """Strip the key, decode, and measure and drop every syndrome/trap
@@ -407,10 +393,9 @@ def verify_and_decode(state, trap: TrapCode, key: PauliOperator,
     bit to be zero.
     """
     state.apply_pauli(key.adjoint(), ids)
-    for g in trap.decoding_ops(ids):
-        state.apply_gate(*g)
+    state.apply_gates(trap.decoding_ops(ids))
     dpos = trap.data_position()
-    bits = measure_and_drop(state, ids[:dpos] + ids[dpos + 1:], rng)
+    bits = state.measure_and_drop(ids[:dpos] + ids[dpos + 1:], rng)
     return not any(bits), ids[dpos]
 
 

@@ -453,12 +453,14 @@ class TestKernelDifferential:
     regrowth."""
 
     def test_same_public_callables(self):
-        """The tableau exposes the backend contract, ``z_probabilities``,
-        and the two reads ``frame.py`` makes: ``copy`` for the hand-over
-        and ``stab_row`` for a segment's flip basis."""
+        """The tableau exposes the backend contract with its block calls,
+        ``z_probabilities``, and the two reads ``frame.py`` makes: ``copy``
+        for the hand-over and ``stab_row`` for a measuring block's flip
+        basis."""
         want = {"append_qubits", "discard", "apply_gate", "apply_pauli",
                 "measure", "z_probabilities", "density_of", "copy",
-                "stab_row"}
+                "stab_row", "apply_gates", "bell_measure",
+                "measure_and_drop"}
         state = TableauState(3)
         assert {name for name in dir(state) if not name.startswith("_")
                 and callable(getattr(state, name))} == want
@@ -931,22 +933,26 @@ class TestTableauDensityFromColumns:
 
 class TestFrameReplay:
     """``FrameReplay`` against ``TableauState``, outcome for outcome, on
-    seeded random Clifford circuits.  Each run places its registers by a
-    permutation of its own and keys them with Paulis of its own; each
-    round measures some roles in position order, bare or as Bell pairs of
-    two registers placed alike, so the permutation sets the order in which
-    the measurements of a segment are taken."""
+    seeded random Clifford circuits, through the block calls.  Each run
+    places its registers by a permutation of its own and keys them with
+    Paulis of its own; each round measures some roles in position order,
+    bare (``measure_and_drop``) or as Bell pairs of two registers placed
+    alike (``bell_measure``), so the permutation sets the order in which
+    the measurements of a block are taken.  A last round encodes a live
+    qubit that carries an X, Y or Z frame, then Bell-measures."""
 
     M = 6  # qubits per register
 
     def _rounds(self, seed):
         rng = np.random.default_rng(seed)
-        return [(random_clifford_circuit(self.M, 14, rng),
-                 [int(q) for q in rng.integers(0, 8, size=2)],
-                 sorted(int(r) for r in rng.choice(
-                     self.M, size=int(rng.integers(1, self.M + 1)),
-                     replace=False)),
-                 bool(rng.integers(0, 2))) for _ in range(4)]
+        rounds = [(random_clifford_circuit(self.M, 14, rng),
+                   [int(q) for q in rng.integers(0, 8, size=2)],
+                   sorted(int(r) for r in rng.choice(
+                       self.M, size=int(rng.integers(1, self.M + 1)),
+                       replace=False)),
+                   bool(rng.integers(0, 2)), None) for _ in range(4)]
+        return rounds + [(random_clifford_circuit(self.M, 14, rng), [],
+                          list(range(self.M)), True, "XYZ"[seed % 3])]
 
     def _run(self, state, rounds, seed):
         """Every (bit, probability), the outcome rng's state afterwards,
@@ -955,35 +961,43 @@ class TestFrameReplay:
         keys = np.random.default_rng(seed)  # this run's placings and keys
         rng = np.random.default_rng(99)
         outcomes, older = [], []
-        for gates, links, roles, bell in rounds:
+        for gates, links, roles, bell, letter in rounds:
             pi = [int(p) for p in keys.permutation(self.M)]
             regs = []
-            for _ in range(1 + bell):
-                ids = state.append_qubits(self.M)
+            for j in range(1 + bell):
+                if letter and not j:  # the data qubit at role 0
+                    data = older.pop(0)
+                    state.apply_gate(letter, data)
+                    ids = state.append_qubits(self.M - 1)
+                    ids[pi[0]:pi[0]] = [data]
+                else:
+                    ids = state.append_qubits(self.M)
                 if isinstance(state, (Recorder, FrameReplay)):
                     state.relabel(ids, pi)
-                state.apply_pauli(PauliOperator.from_masks(
-                    self.M, *(int(v) for v in keys.integers(
-                        0, 1 << self.M, size=2))), ids)
+                key = PauliOperator.from_masks(self.M, *(
+                    int(v) for v in keys.integers(0, 1 << self.M, size=2)))
+                if not letter:
+                    state.apply_pauli(key, ids)
                 regs.append(ids)
                 role = [ids[p] for p in pi]
-                run_circuit(state, [(g[0],) + tuple(role[q] for q in g[1:])
-                                    for g in gates])
+                state.apply_gates([(g[0],) + tuple(role[q] for q in g[1:])
+                                   for g in gates])
+                if letter:  # keyed after its encoder, as a register is
+                    state.apply_pauli(key, ids)
                 for k in links if older else ():
                     state.apply_gate("CNOT", older[k % len(older)],
                                      role[k % self.M])
             positions = sorted(pi[r] for r in roles)
+            probs = []
             if bell:
-                for p in positions:
-                    d, q = regs[0][p], regs[1][p]
-                    state.apply_gate("CNOT", d, q)
-                    state.apply_gate("H", d)
-                    outcomes += [state.measure(d, rng), state.measure(q, rng)]
+                bits = state.bell_measure(
+                    [(regs[0][p], regs[1][p]) for p in positions], rng,
+                    probs.append)
             else:
-                outcomes += [state.measure(regs[0][p], rng)
-                             for p in positions]
+                bits = state.measure_and_drop(
+                    [regs[0][p] for p in positions], rng, probs.append)
+            outcomes += zip(bits, probs)
             measured = {ids[p] for ids in regs[:1 + bell] for p in positions}
-            state.discard(sorted(measured))
             older = [ids[p] for ids in regs for p in pi
                      if ids[p] not in measured] + older
         ref = state.finish() if isinstance(state, Recorder) else None

@@ -114,7 +114,7 @@ class TestDeterminism:
          "b2e0449575f083849d867f3162cd6768aa633789f90c16e6b6f9f9542a03274f",
          None),
         ("qotp-attack", {"seed": 9, "runs": 20},
-         "5a0a347d6152d39cfccca914752d8efba05f7bfec21fd1430697137fd62930a4",
+         "6f819f9a1ec1f96ccca3dd5cd260c20a4f51e95a00a86ac883aa66bf2699a4cb",
          None),
         ("sim-compare", {"seed": 9, "cases": ["dummy", "data-attack"]},
          "fae6b52d3a5f51f296ca2c2346b30cb88312222197fde582e14210999d81d16f",

@@ -13,6 +13,7 @@ import pytest
 
 from qotp_lab import cotp, denseops, gadgets, harness, qotp, trap
 from qotp_lab.backends import StabilizerSum, StateVector, TableauState
+from qotp_lab.backends.frame import FrameReplay, _Reference
 from qotp_lab.gadgets import AuthSession
 from qotp_lab.harness import run_experiment
 from qotp_lab.trap import TrapCode, TrapTable
@@ -27,6 +28,9 @@ _nontrivial_accepts = TrapTable.nontrivial_accepts
 _open = cotp._open
 _transversal_cnot = AuthSession.transversal_cnot_physical
 _placements = trap._placements
+_images = _Reference._images
+_replay_gates = FrameReplay.apply_gates
+_replay_measure = FrameReplay._measure
 
 
 def _bell_swapped(*args, **kwargs):
@@ -142,6 +146,32 @@ def _accepts_every_pair(self, x, z):
     return np.ones((len(self.masks), len(x)), dtype=bool)
 
 
+def _images_h_leaves_the_frame(gates):
+    """The reference's images of a gate list whose H gates leave the frame
+    as it is."""
+    return _images([g for g in gates if g[0] != "H"])
+
+
+def _replay_cnots_without_z_back_propagation(self, gates):
+    """The replay of a list of CNOTs (a transversal CNOT) carrying the
+    frame's X from control to target but not its Z back from target to
+    control."""
+    fz = self._fz
+    _replay_gates(self, gates)
+    if all(g[0] == "CNOT" for g in gates):
+        self._fz = fz
+
+
+def _replay_measure_ignoring_frame_x(self, step, ids, labels, rng, sink):
+    """A replayed measuring block that reads its outcomes as if the frame
+    had no X."""
+    fx, self._fx = self._fx, 0
+    try:
+        return _replay_measure(self, step, ids, labels, rng, sink)
+    finally:
+        self._fx ^= fx & step[-1]
+
+
 _KEY_LABELS_X_Z_SWAPPED = [qotp._KEY_LABELS[k] for k in (0, 2, 1, 3)]
 
 TELEPORT = ("teleport-check", {"seed": 1})
@@ -155,6 +185,8 @@ SUM_K = ("qotp-run", {"seed": 9, "channel": [["K", 0]], "b_labels": ["+"],
                       "backend": "sum"})
 # every run after the second replays its reference (``backends.frame``)
 ATTACK = ("qotp-attack", {"seed": 9, "runs": 20})
+# H gadget rounds: the replay carries a keyed register's frame through H
+ATTACK_Z = ("qotp-attack", {"seed": 9, "runs": 20, "channel": [["Z", 0]]})
 GADGETS = ("gadget-check", {"seed": 5})
 SUM_CNOT = ("qotp-run", {"seed": 9, "channel": [["CNOT", 0, 1]], "n_b": 2,
                          "b_labels": ["+", "0"], "backend": "sum"})
@@ -202,7 +234,17 @@ MUTANTS = {
          "gadget_K_exact", "gadget_H_exact"]),
     "verifier-never-marks-cheating": (
         qotp.QotpVerifier, "verdict", _verdict_never_cheated, ATTACK,
-        ["rejection_rate"]),
+        ["rejection_rate", "attack_verdict_mismatches"]),
+    "replay-h-leaves-the-frame": (
+        _Reference, "_images", staticmethod(_images_h_leaves_the_frame),
+        ATTACK_Z, ["replay_matches_tableau"]),
+    "replay-cnot-without-z-back-propagation": (
+        FrameReplay, "apply_gates",
+        _replay_cnots_without_z_back_propagation, ATTACK,
+        ["replay_matches_tableau"]),
+    "replay-measure-ignores-frame-x": (
+        FrameReplay, "_measure", _replay_measure_ignoring_frame_x, ATTACK,
+        ["replay_matches_tableau"]),
     "decompose-drops-largest-term": (
         denseops, "pauli_decompose", _decompose_dropping_largest, TWIRL,
         ["pauli_twirl_matches_mixture"]),
@@ -246,11 +288,12 @@ def _verdicts(run):
 
 # SIM_MAGIC's unmutated run is criterion 8's (every case at seed 8)
 @pytest.mark.parametrize("run", [TELEPORT, SIM, SUM_K, SUM_CNOT, ATTACK,
-                                 GADGETS, TWIRL, DISTANCE, BROTP, TRAP],
+                                 ATTACK_Z, GADGETS, TWIRL, DISTANCE, BROTP,
+                                 TRAP],
                          ids=["teleport-check", "sim-compare", "qotp-run-K",
-                              "qotp-run-CNOT", "qotp-attack", "gadget-check",
-                              "twirl-check", "trap-distance", "brotp-check",
-                              "trap-security"])
+                              "qotp-run-CNOT", "qotp-attack", "qotp-attack-Z",
+                              "gadget-check", "twirl-check", "trap-distance",
+                              "brotp-check", "trap-security"])
 def test_unmutated_run_passes(run):
     verdicts = _verdicts(run)
     assert all(verdicts.values()), verdicts

@@ -402,6 +402,32 @@ class TestFrameReplay:
             patterns.add(want_p)
         assert len(patterns) >= 2
 
+    def test_a_replayed_run_calls_the_frame_per_block(self, monkeypatch):
+        """One replayed criterion-7 run reaches its ``FrameReplay`` in at
+        most 50 calls of its public methods, nested calls included: one
+        per register-wide block, not one per gate or measurement (the
+        per-gate replay made 405)."""
+        calls = []
+
+        def counted(method):
+            def wrapped(self, *args, **kwargs):
+                calls.append(method.__name__)
+                return method(self, *args, **kwargs)
+            return wrapped
+
+        for name, method in list(vars(FrameReplay).items()):
+            if callable(method) and not name.startswith("_"):
+                monkeypatch.setattr(FrameReplay, name, counted(method))
+        attack = PauliOperator.from_masks(21, 0b111, 0)
+        prog = compile_controlled_program([("Y", 0)], 0, 1)
+        for t in range(3):
+            calls.clear()
+            res = QotpInstance(prog, STEANE, 7 * 131071 + t, world="real",
+                               backend="tab", transport="direct").run(
+                PauliAttackAdversary(initial_attacks=[("M0", attack)]))
+        assert isinstance(res.session.state, FrameReplay)
+        assert 0 < len(calls) <= 50, calls
+
     def test_replayed_run_continues_past_its_end(self):
         """As in ``test_control_off_means_identity_gadgets``, a replayed
         run's control register de-authenticates after the run, on the
