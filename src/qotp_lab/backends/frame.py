@@ -51,14 +51,6 @@ _PAULI_GATES = ("X", "Y", "Z")
 _NAME, _QUBITS = itemgetter(0), itemgetter(slice(1, None))
 
 
-class _ZeroDraw:
-    """The outcome draw of the reference's random measurements: always 0."""
-
-    @staticmethod
-    def integers(lo: int, hi: int) -> int:
-        return 0
-
-
 def _spread(bits: int, labels) -> int:
     """The mask with bit labels[i] for every set bit i of ``bits``."""
     out = 0
@@ -238,12 +230,12 @@ class _Reference:
 
         basis, outcome = [], 0
         for r in measured:
-            stab = state.xcols[cols[r]] >> state._cap
-            if stab:
-                x, z, _ = state.stab_row((stab & -stab).bit_length() - 1)
+            col = cols[r]
+            if state.xcols[col] >> state._cap:  # random: collapse it to 0
+                x, z, _ = state._collapse(col, 0)
                 basis.append([r, by_id(x), by_id(z)])
-            bit, _ = state.measure(r, _ZeroDraw)
-            outcome |= bit << r
+            else:
+                outcome |= state._deterministic_value(col) << r
         # each element commutes with the Z of every qubit measured before
         # its own, so clearing later pivots from earlier elements, last
         # first, leaves each pivot set in its own element only
@@ -411,7 +403,3 @@ class FrameReplay:
         for u in ids:
             del self._sig[u]
         return bits
-
-    # -- reads ---------------------------------------------------------------------
-    def density_of(self, qubits):
-        return self.final_state().density_of(qubits)

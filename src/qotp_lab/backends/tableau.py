@@ -30,7 +30,7 @@ from operator import and_
 
 import numpy as np
 
-from ..gf2 import relations
+from ..gf2 import ones, relations
 from ..paulis import PauliOperator
 from .blocks import BlockCalls
 
@@ -190,21 +190,26 @@ class TableauState(BlockCalls):
         return (0.0, 1.0) if self._deterministic_value(col) else (1.0, 0.0)
 
     def _deterministic_value(self, q: int) -> int:
-        """The sign of Z at column q as the product of the stabilizer rows
-        selected by the destabilizer X bits at q.
+        """The sign of Z at column q: the product of the stabilizer rows
+        selected by the destabilizer X bits at q.  Right after a random
+        measurement exactly one row is selected, and its sign is the
+        value."""
+        cap = self._cap
+        sel = (self.xcols[q] & ((1 << cap) - 1)) << cap
+        if not sel & (sel - 1):
+            return 1 if self.signs & sel else 0
+        return self._product_phase(sel) >> 1 & 1
+
+    def _product_phase(self, sel: int) -> int:
+        """The a (mod 4) with (product of the stabilizer rows in ``sel``,
+        in row order) = i^a X^x Z^z for column masks x and z.
 
         The product over the selected rows i, in row order, of one column's
         letters i^{a_i b_i} X^{a_i} Z^{b_i} has phase
         sum_i a_i b_i + 2 #{i < l : b_i a_l} (mod 4).  A column with no X
         in the selected rows adds nothing, so one scan finds the columns to
-        count.  Right after a random
-        measurement exactly one row is selected, and its sign is the value.
-        """
-        cap = self._cap
+        count."""
         xcols, zcols = self.xcols, self.zcols
-        sel = (xcols[q] & ((1 << cap) - 1)) << cap
-        if not sel & (sel - 1):
-            return 1 if self.signs & sel else 0
         acc = 2 * (self.signs & sel).bit_count()
         for j in compress(range(len(xcols)), map(and_, xcols, repeat(sel))):
             xs, zs = xcols[j] & sel, zcols[j] & sel
@@ -213,13 +218,45 @@ class TableauState(BlockCalls):
                 low = xs & -xs
                 acc += 2 * (zs & (low - 1)).bit_count()
                 xs ^= low
-        return (acc >> 1) & 1
+        return acc & 3
+
+    def _flips(self, x: int, z: int) -> int:
+        """The rows, destabilizers and stabilizers, that anticommute with
+        X^x Z^z (x and z column masks): one plane XOR per set bit."""
+        out = 0
+        for bits, planes in ((x, self.zcols), (z, self.xcols)):
+            for j in ones(bits):
+                out ^= planes[j]
+        return out
+
+    def _group_phase(self, x: int, z: int):
+        """The e with X^x Z^z |S> = i^e |S>, or None when X^x Z^z is not in
+        the stabilizer group up to a phase.  It is in the group when it
+        commutes with every stabilizer row, and it is then the product of
+        the rows whose destabilizers it anticommutes with
+        (Aaronson-Gottesman, arXiv:quant-ph/0406196)."""
+        cap = self._cap
+        flips = self._flips(x, z)
+        if flips >> cap:
+            return None
+        return -self._product_phase(flips << cap) & 3
 
     def measure(self, qubit: int, rng):
         """Measure in the computational basis; returns (bit, probability).
 
         Draws ``rng.integers(0, 2)`` only for a random outcome, and takes
-        it as the bit; a deterministic one leaves the state as is.
+        it as the bit; a deterministic one leaves the state as is."""
+        q = self._col(qubit)
+        if not self.xcols[q] >> self._cap:
+            return self._deterministic_value(q), 1.0
+        bit = int(rng.integers(0, 2)) & 1
+        self._collapse(q, bit)
+        return bit, 0.5
+
+    def _collapse(self, q: int, bit: int) -> tuple[int, int, int]:
+        """Measure column q, which some stabilizer row anticommutes with,
+        to ``bit``.  Returns that row p as it was, (x mask, z mask, sign
+        bit), read from the columns the support scan visits.
 
         One scan, then the pivot rows' support: rows p and d = p-C are
         never in ``sel``, so the row sums into ``sel`` and the clearing of
@@ -235,13 +272,9 @@ class TableauState(BlockCalls):
         left a column of its own: stabilizer p := (-1)^bit Z_q,
         destabilizer d := X_q, and every other row's Z at q is cleared by
         multiplying that row by row p."""
-        q = self._col(qubit)
         cap = self._cap
         xcols, zcols, supp = self.xcols, self.zcols, self.supp
         anti = xcols[q] >> cap
-        if not anti:
-            return self._deterministic_value(q), 1.0
-        bit = int(rng.integers(0, 2)) & 1
         d = (anti & -anti).bit_length() - 1  # first anticommuting stab row
         p = cap + d
         pbit, dbit = 1 << p, 1 << d
@@ -251,6 +284,7 @@ class TableauState(BlockCalls):
         # + |xp&zp|) mod 4; the final result is 0 or 2 and bit 1 is the flip.
         lo = hi = 0
         c1 = 0  # |xp & zp| scalar
+        gx = gz = 0  # row p
         # Lazy is safe: the loop writes only column j, which the scan passed.
         touched = compress(range(len(xcols)), map(and_, supp,
                                                   repeat(pbit | dbit)))
@@ -263,9 +297,11 @@ class TableauState(BlockCalls):
                 lo ^= b
                 if xpj:
                     xq ^= sel
+                    gx |= 1 << j
                 if zpj:
                     hi ^= xcols[j]           # + 2 |zp & xi|
                     zq ^= sel
+                    gz |= 1 << j
                 b = xq & zq                  # - |xi' & zi'| == +3|..| mod 4
                 hi ^= lo & b
                 lo ^= b
@@ -276,7 +312,8 @@ class TableauState(BlockCalls):
             supp[j] = xq | zq
         # add scalar (c1 + 2*rp) mod 4 over all rows
         signs = self.signs
-        c = (c1 + 2 * ((signs >> p) & 1)) & 3
+        gs = signs >> p & 1
+        c = (c1 + 2 * gs) & 3
         if c & 1:
             hi ^= lo
             lo = ~lo
@@ -288,19 +325,9 @@ class TableauState(BlockCalls):
             signs ^= zcols[q] >> cap << cap
         xcols[q], zcols[q], supp[q] = dbit, pbit, dbit | pbit
         self.signs = (signs & keep) | (pbit if bit else 0)
-        return bit, 0.5
+        return gx, gz, gs
 
     # -- inspection ----------------------------------------------------------
-    def stab_row(self, i: int) -> tuple[int, int, int]:
-        """Stabilizer generator i as (xmask, zmask, signbit), bit j of a
-        mask for column j."""
-        row = self._cap + i
-        x = z = 0
-        for j, (xj, zj) in enumerate(zip(self.xcols, self.zcols)):
-            x |= ((xj >> row) & 1) << j
-            z |= ((zj >> row) & 1) << j
-        return x, z, (self.signs >> row) & 1
-
     def density_of(self, qubits) -> np.ndarray:
         """Reduced density matrix on the listed qubits (<= 12).
 
@@ -322,11 +349,16 @@ class TableauState(BlockCalls):
         flips = [self.zcols[q] for q in keep] + [self.xcols[q] for q in keep]
         elements = []  # (x, z, phase): i^phase X^x Z^z over keep bits
         for combo in relations([f >> cap for f in flips]):
-            gens = 0
+            sel = 0
             for u, f in enumerate(flips):
                 if (combo >> u) & 1:
-                    gens ^= f
-            elements.append(self._product(gens & ((1 << cap) - 1), keep))
+                    sel ^= f
+            sel = (sel & ((1 << cap) - 1)) << cap
+            x = z = 0
+            for i, q in enumerate(keep):
+                x |= ((self.xcols[q] & sel).bit_count() & 1) << (k - 1 - i)
+                z |= ((self.zcols[q] & sel).bit_count() & 1) << (k - 1 - i)
+            elements.append((x, z, self._product_phase(sel)))
         dim = 1 << k
         rho = np.zeros((dim, dim), dtype=complex)
         idx = np.arange(dim)
@@ -341,24 +373,35 @@ class TableauState(BlockCalls):
             rho[idx ^ x, idx] += _IPOW[phase & 3] * signs
         return rho / dim
 
-    def _product(self, gens: int, keep: list) -> tuple[int, int, int]:
-        """The product of the stabilizer generators in mask ``gens``, which
-        is supported on the columns ``keep``, as (x, z, phase) for
-        i^phase X^x Z^z with column keep[i] at bit k-1-i."""
-        x = z = phase = 0
-        while gens:
-            low = gens & -gens
-            rx, rz, rs = self.stab_row(low.bit_length() - 1)
-            phase += 2 * rs + (rx & rz).bit_count() + 2 * (z & rx).bit_count()
-            x ^= rx
-            z ^= rz
-            gens ^= low
-        k = len(keep)
-        xr = zr = 0
-        for i, q in enumerate(keep):
-            xr |= ((x >> q) & 1) << (k - 1 - i)
-            zr |= ((z >> q) & 1) << (k - 1 - i)
-        return xr, zr, phase & 3
+
+def same_state(a: TableauState, b: TableauState) -> bool:
+    """Whether ``a`` and ``b`` hold the same state on the same live ids:
+    each one's stabilizer generators, signs included, lie in the other's
+    group."""
+    return a._col_of.keys() == b._col_of.keys() and \
+        _generators_in(a, b) and _generators_in(b, a)
+
+
+def _generators_in(a: TableauState, b: TableauState) -> bool:
+    """Whether every stabilizer generator of ``a``, on its live columns
+    and moved to ``b``'s columns by qubit id, fixes ``b``'s state.  A free
+    column is |0>, so dropping it from a generator leaves a group element
+    of the same sign."""
+    cap = a._cap
+    xs, zs = [0] * len(a.xcols), [0] * len(a.xcols)
+    for qid, col in a._col_of.items():
+        to = 1 << b._col_of[qid]
+        for i in ones(a.xcols[col] >> cap):
+            xs[i] |= to
+        for i in ones(a.zcols[col] >> cap):
+            zs[i] |= to
+    for i, (x, z) in enumerate(zip(xs, zs)):
+        # generator i is (-1)^sign i^{|x & z|} X^x Z^z
+        e = b._group_phase(x, z)
+        if e is None or \
+                (e + 2 * (a.signs >> cap + i & 1) + (x & z).bit_count()) & 3:
+            return False
+    return True
 
 
 _IPOW = (1, 1j, -1, -1j)

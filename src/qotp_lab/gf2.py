@@ -8,6 +8,14 @@ the symbolic code/trap classification paths.
 from __future__ import annotations
 
 
+def ones(x: int):
+    """The positions of the set bits of x, in increasing order."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
 def dot(a: int, b: int) -> int:
     return (a & b).bit_count() & 1
 
@@ -40,7 +48,13 @@ def rref(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
 def relations(vectors: list[int]) -> list[int]:
     """Basis of the linear relations among ``vectors``: masks c whose
     selected vectors (bit u of c selects vectors[u]) XOR to zero."""
-    pivots: dict[int, tuple[int, int]] = {}  # leading bit -> (vector, c)
+    return eliminate(vectors)[1]
+
+
+def eliminate(vectors: list[int]) -> tuple[dict, list[int]]:
+    """The pivots of ``vectors`` ({leading bit: (vector, c)}, each vector
+    the XOR of the vectors c selects) and ``relations(vectors)``."""
+    pivots: dict[int, tuple[int, int]] = {}
     basis = []
     for u, v in enumerate(vectors):
         c = 1 << u
@@ -54,4 +68,17 @@ def relations(vectors: list[int]) -> list[int]:
             c ^= pc
         else:
             basis.append(c)
-    return basis
+    return pivots, basis
+
+
+def solve(pivots: dict, target: int) -> int | None:
+    """A mask c of vectors XOR-ing to ``target``, over the pivots of
+    ``eliminate``; None when ``target`` is outside their span."""
+    c = 0
+    while target:
+        pv, pc = pivots.get(target.bit_length() - 1, (0, 0))
+        if not pv:
+            return None
+        target ^= pv
+        c ^= pc
+    return c

@@ -456,14 +456,15 @@ def run_qotp_attack(config: dict, seed: int) -> tuple[ExperimentReport, None]:
         verdict = classify_pauli_attack(inst.trap, attack).verdict
         misses += result.cheated != (verdict == "reject")
         if t in replayed:
-            kept[t] = inst, result
-    for t, (inst, got) in kept.items():
-        plain, want = run(compile_controlled_program(channel, 0, 1), t)
+            kept[t] = result
+    # each replay against its rerun: every result field, then the whole
+    # final state, signs included, on the same live ids
+    for t, got in kept.items():
+        _, want = run(compile_controlled_program(channel, 0, 1), t)
         mismatches += sum(v != vars(want)[f] for f, v in vars(got).items()
                           if f != "session")
-        for a, b in zip(_read_after_run(inst, got),
-                        _read_after_run(plain, want)):
-            mismatches += not np.allclose(a, b, atol=1e-12)
+        mismatches += not tableau.same_state(
+            got.session.state.final_state(), want.session.state)
     rate = rejects / runs
     bound = 1 - (2 / 3) ** (base.d / 2)
     phat, lo, hi = wilson_interval(rejects, runs)
@@ -477,17 +478,6 @@ def run_qotp_attack(config: dict, seed: int) -> tuple[ExperimentReport, None]:
     report.extra["replay_runs_compared"] = replayed or \
         "none: a run replays from the third run on"
     return report, None
-
-
-def _read_after_run(inst: QotpInstance, result) -> tuple:
-    """A run's output density and its control register's de-authentication
-    (acceptance, density), read on a replay's ``final_state``."""
-    ses = result.session
-    if hasattr(ses.state, "final_state"):
-        ses.state = ses.state.final_state()
-    rho = ses.state.density_of(result.b_out_qubits)
-    ok, out = ses.recover_register("Ctl", inst.oracle.audit.keys["Ctl"])
-    return rho, ok, ses.state.density_of([out])
 
 
 def run_sim_compare(config: dict, seed: int) -> tuple[ExperimentReport, None]:

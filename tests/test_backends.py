@@ -6,7 +6,6 @@ circuits, and the sum backend additionally on circuits with injected
 T-type magic.
 """
 
-import copy
 import hashlib
 
 import numpy as np
@@ -38,50 +37,61 @@ def run_circuit(state, gates):
         state.apply_gate(*g)
 
 
-def frame_arrays(sm):
-    """A stabilizer sum's frame as uint8 bit arrays: (A (n x k), Q (k x k),
-    d (k, as int64), b (terms x n), e (terms x k))."""
-    def bit_rows(values, width):
-        return np.array([[v >> i & 1 for i in range(width)] for v in values],
-                        dtype=np.uint8).reshape(len(values), width)
+def stab_row(state, i):
+    """Stabilizer generator i of a ``TableauState`` as (xmask, zmask,
+    signbit), bit j of a mask for column j."""
+    row = state._cap + i
+    x = z = 0
+    for j, (xj, zj) in enumerate(zip(state.xcols, state.zcols)):
+        x |= ((xj >> row) & 1) << j
+        z |= ((zj >> row) & 1) << j
+    return x, z, (state.signs >> row) & 1
 
-    d = bit_rows([sm.d0, sm.d1], sm.k).astype(np.int64)
-    return (bit_rows(sm.cols, sm.n).T,
-            bit_rows(sm.Q, sm.k), d[0] + 2 * d[1], bit_rows(sm.bs, sm.n),
-            bit_rows(sm.es, sm.k))
+
+def pauli_on_vector(vec, width, x, z, phase=0):
+    """i^phase X^x Z^z applied to a dense vector over ``width`` tableau
+    columns (column c at bit width - 1 - c)."""
+    def spread(mask):
+        return sum(1 << (width - 1 - c) for c in range(width) if mask >> c & 1)
+
+    idx = np.arange(1 << width)
+    signs = 1.0 - 2.0 * (np.bitwise_count(idx & spread(z)) & 1)
+    out = np.empty_like(vec)
+    out[idx ^ spread(x)] = vec * signs * 1j ** phase
+    return out
 
 
 def sum_amplitudes(sm):
-    """A stabilizer sum's nonzero amplitudes keyed by basis index (row 0
-    most significant), summed into a dictionary term by term over all 2^k
-    points of each term: the dense oracle."""
-    A, Q, d, bs, es = frame_arrays(sm)
-    k = sm.k
-    out = {}
-    us = np.arange(1 << k, dtype=np.int64)
-    ubits = ((us[:, None] >> np.arange(k)[None, :]) & 1).astype(np.uint8)
-    quad = np.zeros(1 << k, dtype=np.int64)
-    for m in range(k):
-        for w in range(m + 1, k):
-            if Q[m, w]:
-                quad += ubits[:, m] * ubits[:, w]
-    xs = (ubits @ A.T.astype(np.int64)) & 1
-    ipow = np.array([1, 1j, -1, -1j], dtype=complex)
-    for t in range(sm.num_terms):
-        phase = (ubits.astype(np.int64) @ ((d + 2 * es[t]) & 3)) \
-            + 2 * quad
-        amps = sm.coeffs[t] * (2.0 ** (-k / 2)) * ipow[phase & 3]
-        for row, amp in zip(xs ^ bs[t][None, :], amps):
-            idx = 0
-            for b in row:
-                idx = (idx << 1) | int(b)
-            out[idx] = out.get(idx, 0.0) + amp
-    return {i: a for i, a in out.items() if abs(a) > 1e-14}
+    """A stabilizer sum's nonzero amplitudes keyed by basis index (column 0
+    most significant), up to one global phase: |S> projected out of a fixed
+    vector by its stabilizer generators, then sum_t c_t X^x_t Z^z_t |S>.
+    The dense oracle."""
+    tab = sm._tab
+    width = len(tab.xcols)
+    vec = np.cos(np.arange(1 << width) + 0.5) + 1j * np.sin(
+        3 * np.arange(1 << width) + 0.25)
+    for i in range(width):
+        x, z, sign = stab_row(tab, i)
+        # the generator (-1)^sign i^{|x & z|} X^x Z^z
+        vec = (vec + pauli_on_vector(vec, width, x, z,
+                                     2 * sign + (x & z).bit_count())) / 2
+    vec /= np.linalg.norm(vec)
+    psi = sum(c * pauli_on_vector(vec, width, x, z)
+              for x, z, c in zip(sm._xs, sm._zs, sm._cs))
+    return {int(i): psi[i] for i in np.flatnonzero(np.abs(psi) > 1e-14)}
+
+
+def same_ray(a, b, atol):
+    """Whether two vectors agree up to one global phase."""
+    k = int(np.argmax(np.abs(b)))
+    turn = b[k] / a[k] if abs(a[k]) else 1.0
+    return np.allclose(a * turn / abs(turn), b, rtol=0, atol=atol)
 
 
 def dense_vector(sm):
-    """A stabilizer sum's 2^n amplitudes from the oracle above."""
-    vec = np.zeros(1 << sm.n, dtype=complex)
+    """A stabilizer sum's amplitudes over its tableau's columns from the
+    oracle above, up to one global phase."""
+    vec = np.zeros(1 << len(sm._tab.xcols), dtype=complex)
     for idx, amp in sum_amplitudes(sm).items():
         vec[idx] = amp
     return vec
@@ -133,7 +143,9 @@ class TestBackendEquivalence:
             assert np.allclose(sv.density_of(keep), alt.density_of(keep),
                                atol=1e-9), (trial, gates)
 
-    def test_sum_backend_tracks_global_phase(self):
+    def test_sum_backend_matches_statevector_amplitudes(self):
+        """The sum's amplitudes, up to the one global phase that its
+        tableau leaves open and no read sees."""
         rng = np.random.default_rng(43)
         for _ in range(40):
             gates = random_clifford_circuit(4, 16, rng)
@@ -141,7 +153,7 @@ class TestBackendEquivalence:
             run_circuit(sv, gates)
             sm = StabilizerSum(4)
             run_circuit(sm, gates)
-            assert np.allclose(dense_vector(sm), sv.amplitudes(), atol=1e-10)
+            assert same_ray(dense_vector(sm), sv.amplitudes(), atol=1e-10)
 
     def test_measurement_correlations_bell(self):
         rng = np.random.default_rng(7)
@@ -207,7 +219,7 @@ class TestPauliApplication:
             sm = StabilizerSum(3)
             run_circuit(sm, gates)
             sm.apply_pauli(p, [0, 1, 2])
-            assert np.allclose(dense_vector(sm), want, atol=1e-10)
+            assert same_ray(dense_vector(sm), want, atol=1e-10)
 
 
 class TestMagicInjection:
@@ -219,12 +231,12 @@ class TestMagicInjection:
         vec = np.array([1, np.exp(1j * np.pi / 4)]) / np.sqrt(2)
         assert np.allclose(sm.density_of(ids), np.outer(vec, vec.conj()),
                            atol=1e-9)
-        assert np.allclose(dense_vector(sm), vec, atol=1e-9)
+        assert same_ray(dense_vector(sm), vec, atol=1e-9)
 
     def test_wide_frame_reads_one_qubit(self):
-        """A sum with k = 23 reads its T magic qubit as |T><T| and half
-        of a Bell pair as I/2, past the 2^20 amplitudes a dense
-        reconstruction would need."""
+        """A sum on 45 qubits, 22 Bell pairs and a T magic qubit, reads
+        that qubit as |T><T| and half of a Bell pair as I/2, past the
+        2^20 amplitudes a dense reconstruction would need."""
         sm = StabilizerSum(44)
         for a in range(0, 44, 2):
             sm.apply_gate("H", a)
@@ -233,8 +245,7 @@ class TestMagicInjection:
         sm.apply_gate("H", t)
         sm.apply_gate("K", 3)
         sm.apply_gate("H", t)
-        sm.canonicalize()
-        assert sm.k == 23 and sm.num_terms == 2
+        assert sm.n == 45 and sm.num_terms == 2
         vec = np.array([1, np.exp(1j * np.pi / 4)]) / np.sqrt(2)
         assert np.abs(sm.density_of([t]) -
                       np.outer(vec, vec.conj())).max() < 1e-12
@@ -257,8 +268,8 @@ class TestMagicInjection:
             gates = random_clifford_circuit(4, 14, rng)
             run_circuit(sm, gates)
             run_circuit(sv, gates)
-            assert np.allclose(dense_vector(sm),
-                               sv.amplitudes(), atol=1e-9), trial
+            assert same_ray(dense_vector(sm), sv.amplitudes(),
+                            atol=1e-9), trial
 
     def test_measurement_with_interference(self):
         # measure T|+> in the X basis: P(+) = cos^2(pi/8)
@@ -338,14 +349,15 @@ class TestJointReads:
         assert np.allclose(row.density_of([1]), 0.5)
 
     def test_stabsum_measure_projects_once(self, monkeypatch):
-        """A measurement projects the drawn outcome alone, once, after a
-        single ``rng.random()`` draw."""
+        """A measurement projects the drawn outcome alone, after a single
+        ``rng.random()`` draw: a random one collapses the tableau once, to
+        the drawn bit, and a deterministic one leaves it as it is."""
         calls = []
-        project = StabilizerSum._project
+        collapse = TableauState._collapse
 
-        def counting(self, j, y, row):
-            calls.append(y)
-            return project(self, j, y, row)
+        def counting(self, q, bit):
+            calls.append(bit)
+            return collapse(self, q, bit)
 
         class CountingRng:
             def __init__(self, seed):
@@ -356,17 +368,18 @@ class TestJointReads:
                 self.draws += 1
                 return self.gen.random()
 
-        monkeypatch.setattr(StabilizerSum, "_project", counting)
+        monkeypatch.setattr(TableauState, "_collapse", counting)
         sm = StabilizerSum(3)
         sm.apply_gate("H", 0)
         sm.inject_magic()
         sm.apply_gate("CNOT", 0, 1)
         rng = CountingRng(47)
-        for q in (0, 1, 2):
-            sm.measure(q, rng=rng)
-        assert len(calls) == 3
-        assert rng.draws == 3
-        assert abs(sm._sq_norm() - 1) < 1e-12
+        bits = [sm.measure(q, rng=rng)[0] for q in (0, 1, 2, 3)]
+        # qubit 1 copies qubit 0 and qubit 2 is |0>: both are read; the
+        # magic qubit 3 is |+> on the tableau
+        assert calls == [bits[0], bits[3]]
+        assert rng.draws == 4
+        assert abs(sum(abs(c) ** 2 for c in sm._cs) - 1) < 1e-12
 
 
 class TestCapacity:
@@ -388,6 +401,16 @@ class TestCapacity:
             s2.apply_gate("H", 0)
             s2.apply_gate("CNOT", 0, 1)
             s2.discard([0])
+
+    def test_stabsum_qubit_cap(self):
+        """The sum holds at most 256 live qubits, and a discarded one frees
+        room for the next."""
+        s = StabilizerSum(256)
+        with pytest.raises(ValueError, match="256"):
+            s.append_qubits(1)
+        s.measure(0, np.random.default_rng(1))
+        s.discard([0])
+        assert s.append_qubits(1) == [256]
 
     @pytest.mark.parametrize("backend", [StateVector, TableauState,
                                          StabilizerSum])
@@ -454,13 +477,11 @@ class TestKernelDifferential:
 
     def test_same_public_callables(self):
         """The tableau exposes the backend contract with its block calls,
-        ``z_probabilities``, and the two reads ``frame.py`` makes: ``copy``
-        for the hand-over and ``stab_row`` for a measuring block's flip
-        basis."""
+        ``z_probabilities``, and ``copy``, the read ``frame.py`` makes for
+        the hand-over."""
         want = {"append_qubits", "discard", "apply_gate", "apply_pauli",
                 "measure", "z_probabilities", "density_of", "copy",
-                "stab_row", "apply_gates", "bell_measure",
-                "measure_and_drop"}
+                "apply_gates", "bell_measure", "measure_and_drop"}
         state = TableauState(3)
         assert {name for name in dir(state) if not name.startswith("_")
                 and callable(getattr(state, name))} == want
@@ -700,23 +721,13 @@ class TestColumnReuse:
 
 
 def two_copy_outcomes(sm, qubit_id):
-    """The former ``StabilizerSum`` measurement read: canonicalize, then
-    project a copy onto each Z outcome.  Returns the copies (None for an
-    annihilated one) and their squared norms."""
-    row = sm._row(qubit_id)
-    sm._canonical = False  # the former read canonicalized every time
-    sm.canonicalize()
-    branches, norms = [], []
-    for y in (0, 1):
-        try:
-            br = copy.deepcopy(sm)
-            br._project(row, y, br._row_bits(row))
-            branches.append(br)
-            norms.append(br._sq_norm())
-        except ValueError:
-            branches.append(None)
-            norms.append(0.0)
-    return branches, norms
+    """The oracle's amplitudes projected onto each Z outcome of the qubit:
+    the two projections and their squared norms."""
+    vec = dense_vector(sm)
+    width = len(sm._tab.xcols)
+    bits = np.arange(len(vec)) >> (width - 1 - sm._tab._col(qubit_id)) & 1
+    branches = [np.where(bits == y, vec, 0) for y in (0, 1)]
+    return branches, [float(np.vdot(b, b).real) for b in branches]
 
 
 class Draw:
@@ -731,8 +742,8 @@ class Draw:
 
 
 class TestStabsumMeasureFromCanonicalForm:
-    """The closed-form measurement against the two-copy one it replaced,
-    on random sums with 1-3 T injections and gates between the
+    """The measurement against the dense oracle's two projections, on
+    random sums with 1-3 T injections and gates between the
     measurements."""
 
     def test_matches_two_copy_measurement(self):
@@ -746,19 +757,17 @@ class TestStabsumMeasureFromCanonicalForm:
                 run_circuit(sm, random_clifford_circuit(len(ids), 8, rng))
                 ids += sm.inject_magic()
                 sm.apply_gate("CNOT", ids[int(rng.integers(0, n))], ids[-1])
-            sm.canonicalize()  # so the gates below must clear the flag
             gates = random_clifford_circuit(len(ids), 10, rng)
             run_circuit(sm, [(g[0],) + tuple(ids[q] for q in g[1:])
                              for g in gates])
             for q in rng.permutation(ids):
                 q = int(q)
-                oracle = copy.deepcopy(sm)
-                branches, norms = two_copy_outcomes(oracle, q)
+                branches, norms = two_copy_outcomes(sm, q)
                 want = [norms[0] / sum(norms), norms[1] / sum(norms)]
-                row = sm._row_bits(sm._row(q))
+                random = sm._tab.xcols[sm._tab._col(q)] >> sm._tab._cap
                 got = sm.z_probabilities(q)
                 assert np.allclose(got, want, rtol=0, atol=1e-12), (seed, q)
-                if sm.num_terms > 1 and row and \
+                if sm.num_terms > 1 and random and \
                         abs(want[0] - 0.5) > 1e-9:
                     interfering += 1
                 bit = int(rng.integers(0, 2))
@@ -766,9 +775,9 @@ class TestStabsumMeasureFromCanonicalForm:
                     bit ^= 1
                 drawn, prob = sm.measure(q, Draw(bit))
                 assert drawn == bit and abs(prob - want[bit]) < 1e-12
-                post = dense_vector(branches[bit]) / np.sqrt(norms[bit])
-                assert np.allclose(dense_vector(sm), post, rtol=0,
-                                   atol=1e-12), (seed, q)
+                post = branches[bit] / np.sqrt(norms[bit])
+                assert same_ray(dense_vector(sm), post, atol=1e-12), \
+                    (seed, q)
                 gates = random_clifford_circuit(len(ids), 2, rng)
                 run_circuit(sm, [(g[0],) + tuple(ids[w] for w in g[1:])
                                  for g in gates])
@@ -780,15 +789,16 @@ def dict_loop_density(sm, qubits):
     """The former ``StabilizerSum.density_of``: the oracle's amplitudes,
     grouped bit by bit."""
     amps = sum_amplitudes(sm)
-    keep = [sm._row(q) for q in qubits]
+    keep = [sm._tab._col(q) for q in qubits]
+    width = len(sm._tab.xcols)
     groups = {}
     for idx, amp in amps.items():
         kept = rest = 0
         for pos, q in enumerate(keep):
-            kept |= ((idx >> (sm.n - 1 - q)) & 1) << (len(keep) - 1 - pos)
-        for q in range(sm.n):
+            kept |= ((idx >> (width - 1 - q)) & 1) << (len(keep) - 1 - pos)
+        for q in range(width):
             if q not in keep:
-                rest = (rest << 1) | ((idx >> (sm.n - 1 - q)) & 1)
+                rest = (rest << 1) | ((idx >> (width - 1 - q)) & 1)
         bucket = groups.setdefault(rest, {})
         bucket[kept] = bucket.get(kept, 0.0) + amp
     dim = 1 << len(keep)
@@ -837,7 +847,7 @@ def column_loop_density(state, qubits):
     for q in keep:
         keep_mask |= 1 << q
     width = len(state.xcols)
-    rows = [state.stab_row(i) for i in range(width)]
+    rows = [stab_row(state, i) for i in range(width)]
     cols = []
     for j in range(width):
         if (keep_mask >> j) & 1:
@@ -1001,6 +1011,8 @@ class TestFrameReplay:
             older = [ids[p] for ids in regs for p in pi
                      if ids[p] not in measured] + older
         ref = state.finish() if isinstance(state, Recorder) else None
+        if isinstance(state, FrameReplay):
+            state = state.final_state()
         return outcomes, rng.bit_generator.state, \
             state.density_of(older[:3]), ref
 
@@ -1054,4 +1066,4 @@ def test_stabsum_contract_digest():
                                                               rng)])
         digest.update(sm.density_of(ids).tobytes())
     assert digest.hexdigest() == \
-        "ffdf1ef2f3d569d187854602c06f4001d3ffa54d534579eef0edb0fc3e7904dc"
+        "23bd5b8644d8db1ed6d944889ed68ed186c6f10b257d179ef6d6c6793f52473d"

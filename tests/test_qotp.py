@@ -15,6 +15,7 @@ from qotp_lab.cotp import (BrOtpProgram, abort_message, brotp_query,
                             decode_payload, encode_payload)
 from qotp_lab.css import build_steane, build_toy_code, concatenate
 from qotp_lab.gadgets import EIGENSTATE_VECTORS, magic_slots
+from qotp_lab.harness import run_experiment
 from qotp_lab.paulis import CliffordUnitary, PauliOperator, Permutation
 from qotp_lab.qotp import (DummyAdversary, PauliAttackAdversary, QotpInstance,
                            RunResult, bell_measure, compile_controlled_program,
@@ -183,6 +184,16 @@ class TestHonestRuns:
                                 res.session.state.density_of(res.b_out_qubits))
         assert fid >= 1 - 1e-9
 
+    @pytest.mark.parametrize("seed", [2, 3, 4])
+    def test_t_on_steane_on_the_sum_passes_every_check(self, seed):
+        """T at Steane scale on the stabilizer sum, the golden-digest
+        config at other seeds: accepted, exact output, key equation."""
+        report, _ = run_experiment("qotp-run", {
+            "seed": seed, "channel": [["T", 0]], "b_labels": ["+"],
+            "backend": "sum"})
+        assert report.all_pass, report.to_canonical()
+        assert report.extra["backend"] == "sum"
+
     def test_identity_channel_round_trip(self):
         for label in ("0", "1", "+", "-i"):
             res, inst = honest_receiver_run(
@@ -229,9 +240,9 @@ class TestHonestRuns:
         assert insts[0].trap.pi == insts[1].trap.pi
 
 
-# the map of each backend's live ids
-LIVE_IDS = {StateVector: "_ids", TableauState: "_col_of",
-            StabilizerSum: "_row_of"}
+# each backend's live ids; the sum's are its tableau's
+LIVE_IDS = {StateVector: lambda s: s._ids, TableauState: lambda s: s._col_of,
+            StabilizerSum: lambda s: s._tab._col_of}
 
 
 class TestLiveQubits:
@@ -249,18 +260,18 @@ class TestLiveQubits:
         assert peak == 3 * TOY.n * (3 * nb + 1 + program.uses_t_helper)
         seen = {"peak": 0, "pairs": 0}
 
-        def counting(append, attr):
+        def counting(append, live):
             def wrapped(self, *args):
                 ids = append(self, *args)
-                seen["peak"] = max(seen["peak"], len(getattr(self, attr)))
+                seen["peak"] = max(seen["peak"], len(live(self)))
                 return ids
             return wrapped
 
-        for cls, attr in LIVE_IDS.items():
+        for cls, live in LIVE_IDS.items():
             for name in ("append_qubits", "append_amplitudes"):
                 if hasattr(cls, name):
                     monkeypatch.setattr(
-                        cls, name, counting(getattr(cls, name), attr))
+                        cls, name, counting(getattr(cls, name), live))
 
         def checked(state, pairs, rng, sink=None):
             measured = []
@@ -271,8 +282,7 @@ class TestLiveQubits:
                     yield pair
 
             masks = bell_measure(state, taken(), rng, sink)
-            assert not set(measured) & set(getattr(state,
-                                                   LIVE_IDS[type(state)]))
+            assert not set(measured) & set(LIVE_IDS[type(state)](state))
             seen["pairs"] += len(measured) // 2
             return masks
 
@@ -297,7 +307,7 @@ class TestLiveQubits:
         gadgets.run_encoded_circuit(session, verifier)
         ok, out = session.recover_register(data[0], verifier.keys[data[0]])
         assert ok and not verifier.cheated
-        assert set(getattr(session.state, LIVE_IDS[backend])) == {out}
+        assert set(LIVE_IDS[backend](session.state)) == {out}
 
 
 class TestSenderInput:
