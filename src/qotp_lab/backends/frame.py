@@ -26,9 +26,13 @@ the post-measurement state of o to that of o xor (P's X bits on the
 measured qubits).  Which measurement of a block is random depends on the
 order the run measures in, and that order comes from pi, so the run
 eliminates the basis in its own order.  A measurement that some basis
-element still flips is a pivot: it draws one ``rng.integers(0, 2)``, as
-``TableauState.measure`` does, and that draw is its outcome.  Any other
-measurement is read from o, the frame and the flips chosen so far.
+element still flips is a pivot, and its outcome is a fresh uniform bit.
+Which measurements are pivots never depends on a drawn bit, and a block
+has one pivot per basis element, so the block draws them all with one
+``rng.integers(0, 2, size=len(basis))``: the bits and the generator
+position of one ``rng.integers(0, 2)`` per pivot, which is what
+``TableauState.measure`` draws.  Any other measurement is read from o,
+the frame and the flips chosen so far.
 
 A run must make the reference's calls in order, each checked by one
 comparison of its relabelled qubits with the log; only the order of the
@@ -369,13 +373,14 @@ class FrameReplay:
 
     def _measure(self, step, ids, labels, rng, sink) -> list[int]:
         """Measure the reference ids ``labels`` in this order, each a pivot
-        (one draw) or read; then the frame takes the chosen flips and the
-        run drops ``ids``."""
+        (the next of the block's bits, all drawn by one call) or read; then
+        the frame takes the chosen flips and the run drops ``ids``."""
         images, out, basis, support, keep = step
         if images is not None:
             self._push(images)
         read = out ^ self._fx  # the outcomes with the flips so far
         vecs = dict(basis)
+        draws = iter(rng.integers(0, 2, len(basis)).tolist() if basis else ())
         cx = cz = 0
         bits = []
         for r in labels:
@@ -389,7 +394,7 @@ class FrameReplay:
                         vecs[p] = (px ^ v[0], pz ^ v[1])
             bit = read >> r & 1
             if v is not None:
-                drawn = int(rng.integers(0, 2))
+                drawn = next(draws)
                 if drawn != bit:
                     read ^= v[0]
                     cx ^= v[0]

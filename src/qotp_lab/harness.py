@@ -10,6 +10,7 @@ wall-clock timing goes to a separate metadata file.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -98,6 +99,18 @@ def worst_of(values) -> float:
     first argument)."""
     values = list(values)
     return float("nan") if any(v != v for v in values) else max(values)
+
+
+def binomial_tails(hits: int, trials: int, p: float) -> tuple[float, float]:
+    """(P[X <= hits], P[X >= hits]) for X ~ Binomial(trials, p), each a
+    sum of terms taken from lgamma, so that no term overflows."""
+    if p in (0.0, 1.0):  # all the mass sits on trials * p
+        return float(hits >= trials * p), float(hits <= trials * p)
+    logs = [math.lgamma(trials + 1) - math.lgamma(k + 1)
+            - math.lgamma(trials - k + 1) + k * math.log(p)
+            + (trials - k) * math.log1p(-p) for k in range(trials + 1)]
+    return (math.fsum(map(math.exp, logs[:hits + 1])),
+            math.fsum(map(math.exp, logs[hits:])))
 
 
 def emit_report(report: ExperimentReport, out_dir: str,
@@ -446,8 +459,9 @@ def run_qotp_attack(config: dict, seed: int) -> tuple[ExperimentReport, None]:
             initial_attacks=[("M0", attack)]))
 
     # runs from the third on replay; the third, the middle and the last
-    # rerun on a fresh program, which keeps them on a plain tableau
-    replayed = sorted({2, runs // 2, runs - 1}) if runs >= 3 else []
+    # rerun on a fresh program, which keeps them on a plain tableau (of
+    # three runs, the middle one records)
+    replayed = sorted({2, max(2, runs // 2), runs - 1}) if runs >= 3 else []
     rejects = misses = mismatches = 0
     kept = {}
     for t in range(runs):
@@ -472,6 +486,17 @@ def run_qotp_attack(config: dict, seed: int) -> tuple[ExperimentReport, None]:
     report.add_check("rejection_rate", rate, bound, lo >= bound,
                      mode="monte-carlo")
     report.extra["ci"] = [lo, hi]
+    try:  # an X attack's exact rejection probability, over every placement
+        exact = exact_attack_probabilities(base, x_mask.bit_count())[0]
+    except ValueError as err:
+        report.extra["rejection_exact"] = f"not checked: {err}"
+    else:
+        # two-sided exact test: an honest run fails it with probability
+        # at most 1e-6
+        p_value = min(1.0, 2 * min(binomial_tails(rejects, runs, exact)))
+        report.add_check("rejection_rate_exact", p_value, 1e-6,
+                         p_value > 1e-6, mode="monte-carlo")
+        report.extra["rejection_exact"] = exact
     report.add_check("attack_verdict_mismatches", misses, 0, misses == 0)
     report.add_check("replay_matches_tableau", mismatches, 0,
                      mismatches == 0)

@@ -71,7 +71,7 @@ from .gadgets import (AuthSession, VerifierState, authenticate_into,
                       build_schedule, eigenstate_preparer, magic_slots,
                       make_teleport_through, prepare_eigenstate)
 from .paulis import PauliOperator
-from .trap import TrapCode, random_pauli, sample_trap_code
+from .trap import TrapCode, random_paulis, sample_trap_code
 
 UNIVERSAL_GATES = ("X", "Y", "Z", "CNOT", "K", "T", "H")
 
@@ -343,8 +343,8 @@ class QotpVerifier(VerifierState):
             self.cheated = True
         if self.verdict():
             gen = rngmod.stream(self.reject_key_seed, "reject-key")
-            labels = [random_pauli(1, gen).to_label()
-                      for _ in range(self.program.n_b)]
+            labels = [p.to_label()
+                      for p in random_paulis(1, gen, self.program.n_b)]
             return labels, True
         return [_KEY_LABELS[self.final_keys(t_out, i)]
                 for i in range(self.program.n_b)], False
@@ -641,9 +641,9 @@ class QotpInstance:
         data = data_registers(program)
         reg_names = data + [nm for _, names in magic_slots(program.steps)
                             for nm in names]
-        keys = {name: random_pauli(n3, key_rng) for name in reg_names}
-        self.output_keys = [random_pauli(n3, key_rng)
-                            for _ in range(program.n_b)]
+        paulis = random_paulis(n3, key_rng, len(reg_names) + program.n_b)
+        keys = dict(zip(reg_names, paulis))
+        self.output_keys = paulis[len(reg_names):]
         if pad_coset != "I":
             # the exact comparison's pad coset on the teleported input
             keys["Bt0"] = keys["Bt0"] * self.trap.logical_pauli(pad_coset)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .css import CssCode
 from .paulis import PauliOperator, Permutation, random_permutations
-from .rng import random_bits
+from .rng import random_masks
 
 _CHUNK = 1024       # permutations drawn and laid out at a time
 _BLOCK = 1 << 15    # (permutation, attack) pairs classified at a time
@@ -338,9 +338,14 @@ class AuthKey:
     pauli_keys: dict[str, PauliOperator] = field(default_factory=dict)
 
 
+def random_paulis(n: int, rng, count: int) -> list[PauliOperator]:
+    """``count`` uniform Paulis, each its X then its Z mask, in one draw."""
+    masks = iter(random_masks(rng, n, 2 * count))
+    return [PauliOperator.from_masks(n, x, z) for x, z in zip(masks, masks)]
+
+
 def random_pauli(n: int, rng) -> PauliOperator:
-    return PauliOperator.from_masks(n, random_bits(rng, n),
-                                    random_bits(rng, n))
+    return random_paulis(n, rng, 1)[0]
 
 
 def sample_trap_code(base: CssCode, rng) -> TrapCode:

@@ -12,10 +12,14 @@ import numpy as np
 import pytest
 
 from qotp_lab import denseops as dn
+from qotp_lab import rng as rngmod
 from qotp_lab.backends import StabilizerSum, StateVector, TableauState
 from qotp_lab.backends.frame import FrameReplay, Recorder
+from qotp_lab.css import build_steane
 from qotp_lab.gf2 import rref
 from qotp_lab.paulis import PauliOperator
+from qotp_lab.qotp import (PauliAttackAdversary, QotpInstance,
+                           compile_controlled_program)
 
 
 def random_clifford_circuit(n, count, rng, include=("X", "Y", "Z", "H", "K", "CNOT")):
@@ -1033,6 +1037,49 @@ class TestFrameReplay:
         # the measurement order that the placing sets decides which
         # outcomes are random
         assert orders >= 5
+
+    def test_keyed_run_draws_per_block_and_per_instance(self, monkeypatch):
+        """A replayed criterion-7 run calls its outcome generator at most
+        once per measuring block, and ``QotpInstance.__init__`` calls its
+        keys stream at most twice: the trap permutation, then every key."""
+        calls = {}
+        open_stream = rngmod.stream
+
+        class Counted:
+            """A stream that counts the calls made on it by its name."""
+
+            def __init__(self, name, gen):
+                self._name, self._gen = name, gen
+
+            def __getattr__(self, attr):
+                method = getattr(self._gen, attr)
+
+                def counted(*args, **kwargs):
+                    calls[self._name] += 1
+                    return method(*args, **kwargs)
+                return counted
+
+        def stream(seed, name):
+            calls[name] = 0
+            return Counted(name, open_stream(seed, name))
+
+        blocks = []  # the replayed run's measuring blocks
+        for kind in ("bell_measure", "measure_and_drop"):
+            def block(self, *args, _kind=kind,
+                      _call=getattr(FrameReplay, kind)):
+                blocks.append(_kind)
+                return _call(self, *args)
+            monkeypatch.setattr(FrameReplay, kind, block)
+        monkeypatch.setattr(rngmod, "stream", stream)
+        program = compile_controlled_program([("Y", 0)], 0, 1)
+        attack = PauliOperator.from_masks(21, 0b111, 0)
+        for t in range(3):  # the third run replays the second's reference
+            inst = QotpInstance(program, build_steane(), 9 * 131071 + t,
+                                backend="tab", transport="direct")
+            assert calls["keys"] <= 2
+            inst.run(PauliAttackAdversary(initial_attacks=[("M0", attack)]))
+        assert isinstance(inst.session.state, FrameReplay)
+        assert 0 < calls["outcomes"] <= len(blocks)
 
 
 def test_stabsum_contract_digest():

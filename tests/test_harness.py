@@ -114,7 +114,7 @@ class TestDeterminism:
          "b2e0449575f083849d867f3162cd6768aa633789f90c16e6b6f9f9542a03274f",
          None),
         ("qotp-attack", {"seed": 9, "runs": 20},
-         "6f819f9a1ec1f96ccca3dd5cd260c20a4f51e95a00a86ac883aa66bf2699a4cb",
+         "90f21f4515f2507bc30f8de526b3ea8d5468fba1cca3c487890f5bccd03e4fa1",
          None),
         ("sim-compare", {"seed": 9, "cases": ["dummy", "data-attack"]},
          "fae6b52d3a5f51f296ca2c2346b30cb88312222197fde582e14210999d81d16f",
@@ -504,6 +504,57 @@ class TestQotpRun:
             "seed": 5, "channel": [["X", 0]], "backend": "tab"})
         assert report.all_pass
         assert len(calls) == 1
+
+
+class TestQotpAttack:
+    def test_binomial_tails_match_exact_sums(self):
+        from fractions import Fraction
+        from math import comb
+
+        from qotp_lab.harness import binomial_tails
+
+        p = Fraction(1288, 1330)
+        for trials in (1, 20, 97):
+            pmf = [comb(trials, k) * p ** k * (1 - p) ** (trials - k)
+                   for k in range(trials + 1)]
+            for hits in range(trials + 1):
+                low, high = binomial_tails(hits, trials, float(p))
+                assert low == pytest.approx(float(sum(pmf[:hits + 1])),
+                                            rel=1e-12, abs=1e-300)
+                assert high == pytest.approx(float(sum(pmf[hits:])),
+                                             rel=1e-12, abs=1e-300)
+        # a weight-0 attack is never rejected, a certain one always
+        assert binomial_tails(0, 5, 0.0) == (1.0, 1.0)
+        assert binomial_tails(1, 5, 0.0) == (1.0, 0.0)
+        assert binomial_tails(4, 5, 1.0) == (0.0, 1.0)
+
+    def test_three_runs_compare_their_one_replay(self):
+        # the middle of three runs records the reference, and has no
+        # replay to compare
+        report, _ = run_experiment("qotp-attack", {"seed": 9, "runs": 3})
+        assert report.extra["replay_runs_compared"] == [2]
+        assert {c["name"]: c["pass"] for c in report.checks}[
+            "replay_matches_tableau"]
+
+    def test_code_past_the_closed_form_keeps_the_wilson_check(
+            self, monkeypatch):
+        """A base code that ``attack_counts`` refuses (more than 64 qubits)
+        gets no exact check, and ``extra`` says why."""
+        from types import SimpleNamespace
+
+        from qotp_lab import harness, trap
+
+        monkeypatch.setattr(
+            harness, "exact_attack_probabilities",
+            lambda base, weight: trap.exact_attack_probabilities(
+                SimpleNamespace(n=343), weight))
+        report, _ = run_experiment("qotp-attack", {"seed": 9, "runs": 3})
+        assert [c["name"] for c in report.checks] == [
+            "rejection_rate", "attack_verdict_mismatches",
+            "replay_matches_tableau"]
+        assert report.extra["rejection_exact"] == (
+            "not checked: exact attack counting needs a base code of at "
+            "most 64 qubits, got 343")
 
 
 class TestFinalKeyAudit:

@@ -191,6 +191,25 @@ def _replay_measure_ignoring_frame_x(self, step, ids, labels, rng, sink):
         self._fx ^= fx & step[-1]
 
 
+class _OneBitForEveryPivot:
+    """An outcome stream that answers a block's draw of k bits with one
+    drawn bit, repeated k times."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def integers(self, low, high, size=None):
+        bit = self._rng.integers(low, high)
+        return bit if size is None else np.full(size, bit)
+
+
+def _replay_measure_reusing_one_bit(self, step, ids, labels, rng, sink):
+    """A replayed measuring block that draws one bit and gives it to every
+    pivot of the block."""
+    return _replay_measure(self, step, ids, labels, _OneBitForEveryPivot(rng),
+                           sink)
+
+
 _KEY_LABELS_X_Z_SWAPPED = [qotp._KEY_LABELS[k] for k in (0, 2, 1, 3)]
 
 TELEPORT = ("teleport-check", {"seed": 1})
@@ -257,7 +276,8 @@ MUTANTS = {
          "gadget_K_exact", "gadget_H_exact"]),
     "verifier-never-marks-cheating": (
         qotp.QotpVerifier, "verdict", _verdict_never_cheated, ATTACK,
-        ["rejection_rate", "attack_verdict_mismatches"]),
+        ["rejection_rate", "rejection_rate_exact",
+         "attack_verdict_mismatches"]),
     "replay-h-leaves-the-frame": (
         _Reference, "_images", staticmethod(_images_h_leaves_the_frame),
         ATTACK, ["replay_matches_tableau"]),
@@ -267,6 +287,9 @@ MUTANTS = {
         ["replay_matches_tableau"]),
     "replay-measure-ignores-frame-x": (
         FrameReplay, "_measure", _replay_measure_ignoring_frame_x, ATTACK,
+        ["replay_matches_tableau"]),
+    "replay-block-draw-reuses-one-bit": (
+        FrameReplay, "_measure", _replay_measure_reusing_one_bit, ATTACK,
         ["replay_matches_tableau"]),
     "decompose-drops-largest-term": (
         denseops, "pauli_decompose", _decompose_dropping_largest, TWIRL,

@@ -377,6 +377,25 @@ class TestBatchedSampling:
         assert rows == [_code_ints(c) for c in codes]
         assert a.integers(0, 2 ** 62) == b.integers(0, 2 ** 62)
 
+    @pytest.mark.parametrize("n", [1, 2, 8, 9, 21, 147])
+    def test_masks_match_one_mask_draws(self, n):
+        # one ``gen.bytes(ceil(n/8))`` a mask is the rule ``random_masks``
+        # must reproduce in one call: the same masks and the same next draw
+        for seed in range(300):
+            for count in (1, 2, 12):
+                ref, one, batch = (rngmod.stream(seed, "keys")
+                                   for _ in range(3))
+                want = [int.from_bytes(ref.bytes((n + 7) // 8), "little")
+                        & ((1 << n) - 1) for _ in range(count)]
+                assert [rngmod.random_bits(one, n)
+                        for _ in range(count)] == want
+                assert rngmod.random_masks(batch, n, count) == want
+                tail = (ref.integers(0, 2 ** 62), ref.random(), ref.bytes(5))
+                assert (one.integers(0, 2 ** 62), one.random(),
+                        one.bytes(5)) == tail
+                assert (batch.integers(0, 2 ** 62), batch.random(),
+                        batch.bytes(5)) == tail
+
 
 class TestBatchedClassification:
     """``TrapTable`` verdicts against the scalar ``classify_masks`` for every
